@@ -1,0 +1,102 @@
+#include <gtest/gtest.h>
+
+#include "engine/database.h"
+#include "engine/process_executor.h"
+#include "engine/sim_executor.h"
+#include "engine/thread_executor.h"
+#include "plan/wisconsin_query.h"
+#include "strategy/strategy.h"
+
+namespace mjoin {
+namespace {
+
+// Cross-backend accounting parity: all three executors host operator
+// instances in the same operation-process runtime, so with the skew
+// defense off and no faults they must count the same tuples into and out
+// of every operation. The simulator's EXPLAIN ANALYZE counters, the
+// thread backend's per-op metrics, and the process backend's merged
+// per-worker reports (shm plane) are compared op by op.
+
+struct Case {
+  StrategyKind strategy;
+  QueryShape shape;
+};
+
+std::string CaseName(const testing::TestParamInfo<Case>& info) {
+  std::string shape = ShapeName(info.param.shape);
+  for (char& c : shape) {
+    if (c == ' ') c = '_';
+  }
+  return StrategyName(info.param.strategy) + "_" + shape;
+}
+
+class BackendParityTest : public testing::TestWithParam<Case> {};
+
+TEST_P(BackendParityTest, PerOpCountersAgree) {
+  constexpr int kRelations = 5;
+  constexpr uint32_t kCardinality = 400;
+  constexpr uint32_t kProcessors = 8;
+
+  Database db = MakeWisconsinDatabase(kRelations, kCardinality, /*seed=*/7);
+  auto query =
+      MakeWisconsinChainQuery(GetParam().shape, kRelations, kCardinality);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(GetParam().strategy)
+                  ->Parallelize(*query, kProcessors, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  SimExecutor sim(&db);
+  auto sim_run = sim.Execute(*plan, SimExecOptions());
+  ASSERT_TRUE(sim_run.ok()) << sim_run.status();
+
+  ThreadExecOptions thread_options;
+  thread_options.collect_metrics = true;
+  ThreadExecutor threads(&db);
+  auto thread_run = threads.Execute(*plan, thread_options);
+  ASSERT_TRUE(thread_run.ok()) << thread_run.status();
+
+  ProcessExecOptions process_options;
+  process_options.exec.collect_metrics = true;
+  process_options.num_workers = 3;
+  process_options.use_shm_data_plane = true;
+  ProcessExecutor processes(&db);
+  auto process_run = processes.Execute(*plan, process_options);
+  ASSERT_TRUE(process_run.ok()) << process_run.status();
+
+  const std::vector<ThreadOpStats>& thread_ops = thread_run->stats.per_op;
+  const std::vector<ThreadOpStats>& process_ops =
+      process_run->exec.stats.per_op;
+  ASSERT_EQ(sim_run->op_stats.size(), plan->ops.size());
+  ASSERT_EQ(thread_ops.size(), plan->ops.size());
+  ASSERT_EQ(process_ops.size(), plan->ops.size());
+  for (size_t i = 0; i < plan->ops.size(); ++i) {
+    const OpStats& s = sim_run->op_stats[i];
+    const OpMetrics& t = thread_ops[i].metrics;
+    const OpMetrics& p = process_ops[i].metrics;
+    const std::string& label = plan->ops[i].label;
+    EXPECT_EQ(s.tuples_in, t.rows_in[0] + t.rows_in[1]) << label;
+    EXPECT_EQ(t.rows_in[0] + t.rows_in[1], p.rows_in[0] + p.rows_in[1])
+        << label;
+    EXPECT_EQ(s.tuples_out, t.rows_out) << label;
+    EXPECT_EQ(t.rows_out, p.rows_out) << label;
+    EXPECT_EQ(thread_ops[i].instances, plan->ops[i].processors.size())
+        << label;
+    EXPECT_EQ(thread_ops[i].instances, process_ops[i].instances) << label;
+  }
+}
+
+std::vector<Case> AllCases() {
+  std::vector<Case> cases;
+  for (StrategyKind strategy : kAllStrategies) {
+    for (QueryShape shape : kAllShapes) {
+      cases.push_back({strategy, shape});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategiesAllShapes, BackendParityTest,
+                         testing::ValuesIn(AllCases()), CaseName);
+
+}  // namespace
+}  // namespace mjoin

@@ -175,6 +175,41 @@ TEST(SimExecutorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run1->events, run2->events);
 }
 
+// Pins the simulator's timing: response ticks of every strategy on every
+// shape at a small size, recorded from the executor as it stood before
+// the operation-process runtime was shared with the real backends. A
+// reordered deferred action or a moved charge shifts these, and with them
+// every paper figure, even when the tick ordering tests still pass.
+TEST(SimExecutorTest, ResponseTicksPinned) {
+  constexpr int kRelations = 5;
+  constexpr uint32_t kCardinality = 300;
+  constexpr uint32_t kProcessors = 12;
+  // [strategy][shape] in kAllStrategies x kAllShapes order.
+  constexpr Ticks kExpected[4][5] = {
+      {3717, 3721, 3749, 3729, 3793},  // SP
+      {3717, 3014, 2818, 2806, 3793},  // SE
+      {3717, 2992, 2672, 2145, 2657},  // RD
+      {2394, 2467, 2461, 2473, 2414},  // FP
+  };
+  Database db = MakeWisconsinDatabase(kRelations, kCardinality, /*seed=*/7);
+  SimExecutor executor(&db);
+  for (size_t s = 0; s < std::size(kAllStrategies); ++s) {
+    for (size_t q = 0; q < std::size(kAllShapes); ++q) {
+      auto query =
+          MakeWisconsinChainQuery(kAllShapes[q], kRelations, kCardinality);
+      ASSERT_TRUE(query.ok());
+      auto plan = MakeStrategy(kAllStrategies[s])
+                      ->Parallelize(*query, kProcessors, TotalCostModel());
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      auto run = executor.Execute(*plan, SimExecOptions());
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_EQ(run->response_ticks, kExpected[s][q])
+          << StrategyName(kAllStrategies[s]) << " on "
+          << ShapeName(kAllShapes[q]);
+    }
+  }
+}
+
 TEST(SimExecutorTest, MaterializedResultMatchesReference) {
   Database db = MakeWisconsinDatabase(4, 250, 11);
   auto query = MakeWisconsinChainQuery(QueryShape::kWideBushy, 4, 250);
