@@ -26,6 +26,7 @@
 #include "engine/controller.h"
 #include "engine/database.h"
 #include "engine/fault_injector.h"
+#include "engine/instance_runtime.h"
 #include "engine/process_protocol.h"
 #include "engine/process_worker.h"
 #include "engine/result.h"
@@ -34,7 +35,6 @@
 #include "net/net_fault.h"
 #include "net/shm_ring.h"
 #include "skew/defense.h"
-#include "storage/partitioner.h"
 #include "xra/text.h"
 
 namespace mjoin {
@@ -432,25 +432,14 @@ Status Coordinator::ShipPlans() {
 }
 
 Status Coordinator::ShipFragments() {
-  // Partition every base relation exactly as the thread backend does
-  // (hash-partitioned on the consumer's join key when the consumer is a
-  // colocated join, round-robin otherwise), then ship each instance's
+  // Partition every base relation exactly as the in-process backends do
+  // (DeclusterScan), then ship each instance's
   // fragment to its hosting worker in bounded chunks. The socket is FIFO,
   // so every fragment chunk precedes the kTrigger that starts its scan.
   for (const XraOp& o : plan_.ops) {
     if (o.kind != XraOpKind::kScan) continue;
-    MJOIN_ASSIGN_OR_RETURN(const Relation* base, db_.Get(o.relation));
-    auto m = static_cast<uint32_t>(o.processors.size());
-    const XraOp& consumer = op(o.consumer);
-    std::vector<Relation> fragments;
-    if (consumer.inputs[o.consumer_port].routing == Routing::kColocated &&
-        consumer.is_join()) {
-      size_t key = o.consumer_port == 0 ? consumer.join_spec.left_key
-                                        : consumer.join_spec.right_key;
-      MJOIN_ASSIGN_OR_RETURN(fragments, HashPartition(*base, key, m));
-    } else {
-      fragments = RoundRobinPartition(*base, m);
-    }
+    MJOIN_ASSIGN_OR_RETURN(std::vector<Relation> fragments,
+                           DeclusterScan(plan_, o, db_));
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
                            registry_.IdOf(*o.output_schema));
     uint32_t tuple_size = o.output_schema->tuple_size();
@@ -470,7 +459,7 @@ Status Coordinator::ShipFragments() {
                   std::max<uint32_t>(1, tuple_size)
             : std::max<size_t>(1,
                                (4u << 20) / std::max<uint32_t>(1, tuple_size));
-    for (uint32_t i = 0; i < m; ++i) {
+    for (uint32_t i = 0; i < fragments.size(); ++i) {
       const Relation& frag = fragments[i];
       if (frag.num_tuples() == 0) continue;  // workers pre-create empties
       const uint32_t dest = WorkerOf(o.processors[i]);

@@ -5,11 +5,10 @@
 #include <signal.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,18 +16,11 @@
 #include "common/memory_budget.h"
 #include "common/string_util.h"
 #include "engine/fault_injector.h"
+#include "engine/instance_runtime.h"
 #include "engine/process_protocol.h"
 #include "engine/result.h"
-#include "exec/aggregate.h"
 #include "exec/batch.h"
 #include "exec/batch_pool.h"
-#include "exec/emit.h"
-#include "exec/filter.h"
-#include "exec/operator.h"
-#include "exec/pipelining_hash_join.h"
-#include "exec/scan.h"
-#include "exec/simple_hash_join.h"
-#include "exec/sort_merge_join.h"
 #include "net/channel.h"
 #include "net/shm_ring.h"
 #include "skew/defense.h"
@@ -43,120 +35,12 @@ namespace {
 /// coordinator-side half is the credit window).
 constexpr size_t kOutboxWatermark = 4u << 20;
 
-/// Same work-type mapping as the thread backend (its copies live in an
-/// anonymous namespace); kept byte-identical so the two backends bucket
-/// phase seconds the same way.
-ThreadWorkType ConsumeWorkType(XraOpKind kind, int port) {
-  switch (kind) {
-    case XraOpKind::kSimpleHashJoin:
-      return port == SimpleHashJoinOp::kBuildPort ? ThreadWorkType::kBuild
-                                                  : ThreadWorkType::kProbe;
-    case XraOpKind::kPipeliningHashJoin:
-    case XraOpKind::kFilter:
-      return ThreadWorkType::kPipeline;
-    case XraOpKind::kSortMergeJoin:
-      return ThreadWorkType::kBuild;
-    case XraOpKind::kAggregate:
-      return ThreadWorkType::kBuild;
-    default:
-      return ThreadWorkType::kOther;
-  }
-}
-
-ThreadWorkType InputDoneWorkType(XraOpKind kind, int port) {
-  switch (kind) {
-    case XraOpKind::kSimpleHashJoin:
-      return port == SimpleHashJoinOp::kBuildPort ? ThreadWorkType::kProbe
-                                                  : ThreadWorkType::kOther;
-    case XraOpKind::kSortMergeJoin:
-      return ThreadWorkType::kMerge;
-    case XraOpKind::kAggregate:
-      return ThreadWorkType::kEmit;
-    default:
-      return ThreadWorkType::kOther;
-  }
-}
-
-double* PhaseBucket(OpMetrics* m, ThreadWorkType type) {
-  switch (type) {
-    case ThreadWorkType::kBuild:
-      return &m->build_seconds;
-    case ThreadWorkType::kProbe:
-    case ThreadWorkType::kMerge:
-      return &m->probe_seconds;
-    case ThreadWorkType::kPipeline:
-      return &m->pipeline_seconds;
-    case ThreadWorkType::kScan:
-      return &m->scan_seconds;
-    case ThreadWorkType::kEmit:
-      return &m->emit_seconds;
-    case ThreadWorkType::kBloomBuild:
-      return &m->skew_bloom_build_seconds;
-    case ThreadWorkType::kSerialize:
-    case ThreadWorkType::kDeserialize:
-    default:
-      return &m->other_seconds;
-  }
-}
-
-class WorkerRun;
-
-/// One hosted operation process. The whole worker is one thread, so the
-/// state needs no locking; output leaves through the same EmitWriter
-/// zero-copy channel the thread backend uses — rows are built in the
-/// pending destination batch and touched again only by the one serializing
-/// copy onto the wire (or not at all for a local consumer).
-class WorkerInstance : public OpContext, public EmitSink {
- public:
-  WorkerInstance(WorkerRun* run, int op_id, uint32_t index, uint32_t processor)
-      : run_(run), op_id_(op_id), index_(index), processor_(processor) {}
-
-  void Charge(Ticks) override {}
-  void EmitRow(const std::byte* row) override;
-  void EmitRows(const std::byte* rows, size_t count,
-                size_t row_bytes) override;
-  EmitWriter* emit_writer() override {
-    return writer_ready ? &writer : nullptr;
-  }
-  void BatchFull(uint32_t dest) override;
-  const CostParams& costs() const override { return cost_params_; }
-  MemoryBudget* memory_budget() const override;
-  bool cancelled() const override;
-  void ReportError(const Status& status) override;
-  OpMetrics* metrics() const override {
-    return observe_metrics ? &op_metrics : nullptr;
-  }
-
-  WorkerRun* run_;
-  int op_id_;
-  uint32_t index_;
-  uint32_t processor_;
-  std::unique_ptr<Operator> oper;
-
-  mutable OpMetrics op_metrics;
-  bool observe_metrics = false;
-
-  bool started = false;
-  bool complete = false;
-  bool build_done_reported = false;
-  bool pumping = false;
-  int eos_remaining[2] = {0, 0};
-  std::vector<TupleBatch> out_pending;
-  EmitWriter writer;
-  bool writer_ready = false;
-  /// Wire schema id of out_pending's layout (only used on remote sends).
-  uint32_t out_schema_id = 0;
-  std::deque<std::function<void()>> pre_start;
-  /// Installed on probe-edge producers when a skew directive arrives;
-  /// owned here so it outlives every writer use.
-  std::unique_ptr<EmitDefense> skew_hook;
-
-  CostParams cost_params_;
-};
-
-/// Worker-side state of one query: hosted instances, local fragments and
-/// stored results, the frame loop, and the finish-phase reporting.
-class WorkerRun {
+/// Worker-side state of one query: the runtime's hosted instances, the
+/// frame loop and shm transport, and the finish-phase reporting. The whole
+/// worker is one thread, so Post() runs inline; output leaves through each
+/// instance's EmitWriter, whose pending batch is touched again only by the
+/// one serializing copy onto the wire (or not at all for a local consumer).
+class WorkerRun : public InstanceHost {
  public:
   WorkerRun(FrameChannel* chan, PlanEnvelope env, ParallelPlan plan,
             ShmDataPlane* plane, BatchPool* pool)
@@ -175,81 +59,59 @@ class WorkerRun {
   /// Runs the event loop until kShutdown (returns OK) or a fatal error.
   Status Loop();
 
-  void EmitRowFrom(WorkerInstance* inst, const std::byte* row);
-  void EmitRowsFrom(WorkerInstance* inst, const std::byte* rows, size_t count,
-                    size_t row_bytes);
-  void FlushDest(WorkerInstance* inst, uint32_t dest);
-  MemoryBudget* budget() { return &budget_; }
-  bool aborted() const { return !run_status_.ok(); }
-  void Abort(Status status) {
-    if (run_status_.ok()) run_status_ = std::move(status);
+  // InstanceHost:
+  bool Hosts(uint32_t processor) const override {
+    return WorkerOf(processor) == env_.worker_id;
   }
-
- private:
-  const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
-  WorkerInstance* instance(int op, uint32_t index) {
-    return instances_[static_cast<size_t>(op)][index].get();
-  }
-  bool Hosts(uint32_t processor) const {
-    return WorkerOfProcessor(processor, env_.num_workers,
-                             plan_.num_processors) == env_.worker_id;
-  }
-  int64_t NowNs() const {
-    // Read per batch/phase, never per row: trace timestamps plus the
-    // always-on transport (serialize/deserialize) timers.
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               // lint:allow-clock per-batch transport timers + trace stamps
-               std::chrono::steady_clock::now().time_since_epoch())
-               .count() -
-           env_.trace_origin_ns;
+  void SchedulePump(OpInstance* inst) override { pump_queue_.push_back(inst); }
+  void DeliverBatch(OpInstance* producer, uint32_t dest, TupleBatch& pending,
+                    int copies) override;
+  void SendEos(OpInstance* producer, uint32_t dest) override;
+  void ReportMilestone(OpInstance* inst, Milestone milestone) override;
+  /// Defended joins defer InputDone(build): the report travels inline in a
+  /// kSkewReport frame, and the deferred InputDone runs when the
+  /// coordinator's kSkewDirective comes back. Probe rows arriving in
+  /// between buffer inside the join, so the deferral absorbs every
+  /// ordering race.
+  void SubmitSkewReport(OpInstance* inst, SkewJoinReport report) override;
+  bool CheckRuntime() override { return !aborted(); }
+  void Abort(Status status) override {
+    if (!run_status_.ok()) return;
+    run_status_ = std::move(status);
+    runtime_->MarkAborted();
   }
   void RecordTrace(uint32_t processor, int64_t t0, int64_t t1,
-                   ThreadWorkType type, int op_id) {
+                   ThreadWorkType type, int op_id) override {
     if (env_.record_trace && t1 > t0) {
       trace_events_.push_back(WireTraceEvent{
           processor, t0, t1, type, static_cast<int32_t>(op_id)});
     }
   }
 
-  template <typename Fn>
-  void Observed(WorkerInstance* inst, ThreadWorkType type, Fn&& fn) {
-    if (!observe_) {
-      fn();
-      return;
-    }
-    int64_t t0 = NowNs();
-    fn();
-    int64_t t1 = NowNs();
-    if (env_.collect_metrics) {
-      *PhaseBucket(&inst->op_metrics, type) +=
-          static_cast<double>(t1 - t0) * 1e-9;
-    }
-    RecordTrace(inst->processor_, t0, t1, type, inst->op_id_);
+ private:
+  bool aborted() const { return !run_status_.ok(); }
+  const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
+  uint32_t WorkerOf(uint32_t processor) const {
+    return WorkerOfProcessor(processor, env_.num_workers,
+                             plan_.num_processors);
   }
+  /// The hosted instance a data or EOS message is routed to; an error when
+  /// the route names no input port of an instance of this worker.
+  StatusOr<OpInstance*> RouteTarget(int op_id, uint32_t index, uint32_t port,
+                                    const char* what) const;
 
   Status HandleFrame(const Frame& frame);
   Status HandleTrigger(const Frame& frame);
   Status HandleFragment(const Frame& frame);
   Status HandleData(const Frame& frame);
   Status HandleEos(const Frame& frame);
-  Status SendFinishReports();
-
-  void TriggerInstance(WorkerInstance* inst);
-  void PumpSources();
-  void OnBatch(WorkerInstance* inst, int port, const TupleBatch& batch);
-  void OnEos(WorkerInstance* inst, int port);
-  /// Defended joins defer InputDone(build): the last build EOS produces a
-  /// kSkewReport (candidate rows inline in the frame) and the kBuildDone
-  /// milestone, and the deferred InputDone runs when the coordinator's
-  /// kSkewDirective comes back. Probe rows arriving in between buffer
-  /// inside the join, so the deferral absorbs every ordering race.
-  void HandleDefendedBuildEos(WorkerInstance* inst);
   Status HandleSkewDirective(const Frame& frame);
-  void ApplyDirectiveTo(WorkerInstance* inst, const SkewDirective& directive);
-  void AfterCallback(WorkerInstance* inst);
-  void FinishInstance(WorkerInstance* inst);
-  void SendEosTo(int producer_op, int consumer_op, uint32_t dest, int port);
-  void QueueMilestone(int op_id, uint32_t index, Milestone milestone);
+  Status SendFinishReports();
+  void PumpSources();
+  /// Delivers a received batch (or EOS) to a hosted instance.
+  void Receive(OpInstance* target, int port,
+               std::shared_ptr<TupleBatch> batch);
+  void ReceiveEos(OpInstance* target, int port);
 
   // -- shm data plane (all no-ops when plane_ is null) --------------------
   /// Whether this op's remote sends travel over rings. Decided once in
@@ -257,10 +119,6 @@ class WorkerRun {
   /// would reorder data against its own EOS.
   bool UseRingFor(int producer_op) const {
     return plane_ != nullptr && op_ring_ok_[static_cast<size_t>(producer_op)];
-  }
-  uint32_t WorkerOf(uint32_t processor) const {
-    return WorkerOfProcessor(processor, env_.num_workers,
-                             plan_.num_processors);
   }
   void PushShmRecord(uint32_t dest_ep, ShmRecordType type, const void* hdr,
                      size_t hdr_bytes, const std::byte* body,
@@ -289,17 +147,11 @@ class WorkerRun {
   const uint64_t pool_reused_base_;
   std::unique_ptr<FaultInjector> injector_;
 
-  std::vector<std::vector<std::unique_ptr<WorkerInstance>>> instances_;
-  std::vector<std::vector<Relation>> stored_;
-  std::vector<std::vector<Relation>> scan_fragments_;
-  std::deque<WorkerInstance*> pump_queue_;
-  /// Per-op: this join defers its build milestone behind a skew report.
-  /// Derived from the shipped SkewDefenseOptions and the parsed plan, so
-  /// it always matches the coordinator's defended set.
-  std::vector<bool> defended_;
+  std::deque<OpInstance*> pump_queue_;
+  /// Per-op wire schema id of its output rows (only used on remote sends).
+  std::vector<uint32_t> out_schema_id_;
 
   Status run_status_;
-  bool observe_ = false;
   bool shutdown_ = false;
   uint32_t credits_ = 0;
   WorkerRunStats stats_;
@@ -328,35 +180,13 @@ class WorkerRun {
   /// kBye is held until every backlog drained onto its ring, so the
   /// coordinator never tears the fleet down with result rows still queued.
   bool bye_pending_ = false;
+
+  /// Built in Setup once the fault scenario is parsed; declared last so
+  /// its instances release their budget into a live budget_.
+  std::optional<InstanceRuntime> runtime_;
 };
 
-void WorkerInstance::EmitRow(const std::byte* row) {
-  run_->EmitRowFrom(this, row);
-}
-
-void WorkerInstance::EmitRows(const std::byte* rows, size_t count,
-                              size_t row_bytes) {
-  run_->EmitRowsFrom(this, rows, count, row_bytes);
-}
-
-void WorkerInstance::BatchFull(uint32_t dest) { run_->FlushDest(this, dest); }
-
-MemoryBudget* WorkerInstance::memory_budget() const { return run_->budget(); }
-
-bool WorkerInstance::cancelled() const { return run_->aborted(); }
-
-void WorkerInstance::ReportError(const Status& status) {
-  run_->Abort(status);
-}
-
 Status WorkerRun::Setup() {
-  observe_ = env_.collect_metrics || env_.record_trace;
-  defended_.assign(plan_.ops.size(), false);
-  if (env_.skew_defense.enabled()) {
-    for (int id : DefendedJoinOps(plan_)) {
-      defended_[static_cast<size_t>(id)] = true;
-    }
-  }
   op_ring_ok_.assign(plan_.ops.size(), false);
   if (plane_ != nullptr) {
     shm_max_payload_ =
@@ -369,6 +199,12 @@ Status WorkerRun::Setup() {
           shm_max_payload_;
     }
   }
+  out_schema_id_.assign(plan_.ops.size(), 0);
+  for (const XraOp& o : plan_.ops) {
+    if (o.consumer < 0) continue;
+    MJOIN_ASSIGN_OR_RETURN(out_schema_id_[static_cast<size_t>(o.id)],
+                           registry_.IdOf(*o.output_schema));
+  }
   if (!env_.fault_scenario.empty()) {
     MJOIN_ASSIGN_OR_RETURN(FaultScenario scenario,
                            ParseFaultScenario(env_.fault_scenario));
@@ -379,226 +215,48 @@ Status WorkerRun::Setup() {
       injector_ = std::make_unique<FaultInjector>(scenario);
     }
   }
-
-  size_t num_ops = plan_.ops.size();
-  instances_.resize(num_ops);
-  scan_fragments_.resize(num_ops);
-  stored_.resize(static_cast<size_t>(plan_.num_results));
-
-  for (const XraOp& o : plan_.ops) {
-    if (o.store_result >= 0) {
-      auto& frags = stored_[static_cast<size_t>(o.store_result)];
-      for (size_t i = 0; i < o.processors.size(); ++i) {
-        frags.emplace_back(*o.output_schema);
-      }
-    }
-    if (o.kind == XraOpKind::kScan) {
-      auto& frags = scan_fragments_[static_cast<size_t>(o.id)];
-      for (size_t i = 0; i < o.processors.size(); ++i) {
-        frags.emplace_back(*o.output_schema);
-      }
-    }
-  }
-
-  for (const XraOp& o : plan_.ops) {
-    auto& list = instances_[static_cast<size_t>(o.id)];
-    list.resize(o.processors.size());
-    for (uint32_t i = 0; i < o.processors.size(); ++i) {
-      if (!Hosts(o.processors[i])) continue;
-      auto inst =
-          std::make_unique<WorkerInstance>(this, o.id, i, o.processors[i]);
-      inst->cost_params_.batch_size = env_.batch_size;
-      inst->observe_metrics = env_.collect_metrics;
-      switch (o.kind) {
-        case XraOpKind::kScan: {
-          const Relation* frag =
-              &scan_fragments_[static_cast<size_t>(o.id)][i];
-          inst->oper = std::make_unique<ScanOp>([frag] { return frag; },
-                                                o.output_schema);
-          break;
-        }
-        case XraOpKind::kRescan: {
-          const Relation* frag =
-              &stored_[static_cast<size_t>(o.stored_result)][i];
-          inst->oper = std::make_unique<ScanOp>([frag] { return frag; },
-                                                o.output_schema);
-          break;
-        }
-        case XraOpKind::kSimpleHashJoin:
-          inst->oper = std::make_unique<SimpleHashJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kPipeliningHashJoin:
-          inst->oper = std::make_unique<PipeliningHashJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kSortMergeJoin:
-          inst->oper = std::make_unique<SortMergeJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kFilter: {
-          MJOIN_ASSIGN_OR_RETURN(std::unique_ptr<FilterOp> filter,
-                                 FilterOp::Make(o.input_schema, o.filter));
-          inst->oper = std::move(filter);
-          break;
-        }
-        case XraOpKind::kAggregate: {
-          MJOIN_ASSIGN_OR_RETURN(
-              std::unique_ptr<AggregateOp> aggregate,
-              AggregateOp::Make(o.input_schema, o.group_column,
-                                o.value_column));
-          inst->oper = std::move(aggregate);
-          break;
-        }
-      }
-      for (int port = 0; port < inst->oper->num_input_ports(); ++port) {
-        const XraInput& input = o.inputs[port];
-        inst->eos_remaining[port] =
-            input.routing == Routing::kColocated
-                ? 1
-                : static_cast<int>(op(input.producer).processors.size());
-      }
-      if (o.store_result >= 0) {
-        inst->out_pending.emplace_back(o.output_schema);
-        inst->writer.Configure(inst->out_pending.data(), 1,
-                               /*split_column=*/-1, /*fixed_dest=*/0,
-                               env_.batch_size, inst.get());
-        inst->writer_ready = true;
-      } else if (o.consumer >= 0) {
-        const XraOp& consumer = op(o.consumer);
-        const XraInput& input = consumer.inputs[o.consumer_port];
-        for (size_t d = 0; d < consumer.processors.size(); ++d) {
-          inst->out_pending.emplace_back(o.output_schema);
-        }
-        int split_column = input.routing == Routing::kHashSplit
-                               ? static_cast<int>(input.split_key)
-                               : -1;
-        uint32_t fixed_dest = input.routing == Routing::kColocated ? i : 0;
-        inst->writer.Configure(
-            inst->out_pending.data(),
-            static_cast<uint32_t>(consumer.processors.size()), split_column,
-            fixed_dest, env_.batch_size, inst.get());
-        inst->writer_ready = true;
-        MJOIN_ASSIGN_OR_RETURN(inst->out_schema_id,
-                               registry_.IdOf(*o.output_schema));
-      }
-      list[i] = std::move(inst);
-    }
-  }
-  return Status::OK();
-}
-
-void WorkerRun::TriggerInstance(WorkerInstance* inst) {
-  if (aborted()) return;
-  MJOIN_CHECK(!inst->started);
-  inst->started = true;
-  Observed(inst, ThreadWorkType::kStartup,
-           [inst] { inst->oper->Open(inst); });
-  if (inst->oper->is_source()) {
-    inst->pumping = true;
-    pump_queue_.push_back(inst);
-  }
-  while (!inst->pre_start.empty() && !aborted()) {
-    auto fn = std::move(inst->pre_start.front());
-    inst->pre_start.pop_front();
-    fn();
-  }
+  RuntimeSettings settings;
+  settings.costs.batch_size = env_.batch_size;
+  settings.budget = &budget_;
+  settings.injector = injector_.get();
+  // Derived from the shipped options and the parsed plan, so the defended
+  // set always matches the coordinator's.
+  settings.skew_defense = env_.skew_defense;
+  settings.collect_metrics = env_.collect_metrics;
+  settings.record_trace = env_.record_trace;
+  runtime_.emplace(plan_, this, std::move(settings));
+  runtime_->set_time_origin_ns(env_.trace_origin_ns);
+  // Scan fragments arrive in kFragment frames / ring records.
+  return runtime_->Build(/*db=*/nullptr);
 }
 
 void WorkerRun::PumpSources() {
-  WorkerInstance* inst = pump_queue_.front();
+  OpInstance* inst = pump_queue_.front();
   pump_queue_.pop_front();
   if (inst->complete || aborted()) return;
-  if (injector_ != nullptr) injector_->OnDequeue(inst->processor_);
-  bool more = false;
-  Observed(inst, ThreadWorkType::kScan,
-           [inst, &more] { more = inst->oper->Produce(inst); });
-  if (more) {
-    inst->pumping = true;
-    pump_queue_.push_back(inst);
-  } else {
-    inst->pumping = false;
-    FinishInstance(inst);
-  }
+  if (injector_ != nullptr) injector_->OnDequeue(inst->processor);
+  if (runtime_->Produce(inst)) pump_queue_.push_back(inst);
 }
 
-void WorkerRun::EmitRowFrom(WorkerInstance* inst, const std::byte* row) {
-  if (aborted()) return;
-  EmitWriter& writer = inst->writer;
-  int32_t route = 0;
-  if (writer.split_column() >= 0) {
-    TupleRef ref(row, op(inst->op_id_).output_schema.get());
-    route = ref.GetInt32(static_cast<size_t>(writer.split_column()));
-  }
-  writer.Append(row, route);
-}
-
-void WorkerRun::EmitRowsFrom(WorkerInstance* inst, const std::byte* rows,
-                             size_t count, size_t row_bytes) {
-  if (aborted()) return;
-  EmitWriter& writer = inst->writer;
-  const int split = writer.split_column();
-  if (split < 0) {
-    writer.AppendRows(rows, count);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const std::byte* row = rows + i * row_bytes;
-    TupleRef ref(row, op(inst->op_id_).output_schema.get());
-    writer.Append(row, ref.GetInt32(static_cast<size_t>(split)));
-  }
-}
-
-void WorkerRun::FlushDest(WorkerInstance* inst, uint32_t dest) {
-  TupleBatch& pending = inst->out_pending[dest];
-  if (pending.empty()) return;
-  if (aborted()) {
-    pending.Clear();
-    return;
-  }
-  const XraOp& o = op(inst->op_id_);
-  if (o.store_result >= 0) {
-    Status reserved = budget_.Reserve(pending.byte_size());
-    if (!reserved.ok()) {
-      Abort(std::move(reserved));
-      return;
-    }
-    stored_[static_cast<size_t>(o.store_result)][inst->index_].AppendRows(
-        pending.raw_data(), pending.num_tuples());
-    pending.Clear();
-    return;
-  }
-  int copies = 1;
-  if (injector_ != nullptr) {
-    if (injector_->ShouldDropBatch(o.consumer)) {
-      ++stats_.batches_dropped;
-      pending.Clear();
-      return;
-    }
-    if (injector_->ShouldDuplicateBatch(o.consumer)) {
-      ++stats_.batches_duplicated;
-      copies = 2;
-    }
-  }
+void WorkerRun::DeliverBatch(OpInstance* producer, uint32_t dest,
+                             TupleBatch& pending, int copies) {
+  const XraOp& o = producer->op;
   const XraOp& consumer_op = op(o.consumer);
-  int port = o.consumer_port;
-  if (Hosts(consumer_op.processors[dest])) {
+  const int port = o.consumer_port;
+  if (OpInstance* consumer = runtime_->instance(o.consumer, dest)) {
     // Local consumer: the pending batch is consumed in place — no
     // serialization, no copy. Only a not-yet-started consumer forces a
     // pooled buffer swap so the rows survive until its trigger.
-    WorkerInstance* consumer = instance(o.consumer, dest);
     stats_.local_deliveries += static_cast<uint64_t>(copies);
     if (consumer->started) {
       for (int c = 0; c < copies && !aborted(); ++c) {
-        OnBatch(consumer, port, pending);
+        runtime_->OnBatch(consumer, port, pending);
       }
       pending.Clear();
     } else {
-      std::shared_ptr<TupleBatch> batch =
-          pool_->Acquire(o.output_schema);
+      std::shared_ptr<TupleBatch> batch = pool_->Acquire(o.output_schema);
       std::swap(*batch, pending);
-      for (int c = 0; c < copies; ++c) {
-        consumer->pre_start.push_back([this, consumer, port, batch] {
-          OnBatch(consumer, port, *batch);
-        });
-      }
+      for (int c = 0; c < copies; ++c) Receive(consumer, port, batch);
     }
     return;
   }
@@ -608,8 +266,9 @@ void WorkerRun::FlushDest(WorkerInstance* inst, uint32_t dest) {
   // (they used to be observe_-gated, which reported 0.0s for any run with
   // collect_metrics off). RecordTrace stays trace-gated internally.
   const uint32_t tuple_size = pending.schema().tuple_size();
-  int64_t t0 = NowNs();
-  if (UseRingFor(inst->op_id_)) {
+  const uint32_t schema_id = out_schema_id_[static_cast<size_t>(o.id)];
+  int64_t t0 = runtime_->NowNs();
+  if (UseRingFor(o.id)) {
     // Ring path: "serialize" degenerates to a bounds-checked memcpy of the
     // raw rows, chunked so every record fits one ring reservation.
     const uint32_t dest_ep = WorkerOf(consumer_op.processors[dest]);
@@ -624,7 +283,7 @@ void WorkerRun::FlushDest(WorkerInstance* inst, uint32_t dest) {
         hdr.consumer_op = o.consumer;
         hdr.dest_index = dest;
         hdr.port = static_cast<uint32_t>(port);
-        hdr.schema_id = inst->out_schema_id;
+        hdr.schema_id = schema_id;
         hdr.tuple_size = tuple_size;
         hdr.num_tuples = static_cast<uint32_t>(count);
         PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
@@ -638,16 +297,15 @@ void WorkerRun::FlushDest(WorkerInstance* inst, uint32_t dest) {
     payload.reserve(9 + BatchWireSize(tuple_size, pending.num_tuples()));
     EncodeRouteHeader(
         RouteHeader{o.consumer, dest, static_cast<uint8_t>(port)}, &payload);
-    AppendBatchWire(pending, inst->out_schema_id, &payload);
+    AppendBatchWire(pending, schema_id, &payload);
     for (int c = 0; c < copies; ++c) {
       chan_->QueueFrame(FrameType::kData, payload);
       ++stats_.data_frames_sent;
     }
   }
-  int64_t t1 = NowNs();
+  int64_t t1 = runtime_->NowNs();
   stats_.serialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace(inst->processor_, t0, t1, ThreadWorkType::kSerialize,
-              inst->op_id_);
+  RecordTrace(producer->processor, t0, t1, ThreadWorkType::kSerialize, o.id);
   pending.Clear();
   // Opportunistic drain keeps the outbox from ballooning inside one long
   // Consume(); errors surface at the loop's next Flush.
@@ -714,168 +372,45 @@ void WorkerRun::RingDirtyDoorbells() {
   }
 }
 
-void WorkerRun::OnBatch(WorkerInstance* inst, int port,
-                        const TupleBatch& batch) {
-  if (aborted()) return;
-  if (injector_ != nullptr) {
-    Status status = injector_->BeforeConsume(inst->op_id_);
-    if (!status.ok()) {
-      Abort(std::move(status));
-      return;
-    }
-  }
-  ++stats_.batches_processed;
-  if (!observe_) {
-    inst->oper->Consume(port, batch, inst);
-  } else {
-    if (env_.collect_metrics) {
-      inst->op_metrics.rows_in[port] += batch.num_tuples();
-      ++inst->op_metrics.batches_in[port];
-    }
-    ThreadWorkType type = ConsumeWorkType(op(inst->op_id_).kind, port);
-    int64_t t0 = NowNs();
-    inst->oper->Consume(port, batch, inst);
-    int64_t t1 = NowNs();
-    if (env_.collect_metrics) {
-      double secs = static_cast<double>(t1 - t0) * 1e-9;
-      *PhaseBucket(&inst->op_metrics, type) += secs;
-      inst->op_metrics.batch_seconds.Add(secs);
-    }
-    RecordTrace(inst->processor_, t0, t1, type, inst->op_id_);
-  }
-  AfterCallback(inst);
-}
-
-void WorkerRun::OnEos(WorkerInstance* inst, int port) {
-  if (aborted()) return;
-  MJOIN_CHECK(inst->eos_remaining[port] > 0);
-  if (--inst->eos_remaining[port] == 0) {
-    if (port == SimpleHashJoinOp::kBuildPort &&
-        defended_[static_cast<size_t>(inst->op_id_)]) {
-      HandleDefendedBuildEos(inst);
-      return;
-    }
-    ThreadWorkType type = InputDoneWorkType(op(inst->op_id_).kind, port);
-    Observed(inst, type,
-             [inst, port] { inst->oper->InputDone(port, inst); });
-  }
-  AfterCallback(inst);
-}
-
-void WorkerRun::HandleDefendedBuildEos(WorkerInstance* inst) {
-  auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
-  SkewJoinReport report;
-  Observed(inst, ThreadWorkType::kBloomBuild, [this, inst, join, &report] {
-    report = BuildSkewReport(
-        join->table(), inst->op_id_, inst->index_,
-        static_cast<uint32_t>(op(inst->op_id_).processors.size()),
-        env_.skew_defense);
-  });
+void WorkerRun::SubmitSkewReport(OpInstance* inst, SkewJoinReport report) {
   std::vector<std::byte> payload;
   EncodeSkewReport(report, &payload);
   // Report before milestone, on the same FIFO socket: by the time the
   // coordinator's scheduler can act on this build being done, it already
   // holds the report.
   chan_->QueueFrame(FrameType::kSkewReport, payload);
-  inst->build_done_reported = true;
-  QueueMilestone(inst->op_id_, inst->index_, Milestone::kBuildDone);
 }
 
 Status WorkerRun::HandleSkewDirective(const Frame& frame) {
   WireReader reader(frame.payload);
-  SkewDirective directive;
-  MJOIN_RETURN_IF_ERROR(DecodeSkewDirective(&reader, &directive));
-  if (directive.op < 0 ||
-      static_cast<size_t>(directive.op) >= plan_.ops.size() ||
-      !defended_[static_cast<size_t>(directive.op)]) {
+  auto directive = std::make_shared<SkewDirective>();
+  MJOIN_RETURN_IF_ERROR(DecodeSkewDirective(&reader, directive.get()));
+  if (directive->op < 0 ||
+      static_cast<size_t>(directive->op) >= plan_.ops.size() ||
+      !runtime_->defended(directive->op)) {
     return Status::InvalidArgument(
-        StrCat("skew directive for undefended op ", directive.op));
+        StrCat("skew directive for undefended op ", directive->op));
   }
-  const XraOp& o = op(directive.op);
-  // Producers first: once the deferred InputDone below releases the
-  // probe, every row this worker emits afterwards is already defended.
-  const int producer_id = o.inputs[SimpleHashJoinOp::kProbePort].producer;
-  if (producer_id >= 0) {
-    for (auto& p : instances_[static_cast<size_t>(producer_id)]) {
-      // A producer that already finished emitted its rows undefended —
-      // correct (hot rows at their owner still match), just unsprayed.
-      if (p == nullptr || p->complete) continue;
-      p->skew_hook = std::make_unique<SkewEmitDefense>(directive);
-      p->writer.SetDefense(p->skew_hook.get());
-      if (p->observe_metrics) {
-        double fp = directive.bloom.EstimateFpRate();
-        if (fp > p->op_metrics.skew_bloom_fp_rate) {
-          p->op_metrics.skew_bloom_fp_rate = fp;
-        }
-      }
-    }
-  }
-  for (auto& j : instances_[static_cast<size_t>(directive.op)]) {
-    if (j == nullptr) continue;
-    ApplyDirectiveTo(j.get(), directive);
-    if (aborted()) return run_status_;
-  }
+  runtime_->ApplyDirective(std::move(directive));
   return Status::OK();
 }
 
-void WorkerRun::ApplyDirectiveTo(WorkerInstance* inst,
-                                 const SkewDirective& directive) {
-  if (aborted()) return;
-  auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
-  uint64_t inserted = ApplySkewDirective(directive, join->mutable_table());
-  join->NoteTableGrowth();
-  if (inst->observe_metrics) {
-    inst->op_metrics.skew_replicated_rows += inserted;
-    // Hot-key count is a per-join fact, not per-instance: record it once,
-    // on instance 0, so the cross-worker merge does not multiply it.
-    if (inst->index_ == 0) {
-      inst->op_metrics.skew_hot_keys += directive.hot_keys.size();
-    }
-  }
-  Observed(inst,
-           InputDoneWorkType(XraOpKind::kSimpleHashJoin,
-                             SimpleHashJoinOp::kBuildPort),
-           [inst] {
-             inst->oper->InputDone(SimpleHashJoinOp::kBuildPort, inst);
-           });
-  AfterCallback(inst);
-}
-
-void WorkerRun::AfterCallback(WorkerInstance* inst) {
-  if (aborted()) return;
-  const XraOp& o = op(inst->op_id_);
-  if (o.kind == XraOpKind::kSimpleHashJoin && !inst->build_done_reported) {
-    auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
-    if (join->build_done()) {
-      inst->build_done_reported = true;
-      QueueMilestone(inst->op_id_, inst->index_, Milestone::kBuildDone);
-    }
-  }
-  if (!inst->complete && inst->oper->finished()) FinishInstance(inst);
-}
-
-void WorkerRun::SendEosTo(int producer_op, int consumer_op, uint32_t dest,
-                          int port) {
-  const XraOp& consumer = op(consumer_op);
-  if (Hosts(consumer.processors[dest])) {
-    WorkerInstance* target = instance(consumer_op, dest);
-    if (target->started) {
-      OnEos(target, port);
-    } else {
-      target->pre_start.push_back(
-          [this, target, port] { OnEos(target, port); });
-    }
+void WorkerRun::SendEos(OpInstance* producer, uint32_t dest) {
+  const int consumer_op = producer->op.consumer;
+  const int port = producer->op.consumer_port;
+  if (OpInstance* target = runtime_->instance(consumer_op, dest)) {
+    ReceiveEos(target, port);
     return;
   }
   // EOS follows the exact path its data took (same ring or same socket),
   // so it can never overtake the last batch of the stream.
-  if (UseRingFor(producer_op)) {
+  if (UseRingFor(producer->op.id)) {
     ShmEosHeader hdr;
     hdr.consumer_op = consumer_op;
     hdr.dest_index = dest;
     hdr.port = static_cast<uint32_t>(port);
-    PushShmRecord(WorkerOf(consumer.processors[dest]), ShmRecordType::kEos,
-                  &hdr, sizeof(hdr), nullptr, 0);
+    PushShmRecord(WorkerOf(op(consumer_op).processors[dest]),
+                  ShmRecordType::kEos, &hdr, sizeof(hdr), nullptr, 0);
     return;
   }
   std::vector<std::byte> payload;
@@ -884,36 +419,43 @@ void WorkerRun::SendEosTo(int producer_op, int consumer_op, uint32_t dest,
   chan_->QueueFrame(FrameType::kEos, payload);
 }
 
-void WorkerRun::FinishInstance(WorkerInstance* inst) {
-  if (aborted()) return;
-  MJOIN_CHECK(!inst->complete);
-  inst->complete = true;
-  const XraOp& o = op(inst->op_id_);
-  for (uint32_t d = 0; d < inst->out_pending.size(); ++d) {
-    FlushDest(inst, d);
-  }
-  if (aborted()) return;
-  if (o.consumer >= 0 && o.store_result < 0) {
-    const XraOp& consumer_op = op(o.consumer);
-    bool networked =
-        consumer_op.inputs[o.consumer_port].routing == Routing::kHashSplit;
-    if (networked) {
-      for (uint32_t d = 0; d < consumer_op.processors.size(); ++d) {
-        SendEosTo(inst->op_id_, o.consumer, d, o.consumer_port);
-      }
-    } else {
-      SendEosTo(inst->op_id_, o.consumer, inst->index_, o.consumer_port);
-    }
-  }
-  QueueMilestone(inst->op_id_, inst->index_, Milestone::kComplete);
+void WorkerRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
+  std::vector<std::byte> payload;
+  EncodeMilestone(MilestoneMsg{static_cast<int32_t>(inst->op.id),
+                               inst->index, milestone},
+                  &payload);
+  chan_->QueueFrame(FrameType::kMilestone, payload);
 }
 
-void WorkerRun::QueueMilestone(int op_id, uint32_t index,
-                               Milestone milestone) {
-  std::vector<std::byte> payload;
-  EncodeMilestone(
-      MilestoneMsg{static_cast<int32_t>(op_id), index, milestone}, &payload);
-  chan_->QueueFrame(FrameType::kMilestone, payload);
+void WorkerRun::Receive(OpInstance* target, int port,
+                        std::shared_ptr<TupleBatch> batch) {
+  runtime_->RunWhenStarted(target, [this, target, port, batch] {
+    runtime_->OnBatch(target, port, *batch);
+  });
+}
+
+void WorkerRun::ReceiveEos(OpInstance* target, int port) {
+  runtime_->RunWhenStarted(
+      target, [this, target, port] { runtime_->OnEos(target, port); });
+}
+
+StatusOr<OpInstance*> WorkerRun::RouteTarget(int op_id, uint32_t index,
+                                             uint32_t port,
+                                             const char* what) const {
+  OpInstance* target = nullptr;
+  if (op_id >= 0 && static_cast<size_t>(op_id) < plan_.ops.size() &&
+      index < op(op_id).processors.size()) {
+    target = runtime_->instance(op_id, index);
+  }
+  if (target == nullptr ||
+      port >= static_cast<uint32_t>(target->oper->num_input_ports())) {
+    return Status::InvalidArgument(
+        StrCat(what, " for op ", op_id, " instance ", index, " port ", port,
+               " is routed to worker ", env_.worker_id,
+               ", which hosts no such input"));
+  }
+  if (injector_ != nullptr) injector_->OnDequeue(target->processor);
+  return target;
 }
 
 Status WorkerRun::HandleTrigger(const Frame& frame) {
@@ -924,8 +466,8 @@ Status WorkerRun::HandleTrigger(const Frame& frame) {
     return Status::OutOfRange(StrCat("trigger for unknown group ", group));
   }
   for (int op_id : plan_.groups[static_cast<size_t>(group)].ops) {
-    for (auto& inst : instances_[static_cast<size_t>(op_id)]) {
-      if (inst != nullptr) TriggerInstance(inst.get());
+    for (const auto& inst : runtime_->instances(op_id)) {
+      if (inst != nullptr) runtime_->Start(inst.get());
     }
   }
   return Status::OK();
@@ -940,7 +482,7 @@ Status WorkerRun::HandleFragment(const Frame& frame) {
     return Status::InvalidArgument(
         StrCat("fragment for non-scan op ", header.op));
   }
-  auto& frags = scan_fragments_[static_cast<size_t>(header.op)];
+  auto& frags = runtime_->scan_fragments(header.op);
   if (header.instance >= frags.size() ||
       !Hosts(op(header.op).processors[header.instance])) {
     return Status::InvalidArgument(
@@ -958,38 +500,22 @@ Status WorkerRun::HandleData(const Frame& frame) {
   WireReader reader(frame.payload);
   RouteHeader route;
   MJOIN_RETURN_IF_ERROR(DecodeRouteHeader(&reader, &route));
-  if (route.consumer_op < 0 ||
-      static_cast<size_t>(route.consumer_op) >= plan_.ops.size() ||
-      route.dest_index >= op(route.consumer_op).processors.size()) {
-    return Status::InvalidArgument("data frame routed to unknown instance");
-  }
-  const XraOp& consumer_op = op(route.consumer_op);
-  if (!Hosts(consumer_op.processors[route.dest_index])) {
-    return Status::InvalidArgument(
-        StrCat("data frame for op ", route.consumer_op, " instance ",
-               route.dest_index, " misrouted to worker ", env_.worker_id));
-  }
-  WorkerInstance* target = instance(route.consumer_op, route.dest_index);
-  if (injector_ != nullptr) injector_->OnDequeue(target->processor_);
+  MJOIN_ASSIGN_OR_RETURN(
+      OpInstance* target,
+      RouteTarget(route.consumer_op, route.dest_index, route.port,
+                  "data frame"));
   // The initial schema binding is a placeholder — ReadBatchWire rebinds the
   // batch to the wire frame's registry schema.
-  std::shared_ptr<TupleBatch> batch =
-      pool_->Acquire(consumer_op.output_schema);
+  std::shared_ptr<TupleBatch> batch = pool_->Acquire(target->op.output_schema);
   // Timed unconditionally, like the serialize side: the wire-time counters
   // must survive collect_metrics=false (the bench's configuration).
-  int64_t t0 = NowNs();
+  int64_t t0 = runtime_->NowNs();
   MJOIN_RETURN_IF_ERROR(ReadBatchWire(&reader, registry_, batch.get()));
-  int64_t t1 = NowNs();
+  int64_t t1 = runtime_->NowNs();
   stats_.deserialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace(target->processor_, t0, t1, ThreadWorkType::kDeserialize,
+  RecordTrace(target->processor, t0, t1, ThreadWorkType::kDeserialize,
               route.consumer_op);
-  int port = route.port;
-  if (target->started) {
-    OnBatch(target, port, *batch);
-  } else {
-    target->pre_start.push_back(
-        [this, target, port, batch] { OnBatch(target, port, *batch); });
-  }
+  Receive(target, route.port, std::move(batch));
   // The credit is released once the frame is consumed or parked — parked
   // batches occupy worker memory but no longer gate the wire, mirroring
   // the thread backend's bound on *queued* (undrained) batches.
@@ -1001,21 +527,11 @@ Status WorkerRun::HandleEos(const Frame& frame) {
   WireReader reader(frame.payload);
   RouteHeader route;
   MJOIN_RETURN_IF_ERROR(DecodeRouteHeader(&reader, &route));
-  if (route.consumer_op < 0 ||
-      static_cast<size_t>(route.consumer_op) >= plan_.ops.size() ||
-      route.dest_index >= op(route.consumer_op).processors.size() ||
-      !Hosts(op(route.consumer_op).processors[route.dest_index])) {
-    return Status::InvalidArgument("eos frame routed to unknown instance");
-  }
-  WorkerInstance* target = instance(route.consumer_op, route.dest_index);
-  if (injector_ != nullptr) injector_->OnDequeue(target->processor_);
-  int port = route.port;
-  if (target->started) {
-    OnEos(target, port);
-  } else {
-    target->pre_start.push_back(
-        [this, target, port] { OnEos(target, port); });
-  }
+  MJOIN_ASSIGN_OR_RETURN(
+      OpInstance* target,
+      RouteTarget(route.consumer_op, route.dest_index, route.port,
+                  "eos frame"));
+  ReceiveEos(target, route.port);
   return Status::OK();
 }
 
@@ -1078,19 +594,11 @@ Status WorkerRun::ConsumeShmData(ShmRing* ring, const ShmRecordView& rec) {
     return Status::Unavailable("corrupt shm record: short data header");
   }
   std::memcpy(&hdr, rec.payload, sizeof(hdr));
-  if (hdr.consumer_op < 0 ||
-      static_cast<size_t>(hdr.consumer_op) >= plan_.ops.size() ||
-      hdr.dest_index >= op(hdr.consumer_op).processors.size()) {
+  StatusOr<OpInstance*> target = RouteTarget(
+      hdr.consumer_op, hdr.dest_index, hdr.port, "shm data record");
+  if (!target.ok()) {
     ring->Release();
-    return Status::InvalidArgument("shm data record routed to unknown "
-                                   "instance");
-  }
-  const XraOp& consumer_op = op(hdr.consumer_op);
-  if (!Hosts(consumer_op.processors[hdr.dest_index])) {
-    ring->Release();
-    return Status::InvalidArgument(
-        StrCat("shm data record for op ", hdr.consumer_op, " instance ",
-               hdr.dest_index, " misrouted to worker ", env_.worker_id));
+    return target.status();
   }
   if (hdr.schema_id >= registry_.size()) {
     ring->Release();
@@ -1104,28 +612,20 @@ Status WorkerRun::ConsumeShmData(ShmRing* ring, const ShmRecordView& rec) {
     return Status::Unavailable("corrupt shm record: row bytes disagree "
                                "with the data header");
   }
-  WorkerInstance* target = instance(hdr.consumer_op, hdr.dest_index);
-  if (injector_ != nullptr) injector_->OnDequeue(target->processor_);
   // "Deserialize" here is the plane's whole point: one bounds-checked
   // memcpy out of the shared region. Timed unconditionally like the wire
   // decode so the bench sees where transport time goes.
   std::shared_ptr<TupleBatch> batch = pool_->Acquire(schema);
-  int64_t t0 = NowNs();
+  int64_t t0 = runtime_->NowNs();
   batch->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
-  int64_t t1 = NowNs();
+  int64_t t1 = runtime_->NowNs();
   stats_.deserialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace(target->processor_, t0, t1, ThreadWorkType::kDeserialize,
+  RecordTrace((*target)->processor, t0, t1, ThreadWorkType::kDeserialize,
               hdr.consumer_op);
   // Rows are copied out: hand the space back before the possibly long
   // Consume below, so the producer keeps streaming while we join.
   ring->Release();
-  const int port = static_cast<int>(hdr.port);
-  if (target->started) {
-    OnBatch(target, port, *batch);
-  } else {
-    WorkerInstance* t = target;
-    t->pre_start.push_back([this, t, port, batch] { OnBatch(t, port, *batch); });
-  }
+  Receive(*target, static_cast<int>(hdr.port), std::move(batch));
   return Status::OK();
 }
 
@@ -1137,22 +637,11 @@ Status WorkerRun::ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec) {
   }
   std::memcpy(&hdr, rec.payload, sizeof(hdr));
   ring->Release();
-  if (hdr.consumer_op < 0 ||
-      static_cast<size_t>(hdr.consumer_op) >= plan_.ops.size() ||
-      hdr.dest_index >= op(hdr.consumer_op).processors.size() ||
-      !Hosts(op(hdr.consumer_op).processors[hdr.dest_index])) {
-    return Status::InvalidArgument("shm eos record routed to unknown "
-                                   "instance");
-  }
-  WorkerInstance* target = instance(hdr.consumer_op, hdr.dest_index);
-  if (injector_ != nullptr) injector_->OnDequeue(target->processor_);
-  const int port = static_cast<int>(hdr.port);
-  if (target->started) {
-    OnEos(target, port);
-  } else {
-    WorkerInstance* t = target;
-    t->pre_start.push_back([this, t, port] { OnEos(t, port); });
-  }
+  MJOIN_ASSIGN_OR_RETURN(
+      OpInstance* target,
+      RouteTarget(hdr.consumer_op, hdr.dest_index, hdr.port,
+                  "shm eos record"));
+  ReceiveEos(target, static_cast<int>(hdr.port));
   return Status::OK();
 }
 
@@ -1169,7 +658,7 @@ Status WorkerRun::ConsumeShmFragment(ShmRing* ring, const ShmRecordView& rec) {
     return Status::InvalidArgument(
         StrCat("shm fragment for non-scan op ", hdr.op));
   }
-  auto& frags = scan_fragments_[static_cast<size_t>(hdr.op)];
+  auto& frags = runtime_->scan_fragments(hdr.op);
   if (hdr.instance >= frags.size() ||
       !Hosts(op(hdr.op).processors[hdr.instance])) {
     ring->Release();
@@ -1201,8 +690,7 @@ Status WorkerRun::SendFinishReports() {
   // result (the checksum is a sum mod 2^64, so per-worker summaries add up
   // to the query's).
   SummaryMsg summary;
-  const auto& final_frags =
-      stored_[static_cast<size_t>(plan_.final_result)];
+  const auto& final_frags = runtime_->stored(plan_.final_result);
   std::vector<const Relation*> hosted;
   for (size_t i = 0; i < final_frags.size(); ++i) {
     if (!Hosts(storer->processors[i])) continue;
@@ -1252,31 +740,23 @@ Status WorkerRun::SendFinishReports() {
     }
   }
 
-  if (env_.collect_metrics) {
-    for (const XraOp& o : plan_.ops) {
-      OpStatsMsg msg;
-      msg.op = o.id;
-      for (const auto& inst : instances_[static_cast<size_t>(o.id)]) {
-        if (inst == nullptr) continue;
-        ++msg.instances;
-        msg.metrics.MergeFrom(inst->op_metrics);
-        msg.metrics.rows_out += inst->writer.rows_committed();
-        msg.metrics.skew_bloom_filtered_rows += inst->writer.rows_dropped();
-        msg.metrics.skew_repartitioned_rows +=
-            inst->writer.rows_repartitioned();
-        inst->oper->CollectMetrics(&msg.metrics);
-        msg.metrics.peak_memory_bytes += inst->oper->peak_memory_bytes();
-      }
-      if (msg.instances == 0) continue;
-      std::vector<std::byte> stats_payload;
-      EncodeOpStats(msg, &stats_payload);
-      chan_->QueueFrame(FrameType::kOpStats, stats_payload);
-    }
+  for (const XraOp& o : plan_.ops) {
+    OpStatsMsg msg;
+    msg.op = o.id;
+    msg.instances = runtime_->MergeOpMetrics(o.id, &msg.metrics);
+    stats_.batches_processed +=
+        msg.metrics.batches_in[0] + msg.metrics.batches_in[1];
+    if (!env_.collect_metrics || msg.instances == 0) continue;
+    std::vector<std::byte> stats_payload;
+    EncodeOpStats(msg, &stats_payload);
+    chan_->QueueFrame(FrameType::kOpStats, stats_payload);
   }
 
   stats_.buffers_allocated = pool_->allocated() - pool_allocated_base_;
   stats_.buffers_reused = pool_->reused() - pool_reused_base_;
   stats_.peak_memory_bytes = budget_.peak();
+  stats_.batches_dropped = runtime_->batches_dropped();
+  stats_.batches_duplicated = runtime_->batches_duplicated();
   if (injector_ != nullptr) {
     stats_.faults_injected = injector_->faults_injected();
   }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -18,80 +17,14 @@
 #include "common/table_printer.h"
 #include "engine/controller.h"
 #include "engine/fault_injector.h"
+#include "engine/instance_runtime.h"
 #include "exec/batch.h"
 #include "exec/batch_pool.h"
-#include "exec/emit.h"
-#include "exec/operator.h"
-#include "exec/pipelining_hash_join.h"
-#include "exec/aggregate.h"
-#include "exec/filter.h"
-#include "exec/scan.h"
-#include "exec/simple_hash_join.h"
-#include "exec/sort_merge_join.h"
 #include "skew/defense.h"
-#include "storage/partitioner.h"
 
 namespace mjoin {
 
 namespace {
-
-/// Work type of a Consume() callback, for trace labels and the phase
-/// buckets of OpMetrics.
-ThreadWorkType ConsumeWorkType(XraOpKind kind, int port) {
-  switch (kind) {
-    case XraOpKind::kSimpleHashJoin:
-      return port == SimpleHashJoinOp::kBuildPort ? ThreadWorkType::kBuild
-                                                  : ThreadWorkType::kProbe;
-    case XraOpKind::kPipeliningHashJoin:
-    case XraOpKind::kFilter:
-      return ThreadWorkType::kPipeline;
-    case XraOpKind::kSortMergeJoin:
-      return ThreadWorkType::kBuild;  // run-buffer fill
-    case XraOpKind::kAggregate:
-      return ThreadWorkType::kBuild;  // group-table fill
-    default:
-      return ThreadWorkType::kOther;
-  }
-}
-
-/// Work type of an InputDone() callback. The interesting cases do real
-/// work there: a simple hash-join replays buffered probe batches when the
-/// build side completes, a sort-merge join sorts and merges, an
-/// aggregation emits its groups.
-ThreadWorkType InputDoneWorkType(XraOpKind kind, int port) {
-  switch (kind) {
-    case XraOpKind::kSimpleHashJoin:
-      return port == SimpleHashJoinOp::kBuildPort ? ThreadWorkType::kProbe
-                                                  : ThreadWorkType::kOther;
-    case XraOpKind::kSortMergeJoin:
-      return ThreadWorkType::kMerge;
-    case XraOpKind::kAggregate:
-      return ThreadWorkType::kEmit;
-    default:
-      return ThreadWorkType::kOther;
-  }
-}
-
-/// The OpMetrics bucket a work type's seconds accumulate into.
-double* PhaseBucket(OpMetrics* m, ThreadWorkType type) {
-  switch (type) {
-    case ThreadWorkType::kBuild:
-      return &m->build_seconds;
-    case ThreadWorkType::kProbe:
-    case ThreadWorkType::kMerge:
-      return &m->probe_seconds;
-    case ThreadWorkType::kPipeline:
-      return &m->pipeline_seconds;
-    case ThreadWorkType::kScan:
-      return &m->scan_seconds;
-    case ThreadWorkType::kEmit:
-      return &m->emit_seconds;
-    case ThreadWorkType::kBloomBuild:
-      return &m->skew_bloom_build_seconds;
-    default:
-      return &m->other_seconds;
-  }
-}
 
 /// Producer stalls on a full queue shorter than this are not worth a trace
 /// event (they are indistinguishable from lock hand-off noise).
@@ -253,70 +186,24 @@ class WorkerNode {
   std::thread thread_;
 };
 
-class ThreadRun;
+RuntimeSettings ThreadSettings(const ThreadExecOptions& options,
+                               MemoryBudget* budget) {
+  RuntimeSettings settings;
+  // Only batch_size is consulted by operators in this backend.
+  settings.costs.batch_size = options.batch_size;
+  settings.budget = budget;
+  settings.injector = options.fault_injector;
+  settings.cancellation = &options.cancellation;
+  settings.skew_defense = options.skew_defense;
+  settings.collect_metrics = options.collect_metrics;
+  settings.record_trace = options.record_trace;
+  return settings;
+}
 
-/// One operation process on a worker thread. All of its callbacks run on
-/// its node's thread, so the state needs no locking.
-///
-/// Output leaves through the instance's EmitWriter: operators that can
-/// build rows in place write directly into out_pending (the zero-copy
-/// path); EmitRow/EmitRows copy into it. Either way the writer's flush
-/// threshold fires BatchFull(), and the host ships or stores the batch.
-class ThreadInstance : public OpContext, public EmitSink {
- public:
-  ThreadInstance(ThreadRun* run, int op_id, uint32_t index, uint32_t node)
-      : run_(run), op_id_(op_id), index_(index), node_(node) {}
-
-  void Charge(Ticks) override {}  // wall-clock backend: real work is time
-  void EmitRow(const std::byte* row) override;
-  void EmitRows(const std::byte* rows, size_t count,
-                size_t row_bytes) override;
-  EmitWriter* emit_writer() override {
-    return writer_ready ? &writer : nullptr;
-  }
-  void BatchFull(uint32_t dest) override;
-  const CostParams& costs() const override { return cost_params_; }
-  MemoryBudget* memory_budget() const override;
-  bool cancelled() const override;
-  void ReportError(const Status& status) override;
-  OpMetrics* metrics() const override {
-    return observe_metrics ? &op_metrics : nullptr;
-  }
-
-  ThreadRun* run_;
-  int op_id_;
-  uint32_t index_;
-  uint32_t node_;
-  std::unique_ptr<Operator> oper;
-
-  /// This instance's metrics; touched only from its node's thread, read by
-  /// the host after the workers are joined.
-  mutable OpMetrics op_metrics;
-  bool observe_metrics = false;
-
-  bool started = false;
-  bool complete = false;
-  bool build_done_reported = false;
-  int eos_remaining[2] = {0, 0};
-  /// Pending output: one batch per consumer instance, or a single batch
-  /// when this op stores its result locally.
-  std::vector<TupleBatch> out_pending;
-  /// The zero-copy channel over out_pending; rows_committed() is this
-  /// instance's rows-out count (every emit path goes through it).
-  EmitWriter writer;
-  bool writer_ready = false;
-  size_t row_bytes = 0;
-  std::deque<std::function<void()>> pre_start;
-  /// The skew-defense routing hook installed on this instance's writer
-  /// when a directive for its consumer join arrives (probe-edge producers
-  /// only). Owned here so it lives exactly as long as the writer uses it.
-  std::unique_ptr<EmitDefense> skew_hook;
-
-  /// Only batch_size is consulted by operators in this backend.
-  CostParams cost_params_;
-};
-
-class ThreadRun {
+/// One threaded execution: the runtime's operation processes, each pinned
+/// to the WorkerNode of its processor, so all of an instance's callbacks
+/// run on one thread and its state needs no locking.
+class ThreadRun : public InstanceHost {
  public:
   ThreadRun(const ParallelPlan& plan, const Database& db,
             const ThreadExecOptions& options,
@@ -326,11 +213,8 @@ class ThreadRun {
         options_(options),
         budget_(options.memory_budget_bytes),
         pools_(std::move(pools)),
-        injector_(options.fault_injector),
         controller_(&plan),
-        observe_(options.collect_metrics || options.record_trace),
-        // lint:allow-clock run time origin, once per query
-        origin_(std::chrono::steady_clock::now()) {
+        runtime_(plan, this, ThreadSettings(options, &budget_)) {
     if (options.record_trace) {
       std::vector<ThreadTraceOpInfo> infos;
       infos.reserve(plan.ops.size());
@@ -345,95 +229,39 @@ class ThreadRun {
   Status Prepare();
   StatusOr<ThreadQueryResult> Run(ThreadExecStats* stats_out);
 
-  void EmitRowFrom(ThreadInstance* inst, const std::byte* row);
-  void EmitRowsFrom(ThreadInstance* inst, const std::byte* rows, size_t count,
-                    size_t row_bytes);
-  void FlushDest(ThreadInstance* inst, uint32_t dest);
-
-  MemoryBudget* budget() { return &budget_; }
-
-  /// True once teardown started (abort flag) or the caller's token fired;
-  /// operators poll this between rows via OpContext::cancelled().
-  bool TeardownRequested() const {
-    return aborted_.load(std::memory_order_acquire) ||
-           options_.cancellation.cancelled();
-  }
-
-  /// Records the first failure and starts teardown: wakes blocked
-  /// producers, the scheduler wait, and turns every queued callback into a
-  /// no-op. Later calls are ignored (first error wins).
-  void Abort(Status status);
-
- private:
-  ThreadInstance* instance(int op, uint32_t index) {
-    return instances_[static_cast<size_t>(op)][index].get();
-  }
-  const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
-
+  // InstanceHost:
+  void Post(OpInstance* inst, std::function<void()> fn) override;
+  /// The first batch runs inside the trigger; later ones are re-posted.
+  void SchedulePump(OpInstance* inst) override { PumpSource(inst); }
+  void DeliverBatch(OpInstance* producer, uint32_t dest, TupleBatch& pending,
+                    int copies) override;
+  void SendEos(OpInstance* producer, uint32_t dest) override;
+  void ReportMilestone(OpInstance* inst, Milestone milestone) override;
+  void SubmitSkewReport(OpInstance* inst, SkewJoinReport report) override;
   /// The per-batch-boundary runtime check: false once the query should do
   /// no further work. Promotes an externally fired cancellation token or
   /// an expired deadline into the abort status.
-  bool CheckRuntime();
-
-  /// Nanoseconds since the run's time origin (t=0 of the trace).
-  int64_t NowNs() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               // lint:allow-clock observability timestamp, observe_ only
-               std::chrono::steady_clock::now() - origin_)
-        .count();
+  bool CheckRuntime() override;
+  /// Records the first failure and starts teardown: wakes blocked
+  /// producers, the scheduler wait, and turns every queued callback into a
+  /// no-op. Later calls are ignored (first error wins).
+  void Abort(Status status) override;
+  void RecordTrace(uint32_t processor, int64_t t0_ns, int64_t t1_ns,
+                   ThreadWorkType type, int op_id) override {
+    trace_->Record(processor, t0_ns, t1_ns, type, op_id);
   }
 
-  /// Runs one operator callback, timed when observability is on: the
-  /// elapsed time lands in the instance's phase bucket and (when tracing)
-  /// as a busy interval of the instance's worker. With both observability
-  /// switches off this is a plain call — no clock is read.
-  template <typename Fn>
-  void Observed(ThreadInstance* inst, ThreadWorkType type, Fn&& fn) {
-    if (!observe_) {
-      fn();
-      return;
-    }
-    int64_t t0 = NowNs();
-    fn();
-    int64_t t1 = NowNs();
-    if (options_.collect_metrics) {
-      *PhaseBucket(&inst->op_metrics, type) +=
-          static_cast<double>(t1 - t0) * 1e-9;
-    }
-    if (trace_ != nullptr) {
-      trace_->Record(inst->node_, t0, t1, type, inst->op_id_);
-    }
-  }
-
-  void PostToInstance(ThreadInstance* inst, std::function<void()> fn);
-  void TriggerInstance(ThreadInstance* inst);
-  void PumpSource(ThreadInstance* inst);
-  void OnBatch(ThreadInstance* inst, int port, const TupleBatch& batch);
-  void OnEos(ThreadInstance* inst, int port);
-  void AfterCallback(ThreadInstance* inst);
-  void FinishInstance(ThreadInstance* inst);
-  void ReportMilestone(int op_id, uint32_t index, Milestone milestone);
+ private:
+  void PumpSource(OpInstance* inst);
   void DispatchGroups(const std::vector<int>& groups);
   ThreadExecStats GatherStats() const;
-
-  /// Skew defense (see skew/defense.h). A defended join instance whose
-  /// build input finished scans its table into a report instead of
-  /// completing the build: the kBuildDone milestone fires immediately (so
-  /// dependent probe groups dispatch) but InputDone(kBuildPort) is
-  /// deferred until the merged directive comes back — probe batches,
-  /// including hot-key rows sprayed by already-defended producers, buffer
-  /// inside the operator until then.
-  void HandleDefendedBuildEos(ThreadInstance* inst);
-  void BroadcastDirective(int op_id,
-                          std::shared_ptr<const SkewDirective> directive);
-  void ApplyDirectiveAt(ThreadInstance* inst, const SkewDirective& directive);
 
   const ParallelPlan& plan_;
   const Database& db_;
   const ThreadExecOptions& options_;
 
-  // Budget precedes instances_ so operator reservations release into a
-  // live budget during destruction.
+  // Budget precedes runtime_ so operator reservations release into a live
+  // budget during destruction.
   MemoryBudget budget_;
 
   // One batch pool per worker node, owned by the ThreadExecutor (they
@@ -445,12 +273,7 @@ class ThreadRun {
   uint64_t pool_base_allocated_ = 0;
   uint64_t pool_base_reused_ = 0;
 
-  FaultInjector* const injector_;
-
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
-  std::vector<std::vector<std::unique_ptr<ThreadInstance>>> instances_;
-  std::vector<std::vector<Relation>> stored_;
-  std::vector<std::vector<Relation>> scan_fragments_;
 
   /// Per-defended-join report merger. Instances of one join report from
   /// different worker threads; the mutex serializes the merge (the only
@@ -464,10 +287,7 @@ class ThreadRun {
   };
   std::unordered_map<int, std::unique_ptr<SkewExchange>> skew_exchanges_;
 
-  std::atomic<bool> aborted_{false};
   std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> batches_dropped_{0};
-  std::atomic<uint64_t> batches_duplicated_{0};
 
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_point_;
@@ -482,184 +302,48 @@ class ThreadRun {
   CondVar done_cv_;
   bool done_ MJOIN_GUARDED_BY(scheduler_mutex_) = false;
 
-  // Observability: timing is on when either metrics or tracing is; the
-  // recorder exists only when tracing is. origin_ is reset when Run()
-  // starts so trace timestamps are relative to the run.
-  const bool observe_;
+  // The recorder exists only when tracing is on; its timestamps are
+  // relative to the run start (the runtime's time origin).
   std::shared_ptr<ThreadTraceRecorder> trace_;
-  std::chrono::steady_clock::time_point origin_;
+
+  InstanceRuntime runtime_;
 };
 
-void ThreadInstance::EmitRow(const std::byte* row) {
-  run_->EmitRowFrom(this, row);
-}
-
-void ThreadInstance::EmitRows(const std::byte* rows, size_t count,
-                              size_t row_bytes) {
-  run_->EmitRowsFrom(this, rows, count, row_bytes);
-}
-
-void ThreadInstance::BatchFull(uint32_t dest) { run_->FlushDest(this, dest); }
-
-MemoryBudget* ThreadInstance::memory_budget() const { return run_->budget(); }
-
-bool ThreadInstance::cancelled() const { return run_->TeardownRequested(); }
-
-void ThreadInstance::ReportError(const Status& status) {
-  run_->Abort(status);
-}
-
 Status ThreadRun::Prepare() {
-  size_t num_ops = plan_.ops.size();
-  instances_.resize(num_ops);
-  scan_fragments_.resize(num_ops);
-  stored_.resize(static_cast<size_t>(plan_.num_results));
-
   nodes_.reserve(plan_.num_processors);
   for (uint32_t n = 0; n < plan_.num_processors; ++n) {
     nodes_.push_back(std::make_unique<WorkerNode>(
         n, options_.max_queued_batches, options_.queue_block_timeout,
-        injector_, &aborted_));
+        options_.fault_injector, runtime_.abort_flag()));
   }
   for (const BatchPool* pool : pools_) {
     pool_base_allocated_ += pool->allocated();
     pool_base_reused_ += pool->reused();
   }
-
   if (options_.skew_defense.enabled()) {
     for (int id : DefendedJoinOps(plan_)) {
       skew_exchanges_.emplace(
           id, std::make_unique<SkewExchange>(
-                  id, static_cast<uint32_t>(op(id).processors.size()),
+                  id, static_cast<uint32_t>(runtime_.op(id).processors.size()),
                   options_.skew_defense));
     }
   }
-
-  for (const XraOp& o : plan_.ops) {
-    if (o.store_result >= 0) {
-      auto& frags = stored_[static_cast<size_t>(o.store_result)];
-      for (size_t i = 0; i < o.processors.size(); ++i) {
-        frags.emplace_back(*o.output_schema);
-      }
-    }
-  }
-
-  for (const XraOp& o : plan_.ops) {
-    if (o.kind != XraOpKind::kScan) continue;
-    MJOIN_ASSIGN_OR_RETURN(const Relation* base, db_.Get(o.relation));
-    auto m = static_cast<uint32_t>(o.processors.size());
-    const XraOp& consumer = op(o.consumer);
-    if (consumer.inputs[o.consumer_port].routing == Routing::kColocated &&
-        consumer.is_join()) {
-      size_t key = o.consumer_port == 0 ? consumer.join_spec.left_key
-                                        : consumer.join_spec.right_key;
-      MJOIN_ASSIGN_OR_RETURN(scan_fragments_[static_cast<size_t>(o.id)],
-                             HashPartition(*base, key, m));
-    } else {
-      scan_fragments_[static_cast<size_t>(o.id)] =
-          RoundRobinPartition(*base, m);
-    }
-  }
-
-  for (const XraOp& o : plan_.ops) {
-    auto& list = instances_[static_cast<size_t>(o.id)];
-    for (uint32_t i = 0; i < o.processors.size(); ++i) {
-      auto inst =
-          std::make_unique<ThreadInstance>(this, o.id, i, o.processors[i]);
-      inst->cost_params_.batch_size = options_.batch_size;
-      inst->observe_metrics = options_.collect_metrics;
-      switch (o.kind) {
-        case XraOpKind::kScan: {
-          const Relation* frag =
-              &scan_fragments_[static_cast<size_t>(o.id)][i];
-          inst->oper = std::make_unique<ScanOp>([frag] { return frag; },
-                                                o.output_schema);
-          break;
-        }
-        case XraOpKind::kRescan: {
-          const Relation* frag =
-              &stored_[static_cast<size_t>(o.stored_result)][i];
-          inst->oper = std::make_unique<ScanOp>([frag] { return frag; },
-                                                o.output_schema);
-          break;
-        }
-        case XraOpKind::kSimpleHashJoin:
-          inst->oper = std::make_unique<SimpleHashJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kPipeliningHashJoin:
-          inst->oper = std::make_unique<PipeliningHashJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kSortMergeJoin:
-          inst->oper = std::make_unique<SortMergeJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kFilter: {
-          MJOIN_ASSIGN_OR_RETURN(std::unique_ptr<FilterOp> filter,
-                                 FilterOp::Make(o.input_schema, o.filter));
-          inst->oper = std::move(filter);
-          break;
-        }
-        case XraOpKind::kAggregate: {
-          MJOIN_ASSIGN_OR_RETURN(
-              std::unique_ptr<AggregateOp> aggregate,
-              AggregateOp::Make(o.input_schema, o.group_column,
-                                o.value_column));
-          inst->oper = std::move(aggregate);
-          break;
-        }
-      }
-      for (int port = 0; port < inst->oper->num_input_ports(); ++port) {
-        const XraInput& input = o.inputs[port];
-        inst->eos_remaining[port] =
-            input.routing == Routing::kColocated
-                ? 1
-                : static_cast<int>(op(input.producer).processors.size());
-      }
-      inst->row_bytes = o.output_schema->tuple_size();
-      if (o.store_result >= 0) {
-        // Store-mode: output accumulates in a single pending batch and is
-        // bulk-appended to the local stored fragment at each flush (where
-        // the budget is reserved for exactly the flushed bytes).
-        inst->out_pending.emplace_back(o.output_schema);
-        inst->writer.Configure(inst->out_pending.data(), 1, /*split_column=*/-1,
-                               /*fixed_dest=*/0, options_.batch_size,
-                               inst.get());
-        inst->writer_ready = true;
-      } else if (o.consumer >= 0) {
-        const XraOp& consumer = op(o.consumer);
-        const XraInput& input = consumer.inputs[o.consumer_port];
-        for (size_t d = 0; d < consumer.processors.size(); ++d) {
-          inst->out_pending.emplace_back(o.output_schema);
-        }
-        int split_column = input.routing == Routing::kHashSplit
-                               ? static_cast<int>(input.split_key)
-                               : -1;
-        uint32_t fixed_dest =
-            input.routing == Routing::kColocated ? i : 0;
-        inst->writer.Configure(
-            inst->out_pending.data(),
-            static_cast<uint32_t>(consumer.processors.size()), split_column,
-            fixed_dest, options_.batch_size, inst.get());
-        inst->writer_ready = true;
-      }
-      list.push_back(std::move(inst));
-    }
-  }
-  return Status::OK();
+  return runtime_.Build(&db_);
 }
 
 void ThreadRun::Abort(Status status) {
   {
     MutexLock lock(&scheduler_mutex_);
-    if (done_ || aborted_.load(std::memory_order_relaxed)) return;
+    if (done_ || runtime_.aborted()) return;
     run_status_ = std::move(status);
-    aborted_.store(true, std::memory_order_release);
+    runtime_.MarkAborted();
   }
   for (auto& node : nodes_) node->Interrupt();
   done_cv_.NotifyAll();
 }
 
 bool ThreadRun::CheckRuntime() {
-  if (aborted_.load(std::memory_order_acquire)) return false;
+  if (runtime_.aborted()) return false;
   if (options_.cancellation.cancelled()) {
     Abort(Status::Cancelled("query cancelled by caller"));
     return false;
@@ -672,162 +356,65 @@ bool ThreadRun::CheckRuntime() {
   return true;
 }
 
-void ThreadRun::PostToInstance(ThreadInstance* inst,
-                               std::function<void()> fn) {
-  // Wrap so that pre-start buffering happens on the instance's own thread
-  // (the started flag is only touched there).
-  nodes_[inst->node_]->Post([inst, fn = std::move(fn)]() mutable {
-    if (!inst->started) {
-      inst->pre_start.push_back(std::move(fn));
-    } else {
-      fn();
-    }
-  });
+void ThreadRun::Post(OpInstance* inst, std::function<void()> fn) {
+  nodes_[inst->processor]->Post(std::move(fn));
 }
 
 void ThreadRun::DispatchGroups(const std::vector<int>& groups) {
   for (int g : groups) {
     for (int op_id : plan_.groups[static_cast<size_t>(g)].ops) {
-      for (auto& inst : instances_[static_cast<size_t>(op_id)]) {
-        ThreadInstance* raw = inst.get();
-        nodes_[raw->node_]->Post([this, raw] { TriggerInstance(raw); });
+      for (const auto& inst : runtime_.instances(op_id)) {
+        OpInstance* raw = inst.get();
+        nodes_[raw->processor]->Post([this, raw] { runtime_.Start(raw); });
       }
     }
   }
 }
 
-void ThreadRun::TriggerInstance(ThreadInstance* inst) {
-  if (!CheckRuntime()) return;
-  MJOIN_CHECK(!inst->started);
-  inst->started = true;
-  Observed(inst, ThreadWorkType::kStartup,
-           [inst] { inst->oper->Open(inst); });
-  if (inst->oper->is_source()) {
-    PumpSource(inst);
-  }
-  while (!inst->pre_start.empty()) {
-    auto fn = std::move(inst->pre_start.front());
-    inst->pre_start.pop_front();
-    fn();
-  }
-}
-
-void ThreadRun::PumpSource(ThreadInstance* inst) {
+void ThreadRun::PumpSource(OpInstance* inst) {
   if (!CheckRuntime()) return;
   // One batch per message so other processes on this node interleave.
-  bool more = false;
-  Observed(inst, ThreadWorkType::kScan,
-           [inst, &more] { more = inst->oper->Produce(inst); });
-  if (more) {
-    nodes_[inst->node_]->Post([this, inst] {
+  if (runtime_.Produce(inst)) {
+    nodes_[inst->processor]->Post([this, inst] {
       if (!inst->complete) PumpSource(inst);
     });
-  } else {
-    FinishInstance(inst);
   }
 }
 
-void ThreadRun::EmitRowFrom(ThreadInstance* inst, const std::byte* row) {
-  if (aborted_.load(std::memory_order_relaxed)) return;
-  // Copying fallback: the finished row still travels through the writer,
-  // which owns routing, the flush threshold, and the rows-out count.
-  EmitWriter& writer = inst->writer;
-  int32_t route = 0;
-  if (writer.split_column() >= 0) {
-    TupleRef ref(row, op(inst->op_id_).output_schema.get());
-    route = ref.GetInt32(static_cast<size_t>(writer.split_column()));
-  }
-  writer.Append(row, route);
-}
-
-void ThreadRun::EmitRowsFrom(ThreadInstance* inst, const std::byte* rows,
-                             size_t count, size_t row_bytes) {
-  if (aborted_.load(std::memory_order_relaxed)) return;
-  EmitWriter& writer = inst->writer;
-  const int split = writer.split_column();
-  if (split < 0) {
-    // Single destination: the whole slice lands in the pending batch in
-    // one copy (scans feed stores and colocated consumers this way).
-    writer.AppendRows(rows, count);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const std::byte* row = rows + i * row_bytes;
-    TupleRef ref(row, op(inst->op_id_).output_schema.get());
-    writer.Append(row, ref.GetInt32(static_cast<size_t>(split)));
-  }
-}
-
-void ThreadRun::FlushDest(ThreadInstance* inst, uint32_t dest) {
-  TupleBatch& pending = inst->out_pending[dest];
-  if (pending.empty()) return;
-  if (aborted_.load(std::memory_order_relaxed)) {
-    // Teardown: the rows are going nowhere; drop them but keep the buffer.
-    pending.Clear();
-    return;
-  }
-  const XraOp& o = op(inst->op_id_);
-  if (o.store_result >= 0) {
-    // Local store: reserve the budget for exactly the flushed bytes in one
-    // call (not per row), then bulk-append into the stored fragment. The
-    // pending batch keeps its capacity for the next fill.
-    Status reserved = budget_.Reserve(pending.byte_size());
-    if (!reserved.ok()) {
-      Abort(std::move(reserved));
-      return;
-    }
-    stored_[static_cast<size_t>(o.store_result)][inst->index_].AppendRows(
-        pending.raw_data(), pending.num_tuples());
-    pending.Clear();
-    return;
-  }
-  ThreadInstance* consumer = instance(o.consumer, dest);
+void ThreadRun::DeliverBatch(OpInstance* producer, uint32_t dest,
+                             TupleBatch& pending, int copies) {
+  const XraOp& o = producer->op;
+  OpInstance* consumer = runtime_.instance(o.consumer, dest);
   // Swap the filled buffer out against a pooled one: the batch that ships
   // carries pending's bytes, and pending inherits the recycled buffer's
   // capacity — steady state allocates nothing on either side. The pool is
   // the destination node's, so the consumer's release feeds its own next
   // acquisition.
   std::shared_ptr<TupleBatch> batch =
-      pools_[consumer->node_]->Acquire(o.output_schema);
+      pools_[consumer->processor]->Acquire(o.output_schema);
   std::swap(*batch, pending);
-  int port = o.consumer_port;
-
-  int copies = 1;
-  if (injector_ != nullptr) {
-    if (injector_->ShouldDropBatch(o.consumer)) {
-      batches_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (injector_->ShouldDuplicateBatch(o.consumer)) {
-      batches_duplicated_.fetch_add(1, std::memory_order_relaxed);
-      copies = 2;
-    }
-  }
+  const int port = o.consumer_port;
   // Blocking on one's own queue would starve the very loop that drains
   // it, so same-node sends bypass the backpressure bound (the shared
   // message loop already throttles such producers).
-  bool same_node = consumer->node_ == inst->node_;
+  bool same_node = consumer->processor == producer->processor;
   // A cross-node PostData may block on backpressure; record stalls as
   // blocked-on-queue trace intervals (nested inside the producer's busy
   // interval when the flush happens mid-callback).
   bool watch_block = trace_ != nullptr && !same_node;
   for (int c = 0; c < copies; ++c) {
-    int64_t t0 = watch_block ? NowNs() : 0;
-    bool sent = nodes_[consumer->node_]->PostData(
+    int64_t t0 = watch_block ? runtime_.NowNs() : 0;
+    bool sent = nodes_[consumer->processor]->PostData(
         [this, consumer, port, batch] {
-          if (consumer->started) {
-            OnBatch(consumer, port, *batch);
-          } else {
-            consumer->pre_start.push_back([this, consumer, port, batch] {
-              OnBatch(consumer, port, *batch);
-            });
-          }
+          runtime_.RunWhenStarted(consumer, [this, consumer, port, batch] {
+            runtime_.OnBatch(consumer, port, *batch);
+          });
         },
         same_node);
     if (watch_block) {
-      int64_t t1 = NowNs();
+      int64_t t1 = runtime_.NowNs();
       if (t1 - t0 >= kBlockedTraceThresholdNs) {
-        trace_->Record(inst->node_, t0, t1, ThreadWorkType::kBlocked,
+        trace_->Record(producer->processor, t0, t1, ThreadWorkType::kBlocked,
                        /*op_id=*/-1);
       }
     }
@@ -835,68 +422,19 @@ void ThreadRun::FlushDest(ThreadInstance* inst, uint32_t dest) {
   }
 }
 
-void ThreadRun::OnBatch(ThreadInstance* inst, int port,
-                        const TupleBatch& batch) {
-  if (!CheckRuntime()) return;
-  if (injector_ != nullptr) {
-    Status status = injector_->BeforeConsume(inst->op_id_);
-    if (!status.ok()) {
-      Abort(std::move(status));
-      return;
-    }
-  }
-  if (!observe_) {
-    inst->oper->Consume(port, batch, inst);
-  } else {
-    if (options_.collect_metrics) {
-      inst->op_metrics.rows_in[port] += batch.num_tuples();
-      ++inst->op_metrics.batches_in[port];
-    }
-    ThreadWorkType type = ConsumeWorkType(op(inst->op_id_).kind, port);
-    int64_t t0 = NowNs();
-    inst->oper->Consume(port, batch, inst);
-    int64_t t1 = NowNs();
-    if (options_.collect_metrics) {
-      double secs = static_cast<double>(t1 - t0) * 1e-9;
-      *PhaseBucket(&inst->op_metrics, type) += secs;
-      inst->op_metrics.batch_seconds.Add(secs);
-    }
-    if (trace_ != nullptr) {
-      trace_->Record(inst->node_, t0, t1, type, inst->op_id_);
-    }
-  }
-  AfterCallback(inst);
-}
-
-void ThreadRun::OnEos(ThreadInstance* inst, int port) {
-  if (!CheckRuntime()) return;
-  MJOIN_CHECK(inst->eos_remaining[port] > 0);
-  if (--inst->eos_remaining[port] == 0) {
-    if (port == SimpleHashJoinOp::kBuildPort &&
-        skew_exchanges_.count(inst->op_id_) != 0) {
-      // Defended join: the build table is complete but InputDone(build)
-      // waits for the merged skew directive (probe batches buffer inside
-      // the operator meanwhile).
-      HandleDefendedBuildEos(inst);
-      return;
-    }
-    ThreadWorkType type = InputDoneWorkType(op(inst->op_id_).kind, port);
-    Observed(inst, type,
-             [inst, port] { inst->oper->InputDone(port, inst); });
-  }
-  AfterCallback(inst);
-}
-
-void ThreadRun::HandleDefendedBuildEos(ThreadInstance* inst) {
-  auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
-  const uint32_t num_instances =
-      static_cast<uint32_t>(op(inst->op_id_).processors.size());
-  SkewJoinReport report;
-  Observed(inst, ThreadWorkType::kBloomBuild, [&] {
-    report = BuildSkewReport(join->table(), inst->op_id_, inst->index_,
-                             num_instances, options_.skew_defense);
+void ThreadRun::SendEos(OpInstance* producer, uint32_t dest) {
+  OpInstance* consumer = runtime_.instance(producer->op.consumer, dest);
+  const int port = producer->op.consumer_port;
+  // Pre-start buffering happens on the consumer's own thread (the started
+  // flag is only touched there).
+  Post(consumer, [this, consumer, port] {
+    runtime_.RunWhenStarted(
+        consumer, [this, consumer, port] { runtime_.OnEos(consumer, port); });
   });
-  SkewExchange* exchange = skew_exchanges_.at(inst->op_id_).get();
+}
+
+void ThreadRun::SubmitSkewReport(OpInstance* inst, SkewJoinReport report) {
+  SkewExchange* exchange = skew_exchanges_.at(inst->op.id).get();
   std::shared_ptr<const SkewDirective> directive;
   {
     MutexLock lock(&exchange->mutex);
@@ -907,122 +445,18 @@ void ThreadRun::HandleDefendedBuildEos(ThreadInstance* inst) {
     }
   }
   // Broadcast before the milestone: install/apply posts enqueue ahead of
-  // any probe-group trigger the milestone may dispatch, so a probe
-  // producer's writer is defended before its first Produce() runs.
-  if (directive != nullptr) BroadcastDirective(inst->op_id_, directive);
-  // The table itself is done — report the milestone now so dependent
-  // groups overlap with the directive round-trip. AfterCallback must not
-  // re-report it once InputDone(build) eventually runs.
-  inst->build_done_reported = true;
-  ReportMilestone(inst->op_id_, inst->index_, Milestone::kBuildDone);
+  // any probe-group trigger the milestone may dispatch.
+  if (directive != nullptr) runtime_.ApplyDirective(std::move(directive));
 }
 
-void ThreadRun::BroadcastDirective(
-    int op_id, std::shared_ptr<const SkewDirective> directive) {
-  const XraOp& o = op(op_id);
-  // Defense hooks go to every producer instance of the probe edge; each
-  // gets its own SkewEmitDefense (writers are single-threaded, the hook
-  // holds per-instance state).
-  int producer = o.inputs[SimpleHashJoinOp::kProbePort].producer;
-  const XraOp& producer_op = op(producer);
-  for (uint32_t i = 0; i < producer_op.processors.size(); ++i) {
-    ThreadInstance* p = instance(producer, i);
-    PostToInstance(p, [p, directive] {
-      if (p->complete) return;  // already flushed everything undefended
-      p->skew_hook = std::make_unique<SkewEmitDefense>(*directive);
-      p->writer.SetDefense(p->skew_hook.get());
-      if (p->observe_metrics) {
-        double fp = directive->bloom.EstimateFpRate();
-        if (fp > p->op_metrics.skew_bloom_fp_rate) {
-          p->op_metrics.skew_bloom_fp_rate = fp;
-        }
-      }
-    });
-  }
-  // Replicated hot rows + the deferred InputDone(build) go to every join
-  // instance (including the one that merged the directive).
-  for (uint32_t i = 0; i < o.processors.size(); ++i) {
-    ThreadInstance* j = instance(op_id, i);
-    PostToInstance(j, [this, j, directive] {
-      ApplyDirectiveAt(j, *directive);
-    });
-  }
-}
-
-void ThreadRun::ApplyDirectiveAt(ThreadInstance* inst,
-                                 const SkewDirective& directive) {
-  if (!CheckRuntime()) return;
-  auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
-  uint64_t inserted = ApplySkewDirective(directive, join->mutable_table());
-  join->NoteTableGrowth();
-  if (inst->observe_metrics) {
-    inst->op_metrics.skew_replicated_rows += inserted;
-    // Hot-key count is a per-join fact, not per-instance: record it once
-    // (instance 0) so the post-run merge does not multiply it.
-    if (inst->index_ == 0) {
-      inst->op_metrics.skew_hot_keys +=
-          static_cast<uint64_t>(directive.hot_keys.size());
-    }
-  }
-  Observed(inst,
-           InputDoneWorkType(XraOpKind::kSimpleHashJoin,
-                             SimpleHashJoinOp::kBuildPort),
-           [inst] {
-             inst->oper->InputDone(SimpleHashJoinOp::kBuildPort, inst);
-           });
-  AfterCallback(inst);
-}
-
-void ThreadRun::AfterCallback(ThreadInstance* inst) {
-  if (aborted_.load(std::memory_order_acquire)) return;
-  const XraOp& o = op(inst->op_id_);
-  if (o.kind == XraOpKind::kSimpleHashJoin && !inst->build_done_reported) {
-    auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
-    if (join->build_done()) {
-      inst->build_done_reported = true;
-      ReportMilestone(inst->op_id_, inst->index_, Milestone::kBuildDone);
-    }
-  }
-  if (!inst->complete && inst->oper->finished()) FinishInstance(inst);
-}
-
-void ThreadRun::FinishInstance(ThreadInstance* inst) {
-  if (aborted_.load(std::memory_order_acquire)) return;
-  MJOIN_CHECK(!inst->complete);
-  inst->complete = true;
-  const XraOp& o = op(inst->op_id_);
-  // Flush every pending destination — the stored-result tail included.
-  for (uint32_t d = 0; d < inst->out_pending.size(); ++d) {
-    FlushDest(inst, d);
-  }
-  if (o.consumer >= 0 && o.store_result < 0) {
-    const XraOp& consumer_op = op(o.consumer);
-    bool networked =
-        consumer_op.inputs[o.consumer_port].routing == Routing::kHashSplit;
-    int port = o.consumer_port;
-    if (networked) {
-      for (uint32_t d = 0; d < consumer_op.processors.size(); ++d) {
-        ThreadInstance* consumer = instance(o.consumer, d);
-        PostToInstance(consumer,
-                       [this, consumer, port] { OnEos(consumer, port); });
-      }
-    } else {
-      ThreadInstance* consumer = instance(o.consumer, inst->index_);
-      PostToInstance(consumer,
-                     [this, consumer, port] { OnEos(consumer, port); });
-    }
-  }
-  ReportMilestone(inst->op_id_, inst->index_, Milestone::kComplete);
-}
-
-void ThreadRun::ReportMilestone(int op_id, uint32_t index,
-                                Milestone milestone) {
+void ThreadRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
   std::vector<int> ready;
   bool all_done = false;
   {
     MutexLock lock(&scheduler_mutex_);
-    if (aborted_.load(std::memory_order_relaxed)) return;
-    ready = controller_.OnInstanceMilestone(op_id, index, milestone);
+    if (runtime_.aborted()) return;
+    ready = controller_.OnInstanceMilestone(inst->op.id, inst->index,
+                                            milestone);
     all_done = controller_.AllOpsComplete();
   }
   if (!ready.empty()) DispatchGroups(ready);
@@ -1038,9 +472,8 @@ void ThreadRun::ReportMilestone(int op_id, uint32_t index,
 ThreadExecStats ThreadRun::GatherStats() const {
   ThreadExecStats stats;
   stats.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-  stats.batches_dropped = batches_dropped_.load(std::memory_order_relaxed);
-  stats.batches_duplicated =
-      batches_duplicated_.load(std::memory_order_relaxed);
+  stats.batches_dropped = runtime_.batches_dropped();
+  stats.batches_duplicated = runtime_.batches_duplicated();
   for (const auto& node : nodes_) {
     stats.batches_processed += node->processed_data();
     stats.queue_overflows += node->overflows();
@@ -1062,21 +495,7 @@ ThreadExecStats ThreadRun::GatherStats() const {
       per_op.name = o.label;
       per_op.kind = XraOpKindName(o.kind);
       per_op.trace_label = o.trace_label;
-      const auto& list = instances_[static_cast<size_t>(o.id)];
-      per_op.instances = static_cast<uint32_t>(list.size());
-      for (const auto& inst : list) {
-        per_op.metrics.MergeFrom(inst->op_metrics);
-        // Every emit path (zero-copy and fallback) runs through the
-        // writer, so its commit count is the instance's rows-out; the
-        // writer also carries the skew-defense drop/re-route counts
-        // (attributed to the producer that saved the wire bytes).
-        per_op.metrics.rows_out += inst->writer.rows_committed();
-        per_op.metrics.skew_bloom_filtered_rows += inst->writer.rows_dropped();
-        per_op.metrics.skew_repartitioned_rows +=
-            inst->writer.rows_repartitioned();
-        inst->oper->CollectMetrics(&per_op.metrics);
-        per_op.metrics.peak_memory_bytes += inst->oper->peak_memory_bytes();
-      }
+      per_op.instances = runtime_.MergeOpMetrics(o.id, &per_op.metrics);
       stats.per_op.push_back(std::move(per_op));
     }
   }
@@ -1132,7 +551,11 @@ void PublishMetrics(const ThreadExecStats& stats, double wall_seconds,
 StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
   // lint:allow-clock run wall-clock start, once per query
   auto start = std::chrono::steady_clock::now();
-  origin_ = start;  // trace t=0 and metric timestamps are run-relative
+  // Trace t=0 and metric timestamps are run-relative.
+  runtime_.set_time_origin_ns(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          start.time_since_epoch())
+          .count());
   if (options_.deadline.has_value()) {
     has_deadline_ = true;
     deadline_point_ = start + *options_.deadline;
@@ -1160,10 +583,10 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
       auto poll_deadline =
           // lint:allow-clock scheduler poll tick, not a per-batch read
           std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-      while (!done_ && !aborted_.load(std::memory_order_relaxed)) {
+      while (!done_ && !runtime_.aborted()) {
         if (!done_cv_.WaitUntil(scheduler_mutex_, poll_deadline)) break;
       }
-      if (done_ || aborted_.load(std::memory_order_relaxed)) break;
+      if (done_ || runtime_.aborted()) break;
     }
     if (!CheckRuntime()) break;
   }
@@ -1184,18 +607,16 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
     PublishMetrics(stats, wall_seconds, options_.metrics_registry);
   }
 
-  if (aborted_.load(std::memory_order_acquire)) {
+  if (runtime_.aborted()) {
     MutexLock lock(&scheduler_mutex_);
     return run_status_;
   }
 
   ThreadQueryResult result;
   result.wall_seconds = wall_seconds;
-  result.result =
-      SummarizeFragments(stored_[static_cast<size_t>(plan_.final_result)]);
+  result.result = SummarizeFragments(runtime_.stored(plan_.final_result));
   if (options_.materialize_result) {
-    result.materialized =
-        ConcatFragments(stored_[static_cast<size_t>(plan_.final_result)]);
+    result.materialized = ConcatFragments(runtime_.stored(plan_.final_result));
   }
   result.stats = stats;
   if (trace_ != nullptr) {

@@ -1,5 +1,6 @@
 #include <dirent.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 
 #include <chrono>
@@ -11,8 +12,12 @@
 #include "engine/database.h"
 #include "engine/fault_injector.h"
 #include "engine/process_executor.h"
+#include "engine/process_protocol.h"
+#include "engine/process_worker.h"
+#include "net/channel.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
+#include "xra/text.h"
 
 namespace mjoin {
 namespace {
@@ -276,6 +281,56 @@ TEST_F(ProcessBackendFaultTest, RepeatedRunsLeakNoDescriptors) {
   EXPECT_EQ(CountOpenFds(), fds_before);
   EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
+}
+
+// Wire input names an instance's input port, which indexes its per-port
+// state: an EOS for a port the target does not have (here any port of a
+// scan, which has none) is rejected as InvalidArgument and reported over
+// kError, instead of tripping the worker's EOS-count check. The worker
+// runs on a thread here; it is single-threaded, like the forked child.
+TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
+  int scan = -1;
+  for (const XraOp& o : plan_->ops) {
+    if (o.kind == XraOpKind::kScan) scan = o.id;
+  }
+  ASSERT_GE(scan, 0);
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int exit_code = -1;
+  std::thread worker([&exit_code, fd = sv[1]] {
+    exit_code = RunProcessWorker(fd);
+  });
+  ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
+  FrameChannel chan(sv[0], "worker");
+  PlanEnvelope env;
+  env.plan_text = SerializePlan(*plan_);
+  std::vector<std::byte> payload;
+  EncodePlanEnvelope(env, &payload);
+  chan.QueueFrame(FrameType::kPlan, payload);
+  payload.clear();
+  EncodeRouteHeader(RouteHeader{scan, /*dest_index=*/0, /*port=*/0},
+                    &payload);
+  chan.QueueFrame(FrameType::kEos, payload);
+  ASSERT_TRUE(chan.Flush().ok());
+
+  Status reported;
+  bool closed = false;
+  while (!closed) {
+    auto readable = WaitReadable(sv[0], 10'000);
+    ASSERT_TRUE(readable.ok() && *readable) << "worker went silent";
+    ASSERT_TRUE(chan.ReadAvailable(&closed).ok());
+    Frame frame;
+    while (chan.NextFrame(&frame)) {
+      if (frame.type != FrameType::kError) continue;
+      WireReader reader(frame.payload);
+      ASSERT_TRUE(DecodeStatusPayload(&reader, &reported).ok());
+    }
+  }
+  worker.join();
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_EQ(reported.code(), StatusCode::kInvalidArgument) << reported;
+  EXPECT_NE(reported.message().find("port 0"), std::string::npos)
+      << reported;
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #   3. the full ctest suite, with MJOIN_CONFORMANCE=1 so every frame on
 #      every channel is validated against the frame-table phase machine
 #   4. mjoin_check: the shm-ring interleaving model checker (baseline
-#      scenarios clean + all nine seeded ring bugs caught)
+#      scenarios clean + all nine seeded ring bugs caught), the smoke
+#      benches, and the mjbench self-test (builds mjbench/ against the
+#      engine and runs every workload at smoke size)
 #   5. ThreadSanitizer and AddressSanitizer passes over the
 #      concurrency-sensitive tests, and an UndefinedBehaviorSanitizer
 #      pass over the full suite (tools/run_sanitized_tests.sh)
@@ -123,6 +125,12 @@ print(f"skew guard: wire ratio {wire:.2f}, imbalance "
       f"headline speedup {head['speedup']:.2f}x, "
       f"heavy-cell speedup {1 / ratio:.2f}x")
 EOF
+
+echo "== ci: mjbench self-test =="
+# Nothing else builds mjbench/, so an engine API change could break the
+# benchmark unnoticed; the self-test builds it in its own tree
+# (.bench_build/) and runs every workload at smoke size.
+python3 mjbench/run.py --selftest
 
 echo "== ci: process-backend chaos sweep =="
 # The full default sweep (MJOIN_CHAOS_ITERS=10, 200 seeded schedules)

@@ -22,14 +22,16 @@
 // for the adversarial generator's skewed / filtered / m:n relations.
 #include <signal.h>
 
+#include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-
-#include <chrono>
+#include <system_error>
+#include <type_traits>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -60,13 +62,25 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  int GetInt(const std::string& key, int fallback) const {
+  /// The flag's value parsed as a T over the whole string (an unsigned T
+  /// rejects a sign); a malformed value prints the flag and exits 2.
+  template <typename T>
+  T GetNum(const std::string& key, T fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || stop != end) {
+      std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
+                   text.c_str(), key.c_str(),
+                   std::is_floating_point_v<T> ? "a number"
+                   : std::is_signed_v<T>       ? "an integer"
+                                               : "a non-negative integer");
+      std::exit(2);
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
@@ -203,26 +217,24 @@ bool ParseCommon(const Args& args, Common* common) {
     common->card = common->workload.cardinality;
     common->seed = common->workload.seed;
   }
-  common->procs = static_cast<uint32_t>(args.GetInt("procs", 40));
-  common->card =
-      static_cast<uint32_t>(args.GetInt("card", static_cast<int>(common->card)));
-  common->relations = args.GetInt("relations", common->relations);
-  common->seed = static_cast<uint64_t>(
-      args.GetInt("seed", static_cast<int>(common->seed)));
+  common->procs = args.GetNum<uint32_t>("procs", 40);
+  common->card = args.GetNum<uint32_t>("card", common->card);
+  common->relations = args.GetNum<int>("relations", common->relations);
+  common->seed = args.GetNum<uint64_t>("seed", common->seed);
   common->workload.num_relations = common->relations;
   common->workload.cardinality = common->card;
   common->workload.seed = common->seed;
   if (args.Has("zipf-theta")) {
     common->use_workload = true;
-    common->workload.zipf_theta = args.GetDouble("zipf-theta", 0.0);
+    common->workload.zipf_theta = args.GetNum<double>("zipf-theta", 0.0);
   }
   if (args.Has("selectivity")) {
     common->use_workload = true;
-    common->workload.selectivity = args.GetDouble("selectivity", 1.0);
+    common->workload.selectivity = args.GetNum<double>("selectivity", 1.0);
   }
   if (args.Has("fanout")) {
     common->use_workload = true;
-    common->workload.fanout = static_cast<uint32_t>(args.GetInt("fanout", 1));
+    common->workload.fanout = args.GetNum<uint32_t>("fanout", 1);
   }
   if (common->use_workload) {
     Status valid = common->workload.Validate();
@@ -332,14 +344,14 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     std::fprintf(stderr, "unknown fault kind\n");
     return 2;
   }
-  scenario.node = static_cast<uint32_t>(args.GetInt("fault-node", 0));
-  scenario.delay = std::chrono::microseconds(args.GetInt("fault-delay-us", 1000));
-  scenario.op = args.GetInt("fault-op", -1);
-  scenario.after_batches =
-      static_cast<uint64_t>(args.GetInt("fault-after", 0));
-  scenario.probability = args.GetDouble("fault-prob", 1.0);
-  scenario.seed = static_cast<uint64_t>(args.GetInt("fault-seed", 0));
-  scenario.on_attempt = args.GetInt("fault-on-attempt", -1);
+  scenario.node = args.GetNum<uint32_t>("fault-node", 0);
+  scenario.delay =
+      std::chrono::microseconds(args.GetNum<int>("fault-delay-us", 1000));
+  scenario.op = args.GetNum<int>("fault-op", -1);
+  scenario.after_batches = args.GetNum<uint64_t>("fault-after", 0);
+  scenario.probability = args.GetNum<double>("fault-prob", 1.0);
+  scenario.seed = args.GetNum<uint64_t>("fault-seed", 0);
+  scenario.on_attempt = args.GetNum<int>("fault-on-attempt", -1);
   FaultInjector injector(scenario);
 
   NetFaultScenario net_scenario;
@@ -347,23 +359,19 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     std::fprintf(stderr, "unknown net fault kind\n");
     return 2;
   }
-  net_scenario.worker =
-      static_cast<uint32_t>(args.GetInt("net-fault-worker", 0));
-  net_scenario.after_frames =
-      static_cast<uint64_t>(args.GetInt("net-fault-after", 0));
-  net_scenario.max_fires =
-      static_cast<uint64_t>(args.GetInt("net-fault-fires", 1));
-  net_scenario.seed = static_cast<uint64_t>(args.GetInt("net-fault-seed", 0));
+  net_scenario.worker = args.GetNum<uint32_t>("net-fault-worker", 0);
+  net_scenario.after_frames = args.GetNum<uint64_t>("net-fault-after", 0);
+  net_scenario.max_fires = args.GetNum<uint64_t>("net-fault-fires", 1);
+  net_scenario.seed = args.GetNum<uint64_t>("net-fault-seed", 0);
   NetFaultInjector net_injector(net_scenario);
 
   ThreadExecOptions options;
-  options.batch_size = static_cast<uint32_t>(args.GetInt("batch", 256));
-  options.max_queued_batches =
-      static_cast<size_t>(args.GetInt("max-queue", 0));
-  options.memory_budget_bytes =
-      static_cast<size_t>(args.GetInt("budget", 0));
+  options.batch_size = args.GetNum<uint32_t>("batch", 256);
+  options.max_queued_batches = args.GetNum<size_t>("max-queue", 0);
+  options.memory_budget_bytes = args.GetNum<size_t>("budget", 0);
   if (args.Has("deadline-ms")) {
-    options.deadline = std::chrono::milliseconds(args.GetInt("deadline-ms", 0));
+    options.deadline =
+        std::chrono::milliseconds(args.GetNum<int>("deadline-ms", 0));
   }
   if (scenario.kind != FaultKind::kNone) options.fault_injector = &injector;
 
@@ -396,20 +404,18 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     ProcessExecutor executor(&db);
     ProcessExecOptions process_options;
     process_options.exec = options;
-    process_options.num_workers =
-        static_cast<uint32_t>(args.GetInt("workers", 0));
-    process_options.max_retries =
-        static_cast<uint32_t>(args.GetInt("retries", 0));
+    process_options.num_workers = args.GetNum<uint32_t>("workers", 0);
+    process_options.max_retries = args.GetNum<uint32_t>("retries", 0);
     process_options.retry_backoff =
-        std::chrono::milliseconds(args.GetInt("retry-backoff-ms", 50));
+        std::chrono::milliseconds(args.GetNum<int>("retry-backoff-ms", 50));
     process_options.degrade_to_thread = args.Has("degrade");
     process_options.use_shm_data_plane = !args.Has("no-shm");
     process_options.shm_ring_bytes =
-        static_cast<uint32_t>(args.GetInt("shm-ring-kb", 256)) * 1024u;
+        args.GetNum<uint32_t>("shm-ring-kb", 256) * 1024u;
     process_options.heartbeat_interval =
-        std::chrono::milliseconds(args.GetInt("heartbeat-ms", 500));
+        std::chrono::milliseconds(args.GetNum<int>("heartbeat-ms", 500));
     process_options.liveness_timeout =
-        std::chrono::milliseconds(args.GetInt("liveness-ms", 0));
+        std::chrono::milliseconds(args.GetNum<int>("liveness-ms", 0));
     if (net_scenario.kind != NetFaultKind::kNone) {
       process_options.net_fault_injector = &net_injector;
     }
