@@ -146,8 +146,9 @@ enum FrameDir : uint32_t {
   X(21, QueryResult, "query-result", SERVE, kDirToClient, kPhServe, Keep)      \
   /* worker -> coordinator (persistent fleets only): the worker tore down   */ \
   /* the previous query's state and is parked waiting for the next kPlan.   */ \
-  /* Returns the link to kPhAwaitPlan for the next query.                   */ \
-  X(22, Idle, "idle", WC, kDirToCoordinator, kPhReport, AwaitPlan)             \
+  /* It acks the query-ending kShutdown, so the link is in kPhDone; it      */ \
+  /* returns the link to kPhAwaitPlan for the next query.                   */ \
+  X(22, Idle, "idle", WC, kDirToCoordinator, kPhDone, AwaitPlan)               \
   /* worker -> coordinator: one defended join instance's build-side skew    */ \
   /* summary (SkewReportMsg — heavy-hitter candidates with their build rows */ \
   /* inline, plus the instance's build-key Bloom filter).                   */ \

@@ -539,8 +539,9 @@ const bool kConformanceArmed = [] {
 
 TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
   // One full query on a warm link, observed from the coordinator end:
-  // plan -> hello -> fragments/data -> finish -> report -> idle, and the
-  // idle frame returns the link to await-plan for the next query.
+  // plan -> hello -> fragments/data -> finish -> report -> shutdown ->
+  // idle, and the idle ack returns the link to await-plan for the next
+  // query.
   FrameConformance link(LinkRole::kCoordinator, "worker 0");
   EXPECT_EQ(link.phase(), kPhAwaitPlan);
   ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
@@ -557,6 +558,8 @@ TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
   EXPECT_EQ(link.phase(), kPhReport);
   ASSERT_TRUE(link.Observe(FrameType::kSummary, /*outbound=*/false).ok());
   ASSERT_TRUE(link.Observe(FrameType::kNetStats, /*outbound=*/false).ok());
+  ASSERT_TRUE(link.Observe(FrameType::kShutdown, /*outbound=*/true).ok());
+  EXPECT_EQ(link.phase(), kPhDone);
   ASSERT_TRUE(link.Observe(FrameType::kIdle, /*outbound=*/false).ok());
   EXPECT_EQ(link.phase(), kPhAwaitPlan);
   // The warm loop: the next query's plan is legal again.

@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
     } else if (i + 1 < argc && argv[i + 1][0] != '-') {
       args.flags[arg] = argv[++i];
     } else {
-      args.flags[arg] = "1";
+      args.flags[arg].assign(1, '1');
     }
   }
   if (args.command == "serve") return RunServe(args);
