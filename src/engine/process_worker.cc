@@ -429,9 +429,10 @@ void WorkerRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
 
 void WorkerRun::Receive(OpInstance* target, int port,
                         std::shared_ptr<TupleBatch> batch) {
-  runtime_->RunWhenStarted(target, [this, target, port, batch] {
-    runtime_->OnBatch(target, port, *batch);
-  });
+  runtime_->RunWhenStarted(
+      target, [this, target, port, batch = std::move(batch)] {
+        runtime_->OnBatch(target, port, *batch);
+      });
 }
 
 void WorkerRun::ReceiveEos(OpInstance* target, int port) {
