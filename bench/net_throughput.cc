@@ -9,15 +9,18 @@
 //           the other), so the figure includes framing, syscalls, and
 //           reassembly but no scheduler noise.
 //   query:  FP left-linear end to end — thread backend vs the process
-//           backend over its two data planes (all-socket and shared-memory
-//           rings) at the same batch size: what shared-nothing isolation
-//           costs on a real plan, and how much of it the shm plane buys
-//           back, with the wire traffic each run generated.
+//           backend (data on shared-memory rings, control on the socket)
+//           at the same batch size: what shared-nothing isolation costs on
+//           a real plan, with the traffic each run generated.
+//
+// The JSON also records the host it ran on (online CPUs, compiler, and
+// whether assertions were compiled out).
 //
 // Flags: --smoke (tiny sweep, 1 rep — the CI guard),
 //        --out=FILE (default BENCH_net.json),
 //        --workers=N (process backend; default 0 = one per processor).
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -159,7 +162,8 @@ SocketRow BenchSocket(size_t payload_bytes, const Config& cfg) {
       // Keep roughly a megabyte in flight, then drain the other end —
       // the coordinator's flush/read cadence in miniature.
       while (sent < row.frames && tx.pending_output_bytes() < (1u << 20)) {
-        tx.QueueFrame(FrameType::kData, payload);
+        // Any table frame does: the channel never looks at the payload.
+        tx.QueueFrame(FrameType::kTraceEvents, payload);
         ++sent;
       }
       MJOIN_CHECK(tx.Flush().ok());
@@ -182,7 +186,6 @@ struct ProcessRow {
   uint32_t workers = 0;
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
-  uint64_t data_frames_routed = 0;
   uint64_t local_deliveries = 0;
   double serialize_seconds = 0;
   double deserialize_seconds = 0;
@@ -194,12 +197,11 @@ struct ProcessRow {
 
 struct QueryRow {
   double thread_wall = 0;
-  ProcessRow socket_plane;  // use_shm_data_plane = false
-  ProcessRow shm_plane;     // use_shm_data_plane = true
+  ProcessRow process;
 };
 
 ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
-                        const Config& cfg, bool use_shm) {
+                        const Config& cfg) {
   ProcessRow row;
   ProcessExecutor processes(&db);
   for (int rep = 0; rep < cfg.reps; ++rep) {
@@ -207,7 +209,6 @@ ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
     options.exec.batch_size = cfg.batch_size;
     options.exec.collect_metrics = false;
     options.num_workers = cfg.workers;
-    options.use_shm_data_plane = use_shm;
     auto run = processes.Execute(plan, options);
     MJOIN_CHECK(run.ok()) << run.status();
     if (row.wall == 0 || run->exec.wall_seconds < row.wall) {
@@ -216,7 +217,6 @@ ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
     row.workers = run->net.num_workers;
     row.bytes_sent = run->net.bytes_sent;
     row.bytes_received = run->net.bytes_received;
-    row.data_frames_routed = run->net.data_frames_routed;
     row.local_deliveries = run->net.local_deliveries;
     row.serialize_seconds = run->net.serialize_seconds;
     row.deserialize_seconds = run->net.deserialize_seconds;
@@ -244,8 +244,7 @@ QueryRow BenchQuery(const Database& db, const ParallelPlan& plan,
     }
   }
 
-  row.socket_plane = BenchProcess(db, plan, cfg, /*use_shm=*/false);
-  row.shm_plane = BenchProcess(db, plan, cfg, /*use_shm=*/true);
+  row.process = BenchProcess(db, plan, cfg);
   return row;
 }
 
@@ -294,20 +293,35 @@ int Main(int argc, char** argv) {
 
   QueryRow query = BenchQuery(db, plan, cfg);
   std::fprintf(stderr,
-               "query  thread %.4fs  process/socket %.4fs  process/shm %.4fs "
+               "query  thread %.4fs  process %.4fs "
                "(%u workers, %u rings, %llu shm records, %llu ring stalls)\n",
-               query.thread_wall, query.socket_plane.wall, query.shm_plane.wall,
-               query.shm_plane.workers, query.shm_plane.shm_rings,
-               static_cast<unsigned long long>(query.shm_plane.shm_records_sent),
-               static_cast<unsigned long long>(query.shm_plane.ring_full_stalls));
+               query.thread_wall, query.process.wall, query.process.workers,
+               query.process.shm_rings,
+               static_cast<unsigned long long>(query.process.shm_records_sent),
+               static_cast<unsigned long long>(query.process.ring_full_stalls));
 
   FILE* f = std::fopen(cfg.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", cfg.out.c_str());
     return 1;
   }
+#ifdef NDEBUG
+  const char* assertions = "off";
+#else
+  const char* assertions = "on";
+#endif
+#ifdef __clang__
+  const char* compiler = "clang";
+#else
+  const char* compiler = "gcc";
+#endif
   std::fprintf(f,
-               "{\n  \"config\": {\"relations\": %d, \"cardinality\": %u, "
+               "{\n  \"host\": {\"nproc\": %ld, \"compiler\": \"%s %s\", "
+               "\"assertions\": \"%s\"},\n",
+               sysconf(_SC_NPROCESSORS_ONLN), compiler, __VERSION__,
+               assertions);
+  std::fprintf(f,
+               "  \"config\": {\"relations\": %d, \"cardinality\": %u, "
                "\"processors\": %u, \"batch_size\": %u, \"reps\": %d, "
                "\"smoke\": %s},\n  \"codec\": [\n",
                cfg.relations, cfg.cardinality, cfg.processors, cfg.batch_size,
@@ -337,28 +351,22 @@ int Main(int argc, char** argv) {
       "  ],\n  \"query\": {\"strategy\": \"FP\", \"shape\": \"left linear\", "
       "\"thread_wall_seconds\": %.6f,\n",
       query.thread_wall);
-  auto write_plane = [f](const char* key, const ProcessRow& r, bool last) {
-    std::fprintf(
-        f,
-        "    \"%s\": {\"wall_seconds\": %.6f, \"workers\": %u, "
-        "\"bytes_sent\": %llu, \"bytes_received\": %llu, "
-        "\"data_frames_routed\": %llu, \"local_deliveries\": %llu, "
-        "\"serialize_seconds\": %.6f, \"deserialize_seconds\": %.6f, "
-        "\"shm_rings\": %u, \"shm_records_sent\": %llu, "
-        "\"shm_bytes_sent\": %llu, \"ring_full_stalls\": %llu}%s\n",
-        key, r.wall, r.workers,
-        static_cast<unsigned long long>(r.bytes_sent),
-        static_cast<unsigned long long>(r.bytes_received),
-        static_cast<unsigned long long>(r.data_frames_routed),
-        static_cast<unsigned long long>(r.local_deliveries),
-        r.serialize_seconds, r.deserialize_seconds, r.shm_rings,
-        static_cast<unsigned long long>(r.shm_records_sent),
-        static_cast<unsigned long long>(r.shm_bytes_sent),
-        static_cast<unsigned long long>(r.ring_full_stalls),
-        last ? "" : ",");
-  };
-  write_plane("process_socket", query.socket_plane, /*last=*/false);
-  write_plane("process_shm", query.shm_plane, /*last=*/true);
+  const ProcessRow& r = query.process;
+  std::fprintf(
+      f,
+      "    \"process_shm\": {\"wall_seconds\": %.6f, \"workers\": %u, "
+      "\"bytes_sent\": %llu, \"bytes_received\": %llu, "
+      "\"local_deliveries\": %llu, "
+      "\"serialize_seconds\": %.6f, \"deserialize_seconds\": %.6f, "
+      "\"shm_rings\": %u, \"shm_records_sent\": %llu, "
+      "\"shm_bytes_sent\": %llu, \"ring_full_stalls\": %llu}\n",
+      r.wall, r.workers, static_cast<unsigned long long>(r.bytes_sent),
+      static_cast<unsigned long long>(r.bytes_received),
+      static_cast<unsigned long long>(r.local_deliveries),
+      r.serialize_seconds, r.deserialize_seconds, r.shm_rings,
+      static_cast<unsigned long long>(r.shm_records_sent),
+      static_cast<unsigned long long>(r.shm_bytes_sent),
+      static_cast<unsigned long long>(r.ring_full_stalls));
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", cfg.out.c_str());

@@ -1,9 +1,13 @@
 #ifndef MJOIN_COMMON_STRING_UTIL_H_
 #define MJOIN_COMMON_STRING_UTIL_H_
 
+#include <charconv>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace mjoin {
@@ -37,6 +41,26 @@ std::string FormatDouble(double value, int digits);
 
 /// Human-readable byte count ("1.5 MiB").
 std::string FormatBytes(uint64_t bytes);
+
+/// Parses the whole of `text` as a T with std::from_chars: no whitespace,
+/// no trailing characters, no leading '+', and an unsigned T rejects a
+/// sign. nullopt for empty, malformed, or out-of-range text.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+/// What ParseNumber<T> accepts, in words for an error message.
+template <typename T>
+constexpr const char* NumberKindName() {
+  return std::is_floating_point_v<T> ? "a number"
+         : std::is_signed_v<T>       ? "an integer"
+                                     : "a non-negative integer";
+}
 
 }  // namespace mjoin
 

@@ -40,14 +40,14 @@ bool ParseFaultKind(const std::string& text, FaultKind* kind);
 
 /// Where in an executor's message path a fault fires. The points are
 /// backend-agnostic: the thread backend hits them on its in-memory queues,
-/// the process backend on its socket path — so one FaultScenario means the
+/// the process backend on its ring path — so one FaultScenario means the
 /// same thing under `--backend thread` and `--backend process`.
 enum class FaultPoint {
   /// A worker dequeues the next message (thread: WorkerNode::Loop; process:
   /// the worker event loop picking the next task). kSlowWorker fires here.
   kDequeue = 0,
   /// A producer is about to post/send a data batch toward a consumer
-  /// (thread: FlushDest; process: local delivery or the socket write).
+  /// (thread: FlushDest; process: local delivery or the ring write).
   /// kDropBatch / kDuplicateBatch fire here.
   kSend = 1,
   /// A consumer is about to run Consume() on a delivered batch.

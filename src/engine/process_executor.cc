@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -58,8 +57,8 @@ struct FleetMember {
 /// reaped here.
 struct FleetState {
   std::vector<FleetMember> members;
-  /// Fleet-lifetime shm arena (nullptr = socket data plane). Each query
-  /// lays its own ring directory over it.
+  /// Fleet-lifetime shm arena. Each query lays its own ring directory
+  /// over it.
   std::unique_ptr<ShmArena> arena;
   uint32_t ring_bytes = 0;
   /// A failed run leaves workers in an unknown state (possibly mid-query);
@@ -85,17 +84,13 @@ struct WorkerProc {
   /// Channel counters at attach time; warm channels accumulate across
   /// queries, so per-query stats subtract this baseline.
   ChannelStats base;
-  /// Routed data frames sent but not yet credited back (credit window).
-  size_t in_flight = 0;
-  /// Routed frames (data and EOS, in arrival order) waiting for credit.
-  std::deque<Frame> held;
 };
 
-/// The coordinator of one process-backed execution: forks the fleet, ships
-/// plan + fragments, relays routed batches under credit flow control,
-/// drives the trigger-group scheduler off milestone frames, and collects
-/// the finish-phase reports. Single-threaded: one poll loop over all
-/// worker sockets.
+/// The coordinator of one process-backed execution: maps the rings, forks
+/// the fleet, ships plan + fragments, drives the trigger-group scheduler
+/// off milestone frames, and collects the finish-phase reports. Workers
+/// exchange batches among themselves over the rings. Single-threaded: one
+/// poll loop over all worker sockets and the coordinator's doorbell.
 class Coordinator {
  public:
   /// `attempt` is the 0-based retry attempt (shipped to workers in the
@@ -168,12 +163,16 @@ class Coordinator {
         .count();
   }
 
+  /// One-shot mode: maps an arena sized to this plan's ring directory and
+  /// formats the rings over it, pre-fork. The rings grow past
+  /// options.shm_ring_bytes when the plan's widest row needs it.
+  Status MapRings();
   Status SpawnFleet();
-  /// Warm mode: binds workers_ to the fleet's members and (when the fleet
-  /// carries an arena) formats this query's ring directory over it. Only
-  /// called with every member parked idle — the previous query's idle
-  /// handshake (or the fleet's spawn) guarantees no worker is touching the
-  /// arena while the rings are reformatted.
+  /// Warm mode: binds workers_ to the fleet's members and formats this
+  /// query's ring directory over the fleet's arena. Only called with every
+  /// member parked idle — the previous query's idle handshake (or the
+  /// fleet's spawn) guarantees no worker is touching the arena while the
+  /// rings are reformatted.
   Status AttachFleet();
   /// Warm mode end-of-query: kShutdown to every worker (ending its query,
   /// not its process), then polls until each acks with kIdle and is parked.
@@ -199,9 +198,6 @@ class Coordinator {
   /// rings (result rows during the finish phase).
   void DrainCoordRings();
   void HandleFrame(uint32_t w, Frame frame);
-  void RouteFrame(uint32_t from, Frame frame);
-  void SendRouted(WorkerProc* dst, Frame frame);
-  void DrainHeld(WorkerProc* dst);
   void HandleWorkerGone(uint32_t w, const Status& status);
   /// Cancellation/deadline promotion; false once the run should stop.
   bool CheckRuntime();
@@ -241,8 +237,11 @@ class Coordinator {
   SchemaRegistry registry_;
   QueryController controller_;
   std::vector<WorkerProc> workers_;
-  /// Created pre-fork so the fleet inherits the mapping; destroyed with
-  /// this per-attempt Coordinator, so a retried fleet maps fresh rings.
+  /// One-shot mode's arena: mapped pre-fork so the fleet inherits it, and
+  /// destroyed with this per-attempt Coordinator, so a retried fleet maps
+  /// fresh zeroed rings. Warm mode uses the fleet's arena instead.
+  std::unique_ptr<ShmArena> arena_;
+  /// This attempt's ring directory over arena_ or the fleet's arena.
   std::unique_ptr<ShmDataPlane> plane_;
   std::string plan_text_;
   uint64_t plan_hash_ = 0;
@@ -283,12 +282,32 @@ class Coordinator {
   // Finish-phase accumulators.
   SummaryMsg summary_;
   std::optional<Relation> materialized_;
-  std::shared_ptr<const Schema> result_schema_;
   std::vector<ThreadOpStats> per_op_;
   std::vector<WorkerRunStats> worker_stats_;
   ProcessNetStats net_;
   std::shared_ptr<ThreadTraceRecorder> trace_;
 };
+
+Status Coordinator::MapRings() {
+  std::vector<ShmRingSpec> directory =
+      ComputeRingDirectory(plan_, num_workers_);
+  // Records never split a row: double the rings until the widest one fits.
+  // An invalid size stays invalid (CreateInArena rejects it).
+  const size_t widest = WidestShmRecordPayload(plan_);
+  uint32_t ring_bytes = options_.shm_ring_bytes;
+  while (ring_bytes >= 4096 && ring_bytes < (1u << 31) &&
+         ShmMaxPayload(ring_bytes) < widest) {
+    ring_bytes *= 2;
+  }
+  const size_t slot = sizeof(ShmRingHdr) + ring_bytes;
+  MJOIN_ASSIGN_OR_RETURN(
+      arena_, ShmArena::Create(num_workers_ + 1, slot * directory.size()));
+  MJOIN_ASSIGN_OR_RETURN(
+      plane_, ShmDataPlane::CreateInArena(arena_.get(), std::move(directory),
+                                          num_workers_ + 1, ring_bytes,
+                                          /*format=*/true));
+  return Status::OK();
+}
 
 Status Coordinator::SpawnFleet() {
   workers_.resize(num_workers_);
@@ -313,10 +332,10 @@ Status Coordinator::SpawnFleet() {
         close(workers_[prev].chan->fd());
       }
       close(sv[0]);
-      // The shm plane (mapping + doorbells) is deliberately inherited; the
+      // The shm arena (mapping + doorbells) is deliberately inherited; the
       // child never destroys it — _exit skips destructors and the kernel
       // drops its mapping reference.
-      _exit(RunProcessWorker(sv[1], plane_.get()));
+      _exit(RunProcessWorker(sv[1], arena_.get()));
     }
     close(sv[1]);
     MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
@@ -346,15 +365,13 @@ Status Coordinator::AttachFleet() {
         StrCat("warm fleet has ", fleet_->members.size(), " members but the "
                "attempt expects ", num_workers_, " workers"));
   }
-  if (fleet_->arena != nullptr && options_.use_shm_data_plane) {
-    // Format this query's ring directory over the fleet's arena. Every
-    // member is parked idle right now, so nobody else touches the region.
-    MJOIN_ASSIGN_OR_RETURN(
-        plane_, ShmDataPlane::CreateInArena(
-                    fleet_->arena.get(),
-                    ComputeRingDirectory(plan_, num_workers_),
-                    num_workers_ + 1, fleet_->ring_bytes, /*format=*/true));
-  }
+  // Format this query's ring directory over the fleet's arena. Every
+  // member is parked idle right now, so nobody else touches the region.
+  MJOIN_ASSIGN_OR_RETURN(
+      plane_, ShmDataPlane::CreateInArena(
+                  fleet_->arena.get(),
+                  ComputeRingDirectory(plan_, num_workers_),
+                  num_workers_ + 1, fleet_->ring_bytes, /*format=*/true));
   workers_.resize(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
     FleetMember& member = fleet_->members[w];
@@ -410,7 +427,6 @@ Status Coordinator::ShipPlans() {
     env.num_workers = num_workers_;
     env.batch_size = exec_.batch_size;
     env.materialize_result = exec_.materialize_result;
-    env.max_queued_batches = exec_.max_queued_batches;
     env.memory_budget_bytes = exec_.memory_budget_bytes;
     env.collect_metrics = exec_.collect_metrics;
     env.record_trace = exec_.record_trace;
@@ -418,8 +434,7 @@ Status Coordinator::ShipPlans() {
     env.fault_scenario = fault_scenario;
     env.plan_text = plan_text_;
     env.attempt = attempt_;
-    env.use_shm_data_plane = plane_ != nullptr;
-    env.shm_ring_bytes = plane_ != nullptr ? plane_->ring_bytes() : 0;
+    env.shm_ring_bytes = plane_->ring_bytes();
     env.persistent = fleet_ != nullptr;
     // Shipped in full so the worker derives the same defended-join set
     // and thresholds the coordinator sized its mergers from.
@@ -433,59 +448,39 @@ Status Coordinator::ShipPlans() {
 
 Status Coordinator::ShipFragments() {
   // Partition every base relation exactly as the in-process backends do
-  // (DeclusterScan), then ship each instance's
-  // fragment to its hosting worker in bounded chunks. The socket is FIFO,
-  // so every fragment chunk precedes the kTrigger that starts its scan.
+  // (DeclusterScan), then publish each instance's fragment onto the relay
+  // ring toward its hosting worker in record-sized chunks. A worker drains
+  // its rings before it handles the frames read with them, so every chunk
+  // is in before the kTrigger that starts its scan.
   for (const XraOp& o : plan_.ops) {
     if (o.kind != XraOpKind::kScan) continue;
     MJOIN_ASSIGN_OR_RETURN(std::vector<Relation> fragments,
                            DeclusterScan(plan_, o, db_));
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
                            registry_.IdOf(*o.output_schema));
-    uint32_t tuple_size = o.output_schema->tuple_size();
-    // Fragments ride the relay rings when the plane is up (the rows fit a
-    // record by construction: max_payload is checked below), the socket
-    // otherwise. Per-scan-op choice, like the workers' per-edge one.
-    const uint32_t max_payload =
-        plane_ != nullptr
-            ? plane_->ring_bytes() / 2 - kShmRecordHdrBytes * 2
-            : 0;
-    const bool use_ring =
-        plane_ != nullptr &&
-        sizeof(ShmFragmentHeader) + tuple_size <= max_payload;
-    const size_t rows_per_frame =
-        use_ring
-            ? (max_payload - sizeof(ShmFragmentHeader)) /
-                  std::max<uint32_t>(1, tuple_size)
-            : std::max<size_t>(1,
-                               (4u << 20) / std::max<uint32_t>(1, tuple_size));
+    const uint32_t tuple_size = o.output_schema->tuple_size();
+    // The rows fit a record by construction (MapRings / the warm fleet's
+    // width check).
+    const size_t rows_per_record =
+        (plane_->max_payload() - sizeof(ShmFragmentHeader)) /
+        std::max<uint32_t>(1, tuple_size);
     for (uint32_t i = 0; i < fragments.size(); ++i) {
       const Relation& frag = fragments[i];
       if (frag.num_tuples() == 0) continue;  // workers pre-create empties
       const uint32_t dest = WorkerOf(o.processors[i]);
       size_t offset = 0;
       while (offset < frag.num_tuples()) {
-        size_t count = std::min(rows_per_frame, frag.num_tuples() - offset);
-        if (use_ring) {
-          ShmFragmentHeader hdr;
-          hdr.op = o.id;
-          hdr.instance = i;
-          hdr.schema_id = schema_id;
-          hdr.tuple_size = tuple_size;
-          hdr.num_tuples = static_cast<uint32_t>(count);
-          MJOIN_RETURN_IF_ERROR(PushFragmentRecord(
-              dest, hdr, frag.raw_data() + offset * tuple_size,
-              count * tuple_size));
-          if (aborted_) return Status::OK();  // Run() sees aborted_
-        } else {
-          std::vector<std::byte> payload;
-          payload.reserve(8 + BatchWireSize(tuple_size, count));
-          EncodeFragmentHeader(FragmentHeader{o.id, i}, &payload);
-          AppendRowsWire(schema_id, tuple_size,
-                         frag.raw_data() + offset * tuple_size, count,
-                         &payload);
-          workers_[dest].chan->QueueFrame(FrameType::kFragment, payload);
-        }
+        size_t count = std::min(rows_per_record, frag.num_tuples() - offset);
+        ShmFragmentHeader hdr;
+        hdr.op = o.id;
+        hdr.instance = i;
+        hdr.schema_id = schema_id;
+        hdr.tuple_size = tuple_size;
+        hdr.num_tuples = static_cast<uint32_t>(count);
+        MJOIN_RETURN_IF_ERROR(PushFragmentRecord(
+            dest, hdr, frag.raw_data() + offset * tuple_size,
+            count * tuple_size));
+        if (aborted_) return Status::OK();  // Run() sees aborted_
         offset += count;
       }
     }
@@ -500,9 +495,9 @@ Status Coordinator::PushFragmentRecord(uint32_t dest,
   ShmRing* ring = plane_->RingTo(num_workers_, dest);
   MJOIN_CHECK(ring != nullptr) << "no relay ring toward worker " << dest;
   // A full ring means the worker is behind; keep the poll loop turning
-  // (hellos, errors, supervision) instead of buffering unboundedly like
-  // the socket path would. Deadline, cancellation, worker death, and the
-  // liveness watchdog all break the wait.
+  // (hellos, errors, supervision) instead of buffering unboundedly.
+  // Deadline, cancellation, worker death, and the liveness watchdog all
+  // break the wait.
   while (!ring->TryPush(ShmRecordType::kFragment, &hdr, sizeof(hdr), rows,
                         row_bytes)) {
     ++net_.ring_full_stalls;
@@ -693,52 +688,6 @@ void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
                                    cause, " before completing the query")));
 }
 
-void Coordinator::SendRouted(WorkerProc* dst, Frame frame) {
-  if (frame.type == FrameType::kData) ++dst->in_flight;
-  dst->chan->QueueFrame(frame.type, frame.payload);
-}
-
-void Coordinator::RouteFrame(uint32_t from, Frame frame) {
-  WireReader reader(frame.payload);
-  RouteHeader route;
-  Status decoded = DecodeRouteHeader(&reader, &route);
-  if (!decoded.ok() || route.consumer_op < 0 ||
-      static_cast<size_t>(route.consumer_op) >= plan_.ops.size() ||
-      route.dest_index >= op(route.consumer_op).processors.size()) {
-    AbortCorruptWire(
-        from, StrCat("unroutable ", FrameTypeName(frame.type), " frame"));
-    return;
-  }
-  WorkerProc& dst =
-      workers_[WorkerOf(op(route.consumer_op).processors[route.dest_index])];
-  if (dst.closed) return;  // death already aborted the run
-  // The credit window bounds un-acknowledged data frames per destination;
-  // EOS frames consume no credit but must stay FIFO behind held data, so
-  // anything queues behind a non-empty hold queue.
-  bool window_full = exec_.max_queued_batches != 0 &&
-                     frame.type == FrameType::kData &&
-                     dst.in_flight >= exec_.max_queued_batches;
-  if (!dst.held.empty() || window_full) {
-    if (window_full) ++net_.credit_stalls;
-    dst.held.push_back(std::move(frame));
-    net_.peak_held_frames = std::max(net_.peak_held_frames, dst.held.size());
-    return;
-  }
-  SendRouted(&dst, std::move(frame));
-}
-
-void Coordinator::DrainHeld(WorkerProc* dst) {
-  while (!dst->held.empty()) {
-    Frame& front = dst->held.front();
-    if (front.type == FrameType::kData && exec_.max_queued_batches != 0 &&
-        dst->in_flight >= exec_.max_queued_batches) {
-      return;
-    }
-    SendRouted(dst, std::move(front));
-    dst->held.pop_front();
-  }
-}
-
 void Coordinator::HandleFrame(uint32_t w, Frame frame) {
   WorkerProc& worker = workers_[w];
   switch (frame.type) {
@@ -766,9 +715,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
                    "not survive the serialize/parse round trip")));
         return;
       }
-      const uint64_t want_ring_hash =
-          plane_ != nullptr ? plane_->directory_hash() : 0;
-      if (hello.ring_directory_hash != want_ring_hash) {
+      if (hello.ring_directory_hash != plane_->directory_hash()) {
         // The worker derived a different ring directory from its parse:
         // had it run, producer and consumer could disagree about which
         // ring carries an edge. Deterministic, so never retried.
@@ -779,25 +726,6 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
         return;
       }
       worker.hello_received = true;
-      return;
-    }
-    case FrameType::kData:
-      ++net_.data_frames_routed;
-      RouteFrame(w, std::move(frame));
-      return;
-    case FrameType::kEos:
-      RouteFrame(w, std::move(frame));
-      return;
-    case FrameType::kCredit: {
-      WireReader reader(frame.payload);
-      uint32_t count = 0;
-      Status decoded = reader.ReadU32(&count);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
-      worker.in_flight -= std::min<size_t>(worker.in_flight, count);
-      DrainHeld(&worker);
       return;
     }
     case FrameType::kMilestone: {
@@ -832,21 +760,6 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       // per-worker partial summaries add up to the query's.
       summary_.cardinality += msg.cardinality;
       summary_.checksum += msg.checksum;
-      return;
-    }
-    case FrameType::kResultRows: {
-      if (!materialized_.has_value()) {
-        AbortCorruptWire(w, "result rows while materialization is off");
-        return;
-      }
-      WireReader reader(frame.payload);
-      TupleBatch batch(result_schema_);
-      Status decoded = ReadBatchWire(&reader, registry_, &batch);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
-      materialized_->AppendRows(batch.raw_data(), batch.num_tuples());
       return;
     }
     case FrameType::kOpStats: {
@@ -993,7 +906,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
 }
 
 void Coordinator::PollOnce(int timeout_ms) {
-  // Flush first: queued frames (triggers, routed data, finish requests)
+  // Flush first: queued frames (triggers, directives, finish requests)
   // should hit the sockets before we sleep in poll.
   for (uint32_t w = 0; w < num_workers_; ++w) {
     WorkerProc& worker = workers_[w];
@@ -1018,22 +931,20 @@ void Coordinator::PollOnce(int timeout_ms) {
     fd_worker.push_back(w);
   }
   if (fds.empty()) return;
-  if (plane_ != nullptr) {
-    // Our doorbell: workers ring it after publishing onto a relay ring.
-    struct pollfd pfd;
-    pfd.fd = plane_->doorbell(num_workers_);
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    fds.push_back(pfd);
-    fd_worker.push_back(num_workers_);  // sentinel: not a worker socket
-  }
+  // Our doorbell: workers ring it after publishing onto a relay ring.
+  struct pollfd bell;
+  bell.fd = plane_->doorbell(num_workers_);
+  bell.events = POLLIN;
+  bell.revents = 0;
+  fds.push_back(bell);
+  fd_worker.push_back(num_workers_);  // sentinel: not a worker socket
   int rc = poll(fds.data(), fds.size(), timeout_ms);
   if (rc < 0 && errno != EINTR) {
     Abort(Status::Internal(StrCat("coordinator poll failed: ",
                                   strerror(errno))));
     return;
   }
-  if (plane_ != nullptr) plane_->DrainDoorbell(num_workers_);
+  plane_->DrainDoorbell(num_workers_);
   if (rc <= 0) {
     // Timed out, but published records need no readable socket to exist.
     DrainCoordRings();
@@ -1072,14 +983,19 @@ void Coordinator::PollOnce(int timeout_ms) {
     while (!aborted_ && worker.chan->NextFrame(&frame)) {
       HandleFrame(r.w, std::move(frame));
     }
-    if (r.peer_closed && state_ != State::kDone) {
+    // After the query is done an EOF is no failure of the query, but the
+    // socket is dead either way: HandleWorkerGone only marks it closed
+    // then. Left open, a hung-up socket stays readable forever and a warm
+    // fleet's idle handshake would spin on it until its deadline instead
+    // of noticing the lost member.
+    if (r.peer_closed) {
       HandleWorkerGone(r.w, Status::Unavailable("end of stream"));
     }
   }
 }
 
 void Coordinator::DrainCoordRings() {
-  if (plane_ == nullptr || aborted_) return;
+  if (aborted_) return;
   for (size_t ring_index : plane_->InboundRings(num_workers_)) {
     ShmRing* ring = plane_->ring(ring_index);
     const uint32_t from = plane_->spec(ring_index).from;
@@ -1212,7 +1128,7 @@ ThreadExecStats Coordinator::GatherStats() const {
   for (const WorkerRunStats& w : worker_stats_) {
     // A remote send and a local hand-off are both "a batch posted to a
     // consumer" in the thread backend's vocabulary.
-    stats.batches_sent += w.data_frames_sent + w.local_deliveries;
+    stats.batches_sent += w.local_deliveries;
     stats.batches_processed += w.batches_processed;
     stats.batches_dropped += w.batches_dropped;
     stats.batches_duplicated += w.batches_duplicated;
@@ -1220,7 +1136,6 @@ ThreadExecStats Coordinator::GatherStats() const {
     stats.batch_buffers_reused += w.buffers_reused;
     stats.peak_memory_bytes += w.peak_memory_bytes;
   }
-  stats.peak_queue_depth = net_.peak_held_frames;
   if (exec_.collect_metrics) stats.per_op = per_op_;
   return stats;
 }
@@ -1249,9 +1164,7 @@ void Coordinator::GatherNetStats() {
     net_.shm_bytes_received += w.shm_bytes_received;
     net_.ring_full_stalls += w.ring_full_stalls;
   }
-  if (plane_ != nullptr) {
-    net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
-  }
+  net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
 }
 
 /// Publishes run counters mirroring the thread backend's names under the
@@ -1302,13 +1215,9 @@ void PublishProcessMetrics(const ThreadExecStats& stats,
   registry->counter("net.bytes_received")->Add(net.bytes_received);
   registry->counter("net.frames_sent")->Add(net.frames_sent);
   registry->counter("net.frames_received")->Add(net.frames_received);
-  registry->counter("net.data_frames_routed")->Add(net.data_frames_routed);
-  registry->counter("net.credit_stalls")->Add(net.credit_stalls);
   registry->counter("net.local_deliveries")->Add(net.local_deliveries);
   registry->counter("net.pump_stalls")->Add(net.pump_stalls);
   registry->counter("net.faults_injected")->Add(net.faults_injected);
-  registry->gauge("net.peak_held_frames")
-      ->Set(static_cast<int64_t>(net.peak_held_frames));
   registry->histogram("net.serialize_seconds")->Observe(net.serialize_seconds);
   registry->histogram("net.deserialize_seconds")
       ->Observe(net.deserialize_seconds);
@@ -1355,7 +1264,6 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
     for (const XraOp& o : plan_.ops) {
       if (o.store_result == plan_.final_result) {
         materialized_.emplace(*o.output_schema);
-        result_schema_ = o.output_schema;
       }
     }
   }
@@ -1375,14 +1283,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   if (fleet_ != nullptr) {
     MJOIN_RETURN_IF_ERROR(AttachFleet());
   } else {
-    if (options_.use_shm_data_plane) {
-      // Created pre-fork so the fleet inherits the mapping; torn down with
-      // this Coordinator, so every retry attempt maps fresh zeroed rings.
-      MJOIN_ASSIGN_OR_RETURN(
-          plane_,
-          ShmDataPlane::Create(ComputeRingDirectory(plan_, num_workers_),
-                               num_workers_ + 1, options_.shm_ring_bytes));
-    }
+    MJOIN_RETURN_IF_ERROR(MapRings());
     MJOIN_RETURN_IF_ERROR(SpawnFleet());
   }
   MJOIN_RETURN_IF_ERROR(ShipPlans());
@@ -1497,6 +1398,17 @@ void PublishRecoveryMetrics(const ProcessExecStats& proc,
   registry->counter("net.pongs_received")->Add(proc.pongs_received);
 }
 
+/// The shm rings are the process backend's only data plane; the switch
+/// survives in the options for source compatibility and must stay on.
+Status CheckDataPlane(const ProcessExecOptions& options) {
+  if (!options.use_shm_data_plane) {
+    return Status::InvalidArgument(
+        "ProcessExecOptions::use_shm_data_plane must be true: the shm rings "
+        "are the only data plane");
+  }
+  return Status::OK();
+}
+
 /// Forks `num_workers` persistent workers into `state` (arena and
 /// ring_bytes must already be set). Children inherit the arena mapping and
 /// run RunProcessWorker with it; sibling sockets are closed in each child.
@@ -1518,7 +1430,7 @@ Status SpawnFleetMembers(FleetState* state, uint32_t num_workers) {
         close(state->members[prev].chan->fd());
       }
       close(sv[0]);
-      _exit(RunProcessWorker(sv[1], /*plane=*/nullptr, state->arena.get()));
+      _exit(RunProcessWorker(sv[1], state->arena.get()));
     }
     close(sv[1]);
     MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
@@ -1611,22 +1523,25 @@ StatusOr<std::unique_ptr<WarmProcessFleet>> WarmProcessFleet::Spawn(
     return Status::InvalidArgument(
         "WarmFleetOptions::num_workers must be positive");
   }
+  if (!options.use_shm_data_plane) {
+    return Status::InvalidArgument(
+        "WarmFleetOptions::use_shm_data_plane must be true: the shm rings "
+        "are the only data plane");
+  }
   // lint:allow-new private ctor; make_unique cannot reach it
   std::unique_ptr<WarmProcessFleet> fleet(new WarmProcessFleet());
   Impl* impl = fleet->impl_.get();
   impl->database = database;
   impl->options = options;
-  if (options.use_shm_data_plane) {
-    // Size the arena for the worst-case directory of an n-worker fleet:
-    // both relay directions per worker plus every ordered worker pair,
-    // n(n+1) rings in all — any plan's directory fits.
-    const uint64_t n = options.num_workers;
-    const uint64_t slot = sizeof(ShmRingHdr) + options.shm_ring_bytes;
-    MJOIN_ASSIGN_OR_RETURN(
-        impl->state.arena,
-        ShmArena::Create(options.num_workers + 1, slot * n * (n + 1)));
-    impl->state.ring_bytes = options.shm_ring_bytes;
-  }
+  // Size the arena for the worst-case directory of an n-worker fleet:
+  // both relay directions per worker plus every ordered worker pair,
+  // n(n+1) rings in all — any plan's directory fits.
+  const uint64_t n = options.num_workers;
+  const uint64_t slot = sizeof(ShmRingHdr) + options.shm_ring_bytes;
+  MJOIN_ASSIGN_OR_RETURN(
+      impl->state.arena,
+      ShmArena::Create(options.num_workers + 1, slot * n * (n + 1)));
+  impl->state.ring_bytes = options.shm_ring_bytes;
   MJOIN_RETURN_IF_ERROR(
       SpawnFleetMembers(&impl->state, options.num_workers));
   return fleet;
@@ -1659,15 +1574,26 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     return Status::InvalidArgument(
         "ProcessExecOptions::exec.deadline must be positive when set");
   }
+  MJOIN_RETURN_IF_ERROR(CheckDataPlane(options));
   MJOIN_RETURN_IF_ERROR(plan.Validate());
+  // The arena's rings were sized at spawn: a row wider than their records
+  // can never be sent. Rejected before any worker sees the plan, so the
+  // fleet stays healthy.
+  const uint32_t ring_bytes = impl_->options.shm_ring_bytes;
+  const size_t widest = WidestShmRecordPayload(plan);
+  if (widest > ShmMaxPayload(ring_bytes)) {
+    return Status::InvalidArgument(StrCat(
+        "plan row needs a ", widest,
+        "-byte ring record (header + row), but this warm fleet's ",
+        ring_bytes, "-byte rings hold at most ", ShmMaxPayload(ring_bytes),
+        " bytes"));
+  }
   std::lock_guard<std::mutex> lock(impl_->mutex);
 
   // The fleet's spawn-time shape wins over the per-query knobs: the
   // workers and the arena already exist.
   ProcessExecOptions opts = options;
   opts.num_workers = impl_->options.num_workers;
-  opts.use_shm_data_plane = impl_->state.arena != nullptr;
-  opts.shm_ring_bytes = impl_->state.ring_bytes;
 
   std::optional<std::chrono::steady_clock::time_point> deadline;
   if (opts.exec.deadline.has_value()) {
@@ -1764,10 +1690,7 @@ std::string RenderProcessNetStats(const ProcessNetStats& net) {
   table.AddRow({"bytes received", FormatBytes(net.bytes_received)});
   table.AddRow({"frames sent", StrCat(net.frames_sent)});
   table.AddRow({"frames received", StrCat(net.frames_received)});
-  table.AddRow({"data frames routed", StrCat(net.data_frames_routed)});
   table.AddRow({"local deliveries", StrCat(net.local_deliveries)});
-  table.AddRow({"credit stalls", StrCat(net.credit_stalls)});
-  table.AddRow({"peak held frames", StrCat(net.peak_held_frames)});
   table.AddRow({"pump stalls", StrCat(net.pump_stalls)});
   table.AddRow({"faults injected", StrCat(net.faults_injected)});
   table.AddRow({"serialize [s]", FormatDouble(net.serialize_seconds, 4)});
@@ -1797,6 +1720,7 @@ StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
     return Status::InvalidArgument(
         "ProcessExecOptions::exec.deadline must be positive when set");
   }
+  MJOIN_RETURN_IF_ERROR(CheckDataPlane(options));
   MJOIN_RETURN_IF_ERROR(plan.Validate());
   uint32_t num_workers =
       options.num_workers == 0 ? plan.num_processors : options.num_workers;

@@ -16,13 +16,12 @@ namespace mjoin {
 class NetFaultInjector;
 
 /// Knobs of one process-backed execution. The shared execution knobs
-/// (batch size, backpressure bound, budget, deadline, cancellation, fault
-/// injector, observability) are the thread backend's, reinterpreted for a
-/// process fleet:
+/// (batch size, budget, deadline, cancellation, fault injector,
+/// observability) are the thread backend's, reinterpreted for a process
+/// fleet:
 ///
-///   - max_queued_batches becomes the coordinator's credit window per
-///     worker: at most this many routed data frames are un-acknowledged at
-///     one worker (0 = unbounded);
+///   - max_queued_batches is not used: the capacity of the shm ring between
+///     two workers (shm_ring_bytes) bounds the batches in flight on it;
 ///   - memory_budget_bytes applies *per worker process* — a shared-nothing
 ///     node meters its own memory, so the query-wide ceiling is the value
 ///     times the number of workers;
@@ -63,20 +62,22 @@ struct ProcessExecOptions {
   /// A worker silent for longer than this is declared hung: the watchdog
   /// SIGKILLs it and the query aborts kUnavailable (retryable). 0 = no
   /// watchdog. Must comfortably exceed heartbeat_interval plus the longest
-  /// legitimate silent stretch (a big build side, a saturated outbox).
+  /// legitimate silent stretch (a big build side, a long full-ring stall).
   std::chrono::milliseconds liveness_timeout{0};
   /// Network-level chaos (tests only): installed on one worker's channel
   /// at spawn time. Caller-owned; must outlive Execute(). Its fire budget
   /// spans retries, so a one-shot fault breaks one attempt and lets the
   /// next run clean.
   NetFaultInjector* net_fault_injector = nullptr;
-  /// Move data batches, EOS markers, fragments, and result rows over
-  /// mmap'd SPSC rings shared by the whole fleet (control frames stay on
-  /// the socket). Workers exchange data pairwise — the coordinator stops
-  /// relaying batches entirely. Off = the pre-ring all-socket data path.
+  /// Data batches, EOS markers, fragments, and result rows always move
+  /// over mmap'd SPSC rings shared by the whole fleet (control frames stay
+  /// on the socket); workers exchange data pairwise. The rings are the
+  /// only data plane: false is rejected with InvalidArgument.
   bool use_shm_data_plane = true;
-  /// Data bytes per ring; power of two >= 4096. Rings are torn down and
-  /// re-mapped per attempt, so a retried fleet starts from zeroed rings.
+  /// Data bytes per ring; power of two >= 4096. An attempt doubles it
+  /// until one record holds the plan's widest row (records never split a
+  /// row). Rings are torn down and re-mapped per attempt, so a retried
+  /// fleet starts from zeroed rings.
   uint32_t shm_ring_bytes = 1u << 18;
 };
 
@@ -131,17 +132,10 @@ struct ProcessNetStats {
   uint64_t bytes_received = 0;
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;
-  /// Worker->worker data frames relayed by the coordinator.
-  uint64_t data_frames_routed = 0;
-  /// Frames that had to wait in a per-destination hold queue because the
-  /// destination's credit window was exhausted.
-  uint64_t credit_stalls = 0;
-  /// Peak depth of any single hold queue.
-  size_t peak_held_frames = 0;
   /// Batches delivered entirely inside one worker (never serialized).
   uint64_t local_deliveries = 0;
-  /// Times a worker deferred pumping its sources because its outbox was
-  /// over the watermark.
+  /// Times a worker deferred pumping its sources because the records it
+  /// had parked behind full rings were over the watermark.
   uint64_t pump_stalls = 0;
   /// Faults actually fired by the per-worker injectors (summed; the
   /// coordinator-side FaultInjector object never fires in this backend).
@@ -151,7 +145,7 @@ struct ProcessNetStats {
   double serialize_seconds = 0;
   double deserialize_seconds = 0;
   /// Shm data plane: rings mapped for the attempt that produced the
-  /// result (0 = plane off), records/bytes over all rings (workers'
+  /// result, records/bytes over all rings (workers'
   /// counters plus the coordinator's own fragment/result traffic), and
   /// records that found their ring full and were parked in a backlog.
   uint32_t shm_rings = 0;
@@ -177,12 +171,12 @@ std::string RenderProcessNetStats(const ProcessNetStats& net);
 /// Executes parallel plans on a fleet of worker *processes* — the
 /// shared-nothing backend. Where the thread backend substitutes one thread
 /// per simulated processor, this backend forks one single-threaded worker
-/// process per group of processors and exchanges tuple batches as
-/// wire-format frames over Unix-domain socketpairs, routed through the
-/// coordinator (a star topology, like PRISMA/DB's communication
-/// processor). Nothing is shared post-fork: workers receive the plan as
-/// textual XRA, re-hydrate their operators from it, and hold only their
-/// own fragments.
+/// process per group of processors. Control frames travel over one
+/// Unix-domain socketpair per worker (a star around the coordinator); tuple
+/// batches travel directly between workers over shm rings mapped before
+/// the fork. Beyond those rings nothing is shared post-fork: workers
+/// receive the plan as textual XRA, re-hydrate their operators from it,
+/// and hold only their own fragments.
 ///
 /// Failure model: a worker that dies mid-query (crash, OOM kill, kill -9)
 /// is detected by its socket closing; a worker that wedges silently is

@@ -27,7 +27,6 @@ void EncodePlanEnvelope(const PlanEnvelope& env, std::vector<std::byte>* out) {
   PutU32(out, env.num_workers);
   PutU32(out, env.batch_size);
   PutBool(out, env.materialize_result);
-  PutU64(out, env.max_queued_batches);
   PutU64(out, env.memory_budget_bytes);
   PutBool(out, env.collect_metrics);
   PutBool(out, env.record_trace);
@@ -35,7 +34,6 @@ void EncodePlanEnvelope(const PlanEnvelope& env, std::vector<std::byte>* out) {
   PutString(out, env.fault_scenario);
   PutString(out, env.plan_text);
   PutU32(out, env.attempt);
-  PutBool(out, env.use_shm_data_plane);
   PutU32(out, env.shm_ring_bytes);
   PutBool(out, env.persistent);
   PutU8(out, static_cast<uint8_t>(env.skew_defense.mode));
@@ -53,7 +51,6 @@ Status DecodePlanEnvelope(WireReader* reader, PlanEnvelope* env) {
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->num_workers));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->batch_size));
   MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->materialize_result));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&env->max_queued_batches));
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&env->memory_budget_bytes));
   MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->collect_metrics));
   MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->record_trace));
@@ -61,7 +58,6 @@ Status DecodePlanEnvelope(WireReader* reader, PlanEnvelope* env) {
   MJOIN_RETURN_IF_ERROR(reader->ReadString(&env->fault_scenario));
   MJOIN_RETURN_IF_ERROR(reader->ReadString(&env->plan_text));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->attempt));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->use_shm_data_plane));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->shm_ring_bytes));
   MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->persistent));
   uint8_t mode;
@@ -111,35 +107,6 @@ Status DecodeHeartbeat(WireReader* reader, HeartbeatMsg* msg) {
   if (Crc32(seq_bytes, 4) != crc) {
     return Status::InvalidArgument("heartbeat checksum mismatch");
   }
-  return Status::OK();
-}
-
-void EncodeRouteHeader(const RouteHeader& route, std::vector<std::byte>* out) {
-  PutI32(out, route.consumer_op);
-  PutU32(out, route.dest_index);
-  PutU8(out, route.port);
-}
-
-Status DecodeRouteHeader(WireReader* reader, RouteHeader* route) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&route->consumer_op));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&route->dest_index));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU8(&route->port));
-  if (route->port > 1) {
-    return Status::InvalidArgument(
-        StrCat("route header names input port ", route->port));
-  }
-  return Status::OK();
-}
-
-void EncodeFragmentHeader(const FragmentHeader& header,
-                          std::vector<std::byte>* out) {
-  PutI32(out, header.op);
-  PutU32(out, header.instance);
-}
-
-Status DecodeFragmentHeader(WireReader* reader, FragmentHeader* header) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&header->op));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&header->instance));
   return Status::OK();
 }
 
@@ -391,7 +358,6 @@ Status DecodeSkewDirective(WireReader* reader, SkewDirective* directive) {
 
 void EncodeWorkerRunStats(const WorkerRunStats& stats,
                           std::vector<std::byte>* out) {
-  PutU64(out, stats.data_frames_sent);
   PutU64(out, stats.local_deliveries);
   PutU64(out, stats.batches_processed);
   PutU64(out, stats.batches_dropped);
@@ -411,7 +377,6 @@ void EncodeWorkerRunStats(const WorkerRunStats& stats,
 }
 
 Status DecodeWorkerRunStats(WireReader* reader, WorkerRunStats* stats) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->data_frames_sent));
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->local_deliveries));
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->batches_processed));
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->batches_dropped));
@@ -542,6 +507,23 @@ std::vector<ShmRingSpec> ComputeRingDirectory(const ParallelPlan& plan,
     }
   }
   return specs;
+}
+
+size_t WidestShmRecordPayload(const ParallelPlan& plan) {
+  size_t widest = 0;
+  for (const XraOp& o : plan.ops) {
+    const size_t row = o.output_schema->tuple_size();
+    if (o.kind == XraOpKind::kScan) {
+      widest = std::max(widest, sizeof(ShmFragmentHeader) + row);
+    }
+    if (o.consumer >= 0 && o.store_result < 0) {
+      widest = std::max(widest, sizeof(ShmDataHeader) + row);
+    }
+    if (o.store_result == plan.final_result) {
+      widest = std::max(widest, sizeof(ShmResultRowsHeader) + row);
+    }
+  }
+  return widest;
 }
 
 }  // namespace mjoin

@@ -32,7 +32,6 @@ struct PlanEnvelope {
   uint32_t num_workers = 1;
   uint32_t batch_size = 256;
   bool materialize_result = false;
-  uint64_t max_queued_batches = 0;
   /// Applied verbatim in each worker: a shared-nothing node budgets its
   /// own memory, so the effective query-wide budget is num_workers times
   /// this value.
@@ -49,9 +48,6 @@ struct PlanEnvelope {
   /// 0-based execution attempt (> 0 on coordinator-driven retries). Lets a
   /// shipped FaultScenario with `on_attempt` fire on one attempt only.
   uint32_t attempt = 0;
-  /// Data batches travel over the inherited shm ring directory instead of
-  /// the socket (the control frames stay on AF_UNIX either way).
-  bool use_shm_data_plane = false;
   /// Per-ring data bytes of the directory the coordinator mapped.
   uint32_t shm_ring_bytes = 0;
   /// Warm-fleet mode: after this query's kShutdown the worker tears down
@@ -75,9 +71,9 @@ struct HelloMsg {
   /// FNV-1a over SerializePlan(worker's parsed plan).
   uint64_t plan_hash = 0;
   /// ShmDataPlane::HashDirectory over the ring directory the worker derived
-  /// from its parsed plan (0 when the shm plane is off). The coordinator
-  /// compares it against the directory it actually mapped, so a divergent
-  /// plan parse can never read or write the wrong ring.
+  /// from its parsed plan. The coordinator compares it against the
+  /// directory it actually mapped, so a divergent plan parse can never
+  /// read or write the wrong ring.
   uint64_t ring_directory_hash = 0;
 };
 
@@ -93,27 +89,6 @@ struct HeartbeatMsg {
 
 void EncodeHeartbeat(const HeartbeatMsg& msg, std::vector<std::byte>* out);
 [[nodiscard]] Status DecodeHeartbeat(WireReader* reader, HeartbeatMsg* msg);
-
-/// Routing header of kData / kEos (the batch wire bytes follow for kData).
-struct RouteHeader {
-  int32_t consumer_op = -1;
-  uint32_t dest_index = 0;
-  uint8_t port = 0;
-};
-
-void EncodeRouteHeader(const RouteHeader& route, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeRouteHeader(WireReader* reader, RouteHeader* route);
-
-/// kFragment header (batch wire bytes follow).
-struct FragmentHeader {
-  int32_t op = -1;
-  uint32_t instance = 0;
-};
-
-void EncodeFragmentHeader(const FragmentHeader& header,
-                          std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeFragmentHeader(WireReader* reader,
-                                          FragmentHeader* header);
 
 /// kMilestone.
 struct MilestoneMsg {
@@ -162,8 +137,6 @@ void EncodeSkewDirective(const SkewDirective& directive,
 
 /// kNetStats: one worker's run-level counters.
 struct WorkerRunStats {
-  /// Remote data frames shipped to the coordinator for routing.
-  uint64_t data_frames_sent = 0;
   /// Batches handed directly to a consumer instance on the same worker
   /// (never serialized — the process analogue of a same-node send).
   uint64_t local_deliveries = 0;
@@ -171,8 +144,8 @@ struct WorkerRunStats {
   uint64_t batches_processed = 0;
   uint64_t batches_dropped = 0;
   uint64_t batches_duplicated = 0;
-  /// Times the source pump deferred because the outbox was over the
-  /// watermark (the worker-side half of flow control).
+  /// Times the source pump deferred because the records parked behind
+  /// full rings were over the watermark.
   uint64_t pump_stalls = 0;
   uint64_t buffers_allocated = 0;
   uint64_t buffers_reused = 0;
@@ -187,7 +160,7 @@ struct WorkerRunStats {
   uint64_t shm_bytes_sent = 0;
   uint64_t shm_bytes_received = 0;
   /// Records that found their ring full and were parked in the outbound
-  /// backlog (the shm analogue of a credit stall).
+  /// backlog.
   uint64_t ring_full_stalls = 0;
 };
 
@@ -273,6 +246,13 @@ static_assert(std::is_trivially_copyable_v<ShmResultRowsHeader> &&
 /// and cross-check HashDirectory in the kHello handshake.
 std::vector<ShmRingSpec> ComputeRingDirectory(const ParallelPlan& plan,
                                               uint32_t num_workers);
+
+/// Largest record payload the plan can put on a ring: one row of an op's
+/// output behind the header of the record that carries it (a scan's
+/// fragment chunk, a batch toward a consumer, a chunk of the final
+/// result). Records never split a row, so every ring of the plan's
+/// directory must accept a payload this large (ShmMaxPayload).
+size_t WidestShmRecordPayload(const ParallelPlan& plan);
 
 /// Block placement of plan processors onto worker processes: processor p
 /// lives in worker p*num_workers/num_processors. Contiguous processor

@@ -30,16 +30,16 @@ namespace mjoin {
 
 namespace {
 
-/// Outbound bytes queued at which the worker stops pumping its sources and
-/// lets the socket drain first — the worker-side half of flow control (the
-/// coordinator-side half is the credit window).
-constexpr size_t kOutboxWatermark = 4u << 20;
+/// Bytes parked behind full rings at which the worker stops pumping its
+/// sources and lets the consumers drain first. Ring capacity bounds what
+/// is in flight; this bounds what waits behind it.
+constexpr size_t kBacklogWatermark = 4u << 20;
 
 /// Worker-side state of one query: the runtime's hosted instances, the
 /// frame loop and shm transport, and the finish-phase reporting. The whole
 /// worker is one thread, so Post() runs inline; output leaves through each
 /// instance's EmitWriter, whose pending batch is touched again only by the
-/// one serializing copy onto the wire (or not at all for a local consumer).
+/// one copy onto a ring (or not at all for a local consumer).
 class WorkerRun : public InstanceHost {
  public:
   WorkerRun(FrameChannel* chan, PlanEnvelope env, ParallelPlan plan,
@@ -102,9 +102,6 @@ class WorkerRun : public InstanceHost {
 
   Status HandleFrame(const Frame& frame);
   Status HandleTrigger(const Frame& frame);
-  Status HandleFragment(const Frame& frame);
-  Status HandleData(const Frame& frame);
-  Status HandleEos(const Frame& frame);
   Status HandleSkewDirective(const Frame& frame);
   Status SendFinishReports();
   void PumpSources();
@@ -113,13 +110,7 @@ class WorkerRun : public InstanceHost {
                std::shared_ptr<TupleBatch> batch);
   void ReceiveEos(OpInstance* target, int port);
 
-  // -- shm data plane (all no-ops when plane_ is null) --------------------
-  /// Whether this op's remote sends travel over rings. Decided once in
-  /// Setup so an edge never mixes ring records and socket frames, which
-  /// would reorder data against its own EOS.
-  bool UseRingFor(int producer_op) const {
-    return plane_ != nullptr && op_ring_ok_[static_cast<size_t>(producer_op)];
-  }
+  // -- shm data plane ----------------------------------------------------
   void PushShmRecord(uint32_t dest_ep, ShmRecordType type, const void* hdr,
                      size_t hdr_bytes, const std::byte* body,
                      size_t body_bytes);
@@ -148,23 +139,18 @@ class WorkerRun : public InstanceHost {
   std::unique_ptr<FaultInjector> injector_;
 
   std::deque<OpInstance*> pump_queue_;
-  /// Per-op wire schema id of its output rows (only used on remote sends).
+  /// Per-op schema id of its output rows (only used on remote sends).
   std::vector<uint32_t> out_schema_id_;
 
   Status run_status_;
   bool shutdown_ = false;
-  uint32_t credits_ = 0;
   WorkerRunStats stats_;
   std::vector<WireTraceEvent> trace_events_;
 
-  /// Inherited shm data plane; null means every payload rides the socket.
+  /// This query's ring directory over the inherited arena.
   ShmDataPlane* plane_;
   /// The coordinator's endpoint id in the ring directory.
   const uint32_t coord_ep_;
-  /// Largest record payload any ring accepts (0 when plane_ is null).
-  uint32_t shm_max_payload_ = 0;
-  /// Per-op: this op's output rows fit in one ring record.
-  std::vector<bool> op_ring_ok_;
   struct ShmBacklogRecord {
     ShmRecordType type;
     std::vector<std::byte> bytes;  // header + rows, render-complete
@@ -187,18 +173,16 @@ class WorkerRun : public InstanceHost {
 };
 
 Status WorkerRun::Setup() {
-  op_ring_ok_.assign(plan_.ops.size(), false);
-  if (plane_ != nullptr) {
-    shm_max_payload_ =
-        plane_->ring_bytes() / 2 - kShmRecordHdrBytes * 2;
-    doorbell_dirty_.assign(plane_->num_endpoints(), false);
-    for (const XraOp& o : plan_.ops) {
-      if (o.consumer < 0 || o.store_result >= 0) continue;
-      op_ring_ok_[static_cast<size_t>(o.id)] =
-          sizeof(ShmDataHeader) + o.output_schema->tuple_size() <=
-          shm_max_payload_;
-    }
+  // Records never split a row, so a row too wide for the rings could never
+  // be sent; the coordinator sizes the rings to rule that out.
+  const size_t widest = WidestShmRecordPayload(plan_);
+  if (widest > plane_->max_payload()) {
+    return Status::InvalidArgument(
+        StrCat("plan rows need ", widest, "-byte ring records, but ",
+               plane_->ring_bytes(), "-byte rings hold at most ",
+               plane_->max_payload()));
   }
+  doorbell_dirty_.assign(plane_->num_endpoints(), false);
   out_schema_id_.assign(plan_.ops.size(), 0);
   for (const XraOp& o : plan_.ops) {
     if (o.consumer < 0) continue;
@@ -226,7 +210,7 @@ Status WorkerRun::Setup() {
   settings.record_trace = env_.record_trace;
   runtime_.emplace(plan_, this, std::move(settings));
   runtime_->set_time_origin_ns(env_.trace_origin_ns);
-  // Scan fragments arrive in kFragment frames / ring records.
+  // Scan fragments arrive as ring records.
   return runtime_->Build(/*db=*/nullptr);
 }
 
@@ -260,59 +244,38 @@ void WorkerRun::DeliverBatch(OpInstance* producer, uint32_t dest,
     }
     return;
   }
-  // Remote consumer: one serializing copy. The copy is timed whether or
-  // not metrics collection is on — transport cost is what the net bench
-  // exists to surface, so the timers must not vanish with observability
-  // (they used to be observe_-gated, which reported 0.0s for any run with
-  // collect_metrics off). RecordTrace stays trace-gated internally.
+  // Remote consumer: one copy onto the ring toward its worker — the
+  // "serialize" of this plane is a bounds-checked memcpy of the raw rows,
+  // chunked so every record fits one ring reservation. The copy is timed
+  // whether or not metrics collection is on: transport cost is what the
+  // net bench exists to surface, so the timers must not vanish with
+  // observability. RecordTrace stays trace-gated internally.
   const uint32_t tuple_size = pending.schema().tuple_size();
-  const uint32_t schema_id = out_schema_id_[static_cast<size_t>(o.id)];
+  const uint32_t dest_ep = WorkerOf(consumer_op.processors[dest]);
+  const size_t rows_per_record =
+      (plane_->max_payload() - sizeof(ShmDataHeader)) / tuple_size;
   int64_t t0 = runtime_->NowNs();
-  if (UseRingFor(o.id)) {
-    // Ring path: "serialize" degenerates to a bounds-checked memcpy of the
-    // raw rows, chunked so every record fits one ring reservation.
-    const uint32_t dest_ep = WorkerOf(consumer_op.processors[dest]);
-    const size_t rows_per_record =
-        (shm_max_payload_ - sizeof(ShmDataHeader)) / tuple_size;
-    for (int c = 0; c < copies; ++c) {
-      size_t offset = 0;
-      while (offset < pending.num_tuples()) {
-        size_t count =
-            std::min(rows_per_record, pending.num_tuples() - offset);
-        ShmDataHeader hdr;
-        hdr.consumer_op = o.consumer;
-        hdr.dest_index = dest;
-        hdr.port = static_cast<uint32_t>(port);
-        hdr.schema_id = schema_id;
-        hdr.tuple_size = tuple_size;
-        hdr.num_tuples = static_cast<uint32_t>(count);
-        PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
-                      pending.raw_data() + offset * tuple_size,
-                      count * tuple_size);
-        offset += count;
-      }
-    }
-  } else {
-    std::vector<std::byte> payload;
-    payload.reserve(9 + BatchWireSize(tuple_size, pending.num_tuples()));
-    EncodeRouteHeader(
-        RouteHeader{o.consumer, dest, static_cast<uint8_t>(port)}, &payload);
-    AppendBatchWire(pending, schema_id, &payload);
-    for (int c = 0; c < copies; ++c) {
-      chan_->QueueFrame(FrameType::kData, payload);
-      ++stats_.data_frames_sent;
+  for (int c = 0; c < copies; ++c) {
+    size_t offset = 0;
+    while (offset < pending.num_tuples()) {
+      size_t count = std::min(rows_per_record, pending.num_tuples() - offset);
+      ShmDataHeader hdr;
+      hdr.consumer_op = o.consumer;
+      hdr.dest_index = dest;
+      hdr.port = static_cast<uint32_t>(port);
+      hdr.schema_id = out_schema_id_[static_cast<size_t>(o.id)];
+      hdr.tuple_size = tuple_size;
+      hdr.num_tuples = static_cast<uint32_t>(count);
+      PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
+                    pending.raw_data() + offset * tuple_size,
+                    count * tuple_size);
+      offset += count;
     }
   }
   int64_t t1 = runtime_->NowNs();
   stats_.serialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
   RecordTrace(producer->processor, t0, t1, ThreadWorkType::kSerialize, o.id);
   pending.Clear();
-  // Opportunistic drain keeps the outbox from ballooning inside one long
-  // Consume(); errors surface at the loop's next Flush.
-  if (chan_->pending_output_bytes() >= kOutboxWatermark) {
-    Status drained = chan_->Flush();
-    if (!drained.ok()) Abort(std::move(drained));
-  }
 }
 
 void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
@@ -402,21 +365,14 @@ void WorkerRun::SendEos(OpInstance* producer, uint32_t dest) {
     ReceiveEos(target, port);
     return;
   }
-  // EOS follows the exact path its data took (same ring or same socket),
-  // so it can never overtake the last batch of the stream.
-  if (UseRingFor(producer->op.id)) {
-    ShmEosHeader hdr;
-    hdr.consumer_op = consumer_op;
-    hdr.dest_index = dest;
-    hdr.port = static_cast<uint32_t>(port);
-    PushShmRecord(WorkerOf(op(consumer_op).processors[dest]),
-                  ShmRecordType::kEos, &hdr, sizeof(hdr), nullptr, 0);
-    return;
-  }
-  std::vector<std::byte> payload;
-  EncodeRouteHeader(
-      RouteHeader{consumer_op, dest, static_cast<uint8_t>(port)}, &payload);
-  chan_->QueueFrame(FrameType::kEos, payload);
+  // EOS rides the ring its data took, behind the stream's last record,
+  // so it can never overtake the last batch.
+  ShmEosHeader hdr;
+  hdr.consumer_op = consumer_op;
+  hdr.dest_index = dest;
+  hdr.port = static_cast<uint32_t>(port);
+  PushShmRecord(WorkerOf(op(consumer_op).processors[dest]),
+                ShmRecordType::kEos, &hdr, sizeof(hdr), nullptr, 0);
 }
 
 void WorkerRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
@@ -474,68 +430,6 @@ Status WorkerRun::HandleTrigger(const Frame& frame) {
   return Status::OK();
 }
 
-Status WorkerRun::HandleFragment(const Frame& frame) {
-  WireReader reader(frame.payload);
-  FragmentHeader header;
-  MJOIN_RETURN_IF_ERROR(DecodeFragmentHeader(&reader, &header));
-  if (header.op < 0 || static_cast<size_t>(header.op) >= plan_.ops.size() ||
-      op(header.op).kind != XraOpKind::kScan) {
-    return Status::InvalidArgument(
-        StrCat("fragment for non-scan op ", header.op));
-  }
-  auto& frags = runtime_->scan_fragments(header.op);
-  if (header.instance >= frags.size() ||
-      !Hosts(op(header.op).processors[header.instance])) {
-    return Status::InvalidArgument(
-        StrCat("fragment for op ", header.op, " instance ", header.instance,
-               " which this worker does not host"));
-  }
-  std::shared_ptr<TupleBatch> batch =
-      pool_->Acquire(op(header.op).output_schema);
-  MJOIN_RETURN_IF_ERROR(ReadBatchWire(&reader, registry_, batch.get()));
-  frags[header.instance].AppendRows(batch->raw_data(), batch->num_tuples());
-  return Status::OK();
-}
-
-Status WorkerRun::HandleData(const Frame& frame) {
-  WireReader reader(frame.payload);
-  RouteHeader route;
-  MJOIN_RETURN_IF_ERROR(DecodeRouteHeader(&reader, &route));
-  MJOIN_ASSIGN_OR_RETURN(
-      OpInstance* target,
-      RouteTarget(route.consumer_op, route.dest_index, route.port,
-                  "data frame"));
-  // The initial schema binding is a placeholder — ReadBatchWire rebinds the
-  // batch to the wire frame's registry schema.
-  std::shared_ptr<TupleBatch> batch = pool_->Acquire(target->op.output_schema);
-  // Timed unconditionally, like the serialize side: the wire-time counters
-  // must survive collect_metrics=false (the bench's configuration).
-  int64_t t0 = runtime_->NowNs();
-  MJOIN_RETURN_IF_ERROR(ReadBatchWire(&reader, registry_, batch.get()));
-  int64_t t1 = runtime_->NowNs();
-  stats_.deserialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace(target->processor, t0, t1, ThreadWorkType::kDeserialize,
-              route.consumer_op);
-  Receive(target, route.port, std::move(batch));
-  // The credit is released once the frame is consumed or parked — parked
-  // batches occupy worker memory but no longer gate the wire, mirroring
-  // the thread backend's bound on *queued* (undrained) batches.
-  ++credits_;
-  return Status::OK();
-}
-
-Status WorkerRun::HandleEos(const Frame& frame) {
-  WireReader reader(frame.payload);
-  RouteHeader route;
-  MJOIN_RETURN_IF_ERROR(DecodeRouteHeader(&reader, &route));
-  MJOIN_ASSIGN_OR_RETURN(
-      OpInstance* target,
-      RouteTarget(route.consumer_op, route.dest_index, route.port,
-                  "eos frame"));
-  ReceiveEos(target, route.port);
-  return Status::OK();
-}
-
 bool WorkerRun::InboundRingsNonEmpty() {
   for (size_t i : plane_->InboundRings(env_.worker_id)) {
     if (!plane_->ring(i)->Empty()) return true;
@@ -544,7 +438,6 @@ bool WorkerRun::InboundRingsNonEmpty() {
 }
 
 Status WorkerRun::DrainInboundRings() {
-  if (plane_ == nullptr) return Status::OK();
   for (size_t ring_index : plane_->InboundRings(env_.worker_id)) {
     ShmRing* ring = plane_->ring(ring_index);
     // Bounded drain: only records already published when we got here. A
@@ -708,34 +601,20 @@ Status WorkerRun::SendFinishReports() {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
                            registry_.IdOf(*storer->output_schema));
     uint32_t tuple_size = storer->output_schema->tuple_size();
-    // Ship fragments in bounded chunks so one giant result does not
-    // produce one giant frame (or one over-large ring record).
-    const bool use_ring =
-        plane_ != nullptr &&
-        sizeof(ShmResultRowsHeader) + tuple_size <= shm_max_payload_;
-    const size_t rows_per_frame =
-        use_ring
-            ? (shm_max_payload_ - sizeof(ShmResultRowsHeader)) / tuple_size
-            : std::max<size_t>(1, (4u << 20) / tuple_size);
+    // Ship fragments in chunks that each fit one ring record.
+    const size_t rows_per_record =
+        (plane_->max_payload() - sizeof(ShmResultRowsHeader)) / tuple_size;
     for (const Relation* frag : hosted) {
       size_t offset = 0;
       while (offset < frag->num_tuples()) {
-        size_t count = std::min(rows_per_frame, frag->num_tuples() - offset);
-        if (use_ring) {
-          ShmResultRowsHeader hdr;
-          hdr.schema_id = schema_id;
-          hdr.tuple_size = tuple_size;
-          hdr.num_tuples = static_cast<uint32_t>(count);
-          PushShmRecord(coord_ep_, ShmRecordType::kResultRows, &hdr,
-                        sizeof(hdr), frag->raw_data() + offset * tuple_size,
-                        count * tuple_size);
-        } else {
-          std::vector<std::byte> rows_payload;
-          AppendRowsWire(schema_id, tuple_size,
-                         frag->raw_data() + offset * tuple_size, count,
-                         &rows_payload);
-          chan_->QueueFrame(FrameType::kResultRows, rows_payload);
-        }
+        size_t count = std::min(rows_per_record, frag->num_tuples() - offset);
+        ShmResultRowsHeader hdr;
+        hdr.schema_id = schema_id;
+        hdr.tuple_size = tuple_size;
+        hdr.num_tuples = static_cast<uint32_t>(count);
+        PushShmRecord(coord_ep_, ShmRecordType::kResultRows, &hdr,
+                      sizeof(hdr), frag->raw_data() + offset * tuple_size,
+                      count * tuple_size);
         offset += count;
       }
     }
@@ -782,12 +661,6 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kTrigger:
       return HandleTrigger(frame);
-    case FrameType::kFragment:
-      return HandleFragment(frame);
-    case FrameType::kData:
-      return HandleData(frame);
-    case FrameType::kEos:
-      return HandleEos(frame);
     case FrameType::kSkewDirective:
       return HandleSkewDirective(frame);
     case FrameType::kFinish:
@@ -821,10 +694,8 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
 
 Status WorkerRun::Loop() {
   for (;;) {
-    if (plane_ != nullptr) {
-      RetryBacklogs();
-      RingDirtyDoorbells();
-    }
+    RetryBacklogs();
+    RingDirtyDoorbells();
     MJOIN_RETURN_IF_ERROR(chan_->Flush());
     bool peer_closed = false;
     MJOIN_RETURN_IF_ERROR(chan_->ReadAvailable(&peer_closed));
@@ -845,33 +716,22 @@ Status WorkerRun::Loop() {
     if (peer_closed) {
       return Status::Unavailable("coordinator closed the socket");
     }
-    if (credits_ > 0) {
-      // One coalesced credit return per poll cycle: every data frame the
-      // cycle consumed releases its credit in a single kCredit, flushed
-      // here instead of burning a dedicated send-only loop turn per frame.
-      std::vector<std::byte> payload;
-      PutU32(&payload, credits_);
-      credits_ = 0;
-      chan_->QueueFrame(FrameType::kCredit, payload);
-      MJOIN_RETURN_IF_ERROR(chan_->Flush());
-    }
     if (bye_pending_ && ring_backlog_bytes_ == 0) {
       bye_pending_ = false;
       chan_->QueueFrame(FrameType::kBye, {});
       continue;  // flush before waiting
     }
     if (!pump_queue_.empty()) {
-      if (chan_->pending_output_bytes() < kOutboxWatermark &&
-          ring_backlog_bytes_ < kOutboxWatermark) {
+      if (ring_backlog_bytes_ < kBacklogWatermark) {
         PumpSources();
         if (aborted()) return run_status_;
         continue;
       }
       ++stats_.pump_stalls;
     }
-    if (plane_ != nullptr) RingDirtyDoorbells();
+    RingDirtyDoorbells();
     if (chan_->has_frames()) continue;
-    if (plane_ != nullptr && InboundRingsNonEmpty()) continue;
+    if (InboundRingsNonEmpty()) continue;
     // Nothing runnable: wait for the socket (readable, or writable when
     // the outbox is backed up) or our doorbell (a peer published records
     // or released ring space). A nonempty backlog caps the wait — the
@@ -881,26 +741,20 @@ Status WorkerRun::Loop() {
     pfds[0].events = static_cast<short>(
         POLLIN | (chan_->has_pending_output() ? POLLOUT : 0));
     pfds[0].revents = 0;
-    nfds_t nfds = 1;
-    if (plane_ != nullptr) {
-      pfds[1].fd = plane_->doorbell(env_.worker_id);
-      pfds[1].events = POLLIN;
-      pfds[1].revents = 0;
-      nfds = 2;
-    }
-    const int timeout_ms =
-        plane_ != nullptr && ring_backlog_bytes_ > 0 ? 10 : 1000;
-    int rc = poll(pfds, nfds, timeout_ms);
+    pfds[1].fd = plane_->doorbell(env_.worker_id);
+    pfds[1].events = POLLIN;
+    pfds[1].revents = 0;
+    int rc = poll(pfds, 2, ring_backlog_bytes_ > 0 ? 10 : 1000);
     if (rc < 0 && errno != EINTR) {
       return Status::Internal("worker poll failed");
     }
-    if (plane_ != nullptr) plane_->DrainDoorbell(env_.worker_id);
+    plane_->DrainDoorbell(env_.worker_id);
   }
 }
 
 }  // namespace
 
-int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
+int RunProcessWorker(int fd, ShmArena* arena) {
   // The channel sends with MSG_NOSIGNAL, but ignore SIGPIPE anyway so no
   // stray write to a dead coordinator can kill the worker with a signal
   // instead of the EPIPE -> kUnavailable path the supervisor understands.
@@ -965,39 +819,23 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
 
     // The hello hash is FNV over our *re-serialization* of the parsed plan:
     // every process-backend query round-trips the textual XRA format and
-    // the coordinator verifies the result. With the shm plane on, the hello
-    // also echoes the ring directory this worker derived from its own parse
-    // — the coordinator rejects the fleet before any record can cross a
-    // divergent directory.
-    ShmDataPlane* data_plane = nullptr;
-    std::unique_ptr<ShmDataPlane> arena_view;
+    // the coordinator verifies the result. The hello also echoes the ring
+    // directory this worker derived from its own parse — the coordinator
+    // rejects the fleet before any record can cross a divergent directory.
     HelloMsg hello;
     hello.protocol_version = kNetProtocolVersion;
     hello.plan_hash = FnvHash64(SerializePlan(*plan));
-    if (env.use_shm_data_plane) {
-      std::vector<ShmRingSpec> directory =
-          ComputeRingDirectory(*plan, env.num_workers);
-      hello.ring_directory_hash = ShmDataPlane::HashDirectory(
-          directory, env.num_workers + 1, env.shm_ring_bytes);
-      if (arena != nullptr) {
-        // Warm fleet: lay this query's ring view over the inherited arena.
-        // The coordinator formatted the rings before sending kPlan, so the
-        // worker only attaches.
-        StatusOr<std::unique_ptr<ShmDataPlane>> view =
-            ShmDataPlane::CreateInArena(arena, std::move(directory),
-                                        env.num_workers + 1,
-                                        env.shm_ring_bytes,
-                                        /*format=*/false);
-        if (!view.ok()) return fail(view.status());
-        arena_view = std::move(view).value();
-        data_plane = arena_view.get();
-      } else if (plane != nullptr) {
-        data_plane = plane;
-      } else {
-        return fail(Status::Internal(
-            "plan enables the shm data plane but the worker inherited none"));
-      }
-    }
+    std::vector<ShmRingSpec> directory =
+        ComputeRingDirectory(*plan, env.num_workers);
+    hello.ring_directory_hash = ShmDataPlane::HashDirectory(
+        directory, env.num_workers + 1, env.shm_ring_bytes);
+    // Lay this query's ring view over the inherited arena. The coordinator
+    // formatted the rings before sending kPlan, so the worker only attaches.
+    StatusOr<std::unique_ptr<ShmDataPlane>> plane =
+        ShmDataPlane::CreateInArena(arena, std::move(directory),
+                                    env.num_workers + 1, env.shm_ring_bytes,
+                                    /*format=*/false);
+    if (!plane.ok()) return fail(plane.status());
     std::vector<std::byte> hello_payload;
     EncodeHello(hello, &hello_payload);
     chan.QueueFrame(FrameType::kHello, hello_payload);
@@ -1006,7 +844,7 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
     const bool persistent = env.persistent;
     {
       WorkerRun run(&chan, std::move(env), std::move(plan).value(),
-                    data_plane, &pool);
+                    plane->get(), &pool);
       Status status = run.Setup();
       if (status.ok()) status = run.Loop();
       if (!status.ok()) return fail(status);
@@ -1014,7 +852,7 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
     // The query's state (and its arena view) is down before the idle ack:
     // once the coordinator sees kIdle from every worker it may reformat the
     // arena's rings for the next query.
-    arena_view.reset();
+    plane->reset();
     if (!persistent) return 0;
     chan.QueueFrame(FrameType::kIdle, {});
     for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {

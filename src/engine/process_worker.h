@@ -4,7 +4,6 @@
 namespace mjoin {
 
 class ShmArena;
-class ShmDataPlane;
 
 /// The worker half of the process backend: runs in a child process forked
 /// by ProcessExecutor (one-shot) or by a WarmProcessFleet (persistent),
@@ -18,15 +17,14 @@ class ShmDataPlane;
 /// instantiates the operator instances of its hosted processors, and
 /// exchanges batches with the rest of the fleet.
 ///
-/// `plane` (nullable) is a one-shot coordinator's pre-fork ShmDataPlane,
-/// inherited through fork so its mapping and doorbells are valid here.
-/// `arena` (nullable) is a warm fleet's fleet-lifetime ShmArena; when the
-/// plan envelope enables the shm plane and an arena was inherited, the
-/// worker lays a per-query ShmDataPlane view over it instead. Either way,
-/// data batches, EOS markers, fragments, and result rows travel over the
-/// rings while control frames stay on the socket. The child never destroys
-/// the plane or arena — _exit() skips destructors, and the kernel drops its
-/// reference to the shared mapping.
+/// `arena` is the ShmArena the coordinator mapped before forking (per
+/// attempt for a one-shot fleet, per fleet for a warm one), inherited
+/// through fork so its mapping and doorbells are valid here. For every
+/// query the worker attaches a ShmDataPlane view to the rings the
+/// coordinator formatted over it: data batches, EOS markers, fragments,
+/// and result rows travel over the rings while control frames stay on the
+/// socket. The child never destroys the arena — _exit() skips destructors,
+/// and the kernel drops its reference to the shared mapping.
 ///
 /// Lifecycle: after a one-shot query (PlanEnvelope::persistent false) the
 /// worker exits on kShutdown. In persistent mode it tears down the query's
@@ -38,8 +36,7 @@ class ShmDataPlane;
 /// Returns the exit code for the child to _exit() with: 0 after a clean
 /// kShutdown, 1 on any error (a fatal status is reported to the
 /// coordinator as a kError frame first whenever the socket still works).
-int RunProcessWorker(int fd, ShmDataPlane* plane = nullptr,
-                     ShmArena* arena = nullptr);
+int RunProcessWorker(int fd, ShmArena* arena);
 
 }  // namespace mjoin
 

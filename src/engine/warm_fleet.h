@@ -12,20 +12,22 @@ namespace mjoin {
 
 /// Knobs of a warm fleet, fixed at Spawn() time for the fleet's whole
 /// lifetime (queries executed on it inherit them; the per-query
-/// ProcessExecOptions fields use_shm_data_plane/shm_ring_bytes/num_workers
-/// are ignored in favor of these).
+/// ProcessExecOptions fields shm_ring_bytes/num_workers are ignored in
+/// favor of these).
 struct WarmFleetOptions {
   /// Fixed fleet size. Plans with fewer processors than workers leave the
   /// surplus workers idle for that query (they still handshake and report),
   /// so one fleet serves any plan shape.
   uint32_t num_workers = 4;
-  /// Pre-map a fleet-lifetime shm arena at spawn; each query lays its ring
-  /// directory over it (ShmDataPlane::CreateInArena). Off = all data moves
-  /// over the sockets.
+  /// The fleet pre-maps a fleet-lifetime shm arena at spawn; each query
+  /// lays its ring directory over it (ShmDataPlane::CreateInArena). The
+  /// rings are the only data plane: false is rejected with InvalidArgument.
   bool use_shm_data_plane = true;
   /// Data bytes per ring laid over the arena; power of two >= 4096. The
   /// arena is sized for the worst-case directory of num_workers, so any
-  /// plan fits.
+  /// plan's directory fits. Fixed for the fleet's life: Execute() rejects
+  /// a plan whose widest row does not fit one ring record with
+  /// InvalidArgument, before any worker sees it.
   uint32_t shm_ring_bytes = 1u << 18;
 };
 
@@ -57,9 +59,10 @@ class WarmProcessFleet {
 
   /// Runs `plan` on the warm fleet. Semantics match
   /// ProcessExecutor::Execute (same result shape, retry policy, failure
-  /// diagnoses, degrade_to_thread) except that options.num_workers,
-  /// options.use_shm_data_plane, and options.shm_ring_bytes are overridden
-  /// by the fleet's own spawn-time configuration, and a retry respawns the
+  /// diagnoses, degrade_to_thread) except that options.num_workers and
+  /// options.shm_ring_bytes are overridden by the fleet's own spawn-time
+  /// configuration, a plan too wide for the fleet's rings is rejected
+  /// (InvalidArgument, the fleet untouched), and a retry respawns the
   /// persistent fleet instead of forking a one-shot one.
   [[nodiscard]] StatusOr<ProcessQueryResult> Execute(
       const ParallelPlan& plan, const ProcessExecOptions& options,

@@ -32,16 +32,21 @@
 ///   Name    enum member name without the leading k
 ///   KLASS   routing class, a single token used by the case-label
 ///           filters: CW (coordinator->worker), WC (worker->coordinator),
-///           ROUTED (coordinator-relayed worker<->worker traffic, handled
-///           by both endpoints), SERVE (serve-layer client<->server). A
-///           frame's class is where it is *handled*; `dirs` below is the
-///           full set of legal wire directions (kBye is class WC but also
-///           travels client->server on serve links).
+///           SERVE (serve-layer client<->server). A frame's class is where
+///           it is *handled*; `dirs` below is the full set of legal wire
+///           directions (kBye is class WC but also travels client->server
+///           on serve links).
 ///   dirs    bitmask of legal travel directions (FrameDir)
 ///   phases  bitmask of link phases the frame may be observed in
 ///           (FramePhase); the conformance checker enforces this per
 ///           connection in both directions
 ///   next    link phase the frame advances the connection to, or Keep
+///
+/// Retired ids, never to be reused: 3 (fragment), 5 (data), 6 (eos),
+/// 8 (credit) and 11 (result-rows). They carried the coordinator-relayed
+/// socket data plane; every batch, EOS, fragment and result row now rides
+/// the shm rings (net/shm_ring.h), and a frame with one of these ids is
+/// rejected as corrupt like any other id the table does not define.
 namespace mjoin {
 
 /// Conformance phases of one coordinator<->worker link (a serve link sits
@@ -51,8 +56,8 @@ namespace mjoin {
 enum FramePhase : uint32_t {
   kPhAwaitPlan = 1u << 0,  // parked; no query in flight
   kPhHandshake = 1u << 1,  // kPlan shipped, kHello not yet observed
-  kPhExecute = 1u << 2,    // fragments/triggers/data/milestones flowing
-  kPhReport = 1u << 3,     // kFinish observed; stats and results inbound
+  kPhExecute = 1u << 2,    // triggers/milestones/skew exchange flowing
+  kPhReport = 1u << 3,     // kFinish observed; summaries and stats inbound
   kPhDone = 1u << 4,       // kShutdown observed
   kPhServe = 1u << 5,      // serve-layer client connection
 };
@@ -80,39 +85,16 @@ enum FrameDir : uint32_t {
   X(1, Hello, "hello", WC, kDirToCoordinator, kPhHandshake, Execute)           \
   /* coordinator -> worker: run options + the plan in textual XRA.          */ \
   X(2, Plan, "plan", CW, kDirToWorker, kPhAwaitPlan, Handshake)                \
-  /* coordinator -> worker: one chunk of a scan instance's base-relation    */ \
-  /* fragment (op, instance, wire batch). All fragments precede triggers.   */ \
-  /* Legal during kPhHandshake too: the coordinator pipelines fragments     */ \
-  /* behind kPlan without waiting for the kHello echo.                      */ \
-  X(3, Fragment, "fragment", CW, kDirToWorker,                                 \
-    kPhHandshake | kPhExecute, Keep)                                           \
   /* coordinator -> worker: start every hosted instance of a trigger group. */ \
   X(4, Trigger, "trigger", CW, kDirToWorker,                                   \
     kPhHandshake | kPhExecute, Keep)                                           \
-  /* data batch toward a consumer instance; routed by the coordinator       */ \
-  /* (worker -> coordinator -> worker), so both directions are legal.       */ \
-  /* kPhHandshake: an early producer's output may be relayed to a consumer  */ \
-  /* whose kHello echo is still in flight. kPhReport: routed frames held    */ \
-  /* for credit may drain after kFinish.                                    */ \
-  X(5, Data, "data", ROUTED, kDirToCoordinator | kDirToWorker,                 \
-    kPhHandshake | kPhExecute | kPhReport, Keep)                               \
-  /* end-of-stream from one producer instance to one consumer instance;     */ \
-  /* routed like kData (and ordered behind it), but consumes no credit.     */ \
-  X(6, Eos, "eos", ROUTED, kDirToCoordinator | kDirToWorker,                   \
-    kPhHandshake | kPhExecute | kPhReport, Keep)                               \
   /* worker -> coordinator: instance milestone for the scheduler.           */ \
   X(7, Milestone, "milestone", WC, kDirToCoordinator,                          \
     kPhExecute | kPhReport, Keep)                                              \
-  /* worker -> coordinator: the worker finished processing `count` data     */ \
-  /* frames; the coordinator releases that much of its credit window.       */ \
-  X(8, Credit, "credit", WC, kDirToCoordinator,                                \
-    kPhExecute | kPhReport, Keep)                                              \
-  /* coordinator -> worker: the plan completed; report results and stats.   */ \
+  /* coordinator -> worker: the plan completed; report summaries and stats. */ \
   X(9, Finish, "finish", CW, kDirToWorker, kPhExecute, Report)                 \
   /* worker -> coordinator: partial ResultSummary of a stored result.       */ \
   X(10, Summary, "summary", WC, kDirToCoordinator, kPhReport, Keep)            \
-  /* worker -> coordinator: final-result rows (only when materializing).    */ \
-  X(11, ResultRows, "result-rows", WC, kDirToCoordinator, kPhReport, Keep)     \
   /* worker -> coordinator: merged OpMetrics of one hosted op.              */ \
   X(12, OpStats, "op-stats", WC, kDirToCoordinator, kPhReport, Keep)           \
   /* worker -> coordinator: the worker's run counters (serialize seconds,   */ \
@@ -165,9 +147,7 @@ enum FrameDir : uint32_t {
 /// matches, for the "frames that never legitimately arrive here" arm of a
 /// handler switch. Selectors:
 ///
-///   NOT_CW   everything a worker never receives (classes WC and SERVE;
-///            ROUTED frames arrive at both endpoints, so neither selector
-///            emits them)
+///   NOT_CW   everything a worker never receives (classes WC, SERVE)
 ///   NOT_WC   everything a coordinator never receives (classes CW, SERVE)
 ///
 /// The arm stays `default:`-free, so -Wswitch (and mjoin_lint, which
@@ -175,11 +155,9 @@ enum FrameDir : uint32_t {
 /// that no handler has made a routing decision for.
 #define MJOIN_FRAME_SEL_NOT_CW_CW(name)
 #define MJOIN_FRAME_SEL_NOT_CW_WC(name) case ::mjoin::FrameType::k##name:
-#define MJOIN_FRAME_SEL_NOT_CW_ROUTED(name)
 #define MJOIN_FRAME_SEL_NOT_CW_SERVE(name) case ::mjoin::FrameType::k##name:
 #define MJOIN_FRAME_SEL_NOT_WC_CW(name) case ::mjoin::FrameType::k##name:
 #define MJOIN_FRAME_SEL_NOT_WC_WC(name)
-#define MJOIN_FRAME_SEL_NOT_WC_ROUTED(name)
 #define MJOIN_FRAME_SEL_NOT_WC_SERVE(name) case ::mjoin::FrameType::k##name:
 
 #define MJOIN_FRAME_ROW_NOT_CW(id, name, wire, klass, dirs, phases, next) \

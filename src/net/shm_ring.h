@@ -13,14 +13,14 @@
 
 namespace mjoin {
 
-/// The process backend's shared-memory data plane. Control frames (the
-/// handshake, credits, heartbeats, the finish protocol) stay on the AF_UNIX
-/// socket; bulk payloads move over mmap'd single-producer single-consumer
-/// ring buffers created by the coordinator *before* forking the fleet, so
-/// every worker inherits the same MAP_SHARED|MAP_ANONYMOUS region and the
-/// same virtual addresses. "Serialize" onto a ring is a bounds-checked
-/// memcpy of the batch's raw rows — the wire format is the in-memory
-/// format.
+/// The process backend's data plane, and its only one. Control frames (the
+/// handshake, triggers, heartbeats, the finish protocol) stay on the
+/// AF_UNIX socket; every data batch, EOS marker, fragment and result row
+/// moves over mmap'd single-producer single-consumer ring buffers laid
+/// over an arena mapped *before* the fleet forks, so every worker inherits
+/// the same MAP_SHARED|MAP_ANONYMOUS region and the same virtual
+/// addresses. "Serialize" onto a ring is a bounds-checked memcpy of the
+/// batch's raw rows — the wire format is the in-memory format.
 ///
 /// Each ring carries a stream of 8-byte-aligned records:
 ///
@@ -41,7 +41,7 @@ namespace mjoin {
 /// half-written record is simply invisible — the consumer can never observe
 /// torn payload bytes. Cursors are validated on every read; a cursor that
 /// jumped backwards or a record that fails bounds/type checks reports
-/// corrupt-wire kUnavailable, the same class the socket path uses.
+/// corrupt-wire kUnavailable, the same class a damaged socket frame gets.
 enum class ShmRecordType : uint32_t {
   /// Routed data batch: ShmDataHeader + raw rows.
   kData = 1,
@@ -78,6 +78,14 @@ inline constexpr uint32_t kShmRingVersion = 1;
 inline constexpr uint32_t kShmRecordAlign = 8;
 inline constexpr uint32_t kShmRecordHdrBytes = 8;
 
+/// Largest payload one record may carry on a ring of `data_bytes` (>= 4096):
+/// half the ring minus headers, so a record plus its wrap pad always fits
+/// an empty ring — the producer can always make progress once the
+/// consumer drains.
+inline constexpr uint32_t ShmMaxPayload(uint32_t data_bytes) {
+  return data_bytes / 2 - kShmRecordHdrBytes * 2;
+}
+
 // The cross-process contract: lock-free atomics on this platform are
 // address-free, so the same ShmRingHdr works from every process mapping it.
 static_assert(std::atomic<uint64_t>::is_always_lock_free,
@@ -107,12 +115,7 @@ class ShmRing {
   [[nodiscard]] Status Attach(std::byte* mem);
 
   uint32_t data_bytes() const { return data_bytes_; }
-  /// Largest payload a single record may carry. Half the ring (minus
-  /// headers) so a record plus its wrap pad always fits an empty ring —
-  /// the producer can always make progress once the consumer drains.
-  uint32_t max_payload() const {
-    return data_bytes_ / 2 - kShmRecordHdrBytes * 2;
-  }
+  uint32_t max_payload() const { return ShmMaxPayload(data_bytes_); }
 
   uint64_t tail_cursor() const {
     return hdr_->tail.load(std::memory_order_acquire);
@@ -168,12 +171,14 @@ struct ShmRingSpec {
   uint32_t to = 0;
 };
 
-/// A fleet-lifetime shared region plus per-endpoint doorbells, created once
-/// (pre-fork) by the owner of a persistent worker fleet and inherited by
-/// every member. Per query, both sides lay a ShmDataPlane *view* over the
-/// arena (ShmDataPlane::CreateInArena): the coordinator formats the rings,
-/// the workers attach to them. The arena outlives every view, so a warm
-/// fleet maps and prefaults its shared memory exactly once instead of once
+/// A shared region plus per-endpoint doorbells, created pre-fork and
+/// inherited by every worker: once per attempt by a one-shot coordinator
+/// (sized to that plan's directory, so a retry starts from fresh zeroed
+/// rings), once per fleet by the owner of a warm fleet. Per query, both
+/// sides lay a ShmDataPlane *view* over the arena
+/// (ShmDataPlane::CreateInArena): the coordinator formats the rings, the
+/// workers attach to them. A warm fleet's arena outlives every view, so
+/// it maps and prefaults its shared memory exactly once instead of once
 /// per query — the fork/copy-out cost the serving layer exists to remove.
 class ShmArena {
  public:
@@ -202,32 +207,18 @@ class ShmArena {
   std::vector<int> doorbells_;
 };
 
-/// The full data plane for one fleet attempt: one shared mapping holding
-/// every ring, plus one eventfd doorbell per endpoint. Created by the
-/// coordinator pre-fork; children inherit the mapping and the doorbell
-/// descriptors. Destroyed (munmap + close) per attempt, so a respawned
-/// fleet always starts from freshly zeroed rings.
+/// One query's ring directory laid over an ShmArena: the rings, their
+/// endpoint index, and the arena's doorbells. The view borrows the arena's
+/// mapping and doorbells, so destroying it releases nothing.
 class ShmDataPlane {
  public:
-  ShmDataPlane() = default;
-  ~ShmDataPlane();
-  ShmDataPlane(const ShmDataPlane&) = delete;
-  ShmDataPlane& operator=(const ShmDataPlane&) = delete;
-
-  /// `specs` must be duplicate-free with endpoints < num_endpoints;
-  /// `ring_bytes` must be a power of two >= 4096.
-  [[nodiscard]] static StatusOr<std::unique_ptr<ShmDataPlane>> Create(
-      std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
-      uint32_t ring_bytes);
-
-  /// A per-query view over a fleet-lifetime arena: rings are laid out
-  /// sequentially from the arena base in `specs` order (both sides derive
-  /// identical specs from the plan, so the layout needs no negotiation).
-  /// The formatting side (`format` = true, the coordinator) re-initializes
-  /// every ring header — it must do so only while every fleet member is
-  /// parked idle; the attaching side validates the headers it finds. The
-  /// view borrows the arena's mapping and doorbells, so destroying it
-  /// releases nothing.
+  /// Rings are laid out sequentially from the arena base in `specs` order
+  /// (both sides derive identical specs from the plan, so the layout needs
+  /// no negotiation). `specs` must be duplicate-free with endpoints <
+  /// num_endpoints; `ring_bytes` must be a power of two >= 4096. The
+  /// formatting side (`format` = true, the coordinator) re-initializes
+  /// every ring header — it must do so only while no worker is touching
+  /// the arena; the attaching side validates the headers it finds.
   [[nodiscard]] static StatusOr<std::unique_ptr<ShmDataPlane>> CreateInArena(
       ShmArena* arena, std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
       uint32_t ring_bytes, bool format);
@@ -241,6 +232,7 @@ class ShmDataPlane {
   size_t num_rings() const { return specs_.size(); }
   uint32_t num_endpoints() const { return num_endpoints_; }
   uint32_t ring_bytes() const { return ring_bytes_; }
+  uint32_t max_payload() const { return ShmMaxPayload(ring_bytes_); }
   uint64_t directory_hash() const { return directory_hash_; }
   const ShmRingSpec& spec(size_t i) const { return specs_[i]; }
   ShmRing* ring(size_t i) { return &rings_[i]; }
@@ -272,14 +264,9 @@ class ShmDataPlane {
   std::vector<std::vector<size_t>> inbound_;
   std::unordered_map<uint64_t, size_t> index_;  // (from<<32|to) -> ring
   std::vector<int> doorbells_;
-  std::byte* region_ = nullptr;
-  size_t region_bytes_ = 0;
   uint32_t num_endpoints_ = 0;
   uint32_t ring_bytes_ = 0;
   uint64_t directory_hash_ = 0;
-  /// False for CreateInArena views: the mapping and doorbells belong to
-  /// the arena, so the destructor must not munmap or close them.
-  bool owns_resources_ = true;
 };
 
 }  // namespace mjoin

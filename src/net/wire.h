@@ -57,9 +57,9 @@ uint32_t FrameDirs(FrameType type);
 uint32_t FramePhases(FrameType type);
 uint32_t FrameNextPhase(FrameType type);
 
-/// Hard upper bound on one frame's length field. Generous (base-relation
-/// fragments ship as single frames) but small enough that a corrupted
-/// length cannot drive a multi-gigabyte allocation.
+/// Hard upper bound on one frame's length field. Generous (a skew report
+/// carries its candidate build rows inline) but small enough that a
+/// corrupted length cannot drive a multi-gigabyte allocation.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 
 /// Protocol version spoken by this build; bumped on any wire change.
@@ -70,7 +70,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 ///     kIdle end-of-query ack, kSubmit/kQueryResult serve frames.
 /// v5: skew defense — PlanEnvelope ships SkewDefenseOptions, kOpStats
 ///     carries the skew counters, kSkewReport/kSkewDirective frames.
-inline constexpr uint32_t kNetProtocolVersion = 5;
+/// v6: one data plane — the socket data frames (fragment, data, eos,
+///     credit, result-rows) are retired; PlanEnvelope drops the plane
+///     switch and the credit window, kNetStats drops data_frames_sent.
+inline constexpr uint32_t kNetProtocolVersion = 6;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);
@@ -137,8 +140,10 @@ class SchemaRegistry {
   std::vector<std::shared_ptr<const Schema>> schemas_;
 };
 
-/// TupleBatch wire format (the body of kData/kFragment/kResultRows frames
-/// after their routing fields):
+/// TupleBatch wire format: a self-checking serialization of one batch.
+/// The process backend moves batches over the shm rings instead (raw rows
+/// behind a fixed header, engine/process_protocol.h); this codec is kept
+/// as the portable format the net benchmarks measure:
 ///
 ///   u32  magic      'MJTB' (0x4254'4A4D little-endian on the wire)
 ///   u16  version    kBatchWireVersion

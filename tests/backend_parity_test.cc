@@ -58,7 +58,6 @@ TEST_P(BackendParityTest, PerOpCountersAgree) {
   ProcessExecOptions process_options;
   process_options.exec.collect_metrics = true;
   process_options.num_workers = 3;
-  process_options.use_shm_data_plane = true;
   ProcessExecutor processes(&db);
   auto process_run = processes.Execute(*plan, process_options);
   ASSERT_TRUE(process_run.ok()) << process_run.status();

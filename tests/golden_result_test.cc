@@ -86,40 +86,27 @@ TEST_P(GoldenResultTest, AllBackendsMatchReference) {
         << "batch_size=" << batch_size;
   }
 
-  // Process backend over both data planes, same batch sizes: every tuple
-  // that crosses a worker boundary additionally round-trips the wire
-  // format (socket plane) or the shm ring record format (shm plane), and
+  // Process backend, same batch sizes: every tuple that crosses a worker
+  // boundary additionally round-trips the shm ring record format, and
   // every plan round-trips the textual XRA handshake. 3 workers for 8
   // processors makes the processor->worker blocks ragged (3+3+2),
-  // exercising both local and remote deliveries on every shape. The shm
-  // runs use deliberately tiny rings (4 KiB) so batches fragment into many
-  // records and the full/backlog/pad machinery runs on every shape — and
-  // since ring data consumes no credits, a shm run must never stall on the
-  // credit window.
+  // exercising both local and remote deliveries on every shape. The runs
+  // use deliberately tiny rings (4 KiB) so batches fragment into many
+  // records and the full/backlog/pad machinery runs on every shape.
   ProcessExecutor processes(&db);
-  for (bool use_shm : {false, true}) {
-    for (uint32_t batch_size : {1u, 7u, 256u}) {
-      ProcessExecOptions options;
-      options.exec.batch_size = batch_size;
-      options.num_workers = 3;
-      options.use_shm_data_plane = use_shm;
-      if (use_shm) options.shm_ring_bytes = 4096;
-      ProcessNetStats net;
-      auto run = processes.Execute(*plan, options, nullptr, &net);
-      ASSERT_TRUE(run.ok()) << run.status() << " batch_size=" << batch_size
-                            << " shm=" << use_shm;
-      EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)
-          << "batch_size=" << batch_size << " shm=" << use_shm;
-      EXPECT_EQ(run->exec.result.checksum, reference->checksum)
-          << "batch_size=" << batch_size << " shm=" << use_shm;
-      if (use_shm) {
-        EXPECT_EQ(net.credit_stalls, 0u)
-            << "shm data must not consume socket credits (batch_size="
-            << batch_size << ")";
-        EXPECT_EQ(net.data_frames_routed, 0u)
-            << "shm run still relayed data over the coordinator socket";
-      }
-    }
+  for (uint32_t batch_size : {1u, 7u, 256u}) {
+    ProcessExecOptions options;
+    options.exec.batch_size = batch_size;
+    options.num_workers = 3;
+    options.shm_ring_bytes = 4096;
+    ProcessNetStats net;
+    auto run = processes.Execute(*plan, options, nullptr, &net);
+    ASSERT_TRUE(run.ok()) << run.status() << " batch_size=" << batch_size;
+    EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)
+        << "batch_size=" << batch_size;
+    EXPECT_EQ(run->exec.result.checksum, reference->checksum)
+        << "batch_size=" << batch_size;
+    EXPECT_GT(net.shm_records_sent, 0u) << "batch_size=" << batch_size;
   }
 }
 
@@ -139,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategiesAllShapes, GoldenResultTest,
 // Adversarial-workload golden harness: skewed, filtered, and m:n data
 // across every strategy, with the skew defense off, on, and auto — the
 // defense may move rows and prune sends, but the result multiset must be
-// bit-identical across every backend and both process data planes.
+// bit-identical across every backend.
 
 struct WorkloadCase {
   StrategyKind strategy;
@@ -207,20 +194,17 @@ TEST_P(WorkloadGoldenResultTest, DefenseOnMatchesDefenseOffEverywhere) {
         << SkewDefenseModeName(mode);
 
     ProcessExecutor processes(&*db);
-    for (bool use_shm : {false, true}) {
-      ProcessExecOptions process_options;
-      process_options.exec = options;
-      process_options.num_workers = 3;
-      process_options.use_shm_data_plane = use_shm;
-      if (use_shm) process_options.shm_ring_bytes = 4096;
-      auto run = processes.Execute(*plan, process_options);
-      ASSERT_TRUE(run.ok()) << run.status() << " shm=" << use_shm << " "
-                            << SkewDefenseModeName(mode);
-      EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)
-          << "shm=" << use_shm << " " << SkewDefenseModeName(mode);
-      EXPECT_EQ(run->exec.result.checksum, reference->checksum)
-          << "shm=" << use_shm << " " << SkewDefenseModeName(mode);
-    }
+    ProcessExecOptions process_options;
+    process_options.exec = options;
+    process_options.num_workers = 3;
+    process_options.shm_ring_bytes = 4096;
+    auto run = processes.Execute(*plan, process_options);
+    ASSERT_TRUE(run.ok()) << run.status() << " "
+                          << SkewDefenseModeName(mode);
+    EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)
+        << SkewDefenseModeName(mode);
+    EXPECT_EQ(run->exec.result.checksum, reference->checksum)
+        << SkewDefenseModeName(mode);
   }
 }
 

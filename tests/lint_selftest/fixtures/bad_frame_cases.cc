@@ -9,10 +9,7 @@ namespace mjoin {
 const char* FixtureFrameCases(FrameType type) {
   switch (type) {
     case FrameType::kPlan:
-    case FrameType::kFragment:
     case FrameType::kTrigger:
-    case FrameType::kData:
-    case FrameType::kEos:
     case FrameType::kFinish:
     case FrameType::kPing:
     case FrameType::kSkewDirective:

@@ -9,8 +9,8 @@ const char* FixtureName(FrameType type) {
   switch (type) {
     case FrameType::kHello:
       return "hello";
-    case FrameType::kData:
-      return "data";
+    case FrameType::kPlan:
+      return "plan";
     default:
       return "other";
   }

@@ -11,10 +11,7 @@ namespace mjoin {
 const char* FixtureNameClean(FrameType type) {
   switch (type) {
     case FrameType::kPlan:
-    case FrameType::kFragment:
     case FrameType::kTrigger:
-    case FrameType::kData:
-    case FrameType::kEos:
     case FrameType::kFinish:
     case FrameType::kShutdown:
     case FrameType::kPing:

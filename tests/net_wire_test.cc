@@ -194,14 +194,12 @@ TEST(PlanEnvelopeTest, RoundTrips) {
   env.num_workers = 7;
   env.batch_size = 64;
   env.materialize_result = true;
-  env.max_queued_batches = 12;
   env.memory_budget_bytes = 1 << 20;
   env.collect_metrics = false;
   env.record_trace = true;
   env.trace_origin_ns = 1234567890123;
   env.fault_scenario = "drop-batch op=2 after=5";
   env.plan_text = SerializePlan(MakePlan());
-  env.use_shm_data_plane = true;
   env.shm_ring_bytes = 1u << 18;
 
   std::vector<std::byte> wire;
@@ -214,14 +212,12 @@ TEST(PlanEnvelopeTest, RoundTrips) {
   EXPECT_EQ(decoded.num_workers, env.num_workers);
   EXPECT_EQ(decoded.batch_size, env.batch_size);
   EXPECT_EQ(decoded.materialize_result, env.materialize_result);
-  EXPECT_EQ(decoded.max_queued_batches, env.max_queued_batches);
   EXPECT_EQ(decoded.memory_budget_bytes, env.memory_budget_bytes);
   EXPECT_EQ(decoded.collect_metrics, env.collect_metrics);
   EXPECT_EQ(decoded.record_trace, env.record_trace);
   EXPECT_EQ(decoded.trace_origin_ns, env.trace_origin_ns);
   EXPECT_EQ(decoded.fault_scenario, env.fault_scenario);
   EXPECT_EQ(decoded.plan_text, env.plan_text);
-  EXPECT_EQ(decoded.use_shm_data_plane, env.use_shm_data_plane);
   EXPECT_EQ(decoded.shm_ring_bytes, env.shm_ring_bytes);
 
   // A truncated envelope (e.g. from a frame cut short) errors cleanly.
@@ -258,7 +254,6 @@ TEST(HelloTest, RoundTripsWithRingDirectoryHash) {
 
 TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   WorkerRunStats stats;
-  stats.data_frames_sent = 11;
   stats.local_deliveries = 22;
   stats.batches_processed = 33;
   stats.pump_stalls = 44;
@@ -275,7 +270,6 @@ TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   WireReader reader(wire);
   WorkerRunStats decoded;
   ASSERT_TRUE(DecodeWorkerRunStats(&reader, &decoded).ok());
-  EXPECT_EQ(decoded.data_frames_sent, stats.data_frames_sent);
   EXPECT_EQ(decoded.local_deliveries, stats.local_deliveries);
   EXPECT_EQ(decoded.batches_processed, stats.batches_processed);
   EXPECT_EQ(decoded.pump_stalls, stats.pump_stalls);
@@ -417,7 +411,7 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
   std::vector<std::byte> payload;
   PutU64(&payload, 0xDEADBEEFCAFEF00Dull);
   PutString(&payload, "hello across the wire");
-  std::vector<std::byte> bytes = EncodeFrame(FrameType::kData, payload);
+  std::vector<std::byte> bytes = EncodeFrame(FrameType::kSummary, payload);
   // Two back-to-back frames, dripped one byte at a time.
   std::vector<std::byte> stream = bytes;
   stream.insert(stream.end(), bytes.begin(), bytes.end());
@@ -427,7 +421,7 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
   for (int i = 0; i < 2; ++i) {
     Frame frame;
     ASSERT_TRUE(channel_->NextFrame(&frame)) << "frame " << i;
-    EXPECT_EQ(frame.type, FrameType::kData);
+    EXPECT_EQ(frame.type, FrameType::kSummary);
     EXPECT_EQ(frame.payload, payload);
   }
   Frame none;
@@ -438,12 +432,12 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
 TEST_F(FrameChannelTest, QueueAndFlushDeliversAcrossTheSocket) {
   std::vector<std::byte> payload;
   PutU32(&payload, 7);
-  channel_->QueueFrame(FrameType::kCredit, payload);
+  channel_->QueueFrame(FrameType::kTrigger, payload);
   ASSERT_TRUE(channel_->Flush().ok());
   EXPECT_FALSE(channel_->has_pending_output());
 
   // Read the raw bytes off the far end and check the frame envelope.
-  std::vector<std::byte> expected = EncodeFrame(FrameType::kCredit, payload);
+  std::vector<std::byte> expected = EncodeFrame(FrameType::kTrigger, payload);
   std::vector<std::byte> got(expected.size());
   ASSERT_EQ(read(raw_fd_, got.data(), got.size()),
             static_cast<ssize_t>(got.size()));
@@ -539,20 +533,18 @@ const bool kConformanceArmed = [] {
 
 TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
   // One full query on a warm link, observed from the coordinator end:
-  // plan -> hello -> fragments/data -> finish -> report -> shutdown ->
-  // idle, and the idle ack returns the link to await-plan for the next
-  // query.
+  // plan -> hello -> triggers/milestones -> finish -> report -> shutdown
+  // -> idle, and the idle ack returns the link to await-plan for the next
+  // query. Data never crosses this link: it rides the shm rings.
   FrameConformance link(LinkRole::kCoordinator, "worker 0");
   EXPECT_EQ(link.phase(), kPhAwaitPlan);
   ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
   EXPECT_EQ(link.phase(), kPhHandshake);
-  // Fragments pipeline behind kPlan before the kHello echo arrives.
-  ASSERT_TRUE(link.Observe(FrameType::kFragment, /*outbound=*/true).ok());
+  // Triggers pipeline behind kPlan before the kHello echo arrives.
+  ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
   ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
   EXPECT_EQ(link.phase(), kPhExecute);
   ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kData, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kData, /*outbound=*/true).ok());
   ASSERT_TRUE(link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
   ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
   EXPECT_EQ(link.phase(), kPhReport);
@@ -678,6 +670,30 @@ TEST_F(FrameChannelTest, UnknownFrameTypePoisonsTheChannel) {
       << status.message();
 }
 
+TEST_F(FrameChannelTest, RetiredFrameIdsAreCorrupt) {
+  // 3 (fragment), 5 (data), 6 (eos), 8 (credit) and 11 (result-rows)
+  // carried the retired socket data plane. The table must never define
+  // them again, and a peer still sending one is corrupt wire, however
+  // well-formed the frame around it.
+  for (uint8_t retired : {3, 5, 6, 8, 11}) {
+    EXPECT_FALSE(ValidFrameType(retired)) << "id " << int{retired};
+  }
+  std::vector<std::byte> payload;
+  PutU32(&payload, 7);
+  std::vector<std::byte> bytes =
+      EncodeFrame(static_cast<FrameType>(8), payload);
+  ASSERT_EQ(write(raw_fd_, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  bool peer_closed = false;
+  Status status = channel_->ReadAvailable(&peer_closed);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(status.message().find("unknown frame type 8"), std::string::npos)
+      << status.message();
+  Frame none;
+  EXPECT_FALSE(channel_->NextFrame(&none));
+}
+
 // --- NetFaultInjector: deterministic link damage --------------------------
 
 std::vector<std::byte> SomeFrame() {
@@ -685,7 +701,7 @@ std::vector<std::byte> SomeFrame() {
   PutU64(&payload, 0x1122334455667788ull);
   std::vector<std::byte> frame;
   PutU32(&frame, static_cast<uint32_t>(1 + payload.size() + 4));
-  PutU8(&frame, static_cast<uint8_t>(FrameType::kData));
+  PutU8(&frame, static_cast<uint8_t>(FrameType::kSummary));
   frame.insert(frame.end(), payload.begin(), payload.end());
   PutU32(&frame, Crc32(frame.data() + 4, frame.size() - 4));
   return frame;

@@ -15,6 +15,7 @@
 #include "engine/process_protocol.h"
 #include "engine/process_worker.h"
 #include "net/channel.h"
+#include "net/shm_ring.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
 #include "xra/text.h"
@@ -226,31 +227,12 @@ TEST_F(ProcessBackendFaultTest, InjectedOperatorFailureAbortsInternal) {
   EXPECT_EQ(errno, ECHILD);
 }
 
-TEST_F(ProcessBackendFaultTest, WireTimersRunWithMetricsOff) {
+TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
   // Regression: serialize/deserialize_seconds came back 0.0 whenever
   // collect_metrics was off (the timers were gated on the observe flag),
-  // which is exactly how benchmarks run — BENCH_net.json reported 13 MB
-  // shipped in 0.0 s of codec time. Shipped bytes must imply nonzero
-  // codec time regardless of the observability knobs.
-  ProcessExecOptions options;
-  options.num_workers = 3;
-  options.exec.collect_metrics = false;
-  options.exec.materialize_result = false;
-  options.use_shm_data_plane = false;  // the socket codec path
-
-  ProcessNetStats net;
-  ProcessExecutor executor(db_.get());
-  auto run = executor.Execute(*plan_, options, nullptr, &net);
-  ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_GT(net.bytes_sent, 0u);
-  EXPECT_GT(net.serialize_seconds, 0.0)
-      << "bytes went over the wire but serialize time says 0";
-  EXPECT_GT(net.deserialize_seconds, 0.0)
-      << "bytes came off the wire but deserialize time says 0";
-}
-
-TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
-  // Same invariant on the shm plane, where the "codec" is the ring memcpy.
+  // which is exactly how benchmarks run. Shipped bytes must imply nonzero
+  // copy time regardless of the observability knobs; on the rings the
+  // "codec" is the record memcpy.
   ProcessExecOptions options;
   options.num_workers = 3;
   options.exec.collect_metrics = false;
@@ -262,8 +244,6 @@ TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_GT(net.shm_rings, 0u);
   ASSERT_GT(net.shm_bytes_sent, 0u);
-  EXPECT_EQ(net.data_frames_routed, 0u)
-      << "data frames still relayed through the coordinator socket";
   EXPECT_GT(net.serialize_seconds, 0.0);
   EXPECT_GT(net.deserialize_seconds, 0.0);
 }
@@ -283,34 +263,55 @@ TEST_F(ProcessBackendFaultTest, RepeatedRunsLeakNoDescriptors) {
   EXPECT_EQ(errno, ECHILD);
 }
 
-// Wire input names an instance's input port, which indexes its per-port
+// Ring input names an instance's input port, which indexes its per-port
 // state: an EOS for a port the target does not have (here any port of a
 // scan, which has none) is rejected as InvalidArgument and reported over
-// kError, instead of tripping the worker's EOS-count check. The worker
-// runs on a thread here; it is single-threaded, like the forked child.
+// kError, instead of tripping the worker's EOS-count check. The test plays
+// the coordinator of a one-worker fleet: it formats the rings over an
+// arena, publishes the bad record on its relay ring, and ships the plan.
+// The worker runs on a thread; it is single-threaded, like the forked
+// child, and attaches to the same arena.
 TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
   int scan = -1;
   for (const XraOp& o : plan_->ops) {
     if (o.kind == XraOpKind::kScan) scan = o.id;
   }
   ASSERT_GE(scan, 0);
+  constexpr uint32_t kRingBytes = 4096;
+  constexpr uint32_t kCoordinator = 1;  // endpoint id of a 1-worker fleet
+  std::vector<ShmRingSpec> directory = ComputeRingDirectory(*plan_, 1);
+  auto arena = ShmArena::Create(
+      kCoordinator + 1, (sizeof(ShmRingHdr) + kRingBytes) * directory.size());
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  auto plane = ShmDataPlane::CreateInArena(arena->get(), directory,
+                                           kCoordinator + 1, kRingBytes,
+                                           /*format=*/true);
+  ASSERT_TRUE(plane.ok()) << plane.status();
+  ShmRing* relay = (*plane)->RingTo(kCoordinator, /*to=*/0);
+  ASSERT_NE(relay, nullptr);
+  ShmEosHeader eos;
+  eos.consumer_op = scan;
+  eos.dest_index = 0;
+  eos.port = 0;
+  ASSERT_TRUE(
+      relay->TryPush(ShmRecordType::kEos, &eos, sizeof(eos), nullptr, 0));
+  (*plane)->RingDoorbell(0);
+
   int sv[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   int exit_code = -1;
-  std::thread worker([&exit_code, fd = sv[1]] {
-    exit_code = RunProcessWorker(fd);
+  std::thread worker([&exit_code, fd = sv[1], a = arena->get()] {
+    exit_code = RunProcessWorker(fd, a);
   });
   ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
   FrameChannel chan(sv[0], "worker");
   PlanEnvelope env;
+  env.num_workers = 1;
+  env.shm_ring_bytes = kRingBytes;
   env.plan_text = SerializePlan(*plan_);
   std::vector<std::byte> payload;
   EncodePlanEnvelope(env, &payload);
   chan.QueueFrame(FrameType::kPlan, payload);
-  payload.clear();
-  EncodeRouteHeader(RouteHeader{scan, /*dest_index=*/0, /*port=*/0},
-                    &payload);
-  chan.QueueFrame(FrameType::kEos, payload);
   ASSERT_TRUE(chan.Flush().ok());
 
   Status reported;

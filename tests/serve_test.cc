@@ -118,12 +118,8 @@ TEST(ServeProtocolTest, QueryResultRoundTrip) {
 
 // Concurrent golden harness: N clients pipeline every (strategy, shape)
 // combination through one server, alternating backends, and every result
-// must be checksum-identical to the reference. Parameterized over the
-// fleet's data plane so both the shm-ring and the all-socket paths serve
-// under concurrency.
-class ServeGoldenTest : public testing::TestWithParam<bool> {};
-
-TEST_P(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
+// must be checksum-identical to the reference.
+TEST(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
   constexpr int kRelations = 4;
   constexpr uint32_t kCard = 300;
   constexpr uint32_t kProcs = 6;
@@ -131,11 +127,9 @@ TEST_P(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
   Database db = MakeWisconsinDatabase(kRelations, kCard, /*seed=*/7);
 
   MjoinServeOptions options;
-  options.socket_path =
-      TempSocketPath(GetParam() ? "golden_shm" : "golden_socket");
+  options.socket_path = TempSocketPath("golden");
   options.exec_threads = 3;
   options.fleet.num_workers = 4;
-  options.fleet.use_shm_data_plane = GetParam();
   auto server = MjoinServer::Start(&db, options);
   ASSERT_TRUE(server.ok()) << server.status();
 
@@ -223,12 +217,6 @@ TEST_P(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
   EXPECT_EQ(cache.collisions, 0u);
   server.value()->Shutdown();
 }
-
-INSTANTIATE_TEST_SUITE_P(DataPlanes, ServeGoldenTest, testing::Bool(),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("ShmPlane")
-                                             : std::string("SocketPlane");
-                         });
 
 TEST(ServeTest, AdmissionRejectsOversizedAndDeadlinesExpireInQueue) {
   constexpr int kRelations = 4;

@@ -17,7 +17,7 @@ namespace {
 // The SPSC ring under the process backend's shared-memory data plane:
 // record framing, wrap pads, full/drain progress, corruption detection,
 // and the producer/consumer memory-ordering contract under real threads.
-// The ShmDataPlane directory (ring lookup, inbound lists, hash) and its
+// The ShmArena/ShmDataPlane directory (ring lookup, inbound lists, hash) and its
 // agreement with ComputeRingDirectory are covered here too, so a protocol
 // change that skews the worker-side directory fails in-process before it
 // can fail across a fork.
@@ -322,12 +322,33 @@ TEST(ShmRingTest, CursorsSurviveNumericWrapAtUint64Max) {
   EXPECT_TRUE(ring.Empty());
 }
 
+// A plane over its own arena sized for `specs`, laid out the way a one-shot
+// coordinator does it. The arena must outlive the plane (a borrowing view).
+struct OwnedPlane {
+  std::unique_ptr<ShmArena> arena;
+  std::unique_ptr<ShmDataPlane> plane;
+};
+
+StatusOr<OwnedPlane> MakePlane(std::vector<ShmRingSpec> specs,
+                               uint32_t num_endpoints, uint32_t ring_bytes) {
+  OwnedPlane owned;
+  MJOIN_ASSIGN_OR_RETURN(
+      owned.arena,
+      ShmArena::Create(num_endpoints,
+                       (sizeof(ShmRingHdr) + ring_bytes) * specs.size()));
+  MJOIN_ASSIGN_OR_RETURN(
+      owned.plane,
+      ShmDataPlane::CreateInArena(owned.arena.get(), std::move(specs),
+                                  num_endpoints, ring_bytes,
+                                  /*format=*/true));
+  return owned;
+}
+
 TEST(ShmDataPlaneTest, DirectoryLookupsAndDoorbells) {
   std::vector<ShmRingSpec> specs = {{2, 0}, {2, 1}, {0, 2}, {1, 0}};
-  auto plane = ShmDataPlane::Create(specs, /*num_endpoints=*/3,
-                                    /*ring_bytes=*/4096);
+  auto plane = MakePlane(specs, /*num_endpoints=*/3, /*ring_bytes=*/4096);
   ASSERT_TRUE(plane.ok()) << plane.status();
-  ShmDataPlane& p = **plane;
+  ShmDataPlane& p = *plane->plane;
   EXPECT_EQ(p.num_rings(), 4u);
   EXPECT_EQ(p.ring_bytes(), 4096u);
 
@@ -357,17 +378,33 @@ TEST(ShmDataPlaneTest, DirectoryLookupsAndDoorbells) {
 }
 
 TEST(ShmDataPlaneTest, RejectsBadConfigurations) {
-  EXPECT_EQ(ShmDataPlane::Create({{0, 1}}, 2, 1000).status().code(),
+  EXPECT_EQ(MakePlane({{0, 1}}, 2, 1000).status().code(),
             StatusCode::kInvalidArgument);  // not a power of two
-  EXPECT_EQ(ShmDataPlane::Create({{0, 1}}, 2, 2048).status().code(),
+  EXPECT_EQ(MakePlane({{0, 1}}, 2, 2048).status().code(),
             StatusCode::kInvalidArgument);  // below the 4 KiB floor
-  EXPECT_EQ(ShmDataPlane::Create({{0, 0}}, 2, 4096).status().code(),
+  EXPECT_EQ(MakePlane({{0, 0}}, 2, 4096).status().code(),
             StatusCode::kInvalidArgument);  // self-ring
-  EXPECT_EQ(ShmDataPlane::Create({{0, 2}}, 2, 4096).status().code(),
+  EXPECT_EQ(MakePlane({{0, 2}}, 2, 4096).status().code(),
             StatusCode::kInvalidArgument);  // endpoint out of range
-  EXPECT_EQ(
-      ShmDataPlane::Create({{0, 1}, {0, 1}}, 2, 4096).status().code(),
-      StatusCode::kInvalidArgument);  // duplicate ring
+  EXPECT_EQ(MakePlane({{0, 1}, {0, 1}}, 2, 4096).status().code(),
+            StatusCode::kInvalidArgument);  // duplicate ring
+
+  // The arena side: an empty region, a view whose endpoint count differs
+  // from the arena's, and a directory larger than the region.
+  EXPECT_EQ(ShmArena::Create(2, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  auto arena = ShmArena::Create(2, sizeof(ShmRingHdr) + 4096);
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  EXPECT_EQ(ShmDataPlane::CreateInArena(arena->get(), {{0, 1}}, 3, 4096,
+                                        /*format=*/true)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ShmDataPlane::CreateInArena(arena->get(), {{0, 1}, {1, 0}}, 2,
+                                        4096, /*format=*/true)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(ShmDataPlaneTest, HashCoversEveryDirectoryDimension) {

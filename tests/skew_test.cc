@@ -432,37 +432,32 @@ TEST(SkewEndToEndTest, ProcessBackendDefenseIsResultInvariant) {
   ASSERT_TRUE(plan.has_value()) << "no strategy produced a defended join";
 
   ProcessExecutor processes(&*db);
-  for (bool use_shm : {false, true}) {
-    for (SkewDefenseMode mode :
-         {SkewDefenseMode::kOff, SkewDefenseMode::kOn,
-          SkewDefenseMode::kAuto}) {
-      ProcessExecOptions options;
-      options.exec.collect_metrics = true;
-      options.exec.skew_defense = TestDefense(mode);
-      options.num_workers = 3;
-      options.use_shm_data_plane = use_shm;
-      ThreadExecStats stats;
-      auto run = processes.Execute(*plan, options, &stats);
-      ASSERT_TRUE(run.ok()) << run.status() << " shm=" << use_shm << " "
-                            << SkewDefenseModeName(mode);
-      EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)
-          << "shm=" << use_shm << " " << SkewDefenseModeName(mode);
-      EXPECT_EQ(run->exec.result.checksum, reference->checksum)
-          << "shm=" << use_shm << " " << SkewDefenseModeName(mode);
-      SkewRunOutcome outcome =
-          Accumulate(run->exec.result, run->exec.stats.per_op);
-      if (mode == SkewDefenseMode::kOff) {
-        EXPECT_EQ(outcome.hot_keys, 0u);
-        EXPECT_EQ(outcome.bloom_filtered, 0u);
-      } else {
-        // Both planes must see the directive do real work: drops and
-        // repartitions counted on the producers, replication on the
-        // join instances, hot keys once per defended join.
-        EXPECT_GT(outcome.bloom_filtered, 0u) << "shm=" << use_shm;
-        EXPECT_GT(outcome.hot_keys, 0u) << "shm=" << use_shm;
-        EXPECT_GT(outcome.repartitioned, 0u) << "shm=" << use_shm;
-        EXPECT_GT(outcome.replicated, 0u) << "shm=" << use_shm;
-      }
+  for (SkewDefenseMode mode :
+       {SkewDefenseMode::kOff, SkewDefenseMode::kOn, SkewDefenseMode::kAuto}) {
+    ProcessExecOptions options;
+    options.exec.collect_metrics = true;
+    options.exec.skew_defense = TestDefense(mode);
+    options.num_workers = 3;
+    ThreadExecStats stats;
+    auto run = processes.Execute(*plan, options, &stats);
+    ASSERT_TRUE(run.ok()) << run.status() << " " << SkewDefenseModeName(mode);
+    EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)
+        << SkewDefenseModeName(mode);
+    EXPECT_EQ(run->exec.result.checksum, reference->checksum)
+        << SkewDefenseModeName(mode);
+    SkewRunOutcome outcome =
+        Accumulate(run->exec.result, run->exec.stats.per_op);
+    if (mode == SkewDefenseMode::kOff) {
+      EXPECT_EQ(outcome.hot_keys, 0u);
+      EXPECT_EQ(outcome.bloom_filtered, 0u);
+    } else {
+      // The directive must do real work: drops and repartitions counted on
+      // the producers, replication on the join instances, hot keys once
+      // per defended join.
+      EXPECT_GT(outcome.bloom_filtered, 0u) << SkewDefenseModeName(mode);
+      EXPECT_GT(outcome.hot_keys, 0u) << SkewDefenseModeName(mode);
+      EXPECT_GT(outcome.repartitioned, 0u) << SkewDefenseModeName(mode);
+      EXPECT_GT(outcome.replicated, 0u) << SkewDefenseModeName(mode);
     }
   }
 }

@@ -16,6 +16,8 @@
 #include "engine/reference.h"
 #include "engine/thread_executor.h"
 #include "engine/warm_fleet.h"
+#include "net/net_fault.h"
+#include "plan/shapes.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
 
@@ -27,7 +29,9 @@ namespace {
 // results, identical per-run stats (no counter leaking across reuses), no
 // net descriptor growth, no silent fleet respawn. Plus the directed
 // recovery cases a long-lived fleet flushes out: kill -9 between queries,
-// and two fleets reaping strictly their own children.
+// a member lost during the idle handshake, and two fleets reaping strictly
+// their own children. Plus the limits of a fleet whose rings are fixed at
+// spawn: rows too wide for them, and the retired socket data plane.
 
 size_t CountOpenFds() {
   size_t n = 0;
@@ -183,6 +187,181 @@ TEST(WarmFleetTest, KillNineBetweenQueriesRespawnsAndSucceeds) {
     EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
   }
   EXPECT_GE((*fleet)->respawns(), kills) << "dead workers went unnoticed";
+}
+
+TEST(WarmFleetTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
+                            /*card=*/300, /*procs=*/4, StrategyKind::kFP);
+  auto fleet = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  const uint32_t workers = (*fleet)->num_workers();
+
+  // With heartbeats off every worker receives the same frames per query
+  // (plan, one trigger per group, finish, the query-ending shutdown), so
+  // a calibration run tells which outbound frame is the kShutdown.
+  ProcessExecOptions options;
+  options.heartbeat_interval = std::chrono::milliseconds(0);
+  ProcessNetStats net;
+  auto calibrate = (*fleet)->Execute(f.plan, options, nullptr, &net);
+  ASSERT_TRUE(calibrate.ok()) << calibrate.status();
+  ASSERT_EQ(net.frames_sent % workers, 0u);
+  const uint64_t frames_per_worker = net.frames_sent / workers;
+
+  // Drop worker 1's link exactly at its kShutdown: the worker is lost in
+  // the idle handshake, after the query's result is complete.
+  NetFaultScenario drop;
+  drop.kind = NetFaultKind::kDropConnection;
+  drop.worker = 1;
+  drop.after_frames = frames_per_worker - 1;
+  NetFaultInjector injector(drop);
+  options.net_fault_injector = &injector;
+  // lint:allow-clock test timing
+  const auto start = std::chrono::steady_clock::now();
+  auto result = (*fleet)->Execute(f.plan, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
+  EXPECT_EQ(injector.fires(), 1u) << "the drop never hit the kShutdown";
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "the idle handshake waited out its deadline on a lost member";
+
+  // The lost member poisoned the fleet: the next query respawns it once
+  // and runs clean.
+  options.net_fault_injector = nullptr;
+  auto next = (*fleet)->Execute(f.plan, options);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->exec.result.checksum, f.reference.checksum);
+  EXPECT_EQ((*fleet)->respawns(), 1u);
+}
+
+// A two-relation left-linear join whose rows carry a ~3,000-byte string:
+// every fragment, batch and result record is wider than the 2,032-byte
+// payload a 4 KiB ring holds. The relations sit next to the Wisconsin
+// ones, so one database serves a wide and a narrow plan.
+struct WideFixture {
+  Database db;
+  ParallelPlan wide_plan;
+  ResultSummary wide_reference;
+  ParallelPlan narrow_plan;
+  ResultSummary narrow_reference;
+};
+
+WideFixture MakeWideFixture() {
+  constexpr uint32_t kCard = 64;
+  WideFixture f{MakeWisconsinDatabase(/*num_relations=*/3, /*cardinality=*/200,
+                                      /*seed=*/7),
+                {}, {}, {}, {}};
+  const Schema wide({Column::Int32("unique1"), Column::Int32("unique2"),
+                     Column::FixedString("payload", 3000)});
+  for (int r = 0; r < 2; ++r) {
+    Relation rel(wide);
+    for (uint32_t i = 0; i < kCard; ++i) {
+      TupleWriter t = rel.AppendTuple();
+      t.SetInt32(0, static_cast<int32_t>((i * 5 + r) % kCard));
+      t.SetInt32(1, static_cast<int32_t>(i));
+      t.SetString(2, "wide" + std::to_string(r) + " row " + std::to_string(i));
+    }
+    EXPECT_TRUE(f.db.Add("wide" + std::to_string(r), std::move(rel)).ok());
+  }
+  // The Wisconsin join spec only needs int columns 0 and 1; rebase the
+  // chain query onto the wide relations.
+  auto query = MakeWisconsinChainQuery(QueryShape::kLeftLinear, 2, kCard);
+  EXPECT_TRUE(query.ok());
+  auto tree = BuildShape(QueryShape::kLeftLinear, {"wide0", "wide1"}, kCard);
+  EXPECT_TRUE(tree.ok());
+  query->tree = *std::move(tree);
+  query->base_schemas.clear();
+  for (const char* name : {"wide0", "wide1"}) {
+    query->base_schemas[name] = std::make_shared<const Schema>(wide);
+  }
+  auto plan = MakeStrategy(StrategyKind::kFP)
+                  ->Parallelize(*query, /*processors=*/4, TotalCostModel());
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  f.wide_plan = *std::move(plan);
+  auto ref = ReferenceSummary(*query, f.db);
+  EXPECT_TRUE(ref.ok());
+  f.wide_reference = *ref;
+
+  auto narrow = MakeWisconsinChainQuery(QueryShape::kLeftLinear, 3, 200);
+  EXPECT_TRUE(narrow.ok());
+  plan = MakeStrategy(StrategyKind::kFP)
+             ->Parallelize(*narrow, /*processors=*/4, TotalCostModel());
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  f.narrow_plan = *std::move(plan);
+  ref = ReferenceSummary(*narrow, f.db);
+  EXPECT_TRUE(ref.ok());
+  f.narrow_reference = *ref;
+  return f;
+}
+
+TEST(WarmFleetTest, RowsWiderThanARingRecord) {
+  WideFixture f = MakeWideFixture();
+
+  // One-shot: the attempt grows its rings until a record holds a row.
+  ProcessExecOptions options;
+  options.num_workers = 2;
+  options.shm_ring_bytes = 4096;
+  options.exec.materialize_result = true;
+  ProcessNetStats net;
+  ProcessExecutor executor(&f.db);
+  auto one_shot = executor.Execute(f.wide_plan, options, nullptr, &net);
+  ASSERT_TRUE(one_shot.ok()) << one_shot.status();
+  EXPECT_EQ(one_shot->exec.result.cardinality, f.wide_reference.cardinality);
+  EXPECT_EQ(one_shot->exec.result.checksum, f.wide_reference.checksum);
+  ASSERT_TRUE(one_shot->exec.materialized.has_value());
+  EXPECT_EQ(one_shot->exec.materialized->num_tuples(),
+            f.wide_reference.cardinality);
+  EXPECT_GT(net.shm_records_sent, 0u);
+
+  // A warm fleet's rings are fixed at spawn: the wide plan is rejected
+  // before any worker sees it, naming the record and ring sizes, and the
+  // fleet stays healthy for the next plan.
+  WarmFleetOptions fleet_options;
+  fleet_options.num_workers = 2;
+  fleet_options.shm_ring_bytes = 4096;
+  auto fleet = WarmProcessFleet::Spawn(&f.db, fleet_options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  auto rejected = (*fleet)->Execute(f.wide_plan, ProcessExecOptions{});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("3032-byte ring record"),
+            std::string::npos)
+      << rejected.status();
+  EXPECT_NE(rejected.status().message().find("4096-byte rings"),
+            std::string::npos)
+      << rejected.status();
+  EXPECT_EQ((*fleet)->respawns(), 0u);
+
+  auto narrow = (*fleet)->Execute(f.narrow_plan, ProcessExecOptions{});
+  ASSERT_TRUE(narrow.ok()) << narrow.status();
+  EXPECT_EQ(narrow->exec.result.checksum, f.narrow_reference.checksum);
+  EXPECT_EQ((*fleet)->respawns(), 0u);
+}
+
+TEST(WarmFleetTest, SocketDataPlaneIsGone) {
+  // The shm rings are the only data plane; the switch stays in the
+  // options structs but turning it off is an error everywhere.
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/3,
+                            /*card=*/100, /*procs=*/2, StrategyKind::kFP);
+  ProcessExecOptions off;
+  off.use_shm_data_plane = false;
+  ProcessExecutor executor(&f.db);
+  EXPECT_EQ(executor.Execute(f.plan, off).status().code(),
+            StatusCode::kInvalidArgument);
+
+  WarmFleetOptions fleet_off;
+  fleet_off.num_workers = 2;
+  fleet_off.use_shm_data_plane = false;
+  EXPECT_EQ(WarmProcessFleet::Spawn(&f.db, fleet_off).status().code(),
+            StatusCode::kInvalidArgument);
+
+  WarmFleetOptions fleet_on;
+  fleet_on.num_workers = 2;
+  auto fleet = WarmProcessFleet::Spawn(&f.db, fleet_on);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  EXPECT_EQ((*fleet)->Execute(f.plan, off).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*fleet)->respawns(), 0u);
 }
 
 TEST(WarmFleetTest, FleetsReapOnlyTheirOwnChildren) {

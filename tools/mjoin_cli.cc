@@ -22,16 +22,14 @@
 // for the adversarial generator's skewed / filtered / m:n relations.
 #include <signal.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -62,25 +60,19 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  /// The flag's value parsed as a T over the whole string (an unsigned T
-  /// rejects a sign); a malformed value prints the flag and exits 2.
+  /// The flag's value parsed as a T over the whole string (ParseNumber);
+  /// a malformed value prints the flag and exits 2.
   template <typename T>
   T GetNum(const std::string& key, T fallback) const {
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    const std::string& text = it->second;
-    T value{};
-    const char* end = text.data() + text.size();
-    auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || stop != end) {
+    std::optional<T> value = ParseNumber<T>(it->second);
+    if (!value.has_value()) {
       std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
-                   text.c_str(), key.c_str(),
-                   std::is_floating_point_v<T> ? "a number"
-                   : std::is_signed_v<T>       ? "an integer"
-                                               : "a non-negative integer");
+                   it->second.c_str(), key.c_str(), NumberKindName<T>());
       std::exit(2);
     }
-    return value;
+    return *value;
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
@@ -124,10 +116,8 @@ int Usage() {
       "                     budget is exhausted\n"
       "  --heartbeat-ms N   coordinator ping cadence (default 500)\n"
       "  --liveness-ms N    SIGKILL a worker silent this long (0=off)\n"
-      "  --no-shm           keep data on the sockets instead of the\n"
-      "                     shared-memory ring data plane\n"
       "  --shm-ring-kb N    data bytes per shm ring in KiB; power of two\n"
-      "                     (default 256)\n"
+      "                     (default 256; grown to fit the widest row)\n"
       "  --net-fault KIND   none|corrupt-out|corrupt-in|truncate-out|\n"
       "                     short-writes|stall-out|drop-conn\n"
       "  --net-fault-worker N  worker link the fault is installed on\n"
@@ -136,7 +126,9 @@ int Usage() {
       "  --net-fault-seed N    seed choosing the damaged byte\n"
       "resilience flags (run --backend thread|process):\n"
       "  --batch N          tuples per inter-node batch (default 256)\n"
-      "  --max-queue N      bound on queued batches per node (0=unbounded)\n"
+      "  --max-queue N      bound on queued batches per node (0=unbounded;\n"
+      "                     thread backend only: process rings bound\n"
+      "                     themselves)\n"
       "  --budget BYTES     per-query memory budget (0=unlimited)\n"
       "  --deadline-ms N    abort with DeadlineExceeded after N ms\n"
       "  --fault KIND       none|slow-worker|fail-op|drop-batch|dup-batch\n"
@@ -409,7 +401,6 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     process_options.retry_backoff =
         std::chrono::milliseconds(args.GetNum<int>("retry-backoff-ms", 50));
     process_options.degrade_to_thread = args.Has("degrade");
-    process_options.use_shm_data_plane = !args.Has("no-shm");
     process_options.shm_ring_bytes =
         args.GetNum<uint32_t>("shm-ring-kb", 256) * 1024u;
     process_options.heartbeat_interval =
@@ -491,12 +482,12 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
   }
   if (process_backend) {
     std::printf(
-        "network: %s sent, %llu data frames routed, %llu local "
-        "deliveries, %llu credit stalls\n",
+        "network: %s sent, %s over shm rings, %llu local deliveries, "
+        "%llu ring-full stalls\n",
         FormatBytes(net.bytes_sent).c_str(),
-        static_cast<unsigned long long>(net.data_frames_routed),
+        FormatBytes(net.shm_bytes_sent).c_str(),
         static_cast<unsigned long long>(net.local_deliveries),
-        static_cast<unsigned long long>(net.credit_stalls));
+        static_cast<unsigned long long>(net.ring_full_stalls));
   }
   if (want_metrics) {
     std::printf("\nper-operator metrics:\n%s",
@@ -674,16 +665,32 @@ int main(int argc, char** argv) {
   // so the coordinator sees EPIPE instead of dying silently.
   signal(SIGPIPE, SIG_IGN);
   if (argc < 2) return Usage();
+  static const std::set<std::string> kSwitches = {"analyze", "diagram",
+                                                  "metrics", "degrade"};
+  static const std::set<std::string> kValued = {
+      "backend", "batch", "budget", "card", "deadline-ms", "fanout", "fault",
+      "fault-after", "fault-delay-us", "fault-node", "fault-on-attempt",
+      "fault-op", "fault-prob", "fault-seed", "heartbeat-ms", "liveness-ms",
+      "max-queue", "net-fault", "net-fault-after", "net-fault-fires",
+      "net-fault-seed", "net-fault-worker", "out", "plan", "procs",
+      "relations", "retries", "retry-backoff-ms", "seed", "selectivity",
+      "shape", "shm-ring-kb", "skew-defense", "strategy", "trace-out",
+      "workers", "workload", "zipf-theta"};
   Args args;
   args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string token = argv[i];
     if (token.rfind("--", 0) != 0) return Usage();
     std::string key = token.substr(2);
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      args.flags.insert_or_assign(key.substr(0, eq), key.substr(eq + 1));
-    } else if (key == "analyze" || key == "diagram" || key == "metrics" ||
-               key == "degrade" || key == "no-shm") {
+    const size_t eq = key.find('=');
+    const std::string name = key.substr(0, eq);
+    if (!kSwitches.contains(name) && !kValued.contains(name)) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      return 2;
+    }
+    if (eq != std::string::npos) {
+      args.flags.insert_or_assign(name, key.substr(eq + 1));
+    } else if (kSwitches.contains(key)) {
       args.flags.insert_or_assign(key, std::string("1"));
     } else if (i + 1 < argc) {
       args.flags.insert_or_assign(key, std::string(argv[++i]));

@@ -70,8 +70,7 @@ FRAME_ROW_RE = re.compile(
     r'\bX\(\s*(\d+)\s*,\s*([A-Za-z_]\w*)\s*,\s*"[^"]*"\s*,\s*([A-Z_]+)')
 
 # Which routing classes each MJOIN_FRAME_CASES selector expands into case
-# labels for. Must mirror the MJOIN_FRAME_SEL_* macros in frame_table.h:
-# ROUTED frames arrive at both endpoints, so neither selector emits them.
+# labels for. Must mirror the MJOIN_FRAME_SEL_* macros in frame_table.h.
 FRAME_SELECTOR_CLASSES = {
     "NOT_CW": {"WC", "SERVE"},
     "NOT_WC": {"CW", "SERVE"},

@@ -1,7 +1,7 @@
 // mjoin_serve — long-lived multi-tenant query service on warm executors.
 //
 //   mjoin_serve serve    --socket /tmp/mjoin.sock --exec-threads 2
-//                        --workers 4 [--no-process] [--no-shm]
+//                        --workers 4 [--no-process]
 //                        [--budget BYTES] [--cache N]
 //                        [--relations 5 --card 2000 --seed 1995]
 //   mjoin_serve submit   --socket /tmp/mjoin.sock --shape wide-bushy
@@ -21,9 +21,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "plan/wisconsin_query.h"
@@ -47,9 +50,19 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  long GetInt(const std::string& key, long fallback) const {
+  /// The flag's value parsed as a T over the whole string (ParseNumber);
+  /// a malformed value prints the flag and exits 2.
+  template <typename T>
+  T GetNum(const std::string& key, T fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atol(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    std::optional<T> value = ParseNumber<T>(it->second);
+    if (!value.has_value()) {
+      std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
+                   it->second.c_str(), key.c_str(), NumberKindName<T>());
+      std::exit(2);
+    }
+    return *value;
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
@@ -63,7 +76,6 @@ int Usage() {
       "  --exec-threads N   concurrent query slots (default 2)\n"
       "  --workers N        warm process-worker fleet size (default 4)\n"
       "  --no-process       thread backend only (no worker fleet)\n"
-      "  --no-shm           fleet keeps data on sockets, not shm rings\n"
       "  --ring-kb N        shm ring size in KiB (default 256)\n"
       "  --budget BYTES     global admission budget (default 1 GiB)\n"
       "  --cache N          plan-cache capacity (default 64)\n"
@@ -122,22 +134,20 @@ StatusOr<std::string> BuildPlanText(QueryShape shape, StrategyKind strategy,
 int RunServe(const Args& args) {
   const std::string socket = args.Get("socket", "");
   if (socket.empty()) return Usage();
-  const int relations = static_cast<int>(args.GetInt("relations", 5));
-  const uint32_t card = static_cast<uint32_t>(args.GetInt("card", 2000));
-  const uint32_t seed = static_cast<uint32_t>(args.GetInt("seed", 1995));
-  Database db = MakeWisconsinDatabase(relations, card, seed);
+  const int relations = args.GetNum<int>("relations", 5);
+  const uint32_t card = args.GetNum<uint32_t>("card", 2000);
+  const uint32_t seed = args.GetNum<uint32_t>("seed", 1995);
 
   MjoinServeOptions options;
   options.socket_path = socket;
-  options.exec_threads = static_cast<uint32_t>(args.GetInt("exec-threads", 2));
-  options.admission_budget_bytes =
-      static_cast<uint64_t>(args.GetInt("budget", 1ll << 30));
-  options.plan_cache_capacity = static_cast<size_t>(args.GetInt("cache", 64));
+  options.exec_threads = args.GetNum<uint32_t>("exec-threads", 2);
+  options.admission_budget_bytes = args.GetNum<uint64_t>("budget", 1ull << 30);
+  options.plan_cache_capacity = args.GetNum<size_t>("cache", 64);
   options.enable_process_backend = !args.Has("no-process");
-  options.fleet.num_workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  options.fleet.use_shm_data_plane = !args.Has("no-shm");
-  options.fleet.shm_ring_bytes =
-      static_cast<uint32_t>(args.GetInt("ring-kb", 256)) * 1024u;
+  options.fleet.num_workers = args.GetNum<uint32_t>("workers", 4);
+  options.fleet.shm_ring_bytes = args.GetNum<uint32_t>("ring-kb", 256) * 1024u;
+
+  Database db = MakeWisconsinDatabase(relations, card, seed);
 
   auto server = MjoinServer::Start(&db, options);
   if (!server.ok()) {
@@ -168,10 +178,10 @@ int RunSubmit(const Args& args) {
       !ParseStrategy(args.Get("strategy", "FP"), &strategy)) {
     return Usage();
   }
-  auto plan_text = BuildPlanText(
-      shape, strategy, static_cast<int>(args.GetInt("relations", 5)),
-      static_cast<uint32_t>(args.GetInt("card", 2000)),
-      static_cast<uint32_t>(args.GetInt("procs", 8)));
+  auto plan_text = BuildPlanText(shape, strategy,
+                                 args.GetNum<int>("relations", 5),
+                                 args.GetNum<uint32_t>("card", 2000),
+                                 args.GetNum<uint32_t>("procs", 8));
   if (!plan_text.ok()) {
     std::fprintf(stderr, "plan build failed: %s\n",
                  plan_text.status().ToString().c_str());
@@ -184,17 +194,16 @@ int RunSubmit(const Args& args) {
                  client.status().ToString().c_str());
     return 1;
   }
-  const long count = args.GetInt("count", 1);
+  const long count = args.GetNum<long>("count", 1);
   SubmitMsg submit;
   submit.tenant = args.Get("tenant", "cli");
   submit.backend = args.Get("backend", "thread") == "process"
                        ? ServeBackend::kProcess
                        : ServeBackend::kThread;
   submit.plan_text = *plan_text;
-  submit.batch_size = static_cast<uint32_t>(args.GetInt("batch", 256));
-  submit.deadline_ms = args.GetInt("deadline-ms", 0);
-  submit.memory_budget_bytes =
-      static_cast<uint64_t>(args.GetInt("query-budget", 0));
+  submit.batch_size = args.GetNum<uint32_t>("batch", 256);
+  submit.deadline_ms = args.GetNum<int64_t>("deadline-ms", 0);
+  submit.memory_budget_bytes = args.GetNum<uint64_t>("query-budget", 0);
   for (long i = 0; i < count; ++i) {
     submit.client_seq = static_cast<uint64_t>(i);
     if (Status s = client.value()->Submit(submit); !s.ok()) {
@@ -231,8 +240,8 @@ int RunSubmit(const Args& args) {
 }
 
 int RunSelftest(const Args& args) {
-  const int relations = static_cast<int>(args.GetInt("relations", 4));
-  const uint32_t card = static_cast<uint32_t>(args.GetInt("card", 500));
+  const int relations = args.GetNum<int>("relations", 4);
+  const uint32_t card = args.GetNum<uint32_t>("card", 500);
   Database db = MakeWisconsinDatabase(relations, card, 1995);
   const std::string socket =
       "/tmp/mjoin_serve_selftest_" + std::to_string(getpid()) + ".sock";
@@ -301,6 +310,11 @@ int RunSelftest(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const std::set<std::string> kSwitches = {"no-process"};
+  static const std::set<std::string> kValued = {
+      "backend", "batch", "budget", "cache", "card", "count",
+      "deadline-ms", "exec-threads", "procs", "query-budget", "relations",
+      "ring-kb", "seed", "shape", "socket", "strategy", "tenant", "workers"};
   Args args;
   if (argc < 2) return Usage();
   args.command = argv[1];
@@ -309,12 +323,19 @@ int main(int argc, char** argv) {
     if (arg.rfind("--", 0) != 0) return Usage();
     arg = arg.substr(2);
     const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    if (!kSwitches.contains(name) && !kValued.contains(name)) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      return 2;
+    }
     if (eq != std::string::npos) {
-      args.flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      args.flags[arg] = argv[++i];
+      args.flags[name] = arg.substr(eq + 1);
+    } else if (kSwitches.contains(name)) {
+      args.flags[name].assign(1, '1');
+    } else if (i + 1 < argc) {
+      args.flags[name] = argv[++i];
     } else {
-      args.flags[arg].assign(1, '1');
+      return Usage();
     }
   }
   if (args.command == "serve") return RunServe(args);
