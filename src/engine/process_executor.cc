@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,7 +41,7 @@ namespace mjoin {
 
 namespace {
 
-/// One member of a warm fleet, as it persists between queries: the child
+/// One member of a worker fleet, as it persists between queries: the child
 /// pid and the coordinator end of its socketpair. The channel accumulates
 /// its byte/frame counters across queries; each attaching Coordinator
 /// snapshots a baseline to report per-query deltas.
@@ -50,67 +51,175 @@ struct FleetMember {
   bool reaped = false;
 };
 
-/// A warm fleet's coordinator-side state (WarmProcessFleet::Impl wraps
-/// one). Attempts borrow it: a per-attempt Coordinator attaches to the
-/// members instead of forking its own, and never kills or reaps them on
-/// its own — except diagnosing an already-dead member, which marks it
-/// reaped here.
+/// Reaps child `pid`, giving it `patience_polls` 10 ms polls to exit on its
+/// own before SIGKILL. The final blocking waitpid is unconditional, so no
+/// path leaves a zombie.
+void ReapChild(pid_t pid, int patience_polls) {
+  int wstatus = 0;
+  for (int spin = 0; spin < patience_polls; ++spin) {
+    pid_t got = waitpid(pid, &wstatus, WNOHANG);
+    if (got < 0 && errno == EINTR) continue;  // interrupted, not reaped
+    if (got == pid || got < 0) return;  // got < 0: ECHILD, already collected
+    struct pollfd none;
+    none.fd = -1;
+    none.events = 0;
+    none.revents = 0;
+    poll(&none, 1, 10);  // portable 10 ms sleep
+  }
+  kill(pid, SIGKILL);
+  while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+  }
+}
+
+/// A worker fleet: the members, the shm arena they inherit, and the only
+/// code that forks, tears down and reaps them. ProcessExecutor spawns one
+/// for a single query; WarmProcessFleet keeps one for many. Attempts
+/// borrow it: a per-attempt Coordinator attaches to the members and never
+/// kills or reaps them on its own — except diagnosing an already-dead
+/// member, which marks it reaped here. No child outlives the fleet.
 struct FleetState {
+  /// The arena holds `ring_slots` rings of `ring_bytes` data bytes each:
+  /// the plan's own directory for a one-shot query, the worst case n(n+1)
+  /// of an n-worker fleet (any plan fits) for a warm one.
+  FleetState(uint32_t workers, uint32_t bytes_per_ring, size_t slots)
+      : num_workers(workers), ring_bytes(bytes_per_ring), ring_slots(slots) {}
+  /// Graceful unless poisoned (then SIGKILL); either way every child is
+  /// reaped.
+  ~FleetState() { TearDown(/*graceful=*/!poisoned); }
+  FleetState(const FleetState&) = delete;
+  FleetState& operator=(const FleetState&) = delete;
+
+  bool NeedsSpawn() const { return poisoned || members.empty(); }
+  /// Kills any members left and forks fresh ones. The first spawn checks
+  /// the ring size and maps the arena pre-fork; respawns keep the arena,
+  /// whose rings every attach reformats anyway.
+  Status Spawn();
+  /// Reaps every member and drops its channel. Graceful: parked workers
+  /// exit on a bare kShutdown, each given a bounded moment before SIGKILL.
+  /// A poisoned fleet skips that — its workers may be mid-query and deaf
+  /// to polite requests.
+  void TearDown(bool graceful);
+
+  const uint32_t num_workers;
+  const uint32_t ring_bytes;
+  const size_t ring_slots;
   std::vector<FleetMember> members;
-  /// Fleet-lifetime shm arena. Each query lays its own ring directory
-  /// over it.
   std::unique_ptr<ShmArena> arena;
-  uint32_t ring_bytes = 0;
   /// A failed run leaves workers in an unknown state (possibly mid-query);
   /// the fleet must be killed and respawned before the next run.
   bool poisoned = false;
+  /// Spawns over the fleet's life; every one after the first replaced a
+  /// poisoned (or dead) set of members.
+  uint64_t spawns = 0;
 };
 
-/// One forked worker as the coordinator sees it. `chan` points at either
-/// `owned_chan` (one-shot mode: SpawnFleet forked this worker) or a warm
-/// fleet member's channel (borrowed; outlives the Coordinator).
+Status FleetState::Spawn() {
+  TearDown(/*graceful=*/false);
+  ++spawns;
+  // Stays poisoned until every member is up, so a half-forked fleet is
+  // never attached to.
+  poisoned = true;
+  if (arena == nullptr) {
+    MJOIN_RETURN_IF_ERROR(ValidateRingBytes(ring_bytes));
+    const size_t slot = sizeof(ShmRingHdr) + ring_bytes;
+    MJOIN_ASSIGN_OR_RETURN(
+        arena, ShmArena::Create(num_workers + 1, slot * ring_slots));
+  }
+  members.resize(num_workers);
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    int sv[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      return Status::Internal(StrCat("socketpair failed: ", strerror(errno)));
+    }
+    pid_t pid = fork();
+    if (pid < 0) {
+      close(sv[0]);
+      close(sv[1]);
+      return Status::Internal(StrCat("fork failed: ", strerror(errno)));
+    }
+    if (pid == 0) {
+      // Child: drop every descriptor that belongs to the coordinator or a
+      // sibling — a worker holding a sibling's socket open would mask that
+      // sibling's death from the coordinator. _exit skips atexit handlers
+      // and (under ASan) the leak check, both meaningless in a fork child.
+      for (uint32_t prev = 0; prev < w; ++prev) {
+        close(members[prev].chan->fd());
+      }
+      close(sv[0]);
+      // The shm arena (mapping + doorbells) is deliberately inherited; the
+      // child never destroys it — _exit skips destructors and the kernel
+      // drops its mapping reference.
+      _exit(RunProcessWorker(sv[1], arena.get()));
+    }
+    close(sv[1]);
+    members[w].pid = pid;
+    members[w].chan =
+        std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
+    members[w].chan->EnableConformance(LinkRole::kCoordinator);
+    MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
+  }
+  poisoned = false;
+  return Status::OK();
+}
+
+void FleetState::TearDown(bool graceful) {
+  if (graceful) {
+    for (FleetMember& member : members) {
+      if (member.chan == nullptr || member.reaped) continue;
+      member.chan->QueueFrame(FrameType::kShutdown, {});
+      (void)member.chan->Flush();
+    }
+  }
+  for (FleetMember& member : members) {
+    if (member.pid > 0 && !member.reaped) {
+      ReapChild(member.pid, graceful ? /*~5 s*/ 500 : 0);
+    }
+  }
+  members.clear();
+}
+
+/// One forked worker as the coordinator sees it: a fleet member's pid and
+/// channel (borrowed; both outlive the Coordinator) plus this query's
+/// progress on it.
 struct WorkerProc {
   pid_t pid = -1;
   FrameChannel* chan = nullptr;
-  std::unique_ptr<FrameChannel> owned_chan;
   bool hello_received = false;
   bool bye_received = false;
-  /// Worker acked the end-of-query kShutdown with kIdle and parked
-  /// (warm fleets only).
+  /// Worker acked the end-of-query kShutdown with kIdle and parked.
   bool idle_received = false;
   /// The socket is dead (EOF or error); no further I/O on this worker.
   bool closed = false;
   bool reaped = false;
-  /// Channel counters at attach time; warm channels accumulate across
-  /// queries, so per-query stats subtract this baseline.
+  /// Channel counters at attach time; channels accumulate across queries,
+  /// so per-query stats subtract this baseline.
   ChannelStats base;
 };
 
-/// The coordinator of one process-backed execution: maps the rings, forks
-/// the fleet, ships plan + fragments, drives the trigger-group scheduler
-/// off milestone frames, and collects the finish-phase reports. Workers
-/// exchange batches among themselves over the rings. Single-threaded: one
-/// poll loop over all worker sockets and the coordinator's doorbell.
+/// The coordinator of one process-backed attempt: attaches to the fleet
+/// (respawning it first when needed), ships plan + fragments, drives the
+/// trigger-group scheduler off milestone frames, and collects the
+/// finish-phase reports. Workers exchange batches among themselves over
+/// the rings. Single-threaded: one poll loop over all worker sockets and
+/// the coordinator's doorbell.
 class Coordinator {
  public:
   /// `attempt` is the 0-based retry attempt (shipped to workers in the
   /// plan envelope); `deadline` is the absolute deadline shared by every
   /// attempt of one Execute(); `proc` (nullable) accumulates supervision
-  /// counters and failure diagnoses across attempts.
-  /// `fleet` (nullable) switches the Coordinator into warm mode: it
-  /// attaches to the fleet's pre-forked members instead of forking its
-  /// own, ships the plan with persistent = true, and ends the query with
-  /// an idle handshake instead of worker exits.
+  /// counters and failure diagnoses across attempts. The attempt runs on
+  /// `fleet`'s members and ends with the idle handshake, which parks them
+  /// for the fleet's next query or its teardown.
   Coordinator(const ParallelPlan& plan, const Database& db,
-              const ProcessExecOptions& options, uint32_t num_workers,
+              const ProcessExecOptions& options, FleetState& fleet,
               uint32_t attempt,
               std::optional<std::chrono::steady_clock::time_point> deadline,
-              ProcessExecStats* proc, FleetState* fleet = nullptr)
+              ProcessExecStats* proc)
       : plan_(plan),
         db_(db),
         options_(options),
         exec_(options.exec),
-        num_workers_(num_workers),
+        num_workers_(fleet.num_workers),
         attempt_(attempt),
         proc_(proc),
         fleet_(fleet),
@@ -122,27 +231,18 @@ class Coordinator {
     }
   }
 
-  /// Safety net for early-error returns: no child outlives the run. A
-  /// warm-mode Coordinator only borrows its workers, so it propagates what
-  /// it learned (a member it reaped, a dead socket) back to the fleet and
-  /// leaves the killing to WarmProcessFleet.
+  /// The Coordinator only borrows its workers: it hands what it learned (a
+  /// member it reaped, a dead socket) back to the fleet, which does the
+  /// killing. It also detaches this attempt's net fault injector from
+  /// every member, on every path out of Run: the caller may destroy the
+  /// injector once Execute returns, while the channels live on.
   ~Coordinator() {
-    if (fleet_ != nullptr) {
-      for (uint32_t w = 0; w < workers_.size() && w < fleet_->members.size();
-           ++w) {
-        if (workers_[w].reaped) fleet_->members[w].reaped = true;
-        if (workers_[w].closed) fleet_->poisoned = true;
-      }
-      return;
+    for (uint32_t w = 0; w < workers_.size(); ++w) {
+      if (workers_[w].reaped) fleet_.members[w].reaped = true;
+      if (workers_[w].closed) fleet_.poisoned = true;
     }
-    for (WorkerProc& w : workers_) {
-      if (w.pid > 0 && !w.reaped) {
-        kill(w.pid, SIGKILL);
-        int ignored;
-        while (waitpid(w.pid, &ignored, 0) < 0 && errno == EINTR) {
-        }
-        w.reaped = true;
-      }
+    for (FleetMember& member : fleet_.members) {
+      if (member.chan != nullptr) member.chan->set_fault_injector(nullptr);
     }
   }
 
@@ -163,20 +263,15 @@ class Coordinator {
         .count();
   }
 
-  /// One-shot mode: maps an arena sized to this plan's ring directory and
-  /// formats the rings over it, pre-fork. The rings grow past
-  /// options.shm_ring_bytes when the plan's widest row needs it.
-  Status MapRings();
-  Status SpawnFleet();
-  /// Warm mode: binds workers_ to the fleet's members and formats this
-  /// query's ring directory over the fleet's arena. Only called with every
-  /// member parked idle — the previous query's idle handshake (or the
-  /// fleet's spawn) guarantees no worker is touching the arena while the
-  /// rings are reformatted.
+  /// Respawns the fleet if it is poisoned or empty, binds workers_ to its
+  /// members, and formats this query's ring directory over its arena.
+  /// Every member is parked idle then — the previous query's idle
+  /// handshake (or the spawn) guarantees no worker is touching the arena
+  /// while the rings are reformatted.
   Status AttachFleet();
-  /// Warm mode end-of-query: kShutdown to every worker (ending its query,
-  /// not its process), then polls until each acks with kIdle and is parked.
-  /// Any failure here means the fleet's state is unknown — the caller must
+  /// End of query: kShutdown to every worker (ending its query, not its
+  /// process), then polls until each acks with kIdle and is parked. Any
+  /// failure here means the fleet's state is unknown — the caller must
   /// poison it — but the query's own result stands.
   Status AwaitFleetIdle();
   Status ShipPlans();
@@ -213,13 +308,6 @@ class Coordinator {
   /// kUnavailable (environmental, so the retry loop may recover).
   void AbortCorruptWire(uint32_t w, const std::string& detail);
 
-  /// Graceful teardown: kShutdown + flush + reap; falls back to SIGKILL
-  /// for any worker that does not drain or exit in time.
-  void ShutdownFleet();
-  /// Abort teardown: SIGKILL and reap everything, close every channel.
-  void KillFleet();
-  void ReapWorker(WorkerProc* w, bool force_kill);
-
   ThreadExecStats GatherStats() const;
   void GatherNetStats();
 
@@ -230,18 +318,13 @@ class Coordinator {
   const uint32_t num_workers_;
   const uint32_t attempt_;
   ProcessExecStats* const proc_;
-  /// Warm fleet this attempt borrows its workers from (nullptr = one-shot
-  /// mode: fork a fleet, let it exit with the query).
-  FleetState* const fleet_;
+  /// The fleet this attempt borrows its workers from.
+  FleetState& fleet_;
 
   SchemaRegistry registry_;
   QueryController controller_;
   std::vector<WorkerProc> workers_;
-  /// One-shot mode's arena: mapped pre-fork so the fleet inherits it, and
-  /// destroyed with this per-attempt Coordinator, so a retried fleet maps
-  /// fresh zeroed rings. Warm mode uses the fleet's arena instead.
-  std::unique_ptr<ShmArena> arena_;
-  /// This attempt's ring directory over arena_ or the fleet's arena.
+  /// This attempt's ring directory over the fleet's arena.
   std::unique_ptr<ShmDataPlane> plane_;
   std::string plan_text_;
   uint64_t plan_hash_ = 0;
@@ -288,104 +371,26 @@ class Coordinator {
   std::shared_ptr<ThreadTraceRecorder> trace_;
 };
 
-Status Coordinator::MapRings() {
-  std::vector<ShmRingSpec> directory =
-      ComputeRingDirectory(plan_, num_workers_);
-  // Records never split a row: double the rings until the widest one fits.
-  // An invalid size stays invalid (CreateInArena rejects it).
-  const size_t widest = WidestShmRecordPayload(plan_);
-  uint32_t ring_bytes = options_.shm_ring_bytes;
-  while (ring_bytes >= 4096 && ring_bytes < (1u << 31) &&
-         ShmMaxPayload(ring_bytes) < widest) {
-    ring_bytes *= 2;
-  }
-  const size_t slot = sizeof(ShmRingHdr) + ring_bytes;
-  MJOIN_ASSIGN_OR_RETURN(
-      arena_, ShmArena::Create(num_workers_ + 1, slot * directory.size()));
-  MJOIN_ASSIGN_OR_RETURN(
-      plane_, ShmDataPlane::CreateInArena(arena_.get(), std::move(directory),
-                                          num_workers_ + 1, ring_bytes,
-                                          /*format=*/true));
-  return Status::OK();
-}
-
-Status Coordinator::SpawnFleet() {
-  workers_.resize(num_workers_);
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      return Status::Internal(
-          StrCat("socketpair failed: ", strerror(errno)));
-    }
-    pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      return Status::Internal(StrCat("fork failed: ", strerror(errno)));
-    }
-    if (pid == 0) {
-      // Child: drop every descriptor that belongs to the coordinator or a
-      // sibling — a worker holding a sibling's socket open would mask that
-      // sibling's death from the coordinator. _exit skips atexit handlers
-      // and (under ASan) the leak check, both meaningless in a fork child.
-      for (uint32_t prev = 0; prev < w; ++prev) {
-        close(workers_[prev].chan->fd());
-      }
-      close(sv[0]);
-      // The shm arena (mapping + doorbells) is deliberately inherited; the
-      // child never destroys it — _exit skips destructors and the kernel
-      // drops its mapping reference.
-      _exit(RunProcessWorker(sv[1], arena_.get()));
-    }
-    close(sv[1]);
-    MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
-    workers_[w].pid = pid;
-    workers_[w].owned_chan =
-        std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
-    workers_[w].owned_chan->EnableConformance(LinkRole::kCoordinator);
-    workers_[w].chan = workers_[w].owned_chan.get();
-    if (options_.net_fault_injector != nullptr &&
-        options_.net_fault_injector->scenario().worker == w) {
-      // Installing on the fresh channel resets the injector's per-link
-      // latches; its fire budget spans attempts, so a one-shot fault
-      // breaks this attempt and lets the next one run clean.
-      workers_[w].chan->set_fault_injector(options_.net_fault_injector);
-    }
-    if (options_.worker_observer) options_.worker_observer(w, pid);
-  }
-  return Status::OK();
-}
-
 Status Coordinator::AttachFleet() {
-  if (fleet_->poisoned) {
-    return Status::Internal("attaching to a poisoned warm fleet");
-  }
-  if (fleet_->members.size() != num_workers_) {
-    return Status::Internal(
-        StrCat("warm fleet has ", fleet_->members.size(), " members but the "
-               "attempt expects ", num_workers_, " workers"));
-  }
-  // Format this query's ring directory over the fleet's arena. Every
-  // member is parked idle right now, so nobody else touches the region.
+  if (fleet_.NeedsSpawn()) MJOIN_RETURN_IF_ERROR(fleet_.Spawn());
   MJOIN_ASSIGN_OR_RETURN(
       plane_, ShmDataPlane::CreateInArena(
-                  fleet_->arena.get(),
-                  ComputeRingDirectory(plan_, num_workers_),
-                  num_workers_ + 1, fleet_->ring_bytes, /*format=*/true));
+                  fleet_.arena.get(), ComputeRingDirectory(plan_, num_workers_),
+                  num_workers_ + 1, fleet_.ring_bytes, /*format=*/true));
+  NetFaultInjector* const injector = options_.net_fault_injector;
   workers_.resize(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    FleetMember& member = fleet_->members[w];
-    if (member.pid <= 0 || member.chan == nullptr || member.reaped) {
-      return Status::Internal(
-          StrCat("warm fleet member ", w, " is not attachable"));
-    }
+    FleetMember& member = fleet_.members[w];
     workers_[w].pid = member.pid;
     workers_[w].chan = member.chan.get();
     workers_[w].base = member.chan->stats();
-    if (options_.net_fault_injector != nullptr &&
-        options_.net_fault_injector->scenario().worker == w) {
-      workers_[w].chan->set_fault_injector(options_.net_fault_injector);
-    }
+    // This attempt's injector or none, on every member: no channel may
+    // keep one from an earlier query. Installing resets the injector's
+    // per-link latches; its fire budget spans attempts, so a one-shot
+    // fault breaks this attempt and lets the next one run clean.
+    workers_[w].chan->set_fault_injector(
+        injector != nullptr && injector->scenario().worker == w ? injector
+                                                                : nullptr);
     if (options_.worker_observer) options_.worker_observer(w, member.pid);
   }
   return Status::OK();
@@ -401,8 +406,7 @@ Status Coordinator::AwaitFleetIdle() {
     bool all_idle = true;
     for (const WorkerProc& w : workers_) {
       if (w.closed) {
-        return Status::Unavailable(
-            "a warm worker died during the idle handshake");
+        return Status::Unavailable("a worker died during the idle handshake");
       }
       if (!w.idle_received) all_idle = false;
     }
@@ -410,7 +414,7 @@ Status Coordinator::AwaitFleetIdle() {
     if (aborted_) return abort_status_;
     // lint:allow-clock idle-handshake deadline, end-of-query only
     if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Unavailable("warm fleet idle handshake timed out");
+      return Status::Unavailable("fleet idle handshake timed out");
     }
     PollOnce(/*timeout_ms=*/20);
   }
@@ -435,7 +439,6 @@ Status Coordinator::ShipPlans() {
     env.plan_text = plan_text_;
     env.attempt = attempt_;
     env.shm_ring_bytes = plane_->ring_bytes();
-    env.persistent = fleet_ != nullptr;
     // Shipped in full so the worker derives the same defended-join set
     // and thresholds the coordinator sized its mergers from.
     env.skew_defense = exec_.skew_defense;
@@ -459,8 +462,8 @@ Status Coordinator::ShipFragments() {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
                            registry_.IdOf(*o.output_schema));
     const uint32_t tuple_size = o.output_schema->tuple_size();
-    // The rows fit a record by construction (MapRings / the warm fleet's
-    // width check).
+    // The rows fit a record by construction (a one-shot fleet's rings grow
+    // to the widest row; a warm fleet rejects wider plans).
     const size_t rows_per_record =
         (plane_->max_payload() - sizeof(ShmFragmentHeader)) /
         std::max<uint32_t>(1, tuple_size);
@@ -726,6 +729,11 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
         return;
       }
       worker.hello_received = true;
+      // The query may have completed while this worker was still in its
+      // handshake (it hosts no instance); its kFinish was held for now.
+      if (state_ == State::kFinishing) {
+        worker.chan->QueueFrame(FrameType::kFinish, {});
+      }
       return;
     }
     case FrameType::kMilestone: {
@@ -742,8 +750,13 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       if (!ready.empty()) DispatchGroups(ready);
       if (state_ == State::kRunning && controller_.AllOpsComplete()) {
         state_ = State::kFinishing;
+        // kFinish is legal only once a link has left its handshake. A
+        // worker hosting no instance (a surplus fleet member on a narrow
+        // plan) may not have said kHello yet; it gets kFinish when it does.
         for (WorkerProc& each : workers_) {
-          if (!each.closed) each.chan->QueueFrame(FrameType::kFinish, {});
+          if (!each.closed && each.hello_received) {
+            each.chan->QueueFrame(FrameType::kFinish, {});
+          }
         }
       }
       return;
@@ -848,9 +861,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       }
       return;
     case FrameType::kIdle:
-      // A persistent worker's ack that it tore down the query's state and
-      // parked; only a warm-mode end-of-query handshake expects it.
-      if (fleet_ == nullptr) break;
+      // The worker's ack that it tore down the query's state and parked.
       worker.idle_received = true;
       return;
     case FrameType::kSkewReport: {
@@ -1046,83 +1057,6 @@ void Coordinator::DrainCoordRings() {
   }
 }
 
-void Coordinator::ReapWorker(WorkerProc* w, bool force_kill) {
-  if (w->pid <= 0 || w->reaped) return;
-  if (force_kill) kill(w->pid, SIGKILL);
-  int wstatus = 0;
-  // Bounded patience for the graceful path: a worker that has not exited
-  // within ~5 s of its kShutdown gets the abort treatment. The killed
-  // waitpid below is unconditional, so no path leaves a zombie.
-  if (!force_kill) {
-    for (int spin = 0; spin < 500; ++spin) {
-      pid_t got = waitpid(w->pid, &wstatus, WNOHANG);
-      if (got < 0 && errno == EINTR) continue;  // interrupted, not reaped
-      if (got == w->pid || got < 0) {
-        // got < 0 here is ECHILD: someone already collected the child.
-        w->reaped = true;
-        return;
-      }
-      struct pollfd none;
-      none.fd = -1;
-      none.events = 0;
-      none.revents = 0;
-      poll(&none, 1, 10);  // portable 10 ms sleep
-    }
-    kill(w->pid, SIGKILL);
-  }
-  while (waitpid(w->pid, &wstatus, 0) < 0 && errno == EINTR) {
-  }
-  w->reaped = true;
-}
-
-void Coordinator::ShutdownFleet() {
-  for (WorkerProc& w : workers_) {
-    if (!w.closed) w.chan->QueueFrame(FrameType::kShutdown, {});
-  }
-  // Drain the shutdown frames (tiny; one flush round normally suffices).
-  auto flush_deadline =
-      // lint:allow-clock shutdown flush deadline, teardown only
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    bool pending = false;
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      WorkerProc& worker = workers_[w];
-      if (worker.closed) continue;
-      Status flushed = worker.chan->Flush();
-      if (!flushed.ok()) {
-        worker.closed = true;
-        worker.chan->Close();
-        continue;
-      }
-      if (worker.chan->has_pending_output()) pending = true;
-    }
-    // lint:allow-clock shutdown flush deadline, teardown only
-    if (!pending || std::chrono::steady_clock::now() >= flush_deadline) break;
-    struct pollfd none;
-    none.fd = -1;
-    none.events = 0;
-    none.revents = 0;
-    poll(&none, 1, 5);
-  }
-  for (WorkerProc& w : workers_) {
-    ReapWorker(&w, /*force_kill=*/false);
-    if (!w.closed) {
-      w.closed = true;
-      w.chan->Close();
-    }
-  }
-}
-
-void Coordinator::KillFleet() {
-  for (WorkerProc& w : workers_) {
-    ReapWorker(&w, /*force_kill=*/true);
-    if (w.chan != nullptr && !w.closed) {
-      w.closed = true;
-      w.chan->Close();
-    }
-  }
-}
-
 ThreadExecStats Coordinator::GatherStats() const {
   ThreadExecStats stats;
   for (const WorkerRunStats& w : worker_stats_) {
@@ -1143,9 +1077,8 @@ ThreadExecStats Coordinator::GatherStats() const {
 void Coordinator::GatherNetStats() {
   net_.num_workers = num_workers_;
   for (const WorkerProc& w : workers_) {
-    if (w.chan == nullptr) continue;
-    // Warm channels accumulate across queries; `base` (zero in one-shot
-    // mode) pins the counters to this query.
+    // Channels accumulate across queries; `base` pins the counters to this
+    // query.
     const ChannelStats& ch = w.chan->stats();
     net_.bytes_sent += ch.bytes_sent - w.base.bytes_sent;
     net_.bytes_received += ch.bytes_received - w.base.bytes_received;
@@ -1280,12 +1213,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   plan_text_ = SerializePlan(plan_);
   plan_hash_ = FnvHash64(plan_text_);
 
-  if (fleet_ != nullptr) {
-    MJOIN_RETURN_IF_ERROR(AttachFleet());
-  } else {
-    MJOIN_RETURN_IF_ERROR(MapRings());
-    MJOIN_RETURN_IF_ERROR(SpawnFleet());
-  }
+  MJOIN_RETURN_IF_ERROR(AttachFleet());
   MJOIN_RETURN_IF_ERROR(ShipPlans());
   MJOIN_RETURN_IF_ERROR(ShipFragments());
   if (CheckRuntime()) {
@@ -1302,24 +1230,13 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   // lint:allow-clock run wall-clock end, once per query
   auto end = std::chrono::steady_clock::now();
 
-  // The teardown can itself abort (a worker dying during the warm idle
-  // handshake); that poisons the fleet but must not fail a query whose
-  // result is already in, so the final verdict is snapshotted here.
+  // The idle handshake can itself abort (a worker dying in it); that
+  // poisons the fleet but must not fail a query whose result is already
+  // in, so the final verdict is snapshotted here. After a failed run the
+  // workers may be mid-query and unwilling to park: the fleet kills and
+  // respawns them, never this borrower.
   const bool run_failed = aborted_;
-  if (fleet_ != nullptr) {
-    if (run_failed) {
-      // Workers may be mid-query and unwilling to park; the fleet owner
-      // kills and respawns them. Never kill borrowed members here.
-      fleet_->poisoned = true;
-    } else {
-      Status idle = AwaitFleetIdle();
-      if (!idle.ok()) fleet_->poisoned = true;
-    }
-  } else if (run_failed) {
-    KillFleet();
-  } else {
-    ShutdownFleet();
-  }
+  if (run_failed || !AwaitFleetIdle().ok()) fleet_.poisoned = true;
 
   GatherNetStats();
   ThreadExecStats stats = GatherStats();
@@ -1398,171 +1315,14 @@ void PublishRecoveryMetrics(const ProcessExecStats& proc,
   registry->counter("net.pongs_received")->Add(proc.pongs_received);
 }
 
-/// The shm rings are the process backend's only data plane; the switch
-/// survives in the options for source compatibility and must stay on.
-Status CheckDataPlane(const ProcessExecOptions& options) {
-  if (!options.use_shm_data_plane) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::use_shm_data_plane must be true: the shm rings "
-        "are the only data plane");
-  }
-  return Status::OK();
-}
-
-/// Forks `num_workers` persistent workers into `state` (arena and
-/// ring_bytes must already be set). Children inherit the arena mapping and
-/// run RunProcessWorker with it; sibling sockets are closed in each child.
-Status SpawnFleetMembers(FleetState* state, uint32_t num_workers) {
-  state->members.resize(num_workers);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      return Status::Internal(StrCat("socketpair failed: ", strerror(errno)));
-    }
-    pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      return Status::Internal(StrCat("fork failed: ", strerror(errno)));
-    }
-    if (pid == 0) {
-      for (uint32_t prev = 0; prev < w; ++prev) {
-        close(state->members[prev].chan->fd());
-      }
-      close(sv[0]);
-      _exit(RunProcessWorker(sv[1], state->arena.get()));
-    }
-    close(sv[1]);
-    MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
-    state->members[w].pid = pid;
-    state->members[w].chan =
-        std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
-    state->members[w].chan->EnableConformance(LinkRole::kCoordinator);
-    state->members[w].reaped = false;
-  }
-  state->poisoned = false;
-  return Status::OK();
-}
-
-/// Kills (gracefully when asked and possible) and reaps every member, then
-/// drops their channels. Tolerates members that already died or were
-/// reaped by a diagnosing Coordinator.
-void TearDownFleetMembers(FleetState* state, bool graceful) {
-  if (graceful) {
-    // Parked workers exit on a bare kShutdown; give each a bounded moment
-    // before escalating. A poisoned fleet skips this: its workers may be
-    // mid-query and deaf to polite requests.
-    for (FleetMember& member : state->members) {
-      if (member.chan == nullptr || member.reaped) continue;
-      member.chan->QueueFrame(FrameType::kShutdown, {});
-      (void)member.chan->Flush();
-    }
-    for (FleetMember& member : state->members) {
-      if (member.pid <= 0 || member.reaped) continue;
-      for (int spin = 0; spin < 200; ++spin) {
-        int wstatus = 0;
-        pid_t got = waitpid(member.pid, &wstatus, WNOHANG);
-        if (got < 0 && errno == EINTR) continue;
-        if (got == member.pid || got < 0) {  // got < 0: ECHILD, collected
-          member.reaped = true;
-          break;
-        }
-        struct pollfd none;
-        none.fd = -1;
-        none.events = 0;
-        none.revents = 0;
-        poll(&none, 1, 10);  // portable 10 ms sleep
-      }
-    }
-  }
-  for (FleetMember& member : state->members) {
-    if (member.pid > 0 && !member.reaped) {
-      kill(member.pid, SIGKILL);
-      int wstatus = 0;
-      while (waitpid(member.pid, &wstatus, 0) < 0 && errno == EINTR) {
-      }
-      member.reaped = true;
-    }
-    member.chan.reset();
-  }
-  state->members.clear();
-}
-
-}  // namespace
-
-struct WarmProcessFleet::Impl {
-  const Database* database = nullptr;
-  WarmFleetOptions options;
-  /// Serializes Execute() calls and fleet mutation (respawn, teardown).
-  mutable std::mutex mutex;
-  FleetState state;
-  uint64_t respawn_count = 0;
-
-  /// Replaces a poisoned (or dead) fleet with a fresh one. The arena is
-  /// reused — its rings are reformatted at the next attach anyway.
-  Status Respawn() {
-    TearDownFleetMembers(&state, /*graceful=*/false);
-    ++respawn_count;
-    return SpawnFleetMembers(&state, options.num_workers);
-  }
-};
-
-WarmProcessFleet::WarmProcessFleet() : impl_(std::make_unique<Impl>()) {}
-
-WarmProcessFleet::~WarmProcessFleet() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  TearDownFleetMembers(&impl_->state, /*graceful=*/!impl_->state.poisoned);
-}
-
-StatusOr<std::unique_ptr<WarmProcessFleet>> WarmProcessFleet::Spawn(
-    const Database* database, const WarmFleetOptions& options) {
-  if (database == nullptr) {
-    return Status::InvalidArgument("WarmProcessFleet needs a database");
-  }
-  if (options.num_workers == 0) {
-    return Status::InvalidArgument(
-        "WarmFleetOptions::num_workers must be positive");
-  }
-  if (!options.use_shm_data_plane) {
-    return Status::InvalidArgument(
-        "WarmFleetOptions::use_shm_data_plane must be true: the shm rings "
-        "are the only data plane");
-  }
-  // lint:allow-new private ctor; make_unique cannot reach it
-  std::unique_ptr<WarmProcessFleet> fleet(new WarmProcessFleet());
-  Impl* impl = fleet->impl_.get();
-  impl->database = database;
-  impl->options = options;
-  // Size the arena for the worst-case directory of an n-worker fleet:
-  // both relay directions per worker plus every ordered worker pair,
-  // n(n+1) rings in all — any plan's directory fits.
-  const uint64_t n = options.num_workers;
-  const uint64_t slot = sizeof(ShmRingHdr) + options.shm_ring_bytes;
-  MJOIN_ASSIGN_OR_RETURN(
-      impl->state.arena,
-      ShmArena::Create(options.num_workers + 1, slot * n * (n + 1)));
-  impl->state.ring_bytes = options.shm_ring_bytes;
-  MJOIN_RETURN_IF_ERROR(
-      SpawnFleetMembers(&impl->state, options.num_workers));
-  return fleet;
-}
-
-uint32_t WarmProcessFleet::num_workers() const {
-  return impl_->options.num_workers;
-}
-
-pid_t WarmProcessFleet::worker_pid(uint32_t w) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return w < impl_->state.members.size() ? impl_->state.members[w].pid : -1;
-}
-
-uint64_t WarmProcessFleet::respawns() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->respawn_count;
-}
-
-StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
+/// The body of both public Execute()s. Validates the options and the
+/// plan, asks `prepare` (the entry point's own step) for the fleet, then
+/// runs the attempt loop on it: a failed attempt poisons the fleet, so the
+/// next one respawns it; retries back off; an exhausted budget may fall
+/// back to the thread backend.
+StatusOr<ProcessQueryResult> ExecuteOnFleet(
     const ParallelPlan& plan, const ProcessExecOptions& options,
+    const Database& db, const std::function<StatusOr<FleetState*>()>& prepare,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) {
   if (options.exec.batch_size == 0) {
@@ -1574,54 +1334,37 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     return Status::InvalidArgument(
         "ProcessExecOptions::exec.deadline must be positive when set");
   }
-  MJOIN_RETURN_IF_ERROR(CheckDataPlane(options));
-  MJOIN_RETURN_IF_ERROR(plan.Validate());
-  // The arena's rings were sized at spawn: a row wider than their records
-  // can never be sent. Rejected before any worker sees the plan, so the
-  // fleet stays healthy.
-  const uint32_t ring_bytes = impl_->options.shm_ring_bytes;
-  const size_t widest = WidestShmRecordPayload(plan);
-  if (widest > ShmMaxPayload(ring_bytes)) {
-    return Status::InvalidArgument(StrCat(
-        "plan row needs a ", widest,
-        "-byte ring record (header + row), but this warm fleet's ",
-        ring_bytes, "-byte rings hold at most ", ShmMaxPayload(ring_bytes),
-        " bytes"));
+  // The shm rings are the only data plane; the switch survives in the
+  // options for source compatibility and must stay on.
+  if (!options.use_shm_data_plane) {
+    return Status::InvalidArgument(
+        "ProcessExecOptions::use_shm_data_plane must be true: the shm rings "
+        "are the only data plane");
   }
-  std::lock_guard<std::mutex> lock(impl_->mutex);
+  MJOIN_RETURN_IF_ERROR(plan.Validate());
+  MJOIN_ASSIGN_OR_RETURN(FleetState* fleet, prepare());
 
-  // The fleet's spawn-time shape wins over the per-query knobs: the
-  // workers and the arena already exist.
-  ProcessExecOptions opts = options;
-  opts.num_workers = impl_->options.num_workers;
-
+  // The deadline is absolute across attempts: retries and their backoffs
+  // spend the same budget the query itself does.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (opts.exec.deadline.has_value()) {
+  if (options.exec.deadline.has_value()) {
     // lint:allow-clock absolute retry-spanning deadline, once per Execute
-    deadline = std::chrono::steady_clock::now() + *opts.exec.deadline;
+    deadline = std::chrono::steady_clock::now() + *options.exec.deadline;
   }
 
   ProcessExecStats proc;
-  auto publish = [&proc, &opts] {
-    if (opts.exec.metrics_registry != nullptr) {
-      PublishRecoveryMetrics(proc, opts.exec.metrics_registry);
+  auto publish = [&proc, &options] {
+    if (options.exec.metrics_registry != nullptr) {
+      PublishRecoveryMetrics(proc, options.exec.metrics_registry);
     }
   };
 
-  std::chrono::milliseconds backoff = opts.retry_backoff;
+  std::chrono::milliseconds backoff = options.retry_backoff;
   Status failure = Status::OK();
   for (uint32_t attempt = 0;; ++attempt) {
     proc.attempts = attempt + 1;
-    if (impl_->state.poisoned || impl_->state.members.empty()) {
-      Status respawned = impl_->Respawn();
-      if (!respawned.ok()) {
-        failure = respawned;
-        break;
-      }
-    }
-    Coordinator coordinator(plan, *impl_->database, opts,
-                            impl_->options.num_workers, attempt, deadline,
-                            &proc, &impl_->state);
+    Coordinator coordinator(plan, db, options, *fleet, attempt, deadline,
+                            &proc);
     StatusOr<ProcessQueryResult> result = coordinator.Run(stats_out, net_out);
     if (result.ok()) {
       result->proc = proc;
@@ -1632,23 +1375,27 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     // Any failure — even a deterministic one — leaves workers possibly
     // mid-query and unable to take a new plan; a respawn is the only safe
     // way back to a serviceable fleet.
-    impl_->state.poisoned = true;
+    fleet->poisoned = true;
     failure = result.status();
-    if (!IsRetryableFailure(failure) || attempt >= opts.max_retries) break;
+    if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
     ++proc.retries;
-    Status slept = BackoffSleep(backoff, deadline, opts.exec.cancellation);
+    Status slept = BackoffSleep(backoff, deadline, options.exec.cancellation);
     if (!slept.ok()) {
       failure = slept;
       break;
     }
-    backoff = std::min(backoff * 2, opts.retry_backoff_cap);
+    backoff = std::min(backoff * 2, options.retry_backoff_cap);
   }
 
-  if (opts.degrade_to_thread && IsRetryableFailure(failure)) {
+  if (options.degrade_to_thread && IsRetryableFailure(failure)) {
+    // The process fleet is unusable in this environment; fall back to the
+    // in-process backend. The shipped fault scenario is deliberately not
+    // carried over — degradation escapes the faulty environment, it does
+    // not re-create it.
     proc.degraded_to_thread = true;
-    ThreadExecOptions exec = opts.exec;
+    ThreadExecOptions exec = options.exec;
     exec.fault_injector = nullptr;
-    ThreadExecutor fallback(impl_->database);
+    ThreadExecutor fallback(&db);
     StatusOr<ThreadQueryResult> degraded =
         fallback.Execute(plan, exec, stats_out);
     if (degraded.ok()) {
@@ -1667,6 +1414,90 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
   if (proc_out != nullptr) *proc_out = proc;
   publish();
   return failure;
+}
+
+}  // namespace
+
+struct WarmProcessFleet::Impl {
+  // Sized for the worst-case directory of an n-worker fleet: both relay
+  // directions per worker plus every ordered worker pair, n(n+1) rings in
+  // all — any plan's directory fits.
+  Impl(const Database* db, const WarmFleetOptions& opts)
+      : database(db),
+        state(opts.num_workers, opts.shm_ring_bytes,
+              size_t{opts.num_workers} * (opts.num_workers + 1)) {}
+
+  const Database* const database;
+  /// Serializes Execute() calls and fleet mutation (respawn, teardown).
+  mutable std::mutex mutex;
+  FleetState state;
+};
+
+WarmProcessFleet::WarmProcessFleet(const Database* database,
+                                   const WarmFleetOptions& options)
+    : impl_(std::make_unique<Impl>(database, options)) {}
+
+WarmProcessFleet::~WarmProcessFleet() = default;
+
+StatusOr<std::unique_ptr<WarmProcessFleet>> WarmProcessFleet::Spawn(
+    const Database* database, const WarmFleetOptions& options) {
+  if (database == nullptr) {
+    return Status::InvalidArgument("WarmProcessFleet needs a database");
+  }
+  if (options.num_workers == 0) {
+    return Status::InvalidArgument(
+        "WarmFleetOptions::num_workers must be positive");
+  }
+  if (!options.use_shm_data_plane) {
+    return Status::InvalidArgument(
+        "WarmFleetOptions::use_shm_data_plane must be true: the shm rings "
+        "are the only data plane");
+  }
+  std::unique_ptr<WarmProcessFleet> fleet(
+      // lint:allow-new private ctor; make_unique cannot reach it
+      new WarmProcessFleet(database, options));
+  MJOIN_RETURN_IF_ERROR(fleet->impl_->state.Spawn());
+  return fleet;
+}
+
+uint32_t WarmProcessFleet::num_workers() const {
+  return impl_->state.num_workers;
+}
+
+pid_t WarmProcessFleet::worker_pid(uint32_t w) const {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return w < impl_->state.members.size() ? impl_->state.members[w].pid : -1;
+}
+
+uint64_t WarmProcessFleet::respawns() const {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return impl_->state.spawns - 1;
+}
+
+StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
+    const ParallelPlan& plan, const ProcessExecOptions& options,
+    ThreadExecStats* stats_out, ProcessNetStats* net_out,
+    ProcessExecStats* proc_out) {
+  // Taken once the plan passed every check, held until Execute returns.
+  std::unique_lock<std::mutex> lock(impl_->mutex, std::defer_lock);
+  auto prepare = [&]() -> StatusOr<FleetState*> {
+    // The arena's rings were sized at spawn: a row wider than their
+    // records can never be sent. Rejected before any worker sees the plan,
+    // so the fleet stays healthy.
+    const uint32_t ring_bytes = impl_->state.ring_bytes;
+    const size_t widest = WidestShmRecordPayload(plan);
+    if (widest > ShmMaxPayload(ring_bytes)) {
+      return Status::InvalidArgument(StrCat(
+          "plan row needs a ", widest,
+          "-byte ring record (header + row), but this warm fleet's ",
+          ring_bytes, "-byte rings hold at most ", ShmMaxPayload(ring_bytes),
+          " bytes"));
+    }
+    lock.lock();
+    return &impl_->state;
+  };
+  return ExecuteOnFleet(plan, options, *impl_->database, prepare, stats_out,
+                        net_out, proc_out);
 }
 
 std::string WorkerFailureClassName(WorkerFailureClass failure) {
@@ -1711,88 +1542,28 @@ StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) const {
-  if (options.exec.batch_size == 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.batch_size must be positive");
-  }
-  if (options.exec.deadline.has_value() &&
-      options.exec.deadline->count() <= 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.deadline must be positive when set");
-  }
-  MJOIN_RETURN_IF_ERROR(CheckDataPlane(options));
-  MJOIN_RETURN_IF_ERROR(plan.Validate());
-  uint32_t num_workers =
-      options.num_workers == 0 ? plan.num_processors : options.num_workers;
-  num_workers = std::clamp<uint32_t>(num_workers, 1, plan.num_processors);
-
-  // The deadline is absolute across attempts: retries and their backoffs
-  // spend the same budget the query itself does.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (options.exec.deadline.has_value()) {
-    // lint:allow-clock absolute retry-spanning deadline, once per Execute
-    deadline = std::chrono::steady_clock::now() + *options.exec.deadline;
-  }
-
-  ProcessExecStats proc;
-  auto publish = [&proc, &options] {
-    if (options.exec.metrics_registry != nullptr) {
-      PublishRecoveryMetrics(proc, options.exec.metrics_registry);
+  // A fleet that lives for this call only, which keeps Execute const and
+  // reentrant. Its arena holds exactly this plan's ring directory, the
+  // rings doubled until one record holds the plan's widest row (records
+  // never split a row). An invalid size stays invalid for the spawn to
+  // reject.
+  std::optional<FleetState> fleet;
+  auto prepare = [&]() -> StatusOr<FleetState*> {
+    uint32_t num_workers =
+        options.num_workers == 0 ? plan.num_processors : options.num_workers;
+    num_workers = std::clamp<uint32_t>(num_workers, 1, plan.num_processors);
+    const size_t widest = WidestShmRecordPayload(plan);
+    uint32_t ring_bytes = options.shm_ring_bytes;
+    while (ring_bytes >= 4096 && ring_bytes < (1u << 31) &&
+           ShmMaxPayload(ring_bytes) < widest) {
+      ring_bytes *= 2;
     }
+    fleet.emplace(num_workers, ring_bytes,
+                  ComputeRingDirectory(plan, num_workers).size());
+    return &*fleet;
   };
-
-  std::chrono::milliseconds backoff = options.retry_backoff;
-  Status failure = Status::OK();
-  for (uint32_t attempt = 0;; ++attempt) {
-    proc.attempts = attempt + 1;
-    Coordinator coordinator(plan, *database_, options, num_workers, attempt,
-                            deadline, &proc);
-    StatusOr<ProcessQueryResult> result = coordinator.Run(stats_out, net_out);
-    if (result.ok()) {
-      result->proc = proc;
-      if (proc_out != nullptr) *proc_out = proc;
-      publish();
-      return result;
-    }
-    failure = result.status();
-    if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
-    ++proc.retries;
-    Status slept =
-        BackoffSleep(backoff, deadline, options.exec.cancellation);
-    if (!slept.ok()) {
-      failure = slept;
-      break;
-    }
-    backoff = std::min(backoff * 2, options.retry_backoff_cap);
-  }
-
-  if (options.degrade_to_thread && IsRetryableFailure(failure)) {
-    // The process fleet is unusable in this environment; fall back to the
-    // in-process backend. The shipped fault scenario is deliberately not
-    // carried over — degradation escapes the faulty environment, it does
-    // not re-create it.
-    proc.degraded_to_thread = true;
-    ThreadExecOptions exec = options.exec;
-    exec.fault_injector = nullptr;
-    ThreadExecutor fallback(database_);
-    StatusOr<ThreadQueryResult> degraded =
-        fallback.Execute(plan, exec, stats_out);
-    if (degraded.ok()) {
-      ProcessQueryResult result;
-      result.exec = std::move(degraded).value();
-      result.net.num_workers = 0;  // no fleet produced this result
-      result.proc = proc;
-      if (net_out != nullptr) *net_out = result.net;
-      if (proc_out != nullptr) *proc_out = proc;
-      publish();
-      return result;
-    }
-    failure = degraded.status();
-  }
-
-  if (proc_out != nullptr) *proc_out = proc;
-  publish();
-  return failure;
+  return ExecuteOnFleet(plan, options, *database_, prepare, stats_out,
+                        net_out, proc_out);
 }
 
 }  // namespace mjoin

@@ -38,15 +38,17 @@ struct ProcessExecOptions {
   /// [1, plan.num_processors]. Processors are block-mapped onto workers,
   /// which keeps colocated producer/consumer pairs process-local.
   uint32_t num_workers = 0;
-  /// Test hook: observes every forked worker (worker id, pid) right after
-  /// the fork, before any query work. Lets fault tests target a live
-  /// worker with a real signal. Called once per fork, on every attempt.
+  /// Test hook: observes every worker (worker id, pid) an attempt runs on,
+  /// before the plan ships. Lets fault tests target a live worker with a
+  /// real signal. Called once per worker per attempt; every one-shot
+  /// attempt runs on freshly forked workers.
   std::function<void(uint32_t worker, pid_t pid)> worker_observer;
   /// Automatic retries after a retryable failure (IsRetryableFailure — an
   /// environmental fault such as a crashed worker or corrupt wire, not a
-  /// deterministic error that would only recur). Each retry reaps the old
-  /// fleet, sleeps an exponential backoff, forks a fresh fleet, and
-  /// re-ships the plan. 0 = fail on first error (the historical behavior).
+  /// deterministic error that would only recur). Each retry sleeps an
+  /// exponential backoff, kills and reaps the old workers, forks fresh
+  /// ones, and re-ships the plan. 0 = fail on first error (the historical
+  /// behavior).
   uint32_t max_retries = 0;
   /// First-retry backoff; doubles per retry up to retry_backoff_cap. The
   /// sleep honors the deadline and the cancellation token.
@@ -65,19 +67,20 @@ struct ProcessExecOptions {
   /// legitimate silent stretch (a big build side, a long full-ring stall).
   std::chrono::milliseconds liveness_timeout{0};
   /// Network-level chaos (tests only): installed on one worker's channel
-  /// at spawn time. Caller-owned; must outlive Execute(). Its fire budget
-  /// spans retries, so a one-shot fault breaks one attempt and lets the
-  /// next run clean.
+  /// for each attempt and detached when the attempt ends. Caller-owned;
+  /// must outlive Execute(). Its fire budget spans retries, so a one-shot
+  /// fault breaks one attempt and lets the next run clean.
   NetFaultInjector* net_fault_injector = nullptr;
   /// Data batches, EOS markers, fragments, and result rows always move
   /// over mmap'd SPSC rings shared by the whole fleet (control frames stay
   /// on the socket); workers exchange data pairwise. The rings are the
   /// only data plane: false is rejected with InvalidArgument.
   bool use_shm_data_plane = true;
-  /// Data bytes per ring; power of two >= 4096. An attempt doubles it
-  /// until one record holds the plan's widest row (records never split a
-  /// row). Rings are torn down and re-mapped per attempt, so a retried
-  /// fleet starts from zeroed rings.
+  /// Data bytes per ring; power of two >= 4096. The query's fleet doubles
+  /// it until one record holds the plan's widest row (records never split
+  /// a row). The fleet maps its rings once; a retry respawns the workers
+  /// and reformats the rings, so a retried attempt starts from empty
+  /// rings.
   uint32_t shm_ring_bytes = 1u << 18;
 };
 
@@ -183,8 +186,8 @@ std::string RenderProcessNetStats(const ProcessNetStats& net);
 /// detected by the heartbeat watchdog (liveness_timeout) and SIGKILLed; a
 /// worker that sends damaged bytes is caught by the per-frame checksum.
 /// All three are environmental (StatusCode::kUnavailable) and — when
-/// max_retries allows — recovered from by reaping the fleet and re-running
-/// the query on a fresh one. Deterministic failures (a worker's own typed
+/// max_retries allows — recovered from by respawning the fleet's workers
+/// and re-running the query on fresh ones. Deterministic failures (a worker's own typed
 /// error, a plan mismatch) are never retried. In every case the fleet is
 /// killed and every child reaped — Execute() never leaks a process or a
 /// descriptor, and never hangs.
@@ -193,7 +196,7 @@ class ProcessExecutor {
   /// `database` must outlive the executor.
   explicit ProcessExecutor(const Database* database);
 
-  /// Runs `plan` on a freshly forked worker fleet, retrying per
+  /// Runs `plan` on a worker fleet spawned for this call, retrying per
   /// options.max_retries. On failure the status is the root cause
   /// (kUnavailable for a dead/hung/corrupt worker after the retry budget,
   /// the worker's own status for worker-side errors, Cancelled/

@@ -35,7 +35,6 @@ void EncodePlanEnvelope(const PlanEnvelope& env, std::vector<std::byte>* out) {
   PutString(out, env.plan_text);
   PutU32(out, env.attempt);
   PutU32(out, env.shm_ring_bytes);
-  PutBool(out, env.persistent);
   PutU8(out, static_cast<uint8_t>(env.skew_defense.mode));
   PutU32(out, env.skew_defense.bloom_bits);
   PutU32(out, env.skew_defense.sketch_capacity);
@@ -59,7 +58,6 @@ Status DecodePlanEnvelope(WireReader* reader, PlanEnvelope* env) {
   MJOIN_RETURN_IF_ERROR(reader->ReadString(&env->plan_text));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->attempt));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->shm_ring_bytes));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->persistent));
   uint8_t mode;
   MJOIN_RETURN_IF_ERROR(reader->ReadU8(&mode));
   if (mode > static_cast<uint8_t>(SkewDefenseMode::kAuto)) {

@@ -50,12 +50,6 @@ struct PlanEnvelope {
   uint32_t attempt = 0;
   /// Per-ring data bytes of the directory the coordinator mapped.
   uint32_t shm_ring_bytes = 0;
-  /// Warm-fleet mode: after this query's kShutdown the worker tears down
-  /// its query state, acks with kIdle, and parks waiting for the next
-  /// kPlan instead of exiting. kShutdown received while parked (or EOF)
-  /// exits the worker. Off (the default) keeps the one-shot lifecycle:
-  /// kShutdown exits immediately.
-  bool persistent = false;
   /// Skew defense configuration. Shipped in full so the worker derives the
   /// same defended-join set (DefendedJoinOps + enabled()) and the same
   /// local hot thresholds the coordinator's merger assumes.

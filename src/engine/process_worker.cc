@@ -128,9 +128,9 @@ class WorkerRun : public InstanceHost {
   ParallelPlan plan_;
   SchemaRegistry registry_;
   MemoryBudget budget_;
-  /// Worker-lifetime buffer pool (owned by RunProcessWorker): a persistent
-  /// worker's buffers survive across queries, so steady-state runs reuse
-  /// instead of allocating. The *_base_ counters pin the pool's lifetime
+  /// Worker-lifetime buffer pool (owned by RunProcessWorker): a worker's
+  /// buffers survive across queries, so steady-state runs reuse instead
+  /// of allocating. The *_base_ counters pin the pool's lifetime
   /// totals at run start — the reported buffer stats are per-run deltas,
   /// identical from a warm or a freshly forked worker.
   BatchPool* pool_;
@@ -762,8 +762,8 @@ int RunProcessWorker(int fd, ShmArena* arena) {
   if (!SetNonBlocking(fd).ok()) return 1;
   FrameChannel chan(fd, "coordinator");
   chan.EnableConformance(LinkRole::kWorker);
-  // Worker-lifetime buffer pool: in persistent mode, steady-state queries
-  // after the first reuse its freelist instead of allocating.
+  // Worker-lifetime buffer pool: on a fleet that serves many queries, the
+  // ones after the first reuse its freelist instead of allocating.
   BatchPool pool;
 
   auto fail = [&chan, fd](const Status& status) {
@@ -797,8 +797,8 @@ int RunProcessWorker(int fd, ShmArena* arena) {
       StatusOr<bool> readable = WaitReadable(fd, 30'000);
       if (!readable.ok()) return 1;
     }
-    // A persistent worker parks after its kIdle ack; the fleet's teardown
-    // then sends a bare kShutdown to exit it cleanly.
+    // Every worker parks after its kIdle ack; the fleet's teardown then
+    // sends a bare kShutdown to exit it cleanly.
     if (plan_frame.type == FrameType::kShutdown) return 0;
     if (plan_frame.type != FrameType::kPlan) return 1;
 
@@ -841,7 +841,6 @@ int RunProcessWorker(int fd, ShmArena* arena) {
     chan.QueueFrame(FrameType::kHello, hello_payload);
     if (!chan.Flush().ok()) return 1;
 
-    const bool persistent = env.persistent;
     {
       WorkerRun run(&chan, std::move(env), std::move(plan).value(),
                     plane->get(), &pool);
@@ -853,7 +852,6 @@ int RunProcessWorker(int fd, ShmArena* arena) {
     // once the coordinator sees kIdle from every worker it may reformat the
     // arena's rings for the next query.
     plane->reset();
-    if (!persistent) return 0;
     chan.QueueFrame(FrameType::kIdle, {});
     for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {
       if (!chan.Flush().ok()) return 1;

@@ -6,9 +6,9 @@ namespace mjoin {
 class ShmArena;
 
 /// The worker half of the process backend: runs in a child process forked
-/// by ProcessExecutor (one-shot) or by a WarmProcessFleet (persistent),
-/// speaking the net/wire.h frame protocol over `fd` (one end of a
-/// socketpair; ownership is taken).
+/// by a worker fleet — one spawned for a single query by ProcessExecutor,
+/// or a WarmProcessFleet that serves many — speaking the net/wire.h frame
+/// protocol over `fd` (one end of a socketpair; ownership is taken).
 ///
 /// The worker is deliberately single-threaded — one poll loop interleaves
 /// frame handling with source pumping — so a fork-without-exec child never
@@ -17,25 +17,25 @@ class ShmArena;
 /// instantiates the operator instances of its hosted processors, and
 /// exchanges batches with the rest of the fleet.
 ///
-/// `arena` is the ShmArena the coordinator mapped before forking (per
-/// attempt for a one-shot fleet, per fleet for a warm one), inherited
-/// through fork so its mapping and doorbells are valid here. For every
-/// query the worker attaches a ShmDataPlane view to the rings the
-/// coordinator formatted over it: data batches, EOS markers, fragments,
-/// and result rows travel over the rings while control frames stay on the
-/// socket. The child never destroys the arena — _exit() skips destructors,
+/// `arena` is the ShmArena the fleet mapped before forking (kept across
+/// respawns), inherited through fork so its mapping and doorbells are
+/// valid here. For every query the worker attaches a ShmDataPlane view to
+/// the rings the coordinator formatted over it: data batches, EOS markers,
+/// fragments, and result rows travel over the rings while control frames
+/// stay on the socket. The child never destroys the arena — _exit() skips destructors,
 /// and the kernel drops its reference to the shared mapping.
 ///
-/// Lifecycle: after a one-shot query (PlanEnvelope::persistent false) the
-/// worker exits on kShutdown. In persistent mode it tears down the query's
-/// state, acks with kIdle, and parks waiting for the next kPlan; kShutdown
-/// received while parked (or EOF) exits it. The batch pool is
-/// worker-lifetime, so a warm worker's steady-state queries reuse buffers
-/// instead of allocating.
+/// Lifecycle, the same on every fleet: after each query's kShutdown the
+/// worker tears down the query's state, acks with kIdle, and parks waiting
+/// for the next kPlan. A bare kShutdown received while parked exits it
+/// (the fleet's graceful teardown); so does EOF, with exit code 1. The
+/// batch pool is worker-lifetime, so a warm worker's steady-state queries
+/// reuse buffers instead of allocating.
 ///
-/// Returns the exit code for the child to _exit() with: 0 after a clean
-/// kShutdown, 1 on any error (a fatal status is reported to the
-/// coordinator as a kError frame first whenever the socket still works).
+/// Returns the exit code for the child to _exit() with: 0 after a bare
+/// kShutdown while parked, 1 on any error (a fatal status is reported to
+/// the coordinator as a kError frame first whenever the socket still
+/// works).
 int RunProcessWorker(int fd, ShmArena* arena);
 
 }  // namespace mjoin

@@ -23,7 +23,8 @@ struct WarmFleetOptions {
   /// lays its ring directory over it (ShmDataPlane::CreateInArena). The
   /// rings are the only data plane: false is rejected with InvalidArgument.
   bool use_shm_data_plane = true;
-  /// Data bytes per ring laid over the arena; power of two >= 4096. The
+  /// Data bytes per ring laid over the arena; power of two >= 4096, else
+  /// Spawn() fails InvalidArgument before it maps or forks anything. The
   /// arena is sized for the worst-case directory of num_workers, so any
   /// plan's directory fits. Fixed for the fleet's life: Execute() rejects
   /// a plan whose widest row does not fit one ring record with
@@ -32,11 +33,11 @@ struct WarmFleetOptions {
 };
 
 /// A pre-forked, long-lived worker-process fleet that executes queries
-/// without paying the per-query fork/exec + mmap cost of ProcessExecutor.
-/// Workers run RunProcessWorker in persistent mode: after each query they
-/// tear down its state, ack kIdle, and park waiting for the next kPlan.
-/// The shm arena (mapping + doorbells) is created once, pre-fork, and
-/// reused by every query.
+/// without paying the per-query fork + mmap cost of ProcessExecutor. It is
+/// the same fleet a one-shot query spawns for itself, kept for many
+/// queries: after each query its workers tear down the query's state, ack
+/// kIdle, and park waiting for the next kPlan. The shm arena (mapping +
+/// doorbells) is created once, pre-fork, and reused by every query.
 ///
 /// Execute() is serialized by an internal mutex — one query at a time per
 /// fleet (callers wanting concurrency run several fleets). Any failed run
@@ -62,8 +63,8 @@ class WarmProcessFleet {
   /// diagnoses, degrade_to_thread) except that options.num_workers and
   /// options.shm_ring_bytes are overridden by the fleet's own spawn-time
   /// configuration, a plan too wide for the fleet's rings is rejected
-  /// (InvalidArgument, the fleet untouched), and a retry respawns the
-  /// persistent fleet instead of forking a one-shot one.
+  /// (InvalidArgument, the fleet untouched), and a retry respawns this
+  /// fleet's members, keeping its arena.
   [[nodiscard]] StatusOr<ProcessQueryResult> Execute(
       const ParallelPlan& plan, const ProcessExecOptions& options,
       ThreadExecStats* stats_out = nullptr, ProcessNetStats* net_out = nullptr,
@@ -76,7 +77,7 @@ class WarmProcessFleet {
   uint64_t respawns() const;
 
  private:
-  WarmProcessFleet();
+  WarmProcessFleet(const Database* database, const WarmFleetOptions& options);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

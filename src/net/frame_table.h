@@ -51,8 +51,9 @@ namespace mjoin {
 
 /// Conformance phases of one coordinator<->worker link (a serve link sits
 /// permanently in kPhServe). A link starts in kPhAwaitPlan; table `next`
-/// entries advance it. Warm fleets loop: kIdle returns the link to
-/// kPhAwaitPlan for the next query's kPlan.
+/// entries advance it. Every fleet loops: kIdle returns the link to
+/// kPhAwaitPlan, where the next query's kPlan or the fleet's teardown
+/// kShutdown follows.
 enum FramePhase : uint32_t {
   kPhAwaitPlan = 1u << 0,  // parked; no query in flight
   kPhHandshake = 1u << 1,  // kPlan shipped, kHello not yet observed
@@ -126,10 +127,11 @@ enum FrameDir : uint32_t {
   /* server -> client: outcome of one kSubmit (QueryResultMsg — status,     */ \
   /* result summary, wall/queue seconds, cache/backend provenance).         */ \
   X(21, QueryResult, "query-result", SERVE, kDirToClient, kPhServe, Keep)      \
-  /* worker -> coordinator (persistent fleets only): the worker tore down   */ \
-  /* the previous query's state and is parked waiting for the next kPlan.   */ \
-  /* It acks the query-ending kShutdown, so the link is in kPhDone; it      */ \
-  /* returns the link to kPhAwaitPlan for the next query.                   */ \
+  /* worker -> coordinator (every fleet, after every query): the worker     */ \
+  /* tore down the previous query's state and is parked waiting for the     */ \
+  /* next kPlan. It acks the query-ending kShutdown, so the link is in      */ \
+  /* kPhDone; it returns the link to kPhAwaitPlan, where a bare kShutdown   */ \
+  /* (the fleet's teardown) exits the worker.                               */ \
   X(22, Idle, "idle", WC, kDirToCoordinator, kPhDone, AwaitPlan)               \
   /* worker -> coordinator: one defended join instance's build-side skew    */ \
   /* summary (SkewReportMsg — heavy-hitter candidates with their build rows */ \

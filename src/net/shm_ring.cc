@@ -274,13 +274,18 @@ Status ShmDataPlane::IndexSpecs(std::vector<ShmRingSpec> specs) {
   return Status::OK();
 }
 
-StatusOr<std::unique_ptr<ShmDataPlane>> ShmDataPlane::CreateInArena(
-    ShmArena* arena, std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
-    uint32_t ring_bytes, bool format) {
-  if (!IsPowerOfTwo(ring_bytes) || ring_bytes < kMinRingBytes) {
+Status ValidateRingBytes(uint32_t data_bytes) {
+  if (!IsPowerOfTwo(data_bytes) || data_bytes < kMinRingBytes) {
     return Status::InvalidArgument("shm ring_bytes must be a power of two "
                                    ">= 4096");
   }
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<ShmDataPlane>> ShmDataPlane::CreateInArena(
+    ShmArena* arena, std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
+    uint32_t ring_bytes, bool format) {
+  MJOIN_RETURN_IF_ERROR(ValidateRingBytes(ring_bytes));
   if (num_endpoints != arena->num_endpoints()) {
     return Status::InvalidArgument(
         "shm plane endpoint count disagrees with the arena's");

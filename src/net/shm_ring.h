@@ -78,6 +78,10 @@ inline constexpr uint32_t kShmRingVersion = 1;
 inline constexpr uint32_t kShmRecordAlign = 8;
 inline constexpr uint32_t kShmRecordHdrBytes = 8;
 
+/// OK when `data_bytes` is a valid ring size: a power of two >= 4096. The
+/// one check every ring size passes before anything is mapped or formatted.
+[[nodiscard]] Status ValidateRingBytes(uint32_t data_bytes);
+
 /// Largest payload one record may carry on a ring of `data_bytes` (>= 4096):
 /// half the ring minus headers, so a record plus its wrap pad always fits
 /// an empty ring — the producer can always make progress once the
@@ -171,10 +175,10 @@ struct ShmRingSpec {
   uint32_t to = 0;
 };
 
-/// A shared region plus per-endpoint doorbells, created pre-fork and
-/// inherited by every worker: once per attempt by a one-shot coordinator
-/// (sized to that plan's directory, so a retry starts from fresh zeroed
-/// rings), once per fleet by the owner of a warm fleet. Per query, both
+/// A shared region plus per-endpoint doorbells, created pre-fork by a
+/// worker fleet and inherited by every member; a respawned fleet keeps it.
+/// A one-shot query's fleet sizes it to that plan's directory, a warm
+/// fleet to the worst-case directory of its size. Per query, both
 /// sides lay a ShmDataPlane *view* over the arena
 /// (ShmDataPlane::CreateInArena): the coordinator formats the rings, the
 /// workers attach to them. A warm fleet's arena outlives every view, so

@@ -73,7 +73,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v6: one data plane — the socket data frames (fragment, data, eos,
 ///     credit, result-rows) are retired; PlanEnvelope drops the plane
 ///     switch and the credit window, kNetStats drops data_frames_sent.
-inline constexpr uint32_t kNetProtocolVersion = 6;
+/// v7: one fleet lifecycle — PlanEnvelope drops the `persistent` flag;
+///     every worker acks each query's kShutdown with kIdle and parks, and
+///     a bare kShutdown while parked exits it.
+inline constexpr uint32_t kNetProtocolVersion = 7;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);

@@ -532,30 +532,40 @@ const bool kConformanceArmed = [] {
 }();
 
 TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
-  // One full query on a warm link, observed from the coordinator end:
+  // A link's whole life, observed from the coordinator end. Each query:
   // plan -> hello -> triggers/milestones -> finish -> report -> shutdown
-  // -> idle, and the idle ack returns the link to await-plan for the next
-  // query. Data never crosses this link: it rides the shm rings.
+  // -> idle, and the idle ack returns the link to await-plan. Data never
+  // crosses this link: it rides the shm rings.
   FrameConformance link(LinkRole::kCoordinator, "worker 0");
   EXPECT_EQ(link.phase(), kPhAwaitPlan);
-  ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
-  EXPECT_EQ(link.phase(), kPhHandshake);
-  // Triggers pipeline behind kPlan before the kHello echo arrives.
-  ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
-  EXPECT_EQ(link.phase(), kPhExecute);
-  ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
-  EXPECT_EQ(link.phase(), kPhReport);
-  ASSERT_TRUE(link.Observe(FrameType::kSummary, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kNetStats, /*outbound=*/false).ok());
+  auto walk_query = [&link] {
+    ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
+    EXPECT_EQ(link.phase(), kPhHandshake);
+    // Triggers pipeline behind kPlan before the kHello echo arrives.
+    ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
+    ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
+    EXPECT_EQ(link.phase(), kPhExecute);
+    ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
+    ASSERT_TRUE(
+        link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
+    ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
+    EXPECT_EQ(link.phase(), kPhReport);
+    ASSERT_TRUE(link.Observe(FrameType::kSummary, /*outbound=*/false).ok());
+    ASSERT_TRUE(link.Observe(FrameType::kNetStats, /*outbound=*/false).ok());
+    ASSERT_TRUE(link.Observe(FrameType::kShutdown, /*outbound=*/true).ok());
+    EXPECT_EQ(link.phase(), kPhDone);
+    ASSERT_TRUE(link.Observe(FrameType::kIdle, /*outbound=*/false).ok());
+    EXPECT_EQ(link.phase(), kPhAwaitPlan);
+  };
+  walk_query();
+  // A fleet that serves many queries loops: the next plan is legal again.
+  walk_query();
+  // Every fleet's teardown: a bare kShutdown to the parked worker, which
+  // exits without another ack.
   ASSERT_TRUE(link.Observe(FrameType::kShutdown, /*outbound=*/true).ok());
   EXPECT_EQ(link.phase(), kPhDone);
-  ASSERT_TRUE(link.Observe(FrameType::kIdle, /*outbound=*/false).ok());
-  EXPECT_EQ(link.phase(), kPhAwaitPlan);
-  // The warm loop: the next query's plan is legal again.
-  EXPECT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
+  EXPECT_FALSE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok())
+      << "a plan after the teardown shutdown";
 }
 
 TEST(FrameConformanceTest, DirectionViolationIsCaughtInAnyPhase) {

@@ -457,9 +457,9 @@ TEST_F(ProcessChaosTest, KillNineMidRingTrafficRecovers) {
   // SIGKILL a worker while the shm rings are carrying live traffic:
   // batch_size 1 on 4 KiB rings keeps every worker mid-record most of the
   // run, so the victim likely dies between TryReserve and Commit — the
-  // half-written slot must stay invisible (unpublished tail), the fleet is
-  // reaped, and the respawned fleet gets freshly mapped zeroed rings. The
-  // retry must be checksum-identical.
+  // half-written slot must stay invisible (unpublished tail), the workers
+  // are reaped, and the respawned ones get the arena's rings freshly
+  // reformatted. The retry must be checksum-identical.
   ProcessExecOptions options = ChaosOptions();
   options.shm_ring_bytes = 4096;
   options.exec.batch_size = 1;

@@ -379,6 +379,24 @@ TEST(ServeTest, PlanCacheHitsOnRepeatAndFairnessAcrossTenants) {
   server.value()->Shutdown();
 }
 
+TEST(ServeTest, StartFailsOnAnInvalidFleetRingSize) {
+  // The fleet checks its ring size before it maps or forks, so a server
+  // configured with one refuses to start instead of failing every process
+  // query it would later serve.
+  Database db = MakeWisconsinDatabase(3, 100, /*seed=*/7);
+  MjoinServeOptions options;
+  options.socket_path = TempSocketPath("badring");
+  options.exec_threads = 1;
+  options.fleet.num_workers = 2;
+  options.fleet.shm_ring_bytes = 3 * 1024;
+  auto server = MjoinServer::Start(&db, options);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument)
+      << server.status();
+  EXPECT_NE(access(options.socket_path.c_str(), F_OK), 0)
+      << "a server that failed to start left its socket behind";
+}
+
 TEST(ServeTest, ShutdownFailsQueuedQueriesAndUnlinksSocket) {
   Database db = MakeWisconsinDatabase(4, 2000, /*seed=*/7);
   MjoinServeOptions options;

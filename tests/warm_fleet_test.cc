@@ -1,9 +1,13 @@
 #include <dirent.h>
+#include <errno.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <memory>
 #include <random>
 #include <thread>
 #include <utility>
@@ -29,9 +33,19 @@ namespace {
 // results, identical per-run stats (no counter leaking across reuses), no
 // net descriptor growth, no silent fleet respawn. Plus the directed
 // recovery cases a long-lived fleet flushes out: kill -9 between queries,
-// a member lost during the idle handshake, and two fleets reaping strictly
-// their own children. Plus the limits of a fleet whose rings are fixed at
-// spawn: rows too wide for them, and the retired socket data plane.
+// a member lost during the idle handshake (which one-shot queries run
+// too), a net fault injector that must not outlive its query, and two
+// fleets reaping strictly their own children. Plus the limits of a fleet
+// whose rings are fixed at spawn: an invalid ring size, rows too wide for
+// the rings, and the retired socket data plane.
+
+// Every frame on every channel is checked against the frame table's
+// direction and phase rules, and a violation fails the query. Armed before
+// main() so every FrameChannel the suite constructs sees it.
+const bool kConformanceArmed = [] {
+  setenv("MJOIN_CONFORMANCE", "1", /*overwrite=*/0);
+  return true;
+}();
 
 size_t CountOpenFds() {
   size_t n = 0;
@@ -158,6 +172,24 @@ TEST(WarmFleetTest, SurplusWorkersServeNarrowPlans) {
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
   }
+
+  // A surplus worker still in its handshake when the query completes: the
+  // hosting workers finish while worker 5 is stopped, and its kFinish must
+  // wait for its kHello (conformance rejects it earlier in the link).
+  ProcessExecOptions late;
+  std::thread resume;
+  late.worker_observer = [&resume](uint32_t worker, pid_t pid) {
+    if (worker != 5) return;
+    kill(pid, SIGSTOP);
+    resume = std::thread([pid] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      kill(pid, SIGCONT);
+    });
+  };
+  auto result = (*fleet)->Execute(f.plan, late);
+  resume.join();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
   EXPECT_EQ((*fleet)->respawns(), 0u);
 }
 
@@ -189,12 +221,29 @@ TEST(WarmFleetTest, KillNineBetweenQueriesRespawnsAndSucceeds) {
   EXPECT_GE((*fleet)->respawns(), kills) << "dead workers went unnoticed";
 }
 
-TEST(WarmFleetTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
+// Both entry points end every query with the idle handshake: a warm fleet
+// keeps its parked members, a one-shot query's fleet shuts them down right
+// after. The lost-member cases run against both.
+enum class EntryPoint { kOneShot, kWarm };
+
+class IdleHandshakeTest : public ::testing::TestWithParam<EntryPoint> {};
+
+TEST_P(IdleHandshakeTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
   Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
                             /*card=*/300, /*procs=*/4, StrategyKind::kFP);
-  auto fleet = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
-  ASSERT_TRUE(fleet.ok()) << fleet.status();
-  const uint32_t workers = (*fleet)->num_workers();
+  const bool warm = GetParam() == EntryPoint::kWarm;
+  std::unique_ptr<WarmProcessFleet> fleet;
+  if (warm) {
+    auto spawned = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
+    ASSERT_TRUE(spawned.ok()) << spawned.status();
+    fleet = *std::move(spawned);
+  }
+  ProcessExecutor one_shot(&f.db);
+  auto execute = [&](const ProcessExecOptions& options, ProcessNetStats* net) {
+    return warm ? fleet->Execute(f.plan, options, nullptr, net)
+                : one_shot.Execute(f.plan, options, nullptr, net);
+  };
+  const uint32_t workers = f.plan.num_processors;  // 4 either way
 
   // With heartbeats off every worker receives the same frames per query
   // (plan, one trigger per group, finish, the query-ending shutdown), so
@@ -202,10 +251,11 @@ TEST(WarmFleetTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
   ProcessExecOptions options;
   options.heartbeat_interval = std::chrono::milliseconds(0);
   ProcessNetStats net;
-  auto calibrate = (*fleet)->Execute(f.plan, options, nullptr, &net);
+  auto calibrate = execute(options, &net);
   ASSERT_TRUE(calibrate.ok()) << calibrate.status();
   ASSERT_EQ(net.frames_sent % workers, 0u);
   const uint64_t frames_per_worker = net.frames_sent / workers;
+  const size_t fds_before = CountOpenFds();
 
   // Drop worker 1's link exactly at its kShutdown: the worker is lost in
   // the idle handshake, after the query's result is complete.
@@ -217,7 +267,7 @@ TEST(WarmFleetTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
   options.net_fault_injector = &injector;
   // lint:allow-clock test timing
   const auto start = std::chrono::steady_clock::now();
-  auto result = (*fleet)->Execute(f.plan, options);
+  auto result = execute(options, nullptr);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
@@ -225,13 +275,91 @@ TEST(WarmFleetTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
   EXPECT_LT(elapsed, std::chrono::seconds(1))
       << "the idle handshake waited out its deadline on a lost member";
 
+  if (!warm) {
+    // The one-shot fleet is gone with the call: every child reaped, every
+    // descriptor closed.
+    errno = 0;
+    EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD) << "a worker outlived its one-shot query";
+    EXPECT_EQ(CountOpenFds(), fds_before);
+    return;
+  }
   // The lost member poisoned the fleet: the next query respawns it once
   // and runs clean.
   options.net_fault_injector = nullptr;
-  auto next = (*fleet)->Execute(f.plan, options);
+  auto next = execute(options, nullptr);
   ASSERT_TRUE(next.ok()) << next.status();
   EXPECT_EQ(next->exec.result.checksum, f.reference.checksum);
-  EXPECT_EQ((*fleet)->respawns(), 1u);
+  EXPECT_EQ(fleet->respawns(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(EntryPoints, IdleHandshakeTest,
+                         ::testing::Values(EntryPoint::kOneShot,
+                                           EntryPoint::kWarm),
+                         [](const auto& info) {
+                           return info.param == EntryPoint::kWarm
+                                      ? "Warm"
+                                      : "OneShot";
+                         });
+
+TEST(WarmFleetTest, NetFaultInjectorDoesNotOutliveItsQuery) {
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
+                            /*card=*/300, /*procs=*/4, StrategyKind::kFP);
+  auto fleet = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  ProcessExecOptions options;
+  options.heartbeat_interval = std::chrono::milliseconds(0);
+  ProcessNetStats net;
+  auto calibrate = (*fleet)->Execute(f.plan, options, nullptr, &net);
+  ASSERT_TRUE(calibrate.ok()) << calibrate.status();
+  const uint64_t frames_per_worker = net.frames_sent / (*fleet)->num_workers();
+
+  // Query 1 carries a drop armed one frame past its own traffic on worker
+  // 1, so it never fires there. Query 2 carries no injector: a channel
+  // that kept query 1's would count on and drop query 2's second frame.
+  NetFaultScenario drop;
+  drop.kind = NetFaultKind::kDropConnection;
+  drop.worker = 1;
+  drop.after_frames = frames_per_worker + 1;
+  auto injector = std::make_unique<NetFaultInjector>(drop);
+  options.net_fault_injector = injector.get();
+  auto first = (*fleet)->Execute(f.plan, options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(injector->fires(), 0u);
+
+  options.net_fault_injector = nullptr;
+  auto second = (*fleet)->Execute(f.plan, options);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->exec.result.checksum, f.reference.checksum);
+  EXPECT_EQ(injector->fires(), 0u) << "query 1's injector fired in query 2";
+
+  // The caller may destroy its injector once Execute returns: neither the
+  // next query nor the fleet's teardown may touch it (ASan checks this).
+  injector.reset();
+  auto third = (*fleet)->Execute(f.plan, options);
+  ASSERT_TRUE(third.ok()) << third.status();
+  EXPECT_EQ((*fleet)->respawns(), 0u);
+  fleet->reset();
+}
+
+TEST(WarmFleetTest, SpawnRejectsAnInvalidRingSizeBeforeForking) {
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/3,
+                            /*card=*/100, /*procs=*/2, StrategyKind::kFP);
+  for (uint32_t ring_bytes : {0u, 3072u, 6144u}) {
+    WarmFleetOptions options;
+    options.num_workers = 2;
+    options.shm_ring_bytes = ring_bytes;
+    auto fleet = WarmProcessFleet::Spawn(&f.db, options);
+    ASSERT_FALSE(fleet.ok()) << "ring_bytes " << ring_bytes;
+    EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(fleet.status().message().find("power of two"),
+              std::string::npos)
+        << fleet.status();
+    // Rejected before the fork: there is no child to reap.
+    errno = 0;
+    EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1) << "ring_bytes " << ring_bytes;
+    EXPECT_EQ(errno, ECHILD) << "ring_bytes " << ring_bytes;
+  }
 }
 
 // A two-relation left-linear join whose rows carry a ~3,000-byte string:

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -73,6 +74,20 @@ struct Args {
       std::exit(2);
     }
     return *value;
+  }
+  /// A KiB-count flag as bytes. A count whose byte total does not fit a
+  /// uint32_t prints the flag and exits 2 instead of wrapping around.
+  uint32_t GetKiB(const std::string& key, uint32_t fallback_kib) const {
+    const uint64_t kib = GetNum<uint64_t>(key, fallback_kib);
+    constexpr uint64_t kMaxKiB = std::numeric_limits<uint32_t>::max() / 1024;
+    if (kib > kMaxKiB) {
+      std::fprintf(stderr,
+                   "invalid value '%s' for --%s: expected at most %llu KiB\n",
+                   Get(key, "").c_str(), key.c_str(),
+                   static_cast<unsigned long long>(kMaxKiB));
+      std::exit(2);
+    }
+    return static_cast<uint32_t>(kib * 1024);
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
@@ -401,8 +416,7 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     process_options.retry_backoff =
         std::chrono::milliseconds(args.GetNum<int>("retry-backoff-ms", 50));
     process_options.degrade_to_thread = args.Has("degrade");
-    process_options.shm_ring_bytes =
-        args.GetNum<uint32_t>("shm-ring-kb", 256) * 1024u;
+    process_options.shm_ring_bytes = args.GetKiB("shm-ring-kb", 256);
     process_options.heartbeat_interval =
         std::chrono::milliseconds(args.GetNum<int>("heartbeat-ms", 500));
     process_options.liveness_timeout =

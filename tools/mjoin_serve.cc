@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -63,6 +64,20 @@ struct Args {
       std::exit(2);
     }
     return *value;
+  }
+  /// A KiB-count flag as bytes. A count whose byte total does not fit a
+  /// uint32_t prints the flag and exits 2 instead of wrapping around.
+  uint32_t GetKiB(const std::string& key, uint32_t fallback_kib) const {
+    const uint64_t kib = GetNum<uint64_t>(key, fallback_kib);
+    constexpr uint64_t kMaxKiB = std::numeric_limits<uint32_t>::max() / 1024;
+    if (kib > kMaxKiB) {
+      std::fprintf(stderr,
+                   "invalid value '%s' for --%s: expected at most %llu KiB\n",
+                   Get(key, "").c_str(), key.c_str(),
+                   static_cast<unsigned long long>(kMaxKiB));
+      std::exit(2);
+    }
+    return static_cast<uint32_t>(kib * 1024);
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
@@ -145,7 +160,7 @@ int RunServe(const Args& args) {
   options.plan_cache_capacity = args.GetNum<size_t>("cache", 64);
   options.enable_process_backend = !args.Has("no-process");
   options.fleet.num_workers = args.GetNum<uint32_t>("workers", 4);
-  options.fleet.shm_ring_bytes = args.GetNum<uint32_t>("ring-kb", 256) * 1024u;
+  options.fleet.shm_ring_bytes = args.GetKiB("ring-kb", 256);
 
   Database db = MakeWisconsinDatabase(relations, card, seed);
 
