@@ -2,6 +2,8 @@
 #define MJOIN_COMMON_STRING_UTIL_H_
 
 #include <charconv>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -60,6 +62,12 @@ constexpr const char* NumberKindName() {
   return std::is_floating_point_v<T> ? "a number"
          : std::is_signed_v<T>       ? "an integer"
                                      : "a non-negative integer";
+}
+
+/// `kib` KiB in bytes; nullopt when the byte count overflows a uint32_t.
+inline std::optional<uint32_t> KiBToBytes(uint64_t kib) {
+  if (kib > std::numeric_limits<uint32_t>::max() / 1024) return std::nullopt;
+  return static_cast<uint32_t>(kib * 1024);
 }
 
 }  // namespace mjoin

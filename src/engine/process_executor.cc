@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -1315,16 +1314,9 @@ void PublishRecoveryMetrics(const ProcessExecStats& proc,
   registry->counter("net.pongs_received")->Add(proc.pongs_received);
 }
 
-/// The body of both public Execute()s. Validates the options and the
-/// plan, asks `prepare` (the entry point's own step) for the fleet, then
-/// runs the attempt loop on it: a failed attempt poisons the fleet, so the
-/// next one respawns it; retries back off; an exhausted budget may fall
-/// back to the thread backend.
-StatusOr<ProcessQueryResult> ExecuteOnFleet(
-    const ParallelPlan& plan, const ProcessExecOptions& options,
-    const Database& db, const std::function<StatusOr<FleetState*>()>& prepare,
-    ThreadExecStats* stats_out, ProcessNetStats* net_out,
-    ProcessExecStats* proc_out) {
+/// The checks both public Execute()s run before touching a fleet.
+Status CheckProcessQuery(const ParallelPlan& plan,
+                         const ProcessExecOptions& options) {
   if (options.exec.batch_size == 0) {
     return Status::InvalidArgument(
         "ProcessExecOptions::exec.batch_size must be positive");
@@ -1341,9 +1333,20 @@ StatusOr<ProcessQueryResult> ExecuteOnFleet(
         "ProcessExecOptions::use_shm_data_plane must be true: the shm rings "
         "are the only data plane");
   }
-  MJOIN_RETURN_IF_ERROR(plan.Validate());
-  MJOIN_ASSIGN_OR_RETURN(FleetState* fleet, prepare());
+  return plan.Validate();
+}
 
+/// The attempt loop of both public Execute()s, on a checked plan: a failed
+/// attempt's workers are killed and reaped at once, so the next attempt
+/// respawns the fleet; retries back off; an exhausted budget may fall back
+/// to the thread backend.
+StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
+                                        const ParallelPlan& plan,
+                                        const ProcessExecOptions& options,
+                                        const Database& db,
+                                        ThreadExecStats* stats_out,
+                                        ProcessNetStats* net_out,
+                                        ProcessExecStats* proc_out) {
   // The deadline is absolute across attempts: retries and their backoffs
   // spend the same budget the query itself does.
   std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -1363,9 +1366,11 @@ StatusOr<ProcessQueryResult> ExecuteOnFleet(
   Status failure = Status::OK();
   for (uint32_t attempt = 0;; ++attempt) {
     proc.attempts = attempt + 1;
-    Coordinator coordinator(plan, db, options, *fleet, attempt, deadline,
-                            &proc);
-    StatusOr<ProcessQueryResult> result = coordinator.Run(stats_out, net_out);
+    // The Coordinator is a temporary: it hands its findings back to the
+    // fleet when this statement ends, before any teardown below.
+    StatusOr<ProcessQueryResult> result =
+        Coordinator(plan, db, options, fleet, attempt, deadline, &proc)
+            .Run(stats_out, net_out);
     if (result.ok()) {
       result->proc = proc;
       if (proc_out != nullptr) *proc_out = proc;
@@ -1374,8 +1379,9 @@ StatusOr<ProcessQueryResult> ExecuteOnFleet(
     }
     // Any failure — even a deterministic one — leaves workers possibly
     // mid-query and unable to take a new plan; a respawn is the only safe
-    // way back to a serviceable fleet.
-    fleet->poisoned = true;
+    // way back to a serviceable fleet. Killed now, so neither the backoff
+    // nor the thread fallback runs beside them.
+    fleet.TearDown(/*graceful=*/false);
     failure = result.status();
     if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
     ++proc.retries;
@@ -1478,26 +1484,22 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) {
-  // Taken once the plan passed every check, held until Execute returns.
-  std::unique_lock<std::mutex> lock(impl_->mutex, std::defer_lock);
-  auto prepare = [&]() -> StatusOr<FleetState*> {
-    // The arena's rings were sized at spawn: a row wider than their
-    // records can never be sent. Rejected before any worker sees the plan,
-    // so the fleet stays healthy.
-    const uint32_t ring_bytes = impl_->state.ring_bytes;
-    const size_t widest = WidestShmRecordPayload(plan);
-    if (widest > ShmMaxPayload(ring_bytes)) {
-      return Status::InvalidArgument(StrCat(
-          "plan row needs a ", widest,
-          "-byte ring record (header + row), but this warm fleet's ",
-          ring_bytes, "-byte rings hold at most ", ShmMaxPayload(ring_bytes),
-          " bytes"));
-    }
-    lock.lock();
-    return &impl_->state;
-  };
-  return ExecuteOnFleet(plan, options, *impl_->database, prepare, stats_out,
-                        net_out, proc_out);
+  MJOIN_RETURN_IF_ERROR(CheckProcessQuery(plan, options));
+  // The arena's rings were sized at spawn: a row wider than their records
+  // can never be sent. Rejected before any worker sees the plan, so the
+  // fleet stays healthy.
+  const uint32_t ring_bytes = impl_->state.ring_bytes;
+  const size_t widest = WidestShmRecordPayload(plan);
+  if (widest > ShmMaxPayload(ring_bytes)) {
+    return Status::InvalidArgument(StrCat(
+        "plan row needs a ", widest,
+        "-byte ring record (header + row), but this warm fleet's ",
+        ring_bytes, "-byte rings hold at most ", ShmMaxPayload(ring_bytes),
+        " bytes"));
+  }
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return RunOnFleet(impl_->state, plan, options, *impl_->database, stats_out,
+                    net_out, proc_out);
 }
 
 std::string WorkerFailureClassName(WorkerFailureClass failure) {
@@ -1542,28 +1544,24 @@ StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) const {
+  MJOIN_RETURN_IF_ERROR(CheckProcessQuery(plan, options));
+  uint32_t num_workers =
+      options.num_workers == 0 ? plan.num_processors : options.num_workers;
+  num_workers = std::clamp<uint32_t>(num_workers, 1, plan.num_processors);
+  // Grown until one record holds the plan's widest row (records never
+  // split a row). An invalid size stays invalid for the spawn to reject.
+  const size_t widest = WidestShmRecordPayload(plan);
+  uint32_t ring_bytes = options.shm_ring_bytes;
+  while (ring_bytes >= 4096 && ring_bytes < (1u << 31) &&
+         ShmMaxPayload(ring_bytes) < widest) {
+    ring_bytes *= 2;
+  }
   // A fleet that lives for this call only, which keeps Execute const and
-  // reentrant. Its arena holds exactly this plan's ring directory, the
-  // rings doubled until one record holds the plan's widest row (records
-  // never split a row). An invalid size stays invalid for the spawn to
-  // reject.
-  std::optional<FleetState> fleet;
-  auto prepare = [&]() -> StatusOr<FleetState*> {
-    uint32_t num_workers =
-        options.num_workers == 0 ? plan.num_processors : options.num_workers;
-    num_workers = std::clamp<uint32_t>(num_workers, 1, plan.num_processors);
-    const size_t widest = WidestShmRecordPayload(plan);
-    uint32_t ring_bytes = options.shm_ring_bytes;
-    while (ring_bytes >= 4096 && ring_bytes < (1u << 31) &&
-           ShmMaxPayload(ring_bytes) < widest) {
-      ring_bytes *= 2;
-    }
-    fleet.emplace(num_workers, ring_bytes,
-                  ComputeRingDirectory(plan, num_workers).size());
-    return &*fleet;
-  };
-  return ExecuteOnFleet(plan, options, *database_, prepare, stats_out,
-                        net_out, proc_out);
+  // reentrant. Its arena holds exactly this plan's ring directory.
+  FleetState fleet(num_workers, ring_bytes,
+                   ComputeRingDirectory(plan, num_workers).size());
+  return RunOnFleet(fleet, plan, options, *database_, stats_out, net_out,
+                    proc_out);
 }
 
 }  // namespace mjoin

@@ -46,9 +46,9 @@ struct ProcessExecOptions {
   /// Automatic retries after a retryable failure (IsRetryableFailure — an
   /// environmental fault such as a crashed worker or corrupt wire, not a
   /// deterministic error that would only recur). Each retry sleeps an
-  /// exponential backoff, kills and reaps the old workers, forks fresh
-  /// ones, and re-ships the plan. 0 = fail on first error (the historical
-  /// behavior).
+  /// exponential backoff, forks fresh workers (the failed attempt's were
+  /// killed and reaped when it failed), and re-ships the plan. 0 = fail
+  /// on first error (the historical behavior).
   uint32_t max_retries = 0;
   /// First-retry backoff; doubles per retry up to retry_backoff_cap. The
   /// sleep honors the deadline and the cancellation token.

@@ -41,9 +41,9 @@ struct WarmFleetOptions {
 ///
 /// Execute() is serialized by an internal mutex — one query at a time per
 /// fleet (callers wanting concurrency run several fleets). Any failed run
-/// poisons the fleet (its workers may be mid-query and unable to accept a
-/// new plan); the next Execute() — or the retry loop inside the current
-/// one — kills and reaps the old fleet, respawns a fresh one, and re-runs.
+/// kills and reaps the fleet's workers at once (they may be mid-query and
+/// unable to accept a new plan); the next Execute() — or the retry loop
+/// inside the current one — respawns a fresh fleet and re-runs.
 /// The destructor shuts the fleet down gracefully (kShutdown to parked
 /// workers) and reaps every child; like ProcessExecutor, no process or
 /// descriptor outlives the object.

@@ -250,6 +250,14 @@ TEST(StringUtilTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(3 * 1024 * 1024), "3.0 MiB");
 }
 
+TEST(StringUtilTest, KiBToBytesRejectsOverflowInsteadOfWrapping) {
+  EXPECT_EQ(KiBToBytes(0), 0u);
+  EXPECT_EQ(KiBToBytes(256), 256u * 1024);
+  EXPECT_EQ(KiBToBytes(4194303), 4194303u * 1024);  // largest that fits
+  EXPECT_EQ(KiBToBytes(4194304), std::nullopt);     // 2^32 bytes
+  EXPECT_EQ(KiBToBytes(uint64_t{1} << 60), std::nullopt);
+}
+
 // --- TablePrinter -------------------------------------------------------------
 
 TEST(TablePrinterTest, AlignsColumns) {

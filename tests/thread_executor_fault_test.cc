@@ -31,21 +31,6 @@ size_t CountThreads() {
 #endif
 }
 
-/// The thread count once threads joined a moment ago have left
-/// /proc/self/task. pthread_join returns when the kernel clears the
-/// exiting thread's tid, shortly before the task is unhashed, so a count
-/// taken right after the join can still see it on a loaded host. Polls
-/// (bounded at ~2 s) until the count drops to `expected`; a thread still
-/// alive after that is a real leak, and the caller's equality check fails.
-size_t SettledThreadCount(size_t expected) {
-  size_t n = CountThreads();
-  for (int i = 0; i < 200 && n > expected; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    n = CountThreads();
-  }
-  return n;
-}
-
 /// A small Wisconsin chain plus everything needed to execute and verify it.
 struct QuerySetup {
   Database db;
@@ -97,7 +82,7 @@ TEST_P(FaultScenarioTest, NoFaultControlMatchesReference) {
   size_t threads_before = CountThreads();
   auto run = executor.Execute(setup.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
 
   EXPECT_EQ(run->result.cardinality, setup.reference.cardinality);
   EXPECT_EQ(run->result.checksum, setup.reference.checksum);
@@ -126,7 +111,7 @@ TEST_P(FaultScenarioTest, SlowWorkerStillCorrect) {
   size_t threads_before = CountThreads();
   auto run = executor.Execute(setup.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
   EXPECT_EQ(run->result.cardinality, setup.reference.cardinality);
   EXPECT_EQ(run->result.checksum, setup.reference.checksum);
   EXPECT_GT(injector.faults_injected(), 0u);
@@ -150,7 +135,7 @@ TEST_P(FaultScenarioTest, OperatorFailureAbortsCleanly) {
   size_t threads_before = CountThreads();
   ThreadExecStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInternal);
   EXPECT_NE(run.status().message().find("injected fault"), std::string::npos);
@@ -169,7 +154,7 @@ TEST_P(FaultScenarioTest, TightMemoryBudgetAborts) {
   size_t threads_before = CountThreads();
   ThreadExecStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(stats.peak_memory_bytes, 0u);
@@ -190,7 +175,7 @@ TEST_P(FaultScenarioTest, NonPositiveDeadlineRejected) {
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
   }
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
 }
 
 // A deadline that expires mid-run (a slow worker keeps the query alive past
@@ -211,7 +196,7 @@ TEST_P(FaultScenarioTest, TinyDeadlineExpires) {
 
   size_t threads_before = CountThreads();
   auto run = executor.Execute(setup.plan, options);
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -238,7 +223,7 @@ TEST_P(FaultScenarioTest, CancellationMidRun) {
   });
   auto run = executor.Execute(setup.plan, options);
   canceller.join();
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
 }
@@ -355,7 +340,7 @@ TEST(FaultScenarioEdgeTest, AbortThenReuseExecutor) {
     EXPECT_EQ(good->result.cardinality, setup.reference.cardinality);
     EXPECT_EQ(good->result.checksum, setup.reference.checksum);
   }
-  EXPECT_EQ(SettledThreadCount(threads_before), threads_before);
+  EXPECT_EQ(CountThreads(), threads_before);
 }
 
 }  // namespace

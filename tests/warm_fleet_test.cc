@@ -33,9 +33,10 @@ namespace {
 // results, identical per-run stats (no counter leaking across reuses), no
 // net descriptor growth, no silent fleet respawn. Plus the directed
 // recovery cases a long-lived fleet flushes out: kill -9 between queries,
-// a member lost during the idle handshake (which one-shot queries run
-// too), a net fault injector that must not outlive its query, and two
-// fleets reaping strictly their own children. Plus the limits of a fleet
+// a failed attempt's workers reaped at once, a member lost during the
+// idle handshake (which one-shot queries run too), a net fault injector
+// that must not outlive its query, and two fleets reaping strictly their
+// own children. Plus the limits of a fleet
 // whose rings are fixed at spawn: an invalid ring size, rows too wide for
 // the rings, and the retired socket data plane.
 
@@ -219,6 +220,44 @@ TEST(WarmFleetTest, KillNineBetweenQueriesRespawnsAndSucceeds) {
     EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
   }
   EXPECT_GE((*fleet)->respawns(), kills) << "dead workers went unnoticed";
+}
+
+TEST(WarmFleetTest, FailedAttemptLeavesNoWorkerBehind) {
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
+                            /*card=*/300, /*procs=*/4, StrategyKind::kFP);
+  auto fleet = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+
+  // The only attempt loses worker 1, so the query degrades to threads. The
+  // failed attempt's workers — the victim and its live siblings — must be
+  // killed and reaped at once: neither the thread fallback nor the wait
+  // for the fleet's next query may run beside them.
+  ProcessExecOptions options;
+  options.degrade_to_thread = true;
+  std::vector<pid_t> pids;
+  options.worker_observer = [&pids](uint32_t w, pid_t pid) {
+    pids.push_back(pid);
+    if (w == 1) kill(pid, SIGKILL);
+  };
+  ProcessExecStats proc;
+  auto degraded = (*fleet)->Execute(f.plan, options, nullptr, nullptr, &proc);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  EXPECT_TRUE(proc.degraded_to_thread);
+  EXPECT_EQ(degraded->exec.result.checksum, f.reference.checksum);
+  ASSERT_EQ(pids.size(), (*fleet)->num_workers());
+  for (pid_t pid : pids) {
+    errno = 0;
+    EXPECT_EQ(waitpid(pid, nullptr, WNOHANG), -1) << "pid " << pid;
+    EXPECT_EQ(errno, ECHILD) << "pid " << pid << " outlived its attempt";
+  }
+
+  // The emptied fleet respawns for its next query.
+  options.worker_observer = nullptr;
+  auto next = (*fleet)->Execute(f.plan, options, nullptr, nullptr, &proc);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_FALSE(proc.degraded_to_thread);
+  EXPECT_EQ(next->exec.result.checksum, f.reference.checksum);
+  EXPECT_EQ((*fleet)->respawns(), 1u);
 }
 
 // Both entry points end every query with the idle handshake: a warm fleet

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -61,6 +60,13 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
+  /// Prints the flag's value with what was `expected` instead, exits 2.
+  [[noreturn]] void BadValue(const std::string& key,
+                             const char* expected) const {
+    std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
+                 Get(key, "").c_str(), key.c_str(), expected);
+    std::exit(2);
+  }
   /// The flag's value parsed as a T over the whole string (ParseNumber);
   /// a malformed value prints the flag and exits 2.
   template <typename T>
@@ -68,26 +74,16 @@ struct Args {
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
     std::optional<T> value = ParseNumber<T>(it->second);
-    if (!value.has_value()) {
-      std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
-                   it->second.c_str(), key.c_str(), NumberKindName<T>());
-      std::exit(2);
-    }
+    if (!value.has_value()) BadValue(key, NumberKindName<T>());
     return *value;
   }
-  /// A KiB-count flag as bytes. A count whose byte total does not fit a
-  /// uint32_t prints the flag and exits 2 instead of wrapping around.
+  /// A KiB-count flag as bytes (KiBToBytes); a count whose byte total
+  /// overflows exits 2 like a malformed one instead of wrapping around.
   uint32_t GetKiB(const std::string& key, uint32_t fallback_kib) const {
-    const uint64_t kib = GetNum<uint64_t>(key, fallback_kib);
-    constexpr uint64_t kMaxKiB = std::numeric_limits<uint32_t>::max() / 1024;
-    if (kib > kMaxKiB) {
-      std::fprintf(stderr,
-                   "invalid value '%s' for --%s: expected at most %llu KiB\n",
-                   Get(key, "").c_str(), key.c_str(),
-                   static_cast<unsigned long long>(kMaxKiB));
-      std::exit(2);
-    }
-    return static_cast<uint32_t>(kib * 1024);
+    std::optional<uint32_t> bytes =
+        KiBToBytes(GetNum<uint64_t>(key, fallback_kib));
+    if (!bytes.has_value()) BadValue(key, "a KiB count that fits 32 bits");
+    return *bytes;
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
