@@ -451,6 +451,44 @@ Status DecodeStatusPayload(WireReader* reader, Status* status) {
   return Status::OK();
 }
 
+void EncodeMsg(const PlanEnvelope& msg, std::vector<std::byte>* out) {
+  EncodePlanEnvelope(msg, out);
+}
+void EncodeMsg(const HelloMsg& msg, std::vector<std::byte>* out) {
+  EncodeHello(msg, out);
+}
+void EncodeMsg(const HeartbeatMsg& msg, std::vector<std::byte>* out) {
+  EncodeHeartbeat(msg, out);
+}
+void EncodeMsg(const MilestoneMsg& msg, std::vector<std::byte>* out) {
+  EncodeMilestone(msg, out);
+}
+void EncodeMsg(const SummaryMsg& msg, std::vector<std::byte>* out) {
+  EncodeSummary(msg, out);
+}
+void EncodeMsg(const OpStatsMsg& msg, std::vector<std::byte>* out) {
+  EncodeOpStats(msg, out);
+}
+void EncodeMsg(const SkewJoinReport& msg, std::vector<std::byte>* out) {
+  EncodeSkewReport(msg, out);
+}
+void EncodeMsg(const SkewDirective& msg, std::vector<std::byte>* out) {
+  EncodeSkewDirective(msg, out);
+}
+void EncodeMsg(const WorkerRunStats& msg, std::vector<std::byte>* out) {
+  EncodeWorkerRunStats(msg, out);
+}
+void EncodeMsg(const std::vector<WireTraceEvent>& msg,
+               std::vector<std::byte>* out) {
+  EncodeTraceEvents(msg, out);
+}
+void EncodeMsg(const TriggerMsg& msg, std::vector<std::byte>* out) {
+  PutI32(out, msg.group);
+}
+void EncodeMsg(const ErrorMsg& msg, std::vector<std::byte>* out) {
+  EncodeStatusPayload(Status(msg.code, msg.message), out);
+}
+
 uint64_t FnvHash64(const std::string& text) {
   uint64_t hash = 0xCBF2'9CE4'8422'2325ull;
   for (char c : text) {

@@ -182,6 +182,32 @@ void EncodeTraceEvents(const std::vector<WireTraceEvent>& events,
 void EncodeStatusPayload(const Status& status, std::vector<std::byte>* out);
 [[nodiscard]] Status DecodeStatusPayload(WireReader* reader, Status* status);
 
+/// kTrigger: start the instances of one dispatch group the worker hosts.
+struct TriggerMsg {
+  int32_t group = -1;
+};
+
+/// kError: a worker's fatal status, reconstructed coordinator-side.
+struct ErrorMsg {
+  StatusCode code = StatusCode::kInternal;
+  std::string message;
+};
+
+/// One encode entry point for every payload above.
+void EncodeMsg(const PlanEnvelope& msg, std::vector<std::byte>* out);
+void EncodeMsg(const HelloMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const HeartbeatMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const MilestoneMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const SummaryMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const OpStatsMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const SkewJoinReport& msg, std::vector<std::byte>* out);
+void EncodeMsg(const SkewDirective& msg, std::vector<std::byte>* out);
+void EncodeMsg(const WorkerRunStats& msg, std::vector<std::byte>* out);
+void EncodeMsg(const std::vector<WireTraceEvent>& msg,
+               std::vector<std::byte>* out);
+void EncodeMsg(const TriggerMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const ErrorMsg& msg, std::vector<std::byte>* out);
+
 /// FNV-1a (64-bit) over arbitrary text; the kHello plan-echo hash.
 uint64_t FnvHash64(const std::string& text);
 

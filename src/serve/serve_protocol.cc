@@ -95,4 +95,12 @@ Status DecodeQueryResult(WireReader* reader, QueryResultMsg* msg) {
   return Status::OK();
 }
 
+void EncodeMsg(const SubmitMsg& msg, std::vector<std::byte>* out) {
+  EncodeSubmit(msg, out);
+}
+
+void EncodeMsg(const QueryResultMsg& msg, std::vector<std::byte>* out) {
+  EncodeQueryResult(msg, out);
+}
+
 }  // namespace mjoin

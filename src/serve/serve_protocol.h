@@ -71,6 +71,10 @@ void EncodeQueryResult(const QueryResultMsg& msg, std::vector<std::byte>* out);
 [[nodiscard]] Status DecodeQueryResult(WireReader* reader,
                                        QueryResultMsg* msg);
 
+/// One encode entry point for both serve payloads.
+void EncodeMsg(const SubmitMsg& msg, std::vector<std::byte>* out);
+void EncodeMsg(const QueryResultMsg& msg, std::vector<std::byte>* out);
+
 }  // namespace mjoin
 
 #endif  // MJOIN_SERVE_SERVE_PROTOCOL_H_
