@@ -296,7 +296,7 @@ class Coordinator {
   /// Cancellation/deadline promotion; false once the run should stop.
   bool CheckRuntime();
   void Abort(Status status);
-  /// One supervision turn: refresh per-worker liveness off received-byte
+  /// One supervision turn: refresh per-worker liveness off received-frame
   /// counts, broadcast kPing on the heartbeat cadence, and SIGKILL any
   /// worker silent past liveness_timeout (diagnosed as hung).
   void SuperviseFleet();
@@ -306,6 +306,18 @@ class Coordinator {
   /// A worker's bytes failed validation: record the diagnosis and abort
   /// kUnavailable (environmental, so the retry loop may recover).
   void AbortCorruptWire(uint32_t w, const std::string& detail);
+  /// Decodes `frame`'s payload into `*msg`; a payload that does not decode
+  /// is corrupt wire from worker `w` and aborts the query.
+  template <class M>
+  bool DecodeFrom(uint32_t w, const Frame& frame, M* msg) {
+    WireReader reader(frame.payload);
+    Status decoded = DecodeMsg(&reader, msg);
+    if (!decoded.ok()) {
+      AbortCorruptWire(w, StrCat("bad ", FrameTypeName(frame.type),
+                                 " frame: ", decoded.message()));
+    }
+    return decoded.ok();
+  }
 
   ThreadExecStats GatherStats() const;
   void GatherNetStats();
@@ -341,10 +353,12 @@ class Coordinator {
   bool supervision_started_ = false;
   uint32_t ping_seq_ = 0;
   std::chrono::steady_clock::time_point next_ping_;
-  /// Last time each worker was heard from (any inbound bytes, not only
-  /// pongs — a worker streaming data is evidently alive).
+  /// Last time each worker was heard from: any complete, CRC-valid frame,
+  /// not only pongs. Raw inbound bytes do not count — after a corrupted
+  /// length header they can vanish into a frame that never completes,
+  /// and the watchdog must still see that link as silent.
   std::vector<std::chrono::steady_clock::time_point> last_heard_;
-  std::vector<uint64_t> bytes_seen_;
+  std::vector<uint64_t> frames_seen_;
 
   /// One defended join's in-flight report collection. `seen` rejects a
   /// duplicate instance report before it can trip the merger's internal
@@ -441,9 +455,7 @@ Status Coordinator::ShipPlans() {
     // Shipped in full so the worker derives the same defended-join set
     // and thresholds the coordinator sized its mergers from.
     env.skew_defense = exec_.skew_defense;
-    std::vector<std::byte> payload;
-    EncodePlanEnvelope(env, &payload);
-    workers_[w].chan->QueueFrame(FrameType::kPlan, payload);
+    workers_[w].chan->QueueMsg(FrameType::kPlan, env);
   }
   return Status::OK();
 }
@@ -522,7 +534,7 @@ void Coordinator::DispatchGroups(const std::vector<int>& groups) {
   // costs five bytes per worker per group.
   for (int g : groups) {
     std::vector<std::byte> payload;
-    PutI32(&payload, g);
+    EncodeMsg(TriggerMsg{g}, &payload);
     for (WorkerProc& w : workers_) {
       if (!w.closed) w.chan->QueueFrame(FrameType::kTrigger, payload);
     }
@@ -565,14 +577,14 @@ void Coordinator::SuperviseFleet() {
     supervision_started_ = true;
     next_ping_ = now + options_.heartbeat_interval;
     last_heard_.assign(num_workers_, now);
-    bytes_seen_.assign(num_workers_, 0);
+    frames_seen_.assign(num_workers_, 0);
   }
   for (uint32_t w = 0; w < num_workers_; ++w) {
     WorkerProc& worker = workers_[w];
     if (worker.closed) continue;
-    uint64_t bytes = worker.chan->stats().bytes_received;
-    if (bytes != bytes_seen_[w]) {
-      bytes_seen_[w] = bytes;
+    uint64_t frames = worker.chan->stats().frames_received;
+    if (frames != frames_seen_[w]) {
+      frames_seen_[w] = frames;
       last_heard_[w] = now;
     }
   }
@@ -581,7 +593,7 @@ void Coordinator::SuperviseFleet() {
     HeartbeatMsg ping;
     ping.seq = ping_seq_++;
     std::vector<std::byte> payload;
-    EncodeHeartbeat(ping, &payload);
+    EncodeMsg(ping, &payload);
     for (WorkerProc& worker : workers_) {
       if (worker.closed) continue;
       worker.chan->QueueFrame(FrameType::kPing, payload);
@@ -694,13 +706,8 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
   WorkerProc& worker = workers_[w];
   switch (frame.type) {
     case FrameType::kHello: {
-      WireReader reader(frame.payload);
       HelloMsg hello;
-      Status decoded = DecodeHello(&reader, &hello);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
+      if (!DecodeFrom(w, frame, &hello)) return;
       if (hello.protocol_version != kNetProtocolVersion) {
         Abort(Status::FailedPrecondition(
             StrCat("worker ", w, " speaks protocol version ",
@@ -736,11 +743,9 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     }
     case FrameType::kMilestone: {
-      WireReader reader(frame.payload);
       MilestoneMsg msg;
-      Status decoded = DecodeMilestone(&reader, &msg);
-      if (!decoded.ok() || msg.op < 0 ||
-          static_cast<size_t>(msg.op) >= plan_.ops.size()) {
+      if (!DecodeFrom(w, frame, &msg)) return;
+      if (msg.op < 0 || static_cast<size_t>(msg.op) >= plan_.ops.size()) {
         AbortCorruptWire(w, "bad milestone frame");
         return;
       }
@@ -761,13 +766,8 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     }
     case FrameType::kSummary: {
-      WireReader reader(frame.payload);
       SummaryMsg msg;
-      Status decoded = DecodeSummary(&reader, &msg);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
+      if (!DecodeFrom(w, frame, &msg)) return;
       // Cardinality and the row-hash checksum are sums mod 2^64, so the
       // per-worker partial summaries add up to the query's.
       summary_.cardinality += msg.cardinality;
@@ -775,11 +775,9 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     }
     case FrameType::kOpStats: {
-      WireReader reader(frame.payload);
       OpStatsMsg msg;
-      Status decoded = DecodeOpStats(&reader, &msg);
-      if (!decoded.ok() || msg.op < 0 ||
-          static_cast<size_t>(msg.op) >= per_op_.size()) {
+      if (!DecodeFrom(w, frame, &msg)) return;
+      if (msg.op < 0 || static_cast<size_t>(msg.op) >= per_op_.size()) {
         AbortCorruptWire(w, "bad op-stats frame");
         return;
       }
@@ -789,24 +787,14 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     }
     case FrameType::kNetStats: {
-      WireReader reader(frame.payload);
       WorkerRunStats stats;
-      Status decoded = DecodeWorkerRunStats(&reader, &stats);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
+      if (!DecodeFrom(w, frame, &stats)) return;
       worker_stats_.push_back(stats);
       return;
     }
     case FrameType::kTraceEvents: {
-      WireReader reader(frame.payload);
       std::vector<WireTraceEvent> events;
-      Status decoded = DecodeTraceEvents(&reader, &events);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
+      if (!DecodeFrom(w, frame, &events)) return;
       if (trace_ != nullptr) {
         for (const WireTraceEvent& e : events) {
           if (e.node < plan_.num_processors) {
@@ -817,13 +805,9 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     }
     case FrameType::kError: {
-      WireReader reader(frame.payload);
-      Status worker_status = Status::OK();
-      Status decoded = DecodeStatusPayload(&reader, &worker_status);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, "undecodable error frame");
-        return;
-      }
+      ErrorMsg error;
+      if (!DecodeFrom(w, frame, &error)) return;
+      Status worker_status(error.code, std::move(error.message));
       if (IsRetryableFailure(worker_status)) {
         // An environmental failure seen from the worker's side (its half
         // of the wire went bad, the coordinator vanished from its view):
@@ -839,14 +823,9 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     }
     case FrameType::kPong: {
-      WireReader reader(frame.payload);
       HeartbeatMsg pong;
-      Status decoded = DecodeHeartbeat(&reader, &pong);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
-      // Liveness itself is refreshed off received-byte counts in
+      if (!DecodeFrom(w, frame, &pong)) return;
+      // Liveness itself is refreshed off received-frame counts in
       // SuperviseFleet; the pong only needs to be valid and counted.
       if (proc_ != nullptr) ++proc_->pongs_received;
       return;
@@ -864,13 +843,8 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       worker.idle_received = true;
       return;
     case FrameType::kSkewReport: {
-      WireReader reader(frame.payload);
       SkewJoinReport report;
-      Status decoded = DecodeSkewReport(&reader, &report);
-      if (!decoded.ok()) {
-        AbortCorruptWire(w, decoded.message());
-        return;
-      }
+      if (!DecodeFrom(w, frame, &report)) return;
       auto it = skew_exchanges_.find(report.op);
       // Everything the merger would CHECK is validated here first: a
       // report for an undefended op, an out-of-range or duplicate
@@ -895,7 +869,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
         // defer the join's build InputDone until the directive lands.
         SkewDirective directive = exchange.merger.Finish();
         std::vector<std::byte> payload;
-        EncodeSkewDirective(directive, &payload);
+        EncodeMsg(directive, &payload);
         for (WorkerProc& each : workers_) {
           if (!each.closed) {
             each.chan->QueueFrame(FrameType::kSkewDirective, payload);

@@ -59,7 +59,7 @@ struct ProcessExecOptions {
   /// degradation for environments whose process fleet is unusable.
   bool degrade_to_thread = false;
   /// Coordinator -> worker kPing cadence. Pongs refresh per-worker
-  /// liveness; so does any other traffic from the worker.
+  /// liveness; so does any other complete, CRC-valid frame from the worker.
   std::chrono::milliseconds heartbeat_interval{500};
   /// A worker silent for longer than this is declared hung: the watchdog
   /// SIGKILLs it and the query aborts kUnavailable (retryable). 0 = no

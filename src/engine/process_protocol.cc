@@ -1,493 +1,107 @@
 #include "engine/process_protocol.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_set>
 
 #include "common/string_util.h"
 
 namespace mjoin {
 
-namespace {
+// Field lists of the payload parts whose own headers stay free of wire
+// code, and the conversions of the two fields that are not plain data.
 
-void PutBool(std::vector<std::byte>* out, bool v) { PutU8(out, v ? 1 : 0); }
-
-Status ReadBool(WireReader* reader, bool* v) {
-  uint8_t raw;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU8(&raw));
-  *v = raw != 0;
-  return Status::OK();
+template <class V, WireFieldsOf<SkewDefenseOptions> M>
+void Fields(V& v, M& m) {
+  v(WireEnumAs<uint8_t>(m.mode, SkewDefenseMode::kAuto), m.bloom_bits,
+    m.sketch_capacity, m.hot_fraction, m.min_hot_count,
+    m.auto_imbalance_threshold, m.max_hot_row_bytes);
 }
 
-}  // namespace
-
-void EncodePlanEnvelope(const PlanEnvelope& env, std::vector<std::byte>* out) {
-  PutU32(out, env.protocol_version);
-  PutU32(out, env.worker_id);
-  PutU32(out, env.num_workers);
-  PutU32(out, env.batch_size);
-  PutBool(out, env.materialize_result);
-  PutU64(out, env.memory_budget_bytes);
-  PutBool(out, env.collect_metrics);
-  PutBool(out, env.record_trace);
-  PutI64(out, env.trace_origin_ns);
-  PutString(out, env.fault_scenario);
-  PutString(out, env.plan_text);
-  PutU32(out, env.attempt);
-  PutU32(out, env.shm_ring_bytes);
-  PutU8(out, static_cast<uint8_t>(env.skew_defense.mode));
-  PutU32(out, env.skew_defense.bloom_bits);
-  PutU32(out, env.skew_defense.sketch_capacity);
-  PutF64(out, env.skew_defense.hot_fraction);
-  PutU64(out, env.skew_defense.min_hot_count);
-  PutF64(out, env.skew_defense.auto_imbalance_threshold);
-  PutU64(out, env.skew_defense.max_hot_row_bytes);
+template <class V, WireFieldsOf<OpMetrics> M>
+void Fields(V& v, M& m) {
+  v(m.rows_in[0], m.batches_in[0], m.rows_in[1], m.batches_in[1], m.rows_out,
+    m.build_seconds, m.probe_seconds, m.pipeline_seconds, m.scan_seconds,
+    m.emit_seconds, m.other_seconds, m.hash_table_rows, m.hash_collisions,
+    m.peak_memory_bytes, m.skew_hot_keys, m.skew_replicated_rows,
+    m.skew_repartitioned_rows, m.skew_bloom_filtered_rows,
+    m.skew_bloom_build_seconds, m.skew_bloom_fp_rate, m.batch_seconds);
 }
 
-Status DecodePlanEnvelope(WireReader* reader, PlanEnvelope* env) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->protocol_version));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->worker_id));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->num_workers));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->batch_size));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->materialize_result));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&env->memory_budget_bytes));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->collect_metrics));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->record_trace));
-  MJOIN_RETURN_IF_ERROR(reader->ReadI64(&env->trace_origin_ns));
-  MJOIN_RETURN_IF_ERROR(reader->ReadString(&env->fault_scenario));
-  MJOIN_RETURN_IF_ERROR(reader->ReadString(&env->plan_text));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->attempt));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->shm_ring_bytes));
-  uint8_t mode;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU8(&mode));
-  if (mode > static_cast<uint8_t>(SkewDefenseMode::kAuto)) {
-    return Status::InvalidArgument(
-        StrCat("unknown skew defense mode code ", mode));
-  }
-  env->skew_defense.mode = static_cast<SkewDefenseMode>(mode);
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->skew_defense.bloom_bits));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->skew_defense.sketch_capacity));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&env->skew_defense.hot_fraction));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&env->skew_defense.min_hot_count));
-  MJOIN_RETURN_IF_ERROR(
-      reader->ReadF64(&env->skew_defense.auto_imbalance_threshold));
-  uint64_t max_hot_row_bytes;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&max_hot_row_bytes));
-  env->skew_defense.max_hot_row_bytes =
-      static_cast<size_t>(max_hot_row_bytes);
-  return Status::OK();
+template <class V, WireFieldsOf<SkewCandidate> M>
+void Fields(V& v, M& m) {
+  v(m.key, m.count, m.rows_included, m.rows);
 }
 
-void EncodeHello(const HelloMsg& msg, std::vector<std::byte>* out) {
-  PutU32(out, msg.protocol_version);
-  PutU64(out, msg.plan_hash);
-  PutU64(out, msg.ring_directory_hash);
+template <class V, WireFieldsOf<SkewJoinReport> M>
+void Fields(V& v, M& m) {
+  v(m.op, m.instance, m.build_rows, m.tuple_size, m.candidates, m.bloom);
 }
 
-Status DecodeHello(WireReader* reader, HelloMsg* msg) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&msg->protocol_version));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->plan_hash));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->ring_directory_hash));
-  return Status::OK();
+template <class V, WireFieldsOf<SkewDirective> M>
+void Fields(V& v, M& m) {
+  v(m.op, m.repartition, m.hot_keys, m.tuple_size, m.hot_rows, m.bloom,
+    m.total_build_rows, m.imbalance);
 }
 
-void EncodeHeartbeat(const HeartbeatMsg& msg, std::vector<std::byte>* out) {
-  size_t base = out->size();
-  PutU32(out, msg.seq);
-  PutU32(out, Crc32(out->data() + base, 4));
+/// Latency samples travel as the retained values; decoding re-adds them.
+void Fields(MessageWriter& w, const PercentileTracker& samples) {
+  w(samples.values());
 }
 
-Status DecodeHeartbeat(WireReader* reader, HeartbeatMsg* msg) {
-  const std::byte* seq_bytes = reader->cursor();
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&msg->seq));
-  uint32_t crc = 0;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&crc));
-  if (Crc32(seq_bytes, 4) != crc) {
-    return Status::InvalidArgument("heartbeat checksum mismatch");
-  }
-  return Status::OK();
+void Fields(MessageReader& r, PercentileTracker& samples) {
+  std::vector<double> values;
+  r(values);
+  for (double value : values) samples.Add(value);
 }
 
-void EncodeMilestone(const MilestoneMsg& msg, std::vector<std::byte>* out) {
-  PutI32(out, msg.op);
-  PutU32(out, msg.instance);
-  PutU8(out, static_cast<uint8_t>(msg.milestone));
-}
+/// A Bloom filter travels as its raw bytes, which must be empty or a power
+/// of two of at least 8 bytes before a filter is rebuilt from them.
+void Fields(MessageWriter& w, const BloomFilter& bloom) { w(bloom.bytes()); }
 
-Status DecodeMilestone(WireReader* reader, MilestoneMsg* msg) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&msg->op));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&msg->instance));
-  uint8_t raw;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU8(&raw));
-  if (raw > static_cast<uint8_t>(Milestone::kBuildDone)) {
-    return Status::InvalidArgument(StrCat("unknown milestone code ", raw));
-  }
-  msg->milestone = static_cast<Milestone>(raw);
-  return Status::OK();
-}
-
-void EncodeSummary(const SummaryMsg& msg, std::vector<std::byte>* out) {
-  PutU64(out, msg.cardinality);
-  PutU64(out, msg.checksum);
-}
-
-Status DecodeSummary(WireReader* reader, SummaryMsg* msg) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->cardinality));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->checksum));
-  return Status::OK();
-}
-
-void EncodeOpStats(const OpStatsMsg& msg, std::vector<std::byte>* out) {
-  PutI32(out, msg.op);
-  PutU32(out, msg.instances);
-  const OpMetrics& m = msg.metrics;
-  for (int port = 0; port < 2; ++port) {
-    PutU64(out, m.rows_in[port]);
-    PutU64(out, m.batches_in[port]);
-  }
-  PutU64(out, m.rows_out);
-  PutF64(out, m.build_seconds);
-  PutF64(out, m.probe_seconds);
-  PutF64(out, m.pipeline_seconds);
-  PutF64(out, m.scan_seconds);
-  PutF64(out, m.emit_seconds);
-  PutF64(out, m.other_seconds);
-  PutU64(out, m.hash_table_rows);
-  PutU64(out, m.hash_collisions);
-  PutU64(out, m.peak_memory_bytes);
-  PutU64(out, m.skew_hot_keys);
-  PutU64(out, m.skew_replicated_rows);
-  PutU64(out, m.skew_repartitioned_rows);
-  PutU64(out, m.skew_bloom_filtered_rows);
-  PutF64(out, m.skew_bloom_build_seconds);
-  PutF64(out, m.skew_bloom_fp_rate);
-  const std::vector<double>& samples = m.batch_seconds.values();
-  PutU32(out, static_cast<uint32_t>(samples.size()));
-  for (double sample : samples) PutF64(out, sample);
-}
-
-Status DecodeOpStats(WireReader* reader, OpStatsMsg* msg) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&msg->op));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&msg->instances));
-  OpMetrics& m = msg->metrics;
-  for (int port = 0; port < 2; ++port) {
-    MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.rows_in[port]));
-    MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.batches_in[port]));
-  }
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.rows_out));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.build_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.probe_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.pipeline_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.scan_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.emit_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.other_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.hash_table_rows));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.hash_collisions));
-  uint64_t peak;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&peak));
-  m.peak_memory_bytes = static_cast<size_t>(peak);
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.skew_hot_keys));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.skew_replicated_rows));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.skew_repartitioned_rows));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&m.skew_bloom_filtered_rows));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.skew_bloom_build_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&m.skew_bloom_fp_rate));
-  uint32_t num_samples;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&num_samples));
-  if (static_cast<size_t>(num_samples) * 8 > reader->remaining()) {
-    return Status::OutOfRange(
-        StrCat("op stats claim ", num_samples, " latency samples but only ",
-               reader->remaining(), " bytes remain"));
-  }
-  for (uint32_t i = 0; i < num_samples; ++i) {
-    double sample;
-    MJOIN_RETURN_IF_ERROR(reader->ReadF64(&sample));
-    m.batch_seconds.Add(sample);
-  }
-  return Status::OK();
-}
-
-namespace {
-
-/// Raw length-prefixed byte blobs (candidate rows, Bloom bits). The
-/// u32 length is bounds-checked against the payload before any copy, so a
-/// corrupted count cannot drive a huge allocation past the frame.
-void PutBlob(std::vector<std::byte>* out, const std::byte* data,
-             size_t size) {
-  PutU32(out, static_cast<uint32_t>(size));
-  out->insert(out->end(), data, data + size);
-}
-
-Status ReadBlob(WireReader* reader, std::vector<std::byte>* blob,
-                const char* what) {
-  uint32_t size;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&size));
-  if (size > reader->remaining()) {
-    return Status::OutOfRange(StrCat(what, " claims ", size,
-                                     " bytes but only ", reader->remaining(),
-                                     " remain"));
-  }
-  const std::byte* data;
-  MJOIN_RETURN_IF_ERROR(reader->ReadBytes(size, &data));
-  blob->assign(data, data + size);
-  return Status::OK();
-}
-
-void PutBloom(std::vector<std::byte>* out, const BloomFilter& bloom) {
-  const std::vector<uint8_t>& bytes = bloom.bytes();
-  PutBlob(out, reinterpret_cast<const std::byte*>(bytes.data()),
-          bytes.size());
-}
-
-Status ReadBloom(WireReader* reader, BloomFilter* bloom) {
-  std::vector<std::byte> blob;
-  MJOIN_RETURN_IF_ERROR(ReadBlob(reader, &blob, "bloom filter"));
-  const size_t size = blob.size();
+void Fields(MessageReader& r, BloomFilter& bloom) {
+  std::vector<uint8_t> bytes;
+  r(bytes);
+  const size_t size = bytes.size();
   if (size != 0 && (size < 8 || (size & (size - 1)) != 0)) {
-    return Status::InvalidArgument(
-        StrCat("bloom filter payload of ", size, " bytes is not a power of",
-               " two"));
+    r.Fail(Status::InvalidArgument(StrCat(
+        "bloom filter payload of ", size, " bytes is not a power of two")));
+    return;
   }
-  std::vector<uint8_t> bytes(size);
-  if (size != 0) std::memcpy(bytes.data(), blob.data(), size);
-  *bloom = BloomFilter::FromBytes(std::move(bytes));
-  return Status::OK();
+  bloom = BloomFilter::FromBytes(std::move(bytes));
+}
+
+namespace {
+
+Status CheckRowBytes(size_t row_bytes, uint32_t tuple_size) {
+  if (tuple_size == 0 || row_bytes % tuple_size == 0) return Status::OK();
+  return Status::InvalidArgument(StrCat(row_bytes,
+                                        " row bytes are not a multiple of "
+                                        "tuple size ",
+                                        tuple_size));
 }
 
 }  // namespace
 
-void EncodeSkewReport(const SkewJoinReport& report,
-                      std::vector<std::byte>* out) {
-  PutI32(out, report.op);
-  PutU32(out, report.instance);
-  PutU64(out, report.build_rows);
-  PutU32(out, report.tuple_size);
-  PutU32(out, static_cast<uint32_t>(report.candidates.size()));
+Status CheckFields(const SkewJoinReport& report) {
   for (const SkewCandidate& candidate : report.candidates) {
-    PutI32(out, candidate.key);
-    PutU64(out, candidate.count);
-    PutBool(out, candidate.rows_included);
-    PutBlob(out, candidate.rows.data(), candidate.rows.size());
-  }
-  PutBloom(out, report.bloom);
-}
-
-Status DecodeSkewReport(WireReader* reader, SkewJoinReport* report) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&report->op));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&report->instance));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&report->build_rows));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&report->tuple_size));
-  uint32_t num_candidates;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&num_candidates));
-  constexpr size_t kCandidateMinBytes = 4 + 8 + 1 + 4;
-  if (static_cast<size_t>(num_candidates) * kCandidateMinBytes >
-      reader->remaining()) {
-    return Status::OutOfRange(
-        StrCat("skew report claims ", num_candidates,
-               " candidates but only ", reader->remaining(),
-               " bytes remain"));
-  }
-  report->candidates.clear();
-  report->candidates.reserve(num_candidates);
-  for (uint32_t i = 0; i < num_candidates; ++i) {
-    SkewCandidate candidate;
-    MJOIN_RETURN_IF_ERROR(reader->ReadI32(&candidate.key));
-    MJOIN_RETURN_IF_ERROR(reader->ReadU64(&candidate.count));
-    MJOIN_RETURN_IF_ERROR(ReadBool(reader, &candidate.rows_included));
     MJOIN_RETURN_IF_ERROR(
-        ReadBlob(reader, &candidate.rows, "skew candidate rows"));
-    if (report->tuple_size != 0 &&
-        candidate.rows.size() % report->tuple_size != 0) {
-      return Status::InvalidArgument(
-          StrCat("skew candidate carries ", candidate.rows.size(),
-                 " row bytes, not a multiple of tuple size ",
-                 report->tuple_size));
-    }
-    report->candidates.push_back(std::move(candidate));
-  }
-  return ReadBloom(reader, &report->bloom);
-}
-
-void EncodeSkewDirective(const SkewDirective& directive,
-                         std::vector<std::byte>* out) {
-  PutI32(out, directive.op);
-  PutBool(out, directive.repartition);
-  PutU32(out, static_cast<uint32_t>(directive.hot_keys.size()));
-  for (int32_t key : directive.hot_keys) PutI32(out, key);
-  PutU32(out, directive.tuple_size);
-  PutBlob(out, directive.hot_rows.data(), directive.hot_rows.size());
-  PutBloom(out, directive.bloom);
-  PutU64(out, directive.total_build_rows);
-  PutF64(out, directive.imbalance);
-}
-
-Status DecodeSkewDirective(WireReader* reader, SkewDirective* directive) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&directive->op));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &directive->repartition));
-  uint32_t num_keys;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&num_keys));
-  if (static_cast<size_t>(num_keys) * 4 > reader->remaining()) {
-    return Status::OutOfRange(
-        StrCat("skew directive claims ", num_keys, " hot keys but only ",
-               reader->remaining(), " bytes remain"));
-  }
-  directive->hot_keys.clear();
-  directive->hot_keys.reserve(num_keys);
-  for (uint32_t i = 0; i < num_keys; ++i) {
-    int32_t key;
-    MJOIN_RETURN_IF_ERROR(reader->ReadI32(&key));
-    directive->hot_keys.push_back(key);
-  }
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&directive->tuple_size));
-  MJOIN_RETURN_IF_ERROR(
-      ReadBlob(reader, &directive->hot_rows, "skew directive rows"));
-  if (directive->tuple_size != 0 &&
-      directive->hot_rows.size() % directive->tuple_size != 0) {
-    return Status::InvalidArgument(
-        StrCat("skew directive carries ", directive->hot_rows.size(),
-               " row bytes, not a multiple of tuple size ",
-               directive->tuple_size));
-  }
-  MJOIN_RETURN_IF_ERROR(ReadBloom(reader, &directive->bloom));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&directive->total_build_rows));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&directive->imbalance));
-  return Status::OK();
-}
-
-void EncodeWorkerRunStats(const WorkerRunStats& stats,
-                          std::vector<std::byte>* out) {
-  PutU64(out, stats.local_deliveries);
-  PutU64(out, stats.batches_processed);
-  PutU64(out, stats.batches_dropped);
-  PutU64(out, stats.batches_duplicated);
-  PutU64(out, stats.pump_stalls);
-  PutU64(out, stats.buffers_allocated);
-  PutU64(out, stats.buffers_reused);
-  PutU64(out, stats.faults_injected);
-  PutU64(out, stats.peak_memory_bytes);
-  PutF64(out, stats.serialize_seconds);
-  PutF64(out, stats.deserialize_seconds);
-  PutU64(out, stats.shm_records_sent);
-  PutU64(out, stats.shm_records_received);
-  PutU64(out, stats.shm_bytes_sent);
-  PutU64(out, stats.shm_bytes_received);
-  PutU64(out, stats.ring_full_stalls);
-}
-
-Status DecodeWorkerRunStats(WireReader* reader, WorkerRunStats* stats) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->local_deliveries));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->batches_processed));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->batches_dropped));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->batches_duplicated));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->pump_stalls));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->buffers_allocated));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->buffers_reused));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->faults_injected));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->peak_memory_bytes));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&stats->serialize_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&stats->deserialize_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->shm_records_sent));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->shm_records_received));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->shm_bytes_sent));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->shm_bytes_received));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->ring_full_stalls));
-  return Status::OK();
-}
-
-void EncodeTraceEvents(const std::vector<WireTraceEvent>& events,
-                       std::vector<std::byte>* out) {
-  PutU32(out, static_cast<uint32_t>(events.size()));
-  for (const WireTraceEvent& ev : events) {
-    PutU32(out, ev.node);
-    PutI64(out, ev.start_ns);
-    PutI64(out, ev.end_ns);
-    PutU8(out, static_cast<uint8_t>(ev.type));
-    PutI32(out, ev.op_id);
-  }
-}
-
-Status DecodeTraceEvents(WireReader* reader,
-                         std::vector<WireTraceEvent>* events) {
-  uint32_t count;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&count));
-  constexpr size_t kEventWireBytes = 4 + 8 + 8 + 1 + 4;
-  if (static_cast<size_t>(count) * kEventWireBytes > reader->remaining()) {
-    return Status::OutOfRange(
-        StrCat("trace payload claims ", count, " events but only ",
-               reader->remaining(), " bytes remain"));
-  }
-  events->reserve(events->size() + count);
-  for (uint32_t i = 0; i < count; ++i) {
-    WireTraceEvent ev;
-    MJOIN_RETURN_IF_ERROR(reader->ReadU32(&ev.node));
-    MJOIN_RETURN_IF_ERROR(reader->ReadI64(&ev.start_ns));
-    MJOIN_RETURN_IF_ERROR(reader->ReadI64(&ev.end_ns));
-    uint8_t raw;
-    MJOIN_RETURN_IF_ERROR(reader->ReadU8(&raw));
-    if (raw > static_cast<uint8_t>(ThreadWorkType::kOther)) {
-      return Status::InvalidArgument(StrCat("unknown work type code ", raw));
-    }
-    ev.type = static_cast<ThreadWorkType>(raw);
-    MJOIN_RETURN_IF_ERROR(reader->ReadI32(&ev.op_id));
-    events->push_back(ev);
+        CheckRowBytes(candidate.rows.size(), report.tuple_size));
   }
   return Status::OK();
 }
 
-void EncodeStatusPayload(const Status& status, std::vector<std::byte>* out) {
-  PutI32(out, static_cast<int32_t>(status.code()));
-  PutString(out, status.message());
+Status CheckFields(const SkewDirective& directive) {
+  return CheckRowBytes(directive.hot_rows.size(), directive.tuple_size);
 }
 
-Status DecodeStatusPayload(WireReader* reader, Status* status) {
-  int32_t code;
-  std::string message;
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&code));
-  MJOIN_RETURN_IF_ERROR(reader->ReadString(&message));
-  if (code < 0 || code > static_cast<int32_t>(StatusCode::kUnavailable)) {
-    return Status::InvalidArgument(StrCat("unknown status code ", code));
-  }
-  *status = Status(static_cast<StatusCode>(code), std::move(message));
-  return Status::OK();
-}
-
-void EncodeMsg(const PlanEnvelope& msg, std::vector<std::byte>* out) {
-  EncodePlanEnvelope(msg, out);
-}
-void EncodeMsg(const HelloMsg& msg, std::vector<std::byte>* out) {
-  EncodeHello(msg, out);
-}
-void EncodeMsg(const HeartbeatMsg& msg, std::vector<std::byte>* out) {
-  EncodeHeartbeat(msg, out);
-}
-void EncodeMsg(const MilestoneMsg& msg, std::vector<std::byte>* out) {
-  EncodeMilestone(msg, out);
-}
-void EncodeMsg(const SummaryMsg& msg, std::vector<std::byte>* out) {
-  EncodeSummary(msg, out);
-}
-void EncodeMsg(const OpStatsMsg& msg, std::vector<std::byte>* out) {
-  EncodeOpStats(msg, out);
-}
-void EncodeMsg(const SkewJoinReport& msg, std::vector<std::byte>* out) {
-  EncodeSkewReport(msg, out);
-}
-void EncodeMsg(const SkewDirective& msg, std::vector<std::byte>* out) {
-  EncodeSkewDirective(msg, out);
-}
-void EncodeMsg(const WorkerRunStats& msg, std::vector<std::byte>* out) {
-  EncodeWorkerRunStats(msg, out);
-}
-void EncodeMsg(const std::vector<WireTraceEvent>& msg,
-               std::vector<std::byte>* out) {
-  EncodeTraceEvents(msg, out);
-}
-void EncodeMsg(const TriggerMsg& msg, std::vector<std::byte>* out) {
-  PutI32(out, msg.group);
-}
-void EncodeMsg(const ErrorMsg& msg, std::vector<std::byte>* out) {
-  EncodeStatusPayload(Status(msg.code, msg.message), out);
-}
+template void EncodeMsg(const PlanEnvelope&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, PlanEnvelope*);
+template void EncodeMsg(const OpStatsMsg&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, OpStatsMsg*);
+template void EncodeMsg(const SkewJoinReport&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, SkewJoinReport*);
+template void EncodeMsg(const SkewDirective&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, SkewDirective*);
 
 uint64_t FnvHash64(const std::string& text) {
   uint64_t hash = 0xCBF2'9CE4'8422'2325ull;

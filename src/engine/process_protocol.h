@@ -16,10 +16,15 @@
 
 namespace mjoin {
 
-/// Payload codecs of the process backend's frame protocol (net/wire.h
-/// defines the frames themselves). Both ends — ProcessExecutor in the
-/// coordinator and RunProcessWorker in each worker — include this header,
-/// so an encoding change cannot leave the two out of sync.
+/// Payloads of the process backend's frame protocol (net/wire.h defines
+/// the frames themselves). Each payload is a struct plus one field list,
+/// `Fields`, that names its fields in wire order; EncodeMsg and DecodeMsg
+/// (net/wire.h) walk that list, so a field is added in one place and both
+/// ends pick it up. The lists of structs declared elsewhere (OpMetrics,
+/// SkewDefenseOptions, SkewJoinReport, SkewDirective) live in
+/// process_protocol.cc, so those headers stay free of wire code; the
+/// messages that contain them are instantiated there too (the extern
+/// templates at the end of this block).
 
 /// kPlan: everything a worker needs to run its share of a query. The plan
 /// itself travels as textual XRA (xra/text.h) — the same serialization a
@@ -56,8 +61,13 @@ struct PlanEnvelope {
   SkewDefenseOptions skew_defense;
 };
 
-void EncodePlanEnvelope(const PlanEnvelope& env, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodePlanEnvelope(WireReader* reader, PlanEnvelope* env);
+template <class V, WireFieldsOf<PlanEnvelope> M>
+void Fields(V& v, M& m) {
+  v(m.protocol_version, m.worker_id, m.num_workers, m.batch_size,
+    m.materialize_result, m.memory_budget_bytes, m.collect_metrics,
+    m.record_trace, m.trace_origin_ns, m.fault_scenario, m.plan_text,
+    m.attempt, m.shm_ring_bytes, m.skew_defense);
+}
 
 /// kHello.
 struct HelloMsg {
@@ -71,8 +81,10 @@ struct HelloMsg {
   uint64_t ring_directory_hash = 0;
 };
 
-void EncodeHello(const HelloMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeHello(WireReader* reader, HelloMsg* msg);
+template <class V, WireFieldsOf<HelloMsg> M>
+void Fields(V& v, M& m) {
+  v(m.protocol_version, m.plan_hash, m.ring_directory_hash);
+}
 
 /// kPing / kPong: liveness probes. The payload carries its own checksum on
 /// top of the channel's frame CRC, so the codec alone (as exercised by the
@@ -81,8 +93,11 @@ struct HeartbeatMsg {
   uint32_t seq = 0;
 };
 
-void EncodeHeartbeat(const HeartbeatMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeHeartbeat(WireReader* reader, HeartbeatMsg* msg);
+template <class V, WireFieldsOf<HeartbeatMsg> M>
+void Fields(V& v, M& m) {
+  v(m.seq);
+  v.Checksum();
+}
 
 /// kMilestone.
 struct MilestoneMsg {
@@ -91,8 +106,10 @@ struct MilestoneMsg {
   Milestone milestone = Milestone::kComplete;
 };
 
-void EncodeMilestone(const MilestoneMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeMilestone(WireReader* reader, MilestoneMsg* msg);
+template <class V, WireFieldsOf<MilestoneMsg> M>
+void Fields(V& v, M& m) {
+  v(m.op, m.instance, WireEnumAs<uint8_t>(m.milestone, Milestone::kBuildDone));
+}
 
 /// kSummary.
 struct SummaryMsg {
@@ -100,8 +117,10 @@ struct SummaryMsg {
   uint64_t checksum = 0;
 };
 
-void EncodeSummary(const SummaryMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeSummary(WireReader* reader, SummaryMsg* msg);
+template <class V, WireFieldsOf<SummaryMsg> M>
+void Fields(V& v, M& m) {
+  v(m.cardinality, m.checksum);
+}
 
 /// kOpStats: one op's metrics merged over the sending worker's hosted
 /// instances (the coordinator further merges across workers).
@@ -111,23 +130,16 @@ struct OpStatsMsg {
   OpMetrics metrics;
 };
 
-void EncodeOpStats(const OpStatsMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeOpStats(WireReader* reader, OpStatsMsg* msg);
+template <class V, WireFieldsOf<OpStatsMsg> M>
+void Fields(V& v, M& m) {
+  v(m.op, m.instances, m.metrics);
+}
 
-/// kSkewReport: one defended join instance's build-side summary
-/// (skew/defense.h). Candidate build rows travel inline in the frame —
-/// never over the shm rings — so the report can overtake no data record
-/// it logically follows.
-void EncodeSkewReport(const SkewJoinReport& report,
-                      std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeSkewReport(WireReader* reader,
-                                      SkewJoinReport* report);
-
-/// kSkewDirective: the merged plan of action for one defended join.
-void EncodeSkewDirective(const SkewDirective& directive,
-                         std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeSkewDirective(WireReader* reader,
-                                         SkewDirective* directive);
+/// kSkewReport carries a SkewJoinReport (skew/defense.h): one defended join
+/// instance's build-side summary. Candidate build rows travel inline in the
+/// frame — never over the shm rings — so the report can overtake no data
+/// record it logically follows. kSkewDirective carries a SkewDirective, the
+/// merged plan of action for one defended join.
 
 /// kNetStats: one worker's run-level counters.
 struct WorkerRunStats {
@@ -158,13 +170,19 @@ struct WorkerRunStats {
   uint64_t ring_full_stalls = 0;
 };
 
-void EncodeWorkerRunStats(const WorkerRunStats& stats,
-                          std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeWorkerRunStats(WireReader* reader,
-                                          WorkerRunStats* stats);
+template <class V, WireFieldsOf<WorkerRunStats> M>
+void Fields(V& v, M& m) {
+  v(m.local_deliveries, m.batches_processed, m.batches_dropped,
+    m.batches_duplicated, m.pump_stalls, m.buffers_allocated,
+    m.buffers_reused, m.faults_injected, m.peak_memory_bytes,
+    m.serialize_seconds, m.deserialize_seconds, m.shm_records_sent,
+    m.shm_records_received, m.shm_bytes_sent, m.shm_bytes_received,
+    m.ring_full_stalls);
+}
 
-/// kTraceEvents: a worker's recorded busy intervals, timestamped against
-/// the coordinator's origin. `node` is the plan processor (its lane).
+/// kTraceEvents carries a std::vector<WireTraceEvent>: a worker's recorded
+/// busy intervals, timestamped against the coordinator's origin. `node` is
+/// the plan processor (its lane).
 struct WireTraceEvent {
   uint32_t node = 0;
   int64_t start_ns = 0;
@@ -173,19 +191,21 @@ struct WireTraceEvent {
   int32_t op_id = -1;
 };
 
-void EncodeTraceEvents(const std::vector<WireTraceEvent>& events,
-                       std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeTraceEvents(WireReader* reader,
-                         std::vector<WireTraceEvent>* events);
-
-/// kError: a worker's fatal status, reconstructed coordinator-side.
-void EncodeStatusPayload(const Status& status, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeStatusPayload(WireReader* reader, Status* status);
+template <class V, WireFieldsOf<WireTraceEvent> M>
+void Fields(V& v, M& m) {
+  v(m.node, m.start_ns, m.end_ns,
+    WireEnumAs<uint8_t>(m.type, ThreadWorkType::kOther), m.op_id);
+}
 
 /// kTrigger: start the instances of one dispatch group the worker hosts.
 struct TriggerMsg {
   int32_t group = -1;
 };
+
+template <class V, WireFieldsOf<TriggerMsg> M>
+void Fields(V& v, M& m) {
+  v(m.group);
+}
 
 /// kError: a worker's fatal status, reconstructed coordinator-side.
 struct ErrorMsg {
@@ -193,20 +213,20 @@ struct ErrorMsg {
   std::string message;
 };
 
-/// One encode entry point for every payload above.
-void EncodeMsg(const PlanEnvelope& msg, std::vector<std::byte>* out);
-void EncodeMsg(const HelloMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const HeartbeatMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const MilestoneMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const SummaryMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const OpStatsMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const SkewJoinReport& msg, std::vector<std::byte>* out);
-void EncodeMsg(const SkewDirective& msg, std::vector<std::byte>* out);
-void EncodeMsg(const WorkerRunStats& msg, std::vector<std::byte>* out);
-void EncodeMsg(const std::vector<WireTraceEvent>& msg,
-               std::vector<std::byte>* out);
-void EncodeMsg(const TriggerMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const ErrorMsg& msg, std::vector<std::byte>* out);
+template <class V, WireFieldsOf<ErrorMsg> M>
+void Fields(V& v, M& m) {
+  v(WireEnumAs<int32_t>(m.code, StatusCode::kUnavailable), m.message);
+}
+
+extern template void EncodeMsg(const PlanEnvelope&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, PlanEnvelope*);
+extern template void EncodeMsg(const OpStatsMsg&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, OpStatsMsg*);
+extern template void EncodeMsg(const SkewJoinReport&,
+                               std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, SkewJoinReport*);
+extern template void EncodeMsg(const SkewDirective&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, SkewDirective*);
 
 /// FNV-1a (64-bit) over arbitrary text; the kHello plan-echo hash.
 uint64_t FnvHash64(const std::string& text);

@@ -336,18 +336,16 @@ void WorkerRun::RingDirtyDoorbells() {
 }
 
 void WorkerRun::SubmitSkewReport(OpInstance* inst, SkewJoinReport report) {
-  std::vector<std::byte> payload;
-  EncodeSkewReport(report, &payload);
   // Report before milestone, on the same FIFO socket: by the time the
   // coordinator's scheduler can act on this build being done, it already
   // holds the report.
-  chan_->QueueFrame(FrameType::kSkewReport, payload);
+  chan_->QueueMsg(FrameType::kSkewReport, report);
 }
 
 Status WorkerRun::HandleSkewDirective(const Frame& frame) {
   WireReader reader(frame.payload);
   auto directive = std::make_shared<SkewDirective>();
-  MJOIN_RETURN_IF_ERROR(DecodeSkewDirective(&reader, directive.get()));
+  MJOIN_RETURN_IF_ERROR(DecodeMsg(&reader, directive.get()));
   if (directive->op < 0 ||
       static_cast<size_t>(directive->op) >= plan_.ops.size() ||
       !runtime_->defended(directive->op)) {
@@ -376,11 +374,9 @@ void WorkerRun::SendEos(OpInstance* producer, uint32_t dest) {
 }
 
 void WorkerRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
-  std::vector<std::byte> payload;
-  EncodeMilestone(MilestoneMsg{static_cast<int32_t>(inst->op.id),
-                               inst->index, milestone},
-                  &payload);
-  chan_->QueueFrame(FrameType::kMilestone, payload);
+  chan_->QueueMsg(FrameType::kMilestone,
+                  MilestoneMsg{static_cast<int32_t>(inst->op.id),
+                               inst->index, milestone});
 }
 
 void WorkerRun::Receive(OpInstance* target, int port,
@@ -417,8 +413,9 @@ StatusOr<OpInstance*> WorkerRun::RouteTarget(int op_id, uint32_t index,
 
 Status WorkerRun::HandleTrigger(const Frame& frame) {
   WireReader reader(frame.payload);
-  int32_t group;
-  MJOIN_RETURN_IF_ERROR(reader.ReadI32(&group));
+  TriggerMsg trigger;
+  MJOIN_RETURN_IF_ERROR(DecodeMsg(&reader, &trigger));
+  const int32_t group = trigger.group;
   if (group < 0 || static_cast<size_t>(group) >= plan_.groups.size()) {
     return Status::OutOfRange(StrCat("trigger for unknown group ", group));
   }
@@ -593,9 +590,7 @@ Status WorkerRun::SendFinishReports() {
     summary.checksum += frag.checksum;
     hosted.push_back(&final_frags[i]);
   }
-  std::vector<std::byte> payload;
-  EncodeSummary(summary, &payload);
-  chan_->QueueFrame(FrameType::kSummary, payload);
+  chan_->QueueMsg(FrameType::kSummary, summary);
 
   if (env_.materialize_result) {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
@@ -627,9 +622,7 @@ Status WorkerRun::SendFinishReports() {
     stats_.batches_processed +=
         msg.metrics.batches_in[0] + msg.metrics.batches_in[1];
     if (!env_.collect_metrics || msg.instances == 0) continue;
-    std::vector<std::byte> stats_payload;
-    EncodeOpStats(msg, &stats_payload);
-    chan_->QueueFrame(FrameType::kOpStats, stats_payload);
+    chan_->QueueMsg(FrameType::kOpStats, msg);
   }
 
   stats_.buffers_allocated = pool_->allocated() - pool_allocated_base_;
@@ -640,14 +633,10 @@ Status WorkerRun::SendFinishReports() {
   if (injector_ != nullptr) {
     stats_.faults_injected = injector_->faults_injected();
   }
-  std::vector<std::byte> net_payload;
-  EncodeWorkerRunStats(stats_, &net_payload);
-  chan_->QueueFrame(FrameType::kNetStats, net_payload);
+  chan_->QueueMsg(FrameType::kNetStats, stats_);
 
   if (env_.record_trace && !trace_events_.empty()) {
-    std::vector<std::byte> trace_payload;
-    EncodeTraceEvents(trace_events_, &trace_payload);
-    chan_->QueueFrame(FrameType::kTraceEvents, trace_payload);
+    chan_->QueueMsg(FrameType::kTraceEvents, trace_events_);
   }
 
   // kBye is the coordinator's signal that this worker's reporting is
@@ -670,10 +659,8 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
       // behind a long build. The pong reuses the ping's sequence number.
       WireReader reader(frame.payload);
       HeartbeatMsg ping;
-      MJOIN_RETURN_IF_ERROR(DecodeHeartbeat(&reader, &ping));
-      std::vector<std::byte> payload;
-      EncodeHeartbeat(ping, &payload);
-      chan_->QueueFrame(FrameType::kPong, payload);
+      MJOIN_RETURN_IF_ERROR(DecodeMsg(&reader, &ping));
+      chan_->QueueMsg(FrameType::kPong, ping);
       return Status::OK();
     }
     case FrameType::kShutdown:
@@ -767,9 +754,8 @@ int RunProcessWorker(int fd, ShmArena* arena) {
   BatchPool pool;
 
   auto fail = [&chan, fd](const Status& status) {
-    std::vector<std::byte> payload;
-    EncodeStatusPayload(status, &payload);
-    chan.QueueFrame(FrameType::kError, payload);
+    chan.QueueMsg(FrameType::kError,
+                  ErrorMsg{status.code(), status.message()});
     // Best effort: the coordinator may already be gone.
     for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {
       if (!chan.Flush().ok()) break;
@@ -805,7 +791,7 @@ int RunProcessWorker(int fd, ShmArena* arena) {
     PlanEnvelope env;
     {
       WireReader reader(plan_frame.payload);
-      Status status = DecodePlanEnvelope(&reader, &env);
+      Status status = DecodeMsg(&reader, &env);
       if (!status.ok()) return fail(status);
     }
     if (env.protocol_version != kNetProtocolVersion) {
@@ -836,9 +822,7 @@ int RunProcessWorker(int fd, ShmArena* arena) {
                                     env.num_workers + 1, env.shm_ring_bytes,
                                     /*format=*/false);
     if (!plane.ok()) return fail(plane.status());
-    std::vector<std::byte> hello_payload;
-    EncodeHello(hello, &hello_payload);
-    chan.QueueFrame(FrameType::kHello, hello_payload);
+    chan.QueueMsg(FrameType::kHello, hello);
     if (!chan.Flush().ok()) return 1;
 
     {

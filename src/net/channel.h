@@ -80,6 +80,13 @@ class FrameChannel {
   /// Encodes `[len][type][payload][crc]` into the outbox. Cheap; no
   /// syscall.
   void QueueFrame(FrameType type, const std::vector<std::byte>& payload);
+  /// QueueFrame with EncodeMsg(msg) (net/wire.h) as the payload.
+  template <class M>
+  void QueueMsg(FrameType type, const M& msg) {
+    std::vector<std::byte> payload;
+    EncodeMsg(msg, &payload);
+    QueueFrame(type, payload);
+  }
 
   /// Writes queued bytes until the socket would block or the outbox is
   /// empty. kUnavailable when the peer is gone.

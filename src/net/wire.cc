@@ -1,6 +1,5 @@
 #include "net/wire.h"
 
-#include <cstring>
 
 #include "common/string_util.h"
 #include "xra/plan.h"
@@ -122,20 +121,6 @@ void PutU64(std::vector<std::byte>* out, uint64_t v) {
   }
 }
 
-void PutI32(std::vector<std::byte>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutI64(std::vector<std::byte>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::vector<std::byte>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
 void PutString(std::vector<std::byte>* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   const std::byte* data = reinterpret_cast<const std::byte*>(s.data());
@@ -150,13 +135,6 @@ Status WireReader::ReadBytes(size_t size, const std::byte** data) {
   }
   *data = data_ + pos_;
   pos_ += size;
-  return Status::OK();
-}
-
-Status WireReader::ReadU8(uint8_t* v) {
-  const std::byte* p;
-  MJOIN_RETURN_IF_ERROR(ReadBytes(1, &p));
-  *v = static_cast<uint8_t>(p[0]);
   return Status::OK();
 }
 
@@ -180,38 +158,6 @@ Status WireReader::ReadU32(uint32_t* v) {
   return Status::OK();
 }
 
-Status WireReader::ReadU64(uint64_t* v) {
-  const std::byte* p;
-  MJOIN_RETURN_IF_ERROR(ReadBytes(8, &p));
-  uint64_t out = 0;
-  for (int i = 7; i >= 0; --i) {
-    out = (out << 8) | static_cast<uint8_t>(p[i]);
-  }
-  *v = out;
-  return Status::OK();
-}
-
-Status WireReader::ReadI32(int32_t* v) {
-  uint32_t raw;
-  MJOIN_RETURN_IF_ERROR(ReadU32(&raw));
-  *v = static_cast<int32_t>(raw);
-  return Status::OK();
-}
-
-Status WireReader::ReadI64(int64_t* v) {
-  uint64_t raw;
-  MJOIN_RETURN_IF_ERROR(ReadU64(&raw));
-  *v = static_cast<int64_t>(raw);
-  return Status::OK();
-}
-
-Status WireReader::ReadF64(double* v) {
-  uint64_t bits;
-  MJOIN_RETURN_IF_ERROR(ReadU64(&bits));
-  std::memcpy(v, &bits, sizeof(*v));
-  return Status::OK();
-}
-
 Status WireReader::ReadString(std::string* s) {
   uint32_t size;
   MJOIN_RETURN_IF_ERROR(ReadU32(&size));
@@ -219,6 +165,25 @@ Status WireReader::ReadString(std::string* s) {
   MJOIN_RETURN_IF_ERROR(ReadBytes(size, &p));
   s->assign(reinterpret_cast<const char*>(p), size);
   return Status::OK();
+}
+
+bool MessageReader::Take(size_t size, const std::byte** data) {
+  if (!status_.ok()) return false;
+  Fail(in_->ReadBytes(size, data));
+  return status_.ok();
+}
+
+void MessageReader::Read(std::string& s) {
+  if (status_.ok()) Fail(in_->ReadString(&s));
+}
+
+void MessageReader::Checksum() {
+  const size_t covered = static_cast<size_t>(in_->cursor() - start_);
+  uint32_t crc = 0;
+  Read(crc);
+  if (status_.ok() && crc != Crc32(start_, covered)) {
+    Fail(Status::InvalidArgument("message checksum mismatch"));
+  }
 }
 
 SchemaRegistry::SchemaRegistry(const ParallelPlan& plan) {

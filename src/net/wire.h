@@ -1,13 +1,18 @@
 #ifndef MJOIN_NET_WIRE_H_
 #define MJOIN_NET_WIRE_H_
 
+#include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
+#include "common/string_util.h"
 #include "exec/batch.h"
 #include "net/frame_table.h"
 #include "storage/schema.h"
@@ -81,16 +86,16 @@ inline constexpr uint32_t kNetProtocolVersion = 7;
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);
 
-/// Little-endian primitive append/read helpers. Writers append to a byte
-/// vector; WireReader consumes a byte span with bounds checking, so a
-/// truncated or malformed payload surfaces as a Status instead of UB.
+/// Little-endian primitive append/read helpers for the frame envelope and
+/// the batch codec. Writers append to a byte vector; WireReader consumes a
+/// byte span with bounds checking, so a truncated or malformed payload
+/// surfaces as a Status instead of UB. Message payloads never call these
+/// directly: they go through EncodeMsg/DecodeMsg below (mjoin_lint's
+/// wire-primitive check enforces this outside src/net/).
 void PutU8(std::vector<std::byte>* out, uint8_t v);
 void PutU16(std::vector<std::byte>* out, uint16_t v);
 void PutU32(std::vector<std::byte>* out, uint32_t v);
 void PutU64(std::vector<std::byte>* out, uint64_t v);
-void PutI32(std::vector<std::byte>* out, int32_t v);
-void PutI64(std::vector<std::byte>* out, int64_t v);
-void PutF64(std::vector<std::byte>* out, double v);
 void PutString(std::vector<std::byte>* out, const std::string& s);
 
 class WireReader {
@@ -103,13 +108,8 @@ class WireReader {
   bool exhausted() const { return pos_ == end_; }
   const std::byte* cursor() const { return data_ + pos_; }
 
-  [[nodiscard]] Status ReadU8(uint8_t* v);
   [[nodiscard]] Status ReadU16(uint16_t* v);
   [[nodiscard]] Status ReadU32(uint32_t* v);
-  [[nodiscard]] Status ReadU64(uint64_t* v);
-  [[nodiscard]] Status ReadI32(int32_t* v);
-  [[nodiscard]] Status ReadI64(int64_t* v);
-  [[nodiscard]] Status ReadF64(double* v);
   [[nodiscard]] Status ReadString(std::string* s);
   /// Advances past `size` raw bytes, exposing them via `*data`.
   [[nodiscard]] Status ReadBytes(size_t size, const std::byte** data);
@@ -119,6 +119,251 @@ class WireReader {
   size_t pos_ = 0;
   size_t end_;
 };
+
+// --- Message schemas -------------------------------------------------------
+//
+// Every control payload (engine/process_protocol.h, serve/serve_protocol.h)
+// is a struct with one field list that names its fields in wire order:
+//
+//   template <class V, WireFieldsOf<HelloMsg> M>
+//   void Fields(V& v, M& m) {
+//     v(m.protocol_version, m.plan_hash, m.ring_directory_hash);
+//   }
+//
+// MessageWriter walks the list over a const message and MessageReader over
+// a mutable one, so the encoder and decoder cannot drift apart. Each field
+// kind has one encoding, all little-endian:
+//
+//   bool             one byte, 0 or 1
+//   integer          sizeof(T) bytes (size_t travels as u64)
+//   double           its IEEE-754 bits as a u64
+//   std::string      u32 length, then the bytes
+//   std::vector<T>   u32 count, then the elements
+//   WireEnumAs<W>    the enumerator's value as a W
+//   a struct         its own field list, inline
+//   v.Checksum()     u32 CRC-32 over the message's bytes before it
+//
+// DecodeMsg owns every validation rule, the same for every message:
+//   - a vector's count times its element's smallest wire size must fit in
+//     the bytes that remain before anything is reserved (OutOfRange);
+//   - a bool byte must be 0 or 1, and an enum code must lie in 0..max, the
+//     max named in the field list (InvalidArgument);
+//   - a checksum must match, and no byte may trail the last field
+//     (InvalidArgument);
+//   - then a message's cross-field rules, when it defines
+//     `Status CheckFields(const M&)`, run once on the decoded fields.
+
+static_assert(sizeof(size_t) == sizeof(uint64_t),
+              "size_t message fields travel as u64");
+
+/// True when `M` is `T` or `const T`: lets one Fields function serve both
+/// the writer (const messages) and the reader.
+template <class M, class T>
+concept WireFieldsOf = std::same_as<std::remove_const_t<M>, T>;
+
+/// An enum field that travels as the integer type `Wire` and decodes only
+/// in [0, max]. Build it with WireEnumAs<Wire>(field, max).
+template <class Wire, class E>
+struct WireEnum {
+  E& value;
+  std::remove_const_t<E> max;
+};
+
+template <class Wire, class E>
+WireEnum<Wire, E> WireEnumAs(E& value, std::remove_const_t<E> max) {
+  return {value, max};
+}
+
+template <class T>
+inline constexpr bool kWireByte =
+    std::is_same_v<T, std::byte> || std::is_same_v<T, uint8_t>;
+
+/// Appends one message's fields to a byte vector.
+class MessageWriter {
+ public:
+  explicit MessageWriter(std::vector<std::byte>* out)
+      : out_(out), start_(out->size()) {}
+
+  template <class... T>
+  void operator()(const T&... fields) {
+    (Write(fields), ...);
+  }
+  void Checksum() {
+    Write(Crc32(out_->data() + start_, out_->size() - start_));
+  }
+
+ private:
+  template <class T>
+  void Write(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      Write(static_cast<uint8_t>(v ? 1 : 0));
+    } else if constexpr (std::is_same_v<T, std::byte>) {
+      out_->push_back(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      Write(std::bit_cast<uint64_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      const auto bits = static_cast<std::make_unsigned_t<T>>(v);
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        out_->push_back(static_cast<std::byte>(
+            static_cast<uint8_t>(bits >> (8 * i))));
+      }
+    } else {
+      Fields(*this, v);
+    }
+  }
+  template <class Wire, class E>
+  void Write(const WireEnum<Wire, E>& e) {
+    Write(static_cast<Wire>(e.value));
+  }
+  void Write(const std::string& s) {
+    Write(static_cast<uint32_t>(s.size()));
+    const auto* p = reinterpret_cast<const std::byte*>(s.data());
+    out_->insert(out_->end(), p, p + s.size());
+  }
+  template <class T>
+  void Write(const std::vector<T>& v) {
+    Write(static_cast<uint32_t>(v.size()));
+    if constexpr (kWireByte<T>) {
+      const auto* p = reinterpret_cast<const std::byte*>(v.data());
+      out_->insert(out_->end(), p, p + v.size());
+    } else {
+      for (const T& e : v) Write(e);
+    }
+  }
+
+  std::vector<std::byte>* out_;
+  size_t start_;
+};
+
+/// The smallest encoding of a `T`: that of a default-constructed one, whose
+/// strings and vectors are empty.
+template <class T>
+size_t MinWireBytes() {
+  static const size_t bytes = [] {
+    std::vector<std::byte> out;
+    MessageWriter writer(&out);
+    writer(T{});
+    return out.size();
+  }();
+  return bytes;
+}
+
+/// Decodes one message's fields from a WireReader. The first failure is
+/// kept and turns every later field into a no-op, so a field list needs no
+/// error handling of its own.
+class MessageReader {
+ public:
+  explicit MessageReader(WireReader* in) : in_(in), start_(in->cursor()) {}
+
+  const Status& status() const { return status_; }
+  void Fail(Status status) {
+    if (status_.ok()) status_ = std::move(status);
+  }
+
+  template <class... T>
+  void operator()(T&&... fields) {
+    (Read(fields), ...);
+  }
+  void Checksum();
+
+ private:
+  template <class T>
+  void Read(T& v) {
+    if (!status_.ok()) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      uint8_t byte = 0;
+      Read(byte);
+      if (byte > 1) {
+        Fail(Status::InvalidArgument(
+            StrCat("bool byte ", int{byte}, " is not 0 or 1")));
+      }
+      v = byte == 1;
+    } else if constexpr (std::is_same_v<T, double>) {
+      uint64_t bits = 0;
+      Read(bits);
+      v = std::bit_cast<double>(bits);
+    } else if constexpr (std::is_integral_v<T>) {
+      const std::byte* p = nullptr;
+      if (!Take(sizeof(T), &p)) return;
+      std::make_unsigned_t<T> bits = 0;
+      for (size_t i = sizeof(T); i-- > 0;) {
+        bits = static_cast<std::make_unsigned_t<T>>(
+            (bits << 8) | static_cast<uint8_t>(p[i]));
+      }
+      v = static_cast<T>(bits);
+    } else {
+      Fields(*this, v);
+    }
+  }
+  template <class Wire, class E>
+  void Read(WireEnum<Wire, E>& e) {
+    Wire raw{};
+    Read(raw);
+    if (!status_.ok()) return;
+    const auto max = static_cast<std::underlying_type_t<E>>(e.max);
+    if (std::cmp_less(raw, 0) || std::cmp_greater(raw, max)) {
+      Fail(Status::InvalidArgument(
+          StrCat("enum code ", +raw, " is outside 0..", +max)));
+      return;
+    }
+    e.value = static_cast<E>(raw);
+  }
+  void Read(std::string& s);
+  template <class T>
+  void Read(std::vector<T>& v) {
+    uint32_t count = 0;
+    Read(count);
+    if (!status_.ok()) return;
+    const size_t min_bytes = MinWireBytes<T>();
+    if (count * min_bytes > in_->remaining()) {
+      Fail(Status::OutOfRange(StrCat("payload claims ", count,
+                                     " elements of at least ", min_bytes,
+                                     " bytes but only ", in_->remaining(),
+                                     " remain")));
+      return;
+    }
+    v.clear();
+    if constexpr (kWireByte<T>) {
+      const std::byte* p = nullptr;
+      if (!Take(count, &p)) return;
+      v.assign(reinterpret_cast<const T*>(p),
+               reinterpret_cast<const T*>(p) + count);
+    } else {
+      v.reserve(count);
+      for (uint32_t i = 0; i < count && status_.ok(); ++i) {
+        Read(v.emplace_back());
+      }
+    }
+  }
+  /// Advances past `size` bytes; false (and failed) when they are missing.
+  bool Take(size_t size, const std::byte** data);
+
+  WireReader* in_;
+  const std::byte* start_;
+  Status status_;
+};
+
+/// Appends the encoding of `msg` to `out`.
+template <class M>
+void EncodeMsg(const M& msg, std::vector<std::byte>* out) {
+  MessageWriter writer(out);
+  writer(msg);
+}
+
+/// Decodes `*msg` from the whole of what `in` has left: every rule in the
+/// schema comment above applies.
+template <class M>
+[[nodiscard]] Status DecodeMsg(WireReader* in, M* msg) {
+  MessageReader reader(in);
+  reader(*msg);
+  MJOIN_RETURN_IF_ERROR(reader.status());
+  if (!in->exhausted()) {
+    return Status::InvalidArgument(
+        StrCat(in->remaining(), " trailing bytes after the message"));
+  }
+  if constexpr (requires { CheckFields(*msg); }) return CheckFields(*msg);
+  return Status::OK();
+}
 
 /// Deterministic structural interning of every schema a plan can put on
 /// the wire. Coordinator and workers build their registry from the same

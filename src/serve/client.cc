@@ -69,9 +69,7 @@ ServeClient::ServeClient(std::unique_ptr<FrameChannel> chan)
 ServeClient::~ServeClient() = default;
 
 Status ServeClient::Submit(const SubmitMsg& msg) {
-  std::vector<std::byte> payload;
-  EncodeSubmit(msg, &payload);
-  chan_->QueueFrame(FrameType::kSubmit, payload);
+  chan_->QueueMsg(FrameType::kSubmit, msg);
   while (chan_->has_pending_output()) {
     MJOIN_RETURN_IF_ERROR(chan_->Flush());
     if (!chan_->has_pending_output()) break;
@@ -95,7 +93,7 @@ StatusOr<QueryResultMsg> ServeClient::Await(int timeout_ms) {
       }
       QueryResultMsg msg;
       WireReader reader(frame.payload);
-      MJOIN_RETURN_IF_ERROR(DecodeQueryResult(&reader, &msg));
+      MJOIN_RETURN_IF_ERROR(DecodeMsg(&reader, &msg));
       return msg;
     }
     int remaining_ms = -1;

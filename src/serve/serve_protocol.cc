@@ -2,32 +2,6 @@
 
 namespace mjoin {
 
-namespace {
-
-void PutBoolByte(std::vector<std::byte>* out, bool v) {
-  PutU8(out, v ? 1 : 0);
-}
-
-Status ReadBoolByte(WireReader* reader, bool* v) {
-  uint8_t byte = 0;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU8(&byte));
-  if (byte > 1) return Status::InvalidArgument("bad bool byte");
-  *v = byte != 0;
-  return Status::OK();
-}
-
-Status ReadBackend(WireReader* reader, ServeBackend* backend) {
-  uint8_t byte = 0;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU8(&byte));
-  if (byte > static_cast<uint8_t>(ServeBackend::kProcess)) {
-    return Status::InvalidArgument("unknown serve backend");
-  }
-  *backend = static_cast<ServeBackend>(byte);
-  return Status::OK();
-}
-
-}  // namespace
-
 const char* ServeBackendName(ServeBackend backend) {
   switch (backend) {
     case ServeBackend::kThread:
@@ -36,71 +10,6 @@ const char* ServeBackendName(ServeBackend backend) {
       return "process";
   }
   return "unknown";
-}
-
-void EncodeSubmit(const SubmitMsg& msg, std::vector<std::byte>* out) {
-  PutU64(out, msg.client_seq);
-  PutString(out, msg.tenant);
-  PutU8(out, static_cast<uint8_t>(msg.backend));
-  PutString(out, msg.plan_text);
-  PutU32(out, msg.batch_size);
-  PutI64(out, msg.deadline_ms);
-  PutU64(out, msg.memory_budget_bytes);
-  PutBoolByte(out, msg.collect_metrics);
-}
-
-Status DecodeSubmit(WireReader* reader, SubmitMsg* msg) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->client_seq));
-  MJOIN_RETURN_IF_ERROR(reader->ReadString(&msg->tenant));
-  MJOIN_RETURN_IF_ERROR(ReadBackend(reader, &msg->backend));
-  MJOIN_RETURN_IF_ERROR(reader->ReadString(&msg->plan_text));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&msg->batch_size));
-  MJOIN_RETURN_IF_ERROR(reader->ReadI64(&msg->deadline_ms));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->memory_budget_bytes));
-  MJOIN_RETURN_IF_ERROR(ReadBoolByte(reader, &msg->collect_metrics));
-  if (!reader->exhausted()) {
-    return Status::InvalidArgument("trailing bytes after submit payload");
-  }
-  return Status::OK();
-}
-
-void EncodeQueryResult(const QueryResultMsg& msg,
-                       std::vector<std::byte>* out) {
-  PutU64(out, msg.client_seq);
-  PutI32(out, msg.status_code);
-  PutString(out, msg.message);
-  PutU64(out, msg.cardinality);
-  PutU64(out, msg.checksum);
-  PutF64(out, msg.wall_seconds);
-  PutF64(out, msg.queue_seconds);
-  PutBoolByte(out, msg.plan_cache_hit);
-  PutU8(out, static_cast<uint8_t>(msg.backend));
-  PutU32(out, msg.attempts);
-}
-
-Status DecodeQueryResult(WireReader* reader, QueryResultMsg* msg) {
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->client_seq));
-  MJOIN_RETURN_IF_ERROR(reader->ReadI32(&msg->status_code));
-  MJOIN_RETURN_IF_ERROR(reader->ReadString(&msg->message));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->cardinality));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&msg->checksum));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&msg->wall_seconds));
-  MJOIN_RETURN_IF_ERROR(reader->ReadF64(&msg->queue_seconds));
-  MJOIN_RETURN_IF_ERROR(ReadBoolByte(reader, &msg->plan_cache_hit));
-  MJOIN_RETURN_IF_ERROR(ReadBackend(reader, &msg->backend));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&msg->attempts));
-  if (!reader->exhausted()) {
-    return Status::InvalidArgument("trailing bytes after result payload");
-  }
-  return Status::OK();
-}
-
-void EncodeMsg(const SubmitMsg& msg, std::vector<std::byte>* out) {
-  EncodeSubmit(msg, out);
-}
-
-void EncodeMsg(const QueryResultMsg& msg, std::vector<std::byte>* out) {
-  EncodeQueryResult(msg, out);
 }
 
 }  // namespace mjoin

@@ -43,8 +43,12 @@ struct SubmitMsg {
   bool collect_metrics = false;
 };
 
-void EncodeSubmit(const SubmitMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeSubmit(WireReader* reader, SubmitMsg* msg);
+template <class V, WireFieldsOf<SubmitMsg> M>
+void Fields(V& v, M& m) {
+  v(m.client_seq, m.tenant,
+    WireEnumAs<uint8_t>(m.backend, ServeBackend::kProcess), m.plan_text,
+    m.batch_size, m.deadline_ms, m.memory_budget_bytes, m.collect_metrics);
+}
 
 /// Payload of a kQueryResult frame: the outcome of one kSubmit,
 /// server -> client. Carries the result summary (cardinality + row-hash
@@ -67,13 +71,12 @@ struct QueryResultMsg {
   uint32_t attempts = 1;
 };
 
-void EncodeQueryResult(const QueryResultMsg& msg, std::vector<std::byte>* out);
-[[nodiscard]] Status DecodeQueryResult(WireReader* reader,
-                                       QueryResultMsg* msg);
-
-/// One encode entry point for both serve payloads.
-void EncodeMsg(const SubmitMsg& msg, std::vector<std::byte>* out);
-void EncodeMsg(const QueryResultMsg& msg, std::vector<std::byte>* out);
+template <class V, WireFieldsOf<QueryResultMsg> M>
+void Fields(V& v, M& m) {
+  v(m.client_seq, m.status_code, m.message, m.cardinality, m.checksum,
+    m.wall_seconds, m.queue_seconds, m.plan_cache_hit,
+    WireEnumAs<uint8_t>(m.backend, ServeBackend::kProcess), m.attempts);
+}
 
 }  // namespace mjoin
 

@@ -382,9 +382,7 @@ void MjoinServer::Impl::IoLoop() {
     for (ResultEnvelope& env : batch) {
       auto it = conns.find(env.conn_id);
       if (it == conns.end()) continue;  // client already gone
-      std::vector<std::byte> payload;
-      EncodeQueryResult(env.msg, &payload);
-      it->second.chan->QueueFrame(FrameType::kQueryResult, payload);
+      it->second.chan->QueueMsg(FrameType::kQueryResult, env.msg);
       if (Status s = it->second.chan->Flush(); !s.ok()) close_conn(env.conn_id);
     }
   };
@@ -410,7 +408,7 @@ void MjoinServer::Impl::IoLoop() {
       }
       SubmitMsg submit;
       WireReader reader(frame.payload);
-      if (Status s = DecodeSubmit(&reader, &submit); !s.ok()) {
+      if (Status s = DecodeMsg(&reader, &submit); !s.ok()) {
         close_conn(id);
         return;
       }

@@ -34,6 +34,7 @@ EXPECTED = {
     "bad_new.cc": ["new"],
     "bad_include.cc": ["include"],
     "bad_atomic.cc": ["atomic-order", "atomic-order"],
+    "bad_wire.cc": ["wire-primitive", "wire-primitive"],
     "clean.cc": [],
 }
 

@@ -201,12 +201,13 @@ TEST(PlanEnvelopeTest, RoundTrips) {
   env.fault_scenario = "drop-batch op=2 after=5";
   env.plan_text = SerializePlan(MakePlan());
   env.shm_ring_bytes = 1u << 18;
+  env.attempt = 2;
 
   std::vector<std::byte> wire;
-  EncodePlanEnvelope(env, &wire);
+  EncodeMsg(env, &wire);
   WireReader reader(wire);
   PlanEnvelope decoded;
-  ASSERT_TRUE(DecodePlanEnvelope(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.protocol_version, env.protocol_version);
   EXPECT_EQ(decoded.worker_id, env.worker_id);
   EXPECT_EQ(decoded.num_workers, env.num_workers);
@@ -219,12 +220,13 @@ TEST(PlanEnvelopeTest, RoundTrips) {
   EXPECT_EQ(decoded.fault_scenario, env.fault_scenario);
   EXPECT_EQ(decoded.plan_text, env.plan_text);
   EXPECT_EQ(decoded.shm_ring_bytes, env.shm_ring_bytes);
+  EXPECT_EQ(decoded.attempt, env.attempt);
 
   // A truncated envelope (e.g. from a frame cut short) errors cleanly.
   for (size_t len = 0; len < wire.size(); len += 13) {
     WireReader short_reader(wire.data(), len);
     PlanEnvelope ignored;
-    EXPECT_FALSE(DecodePlanEnvelope(&short_reader, &ignored).ok())
+    EXPECT_FALSE(DecodeMsg(&short_reader, &ignored).ok())
         << "truncated to " << len;
   }
 }
@@ -236,10 +238,10 @@ TEST(HelloTest, RoundTripsWithRingDirectoryHash) {
   msg.ring_directory_hash = 0xfeed'face'cafe'f00dull;
 
   std::vector<std::byte> wire;
-  EncodeHello(msg, &wire);
+  EncodeMsg(msg, &wire);
   WireReader reader(wire);
   HelloMsg decoded;
-  ASSERT_TRUE(DecodeHello(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.protocol_version, msg.protocol_version);
   EXPECT_EQ(decoded.plan_hash, msg.plan_hash);
   EXPECT_EQ(decoded.ring_directory_hash, msg.ring_directory_hash);
@@ -247,7 +249,7 @@ TEST(HelloTest, RoundTripsWithRingDirectoryHash) {
   for (size_t len = 0; len < wire.size(); ++len) {
     WireReader short_reader(wire.data(), len);
     HelloMsg ignored;
-    EXPECT_FALSE(DecodeHello(&short_reader, &ignored).ok())
+    EXPECT_FALSE(DecodeMsg(&short_reader, &ignored).ok())
         << "truncated to " << len;
   }
 }
@@ -266,10 +268,10 @@ TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   stats.ring_full_stalls = 9;
 
   std::vector<std::byte> wire;
-  EncodeWorkerRunStats(stats, &wire);
+  EncodeMsg(stats, &wire);
   WireReader reader(wire);
   WorkerRunStats decoded;
-  ASSERT_TRUE(DecodeWorkerRunStats(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.local_deliveries, stats.local_deliveries);
   EXPECT_EQ(decoded.batches_processed, stats.batches_processed);
   EXPECT_EQ(decoded.pump_stalls, stats.pump_stalls);
@@ -284,7 +286,7 @@ TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   for (size_t len = 0; len < wire.size(); len += 7) {
     WireReader short_reader(wire.data(), len);
     WorkerRunStats ignored;
-    EXPECT_FALSE(DecodeWorkerRunStats(&short_reader, &ignored).ok())
+    EXPECT_FALSE(DecodeMsg(&short_reader, &ignored).ok())
         << "truncated to " << len;
   }
 }
@@ -295,12 +297,12 @@ TEST(StatusPayloadTest, RoundTripsCodeAndMessage) {
         Status::ResourceExhausted("memory budget exceeded"),
         Status::Internal("injected fault: operator 9 failed")}) {
     std::vector<std::byte> wire;
-    EncodeStatusPayload(status, &wire);
+    EncodeMsg(ErrorMsg{status.code(), status.message()}, &wire);
     WireReader reader(wire);
-    Status decoded = Status::OK();
-    ASSERT_TRUE(DecodeStatusPayload(&reader, &decoded).ok());
-    EXPECT_EQ(decoded.code(), status.code());
-    EXPECT_EQ(decoded.message(), status.message());
+    ErrorMsg decoded;
+    ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
+    EXPECT_EQ(decoded.code, status.code());
+    EXPECT_EQ(decoded.message, status.message());
   }
 }
 
@@ -309,15 +311,15 @@ TEST(HeartbeatTest, SerializeParseIsAFixedPoint) {
     HeartbeatMsg ping;
     ping.seq = seq;
     std::vector<std::byte> wire;
-    EncodeHeartbeat(ping, &wire);
+    EncodeMsg(ping, &wire);
     WireReader reader(wire);
     HeartbeatMsg decoded;
-    ASSERT_TRUE(DecodeHeartbeat(&reader, &decoded).ok());
+    ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
     EXPECT_TRUE(reader.exhausted());
     EXPECT_EQ(decoded.seq, seq);
     // Re-encoding the parse reproduces the bytes exactly.
     std::vector<std::byte> again;
-    EncodeHeartbeat(decoded, &again);
+    EncodeMsg(decoded, &again);
     EXPECT_EQ(again, wire);
   }
 }
@@ -326,11 +328,11 @@ TEST(HeartbeatTest, EveryTruncationFailsCleanly) {
   HeartbeatMsg ping;
   ping.seq = 12345;
   std::vector<std::byte> wire;
-  EncodeHeartbeat(ping, &wire);
+  EncodeMsg(ping, &wire);
   for (size_t len = 0; len < wire.size(); ++len) {
     WireReader reader(wire.data(), len);
     HeartbeatMsg decoded;
-    EXPECT_FALSE(DecodeHeartbeat(&reader, &decoded).ok())
+    EXPECT_FALSE(DecodeMsg(&reader, &decoded).ok())
         << "truncated to " << len << " of " << wire.size() << " bytes";
   }
 }
@@ -341,13 +343,13 @@ TEST(HeartbeatTest, EverySingleByteCorruptionFailsCleanly) {
   HeartbeatMsg ping;
   ping.seq = 0xA5A5A5A5;
   std::vector<std::byte> wire;
-  EncodeHeartbeat(ping, &wire);
+  EncodeMsg(ping, &wire);
   for (size_t pos = 0; pos < wire.size(); ++pos) {
     std::vector<std::byte> damaged = wire;
     damaged[pos] ^= std::byte{0x01};
     WireReader reader(damaged);
     HeartbeatMsg decoded;
-    Status status = DecodeHeartbeat(&reader, &decoded);
+    Status status = DecodeMsg(&reader, &decoded);
     ASSERT_FALSE(status.ok()) << "corrupted byte " << pos << " undetected";
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   }

@@ -310,7 +310,7 @@ TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
   env.shm_ring_bytes = kRingBytes;
   env.plan_text = SerializePlan(*plan_);
   std::vector<std::byte> payload;
-  EncodePlanEnvelope(env, &payload);
+  EncodeMsg(env, &payload);
   chan.QueueFrame(FrameType::kPlan, payload);
   ASSERT_TRUE(chan.Flush().ok());
 
@@ -324,7 +324,9 @@ TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
     while (chan.NextFrame(&frame)) {
       if (frame.type != FrameType::kError) continue;
       WireReader reader(frame.payload);
-      ASSERT_TRUE(DecodeStatusPayload(&reader, &reported).ok());
+      ErrorMsg error;
+      ASSERT_TRUE(DecodeMsg(&reader, &error).ok());
+      reported = Status(error.code, error.message);
     }
   }
   worker.join();

@@ -67,10 +67,10 @@ TEST(ServeProtocolTest, SubmitRoundTrip) {
   msg.collect_metrics = true;
 
   std::vector<std::byte> wire;
-  EncodeSubmit(msg, &wire);
+  EncodeMsg(msg, &wire);
   WireReader reader(wire);
   SubmitMsg decoded;
-  ASSERT_TRUE(DecodeSubmit(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.client_seq, msg.client_seq);
   EXPECT_EQ(decoded.tenant, msg.tenant);
   EXPECT_EQ(decoded.backend, msg.backend);
@@ -83,7 +83,7 @@ TEST(ServeProtocolTest, SubmitRoundTrip) {
   // Trailing garbage is a decode error, not silently ignored.
   wire.push_back(std::byte{0});
   WireReader trailing(wire);
-  EXPECT_FALSE(DecodeSubmit(&trailing, &decoded).ok());
+  EXPECT_FALSE(DecodeMsg(&trailing, &decoded).ok());
 }
 
 TEST(ServeProtocolTest, QueryResultRoundTrip) {
@@ -100,10 +100,10 @@ TEST(ServeProtocolTest, QueryResultRoundTrip) {
   msg.attempts = 3;
 
   std::vector<std::byte> wire;
-  EncodeQueryResult(msg, &wire);
+  EncodeMsg(msg, &wire);
   WireReader reader(wire);
   QueryResultMsg decoded;
-  ASSERT_TRUE(DecodeQueryResult(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.client_seq, msg.client_seq);
   EXPECT_EQ(decoded.status_code, msg.status_code);
   EXPECT_EQ(decoded.message, msg.message);

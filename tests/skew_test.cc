@@ -231,10 +231,10 @@ TEST(SkewWireTest, ReportCodecRoundTrip) {
   report.bloom = std::move(bloom);
 
   std::vector<std::byte> payload;
-  EncodeSkewReport(report, &payload);
+  EncodeMsg(report, &payload);
   WireReader reader(payload);
   SkewJoinReport decoded;
-  ASSERT_TRUE(DecodeSkewReport(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.op, 5);
   EXPECT_EQ(decoded.instance, 2u);
   EXPECT_EQ(decoded.build_rows, 777u);
@@ -247,7 +247,7 @@ TEST(SkewWireTest, ReportCodecRoundTrip) {
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     WireReader short_reader(payload.data(), cut);
     SkewJoinReport scratch;
-    EXPECT_FALSE(DecodeSkewReport(&short_reader, &scratch).ok()) << cut;
+    EXPECT_FALSE(DecodeMsg(&short_reader, &scratch).ok()) << cut;
   }
 }
 
@@ -265,10 +265,10 @@ TEST(SkewWireTest, DirectiveCodecRoundTrip) {
   directive.bloom = std::move(bloom);
 
   std::vector<std::byte> payload;
-  EncodeSkewDirective(directive, &payload);
+  EncodeMsg(directive, &payload);
   WireReader reader(payload);
   SkewDirective decoded;
-  ASSERT_TRUE(DecodeSkewDirective(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.op, 4);
   EXPECT_TRUE(decoded.repartition);
   EXPECT_EQ(decoded.hot_keys, directive.hot_keys);
@@ -280,7 +280,7 @@ TEST(SkewWireTest, DirectiveCodecRoundTrip) {
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     WireReader short_reader(payload.data(), cut);
     SkewDirective scratch;
-    EXPECT_FALSE(DecodeSkewDirective(&short_reader, &scratch).ok()) << cut;
+    EXPECT_FALSE(DecodeMsg(&short_reader, &scratch).ok()) << cut;
   }
 }
 
@@ -296,10 +296,10 @@ TEST(SkewWireTest, PlanEnvelopeCarriesDefenseOptions) {
   env.skew_defense.max_hot_row_bytes = 12345;
 
   std::vector<std::byte> payload;
-  EncodePlanEnvelope(env, &payload);
+  EncodeMsg(env, &payload);
   WireReader reader(payload);
   PlanEnvelope decoded;
-  ASSERT_TRUE(DecodePlanEnvelope(&reader, &decoded).ok());
+  ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.skew_defense.mode, SkewDefenseMode::kAuto);
   EXPECT_EQ(decoded.skew_defense.bloom_bits, 1u << 10);
   EXPECT_EQ(decoded.skew_defense.sketch_capacity, 17u);

@@ -3,9 +3,15 @@
 // not change the data — reference-identical results.
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
 #include "engine/fault_injector.h"
@@ -17,18 +23,36 @@
 namespace mjoin {
 namespace {
 
-/// Live thread count of this process (Linux); 0 where unsupported.
-size_t CountThreads() {
+/// Tids of this process's tasks (Linux); empty where unsupported.
+std::set<pid_t> ThreadIds() {
+  std::set<pid_t> tids;
 #ifdef __linux__
-  size_t n = 0;
-  for ([[maybe_unused]] const auto& entry :
+  for (const auto& entry :
        std::filesystem::directory_iterator("/proc/self/task")) {
-    ++n;
+    tids.insert(static_cast<pid_t>(std::stol(entry.path().filename())));
   }
-  return n;
-#else
-  return 0;
 #endif
+  return tids;
+}
+
+/// Tasks listed now that were not listed in `before` and are still
+/// running. A thread that has exited (state X or Z, or its stat already
+/// gone) is not a leak: pthread_join can return a moment before the kernel
+/// unlists the task. A thread that is still alive fails at once; there is
+/// no grace period.
+std::vector<pid_t> LeakedThreads(const std::set<pid_t>& before) {
+  std::vector<pid_t> leaked;
+  for (pid_t tid : ThreadIds()) {
+    if (before.count(tid) != 0) continue;
+    std::ifstream stat("/proc/self/task/" + std::to_string(tid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;  // already reaped
+    // "tid (comm) S ...": the state follows the last ')'.
+    const size_t paren = line.rfind(')');
+    const char state = paren + 2 < line.size() ? line[paren + 2] : '?';
+    if (state != 'X' && state != 'Z') leaked.push_back(tid);
+  }
+  return leaked;
 }
 
 /// A small Wisconsin chain plus everything needed to execute and verify it.
@@ -79,10 +103,10 @@ TEST_P(FaultScenarioTest, NoFaultControlMatchesReference) {
   options.batch_size = 32;
   options.max_queued_batches = 4;
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   auto run = executor.Execute(setup.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
 
   EXPECT_EQ(run->result.cardinality, setup.reference.cardinality);
   EXPECT_EQ(run->result.checksum, setup.reference.checksum);
@@ -108,10 +132,10 @@ TEST_P(FaultScenarioTest, SlowWorkerStillCorrect) {
   options.max_queued_batches = 4;
   options.fault_injector = &injector;
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   auto run = executor.Execute(setup.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
   EXPECT_EQ(run->result.cardinality, setup.reference.cardinality);
   EXPECT_EQ(run->result.checksum, setup.reference.checksum);
   EXPECT_GT(injector.faults_injected(), 0u);
@@ -132,10 +156,10 @@ TEST_P(FaultScenarioTest, OperatorFailureAbortsCleanly) {
   options.batch_size = 32;
   options.fault_injector = &injector;
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   ThreadExecStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInternal);
   EXPECT_NE(run.status().message().find("injected fault"), std::string::npos);
@@ -151,10 +175,10 @@ TEST_P(FaultScenarioTest, TightMemoryBudgetAborts) {
   ThreadExecOptions options;
   options.memory_budget_bytes = 4096;
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   ThreadExecStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(stats.peak_memory_bytes, 0u);
@@ -168,14 +192,14 @@ TEST_P(FaultScenarioTest, NonPositiveDeadlineRejected) {
   ThreadExecutor executor(&setup.db);
   ThreadExecOptions options;
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   for (auto bad : {std::chrono::milliseconds(0), std::chrono::milliseconds(-5)}) {
     options.deadline = bad;
     auto run = executor.Execute(setup.plan, options);
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
   }
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
 }
 
 // A deadline that expires mid-run (a slow worker keeps the query alive past
@@ -194,9 +218,9 @@ TEST_P(FaultScenarioTest, TinyDeadlineExpires) {
   options.fault_injector = &injector;
   options.deadline = std::chrono::milliseconds(1);
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   auto run = executor.Execute(setup.plan, options);
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -216,14 +240,14 @@ TEST_P(FaultScenarioTest, CancellationMidRun) {
   options.fault_injector = &injector;
   CancellationToken token = options.cancellation;
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   std::thread canceller([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     token.Cancel();
   });
   auto run = executor.Execute(setup.plan, options);
   canceller.join();
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
 }
@@ -327,7 +351,7 @@ TEST(FaultScenarioEdgeTest, AbortThenReuseExecutor) {
   QuerySetup setup = MakeSetup(StrategyKind::kFP);
   ThreadExecutor executor(&setup.db);
 
-  size_t threads_before = CountThreads();
+  const std::set<pid_t> threads_before = ThreadIds();
   for (int i = 0; i < 3; ++i) {
     ThreadExecOptions starved;
     starved.memory_budget_bytes = 4096;
@@ -340,7 +364,7 @@ TEST(FaultScenarioEdgeTest, AbortThenReuseExecutor) {
     EXPECT_EQ(good->result.cardinality, setup.reference.cardinality);
     EXPECT_EQ(good->result.checksum, setup.reference.checksum);
   }
-  EXPECT_EQ(CountThreads(), threads_before);
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
 }
 
 }  // namespace

@@ -155,8 +155,10 @@ MJOIN_CHAOS_ITERS=2 tools/run_sanitized_tests.sh thread \
   skew_test workload_test
 
 echo "== ci: address sanitizer =="
+# wire_codec_test is the control protocol's fuzz target (a seeded mutation
+# loop over every message); the UBSan pass below runs it too.
 MJOIN_CHAOS_ITERS=2 tools/run_sanitized_tests.sh address \
-  thread_metrics_test net_wire_test shm_ring_test \
+  thread_metrics_test net_wire_test wire_codec_test shm_ring_test \
   process_backend_fault_test process_chaos_test serve_test \
   warm_fleet_test plan_cache_test skew_test workload_test
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for the mjoin tree.
 
-Four checks, each enforcing an invariant that neither the compiler nor
+Six checks, each enforcing an invariant that neither the compiler nor
 clang-tidy expresses:
 
   switch-exhaustive  Any switch over FrameType or StatusCode must list
@@ -26,6 +26,14 @@ clang-tidy expresses:
   include            Header guards are MJOIN_<PATH>_H_, a .cc includes
                      its own header first, and quoted includes are
                      directory-qualified ("engine/foo.h", not "foo.h").
+
+  wire-primitive     Outside src/net/, no code calls a wire primitive:
+                     Put{U8,U16,U32,U64,I32,I64,F64,String}( or a
+                     .Read*( / ->Read*( primitive of WireReader, except
+                     at sites annotated `// lint:allow-wire <reason>`.
+                     Message payloads go through EncodeMsg/DecodeMsg and
+                     their one field list (net/wire.h), so no payload is
+                     encoded or decoded inline at a call site.
 
   atomic-order       Every std::atomic access (.load/.store/.fetch_*/
                      .exchange/.compare_exchange_*) must name an explicit
@@ -87,6 +95,10 @@ CLOCK_RE = re.compile(
 NEW_RE = re.compile(r"\bnew\b|\b(?:malloc|calloc|realloc)\s*\(")
 CASE_RE = re.compile(r"\bcase\s+([A-Za-z_][A-Za-z0-9_:]*)\s*:")
 DEFAULT_RE = re.compile(r"\bdefault\s*:")
+WIRE_PRIMITIVE_RE = re.compile(
+    r"\bPut(?:U8|U16|U32|U64|I32|I64|F64|String)\s*\("
+    r"|(?:\.|->)\s*Read(?:U8|U16|U32|U64|I32|I64|F64|String|Bytes)\s*\(")
+NET_ROOT = SRC_ROOT / "net"
 ATOMIC_OP_RE = re.compile(
     r"(?:\.|->)(?:load|store|exchange|fetch_(?:add|sub|and|or|xor)"
     r"|compare_exchange_(?:weak|strong))\s*\(")
@@ -205,6 +217,14 @@ class Linter:
                              "make_shared or annotate with "
                              "'// lint:allow-new <reason>'")
         self.check_includes(path, raw_lines, code_lines)
+        if NET_ROOT not in path.resolve().parents:
+            self.check_annotated(path, raw_lines, code_lines,
+                                 WIRE_PRIMITIVE_RE, "wire-primitive",
+                                 "lint:allow-wire",
+                                 "wire primitive outside src/net/; encode "
+                                 "and decode payloads with EncodeMsg/"
+                                 "DecodeMsg (or annotate with "
+                                 "'// lint:allow-wire <reason>')")
         self.check_atomic_order(path, raw_lines, code)
 
     # -- atomic-order -------------------------------------------------------
