@@ -215,11 +215,7 @@ class MessageWriter {
   void Write(const WireEnum<Wire, E>& e) {
     Write(static_cast<Wire>(e.value));
   }
-  void Write(const std::string& s) {
-    Write(static_cast<uint32_t>(s.size()));
-    const auto* p = reinterpret_cast<const std::byte*>(s.data());
-    out_->insert(out_->end(), p, p + s.size());
-  }
+  void Write(const std::string& s) { PutString(out_, s); }
   template <class T>
   void Write(const std::vector<T>& v) {
     Write(static_cast<uint32_t>(v.size()));

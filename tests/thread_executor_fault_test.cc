@@ -9,10 +9,12 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/fault_injector.h"
 #include "engine/reference.h"
@@ -35,22 +37,29 @@ std::set<pid_t> ThreadIds() {
   return tids;
 }
 
-/// Tasks listed now that were not listed in `before` and are still
-/// running. A thread that has exited (state X or Z, or its stat already
-/// gone) is not a leak: pthread_join can return a moment before the kernel
-/// unlists the task. A thread that is still alive fails at once; there is
-/// no grace period.
-std::vector<pid_t> LeakedThreads(const std::set<pid_t>& before) {
-  std::vector<pid_t> leaked;
+/// Tasks listed now that were not listed in `before` and are not exiting,
+/// as "tid state flags". pthread_join returns once the kernel clears the
+/// thread's tid, which happens inside do_exit, after PF_EXITING is set and
+/// before the task leaves /proc/self/task; such a task (or one already in
+/// state X or Z, or already gone) is not a leak. A thread that is still
+/// running user code has no PF_EXITING and fails at once; there is no
+/// grace period.
+std::vector<std::string> LeakedThreads(const std::set<pid_t>& before) {
+  constexpr unsigned long kPfExiting = 0x4;  // include/linux/sched.h
+  std::vector<std::string> leaked;
   for (pid_t tid : ThreadIds()) {
     if (before.count(tid) != 0) continue;
     std::ifstream stat("/proc/self/task/" + std::to_string(tid) + "/stat");
     std::string line;
     if (!std::getline(stat, line)) continue;  // already reaped
-    // "tid (comm) S ...": the state follows the last ')'.
-    const size_t paren = line.rfind(')');
-    const char state = paren + 2 < line.size() ? line[paren + 2] : '?';
-    if (state != 'X' && state != 'Z') leaked.push_back(tid);
+    // "tid (comm) state ppid pgrp session tty tpgid flags ...": the fields
+    // after the last ')' start with the state; flags is the seventh.
+    std::istringstream fields(line.substr(line.rfind(')') + 1));
+    std::string state, skip;
+    unsigned long flags = 0;
+    fields >> state >> skip >> skip >> skip >> skip >> skip >> flags;
+    if (state == "X" || state == "Z" || (flags & kPfExiting) != 0) continue;
+    leaked.push_back(StrCat(tid, " ", state, " flags=", flags));
   }
   return leaked;
 }
@@ -106,7 +115,7 @@ TEST_P(FaultScenarioTest, NoFaultControlMatchesReference) {
   const std::set<pid_t> threads_before = ThreadIds();
   auto run = executor.Execute(setup.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
 
   EXPECT_EQ(run->result.cardinality, setup.reference.cardinality);
   EXPECT_EQ(run->result.checksum, setup.reference.checksum);
@@ -135,7 +144,7 @@ TEST_P(FaultScenarioTest, SlowWorkerStillCorrect) {
   const std::set<pid_t> threads_before = ThreadIds();
   auto run = executor.Execute(setup.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   EXPECT_EQ(run->result.cardinality, setup.reference.cardinality);
   EXPECT_EQ(run->result.checksum, setup.reference.checksum);
   EXPECT_GT(injector.faults_injected(), 0u);
@@ -159,7 +168,7 @@ TEST_P(FaultScenarioTest, OperatorFailureAbortsCleanly) {
   const std::set<pid_t> threads_before = ThreadIds();
   ThreadExecStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInternal);
   EXPECT_NE(run.status().message().find("injected fault"), std::string::npos);
@@ -178,7 +187,7 @@ TEST_P(FaultScenarioTest, TightMemoryBudgetAborts) {
   const std::set<pid_t> threads_before = ThreadIds();
   ThreadExecStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(stats.peak_memory_bytes, 0u);
@@ -199,7 +208,7 @@ TEST_P(FaultScenarioTest, NonPositiveDeadlineRejected) {
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
   }
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
 }
 
 // A deadline that expires mid-run (a slow worker keeps the query alive past
@@ -220,7 +229,7 @@ TEST_P(FaultScenarioTest, TinyDeadlineExpires) {
 
   const std::set<pid_t> threads_before = ThreadIds();
   auto run = executor.Execute(setup.plan, options);
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -247,7 +256,7 @@ TEST_P(FaultScenarioTest, CancellationMidRun) {
   });
   auto run = executor.Execute(setup.plan, options);
   canceller.join();
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
 }
@@ -364,7 +373,7 @@ TEST(FaultScenarioEdgeTest, AbortThenReuseExecutor) {
     EXPECT_EQ(good->result.cardinality, setup.reference.cardinality);
     EXPECT_EQ(good->result.checksum, setup.reference.checksum);
   }
-  EXPECT_EQ(LeakedThreads(threads_before), std::vector<pid_t>{});
+  EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
 }
 
 }  // namespace
