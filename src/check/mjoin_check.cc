@@ -8,11 +8,16 @@
 //   mjoin_check run [--scenario S] [--mutation M]
 //                   [--schedules N] [--seed K]
 //   mjoin_check mutants [--schedules N]      every seeded bug must be caught
-//   mjoin_check selftest [--schedules N]     baseline clean AND mutants caught
+//   mjoin_check selftest [--scenario S] [--schedules N]
+//                                            baseline clean AND mutants caught
+//   mjoin_check check-list S...              S... is exactly `list`'s scenarios
 //
 // selftest is the CI entry point: it proves both soundness (the
 // unmutated ring passes every scenario) and teeth (each of the nine
-// seeded bugs is caught by its designated scenario).
+// seeded bugs is caught by its designated scenario). With --scenario it
+// runs one scenario's share: its baseline plus every mutant it catches,
+// so the scenarios can run in parallel; check-list proves a caller that
+// runs them one by one (the ctest registration) covers every scenario.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -87,10 +92,24 @@ int CmdRun(const Options& opts) {
   return failures == 0 ? 0 : 1;
 }
 
-int CmdMutants(const Options& opts) {
+bool KnownScenario(const std::string& name) {
+  for (const std::string& known : ScenarioNames()) {
+    if (known == name) return true;
+  }
+  return false;
+}
+
+/// Runs every mutant (or, with opts.scenario set, those that scenario
+/// catches) and returns how many were missed.
+int RunMutants(const Options& opts) {
   int caught = 0;
+  int total = 0;
   for (int i = 1; i <= kNumMutations; ++i) {
     const Mutation m = static_cast<Mutation>(i);
+    if (!opts.scenario.empty() && opts.scenario != CatchingScenario(m)) {
+      continue;
+    }
+    ++total;
     ScenarioResult result =
         RunScenario(CatchingScenario(m), m, opts.schedules, opts.seed);
     std::printf("mutant %-22s @ %-13s %s", MutationName(m),
@@ -104,26 +123,68 @@ int CmdMutants(const Options& opts) {
                   static_cast<unsigned long long>(result.executions));
     }
   }
-  std::printf("mutation self-test: %d/%d caught\n", caught, kNumMutations);
-  return caught == kNumMutations ? 0 : 1;
+  std::printf("mutation self-test: %d/%d caught\n", caught, total);
+  return total - caught;
+}
+
+int CmdMutants(Options opts) {
+  opts.scenario.clear();
+  return RunMutants(opts) == 0 ? 0 : 1;
 }
 
 int CmdSelftest(const Options& opts) {
+  std::vector<std::string> names = ScenarioNames();
+  if (!opts.scenario.empty()) {
+    if (!KnownScenario(opts.scenario)) {
+      std::fprintf(stderr, "unknown scenario: %s\n", opts.scenario.c_str());
+      return 2;
+    }
+    names = {opts.scenario};
+  }
   int failures = 0;
-  for (const std::string& name : ScenarioNames()) {
+  for (const std::string& name : names) {
     const ScenarioResult result =
         RunScenario(name, Mutation::kNone, opts.schedules, opts.seed);
     PrintResult(result, /*expect_violation=*/false);
     if (result.violated) ++failures;
   }
-  if (CmdMutants(opts) != 0) ++failures;
+  failures += RunMutants(opts);
   if (failures == 0) {
-    std::printf("mjoin_check selftest OK: %zu scenarios clean, %d/%d "
-                "mutations caught\n",
-                ScenarioNames().size(), kNumMutations, kNumMutations);
+    std::printf("mjoin_check selftest OK: %zu scenario%s clean, every "
+                "mutant %s caught\n",
+                names.size(), names.size() == 1 ? "" : "s",
+                names.size() == 1 ? "it catches" : "they catch");
     return 0;
   }
   std::printf("mjoin_check selftest FAILED\n");
+  return 1;
+}
+
+/// Exit 0 iff `names` lists exactly the catalogue's scenarios, in order,
+/// and every mutant is caught by one of them: a caller running `selftest
+/// --scenario S` once per listed name then runs every baseline and every
+/// mutant.
+int CmdCheckList(const std::vector<std::string>& names) {
+  for (int i = 1; i <= kNumMutations; ++i) {
+    const Mutation m = static_cast<Mutation>(i);
+    if (!KnownScenario(CatchingScenario(m))) {
+      std::printf("mjoin_check check-list FAILED: mutant %s names unknown "
+                  "scenario %s\n",
+                  MutationName(m), CatchingScenario(m));
+      return 1;
+    }
+  }
+  if (names == ScenarioNames()) {
+    std::printf("mjoin_check check-list OK: %zu scenarios\n", names.size());
+    return 0;
+  }
+  std::printf("mjoin_check check-list FAILED: expected");
+  for (const std::string& name : ScenarioNames()) {
+    std::printf(" %s", name.c_str());
+  }
+  std::printf("\n  got");
+  for (const std::string& name : names) std::printf(" %s", name.c_str());
+  std::printf("\n");
   return 1;
 }
 
@@ -131,10 +192,14 @@ int Main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: mjoin_check <list|run|mutants|selftest> "
-                 "[--scenario S] [--mutation M] [--schedules N] [--seed K]\n");
+                 "[--scenario S] [--mutation M] [--schedules N] [--seed K]\n"
+                 "       mjoin_check check-list S...\n");
     return 2;
   }
   const std::string cmd = argv[1];
+  if (cmd == "check-list") {
+    return CmdCheckList(std::vector<std::string>(argv + 2, argv + argc));
+  }
   Options opts;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -1,5 +1,7 @@
 #include "engine/database.h"
 
+#include <atomic>
+
 #include "common/random.h"
 #include "common/string_util.h"
 #include "storage/wisconsin.h"
@@ -7,11 +9,31 @@
 
 namespace mjoin {
 
+uint64_t Database::NextVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+Database::Database(Database&& other) noexcept
+    : relations_(std::move(other.relations_)) {
+  other.version_ = NextVersion();
+}
+
+Database& Database::operator=(Database&& other) noexcept {
+  if (this != &other) {
+    relations_ = std::move(other.relations_);
+    other.version_ = NextVersion();
+  }
+  version_ = NextVersion();
+  return *this;
+}
+
 Status Database::Add(const std::string& name, Relation relation) {
   if (relations_.contains(name)) {
     return Status::AlreadyExists(StrCat("relation '", name, "' exists"));
   }
   relations_.emplace(name, std::move(relation));
+  version_ = NextVersion();
   return Status::OK();
 }
 

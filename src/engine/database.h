@@ -1,6 +1,7 @@
 #ifndef MJOIN_ENGINE_DATABASE_H_
 #define MJOIN_ENGINE_DATABASE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -10,18 +11,27 @@
 namespace mjoin {
 
 /// A named collection of main-memory base relations (the "database" of one
-/// experiment). Relations are owned by the database; executors fragment
-/// them per query according to the plan's placement.
+/// experiment). Relations are owned by the database, are immutable once
+/// added, and are never copied per query: each scan instance reads its
+/// fragment straight out of them according to the plan's placement.
 class Database {
  public:
   Database() = default;
-  Database(Database&&) = default;
-  Database& operator=(Database&&) = default;
+  /// Both sides of a move get fresh version stamps: each now holds
+  /// different relations than before.
+  Database(Database&& other) noexcept;
+  Database& operator=(Database&& other) noexcept;
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
   /// Registers `relation` under `name`; fails if the name exists.
   [[nodiscard]] Status Add(const std::string& name, Relation relation);
+
+  /// A stamp unique across the process, taken fresh at construction, on
+  /// every successful Add and on every move. Equal stamps mean the same
+  /// relations: a forked worker fleet records the stamp of the database
+  /// it inherited and is respawned once the stamp moves on.
+  uint64_t version() const { return version_; }
 
   [[nodiscard]] StatusOr<const Relation*> Get(const std::string& name) const;
   bool Contains(const std::string& name) const {
@@ -34,6 +44,9 @@ class Database {
 
  private:
   std::map<std::string, Relation> relations_;
+  uint64_t version_ = NextVersion();
+
+  static uint64_t NextVersion();
 };
 
 /// Builds the paper's test database: `num_relations` Wisconsin relations

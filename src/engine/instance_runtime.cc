@@ -11,7 +11,6 @@
 #include "exec/scan.h"
 #include "exec/simple_hash_join.h"
 #include "exec/sort_merge_join.h"
-#include "storage/partitioner.h"
 
 namespace mjoin {
 
@@ -84,13 +83,17 @@ std::vector<Relation> EmptyFragments(const XraOp& o) {
   return frags;
 }
 
+/// A scan reads fragment `fragment` of base relation `input` by `rule`; a
+/// rescan reads all of its stored fragment `input`.
 StatusOr<std::unique_ptr<Operator>> MakeOperator(const XraOp& o,
-                                                 const Relation* input) {
+                                                 const Relation* input,
+                                                 const FragmentRule& rule,
+                                                 uint32_t fragment) {
   switch (o.kind) {
     case XraOpKind::kScan:
     case XraOpKind::kRescan:
       return std::unique_ptr<Operator>(std::make_unique<ScanOp>(
-          [input] { return input; }, o.output_schema));
+          [input] { return input; }, o.output_schema, rule, fragment));
     case XraOpKind::kSimpleHashJoin:
       return std::unique_ptr<Operator>(
           std::make_unique<SimpleHashJoinOp>(o.join_spec));
@@ -122,8 +125,8 @@ void OpInstance::EmitRow(const std::byte* row) {
 }
 
 void OpInstance::EmitRows(const std::byte* rows, size_t count,
-                          size_t row_bytes) {
-  runtime->EmitRowsFrom(this, rows, count, row_bytes);
+                          size_t stride) {
+  runtime->EmitRowsFrom(this, rows, count, stride);
 }
 
 void OpInstance::BatchFull(uint32_t dest) { runtime->FlushDest(this, dest); }
@@ -146,19 +149,17 @@ OpMetrics* OpInstance::metrics() const {
   return runtime->settings().collect_metrics ? &op_metrics : nullptr;
 }
 
-StatusOr<std::vector<Relation>> DeclusterScan(const ParallelPlan& plan,
-                                              const XraOp& scan,
-                                              const Database& db) {
-  MJOIN_ASSIGN_OR_RETURN(const Relation* base, db.Get(scan.relation));
+StatusOr<FragmentRule> DeclusterScan(const ParallelPlan& plan,
+                                     const XraOp& scan) {
   auto m = static_cast<uint32_t>(scan.processors.size());
   const XraOp& consumer = plan.ops[static_cast<size_t>(scan.consumer)];
   if (consumer.inputs[scan.consumer_port].routing == Routing::kColocated &&
       consumer.is_join()) {
     size_t key = scan.consumer_port == 0 ? consumer.join_spec.left_key
                                          : consumer.join_spec.right_key;
-    return HashPartition(*base, key, m);
+    return FragmentRule::Hash(*scan.output_schema, key, m);
   }
-  return RoundRobinPartition(*base, m);
+  return FragmentRule::RoundRobin(m);
 }
 
 bool SendsOverNetwork(const ParallelPlan& plan, const XraOp& producer) {
@@ -174,7 +175,7 @@ InstanceRuntime::InstanceRuntime(const ParallelPlan& plan, InstanceHost* host,
       settings_(std::move(settings)),
       observe_(settings_.collect_metrics || settings_.record_trace) {}
 
-Status InstanceRuntime::Build(const Database* db) {
+Status InstanceRuntime::Build(const Database& db) {
   const size_t num_ops = plan_.ops.size();
   defended_.assign(num_ops, false);
   if (settings_.skew_defense.enabled()) {
@@ -183,17 +184,9 @@ Status InstanceRuntime::Build(const Database* db) {
     }
   }
   stored_.resize(static_cast<size_t>(plan_.num_results));
-  scan_fragments_.resize(num_ops);
   for (const XraOp& o : plan_.ops) {
     if (o.store_result >= 0) {
       stored_[static_cast<size_t>(o.store_result)] = EmptyFragments(o);
-    }
-    if (o.kind != XraOpKind::kScan) continue;
-    auto& frags = scan_fragments_[static_cast<size_t>(o.id)];
-    if (db != nullptr) {
-      MJOIN_ASSIGN_OR_RETURN(frags, DeclusterScan(plan_, o, *db));
-    } else {
-      frags = EmptyFragments(o);
     }
   }
 
@@ -202,18 +195,24 @@ Status InstanceRuntime::Build(const Database* db) {
       std::max<uint32_t>(1, settings_.costs.batch_size);
   instances_.resize(num_ops);
   for (const XraOp& o : plan_.ops) {
+    const Relation* base = nullptr;
+    FragmentRule rule = FragmentRule::RoundRobin(1);
+    if (o.kind == XraOpKind::kScan) {
+      MJOIN_ASSIGN_OR_RETURN(base, db.Get(o.relation));
+      MJOIN_ASSIGN_OR_RETURN(rule, DeclusterScan(plan_, o));
+    }
     auto& list = instances_[static_cast<size_t>(o.id)];
     list.resize(o.processors.size());
     for (uint32_t i = 0; i < o.processors.size(); ++i) {
       if (!host_->Hosts(o.processors[i])) continue;
       auto inst = std::make_unique<OpInstance>(this, o, i);
-      const Relation* input = nullptr;
-      if (o.kind == XraOpKind::kScan) {
-        input = &scan_fragments_[static_cast<size_t>(o.id)][i];
-      } else if (o.kind == XraOpKind::kRescan) {
-        input = &stored_[static_cast<size_t>(o.stored_result)][i];
+      if (o.kind == XraOpKind::kRescan) {
+        const Relation* stored =
+            &stored_[static_cast<size_t>(o.stored_result)][i];
+        MJOIN_ASSIGN_OR_RETURN(inst->oper, MakeOperator(o, stored, rule, 0));
+      } else {
+        MJOIN_ASSIGN_OR_RETURN(inst->oper, MakeOperator(o, base, rule, i));
       }
-      MJOIN_ASSIGN_OR_RETURN(inst->oper, MakeOperator(o, input));
       // Expected end-of-stream messages per port.
       for (int port = 0; port < inst->oper->num_input_ports(); ++port) {
         const XraInput& in = o.inputs[port];
@@ -249,23 +248,59 @@ Status InstanceRuntime::Build(const Database* db) {
   return Status::OK();
 }
 
+thread_local InstanceRuntime::Slice* InstanceRuntime::innermost_ = nullptr;
+
+void InstanceRuntime::EnterSlice(Slice* slice) {
+  slice->start = slice->segment_start = NowNs();
+  slice->outer = innermost_;
+  innermost_ = slice;
+}
+
+int64_t InstanceRuntime::ExitSlice(Slice* slice) {
+  const int64_t now = NowNs();
+  innermost_ = slice->outer;
+  CloseSegment(slice, now);
+  if (Slice* outer = slice->outer) {
+    // The enclosing slice paused for this one's whole span.
+    CloseSegment(outer, slice->start);
+    outer->segment_start = now;
+  }
+  return slice->own_ns;
+}
+
+void InstanceRuntime::CloseSegment(Slice* slice, int64_t end_ns) {
+  slice->own_ns += end_ns - slice->segment_start;
+  if (slice->runtime->settings_.record_trace) {
+    slice->runtime->host_->RecordTrace(slice->processor,
+                                       slice->segment_start, end_ns,
+                                       slice->type, slice->op_id);
+  }
+}
+
+void InstanceRuntime::RecordSlice(uint32_t processor, int64_t t0_ns,
+                                  int64_t t1_ns, ThreadWorkType type,
+                                  int op_id) {
+  if (settings_.record_trace) {
+    host_->RecordTrace(processor, t0_ns, t1_ns, type, op_id);
+  }
+  if (Slice* outer = innermost_) {
+    CloseSegment(outer, t0_ns);
+    outer->segment_start = t1_ns;
+  }
+}
+
 template <typename Fn>
-void InstanceRuntime::Observed(OpInstance* inst, ThreadWorkType type,
-                               Fn&& fn) {
+int64_t InstanceRuntime::Observed(OpInstance* inst, ThreadWorkType type,
+                                  Fn&& fn) {
   if (!observe_) {
     fn();
-    return;
+    return 0;
   }
-  int64_t t0 = NowNs();
-  fn();
-  int64_t t1 = NowNs();
+  const int64_t ns = TimeSlice(inst->processor, type, inst->op.id, fn);
   if (settings_.collect_metrics) {
-    *PhaseBucket(&inst->op_metrics, type) +=
-        static_cast<double>(t1 - t0) * 1e-9;
+    *PhaseBucket(&inst->op_metrics, type) += static_cast<double>(ns) * 1e-9;
   }
-  if (settings_.record_trace) {
-    host_->RecordTrace(inst->processor, t0, t1, type, inst->op.id);
-  }
+  return ns;
 }
 
 void InstanceRuntime::Start(OpInstance* inst) {
@@ -311,18 +346,18 @@ void InstanceRuntime::EmitRowFrom(OpInstance* inst, const std::byte* row) {
 }
 
 void InstanceRuntime::EmitRowsFrom(OpInstance* inst, const std::byte* rows,
-                                   size_t count, size_t row_bytes) {
+                                   size_t count, size_t stride) {
   if (aborted_.load(std::memory_order_relaxed)) return;
   EmitWriter& writer = inst->writer;
   const int split = writer.split_column();
   if (split < 0) {
     // Single destination: the whole slice lands in the pending batch in
     // one copy (scans feed stores and colocated consumers this way).
-    writer.AppendRows(rows, count);
+    writer.AppendRows(rows, count, stride);
     return;
   }
   for (size_t i = 0; i < count; ++i) {
-    const std::byte* row = rows + i * row_bytes;
+    const std::byte* row = rows + i * stride;
     TupleRef ref(row, inst->op.output_schema.get());
     writer.Append(row, ref.GetInt32(static_cast<size_t>(split)));
   }
@@ -381,21 +416,11 @@ void InstanceRuntime::OnBatch(OpInstance* inst, int port,
   OpMetrics& m = inst->op_metrics;
   m.rows_in[port] += batch.num_tuples();
   ++m.batches_in[port];
-  if (!observe_) {
-    inst->oper->Consume(port, batch, inst);
-  } else {
-    ThreadWorkType type = ConsumeWorkType(inst->op.kind, port);
-    int64_t t0 = NowNs();
-    inst->oper->Consume(port, batch, inst);
-    int64_t t1 = NowNs();
-    if (settings_.collect_metrics) {
-      double secs = static_cast<double>(t1 - t0) * 1e-9;
-      *PhaseBucket(&m, type) += secs;
-      m.batch_seconds.Add(secs);
-    }
-    if (settings_.record_trace) {
-      host_->RecordTrace(inst->processor, t0, t1, type, inst->op.id);
-    }
+  const int64_t ns =
+      Observed(inst, ConsumeWorkType(inst->op.kind, port),
+               [inst, port, &batch] { inst->oper->Consume(port, batch, inst); });
+  if (settings_.collect_metrics) {
+    m.batch_seconds.Add(static_cast<double>(ns) * 1e-9);
   }
   AfterCallback(inst);
 }

@@ -18,6 +18,7 @@
 #include "exec/emit.h"
 #include "exec/operator.h"
 #include "skew/defense.h"
+#include "storage/partitioner.h"
 #include "xra/plan.h"
 
 namespace mjoin {
@@ -45,8 +46,7 @@ class OpInstance final : public OpContext, public EmitSink {
   // OpContext:
   void Charge(Ticks cost) override { charged += cost; }
   void EmitRow(const std::byte* row) override;
-  void EmitRows(const std::byte* rows, size_t count,
-                size_t row_bytes) override;
+  void EmitRows(const std::byte* rows, size_t count, size_t stride) override;
   EmitWriter* emit_writer() override { return &writer; }
   void BatchFull(uint32_t dest) override;
   const CostParams& costs() const override;
@@ -137,12 +137,13 @@ struct RuntimeSettings {
   bool record_trace = false;
 };
 
-/// Declusters a scan's base relation over its processors: hash-partitioned
-/// on the consumer's join key when the consumer is a colocated join,
-/// round-robin otherwise (the paper's ideal initial fragmentation).
-StatusOr<std::vector<Relation>> DeclusterScan(const ParallelPlan& plan,
-                                              const XraOp& scan,
-                                              const Database& db);
+/// How a scan's base relation is declustered over its processors:
+/// hash-partitioned on the consumer's join key when the consumer is a
+/// colocated join, round-robin otherwise (the paper's ideal initial
+/// fragmentation). Each scan instance reads its fragment out of the base
+/// relation by this rule; no fragment is ever materialized.
+StatusOr<FragmentRule> DeclusterScan(const ParallelPlan& plan,
+                                     const XraOp& scan);
 
 /// True when `producer`'s output crosses the network (a hash-split edge).
 bool SendsOverNetwork(const ParallelPlan& plan, const XraOp& producer);
@@ -156,10 +157,9 @@ class InstanceRuntime {
   InstanceRuntime(const ParallelPlan& plan, InstanceHost* host,
                   RuntimeSettings settings);
 
-  /// Creates the hosted instances. With `db` the scan fragments are
-  /// declustered from it; without, they start empty and the host fills
-  /// them through scan_fragments().
-  Status Build(const Database* db);
+  /// Creates the hosted instances. Scans read their fragments in place out
+  /// of `db`'s base relations, so `db` must outlive the runtime.
+  Status Build(const Database& db);
 
   // --- callbacks, each run on the instance's thread ------------------------
 
@@ -192,7 +192,7 @@ class InstanceRuntime {
 
   void EmitRowFrom(OpInstance* inst, const std::byte* row);
   void EmitRowsFrom(OpInstance* inst, const std::byte* rows, size_t count,
-                    size_t row_bytes);
+                    size_t stride);
   void FlushDest(OpInstance* inst, uint32_t dest);
 
   // --- state ----------------------------------------------------------------
@@ -207,9 +207,6 @@ class InstanceRuntime {
   }
   const std::vector<Relation>& stored(int result) const {
     return stored_[static_cast<size_t>(result)];
-  }
-  std::vector<Relation>& scan_fragments(int op) {
-    return scan_fragments_[static_cast<size_t>(op)];
   }
   bool defended(int op) const { return defended_[static_cast<size_t>(op)]; }
   const RuntimeSettings& settings() const { return settings_; }
@@ -236,6 +233,25 @@ class InstanceRuntime {
     return batches_duplicated_.load(std::memory_order_relaxed);
   }
 
+  /// Runs `fn` as one timed slice of `type` work on `processor` and returns
+  /// the slice's own nanoseconds. Slices on one thread nest — a producer's
+  /// callback delivers a batch inline to a colocated consumer, or copies
+  /// it onto a ring — and an enclosing slice excludes the time of the
+  /// slices nested in it, so no nanosecond lands in two phase buckets or
+  /// two trace segments. Always timed; traced when the settings say so.
+  template <typename Fn>
+  int64_t TimeSlice(uint32_t processor, ThreadWorkType type, int op_id,
+                    Fn&& fn) {
+    Slice slice{this, processor, type, op_id};
+    EnterSlice(&slice);
+    fn();
+    return ExitSlice(&slice);
+  }
+  /// Traces [t0_ns, t1_ns], which the host timed on this thread, as `type`
+  /// work on `processor`, and carves it out of the enclosing slice.
+  void RecordSlice(uint32_t processor, int64_t t0_ns, int64_t t1_ns,
+                   ThreadWorkType type, int op_id);
+
   /// Steady-clock nanoseconds since the host's time origin (t=0 of its
   /// trace), in steady_clock's epoch.
   void set_time_origin_ns(int64_t origin_ns) { origin_ns_ = origin_ns; }
@@ -248,11 +264,32 @@ class InstanceRuntime {
   }
 
  private:
-  /// Runs one operator callback, timed when observability is on: the
-  /// elapsed time lands in the instance's phase bucket and (when tracing)
-  /// in the host's trace. With both switches off this is a plain call.
+  /// One open TimeSlice. Its trace segments run from `segment_start` to
+  /// the start of the next nested slice, and resume when that one ends.
+  struct Slice {
+    InstanceRuntime* runtime;
+    uint32_t processor;
+    ThreadWorkType type;
+    int op_id;
+    int64_t start = 0;
+    int64_t segment_start = 0;
+    int64_t own_ns = 0;
+    Slice* outer = nullptr;
+  };
+  /// The innermost open slice of this thread (the thread backend shares
+  /// one runtime across threads, so nesting is per thread).
+  static thread_local Slice* innermost_;
+  void EnterSlice(Slice* slice);
+  int64_t ExitSlice(Slice* slice);
+  /// Ends `slice`'s open trace segment at `end_ns`.
+  static void CloseSegment(Slice* slice, int64_t end_ns);
+
+  /// Runs one operator callback, as a TimeSlice when observability is on:
+  /// the slice's own time lands in the instance's phase bucket and (when
+  /// tracing) in the host's trace. With both switches off this is a plain,
+  /// clock-free call. Returns the slice's own nanoseconds (0 when off).
   template <typename Fn>
-  void Observed(OpInstance* inst, ThreadWorkType type, Fn&& fn);
+  int64_t Observed(OpInstance* inst, ThreadWorkType type, Fn&& fn);
   void HandleDefendedBuildEos(OpInstance* inst);
   void ApplyDirectiveAt(OpInstance* inst, const SkewDirective& directive);
   void AfterCallback(OpInstance* inst);
@@ -267,9 +304,8 @@ class InstanceRuntime {
   std::atomic<bool> aborted_{false};
   std::atomic<uint64_t> batches_dropped_{0};
   std::atomic<uint64_t> batches_duplicated_{0};
-  // Fragments precede instances_: scans read them until destruction.
+  // Stored results precede instances_: rescans read them until destruction.
   std::vector<std::vector<Relation>> stored_;
-  std::vector<std::vector<Relation>> scan_fragments_;
   // [op][instance]; null entries are hosted elsewhere.
   std::vector<std::vector<std::unique_ptr<OpInstance>>> instances_;
 };

@@ -25,7 +25,6 @@
 #include "engine/controller.h"
 #include "engine/database.h"
 #include "engine/fault_injector.h"
-#include "engine/instance_runtime.h"
 #include "engine/process_protocol.h"
 #include "engine/process_worker.h"
 #include "engine/result.h"
@@ -70,28 +69,39 @@ void ReapChild(pid_t pid, int patience_polls) {
   }
 }
 
-/// A worker fleet: the members, the shm arena they inherit, and the only
-/// code that forks, tears down and reaps them. ProcessExecutor spawns one
-/// for a single query; WarmProcessFleet keeps one for many. Attempts
-/// borrow it: a per-attempt Coordinator attaches to the members and never
-/// kills or reaps them on its own — except diagnosing an already-dead
-/// member, which marks it reaped here. No child outlives the fleet.
+/// A worker fleet: the members, the shm arena and the database they
+/// inherit, and the only code that forks, tears down and reaps them.
+/// ProcessExecutor spawns one for a single query; WarmProcessFleet keeps
+/// one for many. Attempts borrow it: a per-attempt Coordinator attaches to
+/// the members and never kills or reaps them on its own — except
+/// diagnosing an already-dead member, which marks it reaped here. No child
+/// outlives the fleet.
 struct FleetState {
   /// The arena holds `ring_slots` rings of `ring_bytes` data bytes each:
-  /// the plan's own directory for a one-shot query, the worst case n(n+1)
-  /// of an n-worker fleet (any plan fits) for a warm one.
-  FleetState(uint32_t workers, uint32_t bytes_per_ring, size_t slots)
-      : num_workers(workers), ring_bytes(bytes_per_ring), ring_slots(slots) {}
+  /// the plan's own directory for a one-shot query, the worst case n^2 of
+  /// an n-worker fleet (any plan fits) for a warm one.
+  FleetState(const Database* db, uint32_t workers, uint32_t bytes_per_ring,
+             size_t slots)
+      : database(db),
+        num_workers(workers),
+        ring_bytes(bytes_per_ring),
+        ring_slots(slots) {}
   /// Graceful unless poisoned (then SIGKILL); either way every child is
   /// reaped.
   ~FleetState() { TearDown(/*graceful=*/!poisoned); }
   FleetState(const FleetState&) = delete;
   FleetState& operator=(const FleetState&) = delete;
 
-  bool NeedsSpawn() const { return poisoned || members.empty(); }
-  /// Kills any members left and forks fresh ones. The first spawn checks
-  /// the ring size and maps the arena pre-fork; respawns keep the arena,
-  /// whose rings every attach reformats anyway.
+  /// Also true once the database changed since the members forked: their
+  /// scans would read the copy they inherited.
+  bool NeedsSpawn() const {
+    return poisoned || members.empty() ||
+           database_version != database->version();
+  }
+  /// Kills any members left and forks fresh ones, which inherit the
+  /// database as it is now. The first spawn checks the ring size and maps
+  /// the arena pre-fork; respawns keep the arena, whose rings every attach
+  /// reformats anyway.
   Status Spawn();
   /// Reaps every member and drops its channel. Graceful: parked workers
   /// exit on a bare kShutdown, each given a bounded moment before SIGKILL.
@@ -99,6 +109,9 @@ struct FleetState {
   /// to polite requests.
   void TearDown(bool graceful);
 
+  /// The database every member scans: the coordinator's own, at the same
+  /// address in each forked child.
+  const Database* const database;
   const uint32_t num_workers;
   const uint32_t ring_bytes;
   const size_t ring_slots;
@@ -108,13 +121,17 @@ struct FleetState {
   /// the fleet must be killed and respawned before the next run.
   bool poisoned = false;
   /// Spawns over the fleet's life; every one after the first replaced a
-  /// poisoned (or dead) set of members.
+  /// poisoned (or dead) set of members, or members whose database went
+  /// stale.
   uint64_t spawns = 0;
+  /// database->version() when the members forked.
+  uint64_t database_version = 0;
 };
 
 Status FleetState::Spawn() {
   TearDown(/*graceful=*/false);
   ++spawns;
+  database_version = database->version();
   // Stays poisoned until every member is up, so a half-forked fleet is
   // never attached to.
   poisoned = true;
@@ -145,10 +162,10 @@ Status FleetState::Spawn() {
         close(members[prev].chan->fd());
       }
       close(sv[0]);
-      // The shm arena (mapping + doorbells) is deliberately inherited; the
-      // child never destroys it — _exit skips destructors and the kernel
-      // drops its mapping reference.
-      _exit(RunProcessWorker(sv[1], arena.get()));
+      // The shm arena (mapping + doorbells) and the database are
+      // deliberately inherited; the child never destroys either — _exit
+      // skips destructors and the kernel drops its mapping references.
+      _exit(RunProcessWorker(sv[1], arena.get(), database));
     }
     close(sv[1]);
     members[w].pid = pid;
@@ -196,11 +213,11 @@ struct WorkerProc {
 };
 
 /// The coordinator of one process-backed attempt: attaches to the fleet
-/// (respawning it first when needed), ships plan + fragments, drives the
+/// (respawning it first when needed), ships the plan, drives the
 /// trigger-group scheduler off milestone frames, and collects the
-/// finish-phase reports. Workers exchange batches among themselves over
-/// the rings. Single-threaded: one poll loop over all worker sockets and
-/// the coordinator's doorbell.
+/// finish-phase reports. Workers scan the database they inherited and
+/// exchange batches among themselves over the rings. Single-threaded: one
+/// poll loop over all worker sockets and the coordinator's doorbell.
 class Coordinator {
  public:
   /// `attempt` is the 0-based retry attempt (shipped to workers in the
@@ -209,13 +226,11 @@ class Coordinator {
   /// counters and failure diagnoses across attempts. The attempt runs on
   /// `fleet`'s members and ends with the idle handshake, which parks them
   /// for the fleet's next query or its teardown.
-  Coordinator(const ParallelPlan& plan, const Database& db,
-              const ProcessExecOptions& options, FleetState& fleet,
-              uint32_t attempt,
+  Coordinator(const ParallelPlan& plan, const ProcessExecOptions& options,
+              FleetState& fleet, uint32_t attempt,
               std::optional<std::chrono::steady_clock::time_point> deadline,
               ProcessExecStats* proc)
       : plan_(plan),
-        db_(db),
         options_(options),
         exec_(options.exec),
         num_workers_(fleet.num_workers),
@@ -252,9 +267,6 @@ class Coordinator {
   enum class State { kRunning, kFinishing, kDone };
 
   const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
-  uint32_t WorkerOf(uint32_t processor) const {
-    return WorkerOfProcessor(processor, num_workers_, plan_.num_processors);
-  }
   int64_t NowSinceEpochNs() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                // lint:allow-clock trace origin shipped in the handshake
@@ -262,8 +274,9 @@ class Coordinator {
         .count();
   }
 
-  /// Respawns the fleet if it is poisoned or empty, binds workers_ to its
-  /// members, and formats this query's ring directory over its arena.
+  /// Respawns the fleet if it is poisoned, empty or forked from a stale
+  /// database, binds workers_ to its members, and formats this query's
+  /// ring directory over its arena.
   /// Every member is parked idle then — the previous query's idle
   /// handshake (or the spawn) guarantees no worker is touching the arena
   /// while the rings are reformatted.
@@ -274,11 +287,6 @@ class Coordinator {
   /// poison it — but the query's own result stands.
   Status AwaitFleetIdle();
   Status ShipPlans();
-  Status ShipFragments();
-  /// Publishes one fragment chunk onto the relay ring toward `dest`,
-  /// waiting (and keeping the poll loop turning) while the ring is full.
-  Status PushFragmentRecord(uint32_t dest, const ShmFragmentHeader& hdr,
-                            const std::byte* rows, size_t row_bytes);
   void DispatchGroups(const std::vector<int>& groups);
 
   /// One poll-loop turn: flush, poll, read every ready socket, drain the
@@ -323,7 +331,6 @@ class Coordinator {
   void GatherNetStats();
 
   const ParallelPlan& plan_;
-  const Database& db_;
   const ProcessExecOptions& options_;
   const ThreadExecOptions& exec_;
   const uint32_t num_workers_;
@@ -457,74 +464,6 @@ Status Coordinator::ShipPlans() {
     env.skew_defense = exec_.skew_defense;
     workers_[w].chan->QueueMsg(FrameType::kPlan, env);
   }
-  return Status::OK();
-}
-
-Status Coordinator::ShipFragments() {
-  // Partition every base relation exactly as the in-process backends do
-  // (DeclusterScan), then publish each instance's fragment onto the relay
-  // ring toward its hosting worker in record-sized chunks. A worker drains
-  // its rings before it handles the frames read with them, so every chunk
-  // is in before the kTrigger that starts its scan.
-  for (const XraOp& o : plan_.ops) {
-    if (o.kind != XraOpKind::kScan) continue;
-    MJOIN_ASSIGN_OR_RETURN(std::vector<Relation> fragments,
-                           DeclusterScan(plan_, o, db_));
-    MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
-                           registry_.IdOf(*o.output_schema));
-    const uint32_t tuple_size = o.output_schema->tuple_size();
-    // The rows fit a record by construction (a one-shot fleet's rings grow
-    // to the widest row; a warm fleet rejects wider plans).
-    const size_t rows_per_record =
-        (plane_->max_payload() - sizeof(ShmFragmentHeader)) /
-        std::max<uint32_t>(1, tuple_size);
-    for (uint32_t i = 0; i < fragments.size(); ++i) {
-      const Relation& frag = fragments[i];
-      if (frag.num_tuples() == 0) continue;  // workers pre-create empties
-      const uint32_t dest = WorkerOf(o.processors[i]);
-      size_t offset = 0;
-      while (offset < frag.num_tuples()) {
-        size_t count = std::min(rows_per_record, frag.num_tuples() - offset);
-        ShmFragmentHeader hdr;
-        hdr.op = o.id;
-        hdr.instance = i;
-        hdr.schema_id = schema_id;
-        hdr.tuple_size = tuple_size;
-        hdr.num_tuples = static_cast<uint32_t>(count);
-        MJOIN_RETURN_IF_ERROR(PushFragmentRecord(
-            dest, hdr, frag.raw_data() + offset * tuple_size,
-            count * tuple_size));
-        if (aborted_) return Status::OK();  // Run() sees aborted_
-        offset += count;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status Coordinator::PushFragmentRecord(uint32_t dest,
-                                       const ShmFragmentHeader& hdr,
-                                       const std::byte* rows,
-                                       size_t row_bytes) {
-  ShmRing* ring = plane_->RingTo(num_workers_, dest);
-  MJOIN_CHECK(ring != nullptr) << "no relay ring toward worker " << dest;
-  // A full ring means the worker is behind; keep the poll loop turning
-  // (hellos, errors, supervision) instead of buffering unboundedly.
-  // Deadline, cancellation, worker death, and the liveness watchdog all
-  // break the wait.
-  while (!ring->TryPush(ShmRecordType::kFragment, &hdr, sizeof(hdr), rows,
-                        row_bytes)) {
-    ++net_.ring_full_stalls;
-    if (!CheckRuntime()) return Status::OK();
-    SuperviseFleet();
-    if (aborted_) return Status::OK();
-    PollOnce(/*timeout_ms=*/5);
-    if (aborted_) return Status::OK();
-    if (workers_[dest].closed) return Status::OK();
-  }
-  ++net_.shm_records_sent;
-  net_.shm_bytes_sent += sizeof(hdr) + row_bytes;
-  plane_->RingDoorbell(dest);
   return Status::OK();
 }
 
@@ -1042,6 +981,8 @@ ThreadExecStats Coordinator::GatherStats() const {
     stats.batch_buffers_allocated += w.buffers_allocated;
     stats.batch_buffers_reused += w.buffers_reused;
     stats.peak_memory_bytes += w.peak_memory_bytes;
+    stats.peak_queue_depth =
+        std::max<size_t>(stats.peak_queue_depth, w.peak_backlog_records);
   }
   if (exec_.collect_metrics) stats.per_op = per_op_;
   return stats;
@@ -1188,7 +1129,6 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
 
   MJOIN_RETURN_IF_ERROR(AttachFleet());
   MJOIN_RETURN_IF_ERROR(ShipPlans());
-  MJOIN_RETURN_IF_ERROR(ShipFragments());
   if (CheckRuntime()) {
     DispatchGroups(controller_.TakeInitialGroups());
   }
@@ -1317,7 +1257,6 @@ Status CheckProcessQuery(const ParallelPlan& plan,
 StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
                                         const ParallelPlan& plan,
                                         const ProcessExecOptions& options,
-                                        const Database& db,
                                         ThreadExecStats* stats_out,
                                         ProcessNetStats* net_out,
                                         ProcessExecStats* proc_out) {
@@ -1343,7 +1282,7 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
     // The Coordinator is a temporary: it hands its findings back to the
     // fleet when this statement ends, before any teardown below.
     StatusOr<ProcessQueryResult> result =
-        Coordinator(plan, db, options, fleet, attempt, deadline, &proc)
+        Coordinator(plan, options, fleet, attempt, deadline, &proc)
             .Run(stats_out, net_out);
     if (result.ok()) {
       result->proc = proc;
@@ -1375,7 +1314,7 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
     proc.degraded_to_thread = true;
     ThreadExecOptions exec = options.exec;
     exec.fault_injector = nullptr;
-    ThreadExecutor fallback(&db);
+    ThreadExecutor fallback(fleet.database);
     StatusOr<ThreadQueryResult> degraded =
         fallback.Execute(plan, exec, stats_out);
     if (degraded.ok()) {
@@ -1399,15 +1338,13 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
 }  // namespace
 
 struct WarmProcessFleet::Impl {
-  // Sized for the worst-case directory of an n-worker fleet: both relay
-  // directions per worker plus every ordered worker pair, n(n+1) rings in
-  // all — any plan's directory fits.
+  // Sized for the worst-case directory of an n-worker fleet: one relay ring
+  // per worker (up to the coordinator) plus every ordered worker pair, n^2
+  // rings in all — any plan's directory fits.
   Impl(const Database* db, const WarmFleetOptions& opts)
-      : database(db),
-        state(opts.num_workers, opts.shm_ring_bytes,
-              size_t{opts.num_workers} * (opts.num_workers + 1)) {}
+      : state(db, opts.num_workers, opts.shm_ring_bytes,
+              size_t{opts.num_workers} * opts.num_workers) {}
 
-  const Database* const database;
   /// Serializes Execute() calls and fleet mutation (respawn, teardown).
   mutable std::mutex mutex;
   FleetState state;
@@ -1472,8 +1409,8 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
         " bytes"));
   }
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return RunOnFleet(impl_->state, plan, options, *impl_->database, stats_out,
-                    net_out, proc_out);
+  return RunOnFleet(impl_->state, plan, options, stats_out, net_out,
+                    proc_out);
 }
 
 std::string WorkerFailureClassName(WorkerFailureClass failure) {
@@ -1532,10 +1469,9 @@ StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
   }
   // A fleet that lives for this call only, which keeps Execute const and
   // reentrant. Its arena holds exactly this plan's ring directory.
-  FleetState fleet(num_workers, ring_bytes,
+  FleetState fleet(database_, num_workers, ring_bytes,
                    ComputeRingDirectory(plan, num_workers).size());
-  return RunOnFleet(fleet, plan, options, *database_, stats_out, net_out,
-                    proc_out);
+  return RunOnFleet(fleet, plan, options, stats_out, net_out, proc_out);
 }
 
 }  // namespace mjoin

@@ -71,8 +71,8 @@ struct ProcessExecOptions {
   /// must outlive Execute(). Its fire budget spans retries, so a one-shot
   /// fault breaks one attempt and lets the next run clean.
   NetFaultInjector* net_fault_injector = nullptr;
-  /// Data batches, EOS markers, fragments, and result rows always move
-  /// over mmap'd SPSC rings shared by the whole fleet (control frames stay
+  /// Data batches, EOS markers and result rows always move over mmap'd
+  /// SPSC rings shared by the whole fleet (control frames stay
   /// on the socket); workers exchange data pairwise. The rings are the
   /// only data plane: false is rejected with InvalidArgument.
   bool use_shm_data_plane = true;
@@ -149,7 +149,7 @@ struct ProcessNetStats {
   double deserialize_seconds = 0;
   /// Shm data plane: rings mapped for the attempt that produced the
   /// result, records/bytes over all rings (workers'
-  /// counters plus the coordinator's own fragment/result traffic), and
+  /// counters plus the coordinator's own result traffic), and
   /// records that found their ring full and were parked in a backlog.
   uint32_t shm_rings = 0;
   uint64_t shm_records_sent = 0;
@@ -177,9 +177,10 @@ std::string RenderProcessNetStats(const ProcessNetStats& net);
 /// process per group of processors. Control frames travel over one
 /// Unix-domain socketpair per worker (a star around the coordinator); tuple
 /// batches travel directly between workers over shm rings mapped before
-/// the fork. Beyond those rings nothing is shared post-fork: workers
-/// receive the plan as textual XRA, re-hydrate their operators from it,
-/// and hold only their own fragments.
+/// the fork. Beyond those rings and the Database, which every worker
+/// inherits at fork and scans in place, nothing is shared post-fork:
+/// workers receive the plan as textual XRA and re-hydrate their operators
+/// from it.
 ///
 /// Failure model: a worker that dies mid-query (crash, OOM kill, kill -9)
 /// is detected by its socket closing; a worker that wedges silently is

@@ -122,13 +122,10 @@ std::vector<ShmRingSpec> ComputeRingDirectory(const ParallelPlan& plan,
       specs.push_back(ShmRingSpec{from, to});
     }
   };
-  // Relay rings first: fragments flow coordinator -> worker, materialized
-  // result rows flow worker -> coordinator.
+  // Relay rings first: materialized result rows flow worker ->
+  // coordinator.
   const uint32_t coordinator = num_workers;
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    add(coordinator, w);
-    add(w, coordinator);
-  }
+  for (uint32_t w = 0; w < num_workers; ++w) add(w, coordinator);
   // Pair rings, in plan order: one directed ring per worker pair that any
   // producer -> consumer edge can put a batch on. Hash-split edges fan out
   // every producer instance to every consumer instance; colocated edges
@@ -163,9 +160,6 @@ size_t WidestShmRecordPayload(const ParallelPlan& plan) {
   size_t widest = 0;
   for (const XraOp& o : plan.ops) {
     const size_t row = o.output_schema->tuple_size();
-    if (o.kind == XraOpKind::kScan) {
-      widest = std::max(widest, sizeof(ShmFragmentHeader) + row);
-    }
     if (o.consumer >= 0 && o.store_result < 0) {
       widest = std::max(widest, sizeof(ShmDataHeader) + row);
     }

@@ -160,7 +160,7 @@ struct WorkerRunStats {
   double serialize_seconds = 0;
   double deserialize_seconds = 0;
   /// Shm data-plane traffic as seen from this worker (records carry data,
-  /// EOS, fragments, and result rows; pads are excluded).
+  /// EOS, and result rows; pads are excluded).
   uint64_t shm_records_sent = 0;
   uint64_t shm_records_received = 0;
   uint64_t shm_bytes_sent = 0;
@@ -168,6 +168,9 @@ struct WorkerRunStats {
   /// Records that found their ring full and were parked in the outbound
   /// backlog.
   uint64_t ring_full_stalls = 0;
+  /// High-water mark of records parked in the outbound backlog at once:
+  /// the process analogue of a thread node's queue depth.
+  uint64_t peak_backlog_records = 0;
 };
 
 template <class V, WireFieldsOf<WorkerRunStats> M>
@@ -177,7 +180,7 @@ void Fields(V& v, M& m) {
     m.buffers_reused, m.faults_injected, m.peak_memory_bytes,
     m.serialize_seconds, m.deserialize_seconds, m.shm_records_sent,
     m.shm_records_received, m.shm_bytes_sent, m.shm_bytes_received,
-    m.ring_full_stalls);
+    m.ring_full_stalls, m.peak_backlog_records);
 }
 
 /// kTraceEvents carries a std::vector<WireTraceEvent>: a worker's recorded
@@ -258,17 +261,6 @@ static_assert(std::is_trivially_copyable_v<ShmEosHeader> &&
                   sizeof(ShmEosHeader) == 12,
               "shm record headers are raw-copied PODs");
 
-struct ShmFragmentHeader {
-  int32_t op = -1;
-  uint32_t instance = 0;
-  uint32_t schema_id = 0;
-  uint32_t tuple_size = 0;
-  uint32_t num_tuples = 0;
-};
-static_assert(std::is_trivially_copyable_v<ShmFragmentHeader> &&
-                  sizeof(ShmFragmentHeader) == 20,
-              "shm record headers are raw-copied PODs");
-
 struct ShmResultRowsHeader {
   uint32_t schema_id = 0;
   uint32_t tuple_size = 0;
@@ -279,18 +271,18 @@ static_assert(std::is_trivially_copyable_v<ShmResultRowsHeader> &&
               "shm record headers are raw-copied PODs");
 
 /// The ring directory of one plan on `num_workers` workers: the relay
-/// rings (coordinator <-> each worker, for fragments and result rows)
-/// first, then one ring per communicating worker pair in plan order. The
-/// coordinator's endpoint id is num_workers. Deterministic given (plan,
-/// num_workers): the coordinator and every worker compute it independently
-/// and cross-check HashDirectory in the kHello handshake.
+/// rings (each worker -> coordinator, for result rows) first, then one
+/// ring per communicating worker pair in plan order. Nothing flows down to
+/// a worker: it scans the database it inherited at fork. The coordinator's
+/// endpoint id is num_workers. Deterministic given (plan, num_workers):
+/// the coordinator and every worker compute it independently and
+/// cross-check HashDirectory in the kHello handshake.
 std::vector<ShmRingSpec> ComputeRingDirectory(const ParallelPlan& plan,
                                               uint32_t num_workers);
 
 /// Largest record payload the plan can put on a ring: one row of an op's
-/// output behind the header of the record that carries it (a scan's
-/// fragment chunk, a batch toward a consumer, a chunk of the final
-/// result). Records never split a row, so every ring of the plan's
+/// output behind the header of the record that carries it (a batch toward
+/// a consumer, a chunk of the final result). Records never split a row, so every ring of the plan's
 /// directory must accept a payload this large (ShmMaxPayload).
 size_t WidestShmRecordPayload(const ParallelPlan& plan);
 

@@ -43,10 +43,11 @@ constexpr size_t kBacklogWatermark = 4u << 20;
 class WorkerRun : public InstanceHost {
  public:
   WorkerRun(FrameChannel* chan, PlanEnvelope env, ParallelPlan plan,
-            ShmDataPlane* plane, BatchPool* pool)
+            const Database* database, ShmDataPlane* plane, BatchPool* pool)
       : chan_(chan),
         env_(std::move(env)),
         plan_(std::move(plan)),
+        database_(database),
         registry_(plan_),
         budget_(env_.memory_budget_bytes),
         pool_(pool),
@@ -121,11 +122,12 @@ class WorkerRun : public InstanceHost {
   Status ConsumeShmRecord(ShmRing* ring, const ShmRecordView& rec);
   Status ConsumeShmData(ShmRing* ring, const ShmRecordView& rec);
   Status ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec);
-  Status ConsumeShmFragment(ShmRing* ring, const ShmRecordView& rec);
 
   FrameChannel* chan_;
   PlanEnvelope env_;
   ParallelPlan plan_;
+  /// The coordinator's database, inherited at fork; scans read it in place.
+  const Database* database_;
   SchemaRegistry registry_;
   MemoryBudget budget_;
   /// Worker-lifetime buffer pool (owned by RunProcessWorker): a worker's
@@ -160,6 +162,7 @@ class WorkerRun : public InstanceHost {
   /// retries the backlog every turn and on the producer-side doorbell.
   std::unordered_map<size_t, std::deque<ShmBacklogRecord>> ring_backlog_;
   size_t ring_backlog_bytes_ = 0;
+  uint64_t ring_backlog_records_ = 0;
   /// Endpoints whose doorbell should ring this loop turn (coalesced: one
   /// eventfd write per endpoint per turn, not one per record).
   std::vector<bool> doorbell_dirty_;
@@ -210,8 +213,7 @@ Status WorkerRun::Setup() {
   settings.record_trace = env_.record_trace;
   runtime_.emplace(plan_, this, std::move(settings));
   runtime_->set_time_origin_ns(env_.trace_origin_ns);
-  // Scan fragments arrive as ring records.
-  return runtime_->Build(/*db=*/nullptr);
+  return runtime_->Build(*database_);
 }
 
 void WorkerRun::PumpSources() {
@@ -249,32 +251,34 @@ void WorkerRun::DeliverBatch(OpInstance* producer, uint32_t dest,
   // chunked so every record fits one ring reservation. The copy is timed
   // whether or not metrics collection is on: transport cost is what the
   // net bench exists to surface, so the timers must not vanish with
-  // observability. RecordTrace stays trace-gated internally.
+  // observability. It is its own slice, out of the producer's.
   const uint32_t tuple_size = pending.schema().tuple_size();
   const uint32_t dest_ep = WorkerOf(consumer_op.processors[dest]);
   const size_t rows_per_record =
       (plane_->max_payload() - sizeof(ShmDataHeader)) / tuple_size;
-  int64_t t0 = runtime_->NowNs();
-  for (int c = 0; c < copies; ++c) {
-    size_t offset = 0;
-    while (offset < pending.num_tuples()) {
-      size_t count = std::min(rows_per_record, pending.num_tuples() - offset);
-      ShmDataHeader hdr;
-      hdr.consumer_op = o.consumer;
-      hdr.dest_index = dest;
-      hdr.port = static_cast<uint32_t>(port);
-      hdr.schema_id = out_schema_id_[static_cast<size_t>(o.id)];
-      hdr.tuple_size = tuple_size;
-      hdr.num_tuples = static_cast<uint32_t>(count);
-      PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
-                    pending.raw_data() + offset * tuple_size,
-                    count * tuple_size);
-      offset += count;
+  auto copy_out = [&] {
+    for (int c = 0; c < copies; ++c) {
+      size_t offset = 0;
+      while (offset < pending.num_tuples()) {
+        size_t count =
+            std::min(rows_per_record, pending.num_tuples() - offset);
+        ShmDataHeader hdr;
+        hdr.consumer_op = o.consumer;
+        hdr.dest_index = dest;
+        hdr.port = static_cast<uint32_t>(port);
+        hdr.schema_id = out_schema_id_[static_cast<size_t>(o.id)];
+        hdr.tuple_size = tuple_size;
+        hdr.num_tuples = static_cast<uint32_t>(count);
+        PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
+                      pending.raw_data() + offset * tuple_size,
+                      count * tuple_size);
+        offset += count;
+      }
     }
-  }
-  int64_t t1 = runtime_->NowNs();
-  stats_.serialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace(producer->processor, t0, t1, ThreadWorkType::kSerialize, o.id);
+  };
+  const int64_t ns = runtime_->TimeSlice(
+      producer->processor, ThreadWorkType::kSerialize, o.id, copy_out);
+  stats_.serialize_seconds += static_cast<double>(ns) * 1e-9;
   pending.Clear();
 }
 
@@ -306,6 +310,8 @@ void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
   }
   ring_backlog_bytes_ += rec.bytes.size();
   backlog.push_back(std::move(rec));
+  stats_.peak_backlog_records =
+      std::max(stats_.peak_backlog_records, ++ring_backlog_records_);
 }
 
 void WorkerRun::RetryBacklogs() {
@@ -320,6 +326,7 @@ void WorkerRun::RetryBacklogs() {
         break;
       }
       ring_backlog_bytes_ -= rec.bytes.size();
+      --ring_backlog_records_;
       backlog.pop_front();
       pushed = true;
     }
@@ -464,8 +471,6 @@ Status WorkerRun::ConsumeShmRecord(ShmRing* ring, const ShmRecordView& rec) {
       return ConsumeShmData(ring, rec);
     case ShmRecordType::kEos:
       return ConsumeShmEos(ring, rec);
-    case ShmRecordType::kFragment:
-      return ConsumeShmFragment(ring, rec);
     // kResultRows flows worker -> coordinator only, and TryRead swallows
     // pads; listing them keeps -Wswitch honest about new record types.
     case ShmRecordType::kResultRows:
@@ -507,12 +512,10 @@ Status WorkerRun::ConsumeShmData(ShmRing* ring, const ShmRecordView& rec) {
   // memcpy out of the shared region. Timed unconditionally like the wire
   // decode so the bench sees where transport time goes.
   std::shared_ptr<TupleBatch> batch = pool_->Acquire(schema);
-  int64_t t0 = runtime_->NowNs();
-  batch->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
-  int64_t t1 = runtime_->NowNs();
-  stats_.deserialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace((*target)->processor, t0, t1, ThreadWorkType::kDeserialize,
-              hdr.consumer_op);
+  const int64_t ns = runtime_->TimeSlice(
+      (*target)->processor, ThreadWorkType::kDeserialize, hdr.consumer_op,
+      [&] { batch->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples); });
+  stats_.deserialize_seconds += static_cast<double>(ns) * 1e-9;
   // Rows are copied out: hand the space back before the possibly long
   // Consume below, so the producer keeps streaming while we join.
   ring->Release();
@@ -533,40 +536,6 @@ Status WorkerRun::ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec) {
       RouteTarget(hdr.consumer_op, hdr.dest_index, hdr.port,
                   "shm eos record"));
   ReceiveEos(target, static_cast<int>(hdr.port));
-  return Status::OK();
-}
-
-Status WorkerRun::ConsumeShmFragment(ShmRing* ring, const ShmRecordView& rec) {
-  ShmFragmentHeader hdr;
-  if (rec.payload_bytes < sizeof(hdr)) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: short fragment header");
-  }
-  std::memcpy(&hdr, rec.payload, sizeof(hdr));
-  if (hdr.op < 0 || static_cast<size_t>(hdr.op) >= plan_.ops.size() ||
-      op(hdr.op).kind != XraOpKind::kScan) {
-    ring->Release();
-    return Status::InvalidArgument(
-        StrCat("shm fragment for non-scan op ", hdr.op));
-  }
-  auto& frags = runtime_->scan_fragments(hdr.op);
-  if (hdr.instance >= frags.size() ||
-      !Hosts(op(hdr.op).processors[hdr.instance])) {
-    ring->Release();
-    return Status::InvalidArgument(
-        StrCat("shm fragment for op ", hdr.op, " instance ", hdr.instance,
-               " which this worker does not host"));
-  }
-  if (hdr.schema_id >= registry_.size() ||
-      registry_.Get(hdr.schema_id)->tuple_size() != hdr.tuple_size ||
-      rec.payload_bytes !=
-          sizeof(hdr) + uint64_t{hdr.num_tuples} * hdr.tuple_size) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: row bytes disagree "
-                               "with the fragment header");
-  }
-  frags[hdr.instance].AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
-  ring->Release();
   return Status::OK();
 }
 
@@ -741,7 +710,7 @@ Status WorkerRun::Loop() {
 
 }  // namespace
 
-int RunProcessWorker(int fd, ShmArena* arena) {
+int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
   // The channel sends with MSG_NOSIGNAL, but ignore SIGPIPE anyway so no
   // stray write to a dead coordinator can kill the worker with a signal
   // instead of the EPIPE -> kUnavailable path the supervisor understands.
@@ -826,7 +795,7 @@ int RunProcessWorker(int fd, ShmArena* arena) {
     if (!chan.Flush().ok()) return 1;
 
     {
-      WorkerRun run(&chan, std::move(env), std::move(plan).value(),
+      WorkerRun run(&chan, std::move(env), std::move(plan).value(), database,
                     plane->get(), &pool);
       Status status = run.Setup();
       if (status.ok()) status = run.Loop();

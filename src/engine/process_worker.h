@@ -3,6 +3,7 @@
 
 namespace mjoin {
 
+class Database;
 class ShmArena;
 
 /// The worker half of the process backend: runs in a child process forked
@@ -17,12 +18,18 @@ class ShmArena;
 /// instantiates the operator instances of its hosted processors, and
 /// exchanges batches with the rest of the fleet.
 ///
+/// `database` is the coordinator's Database, inherited through fork: the
+/// pointer is valid in the child, at the same address, and its scans read
+/// their fragments straight out of it. No base data crosses the rings. The
+/// fleet respawns its workers when the database's version() moves on, so
+/// a worker never scans a stale copy.
+///
 /// `arena` is the ShmArena the fleet mapped before forking (kept across
 /// respawns), inherited through fork so its mapping and doorbells are
 /// valid here. For every query the worker attaches a ShmDataPlane view to
-/// the rings the coordinator formatted over it: data batches, EOS markers,
-/// fragments, and result rows travel over the rings while control frames
-/// stay on the socket. The child never destroys the arena — _exit() skips destructors,
+/// the rings the coordinator formatted over it: data batches, EOS markers
+/// and result rows travel over the rings while control frames stay on the
+/// socket. The child never destroys the arena — _exit() skips destructors,
 /// and the kernel drops its reference to the shared mapping.
 ///
 /// Lifecycle, the same on every fleet: after each query's kShutdown the
@@ -36,7 +43,7 @@ class ShmArena;
 /// kShutdown while parked, 1 on any error (a fatal status is reported to
 /// the coordinator as a kError frame first whenever the socket still
 /// works).
-int RunProcessWorker(int fd, ShmArena* arena);
+int RunProcessWorker(int fd, ShmArena* arena, const Database* database);
 
 }  // namespace mjoin
 

@@ -108,7 +108,7 @@ Status SimRun::Prepare() {
   for (const XraOp& o : plan_.ops) {
     procs_[static_cast<size_t>(o.id)].resize(o.processors.size());
   }
-  return runtime_.Build(&db_);
+  return runtime_.Build(db_);
 }
 
 void SimRun::SubmitTask(OpInstance* inst, char label,

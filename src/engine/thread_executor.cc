@@ -328,7 +328,7 @@ Status ThreadRun::Prepare() {
                   options_.skew_defense));
     }
   }
-  return runtime_.Build(&db_);
+  return runtime_.Build(db_);
 }
 
 void ThreadRun::Abort(Status status) {
@@ -399,8 +399,8 @@ void ThreadRun::DeliverBatch(OpInstance* producer, uint32_t dest,
   // message loop already throttles such producers).
   bool same_node = consumer->processor == producer->processor;
   // A cross-node PostData may block on backpressure; record stalls as
-  // blocked-on-queue trace intervals (nested inside the producer's busy
-  // interval when the flush happens mid-callback).
+  // blocked-on-queue trace intervals, carved out of the producer's busy
+  // slice when the flush happens mid-callback.
   bool watch_block = trace_ != nullptr && !same_node;
   for (int c = 0; c < copies; ++c) {
     int64_t t0 = watch_block ? runtime_.NowNs() : 0;
@@ -414,8 +414,8 @@ void ThreadRun::DeliverBatch(OpInstance* producer, uint32_t dest,
     if (watch_block) {
       int64_t t1 = runtime_.NowNs();
       if (t1 - t0 >= kBlockedTraceThresholdNs) {
-        trace_->Record(producer->processor, t0, t1, ThreadWorkType::kBlocked,
-                       /*op_id=*/-1);
+        runtime_.RecordSlice(producer->processor, t0, t1,
+                             ThreadWorkType::kBlocked, /*op_id=*/-1);
       }
     }
     if (sent) batches_sent_.fetch_add(1, std::memory_order_relaxed);

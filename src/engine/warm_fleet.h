@@ -50,7 +50,7 @@ struct WarmFleetOptions {
 class WarmProcessFleet {
  public:
   /// Forks the fleet (and maps the arena) immediately. `database` must
-  /// outlive the fleet.
+  /// outlive the fleet; the workers inherit it and scan it in place.
   [[nodiscard]] static StatusOr<std::unique_ptr<WarmProcessFleet>> Spawn(
       const Database* database, const WarmFleetOptions& options);
 
@@ -73,7 +73,10 @@ class WarmProcessFleet {
   uint32_t num_workers() const;
   /// Current pid of worker `w` (changes after a respawn). Test hook.
   pid_t worker_pid(uint32_t w) const;
-  /// Fleets spawned beyond the first — each one replaced a poisoned fleet.
+  /// Fleets spawned beyond the first. Each one replaced a poisoned fleet,
+  /// or a fleet forked before the database last changed: workers scan the
+  /// database as of their fork, so an Execute() that finds
+  /// Database::version() moved on respawns the fleet before it runs.
   uint64_t respawns() const;
 
  private:

@@ -2,6 +2,7 @@
 #define MJOIN_EXEC_BATCH_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -54,6 +55,22 @@ class TupleBatch {
   /// copy.
   void AppendRows(const std::byte* rows, size_t count) {
     data_.insert(data_.end(), rows, rows + count * schema_->tuple_size());
+  }
+
+  /// Appends `count` rows, each starting `stride` bytes after the previous
+  /// one; a stride of tuple_size() is the one-copy contiguous case.
+  void AppendRows(const std::byte* rows, size_t count, size_t stride) {
+    const size_t row_bytes = schema_->tuple_size();
+    if (stride == row_bytes) {
+      AppendRows(rows, count);
+      return;
+    }
+    const size_t old = data_.size();
+    data_.resize(old + count * row_bytes);
+    std::byte* out = data_.data() + old;
+    for (size_t i = 0; i < count; ++i) {
+      std::memcpy(out + i * row_bytes, rows + i * stride, row_bytes);
+    }
   }
 
   /// Appends an uninitialized row; the returned writer is invalidated by

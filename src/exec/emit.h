@@ -157,15 +157,16 @@ class EmitWriter {
     Commit();
   }
 
-  /// Fixed-destination bulk append: `count` contiguous finished rows in
-  /// one copy. Only valid when split_column() < 0. May grow the pending
-  /// batch past the flush threshold before BatchFull fires once — batches
-  /// are allowed to exceed the nominal size.
-  void AppendRows(const std::byte* rows, size_t count) {
+  /// Fixed-destination bulk append: `count` finished rows `stride` bytes
+  /// apart, in one copy when they are contiguous. Only valid when
+  /// split_column() < 0. May grow the pending batch past the flush
+  /// threshold before BatchFull fires once — batches are allowed to exceed
+  /// the nominal size.
+  void AppendRows(const std::byte* rows, size_t count, size_t stride) {
     MJOIN_DCHECK(split_column_ < 0);
     dest_ = fixed_dest_;
     TupleBatch& batch = dests_[dest_];
-    batch.AppendRows(rows, count);
+    batch.AppendRows(rows, count, stride);
     rows_committed_ += count;
     if (batch.byte_size() >= flush_bytes_) sink_->BatchFull(dest_);
   }

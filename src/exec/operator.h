@@ -111,13 +111,13 @@ class OpContext {
   /// which routes it to the consumer (split by hash, stored locally, ...).
   virtual void EmitRow(const std::byte* row) = 0;
 
-  /// Hands `count` contiguous output rows (count * row_bytes) to the host
-  /// at once. Semantically a loop of EmitRow (the default implementation);
-  /// hosts override to bulk-copy when routing permits, collapsing the
-  /// per-row virtual dispatch to one call per batch.
-  virtual void EmitRows(const std::byte* rows, size_t count,
-                        size_t row_bytes) {
-    for (size_t i = 0; i < count; ++i) EmitRow(rows + i * row_bytes);
+  /// Hands `count` output rows to the host at once, each starting `stride`
+  /// bytes after the previous one (stride == tuple_size(): contiguous).
+  /// Semantically a loop of EmitRow (the default implementation); hosts
+  /// override to bulk-copy when routing permits, collapsing the per-row
+  /// virtual dispatch to one call per batch.
+  virtual void EmitRows(const std::byte* rows, size_t count, size_t stride) {
+    for (size_t i = 0; i < count; ++i) EmitRow(rows + i * stride);
   }
 
   /// The zero-copy emit channel (see exec/emit.h), or null when the host

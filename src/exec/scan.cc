@@ -1,18 +1,27 @@
 #include "exec/scan.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace mjoin {
 
 void ScanOp::Open(OpContext* ctx) {
-  fragment_ = resolver_();
-  MJOIN_CHECK(fragment_ != nullptr) << "scan fragment not resolved";
-  MJOIN_CHECK(fragment_->schema() == *schema_)
-      << "scan fragment schema mismatch: " << fragment_->schema().ToString()
+  relation_ = resolver_();
+  MJOIN_CHECK(relation_ != nullptr) << "scan fragment not resolved";
+  MJOIN_CHECK(relation_->schema() == *schema_)
+      << "scan fragment schema mismatch: " << relation_->schema().ToString()
       << " vs " << schema_->ToString();
-  total_ = fragment_->num_tuples();
-  cursor_ = 0;
+  MJOIN_CHECK(fragment_ < rule_.num_fragments());
+  row_bytes_ = schema_->tuple_size();
+  total_ = relation_->num_tuples();
+  cursor_ = SkipToMember(0);
   opened_ = true;
+}
+
+size_t ScanOp::SkipToMember(size_t row) const {
+  while (row < total_ && !IsMember(row)) ++row;
+  return row;
 }
 
 bool ScanOp::Produce(OpContext* ctx) {
@@ -22,15 +31,30 @@ bool ScanOp::Produce(OpContext* ctx) {
     cursor_ = total_;
     return false;
   }
-  size_t n = std::min<size_t>(ctx->costs().batch_size, total_ - cursor_);
-  ctx->Charge(static_cast<Ticks>(n) * ctx->costs().tuple_scan);
-  // The fragment's rows are already contiguous — hand the whole slice to
-  // the host in one call; it bulk-copies when routing permits.
-  const size_t row_bytes = schema_->tuple_size();
-  if (n > 0) {
-    ctx->EmitRows(fragment_->raw_data() + cursor_ * row_bytes, n, row_bytes);
+  const size_t batch = ctx->costs().batch_size;
+  const std::byte* rows = relation_->raw_data();
+  size_t n = 0;
+  if (rule_.round_robin()) {
+    // Members sit a fixed stride of m rows apart (one contiguous run when
+    // m == 1): the whole batch goes to the host in one strided call, which
+    // it bulk-copies when routing permits.
+    const size_t m = rule_.num_fragments();
+    n = std::min(batch, (total_ - cursor_ + m - 1) / m);
+    if (n > 0) ctx->EmitRows(rows + cursor_ * row_bytes_, n, m * row_bytes_);
+    cursor_ = std::min(total_, cursor_ + n * m);
+  } else {
+    // Hash members are scattered: one call per run of adjacent members.
+    while (n < batch && cursor_ < total_) {
+      size_t end = cursor_ + 1;
+      while (end < total_ && n + (end - cursor_) < batch && IsMember(end)) {
+        ++end;
+      }
+      ctx->EmitRows(rows + cursor_ * row_bytes_, end - cursor_, row_bytes_);
+      n += end - cursor_;
+      cursor_ = SkipToMember(end);
+    }
   }
-  cursor_ += n;
+  ctx->Charge(static_cast<Ticks>(n) * ctx->costs().tuple_scan);
   return cursor_ < total_;
 }
 

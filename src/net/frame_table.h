@@ -44,8 +44,8 @@
 ///
 /// Retired ids, never to be reused: 3 (fragment), 5 (data), 6 (eos),
 /// 8 (credit) and 11 (result-rows). They carried the coordinator-relayed
-/// socket data plane; every batch, EOS, fragment and result row now rides
-/// the shm rings (net/shm_ring.h), and a frame with one of these ids is
+/// socket data plane; every batch, EOS and result row now rides the shm
+/// rings (net/shm_ring.h), and a frame with one of these ids is
 /// rejected as corrupt like any other id the table does not define.
 namespace mjoin {
 

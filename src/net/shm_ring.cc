@@ -21,7 +21,6 @@ bool ValidRecordType(uint32_t raw) {
   switch (static_cast<ShmRecordType>(raw)) {
     case ShmRecordType::kData:
     case ShmRecordType::kEos:
-    case ShmRecordType::kFragment:
     case ShmRecordType::kResultRows:
     case ShmRecordType::kPad:
       return true;
@@ -47,8 +46,6 @@ const char* ShmRecordTypeName(ShmRecordType type) {
       return "Data";
     case ShmRecordType::kEos:
       return "Eos";
-    case ShmRecordType::kFragment:
-      return "Fragment";
     case ShmRecordType::kResultRows:
       return "ResultRows";
     case ShmRecordType::kPad:

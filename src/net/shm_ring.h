@@ -15,8 +15,7 @@ namespace mjoin {
 
 /// The process backend's data plane, and its only one. Control frames (the
 /// handshake, triggers, heartbeats, the finish protocol) stay on the
-/// AF_UNIX socket; every data batch, EOS marker, fragment and result row
-/// moves over mmap'd single-producer single-consumer ring buffers laid
+/// AF_UNIX socket; every data batch, EOS marker and result row moves over mmap'd single-producer single-consumer ring buffers laid
 /// over an arena mapped *before* the fleet forks, so every worker inherits
 /// the same MAP_SHARED|MAP_ANONYMOUS region and the same virtual
 /// addresses. "Serialize" onto a ring is a bounds-checked memcpy of the
@@ -47,8 +46,8 @@ enum class ShmRecordType : uint32_t {
   kData = 1,
   /// End-of-stream marker: ShmEosHeader, no rows.
   kEos = 2,
-  /// Base-relation fragment chunk (coordinator -> worker relay ring).
-  kFragment = 3,
+  // 3 was the base-relation fragment chunk: workers now scan the database
+  // they inherited at fork.
   /// Materialized final-result rows (worker -> coordinator relay ring).
   kResultRows = 4,
   /// Filler emitted to keep records contiguous across the wrap point.

@@ -81,7 +81,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v7: one fleet lifecycle — PlanEnvelope drops the `persistent` flag;
 ///     every worker acks each query's kShutdown with kIdle and parks, and
 ///     a bare kShutdown while parked exits it.
-inline constexpr uint32_t kNetProtocolVersion = 7;
+/// v8: scans read the base relations each worker inherited at fork — the
+///     coordinator -> worker relay rings and the shm fragment record are
+///     gone; kNetStats carries the peak ring backlog.
+inline constexpr uint32_t kNetProtocolVersion = 8;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "engine/database.h"
 #include "engine/process_executor.h"
 #include "engine/sim_executor.h"
@@ -81,6 +84,51 @@ TEST_P(BackendParityTest, PerOpCountersAgree) {
     EXPECT_EQ(thread_ops[i].instances, plan->ops[i].processors.size())
         << label;
     EXPECT_EQ(thread_ops[i].instances, process_ops[i].instances) << label;
+  }
+}
+
+// Each callback's time lands in one phase bucket and one trace segment:
+// a callback that runs a colocated consumer inline, or copies a batch
+// onto a ring, is paused meanwhile. So no trace lane holds two segments
+// that overlap, on either wall-clock backend.
+TEST_P(BackendParityTest, TraceLanesNeverOverlap) {
+  constexpr int kRelations = 5;
+  constexpr uint32_t kCardinality = 400;
+  Database db = MakeWisconsinDatabase(kRelations, kCardinality, /*seed=*/7);
+  auto query =
+      MakeWisconsinChainQuery(GetParam().shape, kRelations, kCardinality);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(GetParam().strategy)
+                  ->Parallelize(*query, /*processors=*/8, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  ThreadExecOptions thread_options;
+  thread_options.collect_metrics = true;
+  thread_options.record_trace = true;
+  // Small batches fill mid-callback, so flushes run nested inside them.
+  thread_options.batch_size = 16;
+  auto thread_run = ThreadExecutor(&db).Execute(*plan, thread_options);
+  ASSERT_TRUE(thread_run.ok()) << thread_run.status();
+  ProcessExecOptions process_options;
+  process_options.exec = thread_options;
+  process_options.num_workers = 3;
+  auto process_run = ProcessExecutor(&db).Execute(*plan, process_options);
+  ASSERT_TRUE(process_run.ok()) << process_run.status();
+
+  for (const auto& trace : {thread_run->trace, process_run->exec.trace}) {
+    ASSERT_NE(trace, nullptr);
+    EXPECT_GT(trace->num_events(), 0u);
+    for (std::vector<ThreadTraceEvent> lane : trace->events_by_worker()) {
+      std::sort(lane.begin(), lane.end(),
+                [](const ThreadTraceEvent& a, const ThreadTraceEvent& b) {
+                  return a.start_ns < b.start_ns;
+                });
+      for (size_t e = 1; e < lane.size(); ++e) {
+        EXPECT_GE(lane[e].start_ns, lane[e - 1].end_ns)
+            << ThreadWorkTypeName(lane[e].type) << " inside "
+            << ThreadWorkTypeName(lane[e - 1].type);
+      }
+    }
   }
 }
 

@@ -29,6 +29,32 @@ TEST(DatabaseTest, AddGetAndDuplicates) {
   EXPECT_EQ(db.size(), 1u);
 }
 
+// The version stamp a worker fleet checks: it moves on every successful
+// Add and every move, never on a failed Add, and no two databases share
+// one.
+TEST(DatabaseTest, VersionStampMovesWithEveryChange) {
+  Database db;
+  Database other;
+  EXPECT_NE(db.version(), other.version());
+  uint64_t v = db.version();
+  ASSERT_TRUE(db.Add("r", GenerateWisconsin(10, 1)).ok());
+  EXPECT_NE(db.version(), v);
+  v = db.version();
+  EXPECT_FALSE(db.Add("r", GenerateWisconsin(10, 2)).ok());
+  EXPECT_EQ(db.version(), v);
+  // Both sides of a move hold different relations than before.
+  other = std::move(db);
+  const uint64_t source = db.version();  // NOLINT(bugprone-use-after-move)
+  EXPECT_NE(other.version(), v);
+  EXPECT_NE(source, v);
+  EXPECT_NE(source, other.version());
+  const uint64_t assigned = other.version();
+  Database moved(std::move(other));
+  EXPECT_TRUE(moved.Contains("r"));
+  EXPECT_NE(moved.version(), assigned);
+  EXPECT_NE(other.version(), assigned);  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(DatabaseTest, WisconsinDatabaseHasIndependentRelations) {
   Database db = MakeWisconsinDatabase(3, 100, 5);
   EXPECT_EQ(db.size(), 3u);

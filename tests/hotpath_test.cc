@@ -124,7 +124,8 @@ TEST(EmitWriterTest, FixedDestinationBulkAppendFlushesOnce) {
     w.SetInt32(1, -i);
   }
   sink.drain = false;
-  writer.AppendRows(rows.raw_data(), rows.num_tuples());
+  writer.AppendRows(rows.raw_data(), rows.num_tuples(),
+                    rows.schema().tuple_size());
   EXPECT_EQ(writer.rows_committed(), 10u);
   ASSERT_EQ(sink.full_calls.size(), 1u);
   EXPECT_EQ(dests[0].num_tuples(), 10u);

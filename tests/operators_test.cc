@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "exec/hash_table.h"
@@ -7,6 +9,7 @@
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/simple_hash_join.h"
+#include "storage/partitioner.h"
 #include "storage/wisconsin.h"
 
 namespace mjoin {
@@ -43,6 +46,9 @@ class RecordingContext : public OpContext {
 
   void Charge(Ticks cost) override { charged += cost; }
   void EmitRow(const std::byte* row) override { out.AppendRow(row); }
+  void EmitRows(const std::byte* rows, size_t count, size_t stride) override {
+    out.AppendRows(rows, count, stride);
+  }
   const CostParams& costs() const override { return params; }
 
   CostParams params;
@@ -147,6 +153,65 @@ TEST(ScanOpTest, EmptyFragmentFinishesImmediately) {
   EXPECT_FALSE(scan.Produce(&ctx));
   EXPECT_TRUE(scan.finished());
   EXPECT_EQ(ctx.out.num_tuples(), 0u);
+}
+
+// An in-place scan of fragment i of a base relation emits exactly the rows
+// of fragment i of the copying partitioners, in the same batches: every
+// Produce() call but the last emits batch_size of them, none is empty,
+// and the charge is tuple_scan per emitted row.
+TEST(ScanOpTest, InPlaceFragmentsMatchThePartitioners) {
+  for (uint32_t card : {0u, 2u, 1000u}) {
+    Relation base = MakeKv({});
+    for (uint32_t r = 0; r < card; ++r) {
+      TupleWriter w = base.AppendTuple();
+      w.SetInt32(0, static_cast<int32_t>(r * 7919 % 613));
+      w.SetInt32(1, static_cast<int32_t>(r));
+    }
+    for (uint32_t m = 1; m <= 4; ++m) {
+      for (bool hash : {false, true}) {
+        auto rule = hash ? FragmentRule::Hash(base.schema(), 0, m)
+                         : StatusOr<FragmentRule>(FragmentRule::RoundRobin(m));
+        ASSERT_TRUE(rule.ok()) << rule.status();
+        auto fragments = hash ? HashPartition(base, 0, m)
+                              : StatusOr<std::vector<Relation>>(
+                                    RoundRobinPartition(base, m));
+        ASSERT_TRUE(fragments.ok()) << fragments.status();
+        for (uint32_t batch : {1u, 7u, 256u}) {
+          for (uint32_t i = 0; i < m; ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << "card " << card << " m " << m << " hash " << hash
+                         << " batch " << batch << " fragment " << i);
+            const Relation& want = (*fragments)[i];
+            ScanOp scan([&base] { return &base; }, TestSchema(), *rule, i);
+            RecordingContext ctx(TestSchema());
+            ctx.params.batch_size = batch;
+            scan.Open(&ctx);
+            size_t calls = 0;
+            bool more = true;
+            while (more) {
+              const size_t before = ctx.out.num_tuples();
+              more = scan.Produce(&ctx);
+              ++calls;
+              const size_t emitted = ctx.out.num_tuples() - before;
+              const size_t left = want.num_tuples() - before;
+              EXPECT_EQ(emitted, std::min<size_t>(batch, left))
+                  << "call " << calls;
+              EXPECT_EQ(more, emitted < left) << "call " << calls;
+            }
+            EXPECT_TRUE(scan.finished());
+            EXPECT_EQ(calls, std::max<size_t>(
+                                 1, (want.num_tuples() + batch - 1) / batch));
+            ASSERT_EQ(ctx.out.num_tuples(), want.num_tuples());
+            EXPECT_TRUE(want.byte_size() == 0 ||
+                        std::memcmp(ctx.out.raw_data(), want.raw_data(),
+                                    want.byte_size()) == 0);
+            EXPECT_EQ(ctx.charged, static_cast<Ticks>(want.num_tuples()) *
+                                       ctx.params.tuple_scan);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Join specs -------------------------------------------------------------------

@@ -267,46 +267,64 @@ TEST_F(ProcessBackendFaultTest, RepeatedRunsLeakNoDescriptors) {
 // state: an EOS for a port the target does not have (here any port of a
 // scan, which has none) is rejected as InvalidArgument and reported over
 // kError, instead of tripping the worker's EOS-count check. The test plays
-// the coordinator of a one-worker fleet: it formats the rings over an
-// arena, publishes the bad record on its relay ring, and ships the plan.
-// The worker runs on a thread; it is single-threaded, like the forked
-// child, and attaches to the same arena.
+// the rest of a two-worker fleet: it formats the rings over an arena,
+// publishes the bad record on a ring between the two workers, and ships
+// the plan to the receiving one. The worker runs on a thread; it is
+// single-threaded, like the forked child, and attaches to the same arena
+// and database.
 TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
-  int scan = -1;
-  for (const XraOp& o : plan_->ops) {
-    if (o.kind == XraOpKind::kScan) scan = o.id;
-  }
-  ASSERT_GE(scan, 0);
+  constexpr uint32_t kWorkers = 2;
   constexpr uint32_t kRingBytes = 4096;
-  constexpr uint32_t kCoordinator = 1;  // endpoint id of a 1-worker fleet
-  std::vector<ShmRingSpec> directory = ComputeRingDirectory(*plan_, 1);
+  constexpr uint32_t kEndpoints = kWorkers + 1;  // workers + coordinator
+  std::vector<ShmRingSpec> directory = ComputeRingDirectory(*plan_, kWorkers);
+  // A worker-to-worker ring whose receiver hosts a scan instance.
+  const ShmRingSpec* edge = nullptr;
+  int scan = -1;
+  uint32_t instance = 0;
+  for (const ShmRingSpec& spec : directory) {
+    if (spec.from >= kWorkers || spec.to >= kWorkers) continue;
+    for (const XraOp& o : plan_->ops) {
+      if (o.kind != XraOpKind::kScan) continue;
+      for (uint32_t i = 0; i < o.processors.size(); ++i) {
+        if (WorkerOfProcessor(o.processors[i], kWorkers,
+                              plan_->num_processors) == spec.to) {
+          edge = &spec;
+          scan = o.id;
+          instance = i;
+        }
+      }
+    }
+  }
+  ASSERT_NE(edge, nullptr) << "no ring toward a worker hosting a scan";
   auto arena = ShmArena::Create(
-      kCoordinator + 1, (sizeof(ShmRingHdr) + kRingBytes) * directory.size());
+      kEndpoints, (sizeof(ShmRingHdr) + kRingBytes) * directory.size());
   ASSERT_TRUE(arena.ok()) << arena.status();
   auto plane = ShmDataPlane::CreateInArena(arena->get(), directory,
-                                           kCoordinator + 1, kRingBytes,
+                                           kEndpoints, kRingBytes,
                                            /*format=*/true);
   ASSERT_TRUE(plane.ok()) << plane.status();
-  ShmRing* relay = (*plane)->RingTo(kCoordinator, /*to=*/0);
-  ASSERT_NE(relay, nullptr);
+  ShmRing* ring = (*plane)->RingTo(edge->from, edge->to);
+  ASSERT_NE(ring, nullptr);
   ShmEosHeader eos;
   eos.consumer_op = scan;
-  eos.dest_index = 0;
+  eos.dest_index = instance;
   eos.port = 0;
   ASSERT_TRUE(
-      relay->TryPush(ShmRecordType::kEos, &eos, sizeof(eos), nullptr, 0));
-  (*plane)->RingDoorbell(0);
+      ring->TryPush(ShmRecordType::kEos, &eos, sizeof(eos), nullptr, 0));
+  (*plane)->RingDoorbell(edge->to);
 
   int sv[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   int exit_code = -1;
-  std::thread worker([&exit_code, fd = sv[1], a = arena->get()] {
-    exit_code = RunProcessWorker(fd, a);
-  });
+  std::thread worker(
+      [&exit_code, fd = sv[1], a = arena->get(), db = db_.get()] {
+        exit_code = RunProcessWorker(fd, a, db);
+      });
   ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
   FrameChannel chan(sv[0], "worker");
   PlanEnvelope env;
-  env.num_workers = 1;
+  env.worker_id = edge->to;
+  env.num_workers = kWorkers;
   env.shm_ring_bytes = kRingBytes;
   env.plan_text = SerializePlan(*plan_);
   std::vector<std::byte> payload;

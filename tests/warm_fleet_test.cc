@@ -23,6 +23,7 @@
 #include "net/net_fault.h"
 #include "plan/shapes.h"
 #include "plan/wisconsin_query.h"
+#include "storage/wisconsin.h"
 #include "strategy/strategy.h"
 
 namespace mjoin {
@@ -36,7 +37,8 @@ namespace {
 // a failed attempt's workers reaped at once, a member lost during the
 // idle handshake (which one-shot queries run too), a net fault injector
 // that must not outlive its query, and two fleets reaping strictly their
-// own children. Plus the limits of a fleet
+// own children; and a database that changes under a live fleet. Plus the
+// limits of a fleet
 // whose rings are fixed at spawn: an invalid ring size, rows too wide for
 // the rings, and the retired socket data plane.
 
@@ -220,6 +222,55 @@ TEST(WarmFleetTest, KillNineBetweenQueriesRespawnsAndSucceeds) {
     EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
   }
   EXPECT_GE((*fleet)->respawns(), kills) << "dead workers went unnoticed";
+}
+
+// Workers scan the database they inherited at fork. Once the database
+// changes — a relation added, or the whole database move-assigned — the
+// next query respawns the fleet exactly once, so no worker reads a stale
+// copy; queries after it run on the new members without respawning.
+TEST(WarmFleetTest, StaleDatabaseRespawnsOnce) {
+  constexpr uint32_t kCard = 300;
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/3, kCard,
+                            /*procs=*/4, StrategyKind::kFP);
+  WarmFleetOptions options;
+  options.num_workers = 3;
+  auto fleet = WarmProcessFleet::Spawn(&f.db, options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  auto before = (*fleet)->Execute(f.plan, ProcessExecOptions{});
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->exec.result.checksum, f.reference.checksum);
+  EXPECT_EQ((*fleet)->respawns(), 0u);
+
+  // A relation the workers never saw, and a plan that scans it.
+  ASSERT_TRUE(
+      f.db.Add("rel3", GenerateWisconsin(kCard, /*seed=*/1234)).ok());
+  auto query = MakeWisconsinChainQuery(QueryShape::kLeftLinear, 4, kCard);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kFP)
+                  ->Parallelize(*query, /*processors=*/4, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto reference = ReferenceSummary(*query, f.db);
+  ASSERT_TRUE(reference.ok());
+  for (uint64_t run = 0; run < 2; ++run) {
+    auto result = (*fleet)->Execute(*plan, ProcessExecOptions{});
+    ASSERT_TRUE(result.ok()) << "run " << run << ": " << result.status();
+    EXPECT_EQ(result->exec.result.cardinality, reference->cardinality);
+    EXPECT_EQ(result->exec.result.checksum, reference->checksum);
+    EXPECT_EQ(result->proc.attempts, 1u);
+    EXPECT_EQ((*fleet)->respawns(), 1u) << "run " << run;
+  }
+
+  // Move-assignment replaces every relation under the same names.
+  f.db = MakeWisconsinDatabase(/*num_relations=*/4, kCard, /*seed=*/8);
+  auto moved_reference = ReferenceSummary(*query, f.db);
+  ASSERT_TRUE(moved_reference.ok());
+  ASSERT_NE(moved_reference->checksum, reference->checksum);
+  for (uint64_t run = 0; run < 2; ++run) {
+    auto result = (*fleet)->Execute(*plan, ProcessExecOptions{});
+    ASSERT_TRUE(result.ok()) << "run " << run << ": " << result.status();
+    EXPECT_EQ(result->exec.result.checksum, moved_reference->checksum);
+    EXPECT_EQ((*fleet)->respawns(), 2u) << "run " << run;
+  }
 }
 
 TEST(WarmFleetTest, FailedAttemptLeavesNoWorkerBehind) {

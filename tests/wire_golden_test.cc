@@ -1,6 +1,6 @@
 // Golden wire bytes of every control payload: one fixed, fully populated
 // instance per message, encoded and compared with a hex literal. The
-// literals pin the byte layout of protocol v7, so any change to a codec
+// literals pin the byte layout of protocol v8, so any change to a codec
 // that moves a byte fails here, whether or not both ends still agree.
 #include <gtest/gtest.h>
 
@@ -27,8 +27,8 @@ std::string EncodedHex(const Msg& msg) {
   return hex;
 }
 
-TEST(WireGoldenTest, ProtocolVersionIsSeven) {
-  EXPECT_EQ(kNetProtocolVersion, 7u);
+TEST(WireGoldenTest, ProtocolVersionIsEight) {
+  EXPECT_EQ(kNetProtocolVersion, 8u);
 }
 
 TEST(WireGoldenTest, PlanEnvelope) {
@@ -191,13 +191,14 @@ TEST(WireGoldenTest, WorkerRunStats) {
   m.shm_bytes_sent = 12;
   m.shm_bytes_received = 13;
   m.ring_full_stalls = 14;
+  m.peak_backlog_records = 15;
   EXPECT_EQ(EncodedHex(m),
             "010000000000000002000000000000000300000000000000"
             "040000000000000005000000000000000600000000000000"
             "070000000000000008000000000000000900000000000000"
             "000000000000e03f000000000000d03f0a00000000000000"
             "0b000000000000000c000000000000000d00000000000000"
-            "0e00000000000000");
+            "0e000000000000000f00000000000000");
 }
 
 TEST(WireGoldenTest, TraceEvents) {
