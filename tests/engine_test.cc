@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "engine/controller.h"
 #include "engine/database.h"
 #include "engine/experiment.h"
+#include "engine/process_protocol.h"
 #include "engine/reference.h"
 #include "engine/result.h"
 #include "engine/sim_executor.h"
@@ -232,6 +234,97 @@ TEST(SimExecutorTest, ResponseTicksPinned) {
       EXPECT_EQ(run->response_ticks, kExpected[s][q])
           << StrategyName(kAllStrategies[s]) << " on "
           << ShapeName(kAllShapes[q]);
+    }
+  }
+}
+
+// Pins the simulator's traced output over the ResponseTicksPinned grid:
+// each cell's utilization exactly and its diagram by FNV-1a hash, with
+// two diagrams spelled out so a failure shows what moved. The fill chars
+// are the op labels, 'h' handshakes, and the scheduler's 's' and the
+// broker's 'b' on the two service lanes above the workers.
+TEST(SimExecutorTest, TracedDiagramsPinned) {
+  constexpr int kRelations = 5;
+  constexpr uint32_t kCardinality = 300;
+  constexpr uint32_t kProcessors = 12;
+  // [strategy][shape] in kAllStrategies x kAllShapes order.
+  constexpr double kUtilization[4][5] = {
+      {0.33288494305443456, 0.33378124160171996, 0.33111051836045169,
+       0.33217127022436754, 0.32709376922400912},  // SP
+      {0.33288494305443456, 0.37270515372705154, 0.373550981783771,
+       0.37633642195295797, 0.32709376922400912},  // SE
+      {0.33288494305443456, 0.34202317290552586, 0.33383233532934131,
+       0.4341880341880342, 0.30184418517124578},  // RD
+      {0.3767752715121136, 0.37630049993244158, 0.37640525531626712,
+       0.37457878420272273, 0.37365368682684341},  // FP
+  };
+  constexpr uint64_t kDiagramHash[4][5] = {
+      {0x461ae78f696dd76bull, 0xbaade2b43ed69989ull, 0x9f80847c803b88b3ull,
+       0x24bbce359b98649aull, 0xd5768360874eb7deull},  // SP
+      {0x461ae78f696dd76bull, 0xe62ce8ed57611abfull, 0x3688a5b339d617ddull,
+       0x48bf06f6360940acull, 0xd5768360874eb7deull},  // SE
+      {0x461ae78f696dd76bull, 0xf2bf9df9a7a85448ull, 0x5545ee3230f30a8eull,
+       0xe2fed2eb6c0340d0ull, 0xe0faa050ba4cd117ull},  // RD
+      {0x0f41fd0fcd2a90f3ull, 0x93a1820e2af4a79full, 0xbf601cda8e269159ull,
+       0x849d0e606302135full, 0x050c9b897c79de4eull},  // FP
+  };
+  const std::string kSpLeftLinear =
+      " 13 .................................bbbb..........bbb..........bbb.........\n"
+      " 12 ssssssssssssssssssssssssssssss..........................................\n"
+      " 11 .......11.....................11.hh..h2222.222.h..h3333.333.h..h4444.44.\n"
+      " 10 .......111....................111hh.h222222222.h..333333333.h..h44444444\n"
+      "  9 .......111....................111hh.h2222222222h.h3333333333h.h444444444\n"
+      "  8 .......111....................111hh.h22222.222.h.h33333.333.h.h44444.444\n"
+      "  7 .......111....................111hh.h22222.222.h.h33333.333.h.h44444.444\n"
+      "  6 .......11.....................11.hh.22222..22..h.h3333..33..h.h4444..44.\n"
+      "  5 .......11.....................11.hhh22222..22..hh33333..33..hh44444..44.\n"
+      "  4 .......11.....................11.hhh22222..22..hh33333..33..hh44444..44.\n"
+      "  3 .......111....................111hhh22222..222.hh33333..333.hh44444..444\n"
+      "  2 .......11.....................11.hhh22222..22..hh33333..33..hh44444..44.\n"
+      "  1 .......111....................111hh222222..222.h333333..333.h444444..444\n"
+      "  0 .......111....................111hh222222..222.h333333..333.h444444..444\n"
+      "    ------------------------------------------------------------------------> time (3717 ticks)\n";
+  const std::string kFpWideBushy =
+      " 13 .bbbbbbbb...............................................................\n"
+      " 12 sssssssssss.............................................................\n"
+      " 11 ...........h...............4444.44444444......................4444444444\n"
+      " 10 ..........hh...............444..4444444.......................444444444.\n"
+      "  9 .........hh................4444.44444444......................4444444444\n"
+      "  8 .........h.................4444.44444444......................4444444444\n"
+      "  7 ........33333333333.............................33333333333333..........\n"
+      "  6 ........3333333333333...........................33333333333333333.......\n"
+      "  5 .......h3333333333333...........................33333333333333333.......\n"
+      "  4 .....22222222222222222222222222222222222222222222.......................\n"
+      "  3 .....2222222222222222222222222222222222222222222........................\n"
+      "  2 ...1111111111111111111111111............................................\n"
+      "  1 ...1111111111111111111111111111111......................................\n"
+      "  0 ..h111111111111111111111111111111.......................................\n"
+      "    ------------------------------------------------------------------------> time (2461 ticks)\n";
+  Database db = MakeWisconsinDatabase(kRelations, kCardinality, /*seed=*/7);
+  SimExecutor executor(&db);
+  SimExecOptions options;
+  options.record_trace = true;
+  for (size_t s = 0; s < std::size(kAllStrategies); ++s) {
+    for (size_t q = 0; q < std::size(kAllShapes); ++q) {
+      auto query =
+          MakeWisconsinChainQuery(kAllShapes[q], kRelations, kCardinality);
+      ASSERT_TRUE(query.ok());
+      auto plan = MakeStrategy(kAllStrategies[s])
+                      ->Parallelize(*query, kProcessors, TotalCostModel());
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      auto run = executor.Execute(*plan, options);
+      ASSERT_TRUE(run.ok()) << run.status();
+      const std::string cell = StrCat(StrategyName(kAllStrategies[s]), " on ",
+                                      ShapeName(kAllShapes[q]));
+      EXPECT_EQ(run->utilization, kUtilization[s][q]) << cell;
+      EXPECT_EQ(FnvHash64(run->utilization_diagram), kDiagramHash[s][q])
+          << cell << "\n" << run->utilization_diagram;
+      if (s == 0 && q == 0) {
+        EXPECT_EQ(run->utilization_diagram, kSpLeftLinear);
+      }
+      if (s == 3 && q == 2) {
+        EXPECT_EQ(run->utilization_diagram, kFpWideBushy);
+      }
     }
   }
 }
