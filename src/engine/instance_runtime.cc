@@ -14,10 +14,6 @@
 
 namespace mjoin {
 
-namespace {
-
-/// Work type of a Consume() callback, for trace labels and the phase
-/// buckets of OpMetrics (the build/probe split of the per-layer ledger).
 ThreadWorkType ConsumeWorkType(XraOpKind kind, int port) {
   switch (kind) {
     case XraOpKind::kSimpleHashJoin:
@@ -35,10 +31,6 @@ ThreadWorkType ConsumeWorkType(XraOpKind kind, int port) {
   }
 }
 
-/// Work type of an InputDone() callback. The interesting cases do real
-/// work there: a simple hash-join replays buffered probe batches when the
-/// build side completes, a sort-merge join sorts and merges, an
-/// aggregation emits its groups.
 ThreadWorkType InputDoneWorkType(XraOpKind kind, int port) {
   switch (kind) {
     case XraOpKind::kSimpleHashJoin:
@@ -52,6 +44,8 @@ ThreadWorkType InputDoneWorkType(XraOpKind kind, int port) {
       return ThreadWorkType::kOther;
   }
 }
+
+namespace {
 
 /// The OpMetrics bucket a work type's seconds accumulate into.
 double* PhaseBucket(OpMetrics* m, ThreadWorkType type) {

@@ -124,6 +124,16 @@ class InstanceHost {
                            ThreadWorkType type, int op_id) {}
 };
 
+/// Work type of a Consume() callback on `port`, for trace lanes and the
+/// phase buckets of OpMetrics (the build/probe split of the per-layer
+/// ledger).
+ThreadWorkType ConsumeWorkType(XraOpKind kind, int port);
+/// Work type of an InputDone() callback on `port`. The interesting cases
+/// do real work there: a simple hash-join replays buffered probe batches
+/// when the build side completes, a sort-merge join sorts and merges, an
+/// aggregation emits its groups.
+ThreadWorkType InputDoneWorkType(XraOpKind kind, int port);
+
 /// Execution settings the runtime applies to every instance.
 struct RuntimeSettings {
   /// Cost model handed to operators; batch_size is the flush threshold.

@@ -1014,50 +1014,10 @@ void Coordinator::GatherNetStats() {
   net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
 }
 
-/// Publishes run counters mirroring the thread backend's names under the
-/// "process." prefix, plus the wire-level "net." family.
-void PublishProcessMetrics(const ThreadExecStats& stats,
-                           const ProcessNetStats& net, double wall_seconds,
-                           MetricsRegistry* registry) {
-  registry->counter("process.batches_sent")->Add(stats.batches_sent);
-  registry->counter("process.batches_processed")
-      ->Add(stats.batches_processed);
-  registry->counter("process.batches_dropped")->Add(stats.batches_dropped);
-  registry->counter("process.batches_duplicated")
-      ->Add(stats.batches_duplicated);
-  registry->counter("process.batch_buffers_allocated")
-      ->Add(stats.batch_buffers_allocated);
-  registry->counter("process.batch_buffers_reused")
-      ->Add(stats.batch_buffers_reused);
-  registry->gauge("process.peak_memory_bytes")
-      ->Set(static_cast<int64_t>(stats.peak_memory_bytes));
-  registry->histogram("process.wall_seconds")->Observe(wall_seconds);
-  Histogram* batch_hist = registry->histogram("process.batch_seconds");
-  uint64_t rows_out = 0;
-  uint64_t hot_keys = 0;
-  uint64_t replicated = 0;
-  uint64_t repartitioned = 0;
-  uint64_t bloom_filtered = 0;
-  double bloom_fp_rate = 0;
-  for (const ThreadOpStats& per_op : stats.per_op) {
-    for (double sample : per_op.metrics.batch_seconds.values()) {
-      batch_hist->Observe(sample);
-    }
-    rows_out += per_op.metrics.rows_out;
-    hot_keys += per_op.metrics.skew_hot_keys;
-    replicated += per_op.metrics.skew_replicated_rows;
-    repartitioned += per_op.metrics.skew_repartitioned_rows;
-    bloom_filtered += per_op.metrics.skew_bloom_filtered_rows;
-    bloom_fp_rate =
-        std::max(bloom_fp_rate, per_op.metrics.skew_bloom_fp_rate);
-  }
-  registry->counter("process.rows_emitted")->Add(rows_out);
-  registry->counter("skew.hot_keys_detected")->Add(hot_keys);
-  registry->counter("skew.replicated_rows")->Add(replicated);
-  registry->counter("skew.repartitioned_rows")->Add(repartitioned);
-  registry->counter("skew.bloom_filtered_rows")->Add(bloom_filtered);
-  registry->histogram("skew.bloom_fp_rate")->Observe(bloom_fp_rate);
-
+/// Publishes the wire-level "net." family of one run; the backend counters
+/// go out through PublishExecMetrics under "process.".
+void PublishNetMetrics(const ProcessNetStats& net,
+                       MetricsRegistry* registry) {
   registry->counter("net.bytes_sent")->Add(net.bytes_sent);
   registry->counter("net.bytes_received")->Add(net.bytes_received);
   registry->counter("net.frames_sent")->Add(net.frames_sent);
@@ -1087,26 +1047,10 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   // has_deadline_/deadline_point_ come from the constructor: the deadline
   // is absolute across every retry attempt of one Execute().
   if (exec_.record_trace) {
-    std::vector<ThreadTraceOpInfo> infos;
-    infos.reserve(plan_.ops.size());
-    for (const XraOp& o : plan_.ops) {
-      infos.push_back(ThreadTraceOpInfo{o.label, o.trace_label});
-    }
-    trace_ = std::make_shared<ThreadTraceRecorder>(plan_.num_processors,
-                                                   std::move(infos));
+    trace_ = NewPlanTrace(plan_, WallClockTraceFormat("process"));
     trace_->SetOrigin(start);
   }
-  if (exec_.collect_metrics) {
-    per_op_.reserve(plan_.ops.size());
-    for (const XraOp& o : plan_.ops) {
-      ThreadOpStats agg;
-      agg.op_id = o.id;
-      agg.name = o.label;
-      agg.kind = XraOpKindName(o.kind);
-      agg.trace_label = o.trace_label;
-      per_op_.push_back(std::move(agg));
-    }
-  }
+  if (exec_.collect_metrics) per_op_ = NewOpStats(plan_);
   if (exec_.materialize_result) {
     for (const XraOp& o : plan_.ops) {
       if (o.store_result == plan_.final_result) {
@@ -1159,7 +1103,9 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   double wall_seconds = std::chrono::duration<double>(end - start).count();
   // Published on the abort path too: partial progress is diagnosable.
   if (exec_.metrics_registry != nullptr) {
-    PublishProcessMetrics(stats, net_, wall_seconds, exec_.metrics_registry);
+    PublishExecMetrics("process", stats, wall_seconds,
+                       exec_.metrics_registry);
+    PublishNetMetrics(net_, exec_.metrics_registry);
   }
 
   if (run_failed) return abort_status_;
@@ -1173,13 +1119,9 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   }
   result.exec.stats = std::move(stats);
   if (trace_ != nullptr) {
-    auto makespan_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count();
-    result.exec.utilization = trace_->Utilization(makespan_ns);
-    result.exec.utilization_diagram =
-        trace_->RenderAscii(makespan_ns, exec_.trace_width);
-    result.exec.trace = trace_;
+    const auto makespan_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start);
+    AttachTrace(trace_, makespan_ns.count(), exec_.trace_width, &result.exec);
   }
   result.net = net_;
   return result;
@@ -1213,7 +1155,7 @@ Status BackoffSleep(
 }
 
 /// Publishes the recovery counters once per Execute() (the per-attempt
-/// counters go out in PublishProcessMetrics).
+/// counters go out in PublishExecMetrics and PublishNetMetrics).
 void PublishRecoveryMetrics(const ProcessExecStats& proc,
                             MetricsRegistry* registry) {
   registry->counter("process.attempts")->Add(proc.attempts);
@@ -1231,15 +1173,6 @@ void PublishRecoveryMetrics(const ProcessExecStats& proc,
 /// The checks both public Execute()s run before touching a fleet.
 Status CheckProcessQuery(const ParallelPlan& plan,
                          const ProcessExecOptions& options) {
-  if (options.exec.batch_size == 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.batch_size must be positive");
-  }
-  if (options.exec.deadline.has_value() &&
-      options.exec.deadline->count() <= 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.deadline must be positive when set");
-  }
   // The shm rings are the only data plane; the switch survives in the
   // options for source compatibility and must stay on.
   if (!options.use_shm_data_plane) {
@@ -1247,7 +1180,7 @@ Status CheckProcessQuery(const ParallelPlan& plan,
         "ProcessExecOptions::use_shm_data_plane must be true: the shm rings "
         "are the only data plane");
   }
-  return plan.Validate();
+  return CheckExecRequest(plan, options.exec);
 }
 
 /// The attempt loop of both public Execute()s, on a checked plan: a failed

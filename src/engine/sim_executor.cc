@@ -46,9 +46,13 @@ class SimRun : public InstanceHost {
       : plan_(plan),
         db_(db),
         options_(options),
-        machine_(plan.num_processors, options.costs, options.record_trace),
+        machine_(plan.num_processors, options.costs),
         controller_(&plan),
-        runtime_(plan, this, SimSettings(options)) {}
+        runtime_(plan, this, SimSettings(options)) {
+    if (options.record_trace) {
+      trace_ = NewPlanTrace(plan, SimTraceFormat(options.costs.tick_seconds));
+    }
+  }
 
   Status Prepare();
   StatusOr<SimQueryResult> Run();
@@ -72,10 +76,14 @@ class SimRun : public InstanceHost {
     return procs_[static_cast<size_t>(inst->op.id)][inst->index];
   }
 
+  // Submits `body` to `node`; when tracing, the task's busy interval is
+  // recorded as `type` work of op `op_id` on the node's lane.
+  void Submit(uint32_t node, ThreadWorkType type, int op_id,
+              std::function<TaskResult()> body);
   // Submits a task running `fn(inst)` on the instance's node; the task's
   // cost is whatever fn charges, and its deferred actions are released at
   // completion.
-  void SubmitTask(OpInstance* inst, char label,
+  void SubmitTask(OpInstance* inst, ThreadWorkType type,
                   std::function<void(OpInstance*)> fn);
   void TryStart(OpInstance* inst);
   void BeginStart(OpInstance* inst);
@@ -98,6 +106,8 @@ class SimRun : public InstanceHost {
   std::vector<size_t> node_memory_;
   // Deferred actions of the task running now (tasks never nest).
   std::vector<DeferredAction> deferred_;
+  // Null unless options.record_trace; lanes are the machine's node ids.
+  std::shared_ptr<ThreadTraceRecorder> trace_;
 
   Ticks last_finish_ = 0;
 };
@@ -111,7 +121,20 @@ Status SimRun::Prepare() {
   return runtime_.Build(db_);
 }
 
-void SimRun::SubmitTask(OpInstance* inst, char label,
+void SimRun::Submit(uint32_t node, ThreadWorkType type, int op_id,
+                    std::function<TaskResult()> body) {
+  if (trace_ != nullptr) {
+    body = [this, node, type, op_id, body = std::move(body)] {
+      const Ticks start = machine_.sim().Now();
+      TaskResult result = body();
+      trace_->Record(node, start, start + result.cost, type, op_id);
+      return result;
+    };
+  }
+  machine_.node(node).Submit(std::move(body));
+}
+
+void SimRun::SubmitTask(OpInstance* inst, ThreadWorkType type,
                         std::function<void(OpInstance*)> fn) {
   auto body = [this, inst, fn = std::move(fn)] {
     inst->charged = 0;
@@ -134,7 +157,7 @@ void SimRun::SubmitTask(OpInstance* inst, char label,
     p.busy_ticks += cost;
     return TaskResult{cost, std::move(deferred_)};
   };
-  machine_.node(inst->processor).Submit(label, std::move(body));
+  Submit(inst->processor, type, inst->op.id, std::move(body));
 }
 
 void SimRun::DispatchGroups(const std::vector<int>& groups) {
@@ -173,7 +196,8 @@ void SimRun::TryStart(OpInstance* inst) {
     return;
   }
   machine_.counters().handshake_ticks += broker_cost;
-  machine_.node(machine_.broker_id()).Submit('b', [this, inst, broker_cost] {
+  Submit(machine_.broker_id(), ThreadWorkType::kStreamSetup, o.id,
+         [this, inst, broker_cost] {
     TaskResult result;
     result.cost = broker_cost;
     result.after.push_back(
@@ -184,7 +208,7 @@ void SimRun::TryStart(OpInstance* inst) {
 
 void SimRun::BeginStart(OpInstance* inst) {
   inst->started = true;
-  SubmitTask(inst, 'h', [this](OpInstance* inst) {
+  SubmitTask(inst, ThreadWorkType::kHandshake, [this](OpInstance* inst) {
     // Handshake: one unit of coordination per networked stream endpoint
     // this process participates in.
     const XraOp& o = inst->op;
@@ -212,7 +236,7 @@ void SimRun::BeginStart(OpInstance* inst) {
 }
 
 void SimRun::PumpSource(OpInstance* inst) {
-  SubmitTask(inst, inst->op.trace_label, [this](OpInstance* inst) {
+  SubmitTask(inst, ThreadWorkType::kScan, [this](OpInstance* inst) {
     if (runtime_.Produce(inst)) SchedulePump(inst);
   });
 }
@@ -240,7 +264,7 @@ void SimRun::DeliverBatch(OpInstance* producer, uint32_t dest,
       {latency, [this, consumer, port, batch = std::move(batch), networked] {
          runtime_.RunWhenStarted(consumer, [this, consumer, port, batch,
                                             networked] {
-           SubmitTask(consumer, consumer->op.trace_label,
+           SubmitTask(consumer, ConsumeWorkType(consumer->op.kind, port),
                       [this, port, batch, networked](OpInstance* inst) {
                         if (networked) {
                           inst->Charge(costs().batch_overhead +
@@ -260,7 +284,7 @@ void SimRun::SendEos(OpInstance* producer, uint32_t dest) {
       SendsOverNetwork(plan_, producer->op) ? costs().network_latency : 0;
   deferred_.push_back({latency, [this, consumer, port] {
     runtime_.RunWhenStarted(consumer, [this, consumer, port] {
-      SubmitTask(consumer, consumer->op.trace_label,
+      SubmitTask(consumer, InputDoneWorkType(consumer->op.kind, port),
                  [this, port](OpInstance* c) { runtime_.OnEos(c, port); });
     });
   }});
@@ -278,18 +302,18 @@ void SimRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
   const uint32_t index = inst->index;
   deferred_.push_back(
       {costs().trigger_latency, [this, op_id, index, milestone] {
-         machine_.node(machine_.scheduler_id())
-             .Submit('n', [this, op_id, index, milestone] {
-               std::vector<int> ready =
-                   controller_.OnInstanceMilestone(op_id, index, milestone);
-               TaskResult result;
-               result.cost = 0;
-               if (!ready.empty()) {
-                 result.after.push_back(
-                     {0, [this, ready] { DispatchGroups(ready); }});
-               }
-               return result;
-             });
+         Submit(machine_.scheduler_id(), ThreadWorkType::kMilestone, op_id,
+                [this, op_id, index, milestone] {
+                  std::vector<int> ready =
+                      controller_.OnInstanceMilestone(op_id, index, milestone);
+                  TaskResult result;
+                  result.cost = 0;
+                  if (!ready.empty()) {
+                    result.after.push_back(
+                        {0, [this, ready] { DispatchGroups(ready); }});
+                  }
+                  return result;
+                });
        }});
 }
 
@@ -305,8 +329,8 @@ StatusOr<SimQueryResult> SimRun::Run() {
       bool is_join = op(op_id).is_join();
       for (const auto& inst : runtime_.instances(op_id)) {
         OpInstance* raw = inst.get();
-        machine_.node(machine_.scheduler_id())
-            .Submit('s', [this, raw, is_join] {
+        Submit(machine_.scheduler_id(), ThreadWorkType::kProcessInit, op_id,
+               [this, raw, is_join] {
           Ticks init_cost = is_join ? costs().process_startup : 1;
           if (is_join) {
             machine_.counters().processes_started += 1;
@@ -374,19 +398,8 @@ StatusOr<SimQueryResult> SimRun::Run() {
       stats.last_finish = std::max(stats.last_finish, p.finish_time);
     }
   }
-  if (options_.record_trace) {
-    std::vector<Ticks> busy = machine_.trace().BusyTicks();
-    double total_busy = 0;
-    for (uint32_t p = 0; p < plan_.num_processors; ++p) {
-      total_busy += static_cast<double>(busy[p]);
-    }
-    if (result.response_ticks > 0) {
-      result.utilization =
-          total_busy / (static_cast<double>(result.response_ticks) *
-                        plan_.num_processors);
-    }
-    result.utilization_diagram =
-        machine_.trace().Render(result.response_ticks, options_.trace_width);
+  if (trace_ != nullptr) {
+    AttachTrace(trace_, result.response_ticks, options_.trace_width, &result);
   }
   return result;
 }

@@ -1,6 +1,7 @@
 #ifndef MJOIN_ENGINE_SIM_EXECUTOR_H_
 #define MJOIN_ENGINE_SIM_EXECUTOR_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 #include <string>
@@ -8,6 +9,7 @@
 #include "common/statusor.h"
 #include "engine/database.h"
 #include "engine/result.h"
+#include "engine/thread_trace.h"
 #include "sim/cost_params.h"
 #include "sim/machine.h"
 #include "xra/plan.h"
@@ -51,6 +53,9 @@ struct SimQueryResult {
   /// (only when record_trace is set; 0 otherwise).
   double utilization = 0;
   std::string utilization_diagram;  // only when record_trace is set
+  /// The raw trace, in ticks, with the scheduler and the stream broker as
+  /// service lanes; null unless record_trace.
+  std::shared_ptr<const ThreadTraceRecorder> trace;
   /// Sum over all join operation processes of their peak hash-table /
   /// buffer memory (FP's two hash tables show up here).
   size_t join_memory_bytes = 0;

@@ -216,13 +216,7 @@ class ThreadRun : public InstanceHost {
         controller_(&plan),
         runtime_(plan, this, ThreadSettings(options, &budget_)) {
     if (options.record_trace) {
-      std::vector<ThreadTraceOpInfo> infos;
-      infos.reserve(plan.ops.size());
-      for (const XraOp& o : plan.ops) {
-        infos.push_back(ThreadTraceOpInfo{o.label, o.trace_label});
-      }
-      trace_ = std::make_shared<ThreadTraceRecorder>(plan.num_processors,
-                                                     std::move(infos));
+      trace_ = NewPlanTrace(plan, WallClockTraceFormat("thread"));
     }
   }
 
@@ -488,64 +482,12 @@ ThreadExecStats ThreadRun::GatherStats() const {
   stats.batch_buffers_reused -= pool_base_reused_;
   stats.peak_memory_bytes = budget_.peak();
   if (options_.collect_metrics) {
-    stats.per_op.reserve(plan_.ops.size());
-    for (const XraOp& o : plan_.ops) {
-      ThreadOpStats per_op;
-      per_op.op_id = o.id;
-      per_op.name = o.label;
-      per_op.kind = XraOpKindName(o.kind);
-      per_op.trace_label = o.trace_label;
-      per_op.instances = runtime_.MergeOpMetrics(o.id, &per_op.metrics);
-      stats.per_op.push_back(std::move(per_op));
+    stats.per_op = NewOpStats(plan_);
+    for (ThreadOpStats& per_op : stats.per_op) {
+      per_op.instances = runtime_.MergeOpMetrics(per_op.op_id, &per_op.metrics);
     }
   }
   return stats;
-}
-
-/// Publishes the run-level counters (and the pooled batch-latency samples)
-/// into the caller's registry. Runs after the workers joined.
-void PublishMetrics(const ThreadExecStats& stats, double wall_seconds,
-                    MetricsRegistry* registry) {
-  registry->counter("thread.batches_sent")->Add(stats.batches_sent);
-  registry->counter("thread.batches_processed")->Add(stats.batches_processed);
-  registry->counter("thread.batches_dropped")->Add(stats.batches_dropped);
-  registry->counter("thread.batches_duplicated")
-      ->Add(stats.batches_duplicated);
-  registry->counter("thread.queue_overflows")->Add(stats.queue_overflows);
-  registry->counter("thread.batch_buffers_allocated")
-      ->Add(stats.batch_buffers_allocated);
-  registry->counter("thread.batch_buffers_reused")
-      ->Add(stats.batch_buffers_reused);
-  registry->gauge("thread.peak_queue_depth")
-      ->Set(static_cast<int64_t>(stats.peak_queue_depth));
-  registry->gauge("thread.peak_memory_bytes")
-      ->Set(static_cast<int64_t>(stats.peak_memory_bytes));
-  registry->histogram("thread.wall_seconds")->Observe(wall_seconds);
-  Histogram* batch_hist = registry->histogram("thread.batch_seconds");
-  uint64_t rows_out = 0;
-  uint64_t hot_keys = 0;
-  uint64_t replicated = 0;
-  uint64_t repartitioned = 0;
-  uint64_t bloom_filtered = 0;
-  double bloom_fp_rate = 0;
-  for (const ThreadOpStats& per_op : stats.per_op) {
-    for (double sample : per_op.metrics.batch_seconds.values()) {
-      batch_hist->Observe(sample);
-    }
-    rows_out += per_op.metrics.rows_out;
-    hot_keys += per_op.metrics.skew_hot_keys;
-    replicated += per_op.metrics.skew_replicated_rows;
-    repartitioned += per_op.metrics.skew_repartitioned_rows;
-    bloom_filtered += per_op.metrics.skew_bloom_filtered_rows;
-    bloom_fp_rate =
-        std::max(bloom_fp_rate, per_op.metrics.skew_bloom_fp_rate);
-  }
-  registry->counter("thread.rows_emitted")->Add(rows_out);
-  registry->counter("skew.hot_keys_detected")->Add(hot_keys);
-  registry->counter("skew.replicated_rows")->Add(replicated);
-  registry->counter("skew.repartitioned_rows")->Add(repartitioned);
-  registry->counter("skew.bloom_filtered_rows")->Add(bloom_filtered);
-  registry->histogram("skew.bloom_fp_rate")->Observe(bloom_fp_rate);
 }
 
 StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
@@ -604,7 +546,8 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
   double wall_seconds = std::chrono::duration<double>(end - start).count();
   // Published on the abort path too: partial progress is diagnosable.
   if (options_.metrics_registry != nullptr) {
-    PublishMetrics(stats, wall_seconds, options_.metrics_registry);
+    PublishExecMetrics("thread", stats, wall_seconds,
+                       options_.metrics_registry);
   }
 
   if (runtime_.aborted()) {
@@ -620,18 +563,89 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
   }
   result.stats = stats;
   if (trace_ != nullptr) {
-    auto makespan_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count();
-    result.utilization = trace_->Utilization(makespan_ns);
-    result.utilization_diagram =
-        trace_->RenderAscii(makespan_ns, options_.trace_width);
-    result.trace = trace_;
+    const auto makespan_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start);
+    AttachTrace(trace_, makespan_ns.count(), options_.trace_width, &result);
   }
   return result;
 }
 
 }  // namespace
+
+std::vector<ThreadOpStats> NewOpStats(const ParallelPlan& plan) {
+  std::vector<ThreadOpStats> per_op;
+  per_op.reserve(plan.ops.size());
+  for (const XraOp& o : plan.ops) {
+    ThreadOpStats op;
+    op.op_id = o.id;
+    op.name = o.label;
+    op.kind = XraOpKindName(o.kind);
+    op.trace_label = o.trace_label;
+    per_op.push_back(std::move(op));
+  }
+  return per_op;
+}
+
+Status CheckExecRequest(const ParallelPlan& plan,
+                        const ThreadExecOptions& options) {
+  if (options.batch_size == 0) {
+    return Status::InvalidArgument(
+        "ThreadExecOptions::batch_size must be positive");
+  }
+  if (options.deadline.has_value() && options.deadline->count() <= 0) {
+    return Status::InvalidArgument(
+        "ThreadExecOptions::deadline must be positive when set");
+  }
+  return plan.Validate();
+}
+
+void PublishExecMetrics(const std::string& prefix,
+                        const ThreadExecStats& stats, double wall_seconds,
+                        MetricsRegistry* registry) {
+  auto name = [&prefix](const char* metric) {
+    return StrCat(prefix, ".", metric);
+  };
+  registry->counter(name("batches_sent"))->Add(stats.batches_sent);
+  registry->counter(name("batches_processed"))->Add(stats.batches_processed);
+  registry->counter(name("batches_dropped"))->Add(stats.batches_dropped);
+  registry->counter(name("batches_duplicated"))
+      ->Add(stats.batches_duplicated);
+  registry->counter(name("queue_overflows"))->Add(stats.queue_overflows);
+  registry->counter(name("batch_buffers_allocated"))
+      ->Add(stats.batch_buffers_allocated);
+  registry->counter(name("batch_buffers_reused"))
+      ->Add(stats.batch_buffers_reused);
+  registry->gauge(name("peak_queue_depth"))
+      ->Set(static_cast<int64_t>(stats.peak_queue_depth));
+  registry->gauge(name("peak_memory_bytes"))
+      ->Set(static_cast<int64_t>(stats.peak_memory_bytes));
+  registry->histogram(name("wall_seconds"))->Observe(wall_seconds);
+  Histogram* batch_hist = registry->histogram(name("batch_seconds"));
+  uint64_t rows_out = 0;
+  uint64_t hot_keys = 0;
+  uint64_t replicated = 0;
+  uint64_t repartitioned = 0;
+  uint64_t bloom_filtered = 0;
+  double bloom_fp_rate = 0;
+  for (const ThreadOpStats& per_op : stats.per_op) {
+    for (double sample : per_op.metrics.batch_seconds.values()) {
+      batch_hist->Observe(sample);
+    }
+    rows_out += per_op.metrics.rows_out;
+    hot_keys += per_op.metrics.skew_hot_keys;
+    replicated += per_op.metrics.skew_replicated_rows;
+    repartitioned += per_op.metrics.skew_repartitioned_rows;
+    bloom_filtered += per_op.metrics.skew_bloom_filtered_rows;
+    bloom_fp_rate =
+        std::max(bloom_fp_rate, per_op.metrics.skew_bloom_fp_rate);
+  }
+  registry->counter(name("rows_emitted"))->Add(rows_out);
+  registry->counter("skew.hot_keys_detected")->Add(hot_keys);
+  registry->counter("skew.replicated_rows")->Add(replicated);
+  registry->counter("skew.repartitioned_rows")->Add(repartitioned);
+  registry->counter("skew.bloom_filtered_rows")->Add(bloom_filtered);
+  registry->histogram("skew.bloom_fp_rate")->Observe(bloom_fp_rate);
+}
 
 std::string RenderThreadOpStats(const ThreadExecStats& stats) {
   if (stats.per_op.empty()) return "";
@@ -659,15 +673,7 @@ std::string RenderThreadOpStats(const ThreadExecStats& stats) {
 StatusOr<ThreadQueryResult> ThreadExecutor::Execute(
     const ParallelPlan& plan, const ThreadExecOptions& options,
     ThreadExecStats* stats_out) const {
-  if (options.batch_size == 0) {
-    return Status::InvalidArgument(
-        "ThreadExecOptions::batch_size must be positive");
-  }
-  if (options.deadline.has_value() && options.deadline->count() <= 0) {
-    return Status::InvalidArgument(
-        "ThreadExecOptions::deadline must be positive when set");
-  }
-  MJOIN_RETURN_IF_ERROR(plan.Validate());
+  MJOIN_RETURN_IF_ERROR(CheckExecRequest(plan, options));
   std::vector<BatchPool*> pools;
   {
     MutexLock lock(&pools_mutex_);

@@ -139,6 +139,22 @@ struct ThreadQueryResult {
   std::shared_ptr<const ThreadTraceRecorder> trace;
 };
 
+/// One ThreadOpStats per plan op, in plan op order, with the plan identity
+/// (op_id, name, kind, trace_label) filled in and the counters zero.
+std::vector<ThreadOpStats> NewOpStats(const ParallelPlan& plan);
+
+/// The request checks of the thread and process backends: a positive
+/// batch size, a positive deadline when one is set, and a valid plan.
+[[nodiscard]] Status CheckExecRequest(const ParallelPlan& plan,
+                                      const ThreadExecOptions& options);
+
+/// Publishes one run's backend counters, gauges and batch-latency samples
+/// under `prefix` ("thread" or "process": "thread.batches_sent", ...),
+/// plus the backend-free "skew." family, into `registry`.
+void PublishExecMetrics(const std::string& prefix,
+                        const ThreadExecStats& stats, double wall_seconds,
+                        MetricsRegistry* registry);
+
 /// Renders stats.per_op as a fixed-width table (mirrors the simulator's
 /// RenderOpStats); empty string when per_op is empty.
 std::string RenderThreadOpStats(const ThreadExecStats& stats);

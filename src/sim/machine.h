@@ -9,7 +9,6 @@
 #include "sim/cost_params.h"
 #include "sim/processor.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace mjoin {
 
@@ -33,8 +32,7 @@ struct MachineCounters {
 /// engine and its stream naming service.
 class SimMachine {
  public:
-  SimMachine(uint32_t num_workers, const CostParams& costs,
-             bool trace_enabled = false);
+  SimMachine(uint32_t num_workers, const CostParams& costs);
 
   SimMachine(const SimMachine&) = delete;
   SimMachine& operator=(const SimMachine&) = delete;
@@ -45,7 +43,6 @@ class SimMachine {
 
   Simulator& sim() { return sim_; }
   const CostParams& costs() const { return costs_; }
-  TraceRecorder& trace() { return trace_; }
   MachineCounters& counters() { return counters_; }
   const MachineCounters& counters() const { return counters_; }
 
@@ -57,7 +54,6 @@ class SimMachine {
   uint32_t num_workers_;
   CostParams costs_;
   Simulator sim_;
-  TraceRecorder trace_;
   std::vector<std::unique_ptr<SimProcessor>> nodes_;
   MachineCounters counters_;
 };

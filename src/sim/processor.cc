@@ -2,8 +2,8 @@
 
 namespace mjoin {
 
-void SimProcessor::Submit(char label, std::function<TaskResult()> body) {
-  queue_.push_back(Task{label, std::move(body)});
+void SimProcessor::Submit(std::function<TaskResult()> body) {
+  queue_.push_back(std::move(body));
   if (!running_) {
     running_ = true;
     // Start asynchronously so that submission never re-enters task bodies.
@@ -16,16 +16,12 @@ void SimProcessor::StartNext() {
     running_ = false;
     return;
   }
-  Task task = std::move(queue_.front());
+  std::function<TaskResult()> body = std::move(queue_.front());
   queue_.pop_front();
 
-  Ticks start = sim_->Now();
-  TaskResult result = task.body();
+  TaskResult result = body();
   MJOIN_DCHECK(result.cost >= 0);
   busy_ticks_ += result.cost;
-  if (trace_ != nullptr) {
-    trace_->Record(id_, start, start + result.cost, task.label);
-  }
 
   // At completion: release the task's side effects, then run the next task.
   sim_->Schedule(result.cost,

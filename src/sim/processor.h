@@ -3,12 +3,10 @@
 
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/cost_params.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace mjoin {
 
@@ -33,8 +31,7 @@ struct TaskResult {
 /// (message deliveries) to its completion time.
 class SimProcessor {
  public:
-  SimProcessor(uint32_t id, Simulator* sim, TraceRecorder* trace)
-      : id_(id), sim_(sim), trace_(trace) {}
+  SimProcessor(uint32_t id, Simulator* sim) : id_(id), sim_(sim) {}
 
   SimProcessor(const SimProcessor&) = delete;
   SimProcessor& operator=(const SimProcessor&) = delete;
@@ -43,22 +40,15 @@ class SimProcessor {
   uint32_t id() const { return id_; }
   Ticks busy_ticks() const { return busy_ticks_; }
 
-  /// Enqueues a task. `label` is the fill character for the utilization
-  /// trace. Tasks run in submission order.
-  void Submit(char label, std::function<TaskResult()> body);
+  /// Enqueues a task. Tasks run in submission order.
+  void Submit(std::function<TaskResult()> body);
 
  private:
-  struct Task {
-    char label;
-    std::function<TaskResult()> body;
-  };
-
   void StartNext();
 
   uint32_t id_;
   Simulator* sim_;
-  TraceRecorder* trace_;
-  std::deque<Task> queue_;
+  std::deque<std::function<TaskResult()>> queue_;
   bool running_ = false;
   Ticks busy_ticks_ = 0;
 };

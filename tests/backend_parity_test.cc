@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "engine/database.h"
 #include "engine/process_executor.h"
 #include "engine/sim_executor.h"
@@ -90,7 +93,8 @@ TEST_P(BackendParityTest, PerOpCountersAgree) {
 // Each callback's time lands in one phase bucket and one trace segment:
 // a callback that runs a colocated consumer inline, or copies a batch
 // onto a ring, is paused meanwhile. So no trace lane holds two segments
-// that overlap, on either wall-clock backend.
+// that overlap, on either wall-clock backend — nor on the simulator,
+// whose nodes run one task at a time and record into the same trace.
 TEST_P(BackendParityTest, TraceLanesNeverOverlap) {
   constexpr int kRelations = 5;
   constexpr uint32_t kCardinality = 400;
@@ -114,8 +118,13 @@ TEST_P(BackendParityTest, TraceLanesNeverOverlap) {
   process_options.num_workers = 3;
   auto process_run = ProcessExecutor(&db).Execute(*plan, process_options);
   ASSERT_TRUE(process_run.ok()) << process_run.status();
+  SimExecOptions sim_options;
+  sim_options.record_trace = true;
+  auto sim_run = SimExecutor(&db).Execute(*plan, sim_options);
+  ASSERT_TRUE(sim_run.ok()) << sim_run.status();
 
-  for (const auto& trace : {thread_run->trace, process_run->exec.trace}) {
+  for (const auto& trace :
+       {thread_run->trace, process_run->exec.trace, sim_run->trace}) {
     ASSERT_NE(trace, nullptr);
     EXPECT_GT(trace->num_events(), 0u);
     for (std::vector<ThreadTraceEvent> lane : trace->events_by_worker()) {
@@ -130,6 +139,63 @@ TEST_P(BackendParityTest, TraceLanesNeverOverlap) {
       }
     }
   }
+}
+
+// The thread and process backends publish one backend family through one
+// publisher: the process.* names of a query are its thread.* names with
+// the prefix swapped, plus the process backend's recovery counters. Each
+// trace names the backend that recorded it.
+TEST(BackendMetricsTest, ProcessNamesMirrorThreadNames) {
+  Database db = MakeWisconsinDatabase(3, 200, /*seed=*/7);
+  auto query = MakeWisconsinChainQuery(QueryShape::kWideBushy, 3, 200);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kFP)
+                  ->Parallelize(*query, /*processors=*/4, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  MetricsRegistry thread_registry;
+  ThreadExecOptions thread_options;
+  thread_options.record_trace = true;
+  thread_options.metrics_registry = &thread_registry;
+  auto thread_run = ThreadExecutor(&db).Execute(*plan, thread_options);
+  ASSERT_TRUE(thread_run.ok()) << thread_run.status();
+
+  MetricsRegistry process_registry;
+  ProcessExecOptions process_options;
+  process_options.exec = thread_options;
+  process_options.exec.metrics_registry = &process_registry;
+  process_options.num_workers = 2;
+  auto process_run = ProcessExecutor(&db).Execute(*plan, process_options);
+  ASSERT_TRUE(process_run.ok()) << process_run.status();
+
+  // Names under `prefix`, with the prefix stripped.
+  auto names = [](const MetricsRegistry& registry, const std::string& prefix) {
+    MetricsSnapshot snap = registry.Snapshot();
+    std::set<std::string> out;
+    auto add = [&](const auto& family) {
+      for (const auto& [name, value] : family) {
+        if (name.rfind(prefix, 0) == 0) out.insert(name.substr(prefix.size()));
+      }
+    };
+    add(snap.counters);
+    add(snap.gauges);
+    add(snap.histograms);
+    return out;
+  };
+  std::set<std::string> thread_names = names(thread_registry, "thread.");
+  std::set<std::string> process_names = names(process_registry, "process.");
+  for (const char* recovery :
+       {"attempts", "retries", "hung_workers_killed", "worker_failures"}) {
+    EXPECT_EQ(process_names.erase(recovery), 1u) << recovery;
+  }
+  EXPECT_FALSE(thread_names.empty());
+  EXPECT_EQ(process_names, thread_names);
+
+  EXPECT_NE(thread_run->trace->ToChromeJson().find("mjoin thread backend"),
+            std::string::npos);
+  EXPECT_NE(
+      process_run->exec.trace->ToChromeJson().find("mjoin process backend"),
+      std::string::npos);
 }
 
 std::vector<Case> AllCases() {

@@ -8,7 +8,6 @@
 #include "engine/thread_executor.h"
 #include "exec/batch.h"
 #include "plan/wisconsin_query.h"
-#include "sim/trace.h"
 #include "storage/wisconsin.h"
 #include "strategy/strategy.h"
 
@@ -54,16 +53,6 @@ TEST(TupleBatchTest, AppendRowCopies) {
 }
 
 // --- CSV exports -----------------------------------------------------------------
-
-TEST(CsvExportTest, TraceCsvHasOneLinePerInterval) {
-  TraceRecorder trace(2);
-  trace.Record(0, 0, 10, 'a');
-  trace.Record(1, 5, 15, 'b');
-  std::string csv = trace.ToCsv();
-  EXPECT_NE(csv.find("processor,start,end,label"), std::string::npos);
-  EXPECT_NE(csv.find("0,0,10,a"), std::string::npos);
-  EXPECT_NE(csv.find("1,5,15,b"), std::string::npos);
-}
 
 TEST(CsvExportTest, ExperimentCsvSkipsUnplaceableCells) {
   ExperimentConfig config;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "engine/thread_trace.h"
 #include "sim/machine.h"
 #include "sim/processor.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace mjoin {
 namespace {
@@ -55,11 +58,10 @@ TEST(SimulatorTest, RunForStopsEarly) {
 
 TEST(SimProcessorTest, TasksSerializeOnOneNode) {
   Simulator sim;
-  TraceRecorder trace(1);
-  SimProcessor node(0, &sim, &trace);
+  SimProcessor node(0, &sim);
   std::vector<Ticks> completion;
   for (int i = 0; i < 3; ++i) {
-    node.Submit('a', [&sim, &completion] {
+    node.Submit([&sim, &completion] {
       TaskResult result;
       result.cost = 10;
       result.after.push_back({0, [&sim, &completion] {
@@ -75,9 +77,9 @@ TEST(SimProcessorTest, TasksSerializeOnOneNode) {
 
 TEST(SimProcessorTest, DeferredActionsRunAtCompletionPlusDelay) {
   Simulator sim;
-  SimProcessor node(0, &sim, nullptr);
+  SimProcessor node(0, &sim);
   Ticks when = -1;
-  node.Submit('x', [&] {
+  node.Submit([&] {
     TaskResult result;
     result.cost = 7;
     result.after.push_back({5, [&] { when = sim.Now(); }});
@@ -89,15 +91,15 @@ TEST(SimProcessorTest, DeferredActionsRunAtCompletionPlusDelay) {
 
 TEST(SimProcessorTest, TwoNodesRunInParallel) {
   Simulator sim;
-  SimProcessor a(0, &sim, nullptr), b(1, &sim, nullptr);
+  SimProcessor a(0, &sim), b(1, &sim);
   Ticks end_a = 0, end_b = 0;
-  a.Submit('a', [&] {
+  a.Submit([&] {
     TaskResult r;
     r.cost = 100;
     r.after.push_back({0, [&] { end_a = sim.Now(); }});
     return r;
   });
-  b.Submit('b', [&] {
+  b.Submit([&] {
     TaskResult r;
     r.cost = 100;
     r.after.push_back({0, [&] { end_b = sim.Now(); }});
@@ -108,44 +110,92 @@ TEST(SimProcessorTest, TwoNodesRunInParallel) {
   EXPECT_EQ(end_b, 100);
 }
 
-// --- TraceRecorder ----------------------------------------------------------------
+// --- The sim's trace ---------------------------------------------------------
+//
+// The simulator records into the one work trace every backend shares, in
+// ticks, with the scheduler and the stream broker as service lanes above
+// the workers.
+
+ThreadTraceRecorder SimTrace(uint32_t workers) {
+  return ThreadTraceRecorder(
+      workers, {ThreadTraceOpInfo{"a", 'a'}, ThreadTraceOpInfo{"b", 'b'}},
+      SimTraceFormat(/*tick_seconds=*/0.001));
+}
+
+Ticks BusyTicks(const std::vector<ThreadTraceEvent>& lane) {
+  Ticks busy = 0;
+  for (const ThreadTraceEvent& ev : lane) busy += ev.end_ns - ev.start_ns;
+  return busy;
+}
 
 TEST(TraceTest, BusyTicksPerProcessor) {
-  TraceRecorder trace(3);
-  trace.Record(0, 0, 10, 'a');
-  trace.Record(0, 20, 25, 'b');
-  trace.Record(2, 0, 40, 'c');
-  std::vector<Ticks> busy = trace.BusyTicks();
-  EXPECT_EQ(busy, (std::vector<Ticks>{15, 0, 40}));
+  ThreadTraceRecorder trace = SimTrace(3);
+  trace.Record(0, 0, 10, ThreadWorkType::kScan, 0);
+  trace.Record(0, 20, 25, ThreadWorkType::kScan, 1);
+  trace.Record(2, 0, 40, ThreadWorkType::kBuild, 0);
+  const auto& lanes = trace.events_by_worker();
+  ASSERT_EQ(lanes.size(), 5u);  // 3 workers + scheduler + broker
+  EXPECT_EQ(BusyTicks(lanes[0]), 15);
+  EXPECT_EQ(BusyTicks(lanes[1]), 0);
+  EXPECT_EQ(BusyTicks(lanes[2]), 40);
 }
 
 TEST(TraceTest, UtilizationFraction) {
-  TraceRecorder trace(2);
-  trace.Record(0, 0, 50, 'a');
-  trace.Record(1, 0, 100, 'b');
+  ThreadTraceRecorder trace = SimTrace(2);
+  trace.Record(0, 0, 50, ThreadWorkType::kScan, 0);
+  trace.Record(1, 0, 100, ThreadWorkType::kScan, 1);
+  // Service lanes (2 = scheduler, 3 = broker) are not worker time.
+  trace.Record(2, 0, 100, ThreadWorkType::kProcessInit, 0);
+  trace.Record(3, 0, 100, ThreadWorkType::kStreamSetup, 0);
   EXPECT_DOUBLE_EQ(trace.Utilization(100), 0.75);
   EXPECT_DOUBLE_EQ(trace.Utilization(0), 0.0);
 }
 
-TEST(TraceTest, DisabledRecorderIgnoresIntervals) {
-  TraceRecorder trace(2, /*enabled=*/false);
-  trace.Record(0, 0, 50, 'a');
-  EXPECT_TRUE(trace.intervals().empty());
-}
-
 TEST(TraceTest, RenderShowsDominantLabelPerCell) {
-  TraceRecorder trace(1);
-  trace.Record(0, 0, 50, 'a');
-  trace.Record(0, 50, 100, 'b');
-  std::string out = trace.Render(100, 10);
+  ThreadTraceRecorder trace = SimTrace(1);
+  trace.Record(0, 0, 50, ThreadWorkType::kScan, 0);
+  trace.Record(0, 50, 100, ThreadWorkType::kProbe, 1);
+  std::string out = trace.RenderAscii(100, 10);
   EXPECT_NE(out.find("aaaaabbbbb"), std::string::npos);
+  EXPECT_NE(out.find("> time (100 ticks)"), std::string::npos);
 }
 
 TEST(TraceTest, RenderMarksIdleAsDots) {
-  TraceRecorder trace(1);
-  trace.Record(0, 0, 10, 'a');
-  std::string out = trace.Render(100, 10);
+  ThreadTraceRecorder trace = SimTrace(1);
+  trace.Record(0, 0, 10, ThreadWorkType::kScan, 0);
+  std::string out = trace.RenderAscii(100, 10);
   EXPECT_NE(out.find("a........."), std::string::npos);
+}
+
+// The fill char belongs to the work type: service work draws its own
+// letter whatever op it serves, everything else draws the op's label.
+TEST(TraceTest, FillCharFollowsWorkType) {
+  ThreadTraceRecorder trace = SimTrace(1);
+  trace.Record(0, 0, 10, ThreadWorkType::kHandshake, 0);
+  trace.Record(0, 10, 20, ThreadWorkType::kMilestone, 0);
+  trace.Record(0, 20, 30, ThreadWorkType::kBuild, 0);
+  trace.Record(0, 30, 40, ThreadWorkType::kBlocked, -1);
+  trace.Record(1, 0, 40, ThreadWorkType::kProcessInit, 0);
+  trace.Record(2, 0, 40, ThreadWorkType::kStreamSetup, 1);
+  std::string out = trace.RenderAscii(40, 4);
+  EXPECT_EQ(out,
+            "  2 bbbb\n"
+            "  1 ssss\n"
+            "  0 hna~\n"
+            "    ----> time (40 ticks)\n");
+}
+
+// Chrome timestamps are microseconds: a 1 ms tick puts tick 3 at 3000 us.
+// The process and the service lanes carry their names.
+TEST(TraceTest, ChromeJsonConvertsTicksAndNamesLanes) {
+  ThreadTraceRecorder trace = SimTrace(1);
+  trace.Record(0, 3, 5, ThreadWorkType::kScan, 0);
+  std::string json = trace.ToChromeJson();
+  EXPECT_NE(json.find("\"ts\":3000.000,\"dur\":2000.000"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"mjoin sim backend\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"scheduler\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"stream broker\""), std::string::npos);
 }
 
 // --- SimMachine ----------------------------------------------------------------

@@ -273,5 +273,17 @@ TEST(ThreadTraceRecorderTest, RecordUtilizationAndRender) {
   EXPECT_NE(json.find("\"name\":\"join#1\""), std::string::npos);
 }
 
+// Intervals are clipped to [0, makespan]: one that starts after the
+// makespan adds nothing (it used to subtract its overhang), one that
+// straddles it counts only the part inside.
+TEST(ThreadTraceRecorderTest, UtilizationClipsToMakespan) {
+  ThreadTraceRecorder recorder(1, {ThreadTraceOpInfo{"join#1", '1'}});
+  recorder.Record(0, 2'000'000, 3'000'000, ThreadWorkType::kBuild, 0);
+  EXPECT_DOUBLE_EQ(recorder.Utilization(1'000'000), 0.0);
+  recorder.Record(0, 500'000, 1'500'000, ThreadWorkType::kBuild, 0);
+  EXPECT_DOUBLE_EQ(recorder.Utilization(1'000'000), 0.5);
+  EXPECT_DOUBLE_EQ(recorder.Utilization(4'000'000), 0.5);
+}
+
 }  // namespace
 }  // namespace mjoin

@@ -8,6 +8,7 @@
 //                       --fault slow-worker --fault-node 0
 //   mjoin_cli run       --backend thread --metrics --diagram
 //                       --trace-out=trace.json
+//   mjoin_cli run       --strategy SP --trace-out=sim_trace.json
 //   mjoin_cli save-plan --shape left-linear --strategy SP --procs 20
 //                       --out plan.xra
 //   mjoin_cli run-plan  --plan plan.xra --card 5000
@@ -101,6 +102,9 @@ int Usage() {
       "  --seed      data seed (default 1995)\n"
       "  --analyze   print per-op EXPLAIN ANALYZE counters (run)\n"
       "  --diagram   print the utilization diagram (run)\n"
+      "  --trace-out FILE  write the run's work trace as Chrome trace JSON\n"
+      "              (chrome://tracing, Perfetto; run, run-plan, every\n"
+      "              backend; the sim's timestamps are simulated time)\n"
       "  --out FILE  plan file to write (save-plan)\n"
       "  --plan FILE plan file to execute (run-plan)\n"
       "  --backend   sim|thread|process (run; default sim)\n"
@@ -154,8 +158,6 @@ int Usage() {
       "observability flags (run --backend thread|process):\n"
       "  --metrics          print the per-operator metrics table and the\n"
       "                     run-level metrics registry\n"
-      "  --trace-out FILE   record a wall-clock trace and write it as\n"
-      "                     Chrome trace JSON (chrome://tracing, Perfetto)\n"
       "  --diagram          also prints the wall-clock utilization diagram\n"
       "                     (implies trace recording)\n");
   return 2;
@@ -282,8 +284,29 @@ int CmdExplain(const Args& args) {
   return 0;
 }
 
+/// Writes `trace` to `path` as Chrome trace JSON; 0 on success, 1 (with
+/// a message) when the file cannot be written.
+int WriteTraceFile(const std::string& path, const ThreadTraceRecorder& trace) {
+  std::ofstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  file << trace.ToChromeJson();
+  std::printf("wrote %s (%llu trace events; load in chrome://tracing or "
+              "ui.perfetto.dev)\n",
+              path.c_str(),
+              static_cast<unsigned long long>(trace.num_events()));
+  return 0;
+}
+
+// `run --backend sim` and `run-plan`: execute the plan on the simulated
+// machine, with --analyze, --diagram and --trace-out.
 int RunAndReport(const ParallelPlan& plan, const Common& common,
-                 bool analyze, bool diagram) {
+                 const Args& args) {
+  const bool analyze = args.Has("analyze");
+  const bool diagram = args.Has("diagram");
+  const std::string trace_out = args.Get("trace-out", "");
   auto made = MakeCliDatabase(common);
   if (!made.ok()) {
     std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
@@ -295,7 +318,7 @@ int RunAndReport(const ParallelPlan& plan, const Common& common,
   // run-plan we only verify the cardinality invariant.
   SimExecutor executor(&db);
   SimExecOptions options;
-  options.record_trace = diagram;
+  options.record_trace = diagram || !trace_out.empty();
   auto run = executor.Execute(plan, options);
   if (!run.ok()) {
     std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
@@ -318,6 +341,7 @@ int RunAndReport(const ParallelPlan& plan, const Common& common,
     std::printf("\nutilization (%.0f%%):\n%s", run->utilization * 100,
                 run->utilization_diagram.c_str());
   }
+  if (!trace_out.empty()) return WriteTraceFile(trace_out, *run->trace);
   return 0;
 }
 
@@ -512,17 +536,9 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     std::printf("\nutilization (%.0f%%):\n%s", run->utilization * 100,
                 run->utilization_diagram.c_str());
   }
-  if (!trace_out.empty() && run->trace != nullptr) {
-    std::ofstream file(trace_out);
-    if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    file << run->trace->ToChromeJson();
-    std::printf("wrote %s (%llu trace events; load in chrome://tracing or "
-                "ui.perfetto.dev)\n",
-                trace_out.c_str(),
-                static_cast<unsigned long long>(run->trace->num_events()));
+  if (!trace_out.empty() && run->trace != nullptr &&
+      WriteTraceFile(trace_out, *run->trace) != 0) {
+    return 1;
   }
   // In the process backend the injectors fire inside the workers; their
   // counts come back aggregated in the net stats.
@@ -593,8 +609,7 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "verification FAILED\n");
     return 1;
   }
-  return RunAndReport(*plan, common, args.Has("analyze"),
-                      args.Has("diagram"));
+  return RunAndReport(*plan, common, args);
 }
 
 int CmdSavePlan(const Args& args) {
@@ -642,8 +657,7 @@ int CmdRunPlan(const Args& args) {
     std::fprintf(stderr, "parse: %s\n", plan.status().ToString().c_str());
     return 1;
   }
-  return RunAndReport(*plan, common, args.Has("analyze"),
-                      args.Has("diagram"));
+  return RunAndReport(*plan, common, args);
 }
 
 int CmdBench(const Args& args) {
