@@ -152,8 +152,10 @@ SocketRow BenchSocket(size_t payload_bytes, const Config& cfg) {
     MJOIN_CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
     MJOIN_CHECK(SetNonBlocking(sv[0]).ok());
     MJOIN_CHECK(SetNonBlocking(sv[1]).ok());
-    FrameChannel tx(sv[0], "bench tx");
-    FrameChannel rx(sv[1], "bench rx");
+    // A worker link's two ends: every frame is checked against the frame
+    // table, as on a real link.
+    FrameChannel tx(sv[0], "bench tx", LinkRole::kWorker);
+    FrameChannel rx(sv[1], "bench rx", LinkRole::kCoordinator);
 
     uint64_t sent = 0, received = 0;
     Frame frame;
@@ -162,8 +164,9 @@ SocketRow BenchSocket(size_t payload_bytes, const Config& cfg) {
       // Keep roughly a megabyte in flight, then drain the other end —
       // the coordinator's flush/read cadence in miniature.
       while (sent < row.frames && tx.pending_output_bytes() < (1u << 20)) {
-        // Any table frame does: the channel never looks at the payload.
-        tx.QueueFrame(FrameType::kTraceEvents, payload);
+        // kPong is legal in every phase of a worker link, and the channel
+        // never looks at the payload.
+        tx.QueueFrame(FrameType::kPong, payload);
         ++sent;
       }
       MJOIN_CHECK(tx.Flush().ok());

@@ -39,14 +39,20 @@ namespace mjoin {
 
 namespace {
 
-/// One member of a worker fleet, as it persists between queries: the child
-/// pid and the coordinator end of its socketpair. The channel accumulates
-/// its byte/frame counters across queries; each attaching Coordinator
-/// snapshots a baseline to report per-query deltas.
+/// One member of a worker fleet: the child pid and the coordinator end of
+/// its socketpair. The channel's link phase (FrameChannel::phase()) is how
+/// far the member has got in the current query: handshake, execute,
+/// report, done, and back to await-plan once it parked. The channel
+/// accumulates its byte/frame counters across queries; `base` pins them at
+/// the start of the current one.
 struct FleetMember {
   pid_t pid = -1;
   std::unique_ptr<FrameChannel> chan;
+  /// The socket is dead (EOF or error); no further I/O on this member.
+  bool closed = false;
   bool reaped = false;
+  /// Channel counters when the current query attached.
+  ChannelStats base;
 };
 
 /// Reaps child `pid`, giving it `patience_polls` 10 ms polls to exit on its
@@ -72,10 +78,10 @@ void ReapChild(pid_t pid, int patience_polls) {
 /// A worker fleet: the members, the shm arena and the database they
 /// inherit, and the only code that forks, tears down and reaps them.
 /// ProcessExecutor spawns one for a single query; WarmProcessFleet keeps
-/// one for many. Attempts borrow it: a per-attempt Coordinator attaches to
-/// the members and never kills or reaps them on its own — except
-/// diagnosing an already-dead member, which marks it reaped here. No child
-/// outlives the fleet.
+/// one for many. Attempts borrow it: a per-attempt Coordinator drives the
+/// members and never kills or reaps them on its own — except diagnosing
+/// an already-dead member, which it marks reaped. No child outlives the
+/// fleet.
 struct FleetState {
   /// The arena holds `ring_slots` rings of `ring_bytes` data bytes each:
   /// the plan's own directory for a one-shot query, the worst case n^2 of
@@ -169,9 +175,8 @@ Status FleetState::Spawn() {
     }
     close(sv[1]);
     members[w].pid = pid;
-    members[w].chan =
-        std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
-    members[w].chan->EnableConformance(LinkRole::kCoordinator);
+    members[w].chan = std::make_unique<FrameChannel>(
+        sv[0], StrCat("worker ", w), LinkRole::kCoordinator);
     MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
   }
   poisoned = false;
@@ -194,28 +199,12 @@ void FleetState::TearDown(bool graceful) {
   members.clear();
 }
 
-/// One forked worker as the coordinator sees it: a fleet member's pid and
-/// channel (borrowed; both outlive the Coordinator) plus this query's
-/// progress on it.
-struct WorkerProc {
-  pid_t pid = -1;
-  FrameChannel* chan = nullptr;
-  bool hello_received = false;
-  bool bye_received = false;
-  /// Worker acked the end-of-query kShutdown with kIdle and parked.
-  bool idle_received = false;
-  /// The socket is dead (EOF or error); no further I/O on this worker.
-  bool closed = false;
-  bool reaped = false;
-  /// Channel counters at attach time; channels accumulate across queries,
-  /// so per-query stats subtract this baseline.
-  ChannelStats base;
-};
-
 /// The coordinator of one process-backed attempt: attaches to the fleet
 /// (respawning it first when needed), ships the plan, drives the
-/// trigger-group scheduler off milestone frames, and collects the
-/// finish-phase reports. Workers scan the database they inherited and
+/// trigger-group scheduler off milestone frames, and folds the workers'
+/// reports. Its per-worker state is the fleet member itself: the link
+/// phase of its channel says whether the worker said hello, reported or
+/// parked. Workers scan the database they inherited and
 /// exchange batches among themselves over the rings. Single-threaded: one
 /// poll loop over all worker sockets and the coordinator's doorbell.
 class Coordinator {
@@ -237,6 +226,7 @@ class Coordinator {
         attempt_(attempt),
         proc_(proc),
         fleet_(fleet),
+        workers_(fleet.members),
         registry_(plan),
         controller_(&plan) {
     if (deadline.has_value()) {
@@ -245,17 +235,12 @@ class Coordinator {
     }
   }
 
-  /// The Coordinator only borrows its workers: it hands what it learned (a
-  /// member it reaped, a dead socket) back to the fleet, which does the
-  /// killing. It also detaches this attempt's net fault injector from
-  /// every member, on every path out of Run: the caller may destroy the
-  /// injector once Execute returns, while the channels live on.
+  /// The Coordinator only borrows its workers; the fleet does the
+  /// killing. It detaches this attempt's net fault injector from every
+  /// member on every path out of Run: the caller may destroy the injector
+  /// once Execute returns, while the channels live on.
   ~Coordinator() {
-    for (uint32_t w = 0; w < workers_.size(); ++w) {
-      if (workers_[w].reaped) fleet_.members[w].reaped = true;
-      if (workers_[w].closed) fleet_.poisoned = true;
-    }
-    for (FleetMember& member : fleet_.members) {
+    for (FleetMember& member : workers_) {
       if (member.chan != nullptr) member.chan->set_fault_injector(nullptr);
     }
   }
@@ -275,8 +260,8 @@ class Coordinator {
   }
 
   /// Respawns the fleet if it is poisoned, empty or forked from a stale
-  /// database, binds workers_ to its members, and formats this query's
-  /// ring directory over its arena.
+  /// database, pins each member's channel counters, and formats this
+  /// query's ring directory over its arena.
   /// Every member is parked idle then — the previous query's idle
   /// handshake (or the spawn) guarantees no worker is touching the arena
   /// while the rings are reformatted.
@@ -292,7 +277,7 @@ class Coordinator {
   /// One poll-loop turn: flush, poll, read every ready socket, drain the
   /// relay rings, then handle the read frames. Rings drain *before* frames
   /// are handled: a worker publishes its records and only then sends the
-  /// control frame that refers to them (kBye after result rows), so the
+  /// control frame that refers to them (kReport after result rows), so the
   /// frame handler can rely on the records being in. Never throws work at
   /// a closed worker.
   void PollOnce(int timeout_ms);
@@ -336,12 +321,12 @@ class Coordinator {
   const uint32_t num_workers_;
   const uint32_t attempt_;
   ProcessExecStats* const proc_;
-  /// The fleet this attempt borrows its workers from.
+  /// The fleet this attempt borrows its workers from, and its members.
   FleetState& fleet_;
+  std::vector<FleetMember>& workers_;
 
   SchemaRegistry registry_;
   QueryController controller_;
-  std::vector<WorkerProc> workers_;
   /// This attempt's ring directory over the fleet's arena.
   std::unique_ptr<ShmDataPlane> plane_;
   std::string plan_text_;
@@ -349,7 +334,6 @@ class Coordinator {
   int64_t trace_origin_ns_ = 0;
 
   State state_ = State::kRunning;
-  uint32_t byes_received_ = 0;
   bool aborted_ = false;
   Status abort_status_;
 
@@ -382,7 +366,7 @@ class Coordinator {
   /// divergent size is corrupt wire, not a tuning choice).
   uint32_t skew_bloom_bits_ = 0;
 
-  // Finish-phase accumulators.
+  // Report accumulators.
   SummaryMsg summary_;
   std::optional<Relation> materialized_;
   std::vector<ThreadOpStats> per_op_;
@@ -398,17 +382,14 @@ Status Coordinator::AttachFleet() {
                   fleet_.arena.get(), ComputeRingDirectory(plan_, num_workers_),
                   num_workers_ + 1, fleet_.ring_bytes, /*format=*/true));
   NetFaultInjector* const injector = options_.net_fault_injector;
-  workers_.resize(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    FleetMember& member = fleet_.members[w];
-    workers_[w].pid = member.pid;
-    workers_[w].chan = member.chan.get();
-    workers_[w].base = member.chan->stats();
+    FleetMember& member = workers_[w];
+    member.base = member.chan->stats();
     // This attempt's injector or none, on every member: no channel may
     // keep one from an earlier query. Installing resets the injector's
     // per-link latches; its fire budget spans attempts, so a one-shot
     // fault breaks this attempt and lets the next one run clean.
-    workers_[w].chan->set_fault_injector(
+    member.chan->set_fault_injector(
         injector != nullptr && injector->scenario().worker == w ? injector
                                                                 : nullptr);
     if (options_.worker_observer) options_.worker_observer(w, member.pid);
@@ -417,18 +398,20 @@ Status Coordinator::AttachFleet() {
 }
 
 Status Coordinator::AwaitFleetIdle() {
-  for (WorkerProc& w : workers_) {
+  for (FleetMember& w : workers_) {
     if (!w.closed) w.chan->QueueFrame(FrameType::kShutdown, {});
   }
   // lint:allow-clock idle-handshake deadline, end-of-query only
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   for (;;) {
     bool all_idle = true;
-    for (const WorkerProc& w : workers_) {
+    for (const FleetMember& w : workers_) {
       if (w.closed) {
         return Status::Unavailable("a worker died during the idle handshake");
       }
-      if (!w.idle_received) all_idle = false;
+      // kIdle returns a link to await-plan: the worker tore down the
+      // query's state and parked.
+      if (w.chan->phase() != kPhAwaitPlan) all_idle = false;
     }
     if (all_idle) return Status::OK();
     if (aborted_) return abort_status_;
@@ -474,7 +457,7 @@ void Coordinator::DispatchGroups(const std::vector<int>& groups) {
   for (int g : groups) {
     std::vector<std::byte> payload;
     EncodeMsg(TriggerMsg{g}, &payload);
-    for (WorkerProc& w : workers_) {
+    for (FleetMember& w : workers_) {
       if (!w.closed) w.chan->QueueFrame(FrameType::kTrigger, payload);
     }
   }
@@ -519,7 +502,7 @@ void Coordinator::SuperviseFleet() {
     frames_seen_.assign(num_workers_, 0);
   }
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    WorkerProc& worker = workers_[w];
+    FleetMember& worker = workers_[w];
     if (worker.closed) continue;
     uint64_t frames = worker.chan->stats().frames_received;
     if (frames != frames_seen_[w]) {
@@ -533,7 +516,7 @@ void Coordinator::SuperviseFleet() {
     ping.seq = ping_seq_++;
     std::vector<std::byte> payload;
     EncodeMsg(ping, &payload);
-    for (WorkerProc& worker : workers_) {
+    for (FleetMember& worker : workers_) {
       if (worker.closed) continue;
       worker.chan->QueueFrame(FrameType::kPing, payload);
       if (proc_ != nullptr) ++proc_->pings_sent;
@@ -541,7 +524,7 @@ void Coordinator::SuperviseFleet() {
   }
   if (options_.liveness_timeout.count() <= 0) return;
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    WorkerProc& worker = workers_[w];
+    FleetMember& worker = workers_[w];
     if (worker.closed || worker.reaped) continue;
     if (now - last_heard_[w] < options_.liveness_timeout) continue;
     // Hung: the process is alive (its socket is open) but has been silent
@@ -581,7 +564,7 @@ bool Coordinator::CheckRuntime() {
 }
 
 void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
-  WorkerProc& worker = workers_[w];
+  FleetMember& worker = workers_[w];
   if (worker.closed) return;
   // Before diagnosing, drain anything the worker managed to say. A worker
   // that reports a typed kError and exits races its buffered error frame
@@ -642,7 +625,6 @@ void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
 }
 
 void Coordinator::HandleFrame(uint32_t w, Frame frame) {
-  WorkerProc& worker = workers_[w];
   switch (frame.type) {
     case FrameType::kHello: {
       HelloMsg hello;
@@ -673,11 +655,10 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
                    "parsed plan")));
         return;
       }
-      worker.hello_received = true;
       // The query may have completed while this worker was still in its
       // handshake (it hosts no instance); its kFinish was held for now.
       if (state_ == State::kFinishing) {
-        worker.chan->QueueFrame(FrameType::kFinish, {});
+        workers_[w].chan->QueueFrame(FrameType::kFinish, {});
       }
       return;
     }
@@ -696,50 +677,45 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
         // kFinish is legal only once a link has left its handshake. A
         // worker hosting no instance (a surplus fleet member on a narrow
         // plan) may not have said kHello yet; it gets kFinish when it does.
-        for (WorkerProc& each : workers_) {
-          if (!each.closed && each.hello_received) {
+        for (FleetMember& each : workers_) {
+          if (!each.closed && each.chan->phase() == kPhExecute) {
             each.chan->QueueFrame(FrameType::kFinish, {});
           }
         }
       }
       return;
     }
-    case FrameType::kSummary: {
-      SummaryMsg msg;
-      if (!DecodeFrom(w, frame, &msg)) return;
+    case FrameType::kReport: {
+      WorkerReport report;
+      if (!DecodeFrom(w, frame, &report)) return;
       // Cardinality and the row-hash checksum are sums mod 2^64, so the
       // per-worker partial summaries add up to the query's.
-      summary_.cardinality += msg.cardinality;
-      summary_.checksum += msg.checksum;
-      return;
-    }
-    case FrameType::kOpStats: {
-      OpStatsMsg msg;
-      if (!DecodeFrom(w, frame, &msg)) return;
-      if (msg.op < 0 || static_cast<size_t>(msg.op) >= per_op_.size()) {
-        AbortCorruptWire(w, "bad op-stats frame");
-        return;
+      summary_.cardinality += report.summary.cardinality;
+      summary_.checksum += report.summary.checksum;
+      for (const OpStatsMsg& msg : report.ops) {
+        if (msg.op < 0 || static_cast<size_t>(msg.op) >= per_op_.size()) {
+          AbortCorruptWire(w, "bad op stats in a report frame");
+          return;
+        }
+        ThreadOpStats& agg = per_op_[static_cast<size_t>(msg.op)];
+        agg.instances += msg.instances;
+        agg.metrics.MergeFrom(msg.metrics);
       }
-      ThreadOpStats& agg = per_op_[static_cast<size_t>(msg.op)];
-      agg.instances += msg.instances;
-      agg.metrics.MergeFrom(msg.metrics);
-      return;
-    }
-    case FrameType::kNetStats: {
-      WorkerRunStats stats;
-      if (!DecodeFrom(w, frame, &stats)) return;
-      worker_stats_.push_back(stats);
-      return;
-    }
-    case FrameType::kTraceEvents: {
-      std::vector<WireTraceEvent> events;
-      if (!DecodeFrom(w, frame, &events)) return;
+      worker_stats_.push_back(report.stats);
       if (trace_ != nullptr) {
-        for (const WireTraceEvent& e : events) {
+        for (const WireTraceEvent& e : report.trace) {
           if (e.node < plan_.num_processors) {
             trace_->Record(e.node, e.start_ns, e.end_ns, e.type, e.op_id);
           }
         }
+      }
+      // The report ended this link's query (kPhDone); the query is done
+      // once every link's is.
+      if (std::all_of(workers_.begin(), workers_.end(),
+                      [](const FleetMember& each) {
+                        return each.chan->phase() == kPhDone;
+                      })) {
+        state_ = State::kDone;
       }
       return;
     }
@@ -769,17 +745,9 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       if (proc_ != nullptr) ++proc_->pongs_received;
       return;
     }
-    case FrameType::kBye:
-      if (!worker.bye_received) {
-        worker.bye_received = true;
-        if (++byes_received_ == num_workers_ && state_ == State::kFinishing) {
-          state_ = State::kDone;
-        }
-      }
-      return;
     case FrameType::kIdle:
-      // The worker's ack that it tore down the query's state and parked.
-      worker.idle_received = true;
+      // The worker's ack that it tore down the query's state and parked;
+      // its link is back in await-plan, which AwaitFleetIdle reads.
       return;
     case FrameType::kSkewReport: {
       SkewJoinReport report;
@@ -809,7 +777,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
         SkewDirective directive = exchange.merger.Finish();
         std::vector<std::byte> payload;
         EncodeMsg(directive, &payload);
-        for (WorkerProc& each : workers_) {
+        for (FleetMember& each : workers_) {
           if (!each.closed) {
             each.chan->QueueFrame(FrameType::kSkewDirective, payload);
           }
@@ -832,7 +800,7 @@ void Coordinator::PollOnce(int timeout_ms) {
   // Flush first: queued frames (triggers, directives, finish requests)
   // should hit the sockets before we sleep in poll.
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    WorkerProc& worker = workers_[w];
+    FleetMember& worker = workers_[w];
     if (worker.closed) continue;
     Status flushed = worker.chan->Flush();
     if (!flushed.ok()) HandleWorkerGone(w, flushed);
@@ -843,7 +811,7 @@ void Coordinator::PollOnce(int timeout_ms) {
   std::vector<uint32_t> fd_worker;
   fds.reserve(num_workers_ + 1);
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    WorkerProc& worker = workers_[w];
+    FleetMember& worker = workers_[w];
     if (worker.closed) continue;
     struct pollfd pfd;
     pfd.fd = worker.chan->fd();
@@ -876,7 +844,7 @@ void Coordinator::PollOnce(int timeout_ms) {
 
   // Read every ready socket before handling any frame, and drain the
   // relay rings in between: a control frame referring to ring records
-  // (kBye after the worker's result rows) was sent after they were
+  // (kReport after the worker's result rows) was sent after they were
   // published, so the read-all / drain / handle-all order guarantees the
   // records are in by the time the frame is handled.
   struct ReadyWorker {
@@ -888,7 +856,7 @@ void Coordinator::PollOnce(int timeout_ms) {
   for (size_t i = 0; i < fds.size(); ++i) {
     if (fds[i].revents == 0 || fd_worker[i] == num_workers_) continue;
     uint32_t w = fd_worker[i];
-    WorkerProc& worker = workers_[w];
+    FleetMember& worker = workers_[w];
     if (worker.closed) continue;
     bool peer_closed = false;
     Status read = worker.chan->ReadAvailable(&peer_closed);
@@ -900,7 +868,7 @@ void Coordinator::PollOnce(int timeout_ms) {
   }
   DrainCoordRings();
   for (const ReadyWorker& r : ready) {
-    WorkerProc& worker = workers_[r.w];
+    FleetMember& worker = workers_[r.w];
     if (worker.closed) continue;
     Frame frame;
     while (!aborted_ && worker.chan->NextFrame(&frame)) {
@@ -990,7 +958,7 @@ ThreadExecStats Coordinator::GatherStats() const {
 
 void Coordinator::GatherNetStats() {
   net_.num_workers = num_workers_;
-  for (const WorkerProc& w : workers_) {
+  for (const FleetMember& w : workers_) {
     // Channels accumulate across queries; `base` pins the counters to this
     // query.
     const ChannelStats& ch = w.chan->stats();
@@ -1127,6 +1095,10 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   return result;
 }
 
+/// Ceiling of the retry backoff, which doubles per retry from
+/// ProcessExecOptions::retry_backoff.
+constexpr std::chrono::milliseconds kRetryBackoffCap{2000};
+
 /// Sleeps one retry backoff, waking early (with the matching status) if
 /// the caller's deadline or cancellation fires first.
 Status BackoffSleep(
@@ -1236,7 +1208,7 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
       failure = slept;
       break;
     }
-    backoff = std::min(backoff * 2, options.retry_backoff_cap);
+    backoff = std::min(backoff * 2, kRetryBackoffCap);
   }
 
   if (options.degrade_to_thread && IsRetryableFailure(failure)) {

@@ -50,10 +50,9 @@ struct ProcessExecOptions {
   /// killed and reaped when it failed), and re-ships the plan. 0 = fail
   /// on first error (the historical behavior).
   uint32_t max_retries = 0;
-  /// First-retry backoff; doubles per retry up to retry_backoff_cap. The
-  /// sleep honors the deadline and the cancellation token.
+  /// First-retry backoff; doubles per retry up to 2 s. The sleep honors
+  /// the deadline and the cancellation token.
   std::chrono::milliseconds retry_backoff{50};
-  std::chrono::milliseconds retry_backoff_cap{2000};
   /// When the retry budget is exhausted on a retryable failure, run the
   /// query on the in-process thread backend instead of failing — graceful
   /// degradation for environments whose process fleet is unusable.
@@ -127,7 +126,7 @@ struct ProcessExecStats {
 };
 
 /// Wire-level counters of one process-backed execution, all measured at
-/// the coordinator or reported by workers in their kNetStats frames.
+/// the coordinator or reported by workers in their kReport frames.
 struct ProcessNetStats {
   uint32_t num_workers = 0;
   /// Coordinator-side socket traffic (both directions, all workers).

@@ -98,6 +98,8 @@ template void EncodeMsg(const PlanEnvelope&, std::vector<std::byte>*);
 template Status DecodeMsg(WireReader*, PlanEnvelope*);
 template void EncodeMsg(const OpStatsMsg&, std::vector<std::byte>*);
 template Status DecodeMsg(WireReader*, OpStatsMsg*);
+template void EncodeMsg(const WorkerReport&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, WorkerReport*);
 template void EncodeMsg(const SkewJoinReport&, std::vector<std::byte>*);
 template Status DecodeMsg(WireReader*, SkewJoinReport*);
 template void EncodeMsg(const SkewDirective&, std::vector<std::byte>*);

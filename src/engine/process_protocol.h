@@ -111,7 +111,8 @@ void Fields(V& v, M& m) {
   v(m.op, m.instance, WireEnumAs<uint8_t>(m.milestone, Milestone::kBuildDone));
 }
 
-/// kSummary.
+/// The partial ResultSummary of the final-result fragments one worker
+/// stores (part of WorkerReport).
 struct SummaryMsg {
   uint64_t cardinality = 0;
   uint64_t checksum = 0;
@@ -122,8 +123,8 @@ void Fields(V& v, M& m) {
   v(m.cardinality, m.checksum);
 }
 
-/// kOpStats: one op's metrics merged over the sending worker's hosted
-/// instances (the coordinator further merges across workers).
+/// One op's metrics merged over the sending worker's hosted instances (the
+/// coordinator further merges across workers; part of WorkerReport).
 struct OpStatsMsg {
   int32_t op = -1;
   uint32_t instances = 0;
@@ -141,7 +142,7 @@ void Fields(V& v, M& m) {
 /// record it logically follows. kSkewDirective carries a SkewDirective, the
 /// merged plan of action for one defended join.
 
-/// kNetStats: one worker's run-level counters.
+/// One worker's run-level counters (part of WorkerReport).
 struct WorkerRunStats {
   /// Batches handed directly to a consumer instance on the same worker
   /// (never serialized — the process analogue of a same-node send).
@@ -183,9 +184,9 @@ void Fields(V& v, M& m) {
     m.ring_full_stalls, m.peak_backlog_records);
 }
 
-/// kTraceEvents carries a std::vector<WireTraceEvent>: a worker's recorded
-/// busy intervals, timestamped against the coordinator's origin. `node` is
-/// the plan processor (its lane).
+/// One recorded busy interval of a worker, timestamped against the
+/// coordinator's origin (part of WorkerReport). `node` is the plan
+/// processor (its lane).
 struct WireTraceEvent {
   uint32_t node = 0;
   int64_t start_ns = 0;
@@ -198,6 +199,22 @@ template <class V, WireFieldsOf<WireTraceEvent> M>
 void Fields(V& v, M& m) {
   v(m.node, m.start_ns, m.end_ns,
     WireEnumAs<uint8_t>(m.type, ThreadWorkType::kOther), m.op_id);
+}
+
+/// kReport: everything a worker tells the coordinator about one query, in
+/// one frame. `ops` lists the ops with a hosted instance when metrics
+/// collection is on, else nothing; `trace` is empty unless the query
+/// records a trace.
+struct WorkerReport {
+  SummaryMsg summary;
+  WorkerRunStats stats;
+  std::vector<OpStatsMsg> ops;
+  std::vector<WireTraceEvent> trace;
+};
+
+template <class V, WireFieldsOf<WorkerReport> M>
+void Fields(V& v, M& m) {
+  v(m.summary, m.stats, m.ops, m.trace);
 }
 
 /// kTrigger: start the instances of one dispatch group the worker hosts.
@@ -225,6 +242,8 @@ extern template void EncodeMsg(const PlanEnvelope&, std::vector<std::byte>*);
 extern template Status DecodeMsg(WireReader*, PlanEnvelope*);
 extern template void EncodeMsg(const OpStatsMsg&, std::vector<std::byte>*);
 extern template Status DecodeMsg(WireReader*, OpStatsMsg*);
+extern template void EncodeMsg(const WorkerReport&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, WorkerReport*);
 extern template void EncodeMsg(const SkewJoinReport&,
                                std::vector<std::byte>*);
 extern template Status DecodeMsg(WireReader*, SkewJoinReport*);

@@ -36,7 +36,7 @@ namespace {
 constexpr size_t kBacklogWatermark = 4u << 20;
 
 /// Worker-side state of one query: the runtime's hosted instances, the
-/// frame loop and shm transport, and the finish-phase reporting. The whole
+/// frame loop and shm transport, and the query's one report. The whole
 /// worker is one thread, so Post() runs inline; output leaves through each
 /// instance's EmitWriter, whose pending batch is touched again only by the
 /// one copy onto a ring (or not at all for a local consumer).
@@ -104,7 +104,9 @@ class WorkerRun : public InstanceHost {
   Status HandleFrame(const Frame& frame);
   Status HandleTrigger(const Frame& frame);
   Status HandleSkewDirective(const Frame& frame);
-  Status SendFinishReports();
+  /// kFinish: pushes this worker's final-result fragments onto its relay
+  /// ring when the query materializes them, and builds the report.
+  Status FinishQuery();
   void PumpSources();
   /// Delivers a received batch (or EOS) to a hosted instance.
   void Receive(OpInstance* target, int port,
@@ -166,9 +168,10 @@ class WorkerRun : public InstanceHost {
   /// Endpoints whose doorbell should ring this loop turn (coalesced: one
   /// eventfd write per endpoint per turn, not one per record).
   std::vector<bool> doorbell_dirty_;
-  /// kBye is held until every backlog drained onto its ring, so the
-  /// coordinator never tears the fleet down with result rows still queued.
-  bool bye_pending_ = false;
+  /// Built at kFinish, held until every backlog drained onto its ring, so
+  /// the coordinator never tears the fleet down with result rows still
+  /// queued.
+  std::optional<WorkerReport> report_;
 
   /// Built in Setup once the fault scenario is parsed; declared last so
   /// its instances release their budget into a live budget_.
@@ -539,27 +542,26 @@ Status WorkerRun::ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec) {
   return Status::OK();
 }
 
-Status WorkerRun::SendFinishReports() {
+Status WorkerRun::FinishQuery() {
   const XraOp* storer = nullptr;
   for (const XraOp& o : plan_.ops) {
     if (o.store_result == plan_.final_result) storer = &o;
   }
   MJOIN_CHECK(storer != nullptr);
+  WorkerReport& report = report_.emplace();
 
   // Partial result summary over this worker's fragments of the final
   // result (the checksum is a sum mod 2^64, so per-worker summaries add up
   // to the query's).
-  SummaryMsg summary;
   const auto& final_frags = runtime_->stored(plan_.final_result);
   std::vector<const Relation*> hosted;
   for (size_t i = 0; i < final_frags.size(); ++i) {
     if (!Hosts(storer->processors[i])) continue;
     ResultSummary frag = SummarizeRelation(final_frags[i]);
-    summary.cardinality += frag.cardinality;
-    summary.checksum += frag.checksum;
+    report.summary.cardinality += frag.cardinality;
+    report.summary.checksum += frag.checksum;
     hosted.push_back(&final_frags[i]);
   }
-  chan_->QueueMsg(FrameType::kSummary, summary);
 
   if (env_.materialize_result) {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
@@ -591,7 +593,7 @@ Status WorkerRun::SendFinishReports() {
     stats_.batches_processed +=
         msg.metrics.batches_in[0] + msg.metrics.batches_in[1];
     if (!env_.collect_metrics || msg.instances == 0) continue;
-    chan_->QueueMsg(FrameType::kOpStats, msg);
+    report.ops.push_back(std::move(msg));
   }
 
   stats_.buffers_allocated = pool_->allocated() - pool_allocated_base_;
@@ -602,16 +604,8 @@ Status WorkerRun::SendFinishReports() {
   if (injector_ != nullptr) {
     stats_.faults_injected = injector_->faults_injected();
   }
-  chan_->QueueMsg(FrameType::kNetStats, stats_);
-
-  if (env_.record_trace && !trace_events_.empty()) {
-    chan_->QueueMsg(FrameType::kTraceEvents, trace_events_);
-  }
-
-  // kBye is the coordinator's signal that this worker's reporting is
-  // complete, so it must trail every ring record still parked in a
-  // backlog; the loop queues it once the backlogs drain.
-  bye_pending_ = true;
+  report.stats = stats_;
+  report.trace = std::move(trace_events_);
   return Status::OK();
 }
 
@@ -622,7 +616,7 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
     case FrameType::kSkewDirective:
       return HandleSkewDirective(frame);
     case FrameType::kFinish:
-      return SendFinishReports();
+      return FinishQuery();
     case FrameType::kPing: {
       // Answer immediately, before any query work: liveness must not queue
       // behind a long build. The pong reuses the ping's sequence number.
@@ -672,9 +666,9 @@ Status WorkerRun::Loop() {
     if (peer_closed) {
       return Status::Unavailable("coordinator closed the socket");
     }
-    if (bye_pending_ && ring_backlog_bytes_ == 0) {
-      bye_pending_ = false;
-      chan_->QueueFrame(FrameType::kBye, {});
+    if (report_.has_value() && ring_backlog_bytes_ == 0) {
+      chan_->QueueMsg(FrameType::kReport, *report_);
+      report_.reset();
       continue;  // flush before waiting
     }
     if (!pump_queue_.empty()) {
@@ -708,6 +702,22 @@ Status WorkerRun::Loop() {
   }
 }
 
+/// Flushes `chan`, giving the socket a bounded moment (100 polls of 50 ms)
+/// to take the whole outbox; false when the peer is gone or the outbox is
+/// still not drained.
+bool FlushBounded(FrameChannel& chan) {
+  for (int i = 0; i < 100; ++i) {
+    if (!chan.Flush().ok()) return false;
+    if (!chan.has_pending_output()) return true;
+    struct pollfd pfd;
+    pfd.fd = chan.fd();
+    pfd.events = POLLOUT;
+    pfd.revents = 0;
+    poll(&pfd, 1, 50);
+  }
+  return false;
+}
+
 }  // namespace
 
 int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
@@ -716,25 +726,16 @@ int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
   // instead of the EPIPE -> kUnavailable path the supervisor understands.
   signal(SIGPIPE, SIG_IGN);
   if (!SetNonBlocking(fd).ok()) return 1;
-  FrameChannel chan(fd, "coordinator");
-  chan.EnableConformance(LinkRole::kWorker);
+  FrameChannel chan(fd, "coordinator", LinkRole::kWorker);
   // Worker-lifetime buffer pool: on a fleet that serves many queries, the
   // ones after the first reuse its freelist instead of allocating.
   BatchPool pool;
 
-  auto fail = [&chan, fd](const Status& status) {
+  auto fail = [&chan](const Status& status) {
     chan.QueueMsg(FrameType::kError,
                   ErrorMsg{status.code(), status.message()});
     // Best effort: the coordinator may already be gone.
-    for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {
-      if (!chan.Flush().ok()) break;
-      if (!chan.has_pending_output()) break;
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      pfd.revents = 0;
-      poll(&pfd, 1, 50);
-    }
+    (void)FlushBounded(chan);
     return 1;
   };
 
@@ -748,7 +749,7 @@ int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
       bool peer_closed = false;
       if (!chan.ReadAvailable(&peer_closed).ok()) return 1;
       if (chan.NextFrame(&plan_frame)) break;
-      if (peer_closed) return 1;
+      if (peer_closed || chan.poisoned()) return 1;
       StatusOr<bool> readable = WaitReadable(fd, 30'000);
       if (!readable.ok()) return 1;
     }
@@ -806,16 +807,7 @@ int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
     // arena's rings for the next query.
     plane->reset();
     chan.QueueFrame(FrameType::kIdle, {});
-    for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {
-      if (!chan.Flush().ok()) return 1;
-      if (!chan.has_pending_output()) break;
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      pfd.revents = 0;
-      poll(&pfd, 1, 50);
-    }
-    if (chan.has_pending_output()) return 1;
+    if (!FlushBounded(chan)) return 1;
   }
 }
 

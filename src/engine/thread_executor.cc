@@ -30,6 +30,11 @@ namespace {
 /// event (they are indistinguishable from lock hand-off noise).
 constexpr int64_t kBlockedTraceThresholdNs = 50'000;  // 50 us
 
+/// How long a producer waits on a full queue before enqueueing anyway. The
+/// escape hatch keeps pathological cross-node cycles live; each use is
+/// counted in ThreadExecStats::queue_overflows.
+constexpr std::chrono::milliseconds kQueueBlockTimeout{250};
+
 /// A worker node: one OS thread draining a message queue. Messages for all
 /// operation processes placed on this node run serialized here, exactly
 /// like on a shared-nothing node.
@@ -37,18 +42,16 @@ constexpr int64_t kBlockedTraceThresholdNs = 50'000;  // 50 us
 /// Control messages (triggers, end-of-stream, source self-pumps) enqueue
 /// unconditionally; data batches respect `max_data` — a producer on
 /// another node blocks in PostData() until the consumer drains below the
-/// bound, the run aborts, or `block_timeout` passes (then it enqueues
+/// bound, the run aborts, or kQueueBlockTimeout passes (then it enqueues
 /// anyway and the overflow is counted). Same-node sends bypass the bound:
 /// blocking on one's own queue would deadlock, and a same-node producer is
 /// self-throttled by the shared message loop anyway.
 class WorkerNode {
  public:
-  WorkerNode(uint32_t id, size_t max_data,
-             std::chrono::milliseconds block_timeout, FaultInjector* injector,
+  WorkerNode(uint32_t id, size_t max_data, FaultInjector* injector,
              const std::atomic<bool>* aborted)
       : id_(id),
         max_data_(max_data),
-        block_timeout_(block_timeout),
         injector_(injector),
         aborted_(aborted) {}
 
@@ -67,9 +70,10 @@ class WorkerNode {
       MutexLock lock(&mutex_);
       if (max_data_ != 0 && !bypass_bound) {
         // Absolute deadline so spurious wakeups never extend the total
-        // wait beyond block_timeout_ (matches the old wait_for predicate).
+        // wait beyond kQueueBlockTimeout (matches the old wait_for
+        // predicate).
         // lint:allow-clock backpressure timeout, read only on a full queue
-        auto deadline = std::chrono::steady_clock::now() + block_timeout_;
+        auto deadline = std::chrono::steady_clock::now() + kQueueBlockTimeout;
         bool drained = true;
         while (!QueueDrained()) {
           if (!not_full_.WaitUntil(mutex_, deadline)) {
@@ -170,7 +174,6 @@ class WorkerNode {
 
   const uint32_t id_;
   const size_t max_data_;
-  const std::chrono::milliseconds block_timeout_;
   FaultInjector* const injector_;
   const std::atomic<bool>* const aborted_;
 
@@ -307,8 +310,8 @@ Status ThreadRun::Prepare() {
   nodes_.reserve(plan_.num_processors);
   for (uint32_t n = 0; n < plan_.num_processors; ++n) {
     nodes_.push_back(std::make_unique<WorkerNode>(
-        n, options_.max_queued_batches, options_.queue_block_timeout,
-        options_.fault_injector, runtime_.abort_flag()));
+        n, options_.max_queued_batches, options_.fault_injector,
+        runtime_.abort_flag()));
   }
   for (const BatchPool* pool : pools_) {
     pool_base_allocated_ += pool->allocated();

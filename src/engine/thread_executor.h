@@ -37,10 +37,6 @@ struct ThreadExecOptions {
   /// behaviour). Bounds memory growth when a fast producer floods a slow
   /// consumer in a pipelining (FP) plan.
   size_t max_queued_batches = 0;
-  /// How long a producer waits on a full queue before enqueueing anyway.
-  /// The escape hatch keeps pathological cross-node cycles live; each use
-  /// is counted in ThreadExecStats::queue_overflows.
-  std::chrono::milliseconds queue_block_timeout{250};
 
   /// Per-query memory budget in bytes for operator state (hash tables,
   /// run buffers, stored results). 0 = unlimited; usage is still tracked.
@@ -104,7 +100,8 @@ struct ThreadExecStats {
   /// Batches suppressed / re-delivered by fault injection.
   uint64_t batches_dropped = 0;
   uint64_t batches_duplicated = 0;
-  /// Times a producer outwaited queue_block_timeout on a full queue.
+  /// Times a producer outwaited the 250 ms queue block timeout on a full
+  /// queue and enqueued anyway.
   uint64_t queue_overflows = 0;
   /// Batch-buffer pool traffic during this run: buffers heap-allocated
   /// because a node's freelist was empty vs. acquisitions served by

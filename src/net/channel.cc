@@ -38,8 +38,8 @@ StatusOr<bool> WaitReadable(int fd, int timeout_ms) {
   return rc > 0;
 }
 
-FrameChannel::FrameChannel(int fd, std::string peer)
-    : fd_(fd), peer_(std::move(peer)) {}
+FrameChannel::FrameChannel(int fd, std::string peer, LinkRole role)
+    : fd_(fd), peer_(std::move(peer)), conformance_(role, peer_) {}
 
 FrameChannel::~FrameChannel() { Close(); }
 
@@ -63,15 +63,10 @@ bool FrameChannel::has_pending_output() const {
   return !outbox_.empty();
 }
 
-void FrameChannel::EnableConformance(LinkRole role) {
-  if (!FrameConformanceEnabled()) return;
-  conformance_ = std::make_unique<FrameConformance>(role, peer_);
-}
-
 void FrameChannel::QueueFrame(FrameType type,
                               const std::vector<std::byte>& payload) {
-  if (conformance_ != nullptr && conformance_violation_.ok()) {
-    conformance_violation_ = conformance_->Observe(type, /*outbound=*/true);
+  if (conformance_violation_.ok()) {
+    conformance_violation_ = conformance_.Observe(type, /*outbound=*/true);
   }
   if (truncated_) return;  // the link already died mid-frame
   std::vector<std::byte> frame;
@@ -215,13 +210,12 @@ Status FrameChannel::ReadAvailable(bool* peer_closed) {
 }
 
 bool FrameChannel::NextFrame(Frame* out) {
-  if (frames_.empty()) return false;
+  if (frames_.empty() || !conformance_violation_.ok()) return false;
+  conformance_violation_ =
+      conformance_.Observe(frames_.front().type, /*outbound=*/false);
+  if (!conformance_violation_.ok()) return false;
   *out = std::move(frames_.front());
   frames_.pop_front();
-  if (conformance_ != nullptr && conformance_violation_.ok()) {
-    conformance_violation_ = conformance_->Observe(out->type,
-                                                   /*outbound=*/false);
-  }
   return true;
 }
 

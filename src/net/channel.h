@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,9 +38,16 @@ struct ChannelStats {
 [[nodiscard]] StatusOr<bool> WaitReadable(int fd, int timeout_ms);
 
 /// Frame transport over one nonblocking stream socket (the process
-/// backend's coordinator<->worker socketpair). Writes are queued and
-/// drained by Flush() as the socket accepts them; reads are reassembled
-/// from arbitrary read() boundaries into whole frames.
+/// backend's coordinator<->worker socketpair, or a serve connection).
+/// Writes are queued and drained by Flush() as the socket accepts them;
+/// reads are reassembled from arbitrary read() boundaries into whole
+/// frames.
+///
+/// Every frame sent or received is checked against the frame table's
+/// direction and phase rules for the channel's LinkRole
+/// (net/frame_conformance.h). A violation poisons the channel with
+/// kInternal: NextFrame() hands out nothing more, and the next Flush() or
+/// ReadAvailable() returns the violation, like corrupt wire.
 ///
 /// Not thread-safe: each channel belongs to exactly one event loop (the
 /// coordinator's poll loop or a worker's single thread).
@@ -54,8 +60,9 @@ struct ChannelStats {
 class FrameChannel {
  public:
   /// Takes ownership of `fd` (closed by the destructor). `peer` names the
-  /// other end in error messages, e.g. "worker 3".
-  FrameChannel(int fd, std::string peer);
+  /// other end in error messages, e.g. "worker 3"; `role` is this end's
+  /// side of the link.
+  FrameChannel(int fd, std::string peer, LinkRole role);
   ~FrameChannel();
 
   FrameChannel(const FrameChannel&) = delete;
@@ -69,13 +76,10 @@ class FrameChannel {
   /// installing on a fresh channel models a fresh link.
   void set_fault_injector(NetFaultInjector* injector);
 
-  /// Arms the runtime frame-protocol conformance checker for this channel
-  /// when MJOIN_CONFORMANCE is set (no-op otherwise). Every endpoint calls
-  /// this right after constructing its channel, naming its own role; a
-  /// frame that then violates the frame table's direction or phase rules
-  /// poisons the channel with kInternal, surfaced by the next Flush() or
-  /// ReadAvailable() like corrupt wire.
-  void EnableConformance(LinkRole role);
+  /// The link phase (FramePhase) after every frame observed so far.
+  uint32_t phase() const { return conformance_.phase(); }
+  /// True once a frame broke the frame table.
+  bool poisoned() const { return !conformance_violation_.ok(); }
 
   /// Encodes `[len][type][payload][crc]` into the outbox. Cheap; no
   /// syscall.
@@ -102,7 +106,9 @@ class FrameChannel {
   /// lengths poison the channel with a non-OK status.
   [[nodiscard]] Status ReadAvailable(bool* peer_closed);
 
-  /// Pops the next complete frame; false when none is buffered.
+  /// Pops the next complete frame; false when none is buffered, or when
+  /// the channel is poisoned — a frame that breaks the table is never
+  /// handed out, and neither is any frame behind it.
   bool NextFrame(Frame* out);
   bool has_frames() const { return !frames_.empty(); }
 
@@ -115,8 +121,7 @@ class FrameChannel {
   int fd_;
   std::string peer_;
   NetFaultInjector* fault_ = nullptr;
-  /// Armed by EnableConformance; null (and cost-free) in production runs.
-  std::unique_ptr<FrameConformance> conformance_;
+  FrameConformance conformance_;
   /// First conformance violation observed; poisons Flush/ReadAvailable.
   Status conformance_violation_ = Status::OK();
   /// A truncating fault fired: discard further outbound frames and shut

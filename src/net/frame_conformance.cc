@@ -1,7 +1,6 @@
 #include "net/frame_conformance.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -79,14 +78,6 @@ const char* FramePhaseName(uint32_t phase_bit) {
       return "serve";
   }
   return "?";
-}
-
-bool FrameConformanceEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("MJOIN_CONFORMANCE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
 }
 
 uint64_t FrameConformanceViolations() {

@@ -24,21 +24,16 @@ const char* LinkRoleName(LinkRole role);
 /// Name of a single FramePhase bit, for violation messages.
 const char* FramePhaseName(uint32_t phase_bit);
 
-/// True when MJOIN_CONFORMANCE=1 (read once): the debug-build runtime
-/// conformance checker validates every frame a FrameChannel sends or
-/// receives against the frame table's direction and phase rules. The
-/// golden, serve, and chaos suites enable it; production runs pay one
-/// null-pointer test per frame when it is off.
-bool FrameConformanceEnabled();
-
 /// Running count of conformance violations observed process-wide since
 /// start; tests assert it stays zero across a suite.
 uint64_t FrameConformanceViolations();
 
 /// Validates one connection's observed frame sequence (both directions
 /// interleaved in this endpoint's observation order) against the phase
-/// machine declared in MJOIN_FRAME_TABLE. One instance per FrameChannel;
-/// not thread-safe, like the channel that owns it.
+/// machine declared in MJOIN_FRAME_TABLE. Every FrameChannel owns one and
+/// checks every frame it sends or receives; not thread-safe, like the
+/// channel. On a worker link the phase is also the coordinator's record
+/// of how far each worker has got (FrameChannel::phase()).
 ///
 /// The machine is deliberately one-sided-observer-safe: each endpoint sees
 /// its own sends at queue time and its receives at pop time, so the two

@@ -34,8 +34,7 @@
 ///           filters: CW (coordinator->worker), WC (worker->coordinator),
 ///           SERVE (serve-layer client<->server). A frame's class is where
 ///           it is *handled*; `dirs` below is the full set of legal wire
-///           directions (kBye is class WC but also travels client->server
-///           on serve links).
+///           directions.
 ///   dirs    bitmask of legal travel directions (FrameDir)
 ///   phases  bitmask of link phases the frame may be observed in
 ///           (FramePhase); the conformance checker enforces this per
@@ -43,10 +42,12 @@
 ///   next    link phase the frame advances the connection to, or Keep
 ///
 /// Retired ids, never to be reused: 3 (fragment), 5 (data), 6 (eos),
-/// 8 (credit) and 11 (result-rows). They carried the coordinator-relayed
-/// socket data plane; every batch, EOS and result row now rides the shm
-/// rings (net/shm_ring.h), and a frame with one of these ids is
-/// rejected as corrupt like any other id the table does not define.
+/// 8 (credit) and 11 (result-rows) carried the coordinator-relayed socket
+/// data plane; every batch, EOS and result row now rides the shm rings
+/// (net/shm_ring.h). 10 (summary), 12 (op-stats), 13 (net-stats) and 14
+/// (trace-events) were the report phase's separate frames, folded into
+/// the one kReport. A frame with a retired id is rejected as corrupt like
+/// any other id the table does not define.
 namespace mjoin {
 
 /// Conformance phases of one coordinator<->worker link (a serve link sits
@@ -58,8 +59,8 @@ enum FramePhase : uint32_t {
   kPhAwaitPlan = 1u << 0,  // parked; no query in flight
   kPhHandshake = 1u << 1,  // kPlan shipped, kHello not yet observed
   kPhExecute = 1u << 2,    // triggers/milestones/skew exchange flowing
-  kPhReport = 1u << 3,     // kFinish observed; summaries and stats inbound
-  kPhDone = 1u << 4,       // kShutdown observed
+  kPhReport = 1u << 3,     // kFinish observed; the worker's kReport inbound
+  kPhDone = 1u << 4,       // kReport or kShutdown observed
   kPhServe = 1u << 5,      // serve-layer client connection
 };
 
@@ -92,25 +93,15 @@ enum FrameDir : uint32_t {
   /* worker -> coordinator: instance milestone for the scheduler.           */ \
   X(7, Milestone, "milestone", WC, kDirToCoordinator,                          \
     kPhExecute | kPhReport, Keep)                                              \
-  /* coordinator -> worker: the plan completed; report summaries and stats. */ \
+  /* coordinator -> worker: the plan completed; send this query's report.   */ \
   X(9, Finish, "finish", CW, kDirToWorker, kPhExecute, Report)                 \
-  /* worker -> coordinator: partial ResultSummary of a stored result.       */ \
-  X(10, Summary, "summary", WC, kDirToCoordinator, kPhReport, Keep)            \
-  /* worker -> coordinator: merged OpMetrics of one hosted op.              */ \
-  X(12, OpStats, "op-stats", WC, kDirToCoordinator, kPhReport, Keep)           \
-  /* worker -> coordinator: the worker's run counters (serialize seconds,   */ \
-  /* local deliveries, faults injected, peak memory, ...).                  */ \
-  X(13, NetStats, "net-stats", WC, kDirToCoordinator, kPhReport, Keep)         \
-  /* worker -> coordinator: recorded trace intervals.                       */ \
-  X(14, TraceEvents, "trace-events", WC, kDirToCoordinator, kPhReport, Keep)   \
   /* worker -> coordinator: fatal worker-side status; the run aborts. Legal */ \
-  /* from the moment the worker has a plan to fail (kPhHandshake on).       */ \
+  /* from the moment the worker has a plan to fail (kPhHandshake) until it  */ \
+  /* parks again (kIdle): a worker may fail after its report too.           */ \
   X(15, Error, "error", WC, kDirToCoordinator,                                 \
-    kPhHandshake | kPhExecute | kPhReport, Keep)                               \
-  /* worker -> coordinator: finish-phase reporting done, awaiting shutdown. */ \
-  /* Also serve client -> server: connection close notice.                  */ \
-  X(16, Bye, "bye", WC, kDirToCoordinator | kDirToServer,                      \
-    kPhReport | kPhServe, Keep)                                                \
+    kPhHandshake | kPhExecute | kPhReport | kPhDone, Keep)                     \
+  /* serve client -> server: connection close notice.                       */ \
+  X(16, Bye, "bye", SERVE, kDirToServer, kPhServe, Keep)                       \
   /* coordinator -> worker: exit cleanly. Legal in every phase: teardown    */ \
   /* and abort paths may shut a link down at any point in its life.         */ \
   X(17, Shutdown, "shutdown", CW, kDirToWorker, kPhAnyWorker, Done)            \
@@ -142,7 +133,13 @@ enum FrameDir : uint32_t {
   /* kPhHandshake: the directive is broadcast to every host of the join,    */ \
   /* including (on a respawned fleet) one whose kHello is still in flight.  */ \
   X(24, SkewDirective, "skew-directive", CW, kDirToWorker,                     \
-    kPhHandshake | kPhExecute, Keep)
+    kPhHandshake | kPhExecute, Keep)                                           \
+  /* worker -> coordinator: the worker's one report of the query            */ \
+  /* (WorkerReport — partial result summary, run counters, per-op metrics,  */ \
+  /* trace events). Sent once its ring backlogs drained, so it trails every */ \
+  /* result-row record; it ends the link's query (kPhDone), so a second     */ \
+  /* report is a violation and "every link is done" is "every report in".   */ \
+  X(25, Report, "report", WC, kDirToCoordinator, kPhReport, Done)
 // clang-format on
 
 /// MJOIN_FRAME_CASES(sel): case labels for every table row the selector

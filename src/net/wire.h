@@ -84,7 +84,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v8: scans read the base relations each worker inherited at fork — the
 ///     coordinator -> worker relay rings and the shm fragment record are
 ///     gone; kNetStats carries the peak ring backlog.
-inline constexpr uint32_t kNetProtocolVersion = 8;
+/// v9: one report per worker per query — kReport (WorkerReport) replaces
+///     kSummary, kOpStats, kNetStats, kTraceEvents and the worker's kBye;
+///     kBye is the serve-layer close notice only.
+inline constexpr uint32_t kNetProtocolVersion = 9;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);

@@ -57,8 +57,7 @@ StatusOr<std::unique_ptr<ServeClient>> ServeClient::Connect(
     ::close(fd);
     return s;
   }
-  auto chan = std::make_unique<FrameChannel>(fd, "server");
-  chan->EnableConformance(LinkRole::kClient);
+  auto chan = std::make_unique<FrameChannel>(fd, "server", LinkRole::kClient);
   return std::unique_ptr<ServeClient>(new ServeClient(  // lint:allow-new private ctor
       std::move(chan)));
 }

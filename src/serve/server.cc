@@ -458,8 +458,7 @@ void MjoinServer::Impl::IoLoop() {
         Conn conn;
         conn.id = id;
         conn.chan = std::make_unique<FrameChannel>(
-            fd, "client " + std::to_string(id));
-        conn.chan->EnableConformance(LinkRole::kServer);
+            fd, "client " + std::to_string(id), LinkRole::kServer);
         conns.emplace(id, std::move(conn));
         connections->Add(1);
       }

@@ -21,7 +21,6 @@ void SimProcessor::StartNext() {
 
   TaskResult result = body();
   MJOIN_DCHECK(result.cost >= 0);
-  busy_ticks_ += result.cost;
 
   // At completion: release the task's side effects, then run the next task.
   sim_->Schedule(result.cost,

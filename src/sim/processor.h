@@ -38,7 +38,6 @@ class SimProcessor {
   SimProcessor(SimProcessor&&) = default;
 
   uint32_t id() const { return id_; }
-  Ticks busy_ticks() const { return busy_ticks_; }
 
   /// Enqueues a task. Tasks run in submission order.
   void Submit(std::function<TaskResult()> body);
@@ -50,7 +49,6 @@ class SimProcessor {
   Simulator* sim_;
   std::deque<std::function<TaskResult()>> queue_;
   bool running_ = false;
-  Ticks busy_ticks_ = 0;
 };
 
 }  // namespace mjoin

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include <algorithm>
 
 #include "engine/database.h"
@@ -16,15 +14,6 @@
 
 namespace mjoin {
 namespace {
-
-// Conformance is part of the tier-1 contract for this suite: every frame
-// either endpoint sends or receives is validated against the frame
-// table's direction and phase rules, and a violation poisons the link.
-// Armed before main() so every FrameChannel the suite constructs sees it.
-const bool kConformanceArmed = [] {
-  setenv("MJOIN_CONFORMANCE", "1", /*overwrite=*/0);
-  return true;
-}();
 
 // Golden-result harness: every executor backend must agree with the
 // single-threaded reference on the result row multiset — cardinality and

@@ -370,7 +370,10 @@ class FrameChannelTest : public testing::Test {
     int sv[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
-    channel_ = std::make_unique<FrameChannel>(sv[0], "test peer");
+    // The channel under test is a coordinator end; the raw fd plays the
+    // worker, so the frames it writes must be legal for a worker to send.
+    channel_ = std::make_unique<FrameChannel>(sv[0], "test peer",
+                                              LinkRole::kCoordinator);
     raw_fd_ = sv[1];
   }
 
@@ -413,7 +416,7 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
   std::vector<std::byte> payload;
   PutU64(&payload, 0xDEADBEEFCAFEF00Dull);
   PutString(&payload, "hello across the wire");
-  std::vector<std::byte> bytes = EncodeFrame(FrameType::kSummary, payload);
+  std::vector<std::byte> bytes = EncodeFrame(FrameType::kPong, payload);
   // Two back-to-back frames, dripped one byte at a time.
   std::vector<std::byte> stream = bytes;
   stream.insert(stream.end(), bytes.begin(), bytes.end());
@@ -423,7 +426,7 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
   for (int i = 0; i < 2; ++i) {
     Frame frame;
     ASSERT_TRUE(channel_->NextFrame(&frame)) << "frame " << i;
-    EXPECT_EQ(frame.type, FrameType::kSummary);
+    EXPECT_EQ(frame.type, FrameType::kPong);
     EXPECT_EQ(frame.payload, payload);
   }
   Frame none;
@@ -434,12 +437,12 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
 TEST_F(FrameChannelTest, QueueAndFlushDeliversAcrossTheSocket) {
   std::vector<std::byte> payload;
   PutU32(&payload, 7);
-  channel_->QueueFrame(FrameType::kTrigger, payload);
+  channel_->QueueFrame(FrameType::kPing, payload);
   ASSERT_TRUE(channel_->Flush().ok());
   EXPECT_FALSE(channel_->has_pending_output());
 
   // Read the raw bytes off the far end and check the frame envelope.
-  std::vector<std::byte> expected = EncodeFrame(FrameType::kTrigger, payload);
+  std::vector<std::byte> expected = EncodeFrame(FrameType::kPing, payload);
   std::vector<std::byte> got(expected.size());
   ASSERT_EQ(read(raw_fd_, got.data(), got.size()),
             static_cast<ssize_t>(got.size()));
@@ -481,13 +484,13 @@ TEST_F(FrameChannelTest, AnySingleByteFrameCorruptionIsUnavailable) {
   std::vector<std::byte> payload;
   PutU64(&payload, 0x0123456789ABCDEFull);
   PutString(&payload, "checksummed frame");
-  std::vector<std::byte> bytes = EncodeFrame(FrameType::kSummary, payload);
+  std::vector<std::byte> bytes = EncodeFrame(FrameType::kPong, payload);
   for (size_t pos = 4; pos < bytes.size(); ++pos) {
     // Fresh channel per corruption: a wire error poisons the stream.
     int sv[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
-    FrameChannel channel(sv[0], "test peer");
+    FrameChannel channel(sv[0], "test peer", LinkRole::kCoordinator);
     std::vector<std::byte> damaged = bytes;
     damaged[pos] ^= std::byte{0x10};
     ASSERT_EQ(write(sv[1], damaged.data(), damaged.size()),
@@ -503,7 +506,7 @@ TEST_F(FrameChannelTest, AnySingleByteFrameCorruptionIsUnavailable) {
 TEST_F(FrameChannelTest, PeerCloseReportedAfterFinalFrames) {
   std::vector<std::byte> payload;
   PutU32(&payload, 42);
-  std::vector<std::byte> bytes = EncodeFrame(FrameType::kMilestone, payload);
+  std::vector<std::byte> bytes = EncodeFrame(FrameType::kPong, payload);
   ASSERT_EQ(write(raw_fd_, bytes.data(), bytes.size()),
             static_cast<ssize_t>(bytes.size()));
   close(raw_fd_);
@@ -521,23 +524,17 @@ TEST_F(FrameChannelTest, PeerCloseReportedAfterFinalFrames) {
   // The frame that arrived before the close is still recoverable.
   Frame frame;
   ASSERT_TRUE(channel_->NextFrame(&frame));
-  EXPECT_EQ(frame.type, FrameType::kMilestone);
+  EXPECT_EQ(frame.type, FrameType::kPong);
 }
 
 // --- Frame-protocol conformance: the table's rules at runtime -------------
-
-// Armed before main() so FrameConformanceEnabled()'s one-shot env read
-// sees it no matter which test in this binary runs first.
-const bool kConformanceArmed = [] {
-  setenv("MJOIN_CONFORMANCE", "1", /*overwrite=*/0);
-  return true;
-}();
 
 TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
   // A link's whole life, observed from the coordinator end. Each query:
   // plan -> hello -> triggers/milestones -> finish -> report -> shutdown
   // -> idle, and the idle ack returns the link to await-plan. Data never
-  // crosses this link: it rides the shm rings.
+  // crosses this link: it rides the shm rings. The phase is the
+  // coordinator's record of the worker's progress.
   FrameConformance link(LinkRole::kCoordinator, "worker 0");
   EXPECT_EQ(link.phase(), kPhAwaitPlan);
   auto walk_query = [&link] {
@@ -552,8 +549,10 @@ TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
         link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
     ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
     EXPECT_EQ(link.phase(), kPhReport);
-    ASSERT_TRUE(link.Observe(FrameType::kSummary, /*outbound=*/false).ok());
-    ASSERT_TRUE(link.Observe(FrameType::kNetStats, /*outbound=*/false).ok());
+    ASSERT_TRUE(
+        link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
+    ASSERT_TRUE(link.Observe(FrameType::kReport, /*outbound=*/false).ok());
+    EXPECT_EQ(link.phase(), kPhDone);
     ASSERT_TRUE(link.Observe(FrameType::kShutdown, /*outbound=*/true).ok());
     EXPECT_EQ(link.phase(), kPhDone);
     ASSERT_TRUE(link.Observe(FrameType::kIdle, /*outbound=*/false).ok());
@@ -568,6 +567,22 @@ TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
   EXPECT_EQ(link.phase(), kPhDone);
   EXPECT_FALSE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok())
       << "a plan after the teardown shutdown";
+}
+
+TEST(FrameConformanceTest, OneReportPerQuery) {
+  // kReport ends the worker's query on its link: a second one is a
+  // violation, so the coordinator never folds a report twice.
+  FrameConformance link(LinkRole::kCoordinator, "worker 1");
+  ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
+  ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
+  ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
+  ASSERT_TRUE(link.Observe(FrameType::kReport, /*outbound=*/false).ok());
+  // A worker may still fail before it parks.
+  ASSERT_TRUE(link.Observe(FrameType::kError, /*outbound=*/false).ok());
+  Status status = link.Observe(FrameType::kReport, /*outbound=*/false);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("done"), std::string::npos)
+      << status.message();
 }
 
 TEST(FrameConformanceTest, DirectionViolationIsCaughtInAnyPhase) {
@@ -586,13 +601,13 @@ TEST(FrameConformanceTest, DirectionViolationIsCaughtInAnyPhase) {
 }
 
 TEST(FrameConformanceTest, PhaseViolationNamesFrameAndPhase) {
-  // kSummary is a report-phase frame; arriving on a parked link (no query
+  // kReport is a report-phase frame; arriving on a parked link (no query
   // in flight) is a violation, and the message must name both the frame
   // and the phase so the log is actionable.
   FrameConformance link(LinkRole::kCoordinator, "worker 3");
-  Status status = link.Observe(FrameType::kSummary, /*outbound=*/false);
+  Status status = link.Observe(FrameType::kReport, /*outbound=*/false);
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("summary"), std::string::npos)
+  EXPECT_NE(status.message().find("report frame"), std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("await-plan"), std::string::npos)
       << status.message();
@@ -609,13 +624,13 @@ TEST(FrameConformanceTest, ServeLinksStayInTheServePhase) {
   EXPECT_EQ(server.phase(), kPhServe);
   // Worker-protocol frames never appear on a serve link.
   EXPECT_FALSE(server.Observe(FrameType::kPlan, /*outbound=*/false).ok());
+  // Nor does kBye ever travel on a worker link.
+  FrameConformance coord(LinkRole::kCoordinator, "worker 0");
+  EXPECT_FALSE(coord.Observe(FrameType::kBye, /*outbound=*/false).ok());
 }
 
 TEST_F(FrameChannelTest, ConformanceViolationPoisonsTheChannel) {
-  ASSERT_TRUE(kConformanceArmed);
-  ASSERT_TRUE(FrameConformanceEnabled());
   const uint64_t before = FrameConformanceViolations();
-  channel_->EnableConformance(LinkRole::kCoordinator);
 
   // A coordinator emitting kHello is sending a worker's frame the wrong
   // way down the link. The violation lands at queue time and poisons the
@@ -633,13 +648,10 @@ TEST_F(FrameChannelTest, ConformanceViolationPoisonsTheChannel) {
 }
 
 TEST_F(FrameChannelTest, ConformanceAcceptsALegalHandshake) {
-  ASSERT_TRUE(FrameConformanceEnabled());
   const uint64_t before = FrameConformanceViolations();
-  channel_->EnableConformance(LinkRole::kCoordinator);
   ASSERT_TRUE(SetNonBlocking(raw_fd_).ok());
-  FrameChannel worker(raw_fd_, "coordinator");
+  FrameChannel worker(raw_fd_, "coordinator", LinkRole::kWorker);
   raw_fd_ = -1;  // the channel owns (and closes) the fd now
-  worker.EnableConformance(LinkRole::kWorker);
 
   // Coordinator ships the plan; the worker echoes hello. Both checkers
   // observe both frames (each its own send and the other's receive) and
@@ -664,6 +676,39 @@ TEST_F(FrameChannelTest, ConformanceAcceptsALegalHandshake) {
   EXPECT_EQ(FrameConformanceViolations(), before);
 }
 
+TEST_F(FrameChannelTest, NothingLeavesAChannelAfterAnIllegalFrame) {
+  // A legal frame, one that breaks the table (a milestone on a link with
+  // no query in flight), and a legal frame again. Only the first comes
+  // out: a handler never acts on the illegal frame, nor on any frame
+  // buffered behind it, and the channel reports the violation.
+  const uint64_t before = FrameConformanceViolations();
+  std::vector<std::byte> payload;
+  PutU32(&payload, 5);
+  std::vector<std::byte> stream = EncodeFrame(FrameType::kPong, payload);
+  for (FrameType type : {FrameType::kMilestone, FrameType::kPong}) {
+    std::vector<std::byte> more = EncodeFrame(type, payload);
+    stream.insert(stream.end(), more.begin(), more.end());
+  }
+  ASSERT_EQ(write(raw_fd_, stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  bool peer_closed = false;
+  ASSERT_TRUE(channel_->ReadAvailable(&peer_closed).ok());
+
+  Frame frame;
+  ASSERT_TRUE(channel_->NextFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kPong);
+  EXPECT_FALSE(channel_->NextFrame(&frame)) << "the illegal frame came out";
+  EXPECT_FALSE(channel_->NextFrame(&frame)) << "a frame behind it came out";
+  EXPECT_TRUE(channel_->poisoned());
+  Status status = channel_->Flush();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("milestone"), std::string::npos)
+      << status.message();
+  EXPECT_FALSE(channel_->ReadAvailable(&peer_closed).ok());
+  EXPECT_EQ(FrameConformanceViolations(), before + 1);
+}
+
 TEST_F(FrameChannelTest, UnknownFrameTypePoisonsTheChannel) {
   // A type byte the table does not define must never reach a handler
   // switch; the channel rejects it at reassembly time, CRC-valid or not.
@@ -684,10 +729,12 @@ TEST_F(FrameChannelTest, UnknownFrameTypePoisonsTheChannel) {
 
 TEST_F(FrameChannelTest, RetiredFrameIdsAreCorrupt) {
   // 3 (fragment), 5 (data), 6 (eos), 8 (credit) and 11 (result-rows)
-  // carried the retired socket data plane. The table must never define
-  // them again, and a peer still sending one is corrupt wire, however
-  // well-formed the frame around it.
-  for (uint8_t retired : {3, 5, 6, 8, 11}) {
+  // carried the retired socket data plane; 10 (summary), 12 (op-stats),
+  // 13 (net-stats) and 14 (trace-events) were the report phase's frames
+  // before kReport. The table must never define them again, and a peer
+  // still sending one is corrupt wire, however well-formed the frame
+  // around it.
+  for (uint8_t retired : {3, 5, 6, 8, 10, 11, 12, 13, 14}) {
     EXPECT_FALSE(ValidFrameType(retired)) << "id " << int{retired};
   }
   std::vector<std::byte> payload;
@@ -713,7 +760,7 @@ std::vector<std::byte> SomeFrame() {
   PutU64(&payload, 0x1122334455667788ull);
   std::vector<std::byte> frame;
   PutU32(&frame, static_cast<uint32_t>(1 + payload.size() + 4));
-  PutU8(&frame, static_cast<uint8_t>(FrameType::kSummary));
+  PutU8(&frame, static_cast<uint8_t>(FrameType::kPong));
   frame.insert(frame.end(), payload.begin(), payload.end());
   PutU32(&frame, Crc32(frame.data() + 4, frame.size() - 4));
   return frame;

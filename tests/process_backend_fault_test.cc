@@ -321,7 +321,7 @@ TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
         exit_code = RunProcessWorker(fd, a, db);
       });
   ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
-  FrameChannel chan(sv[0], "worker");
+  FrameChannel chan(sv[0], "worker", LinkRole::kCoordinator);
   PlanEnvelope env;
   env.worker_id = edge->to;
   env.num_workers = kWorkers;

@@ -27,15 +27,6 @@
 namespace mjoin {
 namespace {
 
-// Conformance is part of the tier-1 contract for this suite: every frame
-// either endpoint sends or receives is validated against the frame
-// table's direction and phase rules, and a violation poisons the link.
-// Armed before main() so every FrameChannel the suite constructs sees it.
-const bool kConformanceArmed = [] {
-  setenv("MJOIN_CONFORMANCE", "1", /*overwrite=*/0);
-  return true;
-}();
-
 // Randomized chaos harness for the process backend. Each schedule draws one
 // fault from a menu (worker kill, wire corruption in either direction,
 // truncation, connection drop, link stall, short writes, silent hang,

@@ -59,9 +59,11 @@ TEST(SimulatorTest, RunForStopsEarly) {
 TEST(SimProcessorTest, TasksSerializeOnOneNode) {
   Simulator sim;
   SimProcessor node(0, &sim);
+  std::vector<Ticks> start;
   std::vector<Ticks> completion;
   for (int i = 0; i < 3; ++i) {
-    node.Submit([&sim, &completion] {
+    node.Submit([&sim, &start, &completion] {
+      start.push_back(sim.Now());
       TaskResult result;
       result.cost = 10;
       result.after.push_back({0, [&sim, &completion] {
@@ -71,8 +73,11 @@ TEST(SimProcessorTest, TasksSerializeOnOneNode) {
     });
   }
   sim.Run();
+  // Each task starts when the one before it completes: one node runs one
+  // task at a time, so three 10-tick tasks end at 30.
+  EXPECT_EQ(start, (std::vector<Ticks>{0, 10, 20}));
   EXPECT_EQ(completion, (std::vector<Ticks>{10, 20, 30}));
-  EXPECT_EQ(node.busy_ticks(), 30);
+  EXPECT_EQ(sim.Now(), 30);
 }
 
 TEST(SimProcessorTest, DeferredActionsRunAtCompletionPlusDelay) {

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <thread>
@@ -41,14 +40,6 @@ namespace {
 // limits of a fleet
 // whose rings are fixed at spawn: an invalid ring size, rows too wide for
 // the rings, and the retired socket data plane.
-
-// Every frame on every channel is checked against the frame table's
-// direction and phase rules, and a violation fails the query. Armed before
-// main() so every FrameChannel the suite constructs sees it.
-const bool kConformanceArmed = [] {
-  setenv("MJOIN_CONFORMANCE", "1", /*overwrite=*/0);
-  return true;
-}();
 
 size_t CountOpenFds() {
   size_t n = 0;
@@ -430,6 +421,35 @@ TEST(WarmFleetTest, NetFaultInjectorDoesNotOutliveItsQuery) {
   ASSERT_TRUE(third.ok()) << third.status();
   EXPECT_EQ((*fleet)->respawns(), 0u);
   fleet->reset();
+}
+
+TEST(WarmFleetTest, ReportFramesDoNotGrowWithObservability) {
+  // Each worker reports a query in one kReport frame, whatever it carries:
+  // turning metrics and tracing on must not add a frame to the link.
+  // Heartbeats off, as in the calibrations above, so no pong varies the
+  // count.
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
+                            /*card=*/300, /*procs=*/4, StrategyKind::kFP);
+  auto fleet = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  ProcessExecOptions options;
+  options.heartbeat_interval = std::chrono::milliseconds(0);
+  options.exec.collect_metrics = false;
+  options.exec.record_trace = false;
+  ProcessNetStats quiet;
+  auto plain = (*fleet)->Execute(f.plan, options, nullptr, &quiet);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+
+  options.exec.collect_metrics = true;
+  options.exec.record_trace = true;
+  ProcessNetStats observed;
+  auto traced = (*fleet)->Execute(f.plan, options, nullptr, &observed);
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  EXPECT_EQ(traced->exec.result.checksum, f.reference.checksum);
+  EXPECT_FALSE(traced->exec.stats.per_op.empty());
+  EXPECT_NE(traced->exec.trace, nullptr);
+  EXPECT_EQ(observed.frames_received, quiet.frames_received);
+  EXPECT_EQ(observed.frames_sent, quiet.frames_sent);
 }
 
 TEST(WarmFleetTest, SpawnRejectsAnInvalidRingSizeBeforeForking) {

@@ -174,12 +174,19 @@ std::vector<CodecCase> AllCases() {
   run.ring_full_stalls = 9;
   rows.push_back(Row("WorkerRunStats", run));
 
-  rows.push_back(Row(
-      "TraceEvents",
-      std::vector<WireTraceEvent>{
-          {1, 100, 250, ThreadWorkType::kBuild, 3},
-          {5, 300, 301, ThreadWorkType::kOther, -1},
-          {0, 0, 7, ThreadWorkType::kStartup, 0}}));
+  const std::vector<WireTraceEvent> events{
+      {1, 100, 250, ThreadWorkType::kBuild, 3},
+      {5, 300, 301, ThreadWorkType::kOther, -1},
+      {0, 0, 7, ThreadWorkType::kStartup, 0}};
+  rows.push_back(Row("TraceEvents", events));
+
+  WorkerReport worker_report;
+  worker_report.summary = SummaryMsg{1000, 0x8877665544332211ull};
+  worker_report.stats = run;
+  worker_report.ops = {stats, stats};
+  worker_report.ops[1].op = 4;
+  worker_report.trace = events;
+  rows.push_back(Row("WorkerReport", worker_report));
   rows.push_back(Row("Trigger", TriggerMsg{6}));
   rows.push_back(Row("Error", ErrorMsg{StatusCode::kUnavailable,
                                        "worker 2 (pid 123) killed"}));

@@ -1,6 +1,6 @@
 // Golden wire bytes of every control payload: one fixed, fully populated
 // instance per message, encoded and compared with a hex literal. The
-// literals pin the byte layout of protocol v8, so any change to a codec
+// literals pin the byte layout of protocol v9, so any change to a codec
 // that moves a byte fails here, whether or not both ends still agree.
 #include <gtest/gtest.h>
 
@@ -27,8 +27,8 @@ std::string EncodedHex(const Msg& msg) {
   return hex;
 }
 
-TEST(WireGoldenTest, ProtocolVersionIsEight) {
-  EXPECT_EQ(kNetProtocolVersion, 8u);
+TEST(WireGoldenTest, ProtocolVersionIsNine) {
+  EXPECT_EQ(kNetProtocolVersion, 9u);
 }
 
 TEST(WireGoldenTest, PlanEnvelope) {
@@ -82,14 +82,21 @@ TEST(WireGoldenTest, Milestone) {
   EXPECT_EQ(EncodedHex(m), "040000000200000001");
 }
 
-TEST(WireGoldenTest, Summary) {
+// The four parts of a WorkerReport, each with its golden bytes; the
+// WorkerReport golden below is made of these.
+SummaryMsg SampleSummary() {
   SummaryMsg m;
   m.cardinality = 1000;
   m.checksum = 0x8877665544332211ull;
-  EXPECT_EQ(EncodedHex(m), "e8030000000000001122334455667788");
+  return m;
+}
+constexpr const char* kSummaryHex = "e8030000000000001122334455667788";
+
+TEST(WireGoldenTest, Summary) {
+  EXPECT_EQ(EncodedHex(SampleSummary()), kSummaryHex);
 }
 
-TEST(WireGoldenTest, OpStats) {
+OpStatsMsg SampleOpStats() {
   OpStatsMsg m;
   m.op = 3;
   m.instances = 2;
@@ -116,15 +123,20 @@ TEST(WireGoldenTest, OpStats) {
   x.skew_bloom_fp_rate = 0.03125;
   x.batch_seconds.Add(0.5);
   x.batch_seconds.Add(1.5);
-  EXPECT_EQ(EncodedHex(m),
-            "030000000200000001000000000000000300000000000000"
-            "020000000000000004000000000000000500000000000000"
-            "000000000000e03f000000000000d03f000000000000c03f"
-            "000000000000f03f00000000000000400000000000001040"
-            "060000000000000007000000000000000800000000000000"
-            "09000000000000000a000000000000000b00000000000000"
-            "0c00000000000000000000000000b03f000000000000a03f02000000"
-            "000000000000e03f000000000000f83f");
+  return m;
+}
+constexpr const char* kOpStatsHex =
+    "030000000200000001000000000000000300000000000000"
+    "020000000000000004000000000000000500000000000000"
+    "000000000000e03f000000000000d03f000000000000c03f"
+    "000000000000f03f00000000000000400000000000001040"
+    "060000000000000007000000000000000800000000000000"
+    "09000000000000000a000000000000000b00000000000000"
+    "0c00000000000000000000000000b03f000000000000a03f02000000"
+    "000000000000e03f000000000000f83f";
+
+TEST(WireGoldenTest, OpStats) {
+  EXPECT_EQ(EncodedHex(SampleOpStats()), kOpStatsHex);
 }
 
 TEST(WireGoldenTest, SkewReport) {
@@ -173,7 +185,7 @@ TEST(WireGoldenTest, SkewDirective) {
             "0000000000000240");
 }
 
-TEST(WireGoldenTest, WorkerRunStats) {
+WorkerRunStats SampleRunStats() {
   WorkerRunStats m;
   m.local_deliveries = 1;
   m.batches_processed = 2;
@@ -192,16 +204,21 @@ TEST(WireGoldenTest, WorkerRunStats) {
   m.shm_bytes_received = 13;
   m.ring_full_stalls = 14;
   m.peak_backlog_records = 15;
-  EXPECT_EQ(EncodedHex(m),
-            "010000000000000002000000000000000300000000000000"
-            "040000000000000005000000000000000600000000000000"
-            "070000000000000008000000000000000900000000000000"
-            "000000000000e03f000000000000d03f0a00000000000000"
-            "0b000000000000000c000000000000000d00000000000000"
-            "0e000000000000000f00000000000000");
+  return m;
+}
+constexpr const char* kRunStatsHex =
+    "010000000000000002000000000000000300000000000000"
+    "040000000000000005000000000000000600000000000000"
+    "070000000000000008000000000000000900000000000000"
+    "000000000000e03f000000000000d03f0a00000000000000"
+    "0b000000000000000c000000000000000d00000000000000"
+    "0e000000000000000f00000000000000";
+
+TEST(WireGoldenTest, WorkerRunStats) {
+  EXPECT_EQ(EncodedHex(SampleRunStats()), kRunStatsHex);
 }
 
-TEST(WireGoldenTest, TraceEvents) {
+std::vector<WireTraceEvent> SampleTraceEvents() {
   std::vector<WireTraceEvent> m(2);
   m[0].node = 1;
   m[0].start_ns = 100;
@@ -213,10 +230,28 @@ TEST(WireGoldenTest, TraceEvents) {
   m[1].end_ns = 301;
   m[1].type = ThreadWorkType::kOther;
   m[1].op_id = -1;
-  EXPECT_EQ(EncodedHex(m),
-            "02000000010000006400000000000000fa0000000000000001"
-            "03000000050000002c010000000000002d010000000000000b"
-            "ffffffff");
+  return m;
+}
+// A vector's u32 count (2) leads its elements.
+constexpr const char* kTraceEventsHex =
+    "02000000010000006400000000000000fa0000000000000001"
+    "03000000050000002c010000000000002d010000000000000b"
+    "ffffffff";
+
+TEST(WireGoldenTest, TraceEvents) {
+  EXPECT_EQ(EncodedHex(SampleTraceEvents()), kTraceEventsHex);
+}
+
+TEST(WireGoldenTest, WorkerReport) {
+  // The parts' own bytes in field order; the op-stats list carries its
+  // u32 count (1) before its one element, the trace its count (2).
+  WorkerReport m;
+  m.summary = SampleSummary();
+  m.stats = SampleRunStats();
+  m.ops.push_back(SampleOpStats());
+  m.trace = SampleTraceEvents();
+  EXPECT_EQ(EncodedHex(m), std::string(kSummaryHex) + kRunStatsHex +
+                               "01000000" + kOpStatsHex + kTraceEventsHex);
 }
 
 TEST(WireGoldenTest, Trigger) {

@@ -7,8 +7,8 @@
 #      and (when clang-tidy is installed) a full MJOIN_LINT=ON build
 #      with --warnings-as-errors=* — any finding fails the gate
 #   2. Release build with -Wall -Wextra -Werror (MJOIN_WERROR=ON)
-#   3. the full ctest suite, with MJOIN_CONFORMANCE=1 so every frame on
-#      every channel is validated against the frame-table phase machine
+#   3. the full ctest suite (every frame on every channel is validated
+#      against the frame-table phase machine, in every run)
 #   4. mjoin_check: the shm-ring interleaving model checker (baseline
 #      scenarios clean + all nine seeded ring bugs caught), the smoke
 #      benches, and the mjbench self-test (builds mjbench/ against the
@@ -27,13 +27,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
-
-# Every test and chaos stage below runs with runtime frame-protocol
-# conformance armed: each frame is checked against the declarative table
-# in src/net/frame_table.h (direction + phase), and a violation poisons
-# the channel into a hard error. The golden/serve/chaos suites arm this
-# themselves, but exporting it here covers every other binary too.
-export MJOIN_CONFORMANCE=1
 
 echo "== ci: project lint =="
 python3 tools/mjoin_lint.py
