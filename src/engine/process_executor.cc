@@ -1,6 +1,7 @@
 #include "engine/process_executor.h"
 
 #include <errno.h>
+#include <malloc.h>
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
@@ -1354,7 +1355,20 @@ std::string RenderProcessNetStats(const ProcessNetStats& net) {
 }
 
 ProcessExecutor::ProcessExecutor(const Database* database)
-    : database_(database) {}
+    : database_(database) {
+  // Each query forks its workers from this process as it is then, and
+  // every page the process keeps resident, freed heap included, is mapped
+  // into each of them. glibc gives every thread an arena of its own, whose
+  // free top malloc_trim never returns, so memory the thread backend's
+  // node threads freed would stay resident there, tens of MB by an amount
+  // that depends on the queries they ran last, and ride into every
+  // worker. With one arena, freed memory stays where the heap's trimming
+  // reaches it. The limit is process-wide and binds arenas not yet
+  // created.
+#if defined(__GLIBC__)
+  mallopt(M_ARENA_MAX, 1);
+#endif
+}
 
 StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,

@@ -193,7 +193,9 @@ std::string RenderProcessNetStats(const ProcessNetStats& net);
 /// descriptor, and never hangs.
 class ProcessExecutor {
  public:
-  /// `database` must outlive the executor.
+  /// `database` must outlive the executor. Construction limits glibc's
+  /// malloc to one arena, process-wide, so that heap memory freed by other
+  /// threads is not copied into every forked worker.
   explicit ProcessExecutor(const Database* database);
 
   /// Runs `plan` on a worker fleet spawned for this call, retrying per
