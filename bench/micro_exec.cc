@@ -4,10 +4,15 @@
 // which is what enables FP's dataflow execution).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "engine/result.h"
 #include "exec/hash_table.h"
+#include "exec/join_row.h"
 #include "exec/pipelining_hash_join.h"
 #include "exec/simple_hash_join.h"
+#include "storage/partitioner.h"
 #include "storage/wisconsin.h"
 
 namespace mjoin {
@@ -67,6 +72,41 @@ void BM_HashTableProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_HashTableProbe)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// What a join instance sees on a 4-processor plan: the build rows of one
+// FragmentOf(unique1, 4) fragment of a 4n-row relation (~n rows), probed
+// with that fragment's keys, 128 at a time as the joins probe. The keys
+// share the low bits of their hash, which BM_HashTableProbe's full key
+// range does not show.
+void BM_HashTableProbeFragment(benchmark::State& state) {
+  auto n = static_cast<uint32_t>(state.range(0));
+  Relation rel = GenerateWisconsin(4 * n, 1);
+  JoinHashTable table(Wisc(), kUnique1);
+  std::vector<int32_t> keys;
+  for (size_t i = 0; i < rel.num_tuples(); ++i) {
+    const int32_t key = rel.tuple(i).GetInt32(kUnique1);
+    if (FragmentOf(key, 4) != 0) continue;
+    table.Insert(rel.tuple(i).data());
+    keys.push_back(key);
+  }
+  constexpr size_t kChunk = 128;
+  const uint64_t insert_collisions = table.collisions();
+  size_t matches = 0;
+  for (auto _ : state) {
+    for (size_t lo = 0; lo < keys.size(); lo += kChunk) {
+      matches += table.ProbeBatch(keys.data() + lo,
+                                  std::min(kChunk, keys.size() - lo),
+                                  [](size_t, const TupleRef&) {});
+    }
+  }
+  benchmark::DoNotOptimize(matches);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
+  state.counters["collisions_per_probe"] =
+      static_cast<double>(table.collisions() - insert_collisions) /
+      static_cast<double>(state.iterations() * keys.size());
+}
+BENCHMARK(BM_HashTableProbeFragment)->Arg(1000)->Arg(10000)->Arg(100000);
+
 JoinSpec ChainSpec() {
   std::vector<JoinOutputColumn> outputs = {JoinOutputColumn::Left(kUnique2),
                                            JoinOutputColumn::Right(kUnique2)};
@@ -77,6 +117,27 @@ JoinSpec ChainSpec() {
   MJOIN_CHECK(spec.ok());
   return *std::move(spec);
 }
+
+// Output-row assembly of the Wisconsin chain join (ChainSpec): n rows
+// built from n (left, right) pairs into one output buffer.
+void BM_AssembleJoinRow(benchmark::State& state) {
+  auto n = static_cast<uint32_t>(state.range(0));
+  Relation left = GenerateWisconsin(n, 1);
+  Relation right = GenerateWisconsin(n, 2);
+  const JoinSpec spec = ChainSpec();
+  const size_t width = spec.output_schema->tuple_size();
+  std::vector<std::byte> out(static_cast<size_t>(n) * width);
+  for (auto _ : state) {
+    for (size_t i = 0; i < n; ++i) {
+      AssembleJoinRow(spec, left.tuple(i), right.tuple(i),
+                      out.data() + i * width);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_AssembleJoinRow)->Arg(1000)->Arg(10000);
 
 TupleBatch ToBatch(const Relation& rel, size_t lo, size_t hi) {
   TupleBatch batch(std::make_shared<const Schema>(rel.schema()));

@@ -10,18 +10,6 @@ inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Mix64(uint64_t value) {
-  uint64_t state = value;
-  return SplitMix64(&state);
-}
-
 Random::Random(uint64_t seed) {
   // Seed the four xoshiro words from SplitMix64, per the reference
   // implementation's recommendation; avoids the all-zero state.

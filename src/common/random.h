@@ -43,12 +43,22 @@ class Random {
   uint64_t state_[4];
 };
 
-/// SplitMix64 step: used for seeding and as a cheap stateless hash/mixer.
-uint64_t SplitMix64(uint64_t* state);
+/// Finalizing 64-bit mixer (one SplitMix64 step from state `value`); good
+/// avalanche behaviour, used for hash partitioning of join keys. Inline:
+/// it runs once per scanned, routed and hashed row.
+inline uint64_t Mix64(uint64_t value) {
+  uint64_t z = value + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
-/// Finalizing 64-bit mixer (the SplitMix64 finalizer); good avalanche
-/// behaviour, used for hash partitioning of join keys.
-uint64_t Mix64(uint64_t value);
+/// SplitMix64 step: used for seeding and as a cheap stateless hash/mixer.
+inline uint64_t SplitMix64(uint64_t* state) {
+  const uint64_t value = *state;
+  *state += 0x9e3779b97f4a7c15ULL;
+  return Mix64(value);
+}
 
 }  // namespace mjoin
 

@@ -28,9 +28,7 @@ StatusOr<Relation> ExecuteReference(const JoinQuery& query,
     const Relation& right = results[static_cast<size_t>(node.right)];
 
     JoinHashTable table(spec.left_schema, spec.left_key);
-    for (size_t i = 0; i < left.num_tuples(); ++i) {
-      table.Insert(left.tuple(i).data());
-    }
+    table.InsertRows(left.raw_data(), left.num_tuples());
     Relation out(*spec.output_schema);
     std::vector<std::byte> row(spec.output_schema->tuple_size());
     for (size_t i = 0; i < right.num_tuples(); ++i) {

@@ -17,6 +17,12 @@ namespace mjoin {
 /// duplicate keys stored as separate slots, rows copied into a contiguous
 /// arena. This is the main-memory hash table both the simple and the
 /// pipelining hash-join build.
+///
+/// Each 8-byte slot carries the row's key next to its arena index, so a
+/// probe step over a non-matching key reads only the slot array. A key's
+/// home slot is taken from the *high* bits of HashJoinKey: the low bits
+/// pick the key's fragment (FragmentOf is the hash mod P), so within one
+/// fragment they are fixed whenever P is a power of two.
 class JoinHashTable {
  public:
   JoinHashTable(std::shared_ptr<const Schema> schema, size_t key_column);
@@ -25,28 +31,19 @@ class JoinHashTable {
   JoinHashTable& operator=(const JoinHashTable&) = delete;
 
   /// Copies `row` (schema().tuple_size() bytes) into the table.
-  void Insert(const std::byte* row);
+  void Insert(const std::byte* row) { InsertRows(row, 1); }
 
-  /// Invokes `fn(TupleRef)` for every stored row whose key equals `key`.
-  /// Returns the number of matches.
+  /// Copies `n` contiguous rows into the table with one arena append and
+  /// one budget reservation. Same table, counters and budget outcome as
+  /// `n` calls to Insert.
+  void InsertRows(const std::byte* rows, size_t n);
+
+  /// Invokes `fn(TupleRef)` for every stored row whose key equals `key`,
+  /// in insertion order. Returns the number of matches.
   template <typename Fn>
   size_t Probe(int32_t key, Fn&& fn) const {
     if (capacity_ == 0) return 0;
-    size_t matches = 0;
-    size_t mask = capacity_ - 1;
-    size_t slot = static_cast<size_t>(HashJoinKey(key)) & mask;
-    while (slots_[slot] != kEmpty) {
-      size_t row_index = slots_[slot] - 1;
-      TupleRef row = RowAt(row_index);
-      if (row.GetInt32(key_column_) == key) {
-        ++matches;
-        fn(row);
-      } else {
-        ++probe_collisions_;
-      }
-      slot = (slot + 1) & mask;
-    }
-    return matches;
+    return WalkChain(HomeSlot(key), key, fn);
   }
 
   /// Batch-at-a-time probe: first hashes all `n` keys in one tight pass
@@ -57,26 +54,12 @@ class JoinHashTable {
   template <typename Fn>
   size_t ProbeBatch(const int32_t* keys, size_t n, Fn&& fn) const {
     if (capacity_ == 0 || n == 0) return 0;
-    const size_t mask = capacity_ - 1;
     probe_slots_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      probe_slots_[i] = static_cast<size_t>(HashJoinKey(keys[i])) & mask;
-    }
+    for (size_t i = 0; i < n; ++i) probe_slots_[i] = HomeSlot(keys[i]);
     size_t matches = 0;
     for (size_t i = 0; i < n; ++i) {
-      size_t slot = probe_slots_[i];
-      const int32_t key = keys[i];
-      while (slots_[slot] != kEmpty) {
-        size_t row_index = slots_[slot] - 1;
-        TupleRef row = RowAt(row_index);
-        if (row.GetInt32(key_column_) == key) {
-          ++matches;
-          fn(i, row);
-        } else {
-          ++probe_collisions_;
-        }
-        slot = (slot + 1) & mask;
-      }
+      matches += WalkChain(probe_slots_[i], keys[i],
+                           [&](const TupleRef& row) { fn(i, row); });
     }
     return matches;
   }
@@ -93,7 +76,7 @@ class JoinHashTable {
   /// Arena + slot array footprint, for the paper's FP-uses-more-memory
   /// observation.
   size_t memory_bytes() const {
-    return arena_.size() + slots_.size() * sizeof(uint64_t);
+    return arena_.size() + slots_.size() * sizeof(Slot);
   }
 
   const Schema& schema() const { return *schema_; }
@@ -112,29 +95,66 @@ class JoinHashTable {
   void Clear();
 
   /// Accounts this table's footprint against `budget` (null detaches). An
-  /// insert can never fail mid-row, so an overflowing reservation instead
-  /// latches over_budget(); the owning join checks it after every batch
-  /// and aborts the query via OpContext::ReportError.
+  /// insert can never fail mid-batch, so an overflowing reservation
+  /// instead reserves the prefix of the batch that fits and latches
+  /// over_budget(); the owning join checks it after every batch and
+  /// aborts the query via OpContext::ReportError.
   void AttachBudget(MemoryBudget* budget);
   bool over_budget() const { return over_budget_; }
 
  private:
-  static constexpr uint64_t kEmpty = 0;
+  /// `row` is the arena index + 1; 0 marks an empty slot.
+  struct Slot {
+    int32_t key = 0;
+    uint32_t row = 0;
+  };
+  static_assert(sizeof(Slot) == 8);
 
-  TupleRef RowAt(size_t row_index) const {
-    return TupleRef(arena_.data() + row_index * schema_->tuple_size(),
-                    schema_.get());
+  size_t HomeSlot(int32_t key) const {
+    return static_cast<size_t>(HashJoinKey(key) >> shift_);
   }
 
+  TupleRef RowAt(size_t row_index) const {
+    return TupleRef(arena_.data() + row_index * row_bytes_, schema_.get());
+  }
+
+  /// Walks the chain from `slot`, calling fn(TupleRef) on each row whose
+  /// key is `key`. Only matches touch the arena.
+  template <typename Fn>
+  size_t WalkChain(size_t slot, int32_t key, Fn&& fn) const {
+    const size_t mask = capacity_ - 1;
+    size_t matches = 0;
+    uint64_t steps = 0;
+    for (; slots_[slot].row != 0; slot = (slot + 1) & mask) {
+      if (slots_[slot].key == key) {
+        ++matches;
+        fn(RowAt(slots_[slot].row - 1));
+      } else {
+        ++steps;
+      }
+    }
+    probe_collisions_ += steps;
+    return matches;
+  }
+
+  /// Stores `slot` at the first free slot from its key's home; returns
+  /// the number of occupied slots stepped over.
+  size_t PlaceSlot(Slot slot);
+  /// Capacity the growth rule reaches once `rows` rows are inserted.
+  static size_t CapacityFor(size_t rows);
   void Grow();
-  void InsertSlot(size_t row_index, bool count_collisions);
+  /// Brings the reservation up to memory_bytes() after rows
+  /// [first_row, size()) were inserted.
+  void ReserveInserted(size_t first_row);
 
   std::shared_ptr<const Schema> schema_;
   size_t key_column_;
+  size_t key_offset_;
+  size_t row_bytes_;
   size_t num_rows_ = 0;
   size_t capacity_ = 0;  // power of two; 0 until first insert
-  // Slot holds row_index + 1; 0 means empty.
-  std::vector<uint64_t> slots_;
+  int shift_ = 64;       // 64 - log2(capacity_): home = hash >> shift_
+  std::vector<Slot> slots_;
   std::vector<std::byte> arena_;
   MemoryReservation reservation_;
   bool over_budget_ = false;

@@ -1,28 +1,40 @@
 #ifndef MJOIN_EXEC_JOIN_ROW_H_
 #define MJOIN_EXEC_JOIN_ROW_H_
 
+#include <cstring>
+#include <vector>
+
 #include "exec/join_spec.h"
 #include "storage/tuple.h"
 
 namespace mjoin {
 
-/// Assembles one join output row from a matching (left, right) pair
-/// through `writer` — which may point into scratch memory or, on the
-/// zero-copy path, directly into the destination batch (EmitWriter::Begin).
-/// Shared by both hash-join variants.
-inline void AssembleJoinRow(const JoinSpec& spec, const TupleRef& left,
-                            const TupleRef& right, TupleWriter& writer) {
-  for (size_t i = 0; i < spec.output_columns.size(); ++i) {
-    const JoinOutputColumn& oc = spec.output_columns[i];
-    writer.CopyColumn(i, oc.side == 0 ? left : right, oc.column);
+/// The one row-copy kernel: builds an output row at `out` from `runs`, one
+/// memcpy per run, reading side-0 runs from `left` and side-1 runs from
+/// `right`. Joins and projections (exec/project.h) both assemble rows
+/// through it.
+inline void CopyByRuns(const std::vector<CopyRun>& runs,
+                       const std::byte* left, const std::byte* right,
+                       std::byte* out) {
+  for (const CopyRun& run : runs) {
+    std::memcpy(out + run.dst_offset,
+                (run.side == 0 ? left : right) + run.src_offset, run.length);
   }
 }
 
-/// Same, into `out` (spec.output_schema->tuple_size() bytes).
+/// Assembles one join output row from a matching (left, right) pair at
+/// `out` (spec.output_schema->tuple_size() bytes) — scratch memory or, on
+/// the zero-copy path, the destination batch (EmitWriter::Begin). Shared
+/// by every join operator and the reference executor.
 inline void AssembleJoinRow(const JoinSpec& spec, const TupleRef& left,
                             const TupleRef& right, std::byte* out) {
-  TupleWriter writer(out, spec.output_schema.get());
-  AssembleJoinRow(spec, left, right, writer);
+  CopyByRuns(spec.copy_runs, left.data(), right.data(), out);
+}
+
+/// Same, through `writer`.
+inline void AssembleJoinRow(const JoinSpec& spec, const TupleRef& left,
+                            const TupleRef& right, TupleWriter& writer) {
+  AssembleJoinRow(spec, left, right, writer.data());
 }
 
 }  // namespace mjoin

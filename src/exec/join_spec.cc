@@ -24,6 +24,29 @@ Status ValidateKey(const Schema& schema, size_t key, const char* which) {
 
 }  // namespace
 
+std::vector<CopyRun> MakeCopyRuns(
+    const std::vector<JoinOutputColumn>& output_columns, const Schema& left,
+    const Schema& right, const Schema& output) {
+  std::vector<CopyRun> runs;
+  for (size_t i = 0; i < output_columns.size(); ++i) {
+    const JoinOutputColumn& oc = output_columns[i];
+    const Schema& src = oc.side == 0 ? left : right;
+    const CopyRun next{oc.side, src.offset(oc.column), output.offset(i),
+                       src.column(oc.column).width};
+    if (!runs.empty()) {
+      CopyRun& last = runs.back();
+      if (last.side == next.side &&
+          last.src_offset + last.length == next.src_offset &&
+          last.dst_offset + last.length == next.dst_offset) {
+        last.length += next.length;
+        continue;
+      }
+    }
+    runs.push_back(next);
+  }
+  return runs;
+}
+
 StatusOr<JoinSpec> MakeJoinSpec(std::shared_ptr<const Schema> left_schema,
                                 std::shared_ptr<const Schema> right_schema,
                                 size_t left_key, size_t right_key,
@@ -56,6 +79,8 @@ StatusOr<JoinSpec> MakeJoinSpec(std::shared_ptr<const Schema> left_schema,
   spec.right_key = right_key;
   spec.output_columns = std::move(output_columns);
   spec.output_schema = std::make_shared<const Schema>(std::move(out_columns));
+  spec.copy_runs = MakeCopyRuns(spec.output_columns, *spec.left_schema,
+                                *spec.right_schema, *spec.output_schema);
   return spec;
 }
 

@@ -93,9 +93,7 @@ void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
           });
     }
     if (insert_needed) {
-      for (size_t i = 0; i < chunk; ++i) {
-        own.Insert(batch.tuple(processed + i).data());
-      }
+      own.InsertRows(batch.tuple(processed).data(), chunk);
     }
     processed += chunk;
   }

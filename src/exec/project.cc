@@ -2,6 +2,7 @@
 
 #include "common/string_util.h"
 #include "exec/emit.h"
+#include "exec/join_row.h"
 #include "storage/tuple.h"
 
 namespace mjoin {
@@ -30,6 +31,11 @@ ProjectOp::ProjectOp(std::shared_ptr<const Schema> input_schema,
     : input_schema_(std::move(input_schema)),
       columns_(std::move(columns)),
       output_schema_(std::move(output_schema)) {
+  std::vector<JoinOutputColumn> sources;
+  sources.reserve(columns_.size());
+  for (size_t c : columns_) sources.push_back(JoinOutputColumn::Left(c));
+  runs_ = MakeCopyRuns(sources, *input_schema_, *input_schema_,
+                       *output_schema_);
   out_row_.resize(output_schema_->tuple_size());
 }
 
@@ -49,19 +55,14 @@ void ProjectOp::Consume(int port, const TupleBatch& batch, OpContext* ctx) {
       TupleRef in = batch.tuple(i);
       TupleWriter out = emit->Begin(
           split < 0 ? 0 : in.GetInt32(route_column));
-      for (size_t c = 0; c < columns_.size(); ++c) {
-        out.CopyColumn(c, in, columns_[c]);
-      }
+      CopyByRuns(runs_, in.data(), in.data(), out.data());
       emit->Commit();
     }
     return;
   }
   for (size_t i = 0; i < batch.num_tuples(); ++i) {
-    TupleRef in = batch.tuple(i);
-    TupleWriter writer(out_row_.data(), output_schema_.get());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      writer.CopyColumn(c, in, columns_[c]);
-    }
+    const std::byte* in = batch.tuple(i).data();
+    CopyByRuns(runs_, in, in, out_row_.data());
     ctx->EmitRow(out_row_.data());
   }
 }

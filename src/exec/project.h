@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "exec/join_spec.h"
 #include "exec/operator.h"
 
 namespace mjoin {
@@ -36,6 +37,8 @@ class ProjectOp : public Operator {
   std::shared_ptr<const Schema> input_schema_;
   std::vector<size_t> columns_;
   std::shared_ptr<const Schema> output_schema_;
+  /// The projection as copy runs over the input row (every run side 0).
+  std::vector<CopyRun> runs_;
   bool done_ = false;
   std::vector<std::byte> out_row_;
 };

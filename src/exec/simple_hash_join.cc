@@ -57,9 +57,7 @@ void SimpleHashJoinOp::ConsumeBuild(const TupleBatch& batch, OpContext* ctx) {
   const CostParams& costs = ctx->costs();
   ctx->Charge(static_cast<Ticks>(batch.num_tuples()) *
               (costs.tuple_hash + costs.tuple_build));
-  for (size_t i = 0; i < batch.num_tuples(); ++i) {
-    table_.Insert(batch.tuple(i).data());
-  }
+  table_.InsertRows(batch.raw_data(), batch.num_tuples());
   UpdatePeakMemory();
 }
 

@@ -1,13 +1,8 @@
 #include "storage/partitioner.h"
 
-#include "common/random.h"
 #include "common/string_util.h"
 
 namespace mjoin {
-
-uint64_t HashJoinKey(int32_t key) {
-  return Mix64(static_cast<uint64_t>(static_cast<uint32_t>(key)));
-}
 
 namespace {
 

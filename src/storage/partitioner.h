@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/random.h"
 #include "common/statusor.h"
 #include "storage/relation.h"
 
@@ -12,8 +13,12 @@ namespace mjoin {
 
 /// Hash used for all hash partitioning and join hash tables, so that a
 /// relation fragmented on its join attribute lands build and probe tuples
-/// with equal keys on the same fragment/bucket.
-uint64_t HashJoinKey(int32_t key);
+/// with equal keys on the same fragment/bucket. FragmentOf takes the hash
+/// mod P, its low bits when P is a power of two; a join hash table homes
+/// its slots on the high bits, which stay uniform within one fragment.
+inline uint64_t HashJoinKey(int32_t key) {
+  return Mix64(static_cast<uint64_t>(static_cast<uint32_t>(key)));
+}
 
 /// Maps a join key to one of `num_fragments` destinations.
 inline uint32_t FragmentOf(int32_t key, uint32_t num_fragments) {

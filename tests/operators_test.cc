@@ -4,11 +4,14 @@
 #include <cstring>
 #include <map>
 
+#include "common/random.h"
 #include "exec/hash_table.h"
+#include "exec/join_row.h"
 #include "exec/pipelining_hash_join.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/simple_hash_join.h"
+#include "plan/wisconsin_query.h"
 #include "storage/partitioner.h"
 #include "storage/wisconsin.h"
 
@@ -120,6 +123,117 @@ TEST(JoinHashTableTest, NegativeKeys) {
   EXPECT_EQ(table.Probe(-7, [&](const TupleRef& t) { v = t.GetInt32(1); }),
             1u);
   EXPECT_EQ(v, 70);
+}
+
+// Collisions per operation (insert or probe) of a table built from the
+// first `n` keys FragmentOf(key, 4) puts in `fragment` (every key when
+// `fragment` < 0) and probed with the first 2n such keys: half hit, half
+// miss.
+double CollisionsPerOp(int fragment, size_t n) {
+  Relation rel(*TestSchema());
+  std::vector<int32_t> probes;
+  for (int32_t k = 0; probes.size() < 2 * n; ++k) {
+    if (fragment >= 0 && FragmentOf(k, 4) != static_cast<uint32_t>(fragment)) {
+      continue;
+    }
+    if (rel.num_tuples() < n) {
+      TupleWriter w = rel.AppendTuple();
+      w.SetInt32(0, k);
+      w.SetInt32(1, k);
+    }
+    probes.push_back(k);
+  }
+  JoinHashTable table(TestSchema(), 0);
+  table.InsertRows(rel.raw_data(), rel.num_tuples());
+  EXPECT_EQ(table.ProbeBatch(probes.data(), probes.size(),
+                             [](size_t, const TupleRef&) {}),
+            n);
+  return static_cast<double>(table.collisions()) / static_cast<double>(3 * n);
+}
+
+// Keys of one FragmentOf(key, 4) fragment share the low two bits of their
+// hash. A table that takes its slot from those bits homes every key on a
+// quarter of the slots and steps over ~1.3x the occupied slots that keys
+// from the whole range do; homed on the high bits, one fragment's keys
+// collide no more than any keys.
+TEST(JoinHashTableTest, FragmentKeysDoNotCluster) {
+  constexpr size_t kRows = 10000;
+  const double all_keys = CollisionsPerOp(-1, kRows);
+  for (int fragment = 0; fragment < 4; ++fragment) {
+    EXPECT_LT(CollisionsPerOp(fragment, kRows), 1.15 * all_keys)
+        << "fragment " << fragment;
+  }
+}
+
+// Rows with duplicate keys, inserted row by row into one table and in
+// uneven batches into another: the two tables are indistinguishable.
+TEST(JoinHashTableTest, InsertRowsMatchesInsert) {
+  Relation rel(*TestSchema());
+  for (int32_t i = 0; i < 3000; ++i) {
+    TupleWriter w = rel.AppendTuple();
+    w.SetInt32(0, (i * 7919) % 1100 - 300);
+    w.SetInt32(1, i);
+  }
+  JoinHashTable one(TestSchema(), 0);
+  for (size_t i = 0; i < rel.num_tuples(); ++i) one.Insert(rel.tuple(i).data());
+  JoinHashTable batched(TestSchema(), 0);
+  const size_t width = rel.schema().tuple_size();
+  size_t at = 0;
+  for (size_t len : {1, 7, 0, 64, 200, 1000}) {
+    batched.InsertRows(rel.raw_data() + at * width, len);
+    at += len;
+  }
+  batched.InsertRows(rel.raw_data() + at * width, rel.num_tuples() - at);
+
+  EXPECT_EQ(batched.size(), one.size());
+  EXPECT_EQ(batched.total_inserted(), one.total_inserted());
+  EXPECT_EQ(batched.memory_bytes(), one.memory_bytes());
+  EXPECT_EQ(batched.collisions(), one.collisions());
+  for (int32_t k = -350; k < 850; ++k) {
+    std::vector<int32_t> want;
+    std::vector<int32_t> got;
+    one.Probe(k, [&](const TupleRef& t) { want.push_back(t.GetInt32(1)); });
+    batched.Probe(k, [&](const TupleRef& t) { got.push_back(t.GetInt32(1)); });
+    ASSERT_EQ(got, want) << "key " << k;
+    // Matches come out in insertion order, across every rehash.
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "key " << k;
+  }
+  EXPECT_EQ(batched.collisions(), one.collisions());
+}
+
+// A batch that does not fit reserves the prefix that does, as row-at-a-
+// time inserts would have, and latches over_budget().
+TEST(JoinHashTableTest, OverBudgetInsertRowsReservesFittingPrefix) {
+  Relation rel(*TestSchema());
+  for (int32_t i = 0; i < 256; ++i) {
+    TupleWriter w = rel.AppendTuple();
+    w.SetInt32(0, i);
+    w.SetInt32(1, i);
+  }
+  MemoryBudget budget(4096);
+  JoinHashTable table(TestSchema(), 0);
+  table.AttachBudget(&budget);
+  table.InsertRows(rel.raw_data(), rel.num_tuples());
+  EXPECT_TRUE(table.over_budget());
+  EXPECT_EQ(table.size(), 256u);
+  EXPECT_GT(table.memory_bytes(), budget.limit());
+  EXPECT_GT(budget.peak(), 0u);
+  EXPECT_LE(budget.peak(), budget.limit());
+  EXPECT_EQ(budget.used(), budget.peak());
+
+  // Row by row reaches the same reservation.
+  MemoryBudget row_budget(4096);
+  JoinHashTable rows(TestSchema(), 0);
+  rows.AttachBudget(&row_budget);
+  for (size_t i = 0; i < rel.num_tuples(); ++i) {
+    rows.Insert(rel.tuple(i).data());
+  }
+  EXPECT_TRUE(rows.over_budget());
+  EXPECT_EQ(row_budget.peak(), budget.peak());
+  EXPECT_EQ(row_budget.used(), budget.used());
+
+  table.Clear();
+  EXPECT_EQ(budget.used(), 0u);
 }
 
 // --- ScanOp --------------------------------------------------------------------
@@ -575,6 +689,87 @@ TEST(JoinHashTableTest, CountsProbeCollisions) {
   size_t steps_before_probe = table.collisions();
   table.Probe(99, [](const TupleRef&) {});
   EXPECT_GE(table.collisions(), steps_before_probe);
+}
+
+// --- Copy runs ---------------------------------------------------------------
+
+// Column-at-a-time assembly, the layout AssembleJoinRow's copy runs must
+// reproduce byte for byte.
+void AssembleByColumns(const JoinSpec& spec, const TupleRef& left,
+                       const TupleRef& right, std::byte* out) {
+  TupleWriter writer(out, spec.output_schema.get());
+  for (size_t i = 0; i < spec.output_columns.size(); ++i) {
+    const JoinOutputColumn& oc = spec.output_columns[i];
+    writer.CopyColumn(i, oc.side == 0 ? left : right, oc.column);
+  }
+}
+
+std::vector<std::byte> RandomRow(const Schema& schema, Random* rng) {
+  std::vector<std::byte> row(schema.tuple_size());
+  for (std::byte& b : row) b = static_cast<std::byte>(rng->Uniform(256));
+  return row;
+}
+
+void ExpectRunsMatchColumns(const JoinSpec& spec, Random* rng) {
+  const std::vector<std::byte> left = RandomRow(*spec.left_schema, rng);
+  const std::vector<std::byte> right = RandomRow(*spec.right_schema, rng);
+  const TupleRef l(left.data(), spec.left_schema.get());
+  const TupleRef r(right.data(), spec.right_schema.get());
+  // Both outputs start from the same bytes, so an unwritten byte shows.
+  std::vector<std::byte> want = RandomRow(*spec.output_schema, rng);
+  std::vector<std::byte> got = want;
+  AssembleByColumns(spec, l, r, want.data());
+  AssembleJoinRow(spec, l, r, got.data());
+  EXPECT_EQ(got, want);
+  size_t copied = 0;
+  for (const CopyRun& run : spec.copy_runs) copied += run.length;
+  EXPECT_EQ(copied, spec.output_schema->tuple_size());
+  EXPECT_LE(spec.copy_runs.size(), spec.output_columns.size());
+}
+
+TEST(CopyRunsTest, AssembleJoinRowMatchesColumnCopies) {
+  Random rng(20);
+  auto wisc = std::make_shared<const Schema>(WisconsinSchema());
+  auto kv = TestSchema();
+
+  auto query = MakeWisconsinChainQuery(QueryShape::kLeftLinear, 3, 10);
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto chain = query->join_spec_factory(query->tree.node(query->tree.root()),
+                                        wisc, wisc);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  // Left unique2, then the right row from its unique2 to the end.
+  EXPECT_EQ(chain->copy_runs.size(), 2u);
+  ExpectRunsMatchColumns(*chain, &rng);
+
+  for (auto [left, right] : {std::pair{wisc, kv}, std::pair{kv, wisc},
+                             std::pair{wisc, wisc}}) {
+    auto concat = MakeNaturalConcatJoinSpec(left, right, 0, 0);
+    ASSERT_TRUE(concat.ok()) << concat.status();
+    EXPECT_EQ(concat->copy_runs.size(), 2u);
+    ExpectRunsMatchColumns(*concat, &rng);
+  }
+
+  // Random projections: any side, any column, permuted and repeated.
+  for (int trial = 0; trial < 200; ++trial) {
+    auto left = rng.Uniform(2) == 0 ? wisc : kv;
+    auto right = rng.Uniform(2) == 0 ? wisc : kv;
+    std::vector<JoinOutputColumn> outputs;
+    const size_t width = 1 + rng.Uniform(24);
+    for (size_t i = 0; i < width; ++i) {
+      const int side = static_cast<int>(rng.Uniform(2));
+      const Schema& src = side == 0 ? *left : *right;
+      size_t column = rng.Uniform(src.num_columns());
+      // Often continue the previous column, so runs get to merge.
+      if (!outputs.empty() && outputs.back().side == side &&
+          outputs.back().column + 1 < src.num_columns() && rng.Uniform(2)) {
+        column = outputs.back().column + 1;
+      }
+      outputs.push_back(JoinOutputColumn{side, column});
+    }
+    auto spec = MakeJoinSpec(left, right, 0, 0, outputs);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    ExpectRunsMatchColumns(*spec, &rng);
+  }
 }
 
 // --- ProjectOp ----------------------------------------------------------------
