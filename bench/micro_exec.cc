@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/result.h"
+#include "exec/emit.h"
 #include "exec/hash_table.h"
 #include "exec/join_row.h"
 #include "exec/pipelining_hash_join.h"
@@ -22,20 +23,33 @@ std::shared_ptr<const Schema> Wisc() {
   return std::make_shared<const Schema>(WisconsinSchema());
 }
 
-// A no-cost OpContext that counts emitted rows and remembers when the
-// first output row appeared (in consumed input tuples).
-class CountingContext : public OpContext {
+// A no-cost OpContext that takes output through an EmitWriter with one
+// destination, as the engine hosts do, and drops each full batch. The
+// benchmarks count its committed rows and note when the first one
+// appeared (in consumed input tuples).
+class CountingContext : public OpContext, public EmitSink {
  public:
-  void Charge(Ticks) override {}
-  void EmitRow(const std::byte*) override {
-    ++emitted;
-    if (first_output < 0) first_output = consumed;
+  explicit CountingContext(std::shared_ptr<const Schema> schema)
+      : pending(std::move(schema)) {
+    writer.Configure(&pending, 1, /*split_column=*/-1, /*fixed_dest=*/0,
+                     params.batch_size, this);
   }
+  void Charge(Ticks) override {}
+  EmitWriter& emit_writer() override { return writer; }
   const CostParams& costs() const override { return params; }
+  void BatchFull(uint32_t) override { pending.Clear(); }
+
+  int64_t emitted() const {
+    return static_cast<int64_t>(writer.rows_committed());
+  }
+  /// Call after each input batch: `consumed` counts that batch too.
+  void NoteConsumed(int64_t consumed) {
+    if (first_output < 0 && emitted() > 0) first_output = consumed;
+  }
 
   CostParams params;
-  int64_t emitted = 0;
-  int64_t consumed = 0;
+  TupleBatch pending;
+  EmitWriter writer;
   int64_t first_output = -1;
 };
 
@@ -153,7 +167,7 @@ void BM_SimpleHashJoin(benchmark::State& state) {
   Relation right = GenerateWisconsin(n, 2);
   for (auto _ : state) {
     SimpleHashJoinOp join(ChainSpec());
-    CountingContext ctx;
+    CountingContext ctx(join.output_schema());
     const uint32_t kBatch = 256;
     for (size_t lo = 0; lo < n; lo += kBatch) {
       TupleBatch b = ToBatch(left, lo, lo + kBatch);
@@ -165,7 +179,7 @@ void BM_SimpleHashJoin(benchmark::State& state) {
       join.Consume(SimpleHashJoinOp::kProbePort, b, &ctx);
     }
     join.InputDone(SimpleHashJoinOp::kProbePort, &ctx);
-    MJOIN_CHECK(static_cast<uint32_t>(ctx.emitted) == n);
+    MJOIN_CHECK(static_cast<uint32_t>(ctx.emitted()) == n);
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
@@ -178,20 +192,23 @@ void BM_PipeliningHashJoin(benchmark::State& state) {
   int64_t first_output = 0;
   for (auto _ : state) {
     PipeliningHashJoinOp join(ChainSpec());
-    CountingContext ctx;
+    CountingContext ctx(join.output_schema());
+    int64_t consumed = 0;
     const uint32_t kBatch = 256;
     // Interleave both inputs, as the symmetric algorithm expects.
     for (size_t lo = 0; lo < n; lo += kBatch) {
       TupleBatch bl = ToBatch(left, lo, lo + kBatch);
-      ctx.consumed += static_cast<int64_t>(bl.num_tuples());
+      consumed += static_cast<int64_t>(bl.num_tuples());
       join.Consume(PipeliningHashJoinOp::kLeftPort, bl, &ctx);
+      ctx.NoteConsumed(consumed);
       TupleBatch br = ToBatch(right, lo, lo + kBatch);
-      ctx.consumed += static_cast<int64_t>(br.num_tuples());
+      consumed += static_cast<int64_t>(br.num_tuples());
       join.Consume(PipeliningHashJoinOp::kRightPort, br, &ctx);
+      ctx.NoteConsumed(consumed);
     }
     join.InputDone(PipeliningHashJoinOp::kLeftPort, &ctx);
     join.InputDone(PipeliningHashJoinOp::kRightPort, &ctx);
-    MJOIN_CHECK(static_cast<uint32_t>(ctx.emitted) == n);
+    MJOIN_CHECK(static_cast<uint32_t>(ctx.emitted()) == n);
     first_output = ctx.first_output;
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);

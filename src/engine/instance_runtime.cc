@@ -114,15 +114,6 @@ StatusOr<std::unique_ptr<Operator>> MakeOperator(const XraOp& o,
 
 }  // namespace
 
-void OpInstance::EmitRow(const std::byte* row) {
-  runtime->EmitRowFrom(this, row);
-}
-
-void OpInstance::EmitRows(const std::byte* rows, size_t count,
-                          size_t stride) {
-  runtime->EmitRowsFrom(this, rows, count, stride);
-}
-
 void OpInstance::BatchFull(uint32_t dest) { runtime->FlushDest(this, dest); }
 
 const CostParams& OpInstance::costs() const {
@@ -326,37 +317,6 @@ bool InstanceRuntime::Produce(OpInstance* inst) {
   return more;
 }
 
-void InstanceRuntime::EmitRowFrom(OpInstance* inst, const std::byte* row) {
-  if (aborted_.load(std::memory_order_relaxed)) return;
-  // Copying fallback: the finished row still travels through the writer,
-  // which owns routing, the flush threshold, and the rows-out count.
-  EmitWriter& writer = inst->writer;
-  int32_t route = 0;
-  if (writer.split_column() >= 0) {
-    TupleRef ref(row, inst->op.output_schema.get());
-    route = ref.GetInt32(static_cast<size_t>(writer.split_column()));
-  }
-  writer.Append(row, route);
-}
-
-void InstanceRuntime::EmitRowsFrom(OpInstance* inst, const std::byte* rows,
-                                   size_t count, size_t stride) {
-  if (aborted_.load(std::memory_order_relaxed)) return;
-  EmitWriter& writer = inst->writer;
-  const int split = writer.split_column();
-  if (split < 0) {
-    // Single destination: the whole slice lands in the pending batch in
-    // one copy (scans feed stores and colocated consumers this way).
-    writer.AppendRows(rows, count, stride);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const std::byte* row = rows + i * stride;
-    TupleRef ref(row, inst->op.output_schema.get());
-    writer.Append(row, ref.GetInt32(static_cast<size_t>(split)));
-  }
-}
-
 void InstanceRuntime::FlushDest(OpInstance* inst, uint32_t dest) {
   TupleBatch& pending = inst->out_pending[dest];
   if (pending.empty()) return;
@@ -550,8 +510,8 @@ uint32_t InstanceRuntime::MergeOpMetrics(int op, OpMetrics* out) const {
     if (inst == nullptr) continue;
     ++hosted;
     out->MergeFrom(inst->op_metrics);
-    // Every emit path (zero-copy and fallback) runs through the writer, so
-    // its commit count is the instance's rows-out; the writer also carries
+    // Every output row passes through the writer, so its commit count is
+    // the instance's rows-out; the writer also carries
     // the skew-defense drop/re-route counts (attributed to the producer
     // that saved the wire bytes).
     out->rows_out += inst->writer.rows_committed();

@@ -31,10 +31,10 @@ class InstanceRuntime;
 /// simulator, the thread backend and the process worker; every callback of
 /// one instance runs on one thread, so its state needs no locking.
 ///
-/// Output leaves through the instance's EmitWriter: operators that can
-/// build rows in place write directly into out_pending (the zero-copy
-/// path); EmitRow/EmitRows copy into it. Either way the writer's flush
-/// threshold fires BatchFull(), and the runtime stores or ships the batch.
+/// Output leaves only through the instance's EmitWriter: operators build
+/// each row in place in out_pending, and scans bulk-append their rows
+/// there. The writer's flush threshold fires BatchFull(), and the runtime
+/// stores or ships the batch.
 class OpInstance final : public OpContext, public EmitSink {
  public:
   OpInstance(InstanceRuntime* runtime, const XraOp& op, uint32_t index)
@@ -45,9 +45,7 @@ class OpInstance final : public OpContext, public EmitSink {
 
   // OpContext:
   void Charge(Ticks cost) override { charged += cost; }
-  void EmitRow(const std::byte* row) override;
-  void EmitRows(const std::byte* rows, size_t count, size_t stride) override;
-  EmitWriter* emit_writer() override { return &writer; }
+  EmitWriter& emit_writer() override { return writer; }
   void BatchFull(uint32_t dest) override;
   const CostParams& costs() const override;
   MemoryBudget* memory_budget() const override;
@@ -68,9 +66,9 @@ class OpInstance final : public OpContext, public EmitSink {
   /// Pending output: one batch per consumer instance, or a single batch
   /// when this op stores its result locally.
   std::vector<TupleBatch> out_pending;
-  /// The zero-copy channel over out_pending, configured by Build (every op
+  /// The output channel over out_pending, configured by Build (every op
   /// has exactly one output); rows_committed() is this instance's rows-out
-  /// count (every emit path goes through it).
+  /// count.
   EmitWriter writer;
   /// Messages that arrived before the instance started.
   std::deque<std::function<void()>> pre_start;
@@ -198,11 +196,8 @@ class InstanceRuntime {
   /// InputDone(build). Posts through the host.
   void ApplyDirective(std::shared_ptr<const SkewDirective> directive);
 
-  // --- emit path (OpInstance forwards here) --------------------------------
+  // --- emit path (the writer's BatchFull lands here) -----------------------
 
-  void EmitRowFrom(OpInstance* inst, const std::byte* row);
-  void EmitRowsFrom(OpInstance* inst, const std::byte* rows, size_t count,
-                    size_t stride);
   void FlushDest(OpInstance* inst, uint32_t dest);
 
   // --- state ----------------------------------------------------------------

@@ -65,32 +65,21 @@ void AggregateOp::InputDone(int port, OpContext* ctx) {
   // Pipeline breaker: emit one result row per group now.
   ctx->Charge(static_cast<Ticks>(groups_.size()) *
               ctx->costs().tuple_result);
-  // Zero-copy path: usable when routing is fixed or keyed on the group
-  // column (output column 0), whose value is known before assembly. Other
-  // split columns fall back to the copying EmitRow path.
-  EmitWriter* writer = ctx->emit_writer();
-  if (writer != nullptr && writer->split_column() <= 0) {
-    for (const auto& [group, acc] : groups_) {
-      TupleWriter w = writer->Begin(group);
-      w.SetInt32(0, group);
-      w.SetInt64(1, acc.count);
-      w.SetInt64(2, acc.sum);
-      w.SetInt32(3, acc.min);
-      w.SetInt32(4, acc.max);
-      writer->Commit();
-    }
-    done_ = true;
-    return;
-  }
-  std::vector<std::byte> row(output_schema_->tuple_size());
+  // The routing value is the one the row will carry in the writer's split
+  // column, which is int32: the group (0), the min (3) or the max (4).
+  EmitWriter& writer = ctx->emit_writer();
+  const int split = writer.split_column();
+  MJOIN_DCHECK(split < 0 || split == 0 || split == 3 || split == 4);
   for (const auto& [group, acc] : groups_) {
-    TupleWriter w(row.data(), output_schema_.get());
+    TupleWriter w = writer.Begin(split == 3   ? acc.min
+                                 : split == 4 ? acc.max
+                                              : group);
     w.SetInt32(0, group);
     w.SetInt64(1, acc.count);
     w.SetInt64(2, acc.sum);
     w.SetInt32(3, acc.min);
     w.SetInt32(4, acc.max);
-    ctx->EmitRow(row.data());
+    writer.Commit();
   }
   done_ = true;
 }

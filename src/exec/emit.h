@@ -12,7 +12,7 @@
 
 namespace mjoin {
 
-/// Host side of the zero-copy emit channel: notified when a destination's
+/// Host side of the emit channel: notified when a destination's
 /// pending batch reaches the flush threshold. Called once per full batch,
 /// never per row, so hosts may do real work here (post the batch to the
 /// consumer's queue, append to a stored result, reserve budget).
@@ -47,14 +47,14 @@ class EmitDefense {
   virtual Verdict Classify(int32_t split_value) = 0;
 };
 
-/// Zero-copy output channel handed to operators by hosts that support it
-/// (OpContext::emit_writer()). Instead of assembling a row in scratch
-/// memory and copying it again via OpContext::EmitRow, the operator asks
-/// for the destination row in place:
+/// The one way out of an operator (OpContext::emit_writer()): the
+/// operation process's split of its output over the tuple streams that
+/// feed its consumer's instances. The operator asks for each output row in
+/// place, in the pending batch of its destination:
 ///
-///   TupleWriter row = writer->Begin(split_value);
+///   TupleWriter row = writer.Begin(split_value);
 ///   ... fill every column of the row via `row` ...
-///   writer->Commit();
+///   writer.Commit();
 ///
 /// Begin() appends uninitialized bytes to the pending TupleBatch of the
 /// destination that `split_value` routes to (ignored when the channel has
@@ -66,8 +66,9 @@ class EmitDefense {
 /// Routing contract: when split_column() >= 0, the caller must pass the
 /// value the finished row will carry in that output column, *before*
 /// writing the row — this is what lets the writer pick the destination
-/// batch up front. Operators that cannot know an output column's value
-/// ahead of assembly must fall back to EmitRow.
+/// batch up front. Every operator can: a split column is always int32,
+/// and each output column is a copy of an input column (joins, filters,
+/// projections) or a value the operator already holds (aggregates).
 class EmitWriter {
  public:
   EmitWriter() = default;
@@ -148,22 +149,24 @@ class EmitWriter {
     if (dests_[dest_].byte_size() >= flush_bytes_) sink_->BatchFull(dest_);
   }
 
-  /// Copies one finished row (dest schema tuple_size() bytes) to wherever
-  /// `split_value` routes — the copying fallback for operators that
-  /// assemble rows in scratch memory.
-  void Append(const std::byte* row, int32_t split_value) {
-    TupleWriter out = Begin(split_value);
-    std::memcpy(out.data(), row, dests_[dest_].schema().tuple_size());
-    Commit();
-  }
-
-  /// Fixed-destination bulk append: `count` finished rows `stride` bytes
-  /// apart, in one copy when they are contiguous. Only valid when
-  /// split_column() < 0. May grow the pending batch past the flush
-  /// threshold before BatchFull fires once — batches are allowed to exceed
-  /// the nominal size.
+  /// Bulk append of `count` finished rows `stride` bytes apart (scans).
+  /// A fixed destination takes them in one copy when they are contiguous,
+  /// and may grow past the flush threshold before BatchFull fires once —
+  /// batches are allowed to exceed the nominal size. A hash-splitting
+  /// writer routes each row by its own split-column value.
   void AppendRows(const std::byte* rows, size_t count, size_t stride) {
-    MJOIN_DCHECK(split_column_ < 0);
+    if (split_column_ >= 0) {
+      const Schema& schema = dests_[0].schema();
+      const size_t row_bytes = schema.tuple_size();
+      const auto split = static_cast<size_t>(split_column_);
+      for (size_t i = 0; i < count; ++i) {
+        const std::byte* row = rows + i * stride;
+        TupleWriter out = Begin(TupleRef(row, &schema).GetInt32(split));
+        std::memcpy(out.data(), row, row_bytes);
+        Commit();
+      }
+      return;
+    }
     dest_ = fixed_dest_;
     TupleBatch& batch = dests_[dest_];
     batch.AppendRows(rows, count, stride);
@@ -171,8 +174,8 @@ class EmitWriter {
     if (batch.byte_size() >= flush_bytes_) sink_->BatchFull(dest_);
   }
 
-  /// Rows committed over the writer's lifetime; hosts fold this into their
-  /// rows-out accounting (the EmitRow path counts separately).
+  /// Rows committed over the writer's lifetime: the instance's rows-out
+  /// count, since every output row passes through here.
   uint64_t rows_committed() const { return rows_committed_; }
 
   /// Rows the installed defense dropped (Bloom predicate transfer) and

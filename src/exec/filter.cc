@@ -83,30 +83,20 @@ void FilterOp::Consume(int port, const TupleBatch& batch, OpContext* ctx) {
   ctx->Charge(static_cast<Ticks>(batch.num_tuples()) *
               ctx->costs().tuple_hash);
   tuples_in_ += batch.num_tuples();
-  EmitWriter* writer = ctx->emit_writer();
-  if (writer != nullptr) {
-    // Output schema equals input schema, so a surviving row is copied
-    // straight into the destination batch (its routing value, if any, is
-    // the input row's value in the writer's split column).
-    const int split = writer->split_column();
-    const size_t row_bytes = schema_->tuple_size();
-    for (size_t i = 0; i < batch.num_tuples(); ++i) {
-      TupleRef t = batch.tuple(i);
-      if (!predicate_.Matches(t.GetInt32(predicate_.column))) continue;
-      ++tuples_out_;
-      TupleWriter out = writer->Begin(
-          split < 0 ? 0 : t.GetInt32(static_cast<size_t>(split)));
-      std::memcpy(out.data(), t.data(), row_bytes);
-      writer->Commit();
-    }
-    return;
-  }
+  // Output schema equals input schema, so a surviving row is copied
+  // straight into the destination batch (its routing value, if any, is
+  // the input row's value in the writer's split column).
+  EmitWriter& writer = ctx->emit_writer();
+  const int split = writer.split_column();
+  const size_t row_bytes = schema_->tuple_size();
   for (size_t i = 0; i < batch.num_tuples(); ++i) {
     TupleRef t = batch.tuple(i);
-    if (predicate_.Matches(t.GetInt32(predicate_.column))) {
-      ++tuples_out_;
-      ctx->EmitRow(t.data());
-    }
+    if (!predicate_.Matches(t.GetInt32(predicate_.column))) continue;
+    ++tuples_out_;
+    TupleWriter out =
+        writer.Begin(split < 0 ? 0 : t.GetInt32(static_cast<size_t>(split)));
+    std::memcpy(out.data(), t.data(), row_bytes);
+    writer.Commit();
   }
 }
 

@@ -107,24 +107,11 @@ class OpContext {
   /// the wall-clock (threaded) backend.
   virtual void Charge(Ticks cost) = 0;
 
-  /// Hands one output row (output_schema().tuple_size() bytes) to the host,
-  /// which routes it to the consumer (split by hash, stored locally, ...).
-  virtual void EmitRow(const std::byte* row) = 0;
-
-  /// Hands `count` output rows to the host at once, each starting `stride`
-  /// bytes after the previous one (stride == tuple_size(): contiguous).
-  /// Semantically a loop of EmitRow (the default implementation); hosts
-  /// override to bulk-copy when routing permits, collapsing the per-row
-  /// virtual dispatch to one call per batch.
-  virtual void EmitRows(const std::byte* rows, size_t count, size_t stride) {
-    for (size_t i = 0; i < count; ++i) EmitRow(rows + i * stride);
-  }
-
-  /// The zero-copy emit channel (see exec/emit.h), or null when the host
-  /// only supports the copying EmitRow path. Operators read this once per
-  /// callback and build output rows directly in the destination batch when
-  /// it is available.
-  virtual EmitWriter* emit_writer() { return nullptr; }
+  /// The instance's output channel (see exec/emit.h): every output row is
+  /// built in place in its destination batch through it. Never null; the
+  /// host configures it before Open() and keeps it for the instance's
+  /// lifetime.
+  virtual EmitWriter& emit_writer() = 0;
 
   /// Cost model in effect.
   virtual const CostParams& costs() const = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "exec/emit.h"
 #include "exec/join_row.h"
 
 namespace mjoin {
@@ -11,19 +10,12 @@ namespace mjoin {
 PipeliningHashJoinOp::PipeliningHashJoinOp(JoinSpec spec)
     : spec_(std::move(spec)),
       tables_{JoinHashTable(spec_.left_schema, spec_.left_key),
-              JoinHashTable(spec_.right_schema, spec_.right_key)} {
-  out_row_.resize(spec_.output_schema->tuple_size());
-}
+              JoinHashTable(spec_.right_schema, spec_.right_key)} {}
 
 void PipeliningHashJoinOp::Open(OpContext* ctx) {
   tables_[0].AttachBudget(ctx->memory_budget());
   tables_[1].AttachBudget(ctx->memory_budget());
-  EmitWriter* writer = ctx->emit_writer();
-  if (writer != nullptr && writer->split_column() >= 0) {
-    const JoinOutputColumn& oc = spec_.output_columns[writer->split_column()];
-    route_side_ = oc.side;
-    route_column_ = oc.column;
-  }
+  route_ = JoinRoute(spec_, ctx->emit_writer());
 }
 
 void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
@@ -32,7 +24,7 @@ void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
   MJOIN_CHECK(!done_[port]) << "batch after end-of-stream on port " << port;
   if (ctx->cancelled()) return;
   const CostParams& costs = ctx->costs();
-  EmitWriter* writer = ctx->emit_writer();
+  EmitWriter& writer = ctx->emit_writer();
   const size_t my_key = port == kLeftPort ? spec_.left_key : spec_.right_key;
   JoinHashTable& own = tables_[port];
   JoinHashTable& other = tables_[1 - port];
@@ -47,11 +39,6 @@ void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
   // between-chunk cancellation must leave the accounting matching the
   // partial progress, not the whole batch.
   const bool insert_needed = !done_[1 - port];
-  // When hash-split routing draws from *this* operand's columns, the
-  // match's route value comes from the arriving tuple; otherwise from the
-  // stored one. route_side_ names the output side (0 = left), so compare
-  // against the port to translate into mine/theirs.
-  const bool route_from_mine = route_side_ == port;
   const Ticks per_tuple = costs.tuple_hash + costs.tuple_probe +
                           (insert_needed ? costs.tuple_build : 0);
   const size_t n = batch.num_tuples();
@@ -64,34 +51,15 @@ void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
     for (size_t i = 0; i < chunk; ++i) {
       keys_[i] = batch.tuple(processed + i).GetInt32(my_key);
     }
-    if (writer != nullptr) {
-      results += other.ProbeBatch(
-          keys_.data(), chunk, [&](size_t i, const TupleRef& theirs) {
-            TupleRef mine = batch.tuple(processed + i);
-            int32_t route =
-                route_side_ < 0
-                    ? 0
-                    : (route_from_mine ? mine : theirs).GetInt32(route_column_);
-            TupleWriter out = writer->Begin(route);
-            if (port == kLeftPort) {
-              AssembleJoinRow(spec_, mine, theirs, out);
-            } else {
-              AssembleJoinRow(spec_, theirs, mine, out);
-            }
-            writer->Commit();
-          });
-    } else {
-      results += other.ProbeBatch(
-          keys_.data(), chunk, [&](size_t i, const TupleRef& theirs) {
-            TupleRef mine = batch.tuple(processed + i);
-            if (port == kLeftPort) {
-              AssembleJoinRow(spec_, mine, theirs, out_row_.data());
-            } else {
-              AssembleJoinRow(spec_, theirs, mine, out_row_.data());
-            }
-            ctx->EmitRow(out_row_.data());
-          });
-    }
+    results += other.ProbeBatch(
+        keys_.data(), chunk, [&](size_t i, const TupleRef& theirs) {
+          TupleRef mine = batch.tuple(processed + i);
+          if (port == kLeftPort) {
+            EmitJoinRow(spec_, route_, mine, theirs, writer);
+          } else {
+            EmitJoinRow(spec_, route_, theirs, mine, writer);
+          }
+        });
     if (insert_needed) {
       own.InsertRows(batch.tuple(processed).data(), chunk);
     }

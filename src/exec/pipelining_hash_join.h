@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/hash_table.h"
+#include "exec/join_row.h"
 #include "exec/join_spec.h"
 #include "exec/operator.h"
 
@@ -61,14 +62,11 @@ class PipeliningHashJoinOp : public Operator {
   JoinHashTable tables_[2];
   bool done_[2] = {false, false};
   size_t peak_memory_ = 0;
-  // Scratch row for the EmitRow fallback path.
-  std::vector<std::byte> out_row_;
   // Key-gather scratch; capacity persists across batches.
   std::vector<int32_t> keys_;
-  // Routing-value source when the host hash-splits our output (see
-  // SimpleHashJoinOp): output-schema side/column resolved in Open().
-  int route_side_ = -1;
-  size_t route_column_ = 0;
+  // Which operand carries the routing value of an output row; resolved in
+  // Open() from the writer's split column.
+  JoinRoute route_;
 };
 
 }  // namespace mjoin

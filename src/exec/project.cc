@@ -36,34 +36,24 @@ ProjectOp::ProjectOp(std::shared_ptr<const Schema> input_schema,
   for (size_t c : columns_) sources.push_back(JoinOutputColumn::Left(c));
   runs_ = MakeCopyRuns(sources, *input_schema_, *input_schema_,
                        *output_schema_);
-  out_row_.resize(output_schema_->tuple_size());
 }
 
 void ProjectOp::Consume(int port, const TupleBatch& batch, OpContext* ctx) {
   // One unit per tuple: constructing the projected tuple.
   ctx->Charge(static_cast<Ticks>(batch.num_tuples()) *
               ctx->costs().tuple_result);
-  EmitWriter* emit = ctx->emit_writer();
-  if (emit != nullptr) {
-    // An output column is a copy of an input column, so the routing value
-    // of a hash-split output is readable from the input row up front and
-    // the projected row is built directly in the destination batch.
-    const int split = emit->split_column();
-    const size_t route_column =
-        split < 0 ? 0 : columns_[static_cast<size_t>(split)];
-    for (size_t i = 0; i < batch.num_tuples(); ++i) {
-      TupleRef in = batch.tuple(i);
-      TupleWriter out = emit->Begin(
-          split < 0 ? 0 : in.GetInt32(route_column));
-      CopyByRuns(runs_, in.data(), in.data(), out.data());
-      emit->Commit();
-    }
-    return;
-  }
+  // An output column is a copy of an input column, so the routing value
+  // of a hash-split output is readable from the input row up front and
+  // the projected row is built directly in the destination batch.
+  EmitWriter& writer = ctx->emit_writer();
+  const int split = writer.split_column();
+  const size_t route_column =
+      split < 0 ? 0 : columns_[static_cast<size_t>(split)];
   for (size_t i = 0; i < batch.num_tuples(); ++i) {
-    const std::byte* in = batch.tuple(i).data();
-    CopyByRuns(runs_, in, in, out_row_.data());
-    ctx->EmitRow(out_row_.data());
+    TupleRef in = batch.tuple(i);
+    TupleWriter out = writer.Begin(split < 0 ? 0 : in.GetInt32(route_column));
+    CopyByRuns(runs_, in.data(), in.data(), out.data());
+    writer.Commit();
   }
 }
 

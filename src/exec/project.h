@@ -40,7 +40,6 @@ class ProjectOp : public Operator {
   /// The projection as copy runs over the input row (every run side 0).
   std::vector<CopyRun> runs_;
   bool done_ = false;
-  std::vector<std::byte> out_row_;
 };
 
 }  // namespace mjoin

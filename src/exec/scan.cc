@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "exec/emit.h"
 
 namespace mjoin {
 
@@ -33,14 +34,17 @@ bool ScanOp::Produce(OpContext* ctx) {
   }
   const size_t batch = ctx->costs().batch_size;
   const std::byte* rows = relation_->raw_data();
+  EmitWriter& writer = ctx->emit_writer();
   size_t n = 0;
   if (rule_.round_robin()) {
     // Members sit a fixed stride of m rows apart (one contiguous run when
-    // m == 1): the whole batch goes to the host in one strided call, which
-    // it bulk-copies when routing permits.
+    // m == 1): the whole batch goes to the writer in one strided call,
+    // which it bulk-copies when routing permits.
     const size_t m = rule_.num_fragments();
     n = std::min(batch, (total_ - cursor_ + m - 1) / m);
-    if (n > 0) ctx->EmitRows(rows + cursor_ * row_bytes_, n, m * row_bytes_);
+    if (n > 0) {
+      writer.AppendRows(rows + cursor_ * row_bytes_, n, m * row_bytes_);
+    }
     cursor_ = std::min(total_, cursor_ + n * m);
   } else {
     // Hash members are scattered: one call per run of adjacent members.
@@ -49,7 +53,8 @@ bool ScanOp::Produce(OpContext* ctx) {
       while (end < total_ && n + (end - cursor_) < batch && IsMember(end)) {
         ++end;
       }
-      ctx->EmitRows(rows + cursor_ * row_bytes_, end - cursor_, row_bytes_);
+      writer.AppendRows(rows + cursor_ * row_bytes_, end - cursor_,
+                        row_bytes_);
       n += end - cursor_;
       cursor_ = SkipToMember(end);
     }

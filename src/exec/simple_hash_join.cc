@@ -3,25 +3,17 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "exec/emit.h"
 #include "exec/join_row.h"
 
 namespace mjoin {
 
 SimpleHashJoinOp::SimpleHashJoinOp(JoinSpec spec)
-    : spec_(std::move(spec)), table_(spec_.left_schema, spec_.left_key) {
-  out_row_.resize(spec_.output_schema->tuple_size());
-}
+    : spec_(std::move(spec)), table_(spec_.left_schema, spec_.left_key) {}
 
 void SimpleHashJoinOp::Open(OpContext* ctx) {
   table_.AttachBudget(ctx->memory_budget());
   buffered_reservation_.Attach(ctx->memory_budget());
-  EmitWriter* writer = ctx->emit_writer();
-  if (writer != nullptr && writer->split_column() >= 0) {
-    const JoinOutputColumn& oc = spec_.output_columns[writer->split_column()];
-    route_side_ = oc.side;
-    route_column_ = oc.column;
-  }
+  route_ = JoinRoute(spec_, ctx->emit_writer());
 }
 
 void SimpleHashJoinOp::Consume(int port, const TupleBatch& batch,
@@ -63,7 +55,7 @@ void SimpleHashJoinOp::ConsumeBuild(const TupleBatch& batch, OpContext* ctx) {
 
 void SimpleHashJoinOp::ConsumeProbe(const TupleBatch& batch, OpContext* ctx) {
   const CostParams& costs = ctx->costs();
-  EmitWriter* writer = ctx->emit_writer();
+  EmitWriter& writer = ctx->emit_writer();
   const size_t n = batch.num_tuples();
   // Charged per tuple actually probed, after the loop: a between-chunk
   // cancellation must not be billed for the skipped tail, and the result
@@ -77,26 +69,11 @@ void SimpleHashJoinOp::ConsumeProbe(const TupleBatch& batch, OpContext* ctx) {
     for (size_t i = 0; i < chunk; ++i) {
       probe_keys_[i] = batch.tuple(processed + i).GetInt32(spec_.right_key);
     }
-    if (writer != nullptr) {
-      results += table_.ProbeBatch(
-          probe_keys_.data(), chunk, [&](size_t i, const TupleRef& build) {
-            TupleRef probe = batch.tuple(processed + i);
-            int32_t route =
-                route_side_ < 0
-                    ? 0
-                    : (route_side_ == 0 ? build : probe).GetInt32(route_column_);
-            TupleWriter out = writer->Begin(route);
-            AssembleJoinRow(spec_, build, probe, out);
-            writer->Commit();
-          });
-    } else {
-      results += table_.ProbeBatch(
-          probe_keys_.data(), chunk, [&](size_t i, const TupleRef& build) {
-            AssembleJoinRow(spec_, build, batch.tuple(processed + i),
-                            out_row_.data());
-            ctx->EmitRow(out_row_.data());
-          });
-    }
+    results += table_.ProbeBatch(
+        probe_keys_.data(), chunk, [&](size_t i, const TupleRef& build) {
+          EmitJoinRow(spec_, route_, build, batch.tuple(processed + i),
+                      writer);
+        });
     processed += chunk;
   }
   ctx->Charge(static_cast<Ticks>(processed) *

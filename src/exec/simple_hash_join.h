@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/hash_table.h"
+#include "exec/join_row.h"
 #include "exec/join_spec.h"
 #include "exec/operator.h"
 
@@ -83,15 +84,11 @@ class SimpleHashJoinOp : public Operator {
   size_t buffered_bytes_ = 0;
   MemoryReservation buffered_reservation_;
   size_t peak_memory_ = 0;
-  // Scratch row reused when assembling output tuples (EmitRow fallback).
-  std::vector<std::byte> out_row_;
   // Key-gather scratch for batch probing; capacity persists across batches.
   std::vector<int32_t> probe_keys_;
-  // Which operand carries the routing value when the host hash-splits our
-  // output: resolved in Open() from the writer's split column. side < 0
-  // means routing is fixed (or no writer) and no value needs extracting.
-  int route_side_ = -1;
-  size_t route_column_ = 0;
+  // Which operand carries the routing value of an output row; resolved in
+  // Open() from the writer's split column.
+  JoinRoute route_;
 };
 
 }  // namespace mjoin

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "exec/emit.h"
 #include "exec/join_row.h"
 
 namespace mjoin {
@@ -12,12 +11,11 @@ namespace mjoin {
 SortMergeJoinOp::SortMergeJoinOp(JoinSpec spec)
     : spec_(std::move(spec)),
       buffered_{TupleBatch(spec_.left_schema),
-                TupleBatch(spec_.right_schema)} {
-  out_row_.resize(spec_.output_schema->tuple_size());
-}
+                TupleBatch(spec_.right_schema)} {}
 
 void SortMergeJoinOp::Open(OpContext* ctx) {
   reservation_.Attach(ctx->memory_budget());
+  route_ = JoinRoute(spec_, ctx->emit_writer());
 }
 
 void SortMergeJoinOp::Consume(int port, const TupleBatch& batch,
@@ -73,16 +71,7 @@ void SortMergeJoinOp::SortAndMerge(OpContext* ctx) {
   // tuple plus one per result.
   const TupleBatch& left = buffered_[0];
   const TupleBatch& right = buffered_[1];
-  // Zero-copy emission: resolve which operand carries the routing value
-  // (only needed when the host hash-splits our output).
-  EmitWriter* writer = ctx->emit_writer();
-  int route_side = -1;
-  size_t route_column = 0;
-  if (writer != nullptr && writer->split_column() >= 0) {
-    const JoinOutputColumn& oc = spec_.output_columns[writer->split_column()];
-    route_side = oc.side;
-    route_column = oc.column;
-  }
+  EmitWriter& writer = ctx->emit_writer();
   ctx->Charge(static_cast<Ticks>(left.num_tuples() + right.num_tuples()) *
               costs.tuple_probe);
   size_t i = 0, j = 0;
@@ -110,19 +99,8 @@ void SortMergeJoinOp::SortAndMerge(OpContext* ctx) {
       }
       for (size_t a = i; a < i_end; ++a) {
         for (size_t b = j; b < j_end; ++b) {
-          TupleRef l = left.tuple(order[0][a]);
-          TupleRef r = right.tuple(order[1][b]);
-          if (writer != nullptr) {
-            int32_t route = route_side < 0
-                                ? 0
-                                : (route_side == 0 ? l : r).GetInt32(route_column);
-            TupleWriter out = writer->Begin(route);
-            AssembleJoinRow(spec_, l, r, out);
-            writer->Commit();
-          } else {
-            AssembleJoinRow(spec_, l, r, out_row_.data());
-            ctx->EmitRow(out_row_.data());
-          }
+          EmitJoinRow(spec_, route_, left.tuple(order[0][a]),
+                      right.tuple(order[1][b]), writer);
           ++results;
         }
       }

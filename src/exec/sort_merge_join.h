@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/batch.h"
+#include "exec/join_row.h"
 #include "exec/join_spec.h"
 #include "exec/operator.h"
 
@@ -51,7 +52,9 @@ class SortMergeJoinOp : public Operator {
   size_t current_memory_ = 0;
   size_t peak_memory_ = 0;
   MemoryReservation reservation_;
-  std::vector<std::byte> out_row_;
+  // Which operand carries the routing value of an output row; resolved in
+  // Open() from the writer's split column.
+  JoinRoute route_;
 };
 
 }  // namespace mjoin

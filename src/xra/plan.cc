@@ -218,6 +218,11 @@ Status ValidateSingleInputEdge(const ParallelPlan& plan,
 
 Status ParallelPlan::Validate() const {
   if (num_processors == 0) return Status::Internal("plan has no processors");
+  if (num_processors > kMaxPlanProcessors) {
+    return Status::Internal(StrCat("plan declares ", num_processors,
+                                   " processors; at most ",
+                                   kMaxPlanProcessors, " are supported"));
+  }
   if (ops.empty()) return Status::Internal("plan has no operations");
 
   std::set<int> stored_ids;
@@ -289,6 +294,12 @@ Status ParallelPlan::Validate() const {
         MJOIN_RETURN_IF_ERROR(ValidateSingleInputEdge(*this, op));
         break;
     }
+  }
+  // Every result id below num_results has its storer (the runtime sizes
+  // its result registry by num_results).
+  if (static_cast<int64_t>(stored_ids.size()) != num_results) {
+    return Status::Internal(StrCat("plan declares ", num_results,
+                                   " results but stores ", stored_ids.size()));
   }
   if (final_result < 0 || !stored_ids.contains(final_result)) {
     return Status::Internal("plan does not store a final result");

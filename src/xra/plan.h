@@ -140,6 +140,12 @@ struct TriggerGroup {
   std::vector<int> ops;
 };
 
+/// Upper bound on ParallelPlan::num_processors. Every backend starts work
+/// per declared processor (the thread backend one OS thread each), so a
+/// plan parsed from untrusted text must not declare an unbounded count; the
+/// paper's sweeps reach 80.
+inline constexpr uint32_t kMaxPlanProcessors = 1024;
+
 /// A complete parallel execution plan for a multi-join query, produced by
 /// one of the four strategies and executed by the simulated or threaded
 /// backend.
@@ -151,11 +157,13 @@ struct ParallelPlan {
   /// Stored-result id holding the final query result (the root join's
   /// output), distributed over the root join's processors.
   int final_result = -1;
-  /// Total number of stored-result ids used (result registry size).
+  /// Total number of stored-result ids used (result registry size); each
+  /// id below it is stored by exactly one op.
   int num_results = 0;
 
-  /// Structural validation: port wiring, schema agreement, processor
-  /// lists, trigger groups (each op in exactly one, deps reference earlier
+  /// Structural validation: processor count (at most kMaxPlanProcessors),
+  /// result ids, port wiring, schema agreement, processor lists, trigger
+  /// groups (each op in exactly one, deps reference earlier
   /// milestones), colocation constraints, and the paper's rule that no
   /// processor runs two *join* operations of the same trigger epoch.
   Status Validate() const;

@@ -212,8 +212,11 @@ StatusOr<std::vector<std::string>> Tokenize(const std::string& line) {
   return tokens;
 }
 
-StatusOr<int64_t> ParseInt(const std::string& token) {
-  int64_t value = 0;
+/// Parses `token` whole into the field's own type: out-of-range values
+/// and, for unsigned fields, a minus sign are rejected, never cast.
+template <typename T>
+StatusOr<T> ParseInt(const std::string& token) {
+  T value{};
   auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(),
                                    value);
   if (ec != std::errc() || ptr != token.data() + token.size()) {
@@ -222,21 +225,34 @@ StatusOr<int64_t> ParseInt(const std::string& token) {
   return value;
 }
 
+/// Checks a name the printer writes back: a label is printed quoted, so it
+/// must not contain a quote; any other name is printed bare, so it must
+/// also be non-empty and free of spaces. Either way the printed plan
+/// re-parses to the same name.
+Status CheckName(const std::string& name, bool quoted) {
+  if (name.find('"') != std::string::npos ||
+      (!quoted && (name.empty() || name.find(' ') != std::string::npos))) {
+    return Status::InvalidArgument(StrCat("bad name '", name, "'"));
+  }
+  return Status::OK();
+}
+
 StatusOr<Column> ParseColumn(const std::string& token) {
   size_t colon = token.rfind(':');
   if (colon == std::string::npos || colon == 0) {
     return Status::InvalidArgument(StrCat("bad column '", token, "'"));
   }
   std::string name = token.substr(0, colon);
+  MJOIN_RETURN_IF_ERROR(CheckName(name, /*quoted=*/false));
   std::string type = token.substr(colon + 1);
   if (type == "i32") return Column::Int32(name);
   if (type == "i64") return Column::Int64(name);
   if (type.rfind("str", 0) == 0) {
-    MJOIN_ASSIGN_OR_RETURN(int64_t width, ParseInt(type.substr(3)));
-    if (width <= 0 || width > 1 << 20) {
+    MJOIN_ASSIGN_OR_RETURN(uint32_t width, ParseInt<uint32_t>(type.substr(3)));
+    if (width == 0 || width > 1 << 20) {
       return Status::InvalidArgument("bad string width");
     }
-    return Column::FixedString(name, static_cast<uint32_t>(width));
+    return Column::FixedString(name, width);
   }
   return Status::InvalidArgument(StrCat("bad column type '", type, "'"));
 }
@@ -283,6 +299,13 @@ class TokenCursor {
     return tokens_[next_++];
   }
 
+  /// The next token as a name (see CheckName).
+  StatusOr<std::string> NextName(bool quoted = false) {
+    MJOIN_ASSIGN_OR_RETURN(std::string name, Next());
+    MJOIN_RETURN_IF_ERROR(CheckName(name, quoted));
+    return name;
+  }
+
   Status Expect(const std::string& keyword) {
     MJOIN_ASSIGN_OR_RETURN(std::string token, Next());
     if (token != keyword) {
@@ -292,9 +315,10 @@ class TokenCursor {
     return Status::OK();
   }
 
-  StatusOr<int64_t> NextInt() {
+  template <typename T>
+  StatusOr<T> NextInt() {
     MJOIN_ASSIGN_OR_RETURN(std::string token, Next());
-    return ParseInt(token);
+    return ParseInt<T>(token);
   }
 
   /// Peeks whether the next token equals `keyword` (consumes on match).
@@ -310,15 +334,14 @@ class TokenCursor {
 };
 
 Status ParseInputSpec(TokenCursor* cursor, XraInput* input) {
-  MJOIN_ASSIGN_OR_RETURN(int64_t producer, cursor->NextInt());
+  MJOIN_ASSIGN_OR_RETURN(input->producer, cursor->NextInt<int>());
   MJOIN_ASSIGN_OR_RETURN(std::string routing, cursor->Next());
-  input->producer = static_cast<int>(producer);
   if (routing == "colocated") {
     input->routing = Routing::kColocated;
   } else if (routing.rfind("split:", 0) == 0) {
     input->routing = Routing::kHashSplit;
-    MJOIN_ASSIGN_OR_RETURN(int64_t key, ParseInt(routing.substr(6)));
-    input->split_key = static_cast<size_t>(key);
+    MJOIN_ASSIGN_OR_RETURN(input->split_key,
+                           ParseInt<size_t>(routing.substr(6)));
   } else {
     return Status::InvalidArgument(StrCat("bad routing '", routing, "'"));
   }
@@ -332,10 +355,8 @@ StatusOr<std::vector<JoinOutputColumn>> ParseOutputs(
     if (part.size() < 2 || (part[0] != 'L' && part[0] != 'R')) {
       return Status::InvalidArgument(StrCat("bad output '", part, "'"));
     }
-    MJOIN_ASSIGN_OR_RETURN(int64_t column, ParseInt(part.substr(1)));
-    outputs.push_back(
-        JoinOutputColumn{part[0] == 'L' ? 0 : 1,
-                         static_cast<size_t>(column)});
+    MJOIN_ASSIGN_OR_RETURN(size_t column, ParseInt<size_t>(part.substr(1)));
+    outputs.push_back(JoinOutputColumn{part[0] == 'L' ? 0 : 1, column});
   }
   return outputs;
 }
@@ -347,11 +368,11 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
   ParallelPlan plan;
   bool saw_header = false;
 
-  auto schema_at = [&](int64_t idx) -> StatusOr<std::shared_ptr<const Schema>> {
-    if (idx < 0 || idx >= static_cast<int64_t>(schemas.size())) {
+  auto schema_at = [&](size_t idx) -> StatusOr<std::shared_ptr<const Schema>> {
+    if (idx >= schemas.size()) {
       return Status::InvalidArgument(StrCat("bad schema index ", idx));
     }
-    return schemas[static_cast<size_t>(idx)];
+    return schemas[idx];
   };
 
   std::istringstream stream(text);
@@ -367,19 +388,16 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
       MJOIN_RETURN_IF_ERROR(cursor.Expect("v1"));
       saw_header = true;
     } else if (head == "strategy") {
-      MJOIN_ASSIGN_OR_RETURN(plan.strategy, cursor.Next());
+      MJOIN_ASSIGN_OR_RETURN(plan.strategy, cursor.NextName());
     } else if (head == "processors") {
-      MJOIN_ASSIGN_OR_RETURN(int64_t p, cursor.NextInt());
-      plan.num_processors = static_cast<uint32_t>(p);
+      MJOIN_ASSIGN_OR_RETURN(plan.num_processors, cursor.NextInt<uint32_t>());
     } else if (head == "results") {
-      MJOIN_ASSIGN_OR_RETURN(int64_t n, cursor.NextInt());
-      plan.num_results = static_cast<int>(n);
+      MJOIN_ASSIGN_OR_RETURN(plan.num_results, cursor.NextInt<int>());
       MJOIN_RETURN_IF_ERROR(cursor.Expect("final"));
-      MJOIN_ASSIGN_OR_RETURN(int64_t final_id, cursor.NextInt());
-      plan.final_result = static_cast<int>(final_id);
+      MJOIN_ASSIGN_OR_RETURN(plan.final_result, cursor.NextInt<int>());
     } else if (head == "schema") {
-      MJOIN_ASSIGN_OR_RETURN(int64_t idx, cursor.NextInt());
-      if (idx != static_cast<int64_t>(schemas.size())) {
+      MJOIN_ASSIGN_OR_RETURN(size_t idx, cursor.NextInt<size_t>());
+      if (idx != schemas.size()) {
         return Status::InvalidArgument("schemas must appear in order");
       }
       std::vector<Column> columns;
@@ -390,15 +408,14 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
       }
       schemas.push_back(std::make_shared<const Schema>(std::move(columns)));
     } else if (head == "group") {
-      MJOIN_ASSIGN_OR_RETURN(int64_t idx, cursor.NextInt());
-      if (idx != static_cast<int64_t>(plan.groups.size())) {
+      MJOIN_ASSIGN_OR_RETURN(size_t idx, cursor.NextInt<size_t>());
+      if (idx != plan.groups.size()) {
         return Status::InvalidArgument("groups must appear in order");
       }
       TriggerGroup group;
       while (cursor.Accept("dep")) {
         TriggerDep dep;
-        MJOIN_ASSIGN_OR_RETURN(int64_t op_id, cursor.NextInt());
-        dep.op = static_cast<int>(op_id);
+        MJOIN_ASSIGN_OR_RETURN(dep.op, cursor.NextInt<int>());
         MJOIN_ASSIGN_OR_RETURN(std::string milestone, cursor.Next());
         if (milestone == "complete") {
           dep.milestone = Milestone::kComplete;
@@ -413,51 +430,47 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
       plan.groups.push_back(std::move(group));
     } else if (head == "op") {
       XraOp op;
-      MJOIN_ASSIGN_OR_RETURN(int64_t id, cursor.NextInt());
-      op.id = static_cast<int>(id);
+      MJOIN_ASSIGN_OR_RETURN(op.id, cursor.NextInt<int>());
       MJOIN_ASSIGN_OR_RETURN(std::string kind, cursor.Next());
       MJOIN_ASSIGN_OR_RETURN(op.kind, ParseKind(kind));
       MJOIN_RETURN_IF_ERROR(cursor.Expect("group"));
-      MJOIN_ASSIGN_OR_RETURN(int64_t group, cursor.NextInt());
-      op.trigger_group = static_cast<int>(group);
+      MJOIN_ASSIGN_OR_RETURN(op.trigger_group, cursor.NextInt<int>());
       MJOIN_RETURN_IF_ERROR(cursor.Expect("label"));
-      MJOIN_ASSIGN_OR_RETURN(op.label, cursor.Next());
+      MJOIN_ASSIGN_OR_RETURN(op.label, cursor.NextName(/*quoted=*/true));
       MJOIN_RETURN_IF_ERROR(cursor.Expect("trace"));
-      MJOIN_ASSIGN_OR_RETURN(int64_t trace, cursor.NextInt());
-      op.trace_label = static_cast<char>(trace);
+      MJOIN_ASSIGN_OR_RETURN(op.trace_label, cursor.NextInt<char>());
       MJOIN_RETURN_IF_ERROR(cursor.Expect("procs"));
       MJOIN_ASSIGN_OR_RETURN(std::string procs, cursor.Next());
       for (const std::string& token : StrSplit(procs, ',')) {
-        MJOIN_ASSIGN_OR_RETURN(int64_t p, ParseInt(token));
-        op.processors.push_back(static_cast<uint32_t>(p));
+        MJOIN_ASSIGN_OR_RETURN(uint32_t p, ParseInt<uint32_t>(token));
+        op.processors.push_back(p);
       }
       MJOIN_RETURN_IF_ERROR(cursor.Expect("schema"));
-      MJOIN_ASSIGN_OR_RETURN(int64_t out_schema, cursor.NextInt());
+      MJOIN_ASSIGN_OR_RETURN(size_t out_schema, cursor.NextInt<size_t>());
       MJOIN_ASSIGN_OR_RETURN(op.output_schema, schema_at(out_schema));
 
       switch (op.kind) {
         case XraOpKind::kScan: {
           MJOIN_RETURN_IF_ERROR(cursor.Expect("relation"));
-          MJOIN_ASSIGN_OR_RETURN(op.relation, cursor.Next());
+          MJOIN_ASSIGN_OR_RETURN(op.relation, cursor.NextName());
           break;
         }
         case XraOpKind::kRescan: {
           MJOIN_RETURN_IF_ERROR(cursor.Expect("result"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t result, cursor.NextInt());
-          op.stored_result = static_cast<int>(result);
+          MJOIN_ASSIGN_OR_RETURN(op.stored_result, cursor.NextInt<int>());
           break;
         }
         case XraOpKind::kSimpleHashJoin:
         case XraOpKind::kPipeliningHashJoin:
         case XraOpKind::kSortMergeJoin: {
           MJOIN_RETURN_IF_ERROR(cursor.Expect("left"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t left, cursor.NextInt());
+          MJOIN_ASSIGN_OR_RETURN(size_t left, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("right"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t right, cursor.NextInt());
+          MJOIN_ASSIGN_OR_RETURN(size_t right, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("lkey"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t lkey, cursor.NextInt());
+          MJOIN_ASSIGN_OR_RETURN(size_t lkey, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("rkey"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t rkey, cursor.NextInt());
+          MJOIN_ASSIGN_OR_RETURN(size_t rkey, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("outputs"));
           MJOIN_ASSIGN_OR_RETURN(std::string outputs, cursor.Next());
           MJOIN_ASSIGN_OR_RETURN(std::vector<JoinOutputColumn> output_cols,
@@ -466,9 +479,8 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
           MJOIN_ASSIGN_OR_RETURN(auto right_schema, schema_at(right));
           MJOIN_ASSIGN_OR_RETURN(
               op.join_spec,
-              MakeJoinSpec(left_schema, right_schema,
-                           static_cast<size_t>(lkey),
-                           static_cast<size_t>(rkey), output_cols));
+              MakeJoinSpec(left_schema, right_schema, lkey, rkey,
+                           output_cols));
           MJOIN_RETURN_IF_ERROR(cursor.Expect("in0"));
           MJOIN_RETURN_IF_ERROR(ParseInputSpec(&cursor, &op.inputs[0]));
           MJOIN_RETURN_IF_ERROR(cursor.Expect("in1"));
@@ -477,34 +489,29 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
         }
         case XraOpKind::kFilter: {
           MJOIN_RETURN_IF_ERROR(cursor.Expect("input"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t input, cursor.NextInt());
+          MJOIN_ASSIGN_OR_RETURN(size_t input, cursor.NextInt<size_t>());
           MJOIN_ASSIGN_OR_RETURN(op.input_schema, schema_at(input));
           MJOIN_RETURN_IF_ERROR(cursor.Expect("col"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t col, cursor.NextInt());
-          op.filter.column = static_cast<size_t>(col);
+          MJOIN_ASSIGN_OR_RETURN(op.filter.column, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("cmp"));
           MJOIN_ASSIGN_OR_RETURN(std::string cmp, cursor.Next());
           MJOIN_ASSIGN_OR_RETURN(op.filter.op, ParseCompare(cmp));
           MJOIN_RETURN_IF_ERROR(cursor.Expect("value"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t value, cursor.NextInt());
-          op.filter.value = static_cast<int32_t>(value);
+          MJOIN_ASSIGN_OR_RETURN(op.filter.value, cursor.NextInt<int32_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("value2"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t value2, cursor.NextInt());
-          op.filter.value2 = static_cast<int32_t>(value2);
+          MJOIN_ASSIGN_OR_RETURN(op.filter.value2, cursor.NextInt<int32_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("in0"));
           MJOIN_RETURN_IF_ERROR(ParseInputSpec(&cursor, &op.inputs[0]));
           break;
         }
         case XraOpKind::kAggregate: {
           MJOIN_RETURN_IF_ERROR(cursor.Expect("input"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t input, cursor.NextInt());
+          MJOIN_ASSIGN_OR_RETURN(size_t input, cursor.NextInt<size_t>());
           MJOIN_ASSIGN_OR_RETURN(op.input_schema, schema_at(input));
           MJOIN_RETURN_IF_ERROR(cursor.Expect("groupcol"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t group_col, cursor.NextInt());
-          op.group_column = static_cast<size_t>(group_col);
+          MJOIN_ASSIGN_OR_RETURN(op.group_column, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("valuecol"));
-          MJOIN_ASSIGN_OR_RETURN(int64_t value_col, cursor.NextInt());
-          op.value_column = static_cast<size_t>(value_col);
+          MJOIN_ASSIGN_OR_RETURN(op.value_column, cursor.NextInt<size_t>());
           MJOIN_RETURN_IF_ERROR(cursor.Expect("in0"));
           MJOIN_RETURN_IF_ERROR(ParseInputSpec(&cursor, &op.inputs[0]));
           break;
@@ -513,13 +520,10 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
 
       MJOIN_ASSIGN_OR_RETURN(std::string dest, cursor.Next());
       if (dest == "store") {
-        MJOIN_ASSIGN_OR_RETURN(int64_t result, cursor.NextInt());
-        op.store_result = static_cast<int>(result);
+        MJOIN_ASSIGN_OR_RETURN(op.store_result, cursor.NextInt<int>());
       } else if (dest == "feed") {
-        MJOIN_ASSIGN_OR_RETURN(int64_t consumer, cursor.NextInt());
-        MJOIN_ASSIGN_OR_RETURN(int64_t port, cursor.NextInt());
-        op.consumer = static_cast<int>(consumer);
-        op.consumer_port = static_cast<int>(port);
+        MJOIN_ASSIGN_OR_RETURN(op.consumer, cursor.NextInt<int>());
+        MJOIN_ASSIGN_OR_RETURN(op.consumer_port, cursor.NextInt<int>());
       } else {
         return Status::InvalidArgument(
             StrCat("bad destination '", dest, "'"));

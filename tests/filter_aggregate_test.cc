@@ -5,6 +5,7 @@
 #include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "storage/wisconsin.h"
+#include "recording_context.h"
 
 namespace mjoin {
 namespace {
@@ -12,19 +13,6 @@ namespace {
 std::shared_ptr<const Schema> Wisc() {
   return std::make_shared<const Schema>(WisconsinSchema());
 }
-
-class RecordingContext : public OpContext {
- public:
-  explicit RecordingContext(std::shared_ptr<const Schema> schema)
-      : out(std::move(schema)) {}
-  void Charge(Ticks cost) override { charged += cost; }
-  void EmitRow(const std::byte* row) override { out.AppendRow(row); }
-  const CostParams& costs() const override { return params; }
-
-  CostParams params;
-  Ticks charged = 0;
-  TupleBatch out;
-};
 
 TupleBatch ToBatch(const Relation& rel) {
   TupleBatch batch(std::make_shared<const Schema>(rel.schema()));

@@ -2,18 +2,24 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <string>
 
 #include "common/random.h"
+#include "exec/aggregate.h"
+#include "exec/filter.h"
 #include "exec/hash_table.h"
 #include "exec/join_row.h"
 #include "exec/pipelining_hash_join.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/simple_hash_join.h"
+#include "exec/sort_merge_join.h"
 #include "plan/wisconsin_query.h"
 #include "storage/partitioner.h"
 #include "storage/wisconsin.h"
+#include "recording_context.h"
 
 namespace mjoin {
 namespace {
@@ -40,24 +46,6 @@ TupleBatch ToBatch(const Relation& rel) {
   }
   return batch;
 }
-
-/// OpContext that records emitted rows and total charged cost.
-class RecordingContext : public OpContext {
- public:
-  explicit RecordingContext(std::shared_ptr<const Schema> schema)
-      : out(std::move(schema)) {}
-
-  void Charge(Ticks cost) override { charged += cost; }
-  void EmitRow(const std::byte* row) override { out.AppendRow(row); }
-  void EmitRows(const std::byte* rows, size_t count, size_t stride) override {
-    out.AppendRows(rows, count, stride);
-  }
-  const CostParams& costs() const override { return params; }
-
-  CostParams params;
-  Ticks charged = 0;
-  TupleBatch out;
-};
 
 // --- JoinHashTable -----------------------------------------------------------
 
@@ -788,6 +776,183 @@ TEST(ProjectOpTest, SubsetsAndReorders) {
 
 TEST(ProjectOpTest, RejectsOutOfRangeColumn) {
   EXPECT_FALSE(ProjectOp::Make(TestSchema(), {7}).ok());
+}
+
+// --- Routing inside each operator ----------------------------------------------
+//
+// Each operator runs twice: once into a single destination, once into a
+// writer that hash-splits its output over three destinations. Every split
+// row must sit in destination FragmentOf(row[split], 3), and the three
+// destinations together must hold exactly the single-destination rows.
+
+constexpr uint32_t kRouteDests = 3;
+
+std::multiset<std::string> RowBytes(const TupleBatch& batch) {
+  std::multiset<std::string> rows;
+  for (size_t i = 0; i < batch.num_tuples(); ++i) {
+    const auto* data = reinterpret_cast<const char*>(batch.tuple(i).data());
+    rows.emplace(data, batch.schema().tuple_size());
+  }
+  return rows;
+}
+
+/// `drive` builds a fresh operator, opens it on the context and feeds it
+/// its whole input.
+void ExpectRoutedRows(const std::shared_ptr<const Schema>& schema,
+                      int split_column,
+                      const std::function<void(OpContext*)>& drive) {
+  SCOPED_TRACE(testing::Message() << "split column " << split_column);
+  RecordingContext whole(schema);
+  drive(&whole);
+  ASSERT_GT(whole.out.num_tuples(), 0u);
+  RecordingContext split(schema, kRouteDests, split_column);
+  drive(&split);
+  std::multiset<std::string> rows;
+  uint32_t used = 0;
+  for (uint32_t d = 0; d < kRouteDests; ++d) {
+    const TupleBatch& dest = split.dests[d];
+    for (size_t i = 0; i < dest.num_tuples(); ++i) {
+      int32_t value =
+          dest.tuple(i).GetInt32(static_cast<size_t>(split_column));
+      EXPECT_EQ(FragmentOf(value, kRouteDests), d) << "value " << value;
+    }
+    used += dest.empty() ? 0 : 1;
+    rows.merge(RowBytes(dest));
+  }
+  EXPECT_GT(used, 1u) << "the input should spread over the destinations";
+  EXPECT_EQ(rows, RowBytes(whole.out));
+}
+
+// Keys 0..39 with two rows each on the left and up to three on the right,
+// so matches have duplicates, and left and right values differ.
+Relation RouteLeft() {
+  Relation rel = MakeKv({});
+  for (int32_t k = 0; k < 40; ++k) {
+    for (int32_t j = 0; j < 2; ++j) {
+      TupleWriter w = rel.AppendTuple();
+      w.SetInt32(0, k);
+      w.SetInt32(1, 10 * k + j);
+    }
+  }
+  return rel;
+}
+
+Relation RouteRight() {
+  Relation rel = MakeKv({});
+  for (int32_t k = 0; k < 40; ++k) {
+    for (int32_t j = 0; j < k % 4; ++j) {
+      TupleWriter w = rel.AppendTuple();
+      w.SetInt32(0, k);
+      w.SetInt32(1, 1000 + 7 * k + j);
+    }
+  }
+  return rel;
+}
+
+// Output column 1 comes from the left operand, column 2 from the right.
+constexpr int kJoinSplitColumns[] = {1, 2};
+
+TEST(OperatorRoutingTest, SimpleHashJoin) {
+  Relation left = RouteLeft();
+  Relation right = RouteRight();
+  for (int split : kJoinSplitColumns) {
+    ExpectRoutedRows(KvJoinSpec().output_schema, split, [&](OpContext* ctx) {
+      SimpleHashJoinOp join(KvJoinSpec());
+      join.Open(ctx);
+      join.Consume(SimpleHashJoinOp::kBuildPort, ToBatch(left), ctx);
+      join.InputDone(SimpleHashJoinOp::kBuildPort, ctx);
+      join.Consume(SimpleHashJoinOp::kProbePort, ToBatch(right), ctx);
+      join.InputDone(SimpleHashJoinOp::kProbePort, ctx);
+    });
+  }
+}
+
+TEST(OperatorRoutingTest, PipeliningHashJoinBothArrivalOrders) {
+  Relation left = RouteLeft();
+  Relation right = RouteRight();
+  for (int first : {PipeliningHashJoinOp::kLeftPort,
+                    PipeliningHashJoinOp::kRightPort}) {
+    SCOPED_TRACE(testing::Message() << "first port " << first);
+    for (int split : kJoinSplitColumns) {
+      ExpectRoutedRows(KvJoinSpec().output_schema, split,
+                       [&](OpContext* ctx) {
+                         PipeliningHashJoinOp join(KvJoinSpec());
+                         join.Open(ctx);
+                         const int second = 1 - first;
+                         join.Consume(first,
+                                      ToBatch(first == 0 ? left : right), ctx);
+                         join.Consume(second,
+                                      ToBatch(second == 0 ? left : right),
+                                      ctx);
+                         join.InputDone(first, ctx);
+                         join.InputDone(second, ctx);
+                       });
+    }
+  }
+}
+
+TEST(OperatorRoutingTest, SortMergeJoin) {
+  Relation left = RouteLeft();
+  Relation right = RouteRight();
+  for (int split : kJoinSplitColumns) {
+    ExpectRoutedRows(KvJoinSpec().output_schema, split, [&](OpContext* ctx) {
+      SortMergeJoinOp join(KvJoinSpec());
+      join.Open(ctx);
+      join.Consume(0, ToBatch(left), ctx);
+      join.Consume(1, ToBatch(right), ctx);
+      join.InputDone(0, ctx);
+      join.InputDone(1, ctx);
+    });
+  }
+}
+
+TEST(OperatorRoutingTest, ScanFilterProject) {
+  auto wisc = std::make_shared<const Schema>(WisconsinSchema());
+  Relation rel = GenerateWisconsin(300, 11);
+  ExpectRoutedRows(wisc, kUnique2, [&](OpContext* ctx) {
+    ScanOp scan([&rel] { return &rel; }, wisc);
+    scan.Open(ctx);
+    while (scan.Produce(ctx)) {
+    }
+  });
+  ExpectRoutedRows(wisc, kUnique2, [&](OpContext* ctx) {
+    auto filter =
+        FilterOp::Make(wisc, FilterPredicate{kTen, CompareOp::kLt, 6, 0});
+    ASSERT_TRUE(filter.ok());
+    (*filter)->Open(ctx);
+    (*filter)->Consume(0, ToBatch(rel), ctx);
+    (*filter)->InputDone(0, ctx);
+  });
+  // Output column 1 is input column kUnique1.
+  auto project = ProjectOp::Make(wisc, {kTen, kUnique1, kUnique2});
+  ASSERT_TRUE(project.ok());
+  ExpectRoutedRows((*project)->output_schema(), 1, [&](OpContext* ctx) {
+    auto op = ProjectOp::Make(wisc, {kTen, kUnique1, kUnique2});
+    ASSERT_TRUE(op.ok());
+    (*op)->Open(ctx);
+    (*op)->Consume(0, ToBatch(rel), ctx);
+    (*op)->InputDone(0, ctx);
+  });
+}
+
+TEST(OperatorRoutingTest, AggregateOnGroupMinAndMax) {
+  auto wisc = std::make_shared<const Schema>(WisconsinSchema());
+  Relation rel = GenerateWisconsin(500, 13);
+  // Grouped on unique1 % 20 but aggregating unique2, so a group's min and
+  // max route independently of the group.
+  auto aggregate = AggregateOp::Make(wisc, kTwenty, kUnique2);
+  ASSERT_TRUE(aggregate.ok());
+  // Output columns: 0 group, 1 count, 2 sum, 3 min, 4 max.
+  for (int split : {0, 3, 4}) {
+    ExpectRoutedRows((*aggregate)->output_schema(), split,
+                     [&](OpContext* ctx) {
+                       auto op = AggregateOp::Make(wisc, kTwenty, kUnique2);
+                       ASSERT_TRUE(op.ok());
+                       (*op)->Open(ctx);
+                       (*op)->Consume(0, ToBatch(rel), ctx);
+                       (*op)->InputDone(0, ctx);
+                     });
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "plan/wisconsin_query.h"
 #include "strategy/sp.h"
 #include "xra/text.h"
+#include "recording_context.h"
 
 namespace mjoin {
 namespace {
@@ -27,19 +28,6 @@ JoinSpec KvSpec() {
   MJOIN_CHECK(spec.ok());
   return *std::move(spec);
 }
-
-class RecordingContext : public OpContext {
- public:
-  explicit RecordingContext(std::shared_ptr<const Schema> schema)
-      : out(std::move(schema)) {}
-  void Charge(Ticks cost) override { charged += cost; }
-  void EmitRow(const std::byte* row) override { out.AppendRow(row); }
-  const CostParams& costs() const override { return params; }
-
-  CostParams params;
-  Ticks charged = 0;
-  TupleBatch out;
-};
 
 TupleBatch Rows(std::vector<std::pair<int32_t, int32_t>> rows) {
   TupleBatch batch(KvSchema());
