@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "engine/controller.h"
 #include "engine/database.h"
@@ -97,6 +98,71 @@ TEST(ResultTest, HashRowBytesSensitiveToEveryByte) {
     tweaked[i] = std::byte{1};
     EXPECT_NE(HashRowBytes(tweaked.data(), tweaked.size()), base)
         << "byte " << i;
+  }
+}
+
+// The checksum definition, written out byte by byte: 64-bit FNV-1a of the
+// row, finalized with Mix64, summed mod 2^64. Every backend's result is
+// compared against the reference's through this sum, so any faster path
+// must stay bit-identical to it.
+uint64_t SerialRowHash(const std::byte* row, size_t size) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= std::to_integer<uint64_t>(row[i]);
+    hash *= 1099511628211ULL;
+  }
+  return Mix64(hash);
+}
+
+// Row bytes that differ in every position and every row.
+std::vector<std::byte> PatternRows(size_t num_rows, size_t row_size,
+                                   uint64_t seed) {
+  std::vector<std::byte> bytes(num_rows * row_size);
+  uint64_t state = seed;
+  for (std::byte& b : bytes) b = static_cast<std::byte>(SplitMix64(&state));
+  return bytes;
+}
+
+// Literal values of the definition, taken from the byte-serial code.
+TEST(ResultTest, HashRowBytesPinned) {
+  std::vector<std::byte> row(208);
+  for (size_t i = 0; i < row.size(); ++i) {
+    row[i] = static_cast<std::byte>(i * 37 + 11);
+  }
+  EXPECT_EQ(HashRowBytes(row.data(), row.size()), 17081717329614897887ULL);
+  EXPECT_EQ(HashRowBytes(row.data(), 1), 389589691717209123ULL);
+  EXPECT_EQ(HashRowBytes(row.data(), 0), 5665620140241705579ULL);
+}
+
+TEST(ResultTest, WisconsinSummaryPinned) {
+  ResultSummary summary = SummarizeRelation(GenerateWisconsin(5000, 9));
+  EXPECT_EQ(summary.cardinality, 5000u);
+  EXPECT_EQ(summary.checksum, 17952664566432385664ULL);
+}
+
+// Widths 1-64, 208 and 212 and row counts 0-9 and 1001: every remainder of
+// a multi-row step, on rows narrower and wider than a word.
+TEST(ResultTest, SummaryMatchesSerialDefinition) {
+  std::vector<uint32_t> widths;
+  for (uint32_t w = 1; w <= 64; ++w) widths.push_back(w);
+  widths.push_back(208);
+  widths.push_back(212);
+  const size_t counts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1001};
+  for (uint32_t width : widths) {
+    Schema schema({Column::FixedString("s", width)});
+    for (size_t count : counts) {
+      std::vector<std::byte> bytes =
+          PatternRows(count, width, width * 131 + count);
+      ResultSummary expected;
+      for (size_t r = 0; r < count; ++r) {
+        expected.checksum += SerialRowHash(bytes.data() + r * width, width);
+        ++expected.cardinality;
+      }
+      Relation rel(schema);
+      rel.AppendRows(bytes.data(), count);
+      EXPECT_EQ(SummarizeRelation(rel), expected)
+          << "width " << width << " rows " << count;
+    }
   }
 }
 
