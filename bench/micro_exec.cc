@@ -153,29 +153,34 @@ void BM_AssembleJoinRow(benchmark::State& state) {
 }
 BENCHMARK(BM_AssembleJoinRow)->Arg(1000)->Arg(10000);
 
-TupleBatch ToBatch(const Relation& rel, size_t lo, size_t hi) {
-  TupleBatch batch(std::make_shared<const Schema>(rel.schema()));
-  for (size_t i = lo; i < hi && i < rel.num_tuples(); ++i) {
-    batch.AppendRow(rel.tuple(i).data());
+/// `rel` cut into batches of `batch_size` rows, built once so the timed
+/// loops measure the join, not the input copy.
+std::vector<TupleBatch> ToBatches(const Relation& rel, size_t batch_size) {
+  auto schema = std::make_shared<const Schema>(rel.schema());
+  std::vector<TupleBatch> batches;
+  for (size_t lo = 0; lo < rel.num_tuples(); lo += batch_size) {
+    batches.emplace_back(schema);
+    batches.back().AppendRows(rel.tuple(lo).data(),
+                              std::min(batch_size, rel.num_tuples() - lo));
   }
-  return batch;
+  return batches;
 }
 
 void BM_SimpleHashJoin(benchmark::State& state) {
   auto n = static_cast<uint32_t>(state.range(0));
-  Relation left = GenerateWisconsin(n, 1);
-  Relation right = GenerateWisconsin(n, 2);
+  const uint32_t kBatch = 256;
+  const std::vector<TupleBatch> left =
+      ToBatches(GenerateWisconsin(n, 1), kBatch);
+  const std::vector<TupleBatch> right =
+      ToBatches(GenerateWisconsin(n, 2), kBatch);
   for (auto _ : state) {
     SimpleHashJoinOp join(ChainSpec());
     CountingContext ctx(join.output_schema());
-    const uint32_t kBatch = 256;
-    for (size_t lo = 0; lo < n; lo += kBatch) {
-      TupleBatch b = ToBatch(left, lo, lo + kBatch);
+    for (const TupleBatch& b : left) {
       join.Consume(SimpleHashJoinOp::kBuildPort, b, &ctx);
     }
     join.InputDone(SimpleHashJoinOp::kBuildPort, &ctx);
-    for (size_t lo = 0; lo < n; lo += kBatch) {
-      TupleBatch b = ToBatch(right, lo, lo + kBatch);
+    for (const TupleBatch& b : right) {
       join.Consume(SimpleHashJoinOp::kProbePort, b, &ctx);
     }
     join.InputDone(SimpleHashJoinOp::kProbePort, &ctx);
@@ -187,21 +192,23 @@ BENCHMARK(BM_SimpleHashJoin)->Arg(10000)->Arg(40000);
 
 void BM_PipeliningHashJoin(benchmark::State& state) {
   auto n = static_cast<uint32_t>(state.range(0));
-  Relation left = GenerateWisconsin(n, 1);
-  Relation right = GenerateWisconsin(n, 2);
+  const uint32_t kBatch = 256;
+  const std::vector<TupleBatch> left =
+      ToBatches(GenerateWisconsin(n, 1), kBatch);
+  const std::vector<TupleBatch> right =
+      ToBatches(GenerateWisconsin(n, 2), kBatch);
   int64_t first_output = 0;
   for (auto _ : state) {
     PipeliningHashJoinOp join(ChainSpec());
     CountingContext ctx(join.output_schema());
     int64_t consumed = 0;
-    const uint32_t kBatch = 256;
     // Interleave both inputs, as the symmetric algorithm expects.
-    for (size_t lo = 0; lo < n; lo += kBatch) {
-      TupleBatch bl = ToBatch(left, lo, lo + kBatch);
+    for (size_t b = 0; b < left.size(); ++b) {
+      const TupleBatch& bl = left[b];
       consumed += static_cast<int64_t>(bl.num_tuples());
       join.Consume(PipeliningHashJoinOp::kLeftPort, bl, &ctx);
       ctx.NoteConsumed(consumed);
-      TupleBatch br = ToBatch(right, lo, lo + kBatch);
+      const TupleBatch& br = right[b];
       consumed += static_cast<int64_t>(br.num_tuples());
       join.Consume(PipeliningHashJoinOp::kRightPort, br, &ctx);
       ctx.NoteConsumed(consumed);

@@ -492,6 +492,15 @@ void InstanceRuntime::FinishInstance(OpInstance* inst) {
   for (uint32_t d = 0; d < inst->out_pending.size(); ++d) FlushDest(inst, d);
   if (aborted()) return;
   const XraOp& o = inst->op;
+  if (o.store_result == plan_.final_result) {
+    // The result stays where it was stored, so its fragment is summarized
+    // here, on the storer's own thread: in parallel across nodes, inside
+    // the run, and in this instance's phase bucket and trace lane.
+    Observed(inst, ThreadWorkType::kEmit, [this, inst, &o] {
+      inst->result_summary = SummarizeRelation(
+          stored_[static_cast<size_t>(o.store_result)][inst->index]);
+    });
+  }
   if (o.consumer >= 0) {
     if (SendsOverNetwork(plan_, o)) {
       for (uint32_t d = 0; d < op(o.consumer).processors.size(); ++d) {
@@ -502,6 +511,17 @@ void InstanceRuntime::FinishInstance(OpInstance* inst) {
     }
   }
   host_->ReportMilestone(inst, Milestone::kComplete);
+}
+
+ResultSummary InstanceRuntime::HostedResultSummary() const {
+  ResultSummary summary;
+  for (const XraOp& o : plan_.ops) {
+    if (o.store_result != plan_.final_result) continue;
+    for (const auto& inst : instances(o.id)) {
+      if (inst != nullptr) summary += inst->result_summary;
+    }
+  }
+  return summary;
 }
 
 uint32_t InstanceRuntime::MergeOpMetrics(int op, OpMetrics* out) const {

@@ -14,6 +14,7 @@
 #include "common/memory_budget.h"
 #include "common/statusor.h"
 #include "engine/database.h"
+#include "engine/result.h"
 #include "engine/thread_trace.h"
 #include "exec/emit.h"
 #include "exec/operator.h"
@@ -82,6 +83,9 @@ class OpInstance final : public OpContext, public EmitSink {
   /// Simulated ticks charged since the host last reset it (the simulator
   /// bills them per task; wall-clock hosts ignore them).
   Ticks charged = 0;
+  /// Summary of this instance's fragment of the plan's final result, set
+  /// when a storer of that result finishes.
+  ResultSummary result_summary;
 };
 
 /// What the runtime needs from the backend hosting it: a scheduler and a
@@ -213,6 +217,10 @@ class InstanceRuntime {
   const std::vector<Relation>& stored(int result) const {
     return stored_[static_cast<size_t>(result)];
   }
+  /// Summary of the hosted fragments of the plan's final result, which each
+  /// storer instance computed as it finished (complete once every hosted
+  /// storer instance has).
+  ResultSummary HostedResultSummary() const;
   bool defended(int op) const { return defended_[static_cast<size_t>(op)]; }
   const RuntimeSettings& settings() const { return settings_; }
   InstanceHost* host() const { return host_; }

@@ -553,15 +553,9 @@ Status WorkerRun::FinishQuery() {
   // Partial result summary over this worker's fragments of the final
   // result (the checksum is a sum mod 2^64, so per-worker summaries add up
   // to the query's).
-  const auto& final_frags = runtime_->stored(plan_.final_result);
-  std::vector<const Relation*> hosted;
-  for (size_t i = 0; i < final_frags.size(); ++i) {
-    if (!Hosts(storer->processors[i])) continue;
-    ResultSummary frag = SummarizeRelation(final_frags[i]);
-    report.summary.cardinality += frag.cardinality;
-    report.summary.checksum += frag.checksum;
-    hosted.push_back(&final_frags[i]);
-  }
+  const ResultSummary summary = runtime_->HostedResultSummary();
+  report.summary.cardinality = summary.cardinality;
+  report.summary.checksum = summary.checksum;
 
   if (env_.materialize_result) {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
@@ -570,16 +564,19 @@ Status WorkerRun::FinishQuery() {
     // Ship fragments in chunks that each fit one ring record.
     const size_t rows_per_record =
         (plane_->max_payload() - sizeof(ShmResultRowsHeader)) / tuple_size;
-    for (const Relation* frag : hosted) {
+    const auto& final_frags = runtime_->stored(plan_.final_result);
+    for (size_t i = 0; i < final_frags.size(); ++i) {
+      if (!Hosts(storer->processors[i])) continue;
+      const Relation& frag = final_frags[i];
       size_t offset = 0;
-      while (offset < frag->num_tuples()) {
-        size_t count = std::min(rows_per_record, frag->num_tuples() - offset);
+      while (offset < frag.num_tuples()) {
+        size_t count = std::min(rows_per_record, frag.num_tuples() - offset);
         ShmResultRowsHeader hdr;
         hdr.schema_id = schema_id;
         hdr.tuple_size = tuple_size;
         hdr.num_tuples = static_cast<uint32_t>(count);
         PushShmRecord(coord_ep_, ShmRecordType::kResultRows, &hdr,
-                      sizeof(hdr), frag->raw_data() + offset * tuple_size,
+                      sizeof(hdr), frag.raw_data() + offset * tuple_size,
                       count * tuple_size);
         offset += count;
       }

@@ -373,7 +373,7 @@ StatusOr<SimQueryResult> SimRun::Run() {
   SimQueryResult result;
   result.response_ticks = last_finish_;
   result.response_seconds = costs().ToSeconds(last_finish_);
-  result.result = SummarizeFragments(runtime_.stored(plan_.final_result));
+  result.result = runtime_.HostedResultSummary();
   if (options_.materialize_result) {
     result.materialized = ConcatFragments(runtime_.stored(plan_.final_result));
   }

@@ -560,7 +560,7 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
 
   ThreadQueryResult result;
   result.wall_seconds = wall_seconds;
-  result.result = SummarizeFragments(runtime_.stored(plan_.final_result));
+  result.result = runtime_.HostedResultSummary();
   if (options_.materialize_result) {
     result.materialized = ConcatFragments(runtime_.stored(plan_.final_result));
   }

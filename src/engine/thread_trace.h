@@ -22,7 +22,7 @@ enum class ThreadWorkType : uint8_t {
   kPipeline,  // symmetric pipelining work, filters
   kScan,      // source Produce() calls
   kMerge,     // sort-merge final sort+merge
-  kEmit,         // pipeline-breaker output (aggregation)
+  kEmit,         // result output: aggregation groups, the final summary
   kBlocked,      // producer blocked on a full consumer queue
   kSerialize,    // batch -> wire-format encoding (process backend)
   kDeserialize,  // wire-format -> batch decoding (process backend)

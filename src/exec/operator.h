@@ -35,7 +35,7 @@ struct OpMetrics {
   double probe_seconds = 0;     // probe phase, probe replay, merge phase
   double pipeline_seconds = 0;  // symmetric pipelining work, filters
   double scan_seconds = 0;      // source Produce() calls
-  double emit_seconds = 0;      // pipeline-breaker output (aggregation)
+  double emit_seconds = 0;      // aggregation output, result summary
   double other_seconds = 0;     // Open(), bookkeeping callbacks
 
   /// Join/aggregation hash-table detail (lifetime counters: rows ever

@@ -321,6 +321,15 @@ class TokenCursor {
     return ParseInt<T>(token);
   }
 
+  /// OK once every token is consumed; otherwise rejects the first leftover
+  /// as trailing the `record` record.
+  Status ExpectEnd(const std::string& record) const {
+    if (done()) return Status::OK();
+    return Status::InvalidArgument(StrCat("unexpected '", tokens_[next_],
+                                          "' at the end of the '", record,
+                                          "' record"));
+  }
+
   /// Peeks whether the next token equals `keyword` (consumes on match).
   bool Accept(const std::string& keyword) {
     if (done() || tokens_[next_] != keyword) return false;
@@ -543,6 +552,7 @@ StatusOr<ParallelPlan> ParsePlan(const std::string& text) {
     } else {
       return Status::InvalidArgument(StrCat("bad record '", head, "'"));
     }
+    MJOIN_RETURN_IF_ERROR(cursor.ExpectEnd(head));
   }
 
   if (!saw_header) return Status::InvalidArgument("missing mjoin-plan header");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "common/string_util.h"
 #include "engine/controller.h"
@@ -80,7 +82,9 @@ TEST(ResultTest, ChecksumIsOrderInsensitive) {
   // Partition and summarize fragments vs the whole relation.
   auto parts = HashPartition(rel, kUnique1, 7);
   ASSERT_TRUE(parts.ok());
-  EXPECT_EQ(SummarizeRelation(rel), SummarizeFragments(*parts));
+  ResultSummary fragments;
+  for (const Relation& part : *parts) fragments += SummarizeRelation(part);
+  EXPECT_EQ(SummarizeRelation(rel), fragments);
 }
 
 TEST(ResultTest, ChecksumDetectsContentChanges) {
@@ -141,7 +145,8 @@ TEST(ResultTest, WisconsinSummaryPinned) {
 }
 
 // Widths 1-64, 208 and 212 and row counts 0-9 and 1001: every remainder of
-// a multi-row step, on rows narrower and wider than a word.
+// a multi-row step, on rows narrower and wider than a word, through a
+// relation and from an unaligned base.
 TEST(ResultTest, SummaryMatchesSerialDefinition) {
   std::vector<uint32_t> widths;
   for (uint32_t w = 1; w <= 64; ++w) widths.push_back(w);
@@ -162,6 +167,11 @@ TEST(ResultTest, SummaryMatchesSerialDefinition) {
       rel.AppendRows(bytes.data(), count);
       EXPECT_EQ(SummarizeRelation(rel), expected)
           << "width " << width << " rows " << count;
+      std::vector<std::byte> shifted(bytes.size() + 1);
+      std::copy(bytes.begin(), bytes.end(), shifted.begin() + 1);
+      EXPECT_EQ(SumRowHashes(shifted.data() + 1, count, width),
+                expected.checksum)
+          << "unaligned, width " << width << " rows " << count;
     }
   }
 }

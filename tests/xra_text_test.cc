@@ -164,6 +164,44 @@ TEST(XraTextTest, RejectsIntegersOutsideTheirFieldType) {
       ParsePlan(Tamper(text, "feed 3 1", "feed 3 4294967297")).ok());
 }
 
+// A record's fields are fixed, so anything after its last field is a typo
+// or an edit to reject, never to drop: plan text arrives from serve clients
+// and run-plan files. The error names the record.
+TEST(XraTextTest, RejectsTrailingTokens) {
+  ParallelPlan plan = MakePlan(StrategyKind::kFP, QueryShape::kWideBushy, 8);
+  const std::string text = SerializePlan(plan);
+  struct Edit {
+    const char* from;
+    const char* to;
+    const char* record;
+  };
+  const Edit kEdits[] = {
+      {"mjoin-plan v1\n", "mjoin-plan v1 x\n", "mjoin-plan"},
+      {"strategy FP\n", "strategy FP extra\n", "strategy"},
+      {"processors 8\n", "processors 8 junk\n", "processors"},
+      {"results 1 final 0\n", "results 1 final 0 0\n", "results"},
+      {"group 0\n", "group 0 nonsense 7\n", "group"},
+      {" store 0\n", " store 0 junk\n", "op"},
+  };
+  for (const Edit& edit : kEdits) {
+    StatusOr<ParallelPlan> parsed = ParsePlan(Tamper(text, edit.from, edit.to));
+    EXPECT_FALSE(parsed.ok()) << edit.to;
+    if (parsed.ok()) continue;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(edit.record), std::string::npos)
+        << parsed.status();
+  }
+  // Every op record ends in its destination: a token after `feed N P`.
+  std::string fed = text;
+  const size_t feed = fed.find(" feed ");
+  ASSERT_NE(feed, std::string::npos);
+  fed.insert(fed.find('\n', feed), " 1");
+  StatusOr<ParallelPlan> parsed = ParsePlan(fed);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("op"), std::string::npos);
+}
+
 // Seeded mutation loop over the round-trip corpus (every strategy on every
 // shape): byte flips, inserted and deleted bytes, and digit runs replaced
 // by extreme integers. A mutant must either fail with a Status or parse to

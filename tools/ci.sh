@@ -151,13 +151,15 @@ echo "== ci: address sanitizer =="
 # wire_codec_test is the control protocol's fuzz target (a seeded mutation
 # loop over every message) and xra_text_test the plan parser's; the
 # operator tests build every output row in place in batch memory through
-# the EmitWriter. The UBSan pass below runs them too.
+# the EmitWriter; engine_test and golden_result_test run the result
+# summary's four-row kernel, whose over-read would land in the leftover
+# rows. The UBSan pass below runs them too.
 MJOIN_CHAOS_ITERS=2 tools/run_sanitized_tests.sh address \
   thread_metrics_test net_wire_test wire_codec_test shm_ring_test \
   process_backend_fault_test process_chaos_test serve_test \
   warm_fleet_test plan_cache_test skew_test workload_test \
   operators_test filter_aggregate_test sort_merge_join_test hotpath_test \
-  xra_text_test
+  xra_text_test engine_test golden_result_test
 
 echo "== ci: undefined-behavior sanitizer =="
 # Full suite; the chaos sweep stays bounded so the UBSan pass does not
