@@ -39,33 +39,6 @@ bool ParseFaultKind(const std::string& text, FaultKind* kind) {
   return false;
 }
 
-std::string FaultPointName(FaultPoint point) {
-  switch (point) {
-    case FaultPoint::kDequeue:
-      return "dequeue";
-    case FaultPoint::kSend:
-      return "send";
-    case FaultPoint::kConsume:
-      return "consume";
-  }
-  return "unknown";
-}
-
-FaultPoint FaultPointOf(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-    case FaultKind::kSlowWorker:
-    case FaultKind::kHangWorker:
-      return FaultPoint::kDequeue;
-    case FaultKind::kDropBatch:
-    case FaultKind::kDuplicateBatch:
-      return FaultPoint::kSend;
-    case FaultKind::kFailOperator:
-      return FaultPoint::kConsume;
-  }
-  return FaultPoint::kDequeue;
-}
-
 std::string SerializeFaultScenario(const FaultScenario& scenario) {
   char prob[64];
   std::snprintf(prob, sizeof(prob), "%.17g", scenario.probability);

@@ -55,12 +55,6 @@ enum class FaultPoint {
   kConsume = 2,
 };
 
-std::string FaultPointName(FaultPoint point);
-
-/// The injection point at which `kind` fires (kNone maps to kDequeue; it
-/// never fires anywhere).
-FaultPoint FaultPointOf(FaultKind kind);
-
 /// Stable single-line text form of a scenario ("kind=slow-worker node=0
 /// delay-us=1000 ..."), used to ship scenarios across the coordinator ->
 /// worker handshake of the process backend. Parse accepts exactly what

@@ -288,8 +288,17 @@ int64_t InstanceRuntime::Observed(OpInstance* inst, ThreadWorkType type,
   return ns;
 }
 
+bool InstanceRuntime::Live() {
+  if (aborted()) return false;
+  if (settings_.limits == nullptr) return true;
+  Status stop = settings_.limits->Check();
+  if (stop.ok()) return true;
+  host_->Abort(std::move(stop));
+  return false;
+}
+
 void InstanceRuntime::Start(OpInstance* inst) {
-  if (!host_->CheckRuntime()) return;
+  if (!Live()) return;
   MJOIN_CHECK(!inst->started);
   inst->started = true;
   Open(inst);
@@ -310,6 +319,7 @@ void InstanceRuntime::ReleasePreStart(OpInstance* inst) {
 }
 
 bool InstanceRuntime::Produce(OpInstance* inst) {
+  if (!Live()) return false;
   bool more = false;
   Observed(inst, ThreadWorkType::kScan,
            [inst, &more] { more = inst->oper->Produce(inst); });
@@ -359,7 +369,7 @@ void InstanceRuntime::FlushDest(OpInstance* inst, uint32_t dest) {
 
 void InstanceRuntime::OnBatch(OpInstance* inst, int port,
                               const TupleBatch& batch) {
-  if (!host_->CheckRuntime()) return;
+  if (!Live()) return;
   if (settings_.injector != nullptr) {
     Status status = settings_.injector->BeforeConsume(inst->op.id);
     if (!status.ok()) {
@@ -380,7 +390,7 @@ void InstanceRuntime::OnBatch(OpInstance* inst, int port,
 }
 
 void InstanceRuntime::OnEos(OpInstance* inst, int port) {
-  if (!host_->CheckRuntime()) return;
+  if (!Live()) return;
   MJOIN_CHECK(inst->eos_remaining[port] > 0)
       << "unexpected EOS on port " << port << " of " << inst->op.label;
   if (--inst->eos_remaining[port] == 0) {
@@ -450,7 +460,7 @@ void InstanceRuntime::ApplyDirective(
 
 void InstanceRuntime::ApplyDirectiveAt(OpInstance* inst,
                                        const SkewDirective& directive) {
-  if (!host_->CheckRuntime()) return;
+  if (!Live()) return;
   auto* join = static_cast<SimpleHashJoinOp*>(inst->oper.get());
   inst->op_metrics.skew_replicated_rows +=
       ApplySkewDirective(directive, join->mutable_table());

@@ -10,9 +10,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/memory_budget.h"
 #include "common/statusor.h"
+#include "engine/controller.h"
 #include "engine/database.h"
 #include "engine/result.h"
 #include "engine/thread_trace.h"
@@ -116,10 +116,8 @@ class InstanceHost {
   virtual void SubmitSkewReport(OpInstance* inst, SkewJoinReport report) {}
   /// The instance completed, before its final flush.
   virtual void OnComplete(OpInstance* inst) {}
-  /// Per-callback liveness check: false once the query should do no more
-  /// work (hosts promote cancellation and deadlines here).
-  virtual bool CheckRuntime() { return true; }
-  /// Records the first failure and starts teardown.
+  /// Records the first failure and starts teardown; the runtime calls it
+  /// with an operator's error or a stop of the query's limits.
   virtual void Abort(Status status) {}
   /// Trace sink for one timed callback (only when tracing is on).
   virtual void RecordTrace(uint32_t processor, int64_t t0_ns, int64_t t1_ns,
@@ -143,7 +141,9 @@ struct RuntimeSettings {
   /// Per-query operator memory budget; null when not enforced.
   MemoryBudget* budget = nullptr;
   FaultInjector* injector = nullptr;
-  const CancellationToken* cancellation = nullptr;
+  /// The query's cancellation and deadline, checked at every callback;
+  /// null when the host enforces them elsewhere (or has none).
+  const QueryLimits* limits = nullptr;
   SkewDefenseOptions skew_defense;
   bool collect_metrics = false;
   bool record_trace = false;
@@ -234,10 +234,12 @@ class InstanceRuntime {
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
   void MarkAborted() { aborted_.store(true, std::memory_order_release); }
   const std::atomic<bool>* abort_flag() const { return &aborted_; }
+  /// The per-callback check, lock-free: false once the query should do no
+  /// more work. A stop of the query's limits goes to the host's Abort.
+  bool Live();
   bool cancelled() const {
     return aborted() ||
-           (settings_.cancellation != nullptr &&
-            settings_.cancellation->cancelled());
+           (settings_.limits != nullptr && settings_.limits->cancelled());
   }
   uint64_t batches_dropped() const {
     return batches_dropped_.load(std::memory_order_relaxed);

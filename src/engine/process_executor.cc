@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -211,14 +210,13 @@ void FleetState::TearDown(bool graceful) {
 class Coordinator {
  public:
   /// `attempt` is the 0-based retry attempt (shipped to workers in the
-  /// plan envelope); `deadline` is the absolute deadline shared by every
-  /// attempt of one Execute(); `proc` (nullable) accumulates supervision
-  /// counters and failure diagnoses across attempts. The attempt runs on
-  /// `fleet`'s members and ends with the idle handshake, which parks them
-  /// for the fleet's next query or its teardown.
+  /// plan envelope); `limits` are shared by every attempt of one Execute();
+  /// `proc` (nullable) accumulates supervision counters and failure
+  /// diagnoses across attempts. The attempt runs on `fleet`'s members and
+  /// ends with the idle handshake, which parks them for the fleet's next
+  /// query or its teardown.
   Coordinator(const ParallelPlan& plan, const ProcessExecOptions& options,
-              FleetState& fleet, uint32_t attempt,
-              std::optional<std::chrono::steady_clock::time_point> deadline,
+              FleetState& fleet, uint32_t attempt, const QueryLimits& limits,
               ProcessExecStats* proc)
       : plan_(plan),
         options_(options),
@@ -229,12 +227,7 @@ class Coordinator {
         fleet_(fleet),
         workers_(fleet.members),
         registry_(plan),
-        controller_(&plan) {
-    if (deadline.has_value()) {
-      has_deadline_ = true;
-      deadline_point_ = *deadline;
-    }
-  }
+        controller_(&plan, options.exec.skew_defense, limits) {}
 
   /// The Coordinator only borrows its workers; the fleet does the
   /// killing. It detaches this attempt's net fault injector from every
@@ -287,9 +280,12 @@ class Coordinator {
   void DrainCoordRings();
   void HandleFrame(uint32_t w, Frame frame);
   void HandleWorkerGone(uint32_t w, const Status& status);
-  /// Cancellation/deadline promotion; false once the run should stop.
-  bool CheckRuntime();
-  void Abort(Status status);
+  /// The controller holds the attempt's first failure.
+  void Abort(Status status) { controller_.Fail(std::move(status)); }
+  bool aborted() const { return controller_.failed(); }
+  /// OK when worker `w` hosts instance `instance` of op `op`: a worker
+  /// speaks only for its own instances.
+  Status CheckSender(uint32_t w, int op, uint32_t instance) const;
   /// One supervision turn: refresh per-worker liveness off received-frame
   /// counts, broadcast kPing on the heartbeat cadence, and SIGKILL any
   /// worker silent past liveness_timeout (diagnosed as hung).
@@ -300,17 +296,21 @@ class Coordinator {
   /// A worker's bytes failed validation: record the diagnosis and abort
   /// kUnavailable (environmental, so the retry loop may recover).
   void AbortCorruptWire(uint32_t w, const std::string& detail);
+  /// True when `verdict` on `frame` from worker `w` is OK; otherwise the
+  /// frame is corrupt wire and the query aborts.
+  bool Accept(uint32_t w, const Frame& frame, const Status& verdict) {
+    if (!verdict.ok()) {
+      AbortCorruptWire(w, StrCat("bad ", FrameTypeName(frame.type),
+                                 " frame: ", verdict.message()));
+    }
+    return verdict.ok();
+  }
   /// Decodes `frame`'s payload into `*msg`; a payload that does not decode
   /// is corrupt wire from worker `w` and aborts the query.
   template <class M>
   bool DecodeFrom(uint32_t w, const Frame& frame, M* msg) {
     WireReader reader(frame.payload);
-    Status decoded = DecodeMsg(&reader, msg);
-    if (!decoded.ok()) {
-      AbortCorruptWire(w, StrCat("bad ", FrameTypeName(frame.type),
-                                 " frame: ", decoded.message()));
-    }
-    return decoded.ok();
+    return Accept(w, frame, DecodeMsg(&reader, msg));
   }
 
   ThreadExecStats GatherStats() const;
@@ -335,11 +335,6 @@ class Coordinator {
   int64_t trace_origin_ns_ = 0;
 
   State state_ = State::kRunning;
-  bool aborted_ = false;
-  Status abort_status_;
-
-  bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point deadline_point_;
 
   // Supervision state (lazily initialized on the first supervision turn).
   bool supervision_started_ = false;
@@ -351,21 +346,6 @@ class Coordinator {
   /// and the watchdog must still see that link as silent.
   std::vector<std::chrono::steady_clock::time_point> last_heard_;
   std::vector<uint64_t> frames_seen_;
-
-  /// One defended join's in-flight report collection. `seen` rejects a
-  /// duplicate instance report before it can trip the merger's internal
-  /// invariants (the coordinator must never crash on worker bytes).
-  struct SkewExchange {
-    SkewExchange(int op, uint32_t num_instances,
-                 const SkewDefenseOptions& options)
-        : merger(op, num_instances, options), seen(num_instances, false) {}
-    SkewReportMerger merger;
-    std::vector<bool> seen;
-  };
-  std::unordered_map<int, std::unique_ptr<SkewExchange>> skew_exchanges_;
-  /// Bloom size every report must carry (filters are OR-merged, so a
-  /// divergent size is corrupt wire, not a tuning choice).
-  uint32_t skew_bloom_bits_ = 0;
 
   // Report accumulators.
   SummaryMsg summary_;
@@ -415,7 +395,7 @@ Status Coordinator::AwaitFleetIdle() {
       if (w.chan->phase() != kPhAwaitPlan) all_idle = false;
     }
     if (all_idle) return Status::OK();
-    if (aborted_) return abort_status_;
+    if (aborted()) return controller_.failure();
     // lint:allow-clock idle-handshake deadline, end-of-query only
     if (std::chrono::steady_clock::now() >= deadline) {
       return Status::Unavailable("fleet idle handshake timed out");
@@ -461,13 +441,6 @@ void Coordinator::DispatchGroups(const std::vector<int>& groups) {
     for (FleetMember& w : workers_) {
       if (!w.closed) w.chan->QueueFrame(FrameType::kTrigger, payload);
     }
-  }
-}
-
-void Coordinator::Abort(Status status) {
-  if (!aborted_) {
-    aborted_ = true;
-    abort_status_ = std::move(status);
   }
 }
 
@@ -550,18 +523,16 @@ void Coordinator::SuperviseFleet() {
   }
 }
 
-bool Coordinator::CheckRuntime() {
-  if (aborted_) return false;
-  if (exec_.cancellation.cancelled()) {
-    Abort(Status::Cancelled("query cancelled by caller"));
-    return false;
+Status Coordinator::CheckSender(uint32_t w, int op, uint32_t instance) const {
+  MJOIN_RETURN_IF_ERROR(controller_.CheckInstance(op, instance));
+  const uint32_t processor =
+      plan_.ops[static_cast<size_t>(op)].processors[instance];
+  if (WorkerOfProcessor(processor, num_workers_, plan_.num_processors) != w) {
+    return Status::InvalidArgument(StrCat("worker ", w,
+                                          " does not host instance ",
+                                          instance, " of op ", op));
   }
-  // lint:allow-clock deadline check, one read per poll iteration
-  if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_point_) {
-    Abort(Status::DeadlineExceeded("query ran past its deadline"));
-    return false;
-  }
-  return true;
+  return Status::OK();
 }
 
 void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
@@ -571,17 +542,17 @@ void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
   // that reports a typed kError and exits races its buffered error frame
   // against our next flush hitting EPIPE; the typed error must win, or a
   // deterministic worker fault gets misdiagnosed as a crash and retried.
-  if (!aborted_ && state_ != State::kDone) {
+  if (!aborted() && state_ != State::kDone) {
     bool ignored = false;
     (void)worker.chan->ReadAvailable(&ignored);
     Frame frame;
-    while (!aborted_ && worker.chan->NextFrame(&frame)) {
+    while (!aborted() && worker.chan->NextFrame(&frame)) {
       HandleFrame(w, std::move(frame));
     }
   }
   worker.closed = true;
   worker.chan->Close();
-  if (aborted_ || state_ == State::kDone) return;
+  if (aborted() || state_ == State::kDone) return;
   // A socket that dies before the worker said goodbye means the worker is
   // gone mid-query. Reap it now (no zombie) and fold its exit status into
   // the error.
@@ -665,14 +636,14 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
     }
     case FrameType::kMilestone: {
       MilestoneMsg msg;
-      if (!DecodeFrom(w, frame, &msg)) return;
-      if (msg.op < 0 || static_cast<size_t>(msg.op) >= plan_.ops.size()) {
-        AbortCorruptWire(w, "bad milestone frame");
+      if (!DecodeFrom(w, frame, &msg) ||
+          !Accept(w, frame, CheckSender(w, msg.op, msg.instance))) {
         return;
       }
-      std::vector<int> ready =
+      StatusOr<std::vector<int>> ready =
           controller_.OnInstanceMilestone(msg.op, msg.instance, msg.milestone);
-      if (!ready.empty()) DispatchGroups(ready);
+      if (!Accept(w, frame, ready.status())) return;
+      DispatchGroups(*ready);
       if (state_ == State::kRunning && controller_.AllOpsComplete()) {
         state_ = State::kFinishing;
         // kFinish is legal only once a link has left its handshake. A
@@ -752,32 +723,20 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       return;
     case FrameType::kSkewReport: {
       SkewJoinReport report;
-      if (!DecodeFrom(w, frame, &report)) return;
-      auto it = skew_exchanges_.find(report.op);
-      // Everything the merger would CHECK is validated here first: a
-      // report for an undefended op, an out-of-range or duplicate
-      // instance, or a bloom sized unlike the one the plan shipped is
-      // corrupt wire, and corrupt wire aborts instead of crashing.
-      if (it == skew_exchanges_.end() ||
-          report.instance >= plan_.ops[static_cast<size_t>(report.op)]
-                                 .processors.size() ||
-          it->second->seen[report.instance] ||
-          (report.bloom.built() &&
-           report.bloom.num_bits() != skew_bloom_bits_)) {
-        AbortCorruptWire(w, "bad skew-report frame");
+      if (!DecodeFrom(w, frame, &report) ||
+          !Accept(w, frame, CheckSender(w, report.op, report.instance))) {
         return;
       }
-      SkewExchange& exchange = *it->second;
-      exchange.seen[report.instance] = true;
-      exchange.merger.Add(std::move(report));
-      if (exchange.merger.complete()) {
+      StatusOr<std::shared_ptr<const SkewDirective>> directive =
+          controller_.OnSkewReport(std::move(report));
+      if (!Accept(w, frame, directive.status())) return;
+      if (*directive != nullptr) {
         // The last report arrives before the last kBuildDone milestone on
         // the same socket, so this broadcast is queued ahead of every
         // probe trigger — but correctness never depends on that: workers
         // defer the join's build InputDone until the directive lands.
-        SkewDirective directive = exchange.merger.Finish();
         std::vector<std::byte> payload;
-        EncodeMsg(directive, &payload);
+        EncodeMsg(**directive, &payload);
         for (FleetMember& each : workers_) {
           if (!each.closed) {
             each.chan->QueueFrame(FrameType::kSkewDirective, payload);
@@ -806,7 +765,7 @@ void Coordinator::PollOnce(int timeout_ms) {
     Status flushed = worker.chan->Flush();
     if (!flushed.ok()) HandleWorkerGone(w, flushed);
   }
-  if (aborted_) return;
+  if (aborted()) return;
 
   std::vector<struct pollfd> fds;
   std::vector<uint32_t> fd_worker;
@@ -872,7 +831,7 @@ void Coordinator::PollOnce(int timeout_ms) {
     FleetMember& worker = workers_[r.w];
     if (worker.closed) continue;
     Frame frame;
-    while (!aborted_ && worker.chan->NextFrame(&frame)) {
+    while (!aborted() && worker.chan->NextFrame(&frame)) {
       HandleFrame(r.w, std::move(frame));
     }
     // After the query is done an EOF is no failure of the query, but the
@@ -887,13 +846,13 @@ void Coordinator::PollOnce(int timeout_ms) {
 }
 
 void Coordinator::DrainCoordRings() {
-  if (aborted_) return;
+  if (aborted()) return;
   for (size_t ring_index : plane_->InboundRings(num_workers_)) {
     ShmRing* ring = plane_->ring(ring_index);
     const uint32_t from = plane_->spec(ring_index).from;
     const uint64_t limit = ring->tail_cursor();
     bool released = false;
-    while (!aborted_ && ring->head_cursor() < limit) {
+    while (!aborted() && ring->head_cursor() < limit) {
       ShmRecordView rec;
       StatusOr<bool> any = ring->TryRead(&rec);
       if (!any.ok()) {
@@ -1027,31 +986,21 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
       }
     }
   }
-  if (exec_.skew_defense.enabled()) {
-    skew_bloom_bits_ = BloomFilter(exec_.skew_defense.bloom_bits).num_bits();
-    for (int id : DefendedJoinOps(plan_)) {
-      auto n = static_cast<uint32_t>(
-          plan_.ops[static_cast<size_t>(id)].processors.size());
-      skew_exchanges_.emplace(
-          id, std::make_unique<SkewExchange>(id, n, exec_.skew_defense));
-    }
-  }
-
   plan_text_ = SerializePlan(plan_);
   plan_hash_ = FnvHash64(plan_text_);
 
   MJOIN_RETURN_IF_ERROR(AttachFleet());
   MJOIN_RETURN_IF_ERROR(ShipPlans());
-  if (CheckRuntime()) {
+  if (controller_.CheckLimits()) {
     DispatchGroups(controller_.TakeInitialGroups());
   }
 
   while (state_ != State::kDone) {
-    if (!CheckRuntime()) break;
+    if (!controller_.CheckLimits()) break;
     SuperviseFleet();
-    if (aborted_) break;
+    if (aborted()) break;
     PollOnce(/*timeout_ms=*/20);
-    if (aborted_) break;
+    if (aborted()) break;
   }
   // lint:allow-clock run wall-clock end, once per query
   auto end = std::chrono::steady_clock::now();
@@ -1061,7 +1010,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   // in, so the final verdict is snapshotted here. After a failed run the
   // workers may be mid-query and unwilling to park: the fleet kills and
   // respawns them, never this borrower.
-  const bool run_failed = aborted_;
+  const bool run_failed = aborted();
   if (run_failed || !AwaitFleetIdle().ok()) fleet_.poisoned = true;
 
   GatherNetStats();
@@ -1077,7 +1026,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
     PublishNetMetrics(net_, exec_.metrics_registry);
   }
 
-  if (run_failed) return abort_status_;
+  if (run_failed) return controller_.failure();
 
   ProcessQueryResult result;
   result.exec.wall_seconds = wall_seconds;
@@ -1099,33 +1048,6 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
 /// Ceiling of the retry backoff, which doubles per retry from
 /// ProcessExecOptions::retry_backoff.
 constexpr std::chrono::milliseconds kRetryBackoffCap{2000};
-
-/// Sleeps one retry backoff, waking early (with the matching status) if
-/// the caller's deadline or cancellation fires first.
-Status BackoffSleep(
-    std::chrono::milliseconds backoff,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const CancellationToken& cancellation) {
-  // lint:allow-clock retry backoff window, bounded by the query deadline
-  auto now = std::chrono::steady_clock::now();
-  auto end = now + backoff;
-  for (;;) {
-    if (cancellation.cancelled()) {
-      return Status::Cancelled("query cancelled by caller");
-    }
-    if (deadline.has_value() && now >= *deadline) {
-      return Status::DeadlineExceeded(
-          "query ran past its deadline while backing off for a retry");
-    }
-    if (now >= end) return Status::OK();
-    auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        end - now);
-    std::this_thread::sleep_for(
-        std::min(remaining, std::chrono::milliseconds(10)));
-    // lint:allow-clock retry backoff window, bounded by the query deadline
-    now = std::chrono::steady_clock::now();
-  }
-}
 
 /// Publishes the recovery counters once per Execute() (the per-attempt
 /// counters go out in PublishExecMetrics and PublishNetMetrics).
@@ -1168,11 +1090,7 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
                                         ProcessExecStats* proc_out) {
   // The deadline is absolute across attempts: retries and their backoffs
   // spend the same budget the query itself does.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (options.exec.deadline.has_value()) {
-    // lint:allow-clock absolute retry-spanning deadline, once per Execute
-    deadline = std::chrono::steady_clock::now() + *options.exec.deadline;
-  }
+  const QueryLimits limits(options.exec.cancellation, options.exec.deadline);
 
   ProcessExecStats proc;
   auto publish = [&proc, &options] {
@@ -1188,7 +1106,7 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
     // The Coordinator is a temporary: it hands its findings back to the
     // fleet when this statement ends, before any teardown below.
     StatusOr<ProcessQueryResult> result =
-        Coordinator(plan, options, fleet, attempt, deadline, &proc)
+        Coordinator(plan, options, fleet, attempt, limits, &proc)
             .Run(stats_out, net_out);
     if (result.ok()) {
       result->proc = proc;
@@ -1204,9 +1122,17 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
     failure = result.status();
     if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
     ++proc.retries;
-    Status slept = BackoffSleep(backoff, deadline, options.exec.cancellation);
-    if (!slept.ok()) {
-      failure = slept;
+    // The backoff wakes every 10 ms to check the limits: a cancellation or
+    // the deadline ends the query while it sleeps.
+    Status live = limits.Check();
+    for (auto left = backoff; live.ok() && left.count() > 0;
+         left -= std::chrono::milliseconds(10)) {
+      std::this_thread::sleep_for(
+          std::min(left, std::chrono::milliseconds(10)));
+      live = limits.Check();
+    }
+    if (!live.ok()) {
+      failure = live;
       break;
     }
     backoff = std::min(backoff * 2, kRetryBackoffCap);

@@ -75,7 +75,6 @@ class WorkerRun : public InstanceHost {
   /// between buffer inside the join, so the deferral absorbs every
   /// ordering race.
   void SubmitSkewReport(OpInstance* inst, SkewJoinReport report) override;
-  bool CheckRuntime() override { return !aborted(); }
   void Abort(Status status) override {
     if (!run_status_.ok()) return;
     run_status_ = std::move(status);
@@ -361,6 +360,13 @@ Status WorkerRun::HandleSkewDirective(const Frame& frame) {
       !runtime_->defended(directive->op)) {
     return Status::InvalidArgument(
         StrCat("skew directive for undefended op ", directive->op));
+  }
+  // Replicated rows go into the join's build table as they are.
+  const size_t width = op(directive->op).join_spec.left_schema->tuple_size();
+  if (directive->tuple_size != width) {
+    return Status::InvalidArgument(StrCat(
+        "skew directive for op ", directive->op, " carries ",
+        directive->tuple_size, "-byte rows, not the join's ", width));
   }
   runtime_->ApplyDirective(std::move(directive));
   return Status::OK();

@@ -304,13 +304,16 @@ void SimRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
       {costs().trigger_latency, [this, op_id, index, milestone] {
          Submit(machine_.scheduler_id(), ThreadWorkType::kMilestone, op_id,
                 [this, op_id, index, milestone] {
-                  std::vector<int> ready =
+                  StatusOr<std::vector<int>> ready =
                       controller_.OnInstanceMilestone(op_id, index, milestone);
                   TaskResult result;
                   result.cost = 0;
-                  if (!ready.empty()) {
-                    result.after.push_back(
-                        {0, [this, ready] { DispatchGroups(ready); }});
+                  if (!ready.ok()) {
+                    controller_.Fail(ready.status());
+                  } else if (!ready->empty()) {
+                    result.after.push_back({0, [this, groups = *ready] {
+                                              DispatchGroups(groups);
+                                            }});
                   }
                   return result;
                 });
@@ -356,6 +359,7 @@ StatusOr<SimQueryResult> SimRun::Run() {
   DispatchGroups(controller_.TakeInitialGroups());
 
   machine_.sim().Run();
+  if (controller_.failed()) return controller_.failure();
 
   // Verify global completion (a wiring bug would leave ops pending).
   if (!controller_.AllOpsComplete()) {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -190,13 +189,14 @@ class WorkerNode {
 };
 
 RuntimeSettings ThreadSettings(const ThreadExecOptions& options,
-                               MemoryBudget* budget) {
+                               MemoryBudget* budget,
+                               const QueryLimits* limits) {
   RuntimeSettings settings;
   // Only batch_size is consulted by operators in this backend.
   settings.costs.batch_size = options.batch_size;
   settings.budget = budget;
   settings.injector = options.fault_injector;
-  settings.cancellation = &options.cancellation;
+  settings.limits = limits;
   settings.skew_defense = options.skew_defense;
   settings.collect_metrics = options.collect_metrics;
   settings.record_trace = options.record_trace;
@@ -216,8 +216,11 @@ class ThreadRun : public InstanceHost {
         options_(options),
         budget_(options.memory_budget_bytes),
         pools_(std::move(pools)),
-        controller_(&plan),
-        runtime_(plan, this, ThreadSettings(options, &budget_)) {
+        controller_(&plan, options.skew_defense,
+                    QueryLimits(options.cancellation, options.deadline)),
+        // Immutable: the runtime checks them without the scheduler mutex.
+        runtime_(plan, this,
+                 ThreadSettings(options, &budget_, &controller_.limits())) {
     if (options.record_trace) {
       trace_ = NewPlanTrace(plan, WallClockTraceFormat("thread"));
     }
@@ -234,14 +237,12 @@ class ThreadRun : public InstanceHost {
                     int copies) override;
   void SendEos(OpInstance* producer, uint32_t dest) override;
   void ReportMilestone(OpInstance* inst, Milestone milestone) override;
+  /// Merged under the scheduler mutex; the directive is applied outside
+  /// it, before the caller reports the build milestone.
   void SubmitSkewReport(OpInstance* inst, SkewJoinReport report) override;
-  /// The per-batch-boundary runtime check: false once the query should do
-  /// no further work. Promotes an externally fired cancellation token or
-  /// an expired deadline into the abort status.
-  bool CheckRuntime() override;
   /// Records the first failure and starts teardown: wakes blocked
   /// producers, the scheduler wait, and turns every queued callback into a
-  /// no-op. Later calls are ignored (first error wins).
+  /// no-op. Later calls, and calls once every op completed, are ignored.
   void Abort(Status status) override;
   void RecordTrace(uint32_t processor, int64_t t0_ns, int64_t t1_ns,
                    ThreadWorkType type, int op_id) override {
@@ -251,6 +252,10 @@ class ThreadRun : public InstanceHost {
  private:
   void PumpSource(OpInstance* inst);
   void DispatchGroups(const std::vector<int>& groups);
+  /// True once the run completed or failed.
+  bool Finished() const MJOIN_REQUIRES(scheduler_mutex_) {
+    return controller_.AllOpsComplete() || controller_.failed();
+  }
   ThreadExecStats GatherStats() const;
 
   const ParallelPlan& plan_;
@@ -272,32 +277,15 @@ class ThreadRun : public InstanceHost {
 
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
 
-  /// Per-defended-join report merger. Instances of one join report from
-  /// different worker threads; the mutex serializes the merge (the only
-  /// cross-thread skew state — directives travel by value afterwards).
-  struct SkewExchange {
-    SkewExchange(int op, uint32_t num_instances,
-                 const SkewDefenseOptions& options)
-        : merger(op, num_instances, options) {}
-    Mutex mutex;
-    SkewReportMerger merger MJOIN_GUARDED_BY(mutex);
-  };
-  std::unordered_map<int, std::unique_ptr<SkewExchange>> skew_exchanges_;
-
   std::atomic<uint64_t> batches_sent_{0};
 
-  bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point deadline_point_;
-
-  // Scheduler state (controller + completion flag + first error),
-  // mutex-protected: any worker thread may deliver a milestone or abort.
-  // QueryController itself is not thread-safe; guarding the member is what
-  // serializes it (the contract its header documents).
+  // The scheduler (milestones, skew merges, the first failure), mutex-
+  // protected: any worker thread may deliver a milestone, a skew report or
+  // an abort. QueryController itself is not thread-safe; guarding the
+  // member is what serializes it (the contract its header documents).
   Mutex scheduler_mutex_;
   QueryController controller_ MJOIN_GUARDED_BY(scheduler_mutex_);
-  Status run_status_ MJOIN_GUARDED_BY(scheduler_mutex_);
   CondVar done_cv_;
-  bool done_ MJOIN_GUARDED_BY(scheduler_mutex_) = false;
 
   // The recorder exists only when tracing is on; its timestamps are
   // relative to the run start (the runtime's time origin).
@@ -317,40 +305,19 @@ Status ThreadRun::Prepare() {
     pool_base_allocated_ += pool->allocated();
     pool_base_reused_ += pool->reused();
   }
-  if (options_.skew_defense.enabled()) {
-    for (int id : DefendedJoinOps(plan_)) {
-      skew_exchanges_.emplace(
-          id, std::make_unique<SkewExchange>(
-                  id, static_cast<uint32_t>(runtime_.op(id).processors.size()),
-                  options_.skew_defense));
-    }
-  }
   return runtime_.Build(db_);
 }
 
 void ThreadRun::Abort(Status status) {
   {
     MutexLock lock(&scheduler_mutex_);
-    if (done_ || runtime_.aborted()) return;
-    run_status_ = std::move(status);
+    if (controller_.AllOpsComplete() || !controller_.Fail(std::move(status))) {
+      return;
+    }
     runtime_.MarkAborted();
   }
   for (auto& node : nodes_) node->Interrupt();
   done_cv_.NotifyAll();
-}
-
-bool ThreadRun::CheckRuntime() {
-  if (runtime_.aborted()) return false;
-  if (options_.cancellation.cancelled()) {
-    Abort(Status::Cancelled("query cancelled by caller"));
-    return false;
-  }
-  // lint:allow-clock deadline check, one read per scheduler tick
-  if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_point_) {
-    Abort(Status::DeadlineExceeded("query ran past its deadline"));
-    return false;
-  }
-  return true;
 }
 
 void ThreadRun::Post(OpInstance* inst, std::function<void()> fn) {
@@ -369,7 +336,6 @@ void ThreadRun::DispatchGroups(const std::vector<int>& groups) {
 }
 
 void ThreadRun::PumpSource(OpInstance* inst) {
-  if (!CheckRuntime()) return;
   // One batch per message so other processes on this node interleave.
   if (runtime_.Produce(inst)) {
     nodes_[inst->processor]->Post([this, inst] {
@@ -431,23 +397,24 @@ void ThreadRun::SendEos(OpInstance* producer, uint32_t dest) {
 }
 
 void ThreadRun::SubmitSkewReport(OpInstance* inst, SkewJoinReport report) {
-  SkewExchange* exchange = skew_exchanges_.at(inst->op.id).get();
-  std::shared_ptr<const SkewDirective> directive;
+  StatusOr<std::shared_ptr<const SkewDirective>> directive =
+      std::shared_ptr<const SkewDirective>();
   {
-    MutexLock lock(&exchange->mutex);
-    exchange->merger.Add(std::move(report));
-    if (exchange->merger.complete()) {
-      directive =
-          std::make_shared<const SkewDirective>(exchange->merger.Finish());
-    }
+    MutexLock lock(&scheduler_mutex_);
+    if (runtime_.aborted()) return;
+    directive = controller_.OnSkewReport(std::move(report));
+  }
+  if (!directive.ok()) {
+    Abort(directive.status());
+    return;
   }
   // Broadcast before the milestone: install/apply posts enqueue ahead of
   // any probe-group trigger the milestone may dispatch.
-  if (directive != nullptr) runtime_.ApplyDirective(std::move(directive));
+  if (*directive != nullptr) runtime_.ApplyDirective(*std::move(directive));
 }
 
 void ThreadRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
-  std::vector<int> ready;
+  StatusOr<std::vector<int>> ready = std::vector<int>();
   bool all_done = false;
   {
     MutexLock lock(&scheduler_mutex_);
@@ -456,14 +423,12 @@ void ThreadRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
                                             milestone);
     all_done = controller_.AllOpsComplete();
   }
-  if (!ready.empty()) DispatchGroups(ready);
-  if (all_done) {
-    {
-      MutexLock lock(&scheduler_mutex_);
-      done_ = true;
-    }
-    done_cv_.NotifyAll();
+  if (!ready.ok()) {
+    Abort(ready.status());
+    return;
   }
+  DispatchGroups(*ready);
+  if (all_done) done_cv_.NotifyAll();
 }
 
 ThreadExecStats ThreadRun::GatherStats() const {
@@ -501,16 +466,12 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           start.time_since_epoch())
           .count());
-  if (options_.deadline.has_value()) {
-    has_deadline_ = true;
-    deadline_point_ = start + *options_.deadline;
-  }
   for (auto& node : nodes_) node->Start();
 
   // A pre-cancelled token (or a deadline that expires before dispatch)
   // aborts before any work is posted — but workers still started and must
   // be joined below, exercising the same teardown as a mid-flight abort.
-  if (CheckRuntime()) {
+  if (runtime_.Live()) {
     std::vector<int> initial;
     {
       MutexLock lock(&scheduler_mutex_);
@@ -528,12 +489,12 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
       auto poll_deadline =
           // lint:allow-clock scheduler poll tick, not a per-batch read
           std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-      while (!done_ && !runtime_.aborted()) {
+      while (!Finished()) {
         if (!done_cv_.WaitUntil(scheduler_mutex_, poll_deadline)) break;
       }
-      if (done_ || runtime_.aborted()) break;
+      if (Finished()) break;
     }
-    if (!CheckRuntime()) break;
+    if (!runtime_.Live()) break;
   }
   // lint:allow-clock run wall-clock end, once per query
   auto end = std::chrono::steady_clock::now();
@@ -553,9 +514,9 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
                        options_.metrics_registry);
   }
 
-  if (runtime_.aborted()) {
+  {
     MutexLock lock(&scheduler_mutex_);
-    return run_status_;
+    if (controller_.failed()) return controller_.failure();
   }
 
   ThreadQueryResult result;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
+#include <utility>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -187,6 +190,33 @@ ParallelPlan TwoGroupPlan() {
   return *std::move(plan);
 }
 
+// The groups a valid milestone readies.
+std::vector<int> Ready(QueryController& controller, int op, uint32_t instance,
+                       Milestone milestone) {
+  StatusOr<std::vector<int>> ready =
+      controller.OnInstanceMilestone(op, instance, milestone);
+  EXPECT_TRUE(ready.ok()) << ready.status();
+  return ready.ok() ? *std::move(ready) : std::vector<int>{};
+}
+
+uint32_t InstancesOf(const ParallelPlan& plan, int op) {
+  return static_cast<uint32_t>(
+      plan.ops[static_cast<size_t>(op)].processors.size());
+}
+
+// Reports `milestone` for instances `first`.. of `op` and checks that the
+// op-level milestone fires on the last one and not before.
+void ExpectFiresOnLastInstance(QueryController& controller,
+                               const ParallelPlan& plan, int op,
+                               Milestone milestone, uint32_t first) {
+  const uint32_t instances = InstancesOf(plan, op);
+  for (uint32_t i = first; i < instances; ++i) {
+    EXPECT_FALSE(controller.OpMilestoneFired(op, milestone)) << i;
+    Ready(controller, op, i, milestone);
+  }
+  EXPECT_TRUE(controller.OpMilestoneFired(op, milestone));
+}
+
 TEST(ControllerTest, GroupsFireWhenDepsComplete) {
   ParallelPlan plan = TwoGroupPlan();
   QueryController controller(&plan);
@@ -203,13 +233,11 @@ TEST(ControllerTest, GroupsFireWhenDepsComplete) {
   for (const XraOp& op : plan.ops) {
     for (uint32_t i = 0; i < op.processors.size(); ++i) {
       if (op.kind == XraOpKind::kSimpleHashJoin) {
-        for (int g :
-             controller.OnInstanceMilestone(op.id, i, Milestone::kBuildDone)) {
+        for (int g : Ready(controller, op.id, i, Milestone::kBuildDone)) {
           EXPECT_TRUE(fired.insert(g).second);
         }
       }
-      for (int g :
-           controller.OnInstanceMilestone(op.id, i, Milestone::kComplete)) {
+      for (int g : Ready(controller, op.id, i, Milestone::kComplete)) {
         EXPECT_TRUE(fired.insert(g).second);
       }
     }
@@ -223,15 +251,218 @@ TEST(ControllerTest, OpMilestoneNeedsAllInstances) {
   QueryController controller(&plan);
   controller.TakeInitialGroups();
   int op = plan.groups[0].ops[0];
-  uint32_t instances =
-      static_cast<uint32_t>(plan.ops[static_cast<size_t>(op)].processors.size());
-  ASSERT_GT(instances, 1u);
-  for (uint32_t i = 0; i + 1 < instances; ++i) {
-    controller.OnInstanceMilestone(op, i, Milestone::kComplete);
-    EXPECT_FALSE(controller.OpMilestoneFired(op, Milestone::kComplete));
+  ASSERT_GT(InstancesOf(plan, op), 1u);
+  ExpectFiresOnLastInstance(controller, plan, op, Milestone::kComplete,
+                            /*first=*/0);
+}
+
+// A milestone naming no instance of the plan (on the process backend:
+// worker bytes) is a typed error, and the controller counts nothing.
+TEST(ControllerTest, RejectsUnknownInstanceWithoutChangingState) {
+  ParallelPlan plan = TwoGroupPlan();
+  QueryController controller(&plan);
+  controller.TakeInitialGroups();
+  const int op = plan.groups[0].ops[0];
+  const uint32_t instances = InstancesOf(plan, op);
+  const int num_ops = static_cast<int>(plan.ops.size());
+  const std::pair<int, uint32_t> unknown[] = {
+      {op, instances}, {op, UINT32_MAX}, {-1, 0}, {num_ops, 0}};
+  for (const auto& [bad_op, bad_instance] : unknown) {
+    for (Milestone milestone : {Milestone::kComplete, Milestone::kBuildDone}) {
+      StatusOr<std::vector<int>> ready =
+          controller.OnInstanceMilestone(bad_op, bad_instance, milestone);
+      ASSERT_FALSE(ready.ok()) << bad_op << "/" << bad_instance;
+      EXPECT_EQ(ready.status().code(), StatusCode::kInvalidArgument);
+    }
   }
-  controller.OnInstanceMilestone(op, instances - 1, Milestone::kComplete);
-  EXPECT_TRUE(controller.OpMilestoneFired(op, Milestone::kComplete));
+  EXPECT_FALSE(controller.failed());
+  ExpectFiresOnLastInstance(controller, plan, op, Milestone::kComplete,
+                            /*first=*/0);
+}
+
+// A repeated kBuildDone or kComplete is rejected: it neither counts for
+// the instances still to report nor fires the op early.
+TEST(ControllerTest, RejectsRepeatedMilestoneWithoutChangingState) {
+  ParallelPlan plan = TwoGroupPlan();
+  int join = -1;
+  for (const XraOp& op : plan.ops) {
+    if (op.kind == XraOpKind::kSimpleHashJoin) join = op.id;
+  }
+  ASSERT_GE(join, 0);
+  const std::pair<int, Milestone> cases[] = {
+      {join, Milestone::kBuildDone},
+      {plan.groups[0].ops[0], Milestone::kComplete}};
+  for (const auto& [op, milestone] : cases) {
+    QueryController controller(&plan);
+    controller.TakeInitialGroups();
+    const uint32_t instances = InstancesOf(plan, op);
+    ASSERT_GT(instances, 1u);
+    Ready(controller, op, 0, milestone);
+    StatusOr<std::vector<int>> again =
+        controller.OnInstanceMilestone(op, 0, milestone);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
+    ExpectFiresOnLastInstance(controller, plan, op, milestone, /*first=*/1);
+    // Still rejected once the op fired.
+    EXPECT_FALSE(
+        controller.OnInstanceMilestone(op, instances - 1, milestone).ok());
+  }
+}
+
+TEST(ControllerTest, FirstFailureWins) {
+  ParallelPlan plan = TwoGroupPlan();
+  QueryController controller(&plan);
+  EXPECT_TRUE(controller.CheckLimits());
+  EXPECT_FALSE(controller.Fail(Status::OK()));
+  EXPECT_FALSE(controller.failed());
+  EXPECT_TRUE(controller.Fail(Status::ResourceExhausted("first")));
+  EXPECT_FALSE(controller.Fail(Status::Internal("second")));
+  EXPECT_EQ(controller.failure().code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(controller.CheckLimits());
+}
+
+TEST(ControllerTest, LimitsStopTheQuery) {
+  ParallelPlan plan = TwoGroupPlan();
+  CancellationToken token;
+  QueryController cancelled(&plan, {}, QueryLimits(token, std::nullopt));
+  EXPECT_TRUE(cancelled.CheckLimits());
+  token.Cancel();
+  EXPECT_EQ(cancelled.limits().Check().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(cancelled.CheckLimits());
+  EXPECT_EQ(cancelled.failure().code(), StatusCode::kCancelled);
+
+  QueryController expired(
+      &plan, {},
+      QueryLimits(CancellationToken(), std::chrono::milliseconds(-1)));
+  EXPECT_FALSE(expired.CheckLimits());
+  EXPECT_EQ(expired.failure().code(), StatusCode::kDeadlineExceeded);
+}
+
+// --- QueryController: the skew exchange ---------------------------------------
+
+// Right-linear chains route every intermediate result into the next
+// join's probe over a hash-split edge, so their SP plans have defended
+// joins.
+ParallelPlan DefendedPlan() {
+  auto query = MakeWisconsinChainQuery(QueryShape::kRightLinear, 3, 50);
+  MJOIN_CHECK(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kSP)
+                  ->Parallelize(*query, 4, TotalCostModel());
+  MJOIN_CHECK(plan.ok());
+  MJOIN_CHECK(!DefendedJoinOps(*plan).empty());
+  return *std::move(plan);
+}
+
+SkewDefenseOptions SmallDefense() {
+  SkewDefenseOptions options;
+  options.mode = SkewDefenseMode::kOn;
+  options.bloom_bits = 1u << 12;
+  options.min_hot_count = 8;
+  return options;
+}
+
+// One honest report per instance of defended join `op`: instance 0 holds
+// 40 build rows of hot key 0, and every instance five cold keys of its own.
+std::vector<SkewJoinReport> HonestReports(const ParallelPlan& plan, int op,
+                                          const SkewDefenseOptions& options) {
+  const JoinSpec& spec = plan.ops[static_cast<size_t>(op)].join_spec;
+  const uint32_t instances = InstancesOf(plan, op);
+  std::vector<SkewJoinReport> reports;
+  for (uint32_t i = 0; i < instances; ++i) {
+    JoinHashTable table(spec.left_schema, spec.left_key);
+    Relation rows(*spec.left_schema);
+    auto add = [&](int32_t key) {
+      rows.AppendTuple().SetInt32(spec.left_key, key);
+      table.Insert(rows.tuple(rows.num_tuples() - 1).data());
+    };
+    if (i == 0) {
+      for (int r = 0; r < 40; ++r) add(0);
+    }
+    for (int32_t key = 1; key <= 5; ++key) {
+      add(static_cast<int32_t>(i) * 100 + key);
+    }
+    reports.push_back(BuildSkewReport(table, op, i, instances, options));
+  }
+  return reports;
+}
+
+std::vector<std::byte> Encoded(const SkewDirective& directive) {
+  std::vector<std::byte> bytes;
+  EncodeMsg(directive, &bytes);
+  return bytes;
+}
+
+TEST(ControllerTest, RejectsBadSkewReportsWithoutChangingState) {
+  ParallelPlan plan = DefendedPlan();
+  const SkewDefenseOptions options = SmallDefense();
+  const int join = DefendedJoinOps(plan)[0];
+  const uint32_t instances = InstancesOf(plan, join);
+  ASSERT_GT(instances, 1u);
+  std::vector<SkewJoinReport> reports = HonestReports(plan, join, options);
+  QueryController controller(&plan, options);
+  auto directive = controller.OnSkewReport(reports[0]);
+  ASSERT_TRUE(directive.ok()) << directive.status();
+  EXPECT_EQ(*directive, nullptr);
+
+  std::vector<std::pair<std::string, SkewJoinReport>> bad;
+  int undefended = -1;
+  for (const XraOp& op : plan.ops) {
+    if (op.id != join && op.kind != XraOpKind::kSimpleHashJoin) {
+      undefended = op.id;
+    }
+  }
+  ASSERT_GE(undefended, 0);
+  for (int op : {undefended, -1, static_cast<int>(plan.ops.size())}) {
+    bad.emplace_back(StrCat("undefended op ", op), reports[1]);
+    bad.back().second.op = op;
+  }
+  bad.emplace_back("out-of-range instance", reports[1]);
+  bad.back().second.instance = instances;
+  bad.emplace_back("duplicate instance", reports[0]);
+  bad.emplace_back("wrong Bloom size", reports[1]);
+  bad.back().second.bloom = BloomFilter(options.bloom_bits / 2);
+  bad.emplace_back("no Bloom filter", reports[1]);
+  bad.back().second.bloom = BloomFilter();
+  bad.emplace_back("wrong tuple size", reports[1]);
+  bad.back().second.tuple_size += 8;
+  for (auto& [what, report] : bad) {
+    auto rejected = controller.OnSkewReport(std::move(report));
+    ASSERT_FALSE(rejected.ok()) << what;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+  // With the defense off, no join takes reports.
+  QueryController off(&plan);
+  EXPECT_FALSE(off.OnSkewReport(reports[0]).ok());
+
+  // Nothing rejected was counted: the directive comes with the last valid
+  // report, not before.
+  for (uint32_t i = 1; i < instances; ++i) {
+    directive = controller.OnSkewReport(reports[i]);
+    ASSERT_TRUE(directive.ok()) << directive.status();
+    EXPECT_EQ(*directive == nullptr, i + 1 < instances) << i;
+  }
+}
+
+TEST(ControllerTest, LastSkewReportReturnsTheMergersDirective) {
+  ParallelPlan plan = DefendedPlan();
+  const SkewDefenseOptions options = SmallDefense();
+  const int join = DefendedJoinOps(plan)[0];
+  std::vector<SkewJoinReport> reports = HonestReports(plan, join, options);
+  QueryController controller(&plan, options);
+  SkewReportMerger merger(join, InstancesOf(plan, join), options);
+  std::shared_ptr<const SkewDirective> directive;
+  // Reverse arrival order: the merge must not depend on it.
+  for (auto it = reports.rbegin(); it != reports.rend(); ++it) {
+    merger.Add(*it);
+    auto merged = controller.OnSkewReport(*it);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    directive = *merged;
+  }
+  ASSERT_NE(directive, nullptr);
+  ASSERT_TRUE(merger.complete());
+  EXPECT_TRUE(directive->repartition);
+  EXPECT_EQ(directive->hot_keys, std::vector<int32_t>{0});
+  EXPECT_EQ(Encoded(*directive), Encoded(merger.Finish()));
 }
 
 // --- Reference executor -----------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "net/channel.h"
 #include "net/shm_ring.h"
 #include "plan/wisconsin_query.h"
+#include "skew/defense.h"
 #include "strategy/strategy.h"
 #include "xra/text.h"
 
@@ -56,6 +57,54 @@ class ProcessBackendFaultTest : public testing::Test {
   // kill(pid, 0) still reaches. ESRCH therefore means "fully reaped".
   static bool ProcessExists(pid_t pid) {
     return kill(pid, 0) == 0 || errno != ESRCH;
+  }
+
+  // What a worker run against a scripted coordinator reported.
+  struct WorkerOutcome {
+    Status reported;
+    int exit_code = -1;
+  };
+
+  // Runs a worker on its own thread: ships `env`, sends `after_hello`
+  // once the worker said kHello, and reads until the worker hangs up.
+  WorkerOutcome RunScriptedWorker(
+      ShmArena* arena, const PlanEnvelope& env,
+      const std::vector<std::pair<FrameType, std::vector<std::byte>>>&
+          after_hello) {
+    WorkerOutcome outcome;
+    int sv[2];
+    EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::thread worker([&outcome, fd = sv[1], arena, db = db_.get()] {
+      outcome.exit_code = RunProcessWorker(fd, arena, db);
+    });
+    EXPECT_TRUE(SetNonBlocking(sv[0]).ok());
+    FrameChannel chan(sv[0], "worker", LinkRole::kCoordinator);
+    chan.QueueMsg(FrameType::kPlan, env);
+    bool closed = false;
+    while (!closed && chan.Flush().ok()) {
+      auto readable = WaitReadable(sv[0], 10'000);
+      if (!readable.ok() || !*readable) {
+        ADD_FAILURE() << "worker went silent";
+        break;
+      }
+      if (!chan.ReadAvailable(&closed).ok()) break;
+      Frame frame;
+      while (chan.NextFrame(&frame)) {
+        if (frame.type == FrameType::kHello) {
+          for (const auto& [type, payload] : after_hello) {
+            chan.QueueFrame(type, payload);
+          }
+        }
+        if (frame.type != FrameType::kError) continue;
+        WireReader reader(frame.payload);
+        ErrorMsg error;
+        EXPECT_TRUE(DecodeMsg(&reader, &error).ok());
+        outcome.reported = Status(error.code, error.message);
+      }
+    }
+    chan.Close();
+    worker.join();
+    return outcome;
   }
 
   std::unique_ptr<Database> db_;
@@ -313,45 +362,63 @@ TEST_F(ProcessBackendFaultTest, WorkerRejectsEosForMissingPort) {
       ring->TryPush(ShmRecordType::kEos, &eos, sizeof(eos), nullptr, 0));
   (*plane)->RingDoorbell(edge->to);
 
-  int sv[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  int exit_code = -1;
-  std::thread worker(
-      [&exit_code, fd = sv[1], a = arena->get(), db = db_.get()] {
-        exit_code = RunProcessWorker(fd, a, db);
-      });
-  ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
-  FrameChannel chan(sv[0], "worker", LinkRole::kCoordinator);
   PlanEnvelope env;
   env.worker_id = edge->to;
   env.num_workers = kWorkers;
   env.shm_ring_bytes = kRingBytes;
   env.plan_text = SerializePlan(*plan_);
-  std::vector<std::byte> payload;
-  EncodeMsg(env, &payload);
-  chan.QueueFrame(FrameType::kPlan, payload);
-  ASSERT_TRUE(chan.Flush().ok());
+  WorkerOutcome outcome = RunScriptedWorker(arena->get(), env, {});
+  EXPECT_EQ(outcome.exit_code, 1);
+  EXPECT_EQ(outcome.reported.code(), StatusCode::kInvalidArgument)
+      << outcome.reported;
+  EXPECT_NE(outcome.reported.message().find("port 0"), std::string::npos)
+      << outcome.reported;
+}
 
-  Status reported;
-  bool closed = false;
-  while (!closed) {
-    auto readable = WaitReadable(sv[0], 10'000);
-    ASSERT_TRUE(readable.ok() && *readable) << "worker went silent";
-    ASSERT_TRUE(chan.ReadAvailable(&closed).ok());
-    Frame frame;
-    while (chan.NextFrame(&frame)) {
-      if (frame.type != FrameType::kError) continue;
-      WireReader reader(frame.payload);
-      ErrorMsg error;
-      ASSERT_TRUE(DecodeMsg(&reader, &error).ok());
-      reported = Status(error.code, error.message);
-    }
-  }
-  worker.join();
-  EXPECT_EQ(exit_code, 1);
-  EXPECT_EQ(reported.code(), StatusCode::kInvalidArgument) << reported;
-  EXPECT_NE(reported.message().find("port 0"), std::string::npos)
-      << reported;
+// A skew directive whose rows are not the defended join's build width is
+// rejected before its rows reach the build table.
+TEST_F(ProcessBackendFaultTest, WorkerRejectsSkewDirectiveOfWrongWidth) {
+  constexpr uint32_t kRingBytes = 4096;
+  auto query = MakeWisconsinChainQuery(QueryShape::kRightLinear, 5, 400);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kSP)
+                  ->Parallelize(*query, /*processors=*/4, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_FALSE(DefendedJoinOps(*plan).empty());
+  const XraOp& join = plan->ops[static_cast<size_t>(DefendedJoinOps(*plan)[0])];
+  const auto width =
+      static_cast<uint32_t>(join.join_spec.left_schema->tuple_size());
+
+  std::vector<ShmRingSpec> directory = ComputeRingDirectory(*plan, 1);
+  auto arena = ShmArena::Create(
+      /*endpoints=*/2, (sizeof(ShmRingHdr) + kRingBytes) * directory.size());
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  auto plane = ShmDataPlane::CreateInArena(arena->get(), directory,
+                                           /*endpoints=*/2, kRingBytes,
+                                           /*format=*/true);
+  ASSERT_TRUE(plane.ok()) << plane.status();
+
+  PlanEnvelope env;
+  env.worker_id = 0;
+  env.num_workers = 1;
+  env.shm_ring_bytes = kRingBytes;
+  env.plan_text = SerializePlan(*plan);
+  env.skew_defense.mode = SkewDefenseMode::kOn;
+  SkewDirective directive;
+  directive.op = join.id;
+  directive.repartition = true;
+  directive.hot_keys = {1};
+  directive.tuple_size = width + 8;
+  directive.hot_rows.assign(width + 8, std::byte{0});
+  std::vector<std::byte> payload;
+  EncodeMsg(directive, &payload);
+  WorkerOutcome outcome = RunScriptedWorker(
+      arena->get(), env, {{FrameType::kSkewDirective, payload}});
+  EXPECT_EQ(outcome.exit_code, 1);
+  EXPECT_EQ(outcome.reported.code(), StatusCode::kInvalidArgument)
+      << outcome.reported;
+  EXPECT_NE(outcome.reported.message().find("byte rows"), std::string::npos)
+      << outcome.reported;
 }
 
 }  // namespace

@@ -141,8 +141,12 @@ echo "== ci: thread sanitizer =="
 # shm_ring_test's SPSC stress and shm_ring_tsan_test's dual-endpoint
 # doorbell harness (in the default set) put the ring's release/acquire
 # protocol itself under TSan; the chaos sweep covers the cross-process
-# plane.
+# plane. thread_executor_test and thread_executor_fault_test (also in the
+# default set, named here so the stage lists what it covers) drive the
+# thread backend's deadline, cancellation, abort and backpressure paths,
+# whose lock-free limits check runs beside the scheduler mutex.
 MJOIN_CHAOS_ITERS=2 tools/run_sanitized_tests.sh thread \
+  thread_executor_test thread_executor_fault_test \
   thread_metrics_test shm_ring_test process_backend_fault_test \
   process_chaos_test serve_test warm_fleet_test plan_cache_test \
   skew_test workload_test

@@ -54,7 +54,11 @@ fi
 # and eventfd doorbell discipline on real threads in one address space —
 # the only harness TSan can see into (the fork-based backends are opaque
 # to it).
-TESTS=(thread_executor_test thread_executor_fault_test shm_ring_tsan_test "$@")
+TESTS=()
+for t in thread_executor_test thread_executor_fault_test shm_ring_tsan_test "$@"; do
+  # A default named again on the command line runs once.
+  [[ " ${TESTS[*]} " == *" $t "* ]] || TESTS+=("$t")
+done
 
 TARGETS=()
 for t in "${TESTS[@]}"; do TARGETS+=(--target "$t"); done
