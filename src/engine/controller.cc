@@ -42,7 +42,7 @@ QueryController::QueryController(const ParallelPlan* plan,
     skew_[static_cast<size_t>(id)].emplace(
         SkewReportMerger(id, instances, skew),
         std::vector<bool>(instances, false),
-        BloomFilter(skew.bloom_bits).num_bits(),
+        static_cast<uint32_t>(BloomFilter::BitsFor(skew.bloom_bits)),
         static_cast<uint32_t>(join.join_spec.left_schema->tuple_size()));
   }
 }

@@ -42,7 +42,7 @@ namespace {
 /// One member of a worker fleet: the child pid and the coordinator end of
 /// its socketpair. The channel's link phase (FrameChannel::phase()) is how
 /// far the member has got in the current query: handshake, execute,
-/// report, done, and back to await-plan once it parked. The channel
+/// report, and back to await-plan once its report parked it. The channel
 /// accumulates its byte/frame counters across queries; `base` pins them at
 /// the start of the current one.
 struct FleetMember {
@@ -203,8 +203,8 @@ void FleetState::TearDown(bool graceful) {
 /// (respawning it first when needed), ships the plan, drives the
 /// trigger-group scheduler off milestone frames, and folds the workers'
 /// reports. Its per-worker state is the fleet member itself: the link
-/// phase of its channel says whether the worker said hello, reported or
-/// parked. Workers scan the database they inherited and
+/// phase of its channel says whether the worker said hello or reported,
+/// which parked it. Workers scan the database they inherited and
 /// exchange batches among themselves over the rings. Single-threaded: one
 /// poll loop over all worker sockets and the coordinator's doorbell.
 class Coordinator {
@@ -213,7 +213,7 @@ class Coordinator {
   /// plan envelope); `limits` are shared by every attempt of one Execute();
   /// `proc` (nullable) accumulates supervision counters and failure
   /// diagnoses across attempts. The attempt runs on `fleet`'s members and
-  /// ends with the idle handshake, which parks them for the fleet's next
+  /// ends once each has reported, which parks it for the fleet's next
   /// query or its teardown.
   Coordinator(const ParallelPlan& plan, const ProcessExecOptions& options,
               FleetState& fleet, uint32_t attempt, const QueryLimits& limits,
@@ -243,8 +243,6 @@ class Coordinator {
                                    ProcessNetStats* net_out);
 
  private:
-  enum class State { kRunning, kFinishing, kDone };
-
   const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
   int64_t NowSinceEpochNs() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -256,17 +254,23 @@ class Coordinator {
   /// Respawns the fleet if it is poisoned, empty or forked from a stale
   /// database, pins each member's channel counters, and formats this
   /// query's ring directory over its arena.
-  /// Every member is parked idle then — the previous query's idle
-  /// handshake (or the spawn) guarantees no worker is touching the arena
-  /// while the rings are reformatted.
+  /// Every member is parked then: each one tore its ring view down before
+  /// its previous report (or it was just spawned), so no worker is
+  /// touching the arena while the rings are reformatted.
   Status AttachFleet();
-  /// End of query: kShutdown to every worker (ending its query, not its
-  /// process), then polls until each acks with kIdle and is parked. Any
-  /// failure here means the fleet's state is unknown — the caller must
-  /// poison it — but the query's own result stands.
-  Status AwaitFleetIdle();
   Status ShipPlans();
   void DispatchGroups(const std::vector<int>& groups);
+  /// Once every op completed: kFinish to each worker past its handshake
+  /// and not yet told. A worker still in its handshake (it hosts no
+  /// instance) gets its kFinish when its kHello arrives.
+  void FinishIfComplete();
+  /// True once every worker reported: every link is back in await-plan.
+  bool AllReported() const {
+    return std::all_of(workers_.begin(), workers_.end(),
+                       [](const FleetMember& each) {
+                         return each.chan->phase() == kPhAwaitPlan;
+                       });
+  }
 
   /// One poll-loop turn: flush, poll, read every ready socket, drain the
   /// relay rings, then handle the read frames. Rings drain *before* frames
@@ -334,8 +338,6 @@ class Coordinator {
   uint64_t plan_hash_ = 0;
   int64_t trace_origin_ns_ = 0;
 
-  State state_ = State::kRunning;
-
   // Supervision state (lazily initialized on the first supervision turn).
   bool supervision_started_ = false;
   uint32_t ping_seq_ = 0;
@@ -378,32 +380,6 @@ Status Coordinator::AttachFleet() {
   return Status::OK();
 }
 
-Status Coordinator::AwaitFleetIdle() {
-  for (FleetMember& w : workers_) {
-    if (!w.closed) w.chan->QueueFrame(FrameType::kShutdown, {});
-  }
-  // lint:allow-clock idle-handshake deadline, end-of-query only
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    bool all_idle = true;
-    for (const FleetMember& w : workers_) {
-      if (w.closed) {
-        return Status::Unavailable("a worker died during the idle handshake");
-      }
-      // kIdle returns a link to await-plan: the worker tore down the
-      // query's state and parked.
-      if (w.chan->phase() != kPhAwaitPlan) all_idle = false;
-    }
-    if (all_idle) return Status::OK();
-    if (aborted()) return controller_.failure();
-    // lint:allow-clock idle-handshake deadline, end-of-query only
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Unavailable("fleet idle handshake timed out");
-    }
-    PollOnce(/*timeout_ms=*/20);
-  }
-}
-
 Status Coordinator::ShipPlans() {
   std::string fault_scenario;
   if (exec_.fault_injector != nullptr) {
@@ -440,6 +416,17 @@ void Coordinator::DispatchGroups(const std::vector<int>& groups) {
     EncodeMsg(TriggerMsg{g}, &payload);
     for (FleetMember& w : workers_) {
       if (!w.closed) w.chan->QueueFrame(FrameType::kTrigger, payload);
+    }
+  }
+}
+
+void Coordinator::FinishIfComplete() {
+  if (!controller_.AllOpsComplete()) return;
+  // Queueing kFinish moves a link to the report phase, so no worker is
+  // told twice.
+  for (FleetMember& each : workers_) {
+    if (!each.closed && each.chan->phase() == kPhExecute) {
+      each.chan->QueueFrame(FrameType::kFinish, {});
     }
   }
 }
@@ -542,7 +529,7 @@ void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
   // that reports a typed kError and exits races its buffered error frame
   // against our next flush hitting EPIPE; the typed error must win, or a
   // deterministic worker fault gets misdiagnosed as a crash and retried.
-  if (!aborted() && state_ != State::kDone) {
+  if (!aborted()) {
     bool ignored = false;
     (void)worker.chan->ReadAvailable(&ignored);
     Frame frame;
@@ -552,8 +539,14 @@ void Coordinator::HandleWorkerGone(uint32_t w, const Status& status) {
   }
   worker.closed = true;
   worker.chan->Close();
-  if (aborted() || state_ == State::kDone) return;
-  // A socket that dies before the worker said goodbye means the worker is
+  if (worker.chan->phase() == kPhAwaitPlan) {
+    // The worker reported before its link died: the query's result stands,
+    // but the fleet lost a member and must respawn before its next query.
+    fleet_.poisoned = true;
+    return;
+  }
+  if (aborted()) return;
+  // A socket that dies before the worker reported means the worker is
   // gone mid-query. Reap it now (no zombie) and fold its exit status into
   // the error.
   int wstatus = 0;
@@ -629,9 +622,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       }
       // The query may have completed while this worker was still in its
       // handshake (it hosts no instance); its kFinish was held for now.
-      if (state_ == State::kFinishing) {
-        workers_[w].chan->QueueFrame(FrameType::kFinish, {});
-      }
+      FinishIfComplete();
       return;
     }
     case FrameType::kMilestone: {
@@ -644,17 +635,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
           controller_.OnInstanceMilestone(msg.op, msg.instance, msg.milestone);
       if (!Accept(w, frame, ready.status())) return;
       DispatchGroups(*ready);
-      if (state_ == State::kRunning && controller_.AllOpsComplete()) {
-        state_ = State::kFinishing;
-        // kFinish is legal only once a link has left its handshake. A
-        // worker hosting no instance (a surplus fleet member on a narrow
-        // plan) may not have said kHello yet; it gets kFinish when it does.
-        for (FleetMember& each : workers_) {
-          if (!each.closed && each.chan->phase() == kPhExecute) {
-            each.chan->QueueFrame(FrameType::kFinish, {});
-          }
-        }
-      }
+      FinishIfComplete();
       return;
     }
     case FrameType::kReport: {
@@ -680,14 +661,6 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
             trace_->Record(e.node, e.start_ns, e.end_ns, e.type, e.op_id);
           }
         }
-      }
-      // The report ended this link's query (kPhDone); the query is done
-      // once every link's is.
-      if (std::all_of(workers_.begin(), workers_.end(),
-                      [](const FleetMember& each) {
-                        return each.chan->phase() == kPhDone;
-                      })) {
-        state_ = State::kDone;
       }
       return;
     }
@@ -717,10 +690,6 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       if (proc_ != nullptr) ++proc_->pongs_received;
       return;
     }
-    case FrameType::kIdle:
-      // The worker's ack that it tore down the query's state and parked;
-      // its link is back in await-plan, which AwaitFleetIdle reads.
-      return;
     case FrameType::kSkewReport: {
       SkewJoinReport report;
       if (!DecodeFrom(w, frame, &report) ||
@@ -834,11 +803,10 @@ void Coordinator::PollOnce(int timeout_ms) {
     while (!aborted() && worker.chan->NextFrame(&frame)) {
       HandleFrame(r.w, std::move(frame));
     }
-    // After the query is done an EOF is no failure of the query, but the
-    // socket is dead either way: HandleWorkerGone only marks it closed
-    // then. Left open, a hung-up socket stays readable forever and a warm
-    // fleet's idle handshake would spin on it until its deadline instead
-    // of noticing the lost member.
+    // After the worker reported an EOF is no failure of the query, but the
+    // socket is dead either way: HandleWorkerGone marks it closed and the
+    // fleet poisoned then. Left open, a hung-up socket stays readable
+    // forever and the poll loop would spin on it.
     if (r.peer_closed) {
       HandleWorkerGone(r.w, Status::Unavailable("end of stream"));
     }
@@ -972,8 +940,6 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   trace_origin_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
                          start.time_since_epoch())
                          .count();
-  // has_deadline_/deadline_point_ come from the constructor: the deadline
-  // is absolute across every retry attempt of one Execute().
   if (exec_.record_trace) {
     trace_ = NewPlanTrace(plan_, WallClockTraceFormat("process"));
     trace_->SetOrigin(start);
@@ -995,7 +961,9 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
     DispatchGroups(controller_.TakeInitialGroups());
   }
 
-  while (state_ != State::kDone) {
+  // Each worker tore its query down before it reported, so the wall time
+  // includes that teardown.
+  while (!AllReported()) {
     if (!controller_.CheckLimits()) break;
     SuperviseFleet();
     if (aborted()) break;
@@ -1004,14 +972,6 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   }
   // lint:allow-clock run wall-clock end, once per query
   auto end = std::chrono::steady_clock::now();
-
-  // The idle handshake can itself abort (a worker dying in it); that
-  // poisons the fleet but must not fail a query whose result is already
-  // in, so the final verdict is snapshotted here. After a failed run the
-  // workers may be mid-query and unwilling to park: the fleet kills and
-  // respawns them, never this borrower.
-  const bool run_failed = aborted();
-  if (run_failed || !AwaitFleetIdle().ok()) fleet_.poisoned = true;
 
   GatherNetStats();
   ThreadExecStats stats = GatherStats();
@@ -1026,7 +986,9 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
     PublishNetMetrics(net_, exec_.metrics_registry);
   }
 
-  if (run_failed) return controller_.failure();
+  // After a failed run the workers may be mid-query: the caller has the
+  // fleet kill and respawn them, never this borrower.
+  if (aborted()) return controller_.failure();
 
   ProcessQueryResult result;
   result.exec.wall_seconds = wall_seconds;

@@ -35,6 +35,15 @@ namespace {
 /// is in flight; this bounds what waits behind it.
 constexpr size_t kBacklogWatermark = 4u << 20;
 
+/// Answers `ping` with a kPong carrying its sequence number.
+Status QueuePong(FrameChannel& chan, const Frame& ping) {
+  WireReader reader(ping.payload);
+  HeartbeatMsg msg;
+  MJOIN_RETURN_IF_ERROR(DecodeMsg(&reader, &msg));
+  chan.QueueMsg(FrameType::kPong, msg);
+  return Status::OK();
+}
+
 /// Worker-side state of one query: the runtime's hosted instances, the
 /// frame loop and shm transport, and the query's one report. The whole
 /// worker is one thread, so Post() runs inline; output leaves through each
@@ -56,9 +65,12 @@ class WorkerRun : public InstanceHost {
         plane_(plane),
         coord_ep_(env_.num_workers) {}
 
-  Status Setup();
-  /// Runs the event loop until kShutdown (returns OK) or a fatal error.
-  Status Loop();
+  /// Runs the query until its report is built and every ring backlog
+  /// drained onto its ring, and returns the report; or a fatal error.
+  StatusOr<WorkerReport> Run() {
+    MJOIN_RETURN_IF_ERROR(Setup());
+    return Loop();
+  }
 
   // InstanceHost:
   bool Hosts(uint32_t processor) const override {
@@ -89,6 +101,8 @@ class WorkerRun : public InstanceHost {
   }
 
  private:
+  Status Setup();
+  StatusOr<WorkerReport> Loop();
   bool aborted() const { return !run_status_.ok(); }
   const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
   uint32_t WorkerOf(uint32_t processor) const {
@@ -146,7 +160,6 @@ class WorkerRun : public InstanceHost {
   std::vector<uint32_t> out_schema_id_;
 
   Status run_status_;
-  bool shutdown_ = false;
   WorkerRunStats stats_;
   std::vector<WireTraceEvent> trace_events_;
 
@@ -168,8 +181,7 @@ class WorkerRun : public InstanceHost {
   /// eventfd write per endpoint per turn, not one per record).
   std::vector<bool> doorbell_dirty_;
   /// Built at kFinish, held until every backlog drained onto its ring, so
-  /// the coordinator never tears the fleet down with result rows still
-  /// queued.
+  /// the report trails every result row it accounts for.
   std::optional<WorkerReport> report_;
 
   /// Built in Setup once the fault scenario is parsed; declared last so
@@ -620,24 +632,18 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
       return HandleSkewDirective(frame);
     case FrameType::kFinish:
       return FinishQuery();
-    case FrameType::kPing: {
+    case FrameType::kPing:
       // Answer immediately, before any query work: liveness must not queue
-      // behind a long build. The pong reuses the ping's sequence number.
-      WireReader reader(frame.payload);
-      HeartbeatMsg ping;
-      MJOIN_RETURN_IF_ERROR(DecodeMsg(&reader, &ping));
-      chan_->QueueMsg(FrameType::kPong, ping);
-      return Status::OK();
-    }
-    case FrameType::kShutdown:
-      shutdown_ = true;
-      return Status::OK();
+      // behind a long build.
+      return QueuePong(*chan_, frame);
     // Frames the table says never arrive at a worker (worker-to-
     // coordinator and serve-layer classes), generated from
-    // MJOIN_FRAME_TABLE. kPlan is class CW but handled by the parked
-    // outer loop, never here. The switch stays default:-free so -Wswitch
-    // flags any new wire frame that is silently unrouted here.
+    // MJOIN_FRAME_TABLE. kPlan and kShutdown are class CW but legal only
+    // on a parked link, where the outer loop handles them, never here.
+    // The switch stays default:-free so -Wswitch flags any new wire frame
+    // that is silently unrouted here.
     case FrameType::kPlan:
+    case FrameType::kShutdown:
     MJOIN_FRAME_CASES(NOT_CW)
       break;
   }
@@ -645,7 +651,7 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
       "worker received unexpected ", FrameTypeName(frame.type), " frame"));
 }
 
-Status WorkerRun::Loop() {
+StatusOr<WorkerReport> WorkerRun::Loop() {
   for (;;) {
     RetryBacklogs();
     RingDirtyDoorbells();
@@ -661,18 +667,14 @@ Status WorkerRun::Loop() {
     while (chan_->NextFrame(&frame)) {
       MJOIN_RETURN_IF_ERROR(HandleFrame(frame));
       if (aborted()) return run_status_;
-      if (shutdown_) {
-        return chan_->Flush();
-      }
     }
     if (aborted()) return run_status_;
     if (peer_closed) {
       return Status::Unavailable("coordinator closed the socket");
     }
     if (report_.has_value() && ring_backlog_bytes_ == 0) {
-      chan_->QueueMsg(FrameType::kReport, *report_);
-      report_.reset();
-      continue;  // flush before waiting
+      RingDirtyDoorbells();
+      return *std::move(report_);
     }
     if (!pump_queue_.empty()) {
       if (ring_backlog_bytes_ < kBacklogWatermark) {
@@ -705,18 +707,17 @@ Status WorkerRun::Loop() {
   }
 }
 
-/// Flushes `chan`, giving the socket a bounded moment (100 polls of 50 ms)
-/// to take the whole outbox; false when the peer is gone or the outbox is
-/// still not drained.
+/// Flushes `chan` until the socket took the whole outbox; false when the
+/// peer is gone or the socket accepted nothing for 100 polls of 50 ms.
 bool FlushBounded(FrameChannel& chan) {
-  for (int i = 0; i < 100; ++i) {
+  for (int idle_polls = 0; idle_polls < 100;) {
     if (!chan.Flush().ok()) return false;
     if (!chan.has_pending_output()) return true;
     struct pollfd pfd;
     pfd.fd = chan.fd();
     pfd.events = POLLOUT;
     pfd.revents = 0;
-    poll(&pfd, 1, 50);
+    if (poll(&pfd, 1, 50) == 0) ++idle_polls;
   }
   return false;
 }
@@ -746,18 +747,23 @@ int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
     // Parked: wait for the next kPlan. A warm fleet idles here for
     // arbitrarily long between queries, so a WaitReadable timeout just
     // re-arms the wait; death of the coordinating process surfaces as EOF
-    // (peer_closed) because the socketpair end it held is closed then.
+    // (peer_closed) because the socketpair end it held is closed then. A
+    // ping the coordinator queued before it handled this worker's report
+    // lands here, and gets its pong like any other.
     Frame plan_frame;
     for (;;) {
       bool peer_closed = false;
       if (!chan.ReadAvailable(&peer_closed).ok()) return 1;
-      if (chan.NextFrame(&plan_frame)) break;
-      if (peer_closed || chan.poisoned()) return 1;
-      StatusOr<bool> readable = WaitReadable(fd, 30'000);
-      if (!readable.ok()) return 1;
+      if (!chan.NextFrame(&plan_frame)) {
+        if (peer_closed || chan.poisoned()) return 1;
+        StatusOr<bool> readable = WaitReadable(fd, 30'000);
+        if (!readable.ok()) return 1;
+        continue;
+      }
+      if (plan_frame.type != FrameType::kPing) break;
+      if (!QueuePong(chan, plan_frame).ok() || !FlushBounded(chan)) return 1;
     }
-    // Every worker parks after its kIdle ack; the fleet's teardown then
-    // sends a bare kShutdown to exit it cleanly.
+    // The fleet's teardown: a bare kShutdown exits the parked worker.
     if (plan_frame.type == FrameType::kShutdown) return 0;
     if (plan_frame.type != FrameType::kPlan) return 1;
 
@@ -772,6 +778,9 @@ int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
           StrCat("protocol version mismatch: coordinator speaks ",
                  env.protocol_version, ", worker speaks ",
                  kNetProtocolVersion)));
+    }
+    if (Status skew = CheckSkewDefenseOptions(env.skew_defense); !skew.ok()) {
+      return fail(skew);
     }
     StatusOr<ParallelPlan> plan = ParsePlan(env.plan_text);
     if (!plan.ok()) return fail(plan.status());
@@ -798,18 +807,18 @@ int RunProcessWorker(int fd, ShmArena* arena, const Database* database) {
     chan.QueueMsg(FrameType::kHello, hello);
     if (!chan.Flush().ok()) return 1;
 
-    {
-      WorkerRun run(&chan, std::move(env), std::move(plan).value(), database,
-                    plane->get(), &pool);
-      Status status = run.Setup();
-      if (status.ok()) status = run.Loop();
-      if (!status.ok()) return fail(status);
-    }
-    // The query's state (and its arena view) is down before the idle ack:
-    // once the coordinator sees kIdle from every worker it may reformat the
-    // arena's rings for the next query.
+    // The run is a temporary: the query's state is down when this
+    // statement ends.
+    StatusOr<WorkerReport> report =
+        WorkerRun(&chan, std::move(env), std::move(plan).value(), database,
+                  plane->get(), &pool)
+            .Run();
+    if (!report.ok()) return fail(report.status());
+    // Its ring view goes too before the report leaves: once every worker
+    // reported, the coordinator may reformat the arena's rings for the
+    // next query. The report parks this worker.
     plane->reset();
-    chan.QueueFrame(FrameType::kIdle, {});
+    chan.QueueMsg(FrameType::kReport, *report);
     if (!FlushBounded(chan)) return 1;
   }
 }

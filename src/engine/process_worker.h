@@ -32,9 +32,10 @@ class ShmArena;
 /// socket. The child never destroys the arena — _exit() skips destructors,
 /// and the kernel drops its reference to the shared mapping.
 ///
-/// Lifecycle, the same on every fleet: after each query's kShutdown the
-/// worker tears down the query's state, acks with kIdle, and parks waiting
-/// for the next kPlan. A bare kShutdown received while parked exits it
+/// Lifecycle, the same on every fleet: on each query's kFinish the worker
+/// builds its report, drains its ring backlogs, tears down the query's
+/// state and ring view, sends its one kReport, and parks waiting for the
+/// next kPlan. A parked worker answers kPing; a bare kShutdown exits it
 /// (the fleet's graceful teardown); so does EOF, with exit code 1. The
 /// batch pool is worker-lifetime, so a warm worker's steady-state queries
 /// reuse buffers instead of allocating.

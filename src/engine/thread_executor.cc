@@ -560,6 +560,7 @@ Status CheckExecRequest(const ParallelPlan& plan,
     return Status::InvalidArgument(
         "ThreadExecOptions::deadline must be positive when set");
   }
+  MJOIN_RETURN_IF_ERROR(CheckSkewDefenseOptions(options.skew_defense));
   return plan.Validate();
 }
 

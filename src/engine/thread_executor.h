@@ -141,7 +141,8 @@ struct ThreadQueryResult {
 std::vector<ThreadOpStats> NewOpStats(const ParallelPlan& plan);
 
 /// The request checks of the thread and process backends: a positive
-/// batch size, a positive deadline when one is set, and a valid plan.
+/// batch size, a positive deadline when one is set, skew-defense options
+/// the defense can run on, and a valid plan.
 [[nodiscard]] Status CheckExecRequest(const ParallelPlan& plan,
                                       const ThreadExecOptions& options);
 

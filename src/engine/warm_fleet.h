@@ -35,9 +35,10 @@ struct WarmFleetOptions {
 /// A pre-forked, long-lived worker-process fleet that executes queries
 /// without paying the per-query fork + mmap cost of ProcessExecutor. It is
 /// the same fleet a one-shot query spawns for itself, kept for many
-/// queries: after each query its workers tear down the query's state, ack
-/// kIdle, and park waiting for the next kPlan. The shm arena (mapping +
-/// doorbells) is created once, pre-fork, and reused by every query.
+/// queries: each worker ends a query by tearing down its state and sending
+/// its kReport, which parks it waiting for the next kPlan. The shm arena
+/// (mapping + doorbells) is created once, pre-fork, and reused by every
+/// query.
 ///
 /// Execute() is serialized by an internal mutex — one query at a time per
 /// fleet (callers wanting concurrency run several fleets). Any failed run

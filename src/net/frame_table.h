@@ -46,13 +46,14 @@
 /// data plane; every batch, EOS and result row now rides the shm rings
 /// (net/shm_ring.h). 10 (summary), 12 (op-stats), 13 (net-stats) and 14
 /// (trace-events) were the report phase's separate frames, folded into
-/// the one kReport. A frame with a retired id is rejected as corrupt like
-/// any other id the table does not define.
+/// the one kReport. 22 (idle) acked a query-ending kShutdown; kReport now
+/// parks the worker itself. A frame with a retired id is rejected as
+/// corrupt like any other id the table does not define.
 namespace mjoin {
 
 /// Conformance phases of one coordinator<->worker link (a serve link sits
 /// permanently in kPhServe). A link starts in kPhAwaitPlan; table `next`
-/// entries advance it. Every fleet loops: kIdle returns the link to
+/// entries advance it. Every fleet loops: kReport returns the link to
 /// kPhAwaitPlan, where the next query's kPlan or the fleet's teardown
 /// kShutdown follows.
 enum FramePhase : uint32_t {
@@ -60,14 +61,14 @@ enum FramePhase : uint32_t {
   kPhHandshake = 1u << 1,  // kPlan shipped, kHello not yet observed
   kPhExecute = 1u << 2,    // triggers/milestones/skew exchange flowing
   kPhReport = 1u << 3,     // kFinish observed; the worker's kReport inbound
-  kPhDone = 1u << 4,       // kReport or kShutdown observed
+  kPhDone = 1u << 4,       // the teardown kShutdown observed; worker exits
   kPhServe = 1u << 5,      // serve-layer client connection
 };
 
 /// Phase-transition sentinel: the frame leaves the link's phase alone.
 inline constexpr uint32_t kPhKeep = 0;
 
-/// Every worker-link phase; heartbeats and shutdown are legal throughout.
+/// Every worker-link phase; heartbeats are legal throughout.
 inline constexpr uint32_t kPhAnyWorker =
     kPhAwaitPlan | kPhHandshake | kPhExecute | kPhReport | kPhDone;
 
@@ -96,17 +97,19 @@ enum FrameDir : uint32_t {
   /* coordinator -> worker: the plan completed; send this query's report.   */ \
   X(9, Finish, "finish", CW, kDirToWorker, kPhExecute, Report)                 \
   /* worker -> coordinator: fatal worker-side status; the run aborts. Legal */ \
-  /* from the moment the worker has a plan to fail (kPhHandshake) until it  */ \
-  /* parks again (kIdle): a worker may fail after its report too.           */ \
+  /* from the moment the worker has a plan to fail (kPhHandshake) until its */ \
+  /* kReport parks it.                                                      */ \
   X(15, Error, "error", WC, kDirToCoordinator,                                 \
-    kPhHandshake | kPhExecute | kPhReport | kPhDone, Keep)                     \
+    kPhHandshake | kPhExecute | kPhReport, Keep)                               \
   /* serve client -> server: connection close notice.                       */ \
   X(16, Bye, "bye", SERVE, kDirToServer, kPhServe, Keep)                       \
-  /* coordinator -> worker: exit cleanly. Legal in every phase: teardown    */ \
-  /* and abort paths may shut a link down at any point in its life.         */ \
-  X(17, Shutdown, "shutdown", CW, kDirToWorker, kPhAnyWorker, Done)            \
+  /* coordinator -> worker: the fleet's teardown; the parked worker exits   */ \
+  /* cleanly. Legal only on a parked link: a query in flight is never shut  */ \
+  /* down by frame (a failed attempt's workers are killed instead).         */ \
+  X(17, Shutdown, "shutdown", CW, kDirToWorker, kPhAwaitPlan, Done)            \
   /* coordinator -> worker: liveness probe (HeartbeatMsg). A worker answers */ \
-  /* every ping with a kPong immediately; the coordinator's watchdog treats */ \
+  /* every ping with a kPong immediately, mid-query or parked (a ping may   */ \
+  /* cross the worker's kReport); the coordinator's watchdog treats         */ \
   /* prolonged silence as a hung worker.                                    */ \
   X(18, Ping, "ping", CW, kDirToWorker, kPhAnyWorker, Keep)                    \
   /* worker -> coordinator: echo of a kPing's sequence number.              */ \
@@ -118,12 +121,6 @@ enum FrameDir : uint32_t {
   /* server -> client: outcome of one kSubmit (QueryResultMsg — status,     */ \
   /* result summary, wall/queue seconds, cache/backend provenance).         */ \
   X(21, QueryResult, "query-result", SERVE, kDirToClient, kPhServe, Keep)      \
-  /* worker -> coordinator (every fleet, after every query): the worker     */ \
-  /* tore down the previous query's state and is parked waiting for the     */ \
-  /* next kPlan. It acks the query-ending kShutdown, so the link is in      */ \
-  /* kPhDone; it returns the link to kPhAwaitPlan, where a bare kShutdown   */ \
-  /* (the fleet's teardown) exits the worker.                               */ \
-  X(22, Idle, "idle", WC, kDirToCoordinator, kPhDone, AwaitPlan)               \
   /* worker -> coordinator: one defended join instance's build-side skew    */ \
   /* summary (SkewReportMsg — heavy-hitter candidates with their build rows */ \
   /* inline, plus the instance's build-key Bloom filter).                   */ \
@@ -137,9 +134,12 @@ enum FrameDir : uint32_t {
   /* worker -> coordinator: the worker's one report of the query            */ \
   /* (WorkerReport — partial result summary, run counters, per-op metrics,  */ \
   /* trace events). Sent once its ring backlogs drained, so it trails every */ \
-  /* result-row record; it ends the link's query (kPhDone), so a second     */ \
-  /* report is a violation and "every link is done" is "every report in".   */ \
-  X(25, Report, "report", WC, kDirToCoordinator, kPhReport, Done)
+  /* result-row record, and once the worker tore down the query's state and */ \
+  /* ring view, so the coordinator may reformat the rings when every report */ \
+  /* is in. It parks the worker and returns the link to kPhAwaitPlan: a     */ \
+  /* second report is a violation, and "every link parked" is "every report */ \
+  /* in".                                                                   */ \
+  X(25, Report, "report", WC, kDirToCoordinator, kPhReport, AwaitPlan)
 // clang-format on
 
 /// MJOIN_FRAME_CASES(sel): case labels for every table row the selector

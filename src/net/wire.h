@@ -87,7 +87,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v9: one report per worker per query — kReport (WorkerReport) replaces
 ///     kSummary, kOpStats, kNetStats, kTraceEvents and the worker's kBye;
 ///     kBye is the serve-layer close notice only.
-inline constexpr uint32_t kNetProtocolVersion = 9;
+/// v10: one end-of-query exchange — kReport parks the worker and returns
+///     its link to await-plan; kIdle is retired and kShutdown is legal
+///     only on a parked link (the fleet's teardown).
+inline constexpr uint32_t kNetProtocolVersion = 10;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);

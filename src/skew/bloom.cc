@@ -18,10 +18,13 @@ uint64_t RoundUpPowerOfTwo(uint64_t v) {
 
 }  // namespace
 
+uint64_t BloomFilter::BitsFor(uint32_t num_bits) {
+  return RoundUpPowerOfTwo(num_bits < 64 ? 64 : num_bits);
+}
+
 BloomFilter::BloomFilter(uint32_t num_bits) {
   MJOIN_CHECK(num_bits > 0) << "BloomFilter needs at least one bit";
-  uint64_t bits = RoundUpPowerOfTwo(num_bits < 64 ? 64 : num_bits);
-  bytes_.assign(static_cast<size_t>(bits / 8), 0);
+  bytes_.assign(static_cast<size_t>(BitsFor(num_bits) / 8), 0);
 }
 
 uint32_t BloomFilter::num_bits() const {

@@ -28,6 +28,10 @@ class BloomFilter {
   BloomFilter() = default;
   explicit BloomFilter(uint32_t num_bits);
 
+  /// The size BloomFilter(num_bits) builds, without building it:
+  /// num_bits rounded up to a power of two, at least 64.
+  static uint64_t BitsFor(uint32_t num_bits);
+
   bool built() const { return !bytes_.empty(); }
   uint32_t num_bits() const;
 

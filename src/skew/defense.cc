@@ -28,6 +28,20 @@ StatusOr<SkewDefenseMode> ParseSkewDefenseMode(const std::string& text) {
       StrCat("unknown skew defense mode '", text, "' (valid: off, on, auto)"));
 }
 
+Status CheckSkewDefenseOptions(const SkewDefenseOptions& options) {
+  if (!options.enabled()) return Status::OK();
+  if (options.bloom_bits == 0 || options.bloom_bits > kMaxBloomBits) {
+    return Status::InvalidArgument(
+        StrCat("SkewDefenseOptions::bloom_bits must be in [1, ", kMaxBloomBits,
+               "], not ", options.bloom_bits));
+  }
+  if (options.sketch_capacity == 0) {
+    return Status::InvalidArgument(
+        "SkewDefenseOptions::sketch_capacity must be positive");
+  }
+  return Status::OK();
+}
+
 std::vector<int> DefendedJoinOps(const ParallelPlan& plan) {
   std::vector<int> out;
   for (const XraOp& op : plan.ops) {

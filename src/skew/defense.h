@@ -64,6 +64,16 @@ struct SkewDefenseOptions {
   bool enabled() const { return mode != SkewDefenseMode::kOff; }
 };
 
+/// Largest accepted SkewDefenseOptions::bloom_bits: a filter of 2^31 bits
+/// is 256 MiB, which with the rest of its report does not fit one frame.
+inline constexpr uint32_t kMaxBloomBits = 1u << 30;
+
+/// InvalidArgument when an enabled defense cannot run on `options`: no
+/// Bloom bits or more than kMaxBloomBits, or no sketch slots. The thread
+/// and process backends check a query's options before running it, and a
+/// worker checks the ones its plan envelope carries.
+[[nodiscard]] Status CheckSkewDefenseOptions(const SkewDefenseOptions& options);
+
 /// Joins the defense applies to: two-phase hash joins whose probe input
 /// is a hash-split stream (the producer's EmitWriter routes each row by
 /// its join-key value, so a defense hook there can drop or re-route rows

@@ -531,10 +531,10 @@ TEST_F(FrameChannelTest, PeerCloseReportedAfterFinalFrames) {
 
 TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
   // A link's whole life, observed from the coordinator end. Each query:
-  // plan -> hello -> triggers/milestones -> finish -> report -> shutdown
-  // -> idle, and the idle ack returns the link to await-plan. Data never
-  // crosses this link: it rides the shm rings. The phase is the
-  // coordinator's record of the worker's progress.
+  // plan -> hello -> triggers/milestones -> finish -> report, and the
+  // report returns the link to await-plan. Data never crosses this link:
+  // it rides the shm rings. The phase is the coordinator's record of the
+  // worker's progress.
   FrameConformance link(LinkRole::kCoordinator, "worker 0");
   EXPECT_EQ(link.phase(), kPhAwaitPlan);
   auto walk_query = [&link] {
@@ -552,10 +552,11 @@ TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
     ASSERT_TRUE(
         link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
     ASSERT_TRUE(link.Observe(FrameType::kReport, /*outbound=*/false).ok());
-    EXPECT_EQ(link.phase(), kPhDone);
-    ASSERT_TRUE(link.Observe(FrameType::kShutdown, /*outbound=*/true).ok());
-    EXPECT_EQ(link.phase(), kPhDone);
-    ASSERT_TRUE(link.Observe(FrameType::kIdle, /*outbound=*/false).ok());
+    EXPECT_EQ(link.phase(), kPhAwaitPlan);
+    // A ping that crossed the report still reaches the parked worker, and
+    // its pong comes back.
+    ASSERT_TRUE(link.Observe(FrameType::kPing, /*outbound=*/true).ok());
+    ASSERT_TRUE(link.Observe(FrameType::kPong, /*outbound=*/false).ok());
     EXPECT_EQ(link.phase(), kPhAwaitPlan);
   };
   walk_query();
@@ -577,12 +578,32 @@ TEST(FrameConformanceTest, OneReportPerQuery) {
   ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
   ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
   ASSERT_TRUE(link.Observe(FrameType::kReport, /*outbound=*/false).ok());
-  // A worker may still fail before it parks.
-  ASSERT_TRUE(link.Observe(FrameType::kError, /*outbound=*/false).ok());
+  // The report parked the worker: it has no query left to fail.
+  EXPECT_FALSE(link.Observe(FrameType::kError, /*outbound=*/false).ok());
   Status status = link.Observe(FrameType::kReport, /*outbound=*/false);
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("done"), std::string::npos)
+  EXPECT_NE(status.message().find("await-plan"), std::string::npos)
       << status.message();
+}
+
+TEST(FrameConformanceTest, ShutdownOnlyOnAParkedLink) {
+  // kShutdown is the fleet's teardown of a parked worker; no query ends
+  // with one. Sent in any phase of a query in flight, it is a violation.
+  for (int phases = 1; phases <= 3; ++phases) {
+    FrameConformance link(LinkRole::kCoordinator, "worker 2");
+    ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
+    if (phases >= 2) {
+      ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
+    }
+    if (phases >= 3) {
+      ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
+    }
+    const uint32_t phase = link.phase();
+    Status status = link.Observe(FrameType::kShutdown, /*outbound=*/true);
+    ASSERT_FALSE(status.ok()) << "kShutdown in " << FramePhaseName(phase);
+    EXPECT_NE(status.message().find(FramePhaseName(phase)), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(FrameConformanceTest, DirectionViolationIsCaughtInAnyPhase) {
@@ -731,10 +752,10 @@ TEST_F(FrameChannelTest, RetiredFrameIdsAreCorrupt) {
   // 3 (fragment), 5 (data), 6 (eos), 8 (credit) and 11 (result-rows)
   // carried the retired socket data plane; 10 (summary), 12 (op-stats),
   // 13 (net-stats) and 14 (trace-events) were the report phase's frames
-  // before kReport. The table must never define them again, and a peer
-  // still sending one is corrupt wire, however well-formed the frame
-  // around it.
-  for (uint8_t retired : {3, 5, 6, 8, 10, 11, 12, 13, 14}) {
+  // before kReport; 22 (idle) acked a query-ending kShutdown. The table
+  // must never define them again, and a peer still sending one is corrupt
+  // wire, however well-formed the frame around it.
+  for (uint8_t retired : {3, 5, 6, 8, 10, 11, 12, 13, 14, 22}) {
     EXPECT_FALSE(ValidFrameType(retired)) << "id " << int{retired};
   }
   std::vector<std::byte> payload;

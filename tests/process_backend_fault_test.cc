@@ -421,5 +421,88 @@ TEST_F(ProcessBackendFaultTest, WorkerRejectsSkewDirectiveOfWrongWidth) {
       << outcome.reported;
 }
 
+// A right-linear SP plan with a defended join, on which the skew defense
+// runs when switched on.
+ParallelPlan DefendedPlan() {
+  auto query = MakeWisconsinChainQuery(QueryShape::kRightLinear, 5, 400);
+  EXPECT_TRUE(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kSP)
+                  ->Parallelize(*query, /*processors=*/4, TotalCostModel());
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  EXPECT_FALSE(DefendedJoinOps(*plan).empty());
+  return *std::move(plan);
+}
+
+// Skew-defense options the defense cannot run on are a bad request, on
+// either backend, before any filter or sketch is built: no Bloom bits, no
+// sketch slots, or a filter too large for one frame.
+TEST_F(ProcessBackendFaultTest, BadSkewDefenseOptionsAreInvalidArgument) {
+  const ParallelPlan plan = DefendedPlan();
+  struct BadOptions {
+    const char* field;
+    uint32_t bloom_bits;
+    uint32_t sketch_capacity;
+  };
+  for (const BadOptions& bad :
+       {BadOptions{"bloom_bits", 0, 64},
+        BadOptions{"sketch_capacity", 1u << 10, 0},
+        BadOptions{"bloom_bits", (1u << 31) + 1, 64}}) {
+    ThreadExecOptions exec;
+    exec.skew_defense.mode = SkewDefenseMode::kOn;
+    exec.skew_defense.bloom_bits = bad.bloom_bits;
+    exec.skew_defense.sketch_capacity = bad.sketch_capacity;
+    auto thread = ThreadExecutor(db_.get()).Execute(plan, exec);
+    EXPECT_EQ(thread.status().code(), StatusCode::kInvalidArgument)
+        << bad.field << ": " << thread.status();
+    EXPECT_NE(thread.status().message().find(bad.field), std::string::npos)
+        << thread.status();
+
+    ProcessExecOptions options;
+    options.exec = exec;
+    auto process = ProcessExecutor(db_.get()).Execute(plan, options);
+    EXPECT_EQ(process.status().code(), StatusCode::kInvalidArgument)
+        << bad.field << ": " << process.status();
+    EXPECT_NE(process.status().message().find(bad.field), std::string::npos)
+        << process.status();
+  }
+}
+
+// A plan envelope whose skew options cannot run gets a typed kError from
+// the worker, not a crash once its first defended build completes.
+TEST_F(ProcessBackendFaultTest, WorkerRejectsEnvelopeWithNoBloomBits) {
+  constexpr uint32_t kRingBytes = 4096;
+  const ParallelPlan plan = DefendedPlan();
+  std::vector<ShmRingSpec> directory = ComputeRingDirectory(plan, 1);
+  auto arena = ShmArena::Create(
+      /*endpoints=*/2, (sizeof(ShmRingHdr) + kRingBytes) * directory.size());
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  auto plane = ShmDataPlane::CreateInArena(arena->get(), directory,
+                                           /*endpoints=*/2, kRingBytes,
+                                           /*format=*/true);
+  ASSERT_TRUE(plane.ok()) << plane.status();
+
+  PlanEnvelope env;
+  env.worker_id = 0;
+  env.num_workers = 1;
+  env.shm_ring_bytes = kRingBytes;
+  env.plan_text = SerializePlan(plan);
+  env.skew_defense.mode = SkewDefenseMode::kOn;
+  env.skew_defense.bloom_bits = 0;
+  // Every group triggered at once, so a worker that took the envelope
+  // would run the defended build.
+  std::vector<std::pair<FrameType, std::vector<std::byte>>> triggers;
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    std::vector<std::byte> payload;
+    EncodeMsg(TriggerMsg{static_cast<int32_t>(g)}, &payload);
+    triggers.emplace_back(FrameType::kTrigger, std::move(payload));
+  }
+  WorkerOutcome outcome = RunScriptedWorker(arena->get(), env, triggers);
+  EXPECT_EQ(outcome.exit_code, 1);
+  EXPECT_EQ(outcome.reported.code(), StatusCode::kInvalidArgument)
+      << outcome.reported;
+  EXPECT_NE(outcome.reported.message().find("bloom_bits"), std::string::npos)
+      << outcome.reported;
+}
+
 }  // namespace
 }  // namespace mjoin

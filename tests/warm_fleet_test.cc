@@ -33,11 +33,11 @@ namespace {
 // results, identical per-run stats (no counter leaking across reuses), no
 // net descriptor growth, no silent fleet respawn. Plus the directed
 // recovery cases a long-lived fleet flushes out: kill -9 between queries,
-// a failed attempt's workers reaped at once, a member lost during the
-// idle handshake (which one-shot queries run too), a net fault injector
-// that must not outlive its query, and two fleets reaping strictly their
-// own children; and a database that changes under a live fleet. Plus the
-// limits of a fleet
+// a failed attempt's workers reaped at once, a link lost at each worker's
+// last frame of the query (on one-shot queries too), pings that cross a
+// worker's report, a net fault injector that must not outlive its query,
+// and two fleets reaping strictly their own children; and a database that
+// changes under a live fleet. Plus the limits of a fleet
 // whose rings are fixed at spawn: an invalid ring size, rows too wide for
 // the rings, and the retired socket data plane.
 
@@ -302,79 +302,102 @@ TEST(WarmFleetTest, FailedAttemptLeavesNoWorkerBehind) {
   EXPECT_EQ((*fleet)->respawns(), 1u);
 }
 
-// Both entry points end every query with the idle handshake: a warm fleet
-// keeps its parked members, a one-shot query's fleet shuts them down right
-// after. The lost-member cases run against both.
+// Both entry points end every query the same way: kFinish to each worker,
+// whose kReport parks it. A warm fleet keeps its parked members, a one-shot
+// query's fleet shuts them down right after. These cases run against both.
 enum class EntryPoint { kOneShot, kWarm };
 
-class IdleHandshakeTest : public ::testing::TestWithParam<EntryPoint> {};
-
-TEST_P(IdleHandshakeTest, MemberLostDuringIdleHandshakeDoesNotStallTheQuery) {
-  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
-                            /*card=*/300, /*procs=*/4, StrategyKind::kFP);
-  const bool warm = GetParam() == EntryPoint::kWarm;
-  std::unique_ptr<WarmProcessFleet> fleet;
-  if (warm) {
-    auto spawned = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
-    ASSERT_TRUE(spawned.ok()) << spawned.status();
-    fleet = *std::move(spawned);
+class EndOfQueryTest : public ::testing::TestWithParam<EntryPoint> {
+ protected:
+  void SetUp() override {
+    f_ = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
+                       /*card=*/300, /*procs=*/4, StrategyKind::kFP);
+    if (GetParam() == EntryPoint::kWarm) {
+      auto spawned = WarmProcessFleet::Spawn(&f_.db, WarmFleetOptions{});
+      ASSERT_TRUE(spawned.ok()) << spawned.status();
+      fleet_ = *std::move(spawned);
+    }
+    one_shot_ = std::make_unique<ProcessExecutor>(&f_.db);
+    // Heartbeats off: no ping varies a link's frame count.
+    options_.heartbeat_interval = std::chrono::milliseconds(0);
   }
-  ProcessExecutor one_shot(&f.db);
-  auto execute = [&](const ProcessExecOptions& options, ProcessNetStats* net) {
-    return warm ? fleet->Execute(f.plan, options, nullptr, net)
-                : one_shot.Execute(f.plan, options, nullptr, net);
-  };
-  const uint32_t workers = f.plan.num_processors;  // 4 either way
 
-  // With heartbeats off every worker receives the same frames per query
-  // (plan, one trigger per group, finish, the query-ending shutdown), so
-  // a calibration run tells which outbound frame is the kShutdown.
-  ProcessExecOptions options;
-  options.heartbeat_interval = std::chrono::milliseconds(0);
-  ProcessNetStats net;
-  auto calibrate = execute(options, &net);
-  ASSERT_TRUE(calibrate.ok()) << calibrate.status();
-  ASSERT_EQ(net.frames_sent % workers, 0u);
-  const uint64_t frames_per_worker = net.frames_sent / workers;
+  StatusOr<ProcessQueryResult> Execute(ProcessNetStats* net = nullptr,
+                                       ProcessExecStats* proc = nullptr) {
+    return fleet_ != nullptr
+               ? fleet_->Execute(f_.plan, options_, nullptr, net, proc)
+               : one_shot_->Execute(f_.plan, options_, nullptr, net, proc);
+  }
+
+  Fixture f_;
+  std::unique_ptr<WarmProcessFleet> fleet_;
+  std::unique_ptr<ProcessExecutor> one_shot_;
+  ProcessExecOptions options_;
+};
+
+TEST_P(EndOfQueryTest, CoordinatorSendsGroupsPlusTwoFramesPerWorker) {
+  // Each worker gets its kPlan, one kTrigger per group and its kFinish;
+  // its kReport ends the query, so no further frame goes out. A warm
+  // fleet's second query costs the same as its first.
+  const uint64_t workers = f_.plan.num_processors;  // 4 either way
+  for (int run = 0; run < 2; ++run) {
+    ProcessNetStats net;
+    auto result = Execute(&net);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->exec.result.checksum, f_.reference.checksum);
+    EXPECT_EQ(net.frames_sent, workers * (f_.plan.groups.size() + 2))
+        << "run " << run;
+  }
+}
+
+TEST_P(EndOfQueryTest, LinkDroppedAtEachWorkersFinishRetriesClean) {
+  // A worker's kFinish is the last frame its link carries in a query. A
+  // link dropped there loses the worker before it reported: the attempt
+  // fails kUnavailable at once, and the retry returns the reference result
+  // on a fresh fleet.
+  options_.max_retries = 1;
+  const uint32_t workers = f_.plan.num_processors;
+  ASSERT_TRUE(Execute().ok());
   const size_t fds_before = CountOpenFds();
-
-  // Drop worker 1's link exactly at its kShutdown: the worker is lost in
-  // the idle handshake, after the query's result is complete.
-  NetFaultScenario drop;
-  drop.kind = NetFaultKind::kDropConnection;
-  drop.worker = 1;
-  drop.after_frames = frames_per_worker - 1;
-  NetFaultInjector injector(drop);
-  options.net_fault_injector = &injector;
-  // lint:allow-clock test timing
-  const auto start = std::chrono::steady_clock::now();
-  auto result = execute(options, nullptr);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
-  EXPECT_EQ(injector.fires(), 1u) << "the drop never hit the kShutdown";
-  EXPECT_LT(elapsed, std::chrono::seconds(1))
-      << "the idle handshake waited out its deadline on a lost member";
-
-  if (!warm) {
-    // The one-shot fleet is gone with the call: every child reaped, every
-    // descriptor closed.
+  for (uint32_t w = 0; w < workers; ++w) {
+    NetFaultScenario drop;
+    drop.kind = NetFaultKind::kDropConnection;
+    drop.worker = w;
+    drop.after_frames = f_.plan.groups.size() + 1;  // kPlan, the triggers
+    NetFaultInjector injector(drop);
+    options_.net_fault_injector = &injector;
+    ProcessExecStats proc;
+    // lint:allow-clock test timing
+    const auto start = std::chrono::steady_clock::now();
+    auto result = Execute(nullptr, &proc);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    options_.net_fault_injector = nullptr;
+    ASSERT_TRUE(result.ok()) << "worker " << w << ": " << result.status();
+    EXPECT_EQ(result->exec.result.checksum, f_.reference.checksum);
+    EXPECT_EQ(injector.fires(), 1u) << "the drop never hit worker " << w;
+    EXPECT_EQ(proc.attempts, 2u) << "worker " << w;
+    EXPECT_LT(elapsed, std::chrono::seconds(1)) << "worker " << w;
+    if (fleet_ != nullptr) {
+      EXPECT_EQ(fleet_->respawns(), w + 1u) << "worker " << w;
+    }
+  }
+  if (fleet_ == nullptr) {
+    // The one-shot fleets are gone with their calls: every child reaped,
+    // every descriptor closed.
     errno = 0;
     EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD) << "a worker outlived its one-shot query";
     EXPECT_EQ(CountOpenFds(), fds_before);
     return;
   }
-  // The lost member poisoned the fleet: the next query respawns it once
-  // and runs clean.
-  options.net_fault_injector = nullptr;
-  auto next = execute(options, nullptr);
+  // The respawned fleet serves the next query without respawning again.
+  auto next = Execute();
   ASSERT_TRUE(next.ok()) << next.status();
-  EXPECT_EQ(next->exec.result.checksum, f.reference.checksum);
-  EXPECT_EQ(fleet->respawns(), 1u);
+  EXPECT_EQ(next->exec.result.checksum, f_.reference.checksum);
+  EXPECT_EQ(fleet_->respawns(), workers);
 }
 
-INSTANTIATE_TEST_SUITE_P(EntryPoints, IdleHandshakeTest,
+INSTANTIATE_TEST_SUITE_P(EntryPoints, EndOfQueryTest,
                          ::testing::Values(EntryPoint::kOneShot,
                                            EntryPoint::kWarm),
                          [](const auto& info) {
@@ -382,6 +405,31 @@ INSTANTIATE_TEST_SUITE_P(EntryPoints, IdleHandshakeTest,
                                       ? "Warm"
                                       : "OneShot";
                          });
+
+TEST(WarmFleetTest, PingsThatCrossAReportStillGetTheirPong) {
+  // At a 1 ms heartbeat the coordinator pings every link while the last
+  // reports are still coming in, so pings reach workers that already
+  // reported and parked, some crossing the report on the wire. A parked
+  // worker must answer them, not take them for a broken link and exit:
+  // every query succeeds without a respawn.
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,
+                            /*card=*/1000, /*procs=*/4, StrategyKind::kFP);
+  auto fleet = WarmProcessFleet::Spawn(&f.db, WarmFleetOptions{});
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  ProcessExecOptions options;
+  options.heartbeat_interval = std::chrono::milliseconds(1);
+  uint64_t pongs = 0;
+  for (int run = 0; run < 200; ++run) {
+    ProcessExecStats proc;
+    auto result = (*fleet)->Execute(f.plan, options, nullptr, nullptr, &proc);
+    ASSERT_TRUE(result.ok()) << "run " << run << ": " << result.status();
+    ASSERT_EQ(result->exec.result.checksum, f.reference.checksum);
+    ASSERT_EQ(proc.attempts, 1u) << "run " << run;
+    pongs += proc.pongs_received;
+  }
+  EXPECT_EQ((*fleet)->respawns(), 0u);
+  EXPECT_GT(pongs, 0u);
+}
 
 TEST(WarmFleetTest, NetFaultInjectorDoesNotOutliveItsQuery) {
   Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/4,

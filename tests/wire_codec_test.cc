@@ -10,17 +10,26 @@
 //     inflated at every offset) never crashes, and whatever still decodes
 //     re-encodes to exactly the mutated bytes, so decoding is canonical.
 //
+// The frame envelope around the payloads gets its own seeded loop: whole
+// frame streams, mutated, go through a FrameChannel over a socketpair.
+//
 // This is the protocol's fuzz target: tools/ci.sh runs it under ASan and
-// UBSan. The mutation loop is deterministic; a failure names its seed.
+// UBSan. The mutation loops are deterministic; a failure names its seed.
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/process_protocol.h"
+#include "net/channel.h"
 #include "serve/serve_protocol.h"
 
 namespace mjoin {
@@ -400,6 +409,168 @@ TEST(WireCodecRulesTest, BloomSizeMustBeEmptyOrAPowerOfTwo) {
   SkewDirective decoded;
   EXPECT_EQ(DecodeMsg(&reader, &decoded).code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- The frame envelope ----------------------------------------------------
+
+// [len][type][payload][crc], as FrameChannel::QueueFrame writes it.
+Bytes EncodeFrame(FrameType type, const Bytes& payload) {
+  Bytes frame;
+  PutU32(&frame, static_cast<uint32_t>(1 + payload.size() + 4));
+  PutU8(&frame, static_cast<uint8_t>(type));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  PutU32(&frame, Crc32(frame.data() + 4, frame.size() - 4));
+  return frame;
+}
+
+// One worker's side of a query as its coordinator reads it, with the
+// sample payloads of the codec table: hello, a skew report, milestones
+// and a pong, then the report.
+struct FrameStream {
+  Bytes bytes;
+  std::vector<size_t> frame_starts;
+};
+
+FrameStream WorkerQueryStream() {
+  const std::vector<std::pair<FrameType, std::string>> frames = {
+      {FrameType::kHello, "Hello"},
+      {FrameType::kSkewReport, "SkewReport"},
+      {FrameType::kMilestone, "Milestone"},
+      {FrameType::kPong, "Heartbeat"},
+      {FrameType::kMilestone, "Milestone"},
+      {FrameType::kReport, "WorkerReport"}};
+  const std::vector<CodecCase> rows = AllCases();
+  FrameStream stream;
+  for (const auto& [type, row_name] : frames) {
+    for (const CodecCase& row : rows) {
+      if (row.name != row_name) continue;
+      stream.frame_starts.push_back(stream.bytes.size());
+      Bytes frame = EncodeFrame(type, row.bytes);
+      stream.bytes.insert(stream.bytes.end(), frame.begin(), frame.end());
+    }
+  }
+  EXPECT_EQ(stream.frame_starts.size(), frames.size());
+  return stream;
+}
+
+uint32_t GetU32(const Bytes& bytes, size_t at) {
+  uint32_t value = 0;
+  for (int i = 3; i >= 0; --i) {
+    value = (value << 8) |
+            static_cast<uint8_t>(bytes[at + static_cast<size_t>(i)]);
+  }
+  return value;
+}
+
+void SetU32(Bytes* bytes, size_t at, uint32_t value) {
+  for (size_t i = 0; i < 4 && at + i < bytes->size(); ++i) {
+    (*bytes)[at + i] = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+// Feeds `input` to a coordinator's FrameChannel and pops every frame it
+// yields. The link is put through the coordinator's half of the query
+// (kPlan before the stream, kFinish once the skew report is in), so every
+// frame of the unmutated stream is legal where it arrives. Returns the
+// yielded frames re-encoded, back to back, and the final read status.
+std::pair<Bytes, Status> ReadThroughChannel(const Bytes& input) {
+  int sv[2];
+  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  EXPECT_TRUE(SetNonBlocking(sv[0]).ok());
+  FrameChannel channel(sv[0], "worker 0", LinkRole::kCoordinator);
+  channel.QueueFrame(FrameType::kPlan, {});
+  // The socket buffer holds any stream here whole.
+  EXPECT_EQ(write(sv[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  close(sv[1]);
+  Bytes reencoded;
+  Status status = Status::OK();
+  for (bool closed = false; status.ok() && !closed;) {
+    status = channel.ReadAvailable(&closed);
+    Frame frame;
+    while (channel.NextFrame(&frame)) {
+      Bytes again = EncodeFrame(frame.type, frame.payload);
+      reencoded.insert(reencoded.end(), again.begin(), again.end());
+      if (frame.type == FrameType::kSkewReport) {
+        channel.QueueFrame(FrameType::kFinish, {});
+      }
+    }
+  }
+  if (!status.ok()) {
+    // Poisoned: the channel keeps failing the same way.
+    bool closed = false;
+    EXPECT_EQ(channel.ReadAvailable(&closed).code(), status.code());
+  }
+  EXPECT_FALSE(channel.poisoned()) << "a frame of the stream broke the table";
+  return {reencoded, status};
+}
+
+TEST(FrameEnvelopeFuzzTest, UnmutatedStreamYieldsEveryFrame) {
+  const FrameStream stream = WorkerQueryStream();
+  auto [reencoded, status] = ReadThroughChannel(stream.bytes);
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(reencoded, stream.bytes);
+}
+
+TEST(FrameEnvelopeFuzzTest, SeededMutationsYieldExactFramesOrPoison) {
+  // Each mutant either yields frames that re-encode to exactly the bytes
+  // they came from (a prefix of the mutant: a truncated or still-awaited
+  // frame yields nothing), or poisons the channel with kUnavailable. No
+  // damage may reach a handler as a different frame, and nothing crashes.
+  constexpr int kIterations = 3000;
+  constexpr uint8_t kRetired[] = {3, 5, 6, 8, 10, 11, 12, 13, 14, 22};
+  const FrameStream stream = WorkerQueryStream();
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const uint64_t seed = 0xf4a3'0000ull + static_cast<uint64_t>(iter);
+    std::mt19937_64 rng(seed);
+    Bytes bad = stream.bytes;
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    for (int e = 0; e < edits && !bad.empty(); ++e) {
+      const size_t start =
+          stream.frame_starts[rng() % stream.frame_starts.size()];
+      if (start + 5 > bad.size()) continue;  // cut off by a truncation
+      const uint32_t len = GetU32(bad, start);
+      switch (rng() % 5) {
+        case 0: {  // flip bits of any byte
+          const size_t at = rng() % bad.size();
+          bad[at] ^= static_cast<std::byte>(1 + rng() % 255);
+          break;
+        }
+        case 1: {  // inflate a frame's length
+          const uint32_t inflated[] = {
+              0xFFFF'FFFFu, kMaxFrameBytes + 1, kMaxFrameBytes,
+              len + 1 + static_cast<uint32_t>(rng() % 64)};
+          SetU32(&bad, start, inflated[rng() % 4]);
+          break;
+        }
+        case 2: {  // shorten a frame's length, below the minimum or not
+          const uint64_t bound = rng() % 2 == 0 || len == 0 ? 5 : len;
+          SetU32(&bad, start, static_cast<uint32_t>(rng() % bound));
+          break;
+        }
+        case 3: {  // a retired frame id, in an otherwise well-formed frame
+          if (len < 5 || start + 4 + len > bad.size()) break;
+          bad[start + 4] = static_cast<std::byte>(kRetired[rng() % 10]);
+          const size_t body = len - 4;
+          SetU32(&bad, start + 4 + body,
+                 Crc32(bad.data() + start + 4, body));
+          break;
+        }
+        case 4:  // truncate the tail
+          bad.resize(rng() % bad.size());
+          break;
+      }
+    }
+    auto [reencoded, status] = ReadThroughChannel(bad);
+    const std::string what = "mutation seed " + std::to_string(seed);
+    ASSERT_LE(reencoded.size(), bad.size()) << what;
+    EXPECT_TRUE(std::equal(reencoded.begin(), reencoded.end(), bad.begin()))
+        << what << ": a yielded frame differs from the bytes it came from";
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable) << what << status;
+    }
+    if (HasFailure()) FAIL() << "stopping at " << what;
+  }
 }
 
 }  // namespace

@@ -27,8 +27,8 @@ std::string EncodedHex(const Msg& msg) {
   return hex;
 }
 
-TEST(WireGoldenTest, ProtocolVersionIsNine) {
-  EXPECT_EQ(kNetProtocolVersion, 9u);
+TEST(WireGoldenTest, ProtocolVersionIsTen) {
+  EXPECT_EQ(kNetProtocolVersion, 10u);
 }
 
 TEST(WireGoldenTest, PlanEnvelope) {

@@ -8,7 +8,8 @@
 #      with --warnings-as-errors=* — any finding fails the gate
 #   2. Release build with -Wall -Wextra -Werror (MJOIN_WERROR=ON)
 #   3. the full ctest suite (every frame on every channel is validated
-#      against the frame-table phase machine, in every run)
+#      against the frame-table phase machine, in every run), then the
+#      fleet end-of-query tests again, ten times each
 #   4. mjoin_check: the shm-ring interleaving model checker (baseline
 #      scenarios clean + all nine seeded ring bugs caught), the smoke
 #      benches, and the mjbench self-test (builds mjbench/ against the
@@ -17,7 +18,7 @@
 #      concurrency-sensitive tests, and an UndefinedBehaviorSanitizer
 #      pass over the full suite (tools/run_sanitized_tests.sh)
 #
-# 'fast' skips the sanitizer passes (step 4) for quick local iteration;
+# 'fast' skips the sanitizer passes (step 5) for quick local iteration;
 # a merge still requires the full run. Build trees are kept apart
 # (build-ci, build-lint, build-threadsan, build-addresssan,
 # build-undefinedsan) so the gate never disturbs an incremental
@@ -50,6 +51,15 @@ cmake --build build-ci -j "$(nproc)"
 
 echo "== ci: test suite =="
 ctest --test-dir build-ci --output-on-failure -j "$(nproc)"
+
+echo "== ci: fleet end-of-query repeat =="
+# A worker's kReport parks it while the coordinator may still be pinging
+# it, and a link can die on either side of that report: races that one
+# run may miss. These two tests drive them (1 ms heartbeats, drops at
+# each worker's last frame); ten clean runs in a row each, or the gate
+# fails.
+ctest --test-dir build-ci --output-on-failure --repeat until-fail:10 \
+  -R '^(warm_fleet_test|process_backend_fault_test)$'
 
 echo "== ci: shm-ring model check =="
 # Interleaving exploration of the production ring code (recompiled over
