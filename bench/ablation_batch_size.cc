@@ -24,7 +24,7 @@ double Run(StrategyKind kind, const JoinQuery& query, const Database& db,
   options.costs.batch_size = batch;
   auto run = executor.Execute(*plan, options);
   MJOIN_CHECK(run.ok()) << run.status();
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

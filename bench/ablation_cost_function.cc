@@ -25,7 +25,7 @@ double Run(StrategyKind kind, const JoinQuery& query, const Database& db,
   SimExecutor executor(&db);
   auto run = executor.Execute(*plan, SimExecOptions());
   MJOIN_CHECK(run.ok()) << run.status();
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ double Run(XraOpKind algorithm, const JoinQuery& query, const Database& db,
   auto run = executor.Execute(*plan, SimExecOptions());
   MJOIN_CHECK(run.ok()) << run.status();
   MJOIN_CHECK(run->result == reference) << "wrong result";
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

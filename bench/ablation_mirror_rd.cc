@@ -25,7 +25,7 @@ double RunRd(const JoinQuery& query, const Database& db, uint32_t procs) {
   SimExecutor executor(&db);
   auto run = executor.Execute(*plan, SimExecOptions());
   MJOIN_CHECK(run.ok()) << run.status();
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

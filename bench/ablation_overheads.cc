@@ -25,7 +25,7 @@ double Run(const JoinQuery& query, const Database& db, uint32_t procs,
   options.costs = costs;
   auto run = executor.Execute(*plan, options);
   MJOIN_CHECK(run.ok()) << run.status();
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ RunResult Run(const JoinQuery& query, const Database& db, uint32_t procs,
   options.costs.memory_per_node_bytes = memory_limit;
   auto run = executor.Execute(*plan, options);
   MJOIN_CHECK(run.ok()) << run.status();
-  return {run->response_seconds, static_cast<size_t>(plan->num_results)};
+  return {run->seconds, static_cast<size_t>(plan->num_results)};
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ double Run(StrategyKind kind, const JoinQuery& query, const Database& db,
   options.costs.memory_per_node_bytes = memory_limit;
   auto run = executor.Execute(*plan, options);
   MJOIN_CHECK(run.ok()) << run.status();
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ int main() {
       auto run = executor.Execute(*plan, SimExecOptions());
       MJOIN_CHECK(run.ok()) << run.status();
       MJOIN_CHECK(run->result == *reference);
-      row.push_back(FormatDouble(run->response_seconds, 1));
-      if (run->response_seconds < best) {
-        best = run->response_seconds;
+      row.push_back(FormatDouble(run->seconds, 1));
+      if (run->seconds < best) {
+        best = run->seconds;
         winner = StrategyName(kind);
       }
     }

@@ -98,9 +98,9 @@ struct SkewCounters {
   uint64_t bloom_filtered = 0;
 };
 
-SkewCounters SumCounters(const std::vector<ThreadOpStats>& per_op) {
+SkewCounters SumCounters(const std::vector<QueryOpStats>& per_op) {
   SkewCounters out;
-  for (const ThreadOpStats& op : per_op) {
+  for (const QueryOpStats& op : per_op) {
     out.hot_keys += op.metrics.skew_hot_keys;
     out.replicated += op.metrics.skew_replicated_rows;
     out.repartitioned += op.metrics.skew_repartitioned_rows;
@@ -175,8 +175,8 @@ HeadlineSide RunHeadlineSide(const Database& db, const ParallelPlan& plan,
     MJOIN_CHECK(run->exec.result == reference)
         << "headline run diverged from the reference, defense="
         << SkewDefenseModeName(mode);
-    if (side.wall == 0 || run->exec.wall_seconds < side.wall) {
-      side.wall = run->exec.wall_seconds;
+    if (side.wall == 0 || run->exec.seconds < side.wall) {
+      side.wall = run->exec.seconds;
       side.busy = run->exec.trace != nullptr
                       ? BusyByWorker(*run->exec.trace)
                       : std::vector<double>();
@@ -261,8 +261,8 @@ int Main(int argc, char** argv) {
               options.skew_defense = BenchDefense(mode);
               auto run = threads.Execute(*plan, options);
               MJOIN_CHECK(run.ok()) << run.status();
-              if (row.wall == 0 || run->wall_seconds < row.wall) {
-                row.wall = run->wall_seconds;
+              if (row.wall == 0 || run->seconds < row.wall) {
+                row.wall = run->seconds;
                 row.result_rows = run->result.cardinality;
                 row.verified = run->result == *reference;
                 row.counters = SumCounters(run->stats.per_op);

@@ -51,9 +51,9 @@ struct Row {
   double allocs_per_million_tuples = 0;
 };
 
-uint64_t TuplesMoved(const ThreadExecStats& stats) {
+uint64_t TuplesMoved(const QueryStats& stats) {
   uint64_t total = 0;
-  for (const ThreadOpStats& op : stats.per_op) total += op.metrics.rows_out;
+  for (const QueryOpStats& op : stats.per_op) total += op.metrics.rows_out;
   return total;
 }
 
@@ -80,7 +80,7 @@ Row RunOne(const Database& db, StrategyKind strategy, QueryShape shape,
     options.collect_metrics = false;
     auto run = executor.Execute(*plan, options);
     MJOIN_CHECK(run.ok()) << run.status();
-    if (best == 0 || run->wall_seconds < best) best = run->wall_seconds;
+    if (best == 0 || run->seconds < best) best = run->seconds;
   }
   row.best_wall = best;
 

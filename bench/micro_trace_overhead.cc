@@ -40,7 +40,7 @@ double MedianSeconds(const ThreadExecutor& executor, const ParallelPlan& plan,
       std::fprintf(stderr, "FAILED: %s\n", run.status().ToString().c_str());
       std::exit(1);
     }
-    samples.push_back(run->wall_seconds);
+    samples.push_back(run->seconds);
   }
   // Median, not mean: thread scheduling makes the tail noisy.
   std::sort(samples.begin(), samples.end());

@@ -214,8 +214,8 @@ ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
     options.num_workers = cfg.workers;
     auto run = processes.Execute(plan, options);
     MJOIN_CHECK(run.ok()) << run.status();
-    if (row.wall == 0 || run->exec.wall_seconds < row.wall) {
-      row.wall = run->exec.wall_seconds;
+    if (row.wall == 0 || run->exec.seconds < row.wall) {
+      row.wall = run->exec.seconds;
     }
     row.workers = run->net.num_workers;
     row.bytes_sent = run->net.bytes_sent;
@@ -242,8 +242,8 @@ QueryRow BenchQuery(const Database& db, const ParallelPlan& plan,
     options.collect_metrics = false;
     auto run = threads.Execute(plan, options);
     MJOIN_CHECK(run.ok()) << run.status();
-    if (row.thread_wall == 0 || run->wall_seconds < row.thread_wall) {
-      row.thread_wall = run->wall_seconds;
+    if (row.thread_wall == 0 || run->seconds < row.thread_wall) {
+      row.thread_wall = run->seconds;
     }
   }
 

@@ -41,13 +41,17 @@ int main() {
       SimExecOptions options;
       auto run = executor.Execute(*plan, options);
       MJOIN_CHECK(run.ok()) << run.status();
+      size_t join_memory = 0;
+      for (const QueryOpStats& op : run->stats.per_op) {
+        join_memory += op.metrics.peak_memory_bytes;
+      }
       table.AddRow({StrCat(p), StrategyName(kind),
-                    StrCat(run->counters.processes_started),
-                    StrCat(run->counters.streams_opened),
-                    FormatDouble(costs.ToSeconds(run->counters.startup_ticks), 2),
-                    FormatDouble(costs.ToSeconds(run->counters.handshake_ticks), 2),
-                    FormatDouble(run->response_seconds, 1),
-                    FormatBytes(run->join_memory_bytes)});
+                    StrCat(run->machine.processes_started),
+                    StrCat(run->machine.streams_opened),
+                    FormatDouble(costs.ToSeconds(run->machine.startup_ticks), 2),
+                    FormatDouble(costs.ToSeconds(run->machine.handshake_ticks), 2),
+                    FormatDouble(run->seconds, 1),
+                    FormatBytes(join_memory)});
     }
     table.AddSeparator();
   }

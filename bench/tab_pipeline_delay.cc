@@ -27,7 +27,7 @@ double Run(QueryShape shape, int relations, uint32_t card, uint32_t procs) {
   SimExecutor executor(&db);
   auto run = executor.Execute(*plan, SimExecOptions());
   MJOIN_CHECK(run.ok()) << run.status();
-  return run->response_seconds;
+  return run->seconds;
 }
 
 }  // namespace

@@ -46,9 +46,9 @@ int main() {
       MJOIN_CHECK(plan.ok()) << plan.status();
       auto run = executor.Execute(*plan, SimExecOptions());
       MJOIN_CHECK(run.ok()) << run.status();
-      cells[pi][ci] = run->response_seconds;
-      if (run->response_seconds < best_s[ci]) {
-        best_s[ci] = run->response_seconds;
+      cells[pi][ci] = run->seconds;
+      if (run->seconds < best_s[ci]) {
+        best_s[ci] = run->seconds;
         best_p[ci] = processors[pi];
       }
     }

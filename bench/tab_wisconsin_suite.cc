@@ -257,7 +257,7 @@ int main() {
     all_ok &= agree && expected_ok;
     table.AddRow({q.name, q.description, StrCat(run->result.cardinality),
                   StrCat(q.expected),
-                  FormatDouble(run->response_seconds, 2),
+                  FormatDouble(run->seconds, 2),
                   agree ? "yes" : "NO!"});
   }
   std::printf("%s", table.ToString().c_str());

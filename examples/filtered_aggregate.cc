@@ -119,7 +119,7 @@ int main() {
       << "backends disagree";
 
   std::printf("groups (simulated %.2f s, threaded %.3f s wall):\n",
-              sim_run->response_seconds, thread_run->wall_seconds);
+              sim_run->seconds, thread_run->seconds);
   const Relation& result = *sim_run->materialized;
   size_t correct = 0;
   for (size_t i = 0; i < result.num_tuples(); ++i) {

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
                    run.status().ToString().c_str());
       return 1;
     }
-    table.AddRow({StrategyName(kind), FormatDouble(run->wall_seconds, 3),
+    table.AddRow({StrategyName(kind), FormatDouble(run->seconds, 3),
                   StrCat(run->result.cardinality),
                   run->result == *reference ? "yes" : "NO!"});
   }

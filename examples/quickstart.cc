@@ -56,7 +56,7 @@ int main() {
       "simulated response time: %.2f s  (%lld ticks, utilization %.0f%%)\n",
       static_cast<unsigned long long>(run->result.cardinality),
       static_cast<unsigned long long>(run->result.checksum),
-      run->response_seconds, static_cast<long long>(run->response_ticks),
+      run->seconds, static_cast<long long>(run->elapsed),
       run->utilization * 100);
   std::printf("\nprocessor utilization:\n%s",
               run->utilization_diagram.c_str());

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     }
     auto run = executor.Execute(*plan, SimExecOptions());
     MJOIN_CHECK(run.ok()) << run.status();
-    table.AddRow({StrategyName(kind), FormatDouble(run->response_seconds, 2),
+    table.AddRow({StrategyName(kind), FormatDouble(run->seconds, 2),
                   run->result == *reference ? "yes" : "NO!"});
   }
   std::printf("phase 2 at P=%u:\n%s", kProcessors,

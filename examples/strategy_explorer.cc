@@ -101,13 +101,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     bool verified = run->result == *reference;
-    table.AddRow({StrategyName(kind), FormatDouble(run->response_seconds, 2),
-                  StrCat(run->counters.processes_started),
-                  StrCat(run->counters.streams_opened),
+    table.AddRow({StrategyName(kind), FormatDouble(run->seconds, 2),
+                  StrCat(run->machine.processes_started),
+                  StrCat(run->machine.streams_opened),
                   StrCat(FormatDouble(run->utilization * 100, 0), "%"),
                   verified ? "yes" : "NO!"});
-    if (run->response_seconds < best_seconds) {
-      best_seconds = run->response_seconds;
+    if (run->seconds < best_seconds) {
+      best_seconds = run->seconds;
       best_kind = kind;
       best_diagram = run->utilization_diagram;
     }

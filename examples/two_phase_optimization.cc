@@ -97,9 +97,9 @@ int main() {
         std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
         return 1;
       }
-      cells.push_back(FormatDouble(run->response_seconds, 2));
-      if (run->response_seconds < best) {
-        best = run->response_seconds;
+      cells.push_back(FormatDouble(run->seconds, 2));
+      if (run->seconds < best) {
+        best = run->seconds;
         best_name = StrategyName(kind);
       }
     }

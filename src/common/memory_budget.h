@@ -16,7 +16,7 @@ namespace mjoin {
 /// every worker thread.
 ///
 /// A limit of 0 means "unlimited": reservations never fail but usage and
-/// the high-water mark are still tracked (they feed ThreadExecStats).
+/// the high-water mark are still tracked (they feed QueryStats).
 class MemoryBudget {
  public:
   explicit MemoryBudget(size_t limit_bytes = 0) : limit_(limit_bytes) {}

@@ -92,7 +92,7 @@ StatusOr<ExperimentResult> RunShapeExperiment(const ExperimentConfig& config) {
         result.points.push_back(point);
         continue;
       }
-      MJOIN_ASSIGN_OR_RETURN(SimQueryResult run,
+      MJOIN_ASSIGN_OR_RETURN(QueryResult run,
                              executor.Execute(*plan_or, options));
       if (reference.has_value() && !(run.result == *reference)) {
         return Status::Internal(
@@ -100,13 +100,12 @@ StatusOr<ExperimentResult> RunShapeExperiment(const ExperimentConfig& config) {
                    " produced a wrong result: cardinality ",
                    run.result.cardinality, " vs ", reference->cardinality));
       }
-      point.seconds = run.response_seconds;
-      point.ticks = run.response_ticks;
-      point.processes = run.counters.processes_started;
-      point.streams = run.counters.streams_opened;
-      point.startup_ticks = run.counters.startup_ticks;
-      point.handshake_ticks = run.counters.handshake_ticks;
-      point.join_memory_bytes = run.join_memory_bytes;
+      point.seconds = run.seconds;
+      point.ticks = run.elapsed;
+      point.processes = run.machine.processes_started;
+      point.streams = run.machine.streams_opened;
+      point.startup_ticks = run.machine.startup_ticks;
+      point.handshake_ticks = run.machine.handshake_ticks;
       result.points.push_back(point);
     }
   }

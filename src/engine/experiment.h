@@ -26,7 +26,6 @@ struct ExperimentPoint {
   uint64_t streams = 0;
   Ticks startup_ticks = 0;
   Ticks handshake_ticks = 0;
-  size_t join_memory_bytes = 0;
 };
 
 /// Configuration of one figure: a query shape at one problem size, swept

@@ -45,9 +45,6 @@ ThreadWorkType InputDoneWorkType(XraOpKind kind, int port) {
   }
 }
 
-namespace {
-
-/// The OpMetrics bucket a work type's seconds accumulate into.
 double* PhaseBucket(OpMetrics* m, ThreadWorkType type) {
   switch (type) {
     case ThreadWorkType::kBuild:
@@ -67,6 +64,8 @@ double* PhaseBucket(OpMetrics* m, ThreadWorkType type) {
       return &m->other_seconds;
   }
 }
+
+namespace {
 
 std::vector<Relation> EmptyFragments(const XraOp& o) {
   std::vector<Relation> frags;

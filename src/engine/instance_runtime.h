@@ -134,6 +134,10 @@ ThreadWorkType ConsumeWorkType(XraOpKind kind, int port);
 /// aggregation emits its groups.
 ThreadWorkType InputDoneWorkType(XraOpKind kind, int port);
 
+/// The OpMetrics phase bucket a work type's seconds accumulate into, on
+/// every backend (the sim adds each task's simulated seconds).
+double* PhaseBucket(OpMetrics* m, ThreadWorkType type);
+
 /// Execution settings the runtime applies to every instance.
 struct RuntimeSettings {
   /// Cost model handed to operators; batch_size is the flush threshold.

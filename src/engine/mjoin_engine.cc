@@ -16,28 +16,24 @@ StatusOr<EngineQueryOutcome> MultiJoinEngine::ExecuteQuery(
   EngineQueryOutcome outcome;
   outcome.plan_text = SerializePlan(plan);
 
+  QueryResult run;
   if (options.backend == Backend::kSimulated) {
-    SimExecutor executor(&database_);
     SimExecOptions sim_options;
     sim_options.costs = options.costs;
-    MJOIN_ASSIGN_OR_RETURN(SimQueryResult run,
-                           executor.Execute(plan, sim_options));
-    outcome.result = run.result;
-    outcome.seconds = run.response_seconds;
-    if (options.analyze) outcome.analyze_report = RenderOpStats(plan, run);
+    MJOIN_ASSIGN_OR_RETURN(
+        run, SimExecutor(&database_).Execute(plan, sim_options));
   } else if (options.backend == Backend::kThreaded) {
-    ThreadExecutor executor(&database_);
-    MJOIN_ASSIGN_OR_RETURN(ThreadQueryResult run,
-                           executor.Execute(plan, ThreadExecOptions()));
-    outcome.result = run.result;
-    outcome.seconds = run.wall_seconds;
+    MJOIN_ASSIGN_OR_RETURN(
+        run, ThreadExecutor(&database_).Execute(plan, ThreadExecOptions()));
   } else {
-    ProcessExecutor executor(&database_);
-    MJOIN_ASSIGN_OR_RETURN(ProcessQueryResult run,
-                           executor.Execute(plan, ProcessExecOptions()));
-    outcome.result = run.exec.result;
-    outcome.seconds = run.exec.wall_seconds;
+    MJOIN_ASSIGN_OR_RETURN(
+        ProcessQueryResult process_run,
+        ProcessExecutor(&database_).Execute(plan, ProcessExecOptions()));
+    run = std::move(process_run.exec);
   }
+  outcome.result = run.result;
+  outcome.seconds = run.seconds;
+  if (options.analyze) outcome.analyze_report = ExplainAnalyze(run);
 
   if (options.verify) {
     MJOIN_ASSIGN_OR_RETURN(ResultSummary reference,

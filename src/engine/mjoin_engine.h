@@ -38,21 +38,23 @@ struct EngineQueryOptions {
   OptimizerOptions optimizer;
   /// Verify the result against the single-threaded reference executor.
   bool verify = true;
-  /// Collect the per-op EXPLAIN ANALYZE report (kSimulated only).
+  /// Collect the per-op EXPLAIN ANALYZE report (every backend).
   bool analyze = false;
 };
 
 /// Outcome of one engine query.
 struct EngineQueryOutcome {
   ResultSummary result;
-  /// Simulated response seconds (kSimulated) or wall seconds (kThreaded).
+  /// Simulated response seconds (kSimulated) or wall seconds (kThreaded,
+  /// kProcess).
   double seconds = 0;
   /// True when verification ran and matched.
   bool verified = false;
   /// The plan that was executed, in textual XRA (replayable via
   /// ParsePlan / mjoin_cli run-plan).
   std::string plan_text;
-  /// EXPLAIN ANALYZE table (when requested, kSimulated only).
+  /// EXPLAIN ANALYZE table (when requested): ExplainAnalyze of the run,
+  /// whose busy and phase seconds are simulated on kSimulated.
   std::string analyze_report;
 };
 

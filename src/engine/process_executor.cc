@@ -239,7 +239,7 @@ class Coordinator {
     }
   }
 
-  StatusOr<ProcessQueryResult> Run(ThreadExecStats* stats_out,
+  StatusOr<ProcessQueryResult> Run(QueryStats* stats_out,
                                    ProcessNetStats* net_out);
 
  private:
@@ -317,7 +317,7 @@ class Coordinator {
     return Accept(w, frame, DecodeMsg(&reader, msg));
   }
 
-  ThreadExecStats GatherStats() const;
+  QueryStats GatherStats() const;
   void GatherNetStats();
 
   const ParallelPlan& plan_;
@@ -352,7 +352,7 @@ class Coordinator {
   // Report accumulators.
   SummaryMsg summary_;
   std::optional<Relation> materialized_;
-  std::vector<ThreadOpStats> per_op_;
+  std::vector<QueryOpStats> per_op_;
   std::vector<WorkerRunStats> worker_stats_;
   ProcessNetStats net_;
   std::shared_ptr<ThreadTraceRecorder> trace_;
@@ -650,7 +650,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
           AbortCorruptWire(w, "bad op stats in a report frame");
           return;
         }
-        ThreadOpStats& agg = per_op_[static_cast<size_t>(msg.op)];
+        QueryOpStats& agg = per_op_[static_cast<size_t>(msg.op)];
         agg.instances += msg.instances;
         agg.metrics.MergeFrom(msg.metrics);
       }
@@ -865,8 +865,8 @@ void Coordinator::DrainCoordRings() {
   }
 }
 
-ThreadExecStats Coordinator::GatherStats() const {
-  ThreadExecStats stats;
+QueryStats Coordinator::GatherStats() const {
+  QueryStats stats;
   for (const WorkerRunStats& w : worker_stats_) {
     // A remote send and a local hand-off are both "a batch posted to a
     // consumer" in the thread backend's vocabulary.
@@ -933,7 +933,7 @@ void PublishNetMetrics(const ProcessNetStats& net,
   registry->counter("net.ring_full_stalls")->Add(net.ring_full_stalls);
 }
 
-StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
+StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
                                               ProcessNetStats* net_out) {
   // lint:allow-clock run wall-clock start, once per query
   auto start = std::chrono::steady_clock::now();
@@ -974,7 +974,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   auto end = std::chrono::steady_clock::now();
 
   GatherNetStats();
-  ThreadExecStats stats = GatherStats();
+  QueryStats stats = GatherStats();
   if (stats_out != nullptr) *stats_out = stats;
   if (net_out != nullptr) *net_out = net_;
 
@@ -991,7 +991,10 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   if (aborted()) return controller_.failure();
 
   ProcessQueryResult result;
-  result.exec.wall_seconds = wall_seconds;
+  result.exec.seconds = wall_seconds;
+  result.exec.elapsed =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count();
   result.exec.result =
       ResultSummary{summary_.cardinality, summary_.checksum};
   if (materialized_.has_value()) {
@@ -999,9 +1002,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   }
   result.exec.stats = std::move(stats);
   if (trace_ != nullptr) {
-    const auto makespan_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start);
-    AttachTrace(trace_, makespan_ns.count(), exec_.trace_width, &result.exec);
+    AttachTrace(trace_, result.exec.elapsed, exec_.trace_width, &result.exec);
   }
   result.net = net_;
   return result;
@@ -1047,7 +1048,7 @@ Status CheckProcessQuery(const ParallelPlan& plan,
 StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
                                         const ParallelPlan& plan,
                                         const ProcessExecOptions& options,
-                                        ThreadExecStats* stats_out,
+                                        QueryStats* stats_out,
                                         ProcessNetStats* net_out,
                                         ProcessExecStats* proc_out) {
   // The deadline is absolute across attempts: retries and their backoffs
@@ -1109,7 +1110,7 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
     ThreadExecOptions exec = options.exec;
     exec.fault_injector = nullptr;
     ThreadExecutor fallback(fleet.database);
-    StatusOr<ThreadQueryResult> degraded =
+    StatusOr<QueryResult> degraded =
         fallback.Execute(plan, exec, stats_out);
     if (degraded.ok()) {
       ProcessQueryResult result;
@@ -1187,7 +1188,7 @@ uint64_t WarmProcessFleet::respawns() const {
 
 StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
-    ThreadExecStats* stats_out, ProcessNetStats* net_out,
+    QueryStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) {
   MJOIN_RETURN_IF_ERROR(CheckProcessQuery(plan, options));
   // The arena's rings were sized at spawn: a row wider than their records
@@ -1260,7 +1261,7 @@ ProcessExecutor::ProcessExecutor(const Database* database)
 
 StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
-    ThreadExecStats* stats_out, ProcessNetStats* net_out,
+    QueryStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) const {
   MJOIN_RETURN_IF_ERROR(CheckProcessQuery(plan, options));
   uint32_t num_workers =

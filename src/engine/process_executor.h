@@ -158,11 +158,11 @@ struct ProcessNetStats {
   uint64_t ring_full_stalls = 0;
 };
 
-/// Outcome of one process-backed execution: the thread backend's result
-/// shape (so metrics tables, utilization diagrams, and Chrome traces
-/// render unchanged) plus the wire-level counters.
+/// Outcome of one process-backed execution: the result shape every
+/// backend returns (so EXPLAIN ANALYZE, utilization diagrams, and Chrome
+/// traces render unchanged) plus the wire-level and supervision counters.
 struct ProcessQueryResult {
-  ThreadQueryResult exec;
+  QueryResult exec;
   ProcessNetStats net;
   ProcessExecStats proc;
 };
@@ -207,7 +207,7 @@ class ProcessExecutor {
   /// carries the attempt/retry history and per-worker failure diagnoses.
   [[nodiscard]] StatusOr<ProcessQueryResult> Execute(const ParallelPlan& plan,
                                        const ProcessExecOptions& options,
-                                       ThreadExecStats* stats_out = nullptr,
+                                       QueryStats* stats_out = nullptr,
                                        ProcessNetStats* net_out = nullptr,
                                        ProcessExecStats* proc_out = nullptr)
       const;

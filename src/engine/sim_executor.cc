@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "common/table_printer.h"
 #include "engine/controller.h"
 #include "engine/instance_runtime.h"
 #include "exec/batch.h"
@@ -22,10 +21,6 @@ struct SimProc {
   bool start_requested = false;  // brokerage requested (gates re-entry)
   /// Memory last reported to the node-level accounting.
   size_t reported_memory = 0;
-  // EXPLAIN ANALYZE timing.
-  Ticks busy_ticks = 0;
-  Ticks first_start = -1;
-  Ticks finish_time = 0;
 };
 
 RuntimeSettings SimSettings(const SimExecOptions& options) {
@@ -55,7 +50,7 @@ class SimRun : public InstanceHost {
   }
 
   Status Prepare();
-  StatusOr<SimQueryResult> Run();
+  StatusOr<QueryResult> Run();
 
   // InstanceHost:
   void SchedulePump(OpInstance* inst) override {
@@ -81,8 +76,8 @@ class SimRun : public InstanceHost {
   void Submit(uint32_t node, ThreadWorkType type, int op_id,
               std::function<TaskResult()> body);
   // Submits a task running `fn(inst)` on the instance's node; the task's
-  // cost is whatever fn charges, and its deferred actions are released at
-  // completion.
+  // cost is whatever fn charges, billed to `type`'s phase bucket of the
+  // instance, and its deferred actions are released at completion.
   void SubmitTask(OpInstance* inst, ThreadWorkType type,
                   std::function<void(OpInstance*)> fn);
   void TryStart(OpInstance* inst);
@@ -136,7 +131,7 @@ void SimRun::Submit(uint32_t node, ThreadWorkType type, int op_id,
 
 void SimRun::SubmitTask(OpInstance* inst, ThreadWorkType type,
                         std::function<void(OpInstance*)> fn) {
-  auto body = [this, inst, fn = std::move(fn)] {
+  auto body = [this, inst, type, fn = std::move(fn)] {
     inst->charged = 0;
     deferred_.clear();
     fn(inst);
@@ -153,8 +148,7 @@ void SimRun::SubmitTask(OpInstance* inst, ThreadWorkType type,
       cost = static_cast<Ticks>(static_cast<double>(cost) *
                                 costs().memory_pressure_factor);
     }
-    if (p.first_start < 0) p.first_start = machine_.sim().Now();
-    p.busy_ticks += cost;
+    *PhaseBucket(&inst->op_metrics, type) += costs().ToSeconds(cost);
     return TaskResult{cost, std::move(deferred_)};
   };
   Submit(inst->processor, type, inst->op.id, std::move(body));
@@ -293,8 +287,7 @@ void SimRun::SendEos(OpInstance* producer, uint32_t dest) {
 void SimRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
   if (milestone == Milestone::kComplete) {
     // Record the completion time, at this task's completion.
-    deferred_.push_back({0, [this, inst] {
-      proc(inst).finish_time = machine_.sim().Now();
+    deferred_.push_back({0, [this] {
       last_finish_ = std::max(last_finish_, machine_.sim().Now());
     }});
   }
@@ -320,7 +313,7 @@ void SimRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
        }});
 }
 
-StatusOr<SimQueryResult> SimRun::Run() {
+StatusOr<QueryResult> SimRun::Run() {
   // The scheduler claims and initializes every operation process from the
   // pool, serially, in trigger-group order: the paper's startup barrier.
   // Join processes carry the full initialization cost; their colocated
@@ -374,70 +367,28 @@ StatusOr<SimQueryResult> SimRun::Run() {
                StrJoin(pending, ", ")));
   }
 
-  SimQueryResult result;
-  result.response_ticks = last_finish_;
-  result.response_seconds = costs().ToSeconds(last_finish_);
+  QueryResult result;
+  result.elapsed = last_finish_;
+  result.seconds = costs().ToSeconds(last_finish_);
   result.result = runtime_.HostedResultSummary();
   if (options_.materialize_result) {
     result.materialized = ConcatFragments(runtime_.stored(plan_.final_result));
   }
-  result.counters = machine_.counters();
-  result.events = machine_.sim().num_events_processed();
-  result.op_stats.resize(plan_.ops.size());
-  for (const XraOp& o : plan_.ops) {
-    OpMetrics m;
-    runtime_.MergeOpMetrics(o.id, &m);
-    OpStats& stats = result.op_stats[static_cast<size_t>(o.id)];
-    stats.op_id = o.id;
-    stats.tuples_in = m.rows_in[0] + m.rows_in[1];
-    stats.tuples_out = m.rows_out;
-    result.join_memory_bytes += m.peak_memory_bytes;
-    for (const SimProc& p : procs_[static_cast<size_t>(o.id)]) {
-      stats.busy_ticks += p.busy_ticks;
-      if (p.first_start >= 0) {
-        stats.first_start = stats.first_start == 0 && stats.last_finish == 0
-                                ? p.first_start
-                                : std::min(stats.first_start, p.first_start);
-      }
-      stats.last_finish = std::max(stats.last_finish, p.finish_time);
-    }
+  result.machine = machine_.counters();
+  result.machine.events = machine_.sim().num_events_processed();
+  result.stats.per_op = NewOpStats(plan_);
+  for (QueryOpStats& per_op : result.stats.per_op) {
+    per_op.instances = runtime_.MergeOpMetrics(per_op.op_id, &per_op.metrics);
   }
   if (trace_ != nullptr) {
-    AttachTrace(trace_, result.response_ticks, options_.trace_width, &result);
+    AttachTrace(trace_, result.elapsed, options_.trace_width, &result);
   }
   return result;
 }
 
 }  // namespace
 
-std::string RenderOpStats(const ParallelPlan& plan,
-                          const SimQueryResult& result) {
-  TablePrinter table({"op", "kind", "label", "inst", "tuples in",
-                      "tuples out", "busy [s]", "active [s]"});
-  const double tick_s = result.response_ticks > 0 && result.response_seconds > 0
-                            ? result.response_seconds /
-                                  static_cast<double>(result.response_ticks)
-                            : 0;
-  for (const OpStats& stats : result.op_stats) {
-    if (stats.op_id < 0) continue;
-    const XraOp& op = plan.ops[static_cast<size_t>(stats.op_id)];
-    table.AddRow({StrCat(op.id), XraOpKindName(op.kind), op.label,
-                  StrCat(op.processors.size()), StrCat(stats.tuples_in),
-                  StrCat(stats.tuples_out),
-                  FormatDouble(static_cast<double>(stats.busy_ticks) * tick_s,
-                               2),
-                  StrCat(FormatDouble(
-                             static_cast<double>(stats.first_start) * tick_s,
-                             2),
-                         " .. ",
-                         FormatDouble(
-                             static_cast<double>(stats.last_finish) * tick_s,
-                             2))});
-  }
-  return table.ToString();
-}
-
-StatusOr<SimQueryResult> SimExecutor::Execute(
+StatusOr<QueryResult> SimExecutor::Execute(
     const ParallelPlan& plan, const SimExecOptions& options) const {
   MJOIN_RETURN_IF_ERROR(plan.Validate());
   SimRun run(plan, *database_, options);

@@ -11,9 +11,6 @@
 
 #include "common/memory_budget.h"
 #include "common/sync.h"
-#include "common/metrics.h"
-#include "common/string_util.h"
-#include "common/table_printer.h"
 #include "engine/controller.h"
 #include "engine/fault_injector.h"
 #include "engine/instance_runtime.h"
@@ -31,7 +28,7 @@ constexpr int64_t kBlockedTraceThresholdNs = 50'000;  // 50 us
 
 /// How long a producer waits on a full queue before enqueueing anyway. The
 /// escape hatch keeps pathological cross-node cycles live; each use is
-/// counted in ThreadExecStats::queue_overflows.
+/// counted in QueryStats::queue_overflows.
 constexpr std::chrono::milliseconds kQueueBlockTimeout{250};
 
 /// A worker node: one OS thread draining a message queue. Messages for all
@@ -227,7 +224,7 @@ class ThreadRun : public InstanceHost {
   }
 
   Status Prepare();
-  StatusOr<ThreadQueryResult> Run(ThreadExecStats* stats_out);
+  StatusOr<QueryResult> Run(QueryStats* stats_out);
 
   // InstanceHost:
   void Post(OpInstance* inst, std::function<void()> fn) override;
@@ -256,7 +253,7 @@ class ThreadRun : public InstanceHost {
   bool Finished() const MJOIN_REQUIRES(scheduler_mutex_) {
     return controller_.AllOpsComplete() || controller_.failed();
   }
-  ThreadExecStats GatherStats() const;
+  QueryStats GatherStats() const;
 
   const ParallelPlan& plan_;
   const Database& db_;
@@ -431,8 +428,8 @@ void ThreadRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
   if (all_done) done_cv_.NotifyAll();
 }
 
-ThreadExecStats ThreadRun::GatherStats() const {
-  ThreadExecStats stats;
+QueryStats ThreadRun::GatherStats() const {
+  QueryStats stats;
   stats.batches_sent = batches_sent_.load(std::memory_order_relaxed);
   stats.batches_dropped = runtime_.batches_dropped();
   stats.batches_duplicated = runtime_.batches_duplicated();
@@ -451,14 +448,14 @@ ThreadExecStats ThreadRun::GatherStats() const {
   stats.peak_memory_bytes = budget_.peak();
   if (options_.collect_metrics) {
     stats.per_op = NewOpStats(plan_);
-    for (ThreadOpStats& per_op : stats.per_op) {
+    for (QueryOpStats& per_op : stats.per_op) {
       per_op.instances = runtime_.MergeOpMetrics(per_op.op_id, &per_op.metrics);
     }
   }
   return stats;
 }
 
-StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
+StatusOr<QueryResult> ThreadRun::Run(QueryStats* stats_out) {
   // lint:allow-clock run wall-clock start, once per query
   auto start = std::chrono::steady_clock::now();
   // Trace t=0 and metric timestamps are run-relative.
@@ -504,7 +501,7 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
   // joins, so no thread or queue outlives this function.
   for (auto& node : nodes_) node->Stop();
 
-  ThreadExecStats stats = GatherStats();
+  QueryStats stats = GatherStats();
   if (stats_out != nullptr) *stats_out = stats;
 
   double wall_seconds = std::chrono::duration<double>(end - start).count();
@@ -519,36 +516,23 @@ StatusOr<ThreadQueryResult> ThreadRun::Run(ThreadExecStats* stats_out) {
     if (controller_.failed()) return controller_.failure();
   }
 
-  ThreadQueryResult result;
-  result.wall_seconds = wall_seconds;
+  QueryResult result;
+  result.seconds = wall_seconds;
+  result.elapsed =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count();
   result.result = runtime_.HostedResultSummary();
   if (options_.materialize_result) {
     result.materialized = ConcatFragments(runtime_.stored(plan_.final_result));
   }
   result.stats = stats;
   if (trace_ != nullptr) {
-    const auto makespan_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start);
-    AttachTrace(trace_, makespan_ns.count(), options_.trace_width, &result);
+    AttachTrace(trace_, result.elapsed, options_.trace_width, &result);
   }
   return result;
 }
 
 }  // namespace
-
-std::vector<ThreadOpStats> NewOpStats(const ParallelPlan& plan) {
-  std::vector<ThreadOpStats> per_op;
-  per_op.reserve(plan.ops.size());
-  for (const XraOp& o : plan.ops) {
-    ThreadOpStats op;
-    op.op_id = o.id;
-    op.name = o.label;
-    op.kind = XraOpKindName(o.kind);
-    op.trace_label = o.trace_label;
-    per_op.push_back(std::move(op));
-  }
-  return per_op;
-}
 
 Status CheckExecRequest(const ParallelPlan& plan,
                         const ThreadExecOptions& options) {
@@ -564,80 +548,9 @@ Status CheckExecRequest(const ParallelPlan& plan,
   return plan.Validate();
 }
 
-void PublishExecMetrics(const std::string& prefix,
-                        const ThreadExecStats& stats, double wall_seconds,
-                        MetricsRegistry* registry) {
-  auto name = [&prefix](const char* metric) {
-    return StrCat(prefix, ".", metric);
-  };
-  registry->counter(name("batches_sent"))->Add(stats.batches_sent);
-  registry->counter(name("batches_processed"))->Add(stats.batches_processed);
-  registry->counter(name("batches_dropped"))->Add(stats.batches_dropped);
-  registry->counter(name("batches_duplicated"))
-      ->Add(stats.batches_duplicated);
-  registry->counter(name("queue_overflows"))->Add(stats.queue_overflows);
-  registry->counter(name("batch_buffers_allocated"))
-      ->Add(stats.batch_buffers_allocated);
-  registry->counter(name("batch_buffers_reused"))
-      ->Add(stats.batch_buffers_reused);
-  registry->gauge(name("peak_queue_depth"))
-      ->Set(static_cast<int64_t>(stats.peak_queue_depth));
-  registry->gauge(name("peak_memory_bytes"))
-      ->Set(static_cast<int64_t>(stats.peak_memory_bytes));
-  registry->histogram(name("wall_seconds"))->Observe(wall_seconds);
-  Histogram* batch_hist = registry->histogram(name("batch_seconds"));
-  uint64_t rows_out = 0;
-  uint64_t hot_keys = 0;
-  uint64_t replicated = 0;
-  uint64_t repartitioned = 0;
-  uint64_t bloom_filtered = 0;
-  double bloom_fp_rate = 0;
-  for (const ThreadOpStats& per_op : stats.per_op) {
-    for (double sample : per_op.metrics.batch_seconds.values()) {
-      batch_hist->Observe(sample);
-    }
-    rows_out += per_op.metrics.rows_out;
-    hot_keys += per_op.metrics.skew_hot_keys;
-    replicated += per_op.metrics.skew_replicated_rows;
-    repartitioned += per_op.metrics.skew_repartitioned_rows;
-    bloom_filtered += per_op.metrics.skew_bloom_filtered_rows;
-    bloom_fp_rate =
-        std::max(bloom_fp_rate, per_op.metrics.skew_bloom_fp_rate);
-  }
-  registry->counter(name("rows_emitted"))->Add(rows_out);
-  registry->counter("skew.hot_keys_detected")->Add(hot_keys);
-  registry->counter("skew.replicated_rows")->Add(replicated);
-  registry->counter("skew.repartitioned_rows")->Add(repartitioned);
-  registry->counter("skew.bloom_filtered_rows")->Add(bloom_filtered);
-  registry->histogram("skew.bloom_fp_rate")->Observe(bloom_fp_rate);
-}
-
-std::string RenderThreadOpStats(const ThreadExecStats& stats) {
-  if (stats.per_op.empty()) return "";
-  TablePrinter table({"op", "kind", "label", "inst", "rows in", "rows out",
-                      "busy [s]", "build [s]", "probe [s]", "batch p95 [ms]",
-                      "ht rows", "collisions", "peak mem"});
-  for (const ThreadOpStats& per_op : stats.per_op) {
-    const OpMetrics& m = per_op.metrics;
-    std::string p95 = "-";
-    if (m.batch_seconds.count() > 0) {
-      p95 = FormatDouble(m.batch_seconds.Percentile(95) * 1e3, 3);
-    }
-    table.AddRow(
-        {StrCat(per_op.op_id), per_op.kind,
-         StrCat(per_op.name, " '", std::string(1, per_op.trace_label), "'"),
-         StrCat(per_op.instances), StrCat(m.rows_in[0] + m.rows_in[1]),
-         StrCat(m.rows_out), FormatDouble(m.busy_seconds(), 3),
-         FormatDouble(m.build_seconds, 3), FormatDouble(m.probe_seconds, 3),
-         p95, StrCat(m.hash_table_rows), StrCat(m.hash_collisions),
-         FormatBytes(m.peak_memory_bytes)});
-  }
-  return table.ToString();
-}
-
-StatusOr<ThreadQueryResult> ThreadExecutor::Execute(
+StatusOr<QueryResult> ThreadExecutor::Execute(
     const ParallelPlan& plan, const ThreadExecOptions& options,
-    ThreadExecStats* stats_out) const {
+    QueryStats* stats_out) const {
   MJOIN_RETURN_IF_ERROR(CheckExecRequest(plan, options));
   std::vector<BatchPool*> pools;
   {

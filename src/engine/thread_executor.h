@@ -12,8 +12,7 @@
 #include "common/statusor.h"
 #include "common/sync.h"
 #include "engine/database.h"
-#include "engine/result.h"
-#include "engine/thread_trace.h"
+#include "engine/query_result.h"
 #include "exec/operator.h"
 #include "skew/defense.h"
 #include "xra/plan.h"
@@ -22,7 +21,6 @@ namespace mjoin {
 
 class BatchPool;
 class FaultInjector;
-class MetricsRegistry;
 
 /// Knobs for one threaded execution.
 struct ThreadExecOptions {
@@ -59,14 +57,14 @@ struct ThreadExecOptions {
   FaultInjector* fault_injector = nullptr;
 
   /// Observability. `collect_metrics` gathers per-operation counters,
-  /// phase timings, and batch latencies into ThreadExecStats::per_op;
+  /// phase timings, and batch latencies into QueryStats::per_op;
   /// `record_trace` additionally records every worker busy interval into
-  /// ThreadQueryResult::trace (renderable as the paper's utilization
+  /// QueryResult::trace (renderable as the paper's utilization
   /// diagram or exportable as Chrome trace JSON). Both paths time each
   /// operator callback; with both off no clock is read per batch.
   bool collect_metrics = true;
   bool record_trace = false;
-  /// Character width of ThreadQueryResult::utilization_diagram.
+  /// Character width of QueryResult::utilization_diagram.
   uint32_t trace_width = 72;
   /// When non-null, run-level counters ("thread.batches_sent", ...) and
   /// the batch-latency histogram are published here after the run; must
@@ -79,83 +77,11 @@ struct ThreadExecOptions {
   SkewDefenseOptions skew_defense;
 };
 
-/// Merged runtime metrics of one plan operation (all its instances), with
-/// enough plan identity to print without the plan at hand.
-struct ThreadOpStats {
-  int op_id = -1;
-  std::string name;         // the plan's human-readable label
-  std::string kind;         // XraOpKindName of the op
-  char trace_label = '?';   // fill character in utilization diagrams
-  uint32_t instances = 0;
-  OpMetrics metrics;
-};
-
-/// Runtime counters of one threaded execution, also populated on failure
-/// (via the Execute() out-parameter) so aborted queries are diagnosable.
-struct ThreadExecStats {
-  /// Data batches posted between worker nodes.
-  uint64_t batches_sent = 0;
-  /// Data batches consumed by operators.
-  uint64_t batches_processed = 0;
-  /// Batches suppressed / re-delivered by fault injection.
-  uint64_t batches_dropped = 0;
-  uint64_t batches_duplicated = 0;
-  /// Times a producer outwaited the 250 ms queue block timeout on a full
-  /// queue and enqueued anyway.
-  uint64_t queue_overflows = 0;
-  /// Batch-buffer pool traffic during this run: buffers heap-allocated
-  /// because a node's freelist was empty vs. acquisitions served by
-  /// recycling. Pools persist across Execute() calls on one executor, so
-  /// a repeated query starts with warm buffers and in steady state
-  /// allocated stays near zero while reused tracks batches sent.
-  uint64_t batch_buffers_allocated = 0;
-  uint64_t batch_buffers_reused = 0;
-  /// Maximum data batches queued at any single worker node.
-  size_t peak_queue_depth = 0;
-  /// MemoryBudget high-water mark over operator state + stored results.
-  size_t peak_memory_bytes = 0;
-  /// Per-operation metrics in plan op order; empty unless
-  /// ThreadExecOptions::collect_metrics was set. Populated on the abort
-  /// path too (partial counts up to the failure).
-  std::vector<ThreadOpStats> per_op;
-};
-
-/// Outcome of one threaded query execution.
-struct ThreadQueryResult {
-  double wall_seconds = 0;
-  ResultSummary result;
-  std::optional<Relation> materialized;
-  ThreadExecStats stats;
-
-  /// Mean worker busy fraction over the run (0 unless record_trace).
-  double utilization = 0;
-  /// ASCII utilization diagram of the run (the paper's Figures 3-7, with
-  /// wall-clock microseconds on the x-axis); empty unless record_trace.
-  std::string utilization_diagram;
-  /// The raw trace for further rendering/export; null unless record_trace.
-  std::shared_ptr<const ThreadTraceRecorder> trace;
-};
-
-/// One ThreadOpStats per plan op, in plan op order, with the plan identity
-/// (op_id, name, kind, trace_label) filled in and the counters zero.
-std::vector<ThreadOpStats> NewOpStats(const ParallelPlan& plan);
-
 /// The request checks of the thread and process backends: a positive
 /// batch size, a positive deadline when one is set, skew-defense options
 /// the defense can run on, and a valid plan.
 [[nodiscard]] Status CheckExecRequest(const ParallelPlan& plan,
                                       const ThreadExecOptions& options);
-
-/// Publishes one run's backend counters, gauges and batch-latency samples
-/// under `prefix` ("thread" or "process": "thread.batches_sent", ...),
-/// plus the backend-free "skew." family, into `registry`.
-void PublishExecMetrics(const std::string& prefix,
-                        const ThreadExecStats& stats, double wall_seconds,
-                        MetricsRegistry* registry);
-
-/// Renders stats.per_op as a fixed-width table (mirrors the simulator's
-/// RenderOpStats); empty string when per_op is empty.
-std::string RenderThreadOpStats(const ThreadExecStats& stats);
 
 /// Executes the same parallel plans as SimExecutor, but for real: each
 /// simulated processor becomes an OS thread running a message loop, tuple
@@ -181,10 +107,9 @@ class ThreadExecutor {
   /// (ResourceExhausted, Cancelled, DeadlineExceeded, an injected fault,
   /// ...) and `stats_out`, when non-null, receives the partial-progress
   /// counters gathered up to the abort.
-  [[nodiscard]] StatusOr<ThreadQueryResult> Execute(const ParallelPlan& plan,
-                                      const ThreadExecOptions& options,
-                                      ThreadExecStats* stats_out = nullptr)
-      const;
+  [[nodiscard]] StatusOr<QueryResult> Execute(
+      const ParallelPlan& plan, const ThreadExecOptions& options,
+      QueryStats* stats_out = nullptr) const;
 
  private:
   const Database* database_;

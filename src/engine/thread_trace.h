@@ -153,17 +153,6 @@ class ThreadTraceRecorder {
 std::shared_ptr<ThreadTraceRecorder> NewPlanTrace(const ParallelPlan& plan,
                                                   TraceFormat format);
 
-/// Fills a traced result's `utilization`, `utilization_diagram` and
-/// `trace` from `trace` over [0, makespan] (every backend's result type
-/// carries these three fields).
-template <class Result>
-void AttachTrace(std::shared_ptr<const ThreadTraceRecorder> trace,
-                 int64_t makespan, uint32_t width, Result* result) {
-  result->utilization = trace->Utilization(makespan);
-  result->utilization_diagram = trace->RenderAscii(makespan, width);
-  result->trace = std::move(trace);
-}
-
 }  // namespace mjoin
 
 #endif  // MJOIN_ENGINE_THREAD_TRACE_H_

@@ -68,7 +68,7 @@ class WarmProcessFleet {
   /// fleet's members, keeping its arena.
   [[nodiscard]] StatusOr<ProcessQueryResult> Execute(
       const ParallelPlan& plan, const ProcessExecOptions& options,
-      ThreadExecStats* stats_out = nullptr, ProcessNetStats* net_out = nullptr,
+      QueryStats* stats_out = nullptr, ProcessNetStats* net_out = nullptr,
       ProcessExecStats* proc_out = nullptr);
 
   uint32_t num_workers() const;

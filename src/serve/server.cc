@@ -322,11 +322,11 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
   }
 
   if (q.backend == ServeBackend::kThread) {
-    MJOIN_ASSIGN_OR_RETURN(ThreadQueryResult result,
+    MJOIN_ASSIGN_OR_RETURN(QueryResult result,
                            thread_exec->Execute(*plan, exec));
     out->cardinality = result.result.cardinality;
     out->checksum = result.result.checksum;
-    out->wall_seconds = result.wall_seconds;
+    out->wall_seconds = result.seconds;
     out->attempts = 1;
     return Status::OK();
   }
@@ -340,7 +340,7 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
                          fleet->Execute(*plan, popts));
   out->cardinality = result.exec.result.cardinality;
   out->checksum = result.exec.result.checksum;
-  out->wall_seconds = result.exec.wall_seconds;
+  out->wall_seconds = result.exec.seconds;
   out->attempts = result.proc.attempts;
   return Status::OK();
 }

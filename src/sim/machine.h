@@ -22,6 +22,7 @@ struct MachineCounters {
   uint64_t tuples_sent = 0;
   Ticks startup_ticks = 0;    // scheduler CPU spent initializing processes
   Ticks handshake_ticks = 0;  // worker CPU spent on stream handshakes
+  uint64_t events = 0;  // simulator events processed (diagnostics)
 };
 
 /// The simulated shared-nothing multiprocessor: `num_workers` worker nodes

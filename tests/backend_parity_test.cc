@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -19,9 +20,9 @@ namespace {
 // Cross-backend accounting parity: all three executors host operator
 // instances in the same operation-process runtime, so with the skew
 // defense off and no faults they must count the same tuples into and out
-// of every operation. The simulator's EXPLAIN ANALYZE counters, the
-// thread backend's per-op metrics, and the process backend's merged
-// per-worker reports (shm plane) are compared op by op.
+// of every operation. Each backend's QueryResult per-op stats — the
+// simulator's, the thread backend's, and the process backend's merged
+// per-worker reports (shm plane) — are compared op by op.
 
 struct Case {
   StrategyKind strategy;
@@ -68,25 +69,25 @@ TEST_P(BackendParityTest, PerOpCountersAgree) {
   auto process_run = processes.Execute(*plan, process_options);
   ASSERT_TRUE(process_run.ok()) << process_run.status();
 
-  const std::vector<ThreadOpStats>& thread_ops = thread_run->stats.per_op;
-  const std::vector<ThreadOpStats>& process_ops =
-      process_run->exec.stats.per_op;
-  ASSERT_EQ(sim_run->op_stats.size(), plan->ops.size());
-  ASSERT_EQ(thread_ops.size(), plan->ops.size());
-  ASSERT_EQ(process_ops.size(), plan->ops.size());
-  for (size_t i = 0; i < plan->ops.size(); ++i) {
-    const OpStats& s = sim_run->op_stats[i];
-    const OpMetrics& t = thread_ops[i].metrics;
-    const OpMetrics& p = process_ops[i].metrics;
-    const std::string& label = plan->ops[i].label;
-    EXPECT_EQ(s.tuples_in, t.rows_in[0] + t.rows_in[1]) << label;
-    EXPECT_EQ(t.rows_in[0] + t.rows_in[1], p.rows_in[0] + p.rows_in[1])
-        << label;
-    EXPECT_EQ(s.tuples_out, t.rows_out) << label;
-    EXPECT_EQ(t.rows_out, p.rows_out) << label;
-    EXPECT_EQ(thread_ops[i].instances, plan->ops[i].processors.size())
-        << label;
-    EXPECT_EQ(thread_ops[i].instances, process_ops[i].instances) << label;
+  // The sim fills per_op always; the real backends because
+  // collect_metrics is set. Every backend is held to the same fields.
+  const std::pair<const char*, const QueryResult*> runs[] = {
+      {"sim", &*sim_run},
+      {"thread", &*thread_run},
+      {"process", &process_run->exec}};
+  for (const auto& [backend, run] : runs) {
+    const std::vector<QueryOpStats>& ops = run->stats.per_op;
+    ASSERT_EQ(ops.size(), plan->ops.size()) << backend;
+    for (size_t i = 0; i < plan->ops.size(); ++i) {
+      const OpMetrics& m = ops[i].metrics;
+      const OpMetrics& t = thread_run->stats.per_op[i].metrics;
+      const std::string& label = plan->ops[i].label;
+      EXPECT_EQ(m.rows_in[0] + m.rows_in[1], t.rows_in[0] + t.rows_in[1])
+          << backend << " " << label;
+      EXPECT_EQ(m.rows_out, t.rows_out) << backend << " " << label;
+      EXPECT_EQ(ops[i].instances, plan->ops[i].processors.size())
+          << backend << " " << label;
+    }
   }
 }
 

@@ -505,9 +505,9 @@ TEST(SimExecutorTest, DeterministicAcrossRuns) {
   auto run1 = executor.Execute(*plan, SimExecOptions());
   auto run2 = executor.Execute(*plan, SimExecOptions());
   ASSERT_TRUE(run1.ok() && run2.ok());
-  EXPECT_EQ(run1->response_ticks, run2->response_ticks);
+  EXPECT_EQ(run1->elapsed, run2->elapsed);
   EXPECT_EQ(run1->result, run2->result);
-  EXPECT_EQ(run1->events, run2->events);
+  EXPECT_EQ(run1->machine.events, run2->machine.events);
 }
 
 // Pins the simulator's timing: response ticks of every strategy on every
@@ -538,7 +538,7 @@ TEST(SimExecutorTest, ResponseTicksPinned) {
       ASSERT_TRUE(plan.ok()) << plan.status();
       auto run = executor.Execute(*plan, SimExecOptions());
       ASSERT_TRUE(run.ok()) << run.status();
-      EXPECT_EQ(run->response_ticks, kExpected[s][q])
+      EXPECT_EQ(run->elapsed, kExpected[s][q])
           << StrategyName(kAllStrategies[s]) << " on "
           << ShapeName(kAllShapes[q]);
     }
@@ -683,9 +683,9 @@ TEST(SimExecutorTest, CountersMatchPlanShape) {
   auto run = executor.Execute(*plan, SimExecOptions());
   ASSERT_TRUE(run.ok());
   // 3 joins x 5 processors = 15 join processes; streams from the plan.
-  EXPECT_EQ(run->counters.processes_started, 15u);
-  EXPECT_EQ(run->counters.streams_opened, plan->CountStreams());
-  EXPECT_GT(run->counters.tuples_sent, 0u);
+  EXPECT_EQ(run->machine.processes_started, 15u);
+  EXPECT_EQ(run->machine.streams_opened, plan->CountStreams());
+  EXPECT_GT(run->machine.tuples_sent, 0u);
 }
 
 TEST(SimExecutorTest, MoreProcessorsReduceWorkDominatedResponse) {
@@ -700,7 +700,7 @@ TEST(SimExecutorTest, MoreProcessorsReduceWorkDominatedResponse) {
   auto slow = executor.Execute(*p6, SimExecOptions());
   auto fast = executor.Execute(*p24, SimExecOptions());
   ASSERT_TRUE(slow.ok() && fast.ok());
-  EXPECT_LT(fast->response_ticks, slow->response_ticks);
+  EXPECT_LT(fast->elapsed, slow->elapsed);
 }
 
 TEST(SimExecutorTest, FpUsesMoreJoinMemoryThanRd) {
@@ -718,7 +718,14 @@ TEST(SimExecutorTest, FpUsesMoreJoinMemoryThanRd) {
   auto fp = executor.Execute(*fp_plan, SimExecOptions());
   auto rd = executor.Execute(*rd_plan, SimExecOptions());
   ASSERT_TRUE(fp.ok() && rd.ok());
-  EXPECT_GT(fp->join_memory_bytes, rd->join_memory_bytes);
+  auto join_memory = [](const QueryResult& run) {
+    size_t bytes = 0;
+    for (const QueryOpStats& op : run.stats.per_op) {
+      bytes += op.metrics.peak_memory_bytes;
+    }
+    return bytes;
+  };
+  EXPECT_GT(join_memory(*fp), join_memory(*rd));
 }
 
 // --- Experiment harness -----------------------------------------------------------

@@ -199,7 +199,7 @@ TEST(BatchPoolingTest, SteadyStateReusesBuffers) {
   options.batch_size = 16;  // many batches -> pooling pays off
   auto run = executor.Execute(*plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  const ThreadExecStats& stats = run->stats;
+  const QueryStats& stats = run->stats;
   EXPECT_GT(stats.batches_sent, 0u);
   EXPECT_GT(stats.batch_buffers_reused, 0u);
   EXPECT_LT(stats.batch_buffers_allocated,

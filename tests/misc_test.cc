@@ -83,26 +83,62 @@ TEST(OpStatsTest, CountersAreConsistent) {
   SimExecutor executor(&db);
   auto run = executor.Execute(*plan, SimExecOptions());
   ASSERT_TRUE(run.ok());
-  ASSERT_EQ(run->op_stats.size(), plan->ops.size());
+  ASSERT_EQ(run->stats.per_op.size(), plan->ops.size());
 
-  for (const OpStats& stats : run->op_stats) {
+  for (const QueryOpStats& stats : run->stats.per_op) {
     ASSERT_GE(stats.op_id, 0);
     const XraOp& op = plan->ops[static_cast<size_t>(stats.op_id)];
+    const OpMetrics& m = stats.metrics;
     if (op.is_source()) {
-      EXPECT_EQ(stats.tuples_in, 0u);
+      EXPECT_EQ(m.rows_in[0] + m.rows_in[1], 0u);
       // Base relations and intermediates all hold kCardinality tuples.
-      EXPECT_EQ(stats.tuples_out, kCardinality);
+      EXPECT_EQ(m.rows_out, kCardinality);
     } else {
       // Each join reads both operands and emits one result per tuple.
-      EXPECT_EQ(stats.tuples_in, 2 * kCardinality);
-      EXPECT_EQ(stats.tuples_out, kCardinality);
+      EXPECT_EQ(m.rows_in[0] + m.rows_in[1], 2 * kCardinality);
+      EXPECT_EQ(m.rows_out, kCardinality);
     }
-    EXPECT_GT(stats.busy_ticks, 0);
-    EXPECT_LE(stats.last_finish, run->response_ticks);
+    EXPECT_GT(m.busy_seconds(), 0);
   }
-  std::string rendered = RenderOpStats(*plan, *run);
-  EXPECT_NE(rendered.find("tuples in"), std::string::npos);
+  std::string rendered = ExplainAnalyze(*run);
+  EXPECT_NE(rendered.find("rows in"), std::string::npos);
   EXPECT_NE(rendered.find("simple-hash-join"), std::string::npos);
+}
+
+// The sim bills each task's charged cost to its op's phase bucket and
+// records the same task as one interval on its node's trace lane, so an
+// op's phase seconds are its worker-lane ticks times tick_seconds. The
+// scheduler and broker lanes are service time, billed to no op's buckets.
+TEST(OpStatsTest, SimPhaseSecondsMatchTrace) {
+  Database db = MakeWisconsinDatabase(6, 400, 29);
+  auto query = MakeWisconsinChainQuery(QueryShape::kWideBushy, 6, 400);
+  ASSERT_TRUE(query.ok());
+  SimExecOptions options;
+  options.record_trace = true;
+  for (StrategyKind kind : kAllStrategies) {
+    auto plan = MakeStrategy(kind)->Parallelize(*query, 10, TotalCostModel());
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto run = SimExecutor(&db).Execute(*plan, options);
+    ASSERT_TRUE(run.ok()) << run.status();
+    ASSERT_NE(run->trace, nullptr);
+    std::vector<int64_t> traced_ticks(plan->ops.size(), 0);
+    const auto& lanes = run->trace->events_by_worker();
+    for (uint32_t lane = 0; lane < run->trace->num_workers(); ++lane) {
+      for (const ThreadTraceEvent& event : lanes[lane]) {
+        ASSERT_GE(event.op_id, 0);
+        traced_ticks[static_cast<size_t>(event.op_id)] +=
+            event.end_ns - event.start_ns;
+      }
+    }
+    for (const QueryOpStats& op : run->stats.per_op) {
+      const double traced =
+          static_cast<double>(traced_ticks[static_cast<size_t>(op.op_id)]) *
+          options.costs.tick_seconds;
+      EXPECT_GT(traced, 0) << StrategyName(kind) << " " << op.name;
+      EXPECT_NEAR(op.metrics.busy_seconds(), traced, traced * 1e-9)
+          << StrategyName(kind) << " " << op.name;
+    }
+  }
 }
 
 // --- PlanBuilder label overflow ------------------------------------------------------

@@ -189,7 +189,7 @@ TEST_F(ProcessBackendFaultTest, PartialStatsSurviveAnAbort) {
     if (worker == 1) kill(pid, SIGKILL);
   };
 
-  ThreadExecStats stats;
+  QueryStats stats;
   ProcessNetStats net;
   ProcessExecutor executor(db_.get());
   auto run = executor.Execute(*plan_, options, &stats, &net);

@@ -322,10 +322,10 @@ struct SkewRunOutcome {
 };
 
 SkewRunOutcome Accumulate(const ResultSummary& result,
-                          const std::vector<ThreadOpStats>& per_op) {
+                          const std::vector<QueryOpStats>& per_op) {
   SkewRunOutcome out;
   out.result = result;
-  for (const ThreadOpStats& op : per_op) {
+  for (const QueryOpStats& op : per_op) {
     out.hot_keys += op.metrics.skew_hot_keys;
     out.replicated += op.metrics.skew_replicated_rows;
     out.repartitioned += op.metrics.skew_repartitioned_rows;
@@ -438,7 +438,7 @@ TEST(SkewEndToEndTest, ProcessBackendDefenseIsResultInvariant) {
     options.exec.collect_metrics = true;
     options.exec.skew_defense = TestDefense(mode);
     options.num_workers = 3;
-    ThreadExecStats stats;
+    QueryStats stats;
     auto run = processes.Execute(*plan, options, &stats);
     ASSERT_TRUE(run.ok()) << run.status() << " " << SkewDefenseModeName(mode);
     EXPECT_EQ(run->exec.result.cardinality, reference->cardinality)

@@ -166,7 +166,7 @@ TEST_P(FaultScenarioTest, OperatorFailureAbortsCleanly) {
   options.fault_injector = &injector;
 
   const std::set<pid_t> threads_before = ThreadIds();
-  ThreadExecStats stats;
+  QueryStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
   EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   ASSERT_FALSE(run.ok());
@@ -185,7 +185,7 @@ TEST_P(FaultScenarioTest, TightMemoryBudgetAborts) {
   options.memory_budget_bytes = 4096;
 
   const std::set<pid_t> threads_before = ThreadIds();
-  ThreadExecStats stats;
+  QueryStats stats;
   auto run = executor.Execute(setup.plan, options, &stats);
   EXPECT_EQ(LeakedThreads(threads_before), std::vector<std::string>{});
   ASSERT_FALSE(run.ok());
@@ -302,7 +302,7 @@ TEST(MemoryBudgetAcceptanceTest, TenRelationChainUnderOneMegabyte) {
 
   ThreadExecOptions limited;
   limited.memory_budget_bytes = 1 << 20;
-  ThreadExecStats stats;
+  QueryStats stats;
   auto starved = executor.Execute(setup.plan, limited, &stats);
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);

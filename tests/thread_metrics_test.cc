@@ -63,7 +63,7 @@ TEST_P(ThreadMetricsTest, StatsInvariants) {
   options.collect_metrics = true;
   auto run = executor.Execute(f.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  const ThreadExecStats& stats = run->stats;
+  const QueryStats& stats = run->stats;
 
   // Every processed batch was sent (duplicates are counted into
   // batches_sent as extra copies; drops only lower the processed side).
@@ -75,7 +75,7 @@ TEST_P(ThreadMetricsTest, StatsInvariants) {
 
   ASSERT_EQ(stats.per_op.size(), f.plan.ops.size());
   uint64_t total_busy_ops = 0;
-  for (const ThreadOpStats& per_op : stats.per_op) {
+  for (const QueryOpStats& per_op : stats.per_op) {
     const XraOp& op = f.plan.ops[static_cast<size_t>(per_op.op_id)];
     EXPECT_EQ(per_op.instances, op.processors.size());
     EXPECT_EQ(per_op.name, op.label);
@@ -100,7 +100,7 @@ TEST_P(ThreadMetricsTest, StatsInvariants) {
   EXPECT_GT(total_busy_ops, 0u);
 
   // The rendered table mentions every op id and the header columns.
-  std::string table = RenderThreadOpStats(stats);
+  std::string table = ExplainAnalyze(*run);
   EXPECT_NE(table.find("rows out"), std::string::npos);
   EXPECT_NE(table.find("collisions"), std::string::npos);
 }
@@ -119,7 +119,7 @@ TEST(ThreadMetricsTest, PerOpDetailCounters) {
   options.batch_size = 64;
   auto run = executor.Execute(f.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  for (const ThreadOpStats& per_op : run->stats.per_op) {
+  for (const QueryOpStats& per_op : run->stats.per_op) {
     const XraOp& op = f.plan.ops[static_cast<size_t>(per_op.op_id)];
     if (op.is_join()) {
       EXPECT_EQ(per_op.metrics.rows_in[0] + per_op.metrics.rows_in[1],
@@ -151,7 +151,7 @@ TEST(ThreadMetricsTest, DisabledPathGathersNothing) {
   EXPECT_TRUE(run->stats.per_op.empty());
   EXPECT_EQ(run->trace, nullptr);
   EXPECT_TRUE(run->utilization_diagram.empty());
-  EXPECT_EQ(RenderThreadOpStats(run->stats), "");
+  EXPECT_EQ(ExplainAnalyze(*run), "");
 }
 
 /// Run-level counters land in the caller's registry.

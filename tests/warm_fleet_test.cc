@@ -85,14 +85,14 @@ TEST(WarmFleetTest, RepeatedQueryStableStatsAndNoFdGrowth) {
   }
 
   // First run warms the pools and the arena mapping.
-  ThreadExecStats first;
+  QueryStats first;
   auto warmup = (*fleet)->Execute(f.plan, ProcessExecOptions{}, &first);
   ASSERT_TRUE(warmup.ok()) << warmup.status();
   EXPECT_EQ(warmup->exec.result.cardinality, f.reference.cardinality);
   const size_t fds_warm = CountOpenFds();
 
   for (int run = 0; run < 100; ++run) {
-    ThreadExecStats stats;
+    QueryStats stats;
     ProcessNetStats net;
     auto result = (*fleet)->Execute(f.plan, ProcessExecOptions{}, &stats, &net);
     ASSERT_TRUE(result.ok()) << "run " << run << ": " << result.status();

@@ -88,7 +88,7 @@ TEST(XraTextTest, ParsedPlanExecutesIdentically) {
   auto replayed = executor.Execute(*parsed, SimExecOptions());
   ASSERT_TRUE(original.ok() && replayed.ok());
   EXPECT_EQ(original->result, replayed->result);
-  EXPECT_EQ(original->response_ticks, replayed->response_ticks);
+  EXPECT_EQ(original->elapsed, replayed->elapsed);
 }
 
 TEST(XraTextTest, RejectsGarbage) {

@@ -6,18 +6,18 @@
 //   mjoin_cli run       --backend thread --strategy FP --max-queue 4
 //                       --budget 1048576 --deadline-ms 5000
 //                       --fault slow-worker --fault-node 0
-//   mjoin_cli run       --backend thread --metrics --diagram
+//   mjoin_cli run       --backend thread --analyze --metrics --diagram
 //                       --trace-out=trace.json
 //   mjoin_cli run       --strategy SP --trace-out=sim_trace.json
 //   mjoin_cli save-plan --shape left-linear --strategy SP --procs 20
 //                       --out plan.xra
-//   mjoin_cli run-plan  --plan plan.xra --card 5000
+//   mjoin_cli run-plan  --plan plan.xra --card 5000 --backend thread
 //   mjoin_cli bench     --shape wide-bushy --card 5000
 //   mjoin_cli run       --backend process --workload zipf1-mn
 //                       --skew-defense auto --metrics
 //
 // All subcommands generate the paper's Wisconsin database on the fly
-// (--relations, --card, --seed) and verify executed results against the
+// (--relations, --card, --seed); run verifies executed results against the
 // single-threaded reference. The workload flags (--workload,
 // --zipf-theta, --selectivity, --fanout) swap the 1:1 permutation data
 // for the adversarial generator's skewed / filtered / m:n relations.
@@ -100,14 +100,15 @@ int Usage() {
       "  --card      tuples per relation (default 5000)\n"
       "  --relations base relations (default 10)\n"
       "  --seed      data seed (default 1995)\n"
-      "  --analyze   print per-op EXPLAIN ANALYZE counters (run)\n"
-      "  --diagram   print the utilization diagram (run)\n"
+      "  --analyze   print the per-op EXPLAIN ANALYZE table (run, run-plan,\n"
+      "              every backend; the sim's seconds are simulated time)\n"
+      "  --diagram   print the utilization diagram (run, run-plan)\n"
       "  --trace-out FILE  write the run's work trace as Chrome trace JSON\n"
       "              (chrome://tracing, Perfetto; run, run-plan, every\n"
       "              backend; the sim's timestamps are simulated time)\n"
       "  --out FILE  plan file to write (save-plan)\n"
       "  --plan FILE plan file to execute (run-plan)\n"
-      "  --backend   sim|thread|process (run; default sim)\n"
+      "  --backend   sim|thread|process (run, run-plan; default sim)\n"
       "workload flags (all commands; default: the paper's 1:1 data):\n"
       "  --workload NAME    preset: uniform|zipf1|zipf1-mn|mn|filtered|\n"
       "                     adversarial (--card/--relations/--seed still\n"
@@ -156,10 +157,8 @@ int Usage() {
       "  --fault-on-attempt N  fire only on execution attempt N (0-based;\n"
       "                     -1=every attempt); pairs with --retries\n"
       "observability flags (run --backend thread|process):\n"
-      "  --metrics          print the per-operator metrics table and the\n"
-      "                     run-level metrics registry\n"
-      "  --diagram          also prints the wall-clock utilization diagram\n"
-      "                     (implies trace recording)\n");
+      "  --metrics          print the run-level metrics registry, plus the\n"
+      "                     network counters on process\n");
   return 2;
 }
 
@@ -300,52 +299,7 @@ int WriteTraceFile(const std::string& path, const ThreadTraceRecorder& trace) {
   return 0;
 }
 
-// `run --backend sim` and `run-plan`: execute the plan on the simulated
-// machine, with --analyze, --diagram and --trace-out.
-int RunAndReport(const ParallelPlan& plan, const Common& common,
-                 const Args& args) {
-  const bool analyze = args.Has("analyze");
-  const bool diagram = args.Has("diagram");
-  const std::string trace_out = args.Get("trace-out", "");
-  auto made = MakeCliDatabase(common);
-  if (!made.ok()) {
-    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-    return 1;
-  }
-  Database db = std::move(*made);
-
-  // Reference for verification: rebuild the query the plan came from. For
-  // run-plan we only verify the cardinality invariant.
-  SimExecutor executor(&db);
-  SimExecOptions options;
-  options.record_trace = diagram || !trace_out.empty();
-  auto run = executor.Execute(plan, options);
-  if (!run.ok()) {
-    std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
-    return 1;
-  }
-  std::printf(
-      "strategy %s on %u processors: %.2f s simulated response, %llu "
-      "result tuples\nprocesses %llu, streams %llu, startup %.2f s, "
-      "handshake %.2f s\n",
-      plan.strategy.c_str(), plan.num_processors, run->response_seconds,
-      static_cast<unsigned long long>(run->result.cardinality),
-      static_cast<unsigned long long>(run->counters.processes_started),
-      static_cast<unsigned long long>(run->counters.streams_opened),
-      options.costs.ToSeconds(run->counters.startup_ticks),
-      options.costs.ToSeconds(run->counters.handshake_ticks));
-  if (analyze) {
-    std::printf("\nEXPLAIN ANALYZE:\n%s", RenderOpStats(plan, *run).c_str());
-  }
-  if (diagram) {
-    std::printf("\nutilization (%.0f%%):\n%s", run->utilization * 100,
-                run->utilization_diagram.c_str());
-  }
-  if (!trace_out.empty()) return WriteTraceFile(trace_out, *run->trace);
-  return 0;
-}
-
-void PrintThreadStats(const ThreadExecStats& stats) {
+void PrintThreadStats(const QueryStats& stats) {
   std::printf(
       "batches: %llu sent, %llu processed, %llu dropped, %llu duplicated\n"
       "queues:  peak depth %llu, %llu overflow escapes\n"
@@ -359,13 +313,23 @@ void PrintThreadStats(const ThreadExecStats& stats) {
       static_cast<unsigned long long>(stats.peak_memory_bytes));
 }
 
-// `run --backend thread|process`: execute the plan on real OS threads or
-// on forked worker processes, with the shared resilience knobs
-// (backpressure, budget, deadline, fault injection) and observability
-// flags. The two backends accept the same options and produce the same
-// result shape, so one driver covers both.
-int RunExecBackend(const Args& args, const ParallelPlan& plan,
-                   const Common& common, bool process_backend) {
+// `run` and `run-plan`: execute the plan on --backend (the simulated
+// machine, real OS threads, or forked worker processes), print its
+// counters and the reports asked for (--analyze, --metrics, --diagram,
+// --trace-out), and, when `verify` is set, check the result against the
+// single-threaded reference. Every backend returns the same result shape,
+// so one driver covers all three; the resilience knobs (backpressure,
+// budget, deadline, fault injection) apply to thread and process.
+int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
+            bool verify) {
+  const std::string backend = args.Get("backend", "sim");
+  if (backend != "sim" && backend != "thread" && backend != "process") {
+    std::fprintf(stderr, "unknown backend '%s' (valid: sim|thread|process)\n",
+                 backend.c_str());
+    return 2;
+  }
+  const bool sim_backend = backend == "sim";
+  const bool process_backend = backend == "process";
   FaultScenario scenario;
   if (!ParseFaultKind(args.Get("fault", "none"), &scenario.kind)) {
     std::fprintf(stderr, "unknown fault kind\n");
@@ -409,6 +373,7 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
   }
   options.skew_defense.mode = *defense_mode;
 
+  bool analyze = args.Has("analyze");
   bool want_metrics = args.Has("metrics");
   bool want_diagram = args.Has("diagram");
   std::string trace_out = args.Get("trace-out", "");
@@ -422,12 +387,16 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     return 1;
   }
   Database db = std::move(*made);
-  ThreadExecStats stats;
+  QueryStats stats;
   ProcessNetStats net;
   ProcessExecStats proc;
-  StatusOr<ThreadQueryResult> run =
+  SimExecOptions sim_options;
+  StatusOr<QueryResult> run =
       Status::Internal("backend produced no result");  // always overwritten
-  if (process_backend) {
+  if (sim_backend) {
+    sim_options.record_trace = options.record_trace;
+    run = SimExecutor(&db).Execute(plan, sim_options);
+  } else if (process_backend) {
     ProcessExecutor executor(&db);
     ProcessExecOptions process_options;
     process_options.exec = options;
@@ -482,26 +451,42 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
       std::fprintf(stderr, "recovery: %u attempts, %u retries\n",
                    proc.attempts, proc.retries);
     }
-    if (want_metrics) {
-      std::printf("\nper-operator metrics up to the abort:\n%s",
-                  RenderThreadOpStats(stats).c_str());
+    if (analyze) {
+      QueryResult partial;
+      partial.stats = std::move(stats);
+      std::printf("\nEXPLAIN ANALYZE up to the abort:\n%s",
+                  ExplainAnalyze(partial).c_str());
     }
     return 1;
   }
-  if (process_backend) {
+  if (sim_backend) {
+    const MachineCounters& machine = run->machine;
     std::printf(
-        "strategy %s on %u processors in %u worker processes: %.3f s wall, "
-        "%llu result tuples\n",
-        plan.strategy.c_str(), plan.num_processors, net.num_workers,
-        run->wall_seconds,
-        static_cast<unsigned long long>(run->result.cardinality));
+        "strategy %s on %u processors: %.2f s simulated response, %llu "
+        "result tuples\nprocesses %llu, streams %llu, startup %.2f s, "
+        "handshake %.2f s\n",
+        plan.strategy.c_str(), plan.num_processors, run->seconds,
+        static_cast<unsigned long long>(run->result.cardinality),
+        static_cast<unsigned long long>(machine.processes_started),
+        static_cast<unsigned long long>(machine.streams_opened),
+        sim_options.costs.ToSeconds(machine.startup_ticks),
+        sim_options.costs.ToSeconds(machine.handshake_ticks));
   } else {
-    std::printf(
-        "strategy %s on %u threads: %.3f s wall, %llu result tuples\n",
-        plan.strategy.c_str(), plan.num_processors, run->wall_seconds,
-        static_cast<unsigned long long>(run->result.cardinality));
+    if (process_backend) {
+      std::printf(
+          "strategy %s on %u processors in %u worker processes: %.3f s "
+          "wall, %llu result tuples\n",
+          plan.strategy.c_str(), plan.num_processors, net.num_workers,
+          run->seconds,
+          static_cast<unsigned long long>(run->result.cardinality));
+    } else {
+      std::printf(
+          "strategy %s on %u threads: %.3f s wall, %llu result tuples\n",
+          plan.strategy.c_str(), plan.num_processors, run->seconds,
+          static_cast<unsigned long long>(run->result.cardinality));
+    }
+    PrintThreadStats(run->stats);
   }
-  PrintThreadStats(run->stats);
   if (process_backend && (proc.attempts > 1 || proc.degraded_to_thread)) {
     std::printf("recovery: %u attempts, %u retries%s\n", proc.attempts,
                 proc.retries,
@@ -523,21 +508,21 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
         static_cast<unsigned long long>(net.local_deliveries),
         static_cast<unsigned long long>(net.ring_full_stalls));
   }
+  if (analyze) {
+    std::printf("\nEXPLAIN ANALYZE:\n%s", ExplainAnalyze(*run).c_str());
+  }
   if (want_metrics) {
-    std::printf("\nper-operator metrics:\n%s",
-                RenderThreadOpStats(run->stats).c_str());
     if (process_backend) {
       std::printf("\nnetwork counters:\n%s",
                   RenderProcessNetStats(net).c_str());
     }
     std::printf("\nmetrics registry:\n%s", registry.RenderTable().c_str());
   }
-  if (want_diagram && run->trace != nullptr) {
+  if (want_diagram) {
     std::printf("\nutilization (%.0f%%):\n%s", run->utilization * 100,
                 run->utilization_diagram.c_str());
   }
-  if (!trace_out.empty() && run->trace != nullptr &&
-      WriteTraceFile(trace_out, *run->trace) != 0) {
+  if (!trace_out.empty() && WriteTraceFile(trace_out, *run->trace) != 0) {
     return 1;
   }
   // In the process backend the injectors fire inside the workers; their
@@ -550,10 +535,14 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
                 static_cast<unsigned long long>(faults_injected));
   }
 
+  // A plan file does not name the query it came from, so run-plan has
+  // no reference to verify against.
+  if (!verify) return 0;
   // Drop/duplicate faults knowingly corrupt the result; verifying against
-  // the reference would only report the corruption we caused.
-  if (scenario.kind == FaultKind::kDropBatch ||
-      scenario.kind == FaultKind::kDuplicateBatch) {
+  // the reference would only report the corruption we caused. The sim
+  // injects no faults.
+  if (!sim_backend && (scenario.kind == FaultKind::kDropBatch ||
+                       scenario.kind == FaultKind::kDuplicateBatch)) {
     std::printf("verification skipped: %s alters the data stream\n",
                 FaultKindName(scenario.kind).c_str());
     return 0;
@@ -581,35 +570,7 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return 1;
   }
-  std::string backend = args.Get("backend", "sim");
-  if (backend == "thread") {
-    return RunExecBackend(args, *plan, common, /*process_backend=*/false);
-  }
-  if (backend == "process") {
-    return RunExecBackend(args, *plan, common, /*process_backend=*/true);
-  }
-  if (backend != "sim") {
-    std::fprintf(stderr, "unknown backend '%s' (valid: sim|thread|process)\n",
-                 backend.c_str());
-    return 2;
-  }
-  // Verify against the reference first.
-  auto made = MakeCliDatabase(common);
-  if (!made.ok()) {
-    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-    return 1;
-  }
-  Database db = std::move(*made);
-  auto query =
-      MakeWisconsinChainQuery(common.shape, common.relations, common.card);
-  auto reference = ReferenceSummary(*query, db);
-  SimExecutor executor(&db);
-  auto check = executor.Execute(*plan, SimExecOptions());
-  if (!check.ok() || !reference.ok() || !(check->result == *reference)) {
-    std::fprintf(stderr, "verification FAILED\n");
-    return 1;
-  }
-  return RunAndReport(*plan, common, args);
+  return RunPlan(args, *plan, common, /*verify=*/true);
 }
 
 int CmdSavePlan(const Args& args) {
@@ -657,7 +618,7 @@ int CmdRunPlan(const Args& args) {
     std::fprintf(stderr, "parse: %s\n", plan.status().ToString().c_str());
     return 1;
   }
-  return RunAndReport(*plan, common, args);
+  return RunPlan(args, *plan, common, /*verify=*/false);
 }
 
 int CmdBench(const Args& args) {
