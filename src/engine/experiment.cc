@@ -101,11 +101,8 @@ StatusOr<ExperimentResult> RunShapeExperiment(const ExperimentConfig& config) {
                    run.result.cardinality, " vs ", reference->cardinality));
       }
       point.seconds = run.seconds;
-      point.ticks = run.elapsed;
       point.processes = run.machine.processes_started;
       point.streams = run.machine.streams_opened;
-      point.startup_ticks = run.machine.startup_ticks;
-      point.handshake_ticks = run.machine.handshake_ticks;
       result.points.push_back(point);
     }
   }

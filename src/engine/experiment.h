@@ -21,11 +21,8 @@ struct ExperimentPoint {
   /// Response time; absent when the strategy cannot run at this processor
   /// count (e.g. FP with fewer processors than joins).
   std::optional<double> seconds;
-  Ticks ticks = 0;
   uint64_t processes = 0;
   uint64_t streams = 0;
-  Ticks startup_ticks = 0;
-  Ticks handshake_ticks = 0;
 };
 
 /// Configuration of one figure: a query shape at one problem size, swept

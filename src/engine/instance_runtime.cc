@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "engine/fault_injector.h"
+#include "exec/batch_pool.h"
 #include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/pipelining_hash_join.h"
@@ -363,6 +364,8 @@ void InstanceRuntime::FlushDest(OpInstance* inst, uint32_t dest) {
       copies = 2;
     }
   }
+  batches_sent_.fetch_add(static_cast<uint64_t>(copies),
+                          std::memory_order_relaxed);
   host_->DeliverBatch(inst, dest, pending, copies);
 }
 
@@ -533,23 +536,61 @@ ResultSummary InstanceRuntime::HostedResultSummary() const {
   return summary;
 }
 
-uint32_t InstanceRuntime::MergeOpMetrics(int op, OpMetrics* out) const {
-  uint32_t hosted = 0;
-  for (const auto& inst : instances(op)) {
-    if (inst == nullptr) continue;
-    ++hosted;
-    out->MergeFrom(inst->op_metrics);
-    // Every output row passes through the writer, so its commit count is
-    // the instance's rows-out; the writer also carries
-    // the skew-defense drop/re-route counts (attributed to the producer
-    // that saved the wire bytes).
-    out->rows_out += inst->writer.rows_committed();
-    out->skew_bloom_filtered_rows += inst->writer.rows_dropped();
-    out->skew_repartitioned_rows += inst->writer.rows_repartitioned();
-    inst->oper->CollectMetrics(out);
-    out->peak_memory_bytes += inst->oper->peak_memory_bytes();
+std::vector<QueryOpStats> InstanceRuntime::HostedOpStats() const {
+  std::vector<QueryOpStats> per_op;
+  for (QueryOpStats& op : NewOpStats(plan_)) {
+    OpMetrics& out = op.metrics;
+    for (const auto& inst : instances(op.op_id)) {
+      if (inst == nullptr) continue;
+      ++op.instances;
+      out.MergeFrom(inst->op_metrics);
+      // Every output row passes through the writer, so its commit count is
+      // the instance's rows-out; the writer also carries the skew-defense
+      // drop/re-route counts (attributed to the producer that saved the
+      // wire bytes).
+      out.rows_out += inst->writer.rows_committed();
+      out.skew_bloom_filtered_rows += inst->writer.rows_dropped();
+      out.skew_repartitioned_rows += inst->writer.rows_repartitioned();
+      inst->oper->CollectMetrics(&out);
+      out.peak_memory_bytes += inst->oper->peak_memory_bytes();
+    }
+    if (op.instances > 0) per_op.push_back(std::move(op));
   }
-  return hosted;
+  return per_op;
+}
+
+void InstanceRuntime::PinPools(std::vector<const BatchPool*> pools) {
+  pools_ = std::move(pools);
+  for (const BatchPool* pool : pools_) {
+    pool_base_allocated_ += pool->allocated();
+    pool_base_reused_ += pool->reused();
+  }
+}
+
+QueryStats InstanceRuntime::GatherStats() const {
+  QueryStats stats;
+  for (const BatchPool* pool : pools_) {
+    stats.batch_buffers_allocated += pool->allocated();
+    stats.batch_buffers_reused += pool->reused();
+  }
+  stats.batch_buffers_allocated -= pool_base_allocated_;
+  stats.batch_buffers_reused -= pool_base_reused_;
+  if (settings_.budget != nullptr) {
+    stats.peak_memory_bytes = settings_.budget->peak();
+  }
+  stats.batches_sent = batches_sent_.load(std::memory_order_relaxed);
+  stats.batches_dropped = batches_dropped_.load(std::memory_order_relaxed);
+  stats.batches_duplicated =
+      batches_duplicated_.load(std::memory_order_relaxed);
+  for (const auto& op_instances : instances_) {
+    for (const auto& inst : op_instances) {
+      if (inst == nullptr) continue;
+      stats.batches_processed +=
+          inst->op_metrics.batches_in[0] + inst->op_metrics.batches_in[1];
+    }
+  }
+  if (settings_.collect_metrics) stats.per_op = HostedOpStats();
+  return stats;
 }
 
 }  // namespace mjoin

@@ -14,6 +14,7 @@
 #include "common/statusor.h"
 #include "engine/controller.h"
 #include "engine/database.h"
+#include "engine/query_result.h"
 #include "engine/result.h"
 #include "engine/thread_trace.h"
 #include "exec/emit.h"
@@ -24,6 +25,7 @@
 
 namespace mjoin {
 
+class BatchPool;
 class FaultInjector;
 class InstanceRuntime;
 
@@ -229,9 +231,20 @@ class InstanceRuntime {
   const RuntimeSettings& settings() const { return settings_; }
   InstanceHost* host() const { return host_; }
 
-  /// Merges the metrics of `op`'s hosted instances into `out`, with the
-  /// writer and operator detail folded in; returns the instance count.
-  uint32_t MergeOpMetrics(int op, OpMetrics* out) const;
+  /// Per-op stats of each op with a hosted instance, in plan op order:
+  /// the instances' metrics merged, writer and operator detail folded in.
+  std::vector<QueryOpStats> HostedOpStats() const;
+
+  /// Pins the lifetime counters of the batch pools the host's buffers come
+  /// from; GatherStats reports their traffic since.
+  void PinPools(std::vector<const BatchPool*> pools);
+  /// The run ledger of the hosted instances, gathered the same way on both
+  /// wall-clock hosts: batch copies handed to the host's DeliverBatch,
+  /// batches consumed by operators (the sum of their batches_in), batches
+  /// dropped and duplicated by fault injection, the budget's peak, the
+  /// pinned pools' traffic, and, when metrics are collected,
+  /// HostedOpStats. The host adds its queue counters.
+  QueryStats GatherStats() const;
 
   /// Teardown flag: set once by the host's Abort; every callback and emit
   /// becomes a no-op after it.
@@ -244,12 +257,6 @@ class InstanceRuntime {
   bool cancelled() const {
     return aborted() ||
            (settings_.limits != nullptr && settings_.limits->cancelled());
-  }
-  uint64_t batches_dropped() const {
-    return batches_dropped_.load(std::memory_order_relaxed);
-  }
-  uint64_t batches_duplicated() const {
-    return batches_duplicated_.load(std::memory_order_relaxed);
   }
 
   /// Runs `fn` as one timed slice of `type` work on `processor` and returns
@@ -321,8 +328,14 @@ class InstanceRuntime {
   int64_t origin_ns_ = 0;
   std::vector<bool> defended_;
   std::atomic<bool> aborted_{false};
+  // Batch copies handed to the host's DeliverBatch, and batches dropped
+  // and duplicated by fault injection.
+  std::atomic<uint64_t> batches_sent_{0};
   std::atomic<uint64_t> batches_dropped_{0};
   std::atomic<uint64_t> batches_duplicated_{0};
+  std::vector<const BatchPool*> pools_;
+  uint64_t pool_base_allocated_ = 0;
+  uint64_t pool_base_reused_ = 0;
   // Stored results precede instances_: rescans read them until destruction.
   std::vector<std::vector<Relation>> stored_;
   // [op][instance]; null entries are hosted elsewhere.

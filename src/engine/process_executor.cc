@@ -21,7 +21,6 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "common/table_printer.h"
 #include "engine/controller.h"
 #include "engine/database.h"
 #include "engine/fault_injector.h"
@@ -291,8 +290,9 @@ class Coordinator {
   /// speaks only for its own instances.
   Status CheckSender(uint32_t w, int op, uint32_t instance) const;
   /// One supervision turn: refresh per-worker liveness off received-frame
-  /// counts, broadcast kPing on the heartbeat cadence, and SIGKILL any
-  /// worker silent past liveness_timeout (diagnosed as hung).
+  /// counts, ping every worker not yet parked on the heartbeat cadence,
+  /// and SIGKILL any such worker silent past liveness_timeout (diagnosed
+  /// as hung).
   void SuperviseFleet();
   /// Appends a diagnosed worker loss to the accumulated exec stats.
   void RecordFailure(uint32_t w, WorkerFailureClass failure,
@@ -317,7 +317,7 @@ class Coordinator {
     return Accept(w, frame, DecodeMsg(&reader, msg));
   }
 
-  QueryStats GatherStats() const;
+  /// Adds the coordinator's own counters to the workers' net stats.
   void GatherNetStats();
 
   const ParallelPlan& plan_;
@@ -349,11 +349,10 @@ class Coordinator {
   std::vector<std::chrono::steady_clock::time_point> last_heard_;
   std::vector<uint64_t> frames_seen_;
 
-  // Report accumulators.
-  SummaryMsg summary_;
+  // Report accumulators: the workers' reports add up into these.
+  ResultSummary summary_;
   std::optional<Relation> materialized_;
-  std::vector<QueryOpStats> per_op_;
-  std::vector<WorkerRunStats> worker_stats_;
+  QueryStats stats_;
   ProcessNetStats net_;
   std::shared_ptr<ThreadTraceRecorder> trace_;
 };
@@ -477,8 +476,10 @@ void Coordinator::SuperviseFleet() {
     ping.seq = ping_seq_++;
     std::vector<std::byte> payload;
     EncodeMsg(ping, &payload);
+    // A parked worker (its report handled, its link back in await-plan)
+    // owes this query nothing more: it is neither pinged nor watched.
     for (FleetMember& worker : workers_) {
-      if (worker.closed) continue;
+      if (worker.closed || worker.chan->phase() == kPhAwaitPlan) continue;
       worker.chan->QueueFrame(FrameType::kPing, payload);
       if (proc_ != nullptr) ++proc_->pings_sent;
     }
@@ -486,7 +487,11 @@ void Coordinator::SuperviseFleet() {
   if (options_.liveness_timeout.count() <= 0) return;
   for (uint32_t w = 0; w < num_workers_; ++w) {
     FleetMember& worker = workers_[w];
-    if (worker.closed || worker.reaped) continue;
+    // Unpinged, a parked worker is silent by design.
+    if (worker.closed || worker.reaped ||
+        worker.chan->phase() == kPhAwaitPlan) {
+      continue;
+    }
     if (now - last_heard_[w] < options_.liveness_timeout) continue;
     // Hung: the process is alive (its socket is open) but has been silent
     // past the liveness deadline — wedged, swapped to death, or cut off by
@@ -640,21 +645,16 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
     }
     case FrameType::kReport: {
       WorkerReport report;
-      if (!DecodeFrom(w, frame, &report)) return;
+      // The op ids of report bytes are untrusted: an unknown one is
+      // corrupt wire.
+      if (!DecodeFrom(w, frame, &report) ||
+          !Accept(w, frame, MergeQueryStats(report.stats, &stats_))) {
+        return;
+      }
       // Cardinality and the row-hash checksum are sums mod 2^64, so the
       // per-worker partial summaries add up to the query's.
-      summary_.cardinality += report.summary.cardinality;
-      summary_.checksum += report.summary.checksum;
-      for (const OpStatsMsg& msg : report.ops) {
-        if (msg.op < 0 || static_cast<size_t>(msg.op) >= per_op_.size()) {
-          AbortCorruptWire(w, "bad op stats in a report frame");
-          return;
-        }
-        QueryOpStats& agg = per_op_[static_cast<size_t>(msg.op)];
-        agg.instances += msg.instances;
-        agg.metrics.MergeFrom(msg.metrics);
-      }
-      worker_stats_.push_back(report.stats);
+      summary_ += report.summary;
+      net_ += report.net;
       if (trace_ != nullptr) {
         for (const WireTraceEvent& e : report.trace) {
           if (e.node < plan_.num_processors) {
@@ -865,25 +865,6 @@ void Coordinator::DrainCoordRings() {
   }
 }
 
-QueryStats Coordinator::GatherStats() const {
-  QueryStats stats;
-  for (const WorkerRunStats& w : worker_stats_) {
-    // A remote send and a local hand-off are both "a batch posted to a
-    // consumer" in the thread backend's vocabulary.
-    stats.batches_sent += w.local_deliveries;
-    stats.batches_processed += w.batches_processed;
-    stats.batches_dropped += w.batches_dropped;
-    stats.batches_duplicated += w.batches_duplicated;
-    stats.batch_buffers_allocated += w.buffers_allocated;
-    stats.batch_buffers_reused += w.buffers_reused;
-    stats.peak_memory_bytes += w.peak_memory_bytes;
-    stats.peak_queue_depth =
-        std::max<size_t>(stats.peak_queue_depth, w.peak_backlog_records);
-  }
-  if (exec_.collect_metrics) stats.per_op = per_op_;
-  return stats;
-}
-
 void Coordinator::GatherNetStats() {
   net_.num_workers = num_workers_;
   for (const FleetMember& w : workers_) {
@@ -894,18 +875,6 @@ void Coordinator::GatherNetStats() {
     net_.bytes_received += ch.bytes_received - w.base.bytes_received;
     net_.frames_sent += ch.frames_sent - w.base.frames_sent;
     net_.frames_received += ch.frames_received - w.base.frames_received;
-  }
-  for (const WorkerRunStats& w : worker_stats_) {
-    net_.local_deliveries += w.local_deliveries;
-    net_.pump_stalls += w.pump_stalls;
-    net_.faults_injected += w.faults_injected;
-    net_.serialize_seconds += w.serialize_seconds;
-    net_.deserialize_seconds += w.deserialize_seconds;
-    net_.shm_records_sent += w.shm_records_sent;
-    net_.shm_records_received += w.shm_records_received;
-    net_.shm_bytes_sent += w.shm_bytes_sent;
-    net_.shm_bytes_received += w.shm_bytes_received;
-    net_.ring_full_stalls += w.ring_full_stalls;
   }
   net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
 }
@@ -942,9 +911,8 @@ StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
                          .count();
   if (exec_.record_trace) {
     trace_ = NewPlanTrace(plan_, WallClockTraceFormat("process"));
-    trace_->SetOrigin(start);
   }
-  if (exec_.collect_metrics) per_op_ = NewOpStats(plan_);
+  if (exec_.collect_metrics) stats_.per_op = NewOpStats(plan_);
   if (exec_.materialize_result) {
     for (const XraOp& o : plan_.ops) {
       if (o.store_result == plan_.final_result) {
@@ -974,14 +942,13 @@ StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
   auto end = std::chrono::steady_clock::now();
 
   GatherNetStats();
-  QueryStats stats = GatherStats();
-  if (stats_out != nullptr) *stats_out = stats;
+  if (stats_out != nullptr) *stats_out = stats_;
   if (net_out != nullptr) *net_out = net_;
 
   double wall_seconds = std::chrono::duration<double>(end - start).count();
   // Published on the abort path too: partial progress is diagnosable.
   if (exec_.metrics_registry != nullptr) {
-    PublishExecMetrics("process", stats, wall_seconds,
+    PublishExecMetrics("process", stats_, wall_seconds,
                        exec_.metrics_registry);
     PublishNetMetrics(net_, exec_.metrics_registry);
   }
@@ -995,12 +962,11 @@ StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
   result.exec.elapsed =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count();
-  result.exec.result =
-      ResultSummary{summary_.cardinality, summary_.checksum};
+  result.exec.result = summary_;
   if (materialized_.has_value()) {
     result.exec.materialized = std::move(materialized_);
   }
-  result.exec.stats = std::move(stats);
+  result.exec.stats = std::move(stats_);
   if (trace_ != nullptr) {
     AttachTrace(trace_, result.exec.elapsed, exec_.trace_width, &result.exec);
   }
@@ -1220,27 +1186,6 @@ std::string WorkerFailureClassName(WorkerFailureClass failure) {
       return "other";
   }
   return "unknown";
-}
-
-std::string RenderProcessNetStats(const ProcessNetStats& net) {
-  TablePrinter table({"net metric", "value"});
-  table.AddRow({"workers", StrCat(net.num_workers)});
-  table.AddRow({"bytes sent", FormatBytes(net.bytes_sent)});
-  table.AddRow({"bytes received", FormatBytes(net.bytes_received)});
-  table.AddRow({"frames sent", StrCat(net.frames_sent)});
-  table.AddRow({"frames received", StrCat(net.frames_received)});
-  table.AddRow({"local deliveries", StrCat(net.local_deliveries)});
-  table.AddRow({"pump stalls", StrCat(net.pump_stalls)});
-  table.AddRow({"faults injected", StrCat(net.faults_injected)});
-  table.AddRow({"serialize [s]", FormatDouble(net.serialize_seconds, 4)});
-  table.AddRow({"deserialize [s]", FormatDouble(net.deserialize_seconds, 4)});
-  table.AddRow({"shm rings", StrCat(net.shm_rings)});
-  table.AddRow({"shm records sent", StrCat(net.shm_records_sent)});
-  table.AddRow({"shm records received", StrCat(net.shm_records_received)});
-  table.AddRow({"shm bytes sent", FormatBytes(net.shm_bytes_sent)});
-  table.AddRow({"shm bytes received", FormatBytes(net.shm_bytes_received)});
-  table.AddRow({"ring full stalls", StrCat(net.ring_full_stalls)});
-  return table.ToString();
 }
 
 ProcessExecutor::ProcessExecutor(const Database* database)

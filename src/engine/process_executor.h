@@ -125,39 +125,6 @@ struct ProcessExecStats {
   std::vector<WorkerFailureRecord> failures;
 };
 
-/// Wire-level counters of one process-backed execution, all measured at
-/// the coordinator or reported by workers in their kReport frames.
-struct ProcessNetStats {
-  uint32_t num_workers = 0;
-  /// Coordinator-side socket traffic (both directions, all workers).
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-  uint64_t frames_sent = 0;
-  uint64_t frames_received = 0;
-  /// Batches delivered entirely inside one worker (never serialized).
-  uint64_t local_deliveries = 0;
-  /// Times a worker deferred pumping its sources because the records it
-  /// had parked behind full rings were over the watermark.
-  uint64_t pump_stalls = 0;
-  /// Faults actually fired by the per-worker injectors (summed; the
-  /// coordinator-side FaultInjector object never fires in this backend).
-  uint64_t faults_injected = 0;
-  /// Worker-side wire codec time (summed over workers). On the shm plane
-  /// this is the ring memcpy time — the codec degenerates to the copy.
-  double serialize_seconds = 0;
-  double deserialize_seconds = 0;
-  /// Shm data plane: rings mapped for the attempt that produced the
-  /// result, records/bytes over all rings (workers'
-  /// counters plus the coordinator's own result traffic), and
-  /// records that found their ring full and were parked in a backlog.
-  uint32_t shm_rings = 0;
-  uint64_t shm_records_sent = 0;
-  uint64_t shm_records_received = 0;
-  uint64_t shm_bytes_sent = 0;
-  uint64_t shm_bytes_received = 0;
-  uint64_t ring_full_stalls = 0;
-};
-
 /// Outcome of one process-backed execution: the result shape every
 /// backend returns (so EXPLAIN ANALYZE, utilization diagrams, and Chrome
 /// traces render unchanged) plus the wire-level and supervision counters.
@@ -166,9 +133,6 @@ struct ProcessQueryResult {
   ProcessNetStats net;
   ProcessExecStats proc;
 };
-
-/// Renders the net counters as a small fixed-width table.
-std::string RenderProcessNetStats(const ProcessNetStats& net);
 
 /// Executes parallel plans on a fleet of worker *processes* — the
 /// shared-nothing backend. Where the thread backend substitutes one thread

@@ -27,6 +27,44 @@ void Fields(V& v, M& m) {
     m.skew_bloom_build_seconds, m.skew_bloom_fp_rate, m.batch_seconds);
 }
 
+template <class V, WireFieldsOf<ResultSummary> M>
+void Fields(V& v, M& m) {
+  v(m.cardinality, m.checksum);
+}
+
+/// Plan identity (name, kind, trace label) stays home: the coordinator
+/// has the plan.
+template <class V, WireFieldsOf<QueryOpStats> M>
+void Fields(V& v, M& m) {
+  v(m.op_id, m.instances, m.metrics);
+}
+
+template <class V, WireFieldsOf<QueryStats> M>
+void Fields(V& v, M& m) {
+  v(m.batches_sent, m.batches_processed, m.batches_dropped,
+    m.batches_duplicated, m.queue_overflows, m.batch_buffers_allocated,
+    m.batch_buffers_reused, m.peak_queue_depth, m.peak_memory_bytes,
+    m.per_op);
+}
+
+template <class V, WireFieldsOf<ProcessNetStats> M>
+void Fields(V& v, M& m) {
+  v(m.num_workers, m.bytes_sent, m.bytes_received, m.frames_sent,
+    m.frames_received, m.local_deliveries, m.pump_stalls, m.faults_injected,
+    m.serialize_seconds, m.deserialize_seconds, m.shm_rings,
+    m.shm_records_sent, m.shm_records_received, m.shm_bytes_sent,
+    m.shm_bytes_received, m.ring_full_stalls);
+}
+
+ProcessNetStats& ProcessNetStats::operator+=(const ProcessNetStats& other) {
+  auto add = [&other](auto&... mine) {
+    auto add_theirs = [&](const auto&... theirs) { ((mine += theirs), ...); };
+    Fields(add_theirs, other);
+  };
+  Fields(add, *this);
+  return *this;
+}
+
 template <class V, WireFieldsOf<SkewCandidate> M>
 void Fields(V& v, M& m) {
   v(m.key, m.count, m.rows_included, m.rows);
@@ -96,8 +134,14 @@ Status CheckFields(const SkewDirective& directive) {
 
 template void EncodeMsg(const PlanEnvelope&, std::vector<std::byte>*);
 template Status DecodeMsg(WireReader*, PlanEnvelope*);
-template void EncodeMsg(const OpStatsMsg&, std::vector<std::byte>*);
-template Status DecodeMsg(WireReader*, OpStatsMsg*);
+template void EncodeMsg(const ResultSummary&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, ResultSummary*);
+template void EncodeMsg(const QueryOpStats&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, QueryOpStats*);
+template void EncodeMsg(const QueryStats&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, QueryStats*);
+template void EncodeMsg(const ProcessNetStats&, std::vector<std::byte>*);
+template Status DecodeMsg(WireReader*, ProcessNetStats*);
 template void EncodeMsg(const WorkerReport&, std::vector<std::byte>*);
 template Status DecodeMsg(WireReader*, WorkerReport*);
 template void EncodeMsg(const SkewJoinReport&, std::vector<std::byte>*);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "engine/query_result.h"
 #include "engine/thread_trace.h"
 #include "exec/operator.h"
 #include "net/shm_ring.h"
@@ -21,6 +22,7 @@ namespace mjoin {
 /// `Fields`, that names its fields in wire order; EncodeMsg and DecodeMsg
 /// (net/wire.h) walk that list, so a field is added in one place and both
 /// ends pick it up. The lists of structs declared elsewhere (OpMetrics,
+/// ResultSummary, QueryStats, QueryOpStats, ProcessNetStats,
 /// SkewDefenseOptions, SkewJoinReport, SkewDirective) live in
 /// process_protocol.cc, so those headers stay free of wire code; the
 /// messages that contain them are instantiated there too (the extern
@@ -111,78 +113,11 @@ void Fields(V& v, M& m) {
   v(m.op, m.instance, WireEnumAs<uint8_t>(m.milestone, Milestone::kBuildDone));
 }
 
-/// The partial ResultSummary of the final-result fragments one worker
-/// stores (part of WorkerReport).
-struct SummaryMsg {
-  uint64_t cardinality = 0;
-  uint64_t checksum = 0;
-};
-
-template <class V, WireFieldsOf<SummaryMsg> M>
-void Fields(V& v, M& m) {
-  v(m.cardinality, m.checksum);
-}
-
-/// One op's metrics merged over the sending worker's hosted instances (the
-/// coordinator further merges across workers; part of WorkerReport).
-struct OpStatsMsg {
-  int32_t op = -1;
-  uint32_t instances = 0;
-  OpMetrics metrics;
-};
-
-template <class V, WireFieldsOf<OpStatsMsg> M>
-void Fields(V& v, M& m) {
-  v(m.op, m.instances, m.metrics);
-}
-
 /// kSkewReport carries a SkewJoinReport (skew/defense.h): one defended join
 /// instance's build-side summary. Candidate build rows travel inline in the
 /// frame — never over the shm rings — so the report can overtake no data
 /// record it logically follows. kSkewDirective carries a SkewDirective, the
 /// merged plan of action for one defended join.
-
-/// One worker's run-level counters (part of WorkerReport).
-struct WorkerRunStats {
-  /// Batches handed directly to a consumer instance on the same worker
-  /// (never serialized — the process analogue of a same-node send).
-  uint64_t local_deliveries = 0;
-  /// Batches consumed by operators (remote + local).
-  uint64_t batches_processed = 0;
-  uint64_t batches_dropped = 0;
-  uint64_t batches_duplicated = 0;
-  /// Times the source pump deferred because the records parked behind
-  /// full rings were over the watermark.
-  uint64_t pump_stalls = 0;
-  uint64_t buffers_allocated = 0;
-  uint64_t buffers_reused = 0;
-  uint64_t faults_injected = 0;
-  uint64_t peak_memory_bytes = 0;
-  double serialize_seconds = 0;
-  double deserialize_seconds = 0;
-  /// Shm data-plane traffic as seen from this worker (records carry data,
-  /// EOS, and result rows; pads are excluded).
-  uint64_t shm_records_sent = 0;
-  uint64_t shm_records_received = 0;
-  uint64_t shm_bytes_sent = 0;
-  uint64_t shm_bytes_received = 0;
-  /// Records that found their ring full and were parked in the outbound
-  /// backlog.
-  uint64_t ring_full_stalls = 0;
-  /// High-water mark of records parked in the outbound backlog at once:
-  /// the process analogue of a thread node's queue depth.
-  uint64_t peak_backlog_records = 0;
-};
-
-template <class V, WireFieldsOf<WorkerRunStats> M>
-void Fields(V& v, M& m) {
-  v(m.local_deliveries, m.batches_processed, m.batches_dropped,
-    m.batches_duplicated, m.pump_stalls, m.buffers_allocated,
-    m.buffers_reused, m.faults_injected, m.peak_memory_bytes,
-    m.serialize_seconds, m.deserialize_seconds, m.shm_records_sent,
-    m.shm_records_received, m.shm_bytes_sent, m.shm_bytes_received,
-    m.ring_full_stalls, m.peak_backlog_records);
-}
 
 /// One recorded busy interval of a worker, timestamped against the
 /// coordinator's origin (part of WorkerReport). `node` is the plan
@@ -202,19 +137,22 @@ void Fields(V& v, M& m) {
 }
 
 /// kReport: everything a worker tells the coordinator about one query, in
-/// one frame. `ops` lists the ops with a hosted instance when metrics
-/// collection is on, else nothing; `trace` is empty unless the query
-/// records a trace.
+/// one frame, in the result's own types: the partial summary of the
+/// final-result fragments it stores, its share of the run ledger
+/// (stats.per_op lists the ops with a hosted instance when metrics
+/// collection is on, else nothing; plan identity stays home) and of the
+/// wire counters, and its trace events (empty unless the query records a
+/// trace). The coordinator adds up the parts across workers.
 struct WorkerReport {
-  SummaryMsg summary;
-  WorkerRunStats stats;
-  std::vector<OpStatsMsg> ops;
+  ResultSummary summary;
+  QueryStats stats;
+  ProcessNetStats net;
   std::vector<WireTraceEvent> trace;
 };
 
 template <class V, WireFieldsOf<WorkerReport> M>
 void Fields(V& v, M& m) {
-  v(m.summary, m.stats, m.ops, m.trace);
+  v(m.summary, m.stats, m.net, m.trace);
 }
 
 /// kTrigger: start the instances of one dispatch group the worker hosts.
@@ -240,8 +178,15 @@ void Fields(V& v, M& m) {
 
 extern template void EncodeMsg(const PlanEnvelope&, std::vector<std::byte>*);
 extern template Status DecodeMsg(WireReader*, PlanEnvelope*);
-extern template void EncodeMsg(const OpStatsMsg&, std::vector<std::byte>*);
-extern template Status DecodeMsg(WireReader*, OpStatsMsg*);
+extern template void EncodeMsg(const ResultSummary&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, ResultSummary*);
+extern template void EncodeMsg(const QueryOpStats&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, QueryOpStats*);
+extern template void EncodeMsg(const QueryStats&, std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, QueryStats*);
+extern template void EncodeMsg(const ProcessNetStats&,
+                               std::vector<std::byte>*);
+extern template Status DecodeMsg(WireReader*, ProcessNetStats*);
 extern template void EncodeMsg(const WorkerReport&, std::vector<std::byte>*);
 extern template Status DecodeMsg(WireReader*, WorkerReport*);
 extern template void EncodeMsg(const SkewJoinReport&,

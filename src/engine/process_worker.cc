@@ -60,8 +60,6 @@ class WorkerRun : public InstanceHost {
         registry_(plan_),
         budget_(env_.memory_budget_bytes),
         pool_(pool),
-        pool_allocated_base_(pool->allocated()),
-        pool_reused_base_(pool->reused()),
         plane_(plane),
         coord_ep_(env_.num_workers) {}
 
@@ -95,7 +93,7 @@ class WorkerRun : public InstanceHost {
   void RecordTrace(uint32_t processor, int64_t t0, int64_t t1,
                    ThreadWorkType type, int op_id) override {
     if (env_.record_trace && t1 > t0) {
-      trace_events_.push_back(WireTraceEvent{
+      report_.trace.push_back(WireTraceEvent{
           processor, t0, t1, type, static_cast<int32_t>(op_id)});
     }
   }
@@ -147,12 +145,10 @@ class WorkerRun : public InstanceHost {
   MemoryBudget budget_;
   /// Worker-lifetime buffer pool (owned by RunProcessWorker): a worker's
   /// buffers survive across queries, so steady-state runs reuse instead
-  /// of allocating. The *_base_ counters pin the pool's lifetime
-  /// totals at run start — the reported buffer stats are per-run deltas,
-  /// identical from a warm or a freshly forked worker.
+  /// of allocating. The runtime pins its counters at run start, so the
+  /// reported buffer stats are per-run deltas, identical from a warm or a
+  /// freshly forked worker.
   BatchPool* pool_;
-  const uint64_t pool_allocated_base_;
-  const uint64_t pool_reused_base_;
   std::unique_ptr<FaultInjector> injector_;
 
   std::deque<OpInstance*> pump_queue_;
@@ -160,8 +156,13 @@ class WorkerRun : public InstanceHost {
   std::vector<uint32_t> out_schema_id_;
 
   Status run_status_;
-  WorkerRunStats stats_;
-  std::vector<WireTraceEvent> trace_events_;
+  /// The query's report. The worker's own counters (its wire traffic, in
+  /// net) and trace events land in it as the query runs; kFinish adds the
+  /// summary and the runtime's ledger. Returned once every backlog drained
+  /// onto its ring, so it trails every result row it accounts for.
+  WorkerReport report_;
+  bool finished_ = false;
+  size_t peak_backlog_records_ = 0;
 
   /// This query's ring directory over the inherited arena.
   ShmDataPlane* plane_;
@@ -180,9 +181,6 @@ class WorkerRun : public InstanceHost {
   /// Endpoints whose doorbell should ring this loop turn (coalesced: one
   /// eventfd write per endpoint per turn, not one per record).
   std::vector<bool> doorbell_dirty_;
-  /// Built at kFinish, held until every backlog drained onto its ring, so
-  /// the report trails every result row it accounts for.
-  std::optional<WorkerReport> report_;
 
   /// Built in Setup once the fault scenario is parsed; declared last so
   /// its instances release their budget into a live budget_.
@@ -227,6 +225,7 @@ Status WorkerRun::Setup() {
   settings.record_trace = env_.record_trace;
   runtime_.emplace(plan_, this, std::move(settings));
   runtime_->set_time_origin_ns(env_.trace_origin_ns);
+  runtime_->PinPools({pool_});
   return runtime_->Build(*database_);
 }
 
@@ -247,7 +246,7 @@ void WorkerRun::DeliverBatch(OpInstance* producer, uint32_t dest,
     // Local consumer: the pending batch is consumed in place — no
     // serialization, no copy. Only a not-yet-started consumer forces a
     // pooled buffer swap so the rows survive until its trigger.
-    stats_.local_deliveries += static_cast<uint64_t>(copies);
+    report_.net.local_deliveries += static_cast<uint64_t>(copies);
     if (consumer->started) {
       for (int c = 0; c < copies && !aborted(); ++c) {
         runtime_->OnBatch(consumer, port, pending);
@@ -292,7 +291,7 @@ void WorkerRun::DeliverBatch(OpInstance* producer, uint32_t dest,
   };
   const int64_t ns = runtime_->TimeSlice(
       producer->processor, ThreadWorkType::kSerialize, o.id, copy_out);
-  stats_.serialize_seconds += static_cast<double>(ns) * 1e-9;
+  report_.net.serialize_seconds += static_cast<double>(ns) * 1e-9;
   pending.Clear();
 }
 
@@ -302,8 +301,8 @@ void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
   const size_t ring_index = plane_->RingIndexTo(env_.worker_id, dest_ep);
   MJOIN_CHECK(ring_index != kNoShmRing)
       << "no ring toward endpoint " << dest_ep;
-  ++stats_.shm_records_sent;
-  stats_.shm_bytes_sent += hdr_bytes + body_bytes;
+  ++report_.net.shm_records_sent;
+  report_.net.shm_bytes_sent += hdr_bytes + body_bytes;
   auto& backlog = ring_backlog_[ring_index];
   if (backlog.empty() && plane_->ring(ring_index)
                              ->TryPush(type, hdr, hdr_bytes, body,
@@ -314,7 +313,7 @@ void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
   // Ring full (or draining a backlog already): park the rendered record
   // instead of blocking — the single-threaded worker must keep consuming
   // its own inbound rings or two full rings facing each other deadlock.
-  ++stats_.ring_full_stalls;
+  ++report_.net.ring_full_stalls;
   ShmBacklogRecord rec;
   rec.type = type;
   rec.bytes.resize(hdr_bytes + body_bytes);
@@ -324,8 +323,8 @@ void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
   }
   ring_backlog_bytes_ += rec.bytes.size();
   backlog.push_back(std::move(rec));
-  stats_.peak_backlog_records =
-      std::max(stats_.peak_backlog_records, ++ring_backlog_records_);
+  peak_backlog_records_ =
+      std::max(peak_backlog_records_, ++ring_backlog_records_);
 }
 
 void WorkerRun::RetryBacklogs() {
@@ -485,8 +484,8 @@ Status WorkerRun::DrainInboundRings() {
 }
 
 Status WorkerRun::ConsumeShmRecord(ShmRing* ring, const ShmRecordView& rec) {
-  ++stats_.shm_records_received;
-  stats_.shm_bytes_received += rec.payload_bytes;
+  ++report_.net.shm_records_received;
+  report_.net.shm_bytes_received += rec.payload_bytes;
   switch (rec.type) {
     case ShmRecordType::kData:
       return ConsumeShmData(ring, rec);
@@ -536,7 +535,7 @@ Status WorkerRun::ConsumeShmData(ShmRing* ring, const ShmRecordView& rec) {
   const int64_t ns = runtime_->TimeSlice(
       (*target)->processor, ThreadWorkType::kDeserialize, hdr.consumer_op,
       [&] { batch->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples); });
-  stats_.deserialize_seconds += static_cast<double>(ns) * 1e-9;
+  report_.net.deserialize_seconds += static_cast<double>(ns) * 1e-9;
   // Rows are copied out: hand the space back before the possibly long
   // Consume below, so the producer keeps streaming while we join.
   ring->Release();
@@ -566,14 +565,11 @@ Status WorkerRun::FinishQuery() {
     if (o.store_result == plan_.final_result) storer = &o;
   }
   MJOIN_CHECK(storer != nullptr);
-  WorkerReport& report = report_.emplace();
 
   // Partial result summary over this worker's fragments of the final
   // result (the checksum is a sum mod 2^64, so per-worker summaries add up
   // to the query's).
-  const ResultSummary summary = runtime_->HostedResultSummary();
-  report.summary.cardinality = summary.cardinality;
-  report.summary.checksum = summary.checksum;
+  report_.summary = runtime_->HostedResultSummary();
 
   if (env_.materialize_result) {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
@@ -601,26 +597,12 @@ Status WorkerRun::FinishQuery() {
     }
   }
 
-  for (const XraOp& o : plan_.ops) {
-    OpStatsMsg msg;
-    msg.op = o.id;
-    msg.instances = runtime_->MergeOpMetrics(o.id, &msg.metrics);
-    stats_.batches_processed +=
-        msg.metrics.batches_in[0] + msg.metrics.batches_in[1];
-    if (!env_.collect_metrics || msg.instances == 0) continue;
-    report.ops.push_back(std::move(msg));
-  }
-
-  stats_.buffers_allocated = pool_->allocated() - pool_allocated_base_;
-  stats_.buffers_reused = pool_->reused() - pool_reused_base_;
-  stats_.peak_memory_bytes = budget_.peak();
-  stats_.batches_dropped = runtime_->batches_dropped();
-  stats_.batches_duplicated = runtime_->batches_duplicated();
+  report_.stats = runtime_->GatherStats();
+  report_.stats.peak_queue_depth = peak_backlog_records_;
   if (injector_ != nullptr) {
-    stats_.faults_injected = injector_->faults_injected();
+    report_.net.faults_injected = injector_->faults_injected();
   }
-  report.stats = stats_;
-  report.trace = std::move(trace_events_);
+  finished_ = true;
   return Status::OK();
 }
 
@@ -672,9 +654,9 @@ StatusOr<WorkerReport> WorkerRun::Loop() {
     if (peer_closed) {
       return Status::Unavailable("coordinator closed the socket");
     }
-    if (report_.has_value() && ring_backlog_bytes_ == 0) {
+    if (finished_ && ring_backlog_bytes_ == 0) {
       RingDirtyDoorbells();
-      return *std::move(report_);
+      return std::move(report_);
     }
     if (!pump_queue_.empty()) {
       if (ring_backlog_bytes_ < kBacklogWatermark) {
@@ -682,7 +664,7 @@ StatusOr<WorkerReport> WorkerRun::Loop() {
         if (aborted()) return run_status_;
         continue;
       }
-      ++stats_.pump_stalls;
+      ++report_.net.pump_stalls;
     }
     RingDirtyDoorbells();
     if (chan_->has_frames()) continue;

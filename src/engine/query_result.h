@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/result.h"
 #include "engine/thread_trace.h"
 #include "exec/operator.h"
@@ -35,9 +36,11 @@ struct QueryOpStats {
 /// batch, queue and memory counters are the real backends'; they stay zero
 /// on the sim, whose transport is counted in QueryResult::machine.
 struct QueryStats {
-  /// Data batches posted between worker nodes.
+  /// Data batches handed to a consumer instance, one per delivered copy:
+  /// a cross-node post or a same-node hand-off on thread, a ring record or
+  /// a local delivery on process.
   uint64_t batches_sent = 0;
-  /// Data batches consumed by operators.
+  /// Data batches consumed by operators: the sum of their batches_in.
   uint64_t batches_processed = 0;
   /// Batches suppressed / re-delivered by fault injection.
   uint64_t batches_dropped = 0;
@@ -52,15 +55,65 @@ struct QueryStats {
   /// allocated stays near zero while reused tracks batches sent.
   uint64_t batch_buffers_allocated = 0;
   uint64_t batch_buffers_reused = 0;
-  /// Maximum data batches queued at any single worker node.
+  /// Maximum data batches queued at any single worker node; on process,
+  /// the most ring records one worker parked behind full rings at once.
   size_t peak_queue_depth = 0;
-  /// MemoryBudget high-water mark over operator state + stored results.
+  /// MemoryBudget high-water mark over operator state + stored results
+  /// (on process, the sum of the workers' own budgets' peaks).
   size_t peak_memory_bytes = 0;
   /// Per-operation metrics in plan op order. Always filled on the sim;
   /// on the real backends empty unless ThreadExecOptions::collect_metrics
   /// was set. Populated on the abort path too (partial counts up to the
   /// failure).
   std::vector<QueryOpStats> per_op;
+};
+
+/// Adds one worker's share of a query's stats into the query's: counters
+/// and peak_memory_bytes sum (each worker meters its own budget),
+/// peak_queue_depth takes the max, and each per_op entry merges into the
+/// entry of its op id. `into->per_op` is indexed by op id (NewOpStats); an
+/// op id outside it is InvalidArgument, and the merge stops there.
+[[nodiscard]] Status MergeQueryStats(const QueryStats& from, QueryStats* into);
+
+/// Wire-level counters of one process-backed execution. The worker-side
+/// ones (local deliveries through ring traffic) arrive in each worker's
+/// kReport and add up across workers; num_workers, the socket counters
+/// and shm_rings are the coordinator's own.
+struct ProcessNetStats {
+  uint32_t num_workers = 0;
+  /// Coordinator-side socket traffic (both directions, all workers).
+  uint64_t bytes_sent = 0;
+  uint64_t bytes_received = 0;
+  uint64_t frames_sent = 0;
+  uint64_t frames_received = 0;
+  /// Batches delivered entirely inside one worker (never serialized).
+  uint64_t local_deliveries = 0;
+  /// Times a worker deferred pumping its sources because the records it
+  /// had parked behind full rings were over the watermark.
+  uint64_t pump_stalls = 0;
+  /// Faults actually fired by the per-worker injectors (summed; the
+  /// coordinator-side FaultInjector object never fires in this backend).
+  uint64_t faults_injected = 0;
+  /// Worker-side wire codec time (summed over workers). On the shm plane
+  /// this is the ring memcpy time — the codec degenerates to the copy.
+  double serialize_seconds = 0;
+  double deserialize_seconds = 0;
+  /// Shm data plane: rings mapped for the attempt that produced the
+  /// result, records/bytes over all rings (workers'
+  /// counters plus the coordinator's own result traffic), and
+  /// records that found their ring full and were parked in a backlog.
+  uint32_t shm_rings = 0;
+  uint64_t shm_records_sent = 0;
+  uint64_t shm_records_received = 0;
+  uint64_t shm_bytes_sent = 0;
+  uint64_t shm_bytes_received = 0;
+  uint64_t ring_full_stalls = 0;
+
+  /// Adds every field of `other` (one worker's report) into this. Defined
+  /// beside the wire field list in process_protocol.cc, which it walks, so
+  /// a listed counter sums with no second mapping. A worker leaves the
+  /// fleet-level num_workers and shm_rings zero; the coordinator sets them.
+  ProcessNetStats& operator+=(const ProcessNetStats& other);
 };
 
 /// Outcome of one query execution, on every backend.
@@ -105,9 +158,9 @@ void PublishExecMetrics(const std::string& prefix, const QueryStats& stats,
                         double wall_seconds, MetricsRegistry* registry);
 
 /// EXPLAIN ANALYZE: result.stats.per_op as a fixed-width table, one row per
-/// operation with instances, rows in/out, busy and phase seconds, batch
-/// latency, hash-table detail and peak memory. Empty string when per_op is
-/// empty.
+/// operation with instances, rows in/out, busy seconds and the seven phase
+/// buckets that add up to them, batch latency, hash-table detail and peak
+/// memory. Empty string when per_op is empty.
 std::string ExplainAnalyze(const QueryResult& result);
 
 // Former names of the result types, kept for the benchmark harness under

@@ -376,10 +376,7 @@ StatusOr<QueryResult> SimRun::Run() {
   }
   result.machine = machine_.counters();
   result.machine.events = machine_.sim().num_events_processed();
-  result.stats.per_op = NewOpStats(plan_);
-  for (QueryOpStats& per_op : result.stats.per_op) {
-    per_op.instances = runtime_.MergeOpMetrics(per_op.op_id, &per_op.metrics);
-  }
+  result.stats.per_op = runtime_.HostedOpStats();
   if (trace_ != nullptr) {
     AttachTrace(trace_, result.elapsed, options_.trace_width, &result);
   }

@@ -56,12 +56,18 @@ class WorkerNode {
   }
 
   /// Control message: never blocks, never dropped.
-  void Post(std::function<void()> fn) { Enqueue(std::move(fn), false); }
+  void Post(std::function<void()> fn) {
+    {
+      MutexLock lock(&mutex_);
+      queue_.push_back({std::move(fn), false});
+    }
+    not_empty_.NotifyOne();
+  }
 
   /// Data batch from another node (or the same node with `bypass_bound`).
-  /// Returns false — message dropped — when the run is stopping; the
-  /// caller's query is being torn down anyway.
-  bool PostData(std::function<void()> fn, bool bypass_bound) {
+  /// Dropped when the run is stopping; the caller's query is being torn
+  /// down anyway.
+  void PostData(std::function<void()> fn, bool bypass_bound) {
     {
       MutexLock lock(&mutex_);
       if (max_data_ != 0 && !bypass_bound) {
@@ -77,16 +83,15 @@ class WorkerNode {
             break;
           }
         }
-        if (stop_ || aborted_->load(std::memory_order_acquire)) return false;
+        if (stop_ || aborted_->load(std::memory_order_acquire)) return;
         if (!drained) overflows_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (stop_) return false;
+      if (stop_) return;
       queue_.push_back({std::move(fn), true});
       ++data_in_queue_;
       peak_depth_ = std::max(peak_depth_, data_in_queue_);
     }
     not_empty_.NotifyOne();
-    return true;
   }
 
   /// Wakes blocked producers and the loop; used when the run aborts.
@@ -112,9 +117,6 @@ class WorkerNode {
     MutexLock lock(&mutex_);
     return peak_depth_;
   }
-  uint64_t processed_data() const {
-    return processed_data_.load(std::memory_order_relaxed);
-  }
   uint64_t overflows() const {
     return overflows_.load(std::memory_order_relaxed);
   }
@@ -130,18 +132,6 @@ class WorkerNode {
   bool QueueDrained() const MJOIN_REQUIRES(mutex_) {
     return stop_ || aborted_->load(std::memory_order_acquire) ||
            data_in_queue_ < max_data_;
-  }
-
-  void Enqueue(std::function<void()> fn, bool is_data) {
-    {
-      MutexLock lock(&mutex_);
-      queue_.push_back({std::move(fn), is_data});
-      if (is_data) {
-        ++data_in_queue_;
-        peak_depth_ = std::max(peak_depth_, data_in_queue_);
-      }
-    }
-    not_empty_.NotifyOne();
   }
 
   void Loop() {
@@ -162,9 +152,6 @@ class WorkerNode {
       }
       if (injector_ != nullptr) injector_->OnDequeue(id_);
       msg.fn();
-      if (msg.is_data) {
-        processed_data_.fetch_add(1, std::memory_order_relaxed);
-      }
     }
   }
 
@@ -180,7 +167,6 @@ class WorkerNode {
   size_t data_in_queue_ MJOIN_GUARDED_BY(mutex_) = 0;
   size_t peak_depth_ MJOIN_GUARDED_BY(mutex_) = 0;
   bool stop_ MJOIN_GUARDED_BY(mutex_) = false;
-  std::atomic<uint64_t> processed_data_{0};
   std::atomic<uint64_t> overflows_{0};
   std::thread thread_;
 };
@@ -253,7 +239,6 @@ class ThreadRun : public InstanceHost {
   bool Finished() const MJOIN_REQUIRES(scheduler_mutex_) {
     return controller_.AllOpsComplete() || controller_.failed();
   }
-  QueryStats GatherStats() const;
 
   const ParallelPlan& plan_;
   const Database& db_;
@@ -265,16 +250,11 @@ class ThreadRun : public InstanceHost {
 
   // One batch pool per worker node, owned by the ThreadExecutor (they
   // outlive the run, keeping their freelists warm for the next query);
-  // flushes acquire from the *destination* node's pool. Pool counters are
-  // cumulative across runs, so this run's traffic is reported as the
-  // delta from the snapshot taken in Prepare().
+  // flushes acquire from the *destination* node's pool. The runtime pins
+  // their counters in Prepare() and reports this run's traffic.
   std::vector<BatchPool*> pools_;
-  uint64_t pool_base_allocated_ = 0;
-  uint64_t pool_base_reused_ = 0;
 
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
-
-  std::atomic<uint64_t> batches_sent_{0};
 
   // The scheduler (milestones, skew merges, the first failure), mutex-
   // protected: any worker thread may deliver a milestone, a skew report or
@@ -298,10 +278,7 @@ Status ThreadRun::Prepare() {
         n, options_.max_queued_batches, options_.fault_injector,
         runtime_.abort_flag()));
   }
-  for (const BatchPool* pool : pools_) {
-    pool_base_allocated_ += pool->allocated();
-    pool_base_reused_ += pool->reused();
-  }
+  runtime_.PinPools({pools_.begin(), pools_.end()});
   return runtime_.Build(db_);
 }
 
@@ -364,7 +341,7 @@ void ThreadRun::DeliverBatch(OpInstance* producer, uint32_t dest,
   bool watch_block = trace_ != nullptr && !same_node;
   for (int c = 0; c < copies; ++c) {
     int64_t t0 = watch_block ? runtime_.NowNs() : 0;
-    bool sent = nodes_[consumer->processor]->PostData(
+    nodes_[consumer->processor]->PostData(
         [this, consumer, port, batch] {
           runtime_.RunWhenStarted(consumer, [this, consumer, port, batch] {
             runtime_.OnBatch(consumer, port, *batch);
@@ -378,7 +355,6 @@ void ThreadRun::DeliverBatch(OpInstance* producer, uint32_t dest,
                              ThreadWorkType::kBlocked, /*op_id=*/-1);
       }
     }
-    if (sent) batches_sent_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -428,33 +404,6 @@ void ThreadRun::ReportMilestone(OpInstance* inst, Milestone milestone) {
   if (all_done) done_cv_.NotifyAll();
 }
 
-QueryStats ThreadRun::GatherStats() const {
-  QueryStats stats;
-  stats.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-  stats.batches_dropped = runtime_.batches_dropped();
-  stats.batches_duplicated = runtime_.batches_duplicated();
-  for (const auto& node : nodes_) {
-    stats.batches_processed += node->processed_data();
-    stats.queue_overflows += node->overflows();
-    stats.peak_queue_depth = std::max(stats.peak_queue_depth,
-                                      node->peak_depth());
-  }
-  for (const BatchPool* pool : pools_) {
-    stats.batch_buffers_allocated += pool->allocated();
-    stats.batch_buffers_reused += pool->reused();
-  }
-  stats.batch_buffers_allocated -= pool_base_allocated_;
-  stats.batch_buffers_reused -= pool_base_reused_;
-  stats.peak_memory_bytes = budget_.peak();
-  if (options_.collect_metrics) {
-    stats.per_op = NewOpStats(plan_);
-    for (QueryOpStats& per_op : stats.per_op) {
-      per_op.instances = runtime_.MergeOpMetrics(per_op.op_id, &per_op.metrics);
-    }
-  }
-  return stats;
-}
-
 StatusOr<QueryResult> ThreadRun::Run(QueryStats* stats_out) {
   // lint:allow-clock run wall-clock start, once per query
   auto start = std::chrono::steady_clock::now();
@@ -501,7 +450,13 @@ StatusOr<QueryResult> ThreadRun::Run(QueryStats* stats_out) {
   // joins, so no thread or queue outlives this function.
   for (auto& node : nodes_) node->Stop();
 
-  QueryStats stats = GatherStats();
+  // The runtime's ledger plus the queue counters, which are this host's.
+  QueryStats stats = runtime_.GatherStats();
+  for (const auto& node : nodes_) {
+    stats.queue_overflows += node->overflows();
+    stats.peak_queue_depth =
+        std::max(stats.peak_queue_depth, node->peak_depth());
+  }
   if (stats_out != nullptr) *stats_out = stats;
 
   double wall_seconds = std::chrono::duration<double>(end - start).count();

@@ -103,9 +103,7 @@ ThreadTraceRecorder::ThreadTraceRecorder(uint32_t num_workers,
     : num_workers_(num_workers),
       ops_(std::move(ops)),
       format_(std::move(format)),
-      events_(num_workers + format_.service_lanes.size()),
-      // lint:allow-clock trace origin, recorders exist only when tracing
-      origin_(std::chrono::steady_clock::now()) {}
+      events_(num_workers + format_.service_lanes.size()) {}
 
 void ThreadTraceRecorder::Record(uint32_t lane, int64_t start, int64_t end,
                                  ThreadWorkType type, int op_id) {

@@ -1,7 +1,6 @@
 #ifndef MJOIN_ENGINE_THREAD_TRACE_H_
 #define MJOIN_ENGINE_THREAD_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,18 +97,6 @@ class ThreadTraceRecorder {
   /// Worker lanes, without the service lanes.
   uint32_t num_workers() const { return num_workers_; }
 
-  /// Marks "now" as t=0 for all subsequently recorded intervals.
-  void SetOrigin(std::chrono::steady_clock::time_point origin) {
-    origin_ = origin;
-  }
-  /// Nanoseconds since the origin.
-  int64_t NowNs() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               // lint:allow-clock trace timestamp, record_trace path only
-               std::chrono::steady_clock::now() - origin_)
-        .count();
-  }
-
   /// Appends one interval to `lane`'s buffer; empty intervals are
   /// dropped. Must be called from the lane's own thread (see the
   /// thread-safety contract above).
@@ -145,7 +132,6 @@ class ThreadTraceRecorder {
   std::vector<ThreadTraceOpInfo> ops_;
   TraceFormat format_;
   std::vector<std::vector<ThreadTraceEvent>> events_;
-  std::chrono::steady_clock::time_point origin_;
 };
 
 /// The recorder of one traced run of `plan`: a worker lane per plan

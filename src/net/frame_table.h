@@ -107,10 +107,11 @@ enum FrameDir : uint32_t {
   /* cleanly. Legal only on a parked link: a query in flight is never shut  */ \
   /* down by frame (a failed attempt's workers are killed instead).         */ \
   X(17, Shutdown, "shutdown", CW, kDirToWorker, kPhAwaitPlan, Done)            \
-  /* coordinator -> worker: liveness probe (HeartbeatMsg). A worker answers */ \
-  /* every ping with a kPong immediately, mid-query or parked (a ping may   */ \
-  /* cross the worker's kReport); the coordinator's watchdog treats         */ \
-  /* prolonged silence as a hung worker.                                    */ \
+  /* coordinator -> worker: liveness probe (HeartbeatMsg), sent only while  */ \
+  /* the worker's query is in flight. It answers every ping with a kPong    */ \
+  /* immediately, mid-query or parked (a ping may cross the worker's        */ \
+  /* kReport); the coordinator's watchdog treats prolonged silence as a     */ \
+  /* hung worker.                                                           */ \
   X(18, Ping, "ping", CW, kDirToWorker, kPhAnyWorker, Keep)                    \
   /* worker -> coordinator: echo of a kPing's sequence number.              */ \
   X(19, Pong, "pong", WC, kDirToCoordinator, kPhAnyWorker, Keep)               \
@@ -132,13 +133,13 @@ enum FrameDir : uint32_t {
   X(24, SkewDirective, "skew-directive", CW, kDirToWorker,                     \
     kPhHandshake | kPhExecute, Keep)                                           \
   /* worker -> coordinator: the worker's one report of the query            */ \
-  /* (WorkerReport — partial result summary, run counters, per-op metrics,  */ \
-  /* trace events). Sent once its ring backlogs drained, so it trails every */ \
-  /* result-row record, and once the worker tore down the query's state and */ \
-  /* ring view, so the coordinator may reformat the rings when every report */ \
-  /* is in. It parks the worker and returns the link to kPhAwaitPlan: a     */ \
-  /* second report is a violation, and "every link parked" is "every report */ \
-  /* in".                                                                   */ \
+  /* (WorkerReport — partial result summary, QueryStats with per-op         */ \
+  /* metrics, ProcessNetStats, trace events). Sent once its ring backlogs   */ \
+  /* drained, so it trails every result-row record, and once the worker     */ \
+  /* tore down the query's state and ring view, so the coordinator may      */ \
+  /* reformat the rings when every report is in. It parks the worker and    */ \
+  /* returns the link to kPhAwaitPlan: a second report is a violation, and  */ \
+  /* "every link parked" is "every report in".                              */ \
   X(25, Report, "report", WC, kDirToCoordinator, kPhReport, AwaitPlan)
 // clang-format on
 

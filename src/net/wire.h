@@ -90,7 +90,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v10: one end-of-query exchange — kReport parks the worker and returns
 ///     its link to await-plan; kIdle is retired and kShutdown is legal
 ///     only on a parked link (the fleet's teardown).
-inline constexpr uint32_t kNetProtocolVersion = 10;
+/// v11: one run ledger — WorkerReport carries the result's own types,
+///     ResultSummary, QueryStats (per-op stats in it) and ProcessNetStats,
+///     in place of their wire copies. The frame table is unchanged.
+inline constexpr uint32_t kNetProtocolVersion = 11;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);

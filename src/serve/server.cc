@@ -32,6 +32,9 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Admission charge of a query that declares no memory budget of its own.
+constexpr uint64_t kDefaultQueryBytes = 64ull << 20;
+
 /// Every serving-layer clock read funnels through here: timestamps are
 /// per-query (enqueue, admission, completion), never per batch.
 SteadyClock::time_point Now() {
@@ -262,7 +265,7 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
   // flips the token) is seen promptly.
   const uint64_t charge = q.memory_budget_bytes != 0
                               ? q.memory_budget_bytes
-                              : options.default_query_bytes;
+                              : kDefaultQueryBytes;
   if (!admission->unlimited() && charge > admission->limit()) {
     return Status::ResourceExhausted(
         "query declares a larger budget than the server's whole admission "
@@ -497,16 +500,13 @@ StatusOr<std::unique_ptr<MjoinServer>> MjoinServer::Start(
   if (options.exec_threads == 0) {
     return Status::InvalidArgument("exec_threads must be positive");
   }
-  if (options.default_query_bytes == 0) {
-    return Status::InvalidArgument("default_query_bytes must be positive");
-  }
   // lint:allow-new private constructor; make_unique cannot reach it
   std::unique_ptr<MjoinServer> server(new MjoinServer());
   Impl* impl = server->impl_.get();
   impl->database = database;
   impl->options = std::move(options);
   impl->plan_cache = std::make_unique<PlanCache>(
-      impl->options.plan_cache_capacity, impl->options.plan_cache_hash);
+      impl->options.plan_cache_capacity);
   impl->admission =
       std::make_unique<MemoryBudget>(impl->options.admission_budget_bytes);
   impl->thread_exec = std::make_unique<ThreadExecutor>(database);

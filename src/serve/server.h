@@ -2,7 +2,6 @@
 #define MJOIN_SERVE_SERVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,11 +25,10 @@ struct MjoinServeOptions {
   /// (process-backend queries additionally serialize on the warm fleet).
   uint32_t exec_threads = 2;
   /// Global admission budget: the sum of admitted queries' declared
-  /// memory budgets never exceeds this. Queries wait (FIFO per tenant)
-  /// for headroom; a query that cannot ever fit is rejected outright.
+  /// memory budgets (64 MiB for a query that declares none) never exceeds
+  /// this. Queries wait (FIFO per tenant) for headroom; a query that
+  /// cannot ever fit is rejected outright.
   uint64_t admission_budget_bytes = 1ull << 30;
-  /// Admission charge for a query that declares no budget of its own.
-  uint64_t default_query_bytes = 64ull << 20;
   size_t plan_cache_capacity = 64;
   /// Spawn a warm process-worker fleet at startup and accept
   /// ServeBackend::kProcess submits. Off = process submits are rejected
@@ -38,8 +36,6 @@ struct MjoinServeOptions {
   bool enable_process_backend = true;
   /// Shape of the warm fleet (ignored unless enable_process_backend).
   WarmFleetOptions fleet;
-  /// Test hook: overrides the plan cache's hash function (see PlanCache).
-  std::function<uint64_t(const std::string&)> plan_cache_hash;
 };
 
 /// A long-lived multi-tenant query service over the frame protocol: warm

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "common/metrics.h"
 #include "engine/database.h"
 #include "engine/process_executor.h"
+#include "engine/query_result.h"
 #include "engine/sim_executor.h"
 #include "engine/thread_executor.h"
 #include "plan/wisconsin_query.h"
@@ -89,6 +92,17 @@ TEST_P(BackendParityTest, PerOpCountersAgree) {
           << backend << " " << label;
     }
   }
+
+  // One definition of the batch counters on both real backends: each
+  // delivered copy is one batch sent, whether it stays on its node or
+  // worker or crosses to another (a default batch fits one ring record),
+  // and with no fault every batch sent is consumed by an operator.
+  const QueryStats& t = thread_run->stats;
+  const QueryStats& p = process_run->exec.stats;
+  EXPECT_GT(t.batches_sent, 0u);
+  EXPECT_EQ(t.batches_processed, t.batches_sent);
+  EXPECT_EQ(p.batches_sent, t.batches_sent);
+  EXPECT_EQ(p.batches_processed, t.batches_processed);
 }
 
 // Each callback's time lands in one phase bucket and one trace segment:
@@ -138,6 +152,98 @@ TEST_P(BackendParityTest, TraceLanesNeverOverlap) {
             << ThreadWorkTypeName(lane[e].type) << " inside "
             << ThreadWorkTypeName(lane[e - 1].type);
       }
+    }
+  }
+}
+
+// The cells of one EXPLAIN ANALYZE data row, trimmed, keyed by header.
+std::vector<std::map<std::string, std::string>> ParseTable(
+    const std::string& table) {
+  auto cells = [](const std::string& line) {
+    std::vector<std::string> out;
+    std::stringstream in(line.substr(1));
+    std::string cell;
+    while (std::getline(in, cell, '|')) {
+      size_t begin = cell.find_first_not_of(' ');
+      size_t end = cell.find_last_not_of(' ');
+      out.push_back(begin == std::string::npos
+                        ? ""
+                        : cell.substr(begin, end - begin + 1));
+    }
+    return out;
+  };
+  std::vector<std::string> headers;
+  std::vector<std::map<std::string, std::string>> rows;
+  std::stringstream lines(table);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] != '|') continue;
+    std::vector<std::string> row = cells(line);
+    if (headers.empty()) {
+      headers = row;
+      continue;
+    }
+    std::map<std::string, std::string> keyed;
+    for (size_t i = 0; i < headers.size() && i < row.size(); ++i) {
+      keyed[headers[i]] = row[i];
+    }
+    rows.push_back(std::move(keyed));
+  }
+  return rows;
+}
+
+// EXPLAIN ANALYZE prints every phase bucket, so on every backend the phase
+// columns of a row add up to its busy seconds (within print rounding), and
+// an FP plan's pipelining joins show their time as pipeline seconds.
+TEST(BackendExplainTest, PhaseColumnsAddUpToBusy) {
+  Database db = MakeWisconsinDatabase(4, 2000, /*seed=*/7);
+  auto query = MakeWisconsinChainQuery(QueryShape::kRightLinear, 4, 2000);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kFP)
+                  ->Parallelize(*query, /*processors=*/6, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  auto sim_run = SimExecutor(&db).Execute(*plan, SimExecOptions());
+  ASSERT_TRUE(sim_run.ok()) << sim_run.status();
+  ThreadExecOptions thread_options;
+  thread_options.collect_metrics = true;
+  auto thread_run = ThreadExecutor(&db).Execute(*plan, thread_options);
+  ASSERT_TRUE(thread_run.ok()) << thread_run.status();
+  ProcessExecOptions process_options;
+  process_options.exec = thread_options;
+  process_options.num_workers = 2;
+  auto process_run = ProcessExecutor(&db).Execute(*plan, process_options);
+  ASSERT_TRUE(process_run.ok()) << process_run.status();
+
+  const std::pair<const char*, const QueryResult*> runs[] = {
+      {"sim", &*sim_run},
+      {"thread", &*thread_run},
+      {"process", &process_run->exec}};
+  for (const auto& [backend, run] : runs) {
+    size_t pipelining_joins = 0;
+    for (const QueryOpStats& op : run->stats.per_op) {
+      if (plan->ops[static_cast<size_t>(op.op_id)].kind !=
+          XraOpKind::kPipeliningHashJoin) {
+        continue;
+      }
+      ++pipelining_joins;
+      EXPECT_GT(op.metrics.pipeline_seconds, 0.0) << backend << " " << op.name;
+    }
+    EXPECT_GT(pipelining_joins, 0u) << backend;
+
+    const auto rows = ParseTable(ExplainAnalyze(*run));
+    ASSERT_EQ(rows.size(), plan->ops.size()) << backend;
+    for (const auto& row : rows) {
+      double phases = 0;
+      for (const char* phase : {"build [s]", "probe [s]", "pipeline [s]",
+                                "scan [s]", "emit [s]", "bloom [s]",
+                                "other [s]"}) {
+        ASSERT_EQ(row.count(phase), 1u) << backend << " " << phase;
+        phases += std::stod(row.at(phase));
+      }
+      // Eight cells, each rounded to 0.0005 at most.
+      EXPECT_NEAR(phases, std::stod(row.at("busy [s]")), 8 * 0.0005)
+          << backend << " op " << row.at("op");
     }
   }
 }

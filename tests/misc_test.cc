@@ -4,6 +4,7 @@
 
 #include "engine/database.h"
 #include "engine/experiment.h"
+#include "engine/query_result.h"
 #include "engine/sim_executor.h"
 #include "engine/thread_executor.h"
 #include "exec/batch.h"
@@ -103,6 +104,43 @@ TEST(OpStatsTest, CountersAreConsistent) {
   std::string rendered = ExplainAnalyze(*run);
   EXPECT_NE(rendered.find("rows in"), std::string::npos);
   EXPECT_NE(rendered.find("simple-hash-join"), std::string::npos);
+}
+
+// The coordinator folds each worker's report into the query's stats:
+// counters and the workers' own budget peaks add up, the deepest queue
+// wins, and per-op stats merge by op id. Report bytes are untrusted, so
+// an op id outside the plan is InvalidArgument, not an out-of-range write.
+TEST(OpStatsTest, MergeQueryStatsAddsWorkersAndRejectsUnknownOps) {
+  QueryStats query;
+  query.per_op.resize(3);
+  QueryStats worker;
+  worker.batches_sent = 5;
+  worker.batches_processed = 4;
+  worker.batch_buffers_reused = 3;
+  worker.peak_queue_depth = 7;
+  worker.peak_memory_bytes = 100;
+  worker.per_op.resize(1);
+  worker.per_op[0].op_id = 2;
+  worker.per_op[0].instances = 1;
+  worker.per_op[0].metrics.rows_out = 10;
+  ASSERT_TRUE(MergeQueryStats(worker, &query).ok());
+  worker.peak_queue_depth = 2;
+  ASSERT_TRUE(MergeQueryStats(worker, &query).ok());
+  EXPECT_EQ(query.batches_sent, 10u);
+  EXPECT_EQ(query.batches_processed, 8u);
+  EXPECT_EQ(query.batch_buffers_reused, 6u);
+  EXPECT_EQ(query.peak_queue_depth, 7u);
+  EXPECT_EQ(query.peak_memory_bytes, 200u);
+  EXPECT_EQ(query.per_op[2].instances, 2u);
+  EXPECT_EQ(query.per_op[2].metrics.rows_out, 20u);
+  EXPECT_EQ(query.per_op[0].instances, 0u);
+
+  for (int bad : {-1, 3}) {
+    worker.per_op[0].op_id = bad;
+    EXPECT_EQ(MergeQueryStats(worker, &query).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 // The sim bills each task's charged cost to its op's phase bucket and

@@ -254,10 +254,10 @@ TEST(HelloTest, RoundTripsWithRingDirectoryHash) {
   }
 }
 
-TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
-  WorkerRunStats stats;
+TEST(ProcessNetStatsTest, RoundTripsIncludingShmCounters) {
+  ProcessNetStats stats;
   stats.local_deliveries = 22;
-  stats.batches_processed = 33;
+  stats.faults_injected = 33;
   stats.pump_stalls = 44;
   stats.serialize_seconds = 0.125;
   stats.deserialize_seconds = 0.0625;
@@ -270,10 +270,10 @@ TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   std::vector<std::byte> wire;
   EncodeMsg(stats, &wire);
   WireReader reader(wire);
-  WorkerRunStats decoded;
+  ProcessNetStats decoded;
   ASSERT_TRUE(DecodeMsg(&reader, &decoded).ok());
   EXPECT_EQ(decoded.local_deliveries, stats.local_deliveries);
-  EXPECT_EQ(decoded.batches_processed, stats.batches_processed);
+  EXPECT_EQ(decoded.faults_injected, stats.faults_injected);
   EXPECT_EQ(decoded.pump_stalls, stats.pump_stalls);
   EXPECT_EQ(decoded.serialize_seconds, stats.serialize_seconds);
   EXPECT_EQ(decoded.deserialize_seconds, stats.deserialize_seconds);
@@ -285,7 +285,7 @@ TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
 
   for (size_t len = 0; len < wire.size(); len += 7) {
     WireReader short_reader(wire.data(), len);
-    WorkerRunStats ignored;
+    ProcessNetStats ignored;
     EXPECT_FALSE(DecodeMsg(&short_reader, &ignored).ok())
         << "truncated to " << len;
   }

@@ -35,11 +35,11 @@ namespace {
 // recovery cases a long-lived fleet flushes out: kill -9 between queries,
 // a failed attempt's workers reaped at once, a link lost at each worker's
 // last frame of the query (on one-shot queries too), pings that cross a
-// worker's report, a net fault injector that must not outlive its query,
-// and two fleets reaping strictly their own children; and a database that
-// changes under a live fleet. Plus the limits of a fleet
-// whose rings are fixed at spawn: an invalid ring size, rows too wide for
-// the rings, and the retired socket data plane.
+// worker's report and none sent to a parked worker, a net fault injector
+// that must not outlive its query, and two fleets reaping strictly their
+// own children; and a database that changes under a live fleet. Plus the
+// limits of a fleet whose rings are fixed at spawn: an invalid ring size,
+// rows too wide for the rings, and the retired socket data plane.
 
 size_t CountOpenFds() {
   size_t n = 0;
@@ -429,6 +429,48 @@ TEST(WarmFleetTest, PingsThatCrossAReportStillGetTheirPong) {
   }
   EXPECT_EQ((*fleet)->respawns(), 0u);
   EXPECT_GT(pongs, 0u);
+}
+
+TEST(WarmFleetTest, ParkedWorkersAreNotPinged) {
+  // Once the coordinator handled a worker's report, the worker owes the
+  // query nothing: the heartbeat pings only the links still in flight.
+  // Surplus worker 2 is stopped in its handshake for 600 ms, holding the
+  // query open long after hosting workers 0 and 1 reported and parked, so
+  // each 100 ms heartbeat then pings worker 2 alone: at most one ping per
+  // interval, where pinging the parked links too would send three.
+  Fixture f = Fixture::Make(QueryShape::kLeftLinear, /*relations=*/3,
+                            /*card=*/200, /*procs=*/2, StrategyKind::kSP);
+  WarmFleetOptions fleet_options;
+  fleet_options.num_workers = 3;
+  auto fleet = WarmProcessFleet::Spawn(&f.db, fleet_options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  ProcessExecOptions options;
+  options.heartbeat_interval = std::chrono::milliseconds(100);
+  std::thread resume;
+  options.worker_observer = [&resume](uint32_t worker, pid_t pid) {
+    if (worker != 2) return;
+    kill(pid, SIGSTOP);
+    resume = std::thread([pid] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      kill(pid, SIGCONT);
+    });
+  };
+  ProcessExecStats proc;
+  const auto start = std::chrono::steady_clock::now();
+  auto result = (*fleet)->Execute(f.plan, options, nullptr, nullptr, &proc);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(resume.joinable()) << "worker 2 was never observed";
+  resume.join();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
+  const auto intervals = static_cast<uint64_t>(
+      elapsed / options.heartbeat_interval);
+  EXPECT_GE(intervals, 5u);
+  EXPECT_GT(proc.pings_sent, 0u);
+  // One more interval of slack in case the hosting workers were still in
+  // flight at the first heartbeat.
+  EXPECT_LE(proc.pings_sent, intervals + 2);
+  EXPECT_EQ((*fleet)->respawns(), 0u);
 }
 
 TEST(WarmFleetTest, NetFaultInjectorDoesNotOutliveItsQuery) {

@@ -121,10 +121,10 @@ std::vector<CodecCase> AllCases() {
   rows.push_back(Row("Heartbeat", HeartbeatMsg{0xA5A5A5A5u}));
   rows.push_back(
       Row("Milestone", MilestoneMsg{4, 2, Milestone::kBuildDone}));
-  rows.push_back(Row("Summary", SummaryMsg{1000, 0x8877665544332211ull}));
+  rows.push_back(Row("Summary", ResultSummary{1000, 0x8877665544332211ull}));
 
-  OpStatsMsg stats;
-  stats.op = 3;
+  QueryOpStats stats;
+  stats.op_id = 3;
   stats.instances = 2;
   stats.metrics.rows_in[0] = 10;
   stats.metrics.rows_in[1] = 20;
@@ -169,19 +169,27 @@ std::vector<CodecCase> AllCases() {
       "SkewDirective", directive,
       {[](SkewDirective& m) { m.repartition = !m.repartition; }}));
 
-  WorkerRunStats run;
-  run.local_deliveries = 22;
+  QueryStats run;
+  run.batches_sent = 11;
   run.batches_processed = 33;
-  run.pump_stalls = 44;
+  run.batch_buffers_reused = 12;
+  run.peak_queue_depth = 7;
   run.peak_memory_bytes = 1 << 16;
-  run.serialize_seconds = 0.125;
-  run.deserialize_seconds = 0.0625;
-  run.shm_records_sent = 55;
-  run.shm_records_received = 66;
-  run.shm_bytes_sent = 77777;
-  run.shm_bytes_received = 88888;
-  run.ring_full_stalls = 9;
-  rows.push_back(Row("WorkerRunStats", run));
+  run.per_op = {stats, stats};
+  run.per_op[1].op_id = 4;
+  rows.push_back(Row("QueryStats", run));
+
+  ProcessNetStats net;
+  net.local_deliveries = 22;
+  net.pump_stalls = 44;
+  net.serialize_seconds = 0.125;
+  net.deserialize_seconds = 0.0625;
+  net.shm_records_sent = 55;
+  net.shm_records_received = 66;
+  net.shm_bytes_sent = 77777;
+  net.shm_bytes_received = 88888;
+  net.ring_full_stalls = 9;
+  rows.push_back(Row("ProcessNetStats", net));
 
   const std::vector<WireTraceEvent> events{
       {1, 100, 250, ThreadWorkType::kBuild, 3},
@@ -190,10 +198,9 @@ std::vector<CodecCase> AllCases() {
   rows.push_back(Row("TraceEvents", events));
 
   WorkerReport worker_report;
-  worker_report.summary = SummaryMsg{1000, 0x8877665544332211ull};
+  worker_report.summary = ResultSummary{1000, 0x8877665544332211ull};
   worker_report.stats = run;
-  worker_report.ops = {stats, stats};
-  worker_report.ops[1].op = 4;
+  worker_report.net = net;
   worker_report.trace = events;
   rows.push_back(Row("WorkerReport", worker_report));
   rows.push_back(Row("Trigger", TriggerMsg{6}));

@@ -1,6 +1,6 @@
 // Golden wire bytes of every control payload: one fixed, fully populated
 // instance per message, encoded and compared with a hex literal. The
-// literals pin the byte layout of protocol v9, so any change to a codec
+// literals pin the byte layout of protocol v11, so any change to a codec
 // that moves a byte fails here, whether or not both ends still agree.
 #include <gtest/gtest.h>
 
@@ -27,8 +27,8 @@ std::string EncodedHex(const Msg& msg) {
   return hex;
 }
 
-TEST(WireGoldenTest, ProtocolVersionIsTen) {
-  EXPECT_EQ(kNetProtocolVersion, 10u);
+TEST(WireGoldenTest, ProtocolVersionIsEleven) {
+  EXPECT_EQ(kNetProtocolVersion, 11u);
 }
 
 TEST(WireGoldenTest, PlanEnvelope) {
@@ -82,10 +82,10 @@ TEST(WireGoldenTest, Milestone) {
   EXPECT_EQ(EncodedHex(m), "040000000200000001");
 }
 
-// The four parts of a WorkerReport, each with its golden bytes; the
+// The parts of a WorkerReport, each with its golden bytes; the
 // WorkerReport golden below is made of these.
-SummaryMsg SampleSummary() {
-  SummaryMsg m;
+ResultSummary SampleSummary() {
+  ResultSummary m;
   m.cardinality = 1000;
   m.checksum = 0x8877665544332211ull;
   return m;
@@ -96,9 +96,9 @@ TEST(WireGoldenTest, Summary) {
   EXPECT_EQ(EncodedHex(SampleSummary()), kSummaryHex);
 }
 
-OpStatsMsg SampleOpStats() {
-  OpStatsMsg m;
-  m.op = 3;
+QueryOpStats SampleOpStats() {
+  QueryOpStats m;
+  m.op_id = 3;
   m.instances = 2;
   OpMetrics& x = m.metrics;
   x.rows_in[0] = 1;
@@ -185,37 +185,61 @@ TEST(WireGoldenTest, SkewDirective) {
             "0000000000000240");
 }
 
-WorkerRunStats SampleRunStats() {
-  WorkerRunStats m;
-  m.local_deliveries = 1;
+// The run-stats part: a worker's QueryStats (its per_op list empty here)
+// and its ProcessNetStats.
+QueryStats SampleRunStats() {
+  QueryStats m;
+  m.batches_sent = 1;
   m.batches_processed = 2;
   m.batches_dropped = 3;
   m.batches_duplicated = 4;
-  m.pump_stalls = 5;
-  m.buffers_allocated = 6;
-  m.buffers_reused = 7;
-  m.faults_injected = 8;
+  m.queue_overflows = 5;
+  m.batch_buffers_allocated = 6;
+  m.batch_buffers_reused = 7;
+  m.peak_queue_depth = 8;
   m.peak_memory_bytes = 9;
+  return m;
+}
+// The nine counters; the per_op list's u32 count follows them.
+constexpr const char* kRunStatsHex =
+    "010000000000000002000000000000000300000000000000"
+    "040000000000000005000000000000000600000000000000"
+    "070000000000000008000000000000000900000000000000";
+
+TEST(WireGoldenTest, QueryStats) {
+  EXPECT_EQ(EncodedHex(SampleRunStats()),
+            std::string(kRunStatsHex) + "00000000");
+}
+
+ProcessNetStats SampleNetStats() {
+  ProcessNetStats m;
+  m.num_workers = 1;
+  m.bytes_sent = 2;
+  m.bytes_received = 3;
+  m.frames_sent = 4;
+  m.frames_received = 5;
+  m.local_deliveries = 6;
+  m.pump_stalls = 7;
+  m.faults_injected = 8;
   m.serialize_seconds = 0.5;
   m.deserialize_seconds = 0.25;
+  m.shm_rings = 9;
   m.shm_records_sent = 10;
   m.shm_records_received = 11;
   m.shm_bytes_sent = 12;
   m.shm_bytes_received = 13;
   m.ring_full_stalls = 14;
-  m.peak_backlog_records = 15;
   return m;
 }
-constexpr const char* kRunStatsHex =
-    "010000000000000002000000000000000300000000000000"
-    "040000000000000005000000000000000600000000000000"
-    "070000000000000008000000000000000900000000000000"
-    "000000000000e03f000000000000d03f0a00000000000000"
-    "0b000000000000000c000000000000000d00000000000000"
-    "0e000000000000000f00000000000000";
+constexpr const char* kNetStatsHex =
+    "010000000200000000000000030000000000000004000000"
+    "000000000500000000000000060000000000000007000000"
+    "000000000800000000000000000000000000e03f00000000"
+    "0000d03f090000000a000000000000000b00000000000000"
+    "0c000000000000000d000000000000000e00000000000000";
 
-TEST(WireGoldenTest, WorkerRunStats) {
-  EXPECT_EQ(EncodedHex(SampleRunStats()), kRunStatsHex);
+TEST(WireGoldenTest, ProcessNetStats) {
+  EXPECT_EQ(EncodedHex(SampleNetStats()), kNetStatsHex);
 }
 
 std::vector<WireTraceEvent> SampleTraceEvents() {
@@ -243,15 +267,17 @@ TEST(WireGoldenTest, TraceEvents) {
 }
 
 TEST(WireGoldenTest, WorkerReport) {
-  // The parts' own bytes in field order; the op-stats list carries its
-  // u32 count (1) before its one element, the trace its count (2).
+  // The parts' own bytes in field order; the stats' per-op list carries
+  // its u32 count (1) before its one element, the trace its count (2).
   WorkerReport m;
   m.summary = SampleSummary();
   m.stats = SampleRunStats();
-  m.ops.push_back(SampleOpStats());
+  m.stats.per_op.push_back(SampleOpStats());
+  m.net = SampleNetStats();
   m.trace = SampleTraceEvents();
   EXPECT_EQ(EncodedHex(m), std::string(kSummaryHex) + kRunStatsHex +
-                               "01000000" + kOpStatsHex + kTraceEventsHex);
+                               "01000000" + kOpStatsHex + kNetStatsHex +
+                               kTraceEventsHex);
 }
 
 TEST(WireGoldenTest, Trigger) {

@@ -157,8 +157,10 @@ int Usage() {
       "  --fault-on-attempt N  fire only on execution attempt N (0-based;\n"
       "                     -1=every attempt); pairs with --retries\n"
       "observability flags (run --backend thread|process):\n"
-      "  --metrics          print the run-level metrics registry, plus the\n"
-      "                     network counters on process\n");
+      "  --metrics          print the run-level metrics registry (thread.*\n"
+      "                     or process.*, skew.*, and net.* on process)\n"
+      "the sim rejects the skew defense, process-backend, resilience and\n"
+      "observability flags above (exit 2): it has none of those knobs\n");
   return 2;
 }
 
@@ -330,6 +332,22 @@ int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
   }
   const bool sim_backend = backend == "sim";
   const bool process_backend = backend == "process";
+  if (sim_backend) {
+    // The simulated machine has no queues, budget, deadline, faults, batch
+    // knob, skew defense, registry or worker fleet to apply these to.
+    for (const char* flag :
+         {"batch", "budget", "deadline-ms", "degrade", "fault", "fault-after",
+          "fault-delay-us", "fault-node", "fault-on-attempt", "fault-op",
+          "fault-prob", "fault-seed", "heartbeat-ms", "liveness-ms",
+          "max-queue", "metrics", "net-fault", "net-fault-after",
+          "net-fault-fires", "net-fault-seed", "net-fault-worker", "retries",
+          "retry-backoff-ms", "shm-ring-kb", "skew-defense", "workers"}) {
+      if (args.Has(flag)) {
+        std::fprintf(stderr, "--%s does not apply to --backend sim\n", flag);
+        return 2;
+      }
+    }
+  }
   FaultScenario scenario;
   if (!ParseFaultKind(args.Get("fault", "none"), &scenario.kind)) {
     std::fprintf(stderr, "unknown fault kind\n");
@@ -512,10 +530,6 @@ int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
     std::printf("\nEXPLAIN ANALYZE:\n%s", ExplainAnalyze(*run).c_str());
   }
   if (want_metrics) {
-    if (process_backend) {
-      std::printf("\nnetwork counters:\n%s",
-                  RenderProcessNetStats(net).c_str());
-    }
     std::printf("\nmetrics registry:\n%s", registry.RenderTable().c_str());
   }
   if (want_diagram) {
@@ -539,10 +553,9 @@ int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
   // no reference to verify against.
   if (!verify) return 0;
   // Drop/duplicate faults knowingly corrupt the result; verifying against
-  // the reference would only report the corruption we caused. The sim
-  // injects no faults.
-  if (!sim_backend && (scenario.kind == FaultKind::kDropBatch ||
-                       scenario.kind == FaultKind::kDuplicateBatch)) {
+  // the reference would only report the corruption we caused.
+  if (scenario.kind == FaultKind::kDropBatch ||
+      scenario.kind == FaultKind::kDuplicateBatch) {
     std::printf("verification skipped: %s alters the data stream\n",
                 FaultKindName(scenario.kind).c_str());
     return 0;

@@ -189,6 +189,12 @@ int RunSubmit(const Args& args) {
       !ParseStrategy(args.Get("strategy", "FP"), &strategy)) {
     return Usage();
   }
+  const std::string backend = args.Get("backend", "thread");
+  if (backend != "thread" && backend != "process") {
+    std::fprintf(stderr, "unknown backend '%s' (valid: thread|process)\n",
+                 backend.c_str());
+    return 2;
+  }
   auto plan_text = BuildPlanText(shape, strategy,
                                  args.GetNum<int>("relations", 5),
                                  args.GetNum<uint32_t>("card", 2000),
@@ -208,9 +214,8 @@ int RunSubmit(const Args& args) {
   const long count = args.GetNum<long>("count", 1);
   SubmitMsg submit;
   submit.tenant = args.Get("tenant", "cli");
-  submit.backend = args.Get("backend", "thread") == "process"
-                       ? ServeBackend::kProcess
-                       : ServeBackend::kThread;
+  submit.backend =
+      backend == "process" ? ServeBackend::kProcess : ServeBackend::kThread;
   submit.plan_text = *plan_text;
   submit.batch_size = args.GetNum<uint32_t>("batch", 256);
   submit.deadline_ms = args.GetNum<int64_t>("deadline-ms", 0);
