@@ -5,7 +5,6 @@
 //
 //   $ ./multicore_join [tuples_per_relation] [processors]
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "common/string_util.h"
@@ -13,17 +12,16 @@
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "engine/thread_executor.h"
+#include "examples/example_args.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
 
 using namespace mjoin;
 
 int main(int argc, char** argv) {
-  uint32_t cardinality = argc > 1
-                             ? static_cast<uint32_t>(std::atoi(argv[1]))
-                             : 20000;
-  uint32_t processors =
-      argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 10;
+  uint32_t cardinality =
+      NumberArg<uint32_t>(argc, argv, 1, "tuples_per_relation", 20000);
+  uint32_t processors = NumberArg<uint32_t>(argc, argv, 2, "processors", 10);
   constexpr int kRelations = 8;
 
   std::printf(
@@ -48,6 +46,7 @@ int main(int argc, char** argv) {
   ThreadExecutor executor(&db);
   TablePrinter table({"strategy", "wall time [s]", "result tuples",
                       "verified"});
+  int strategies_run = 0;
   for (StrategyKind kind : kAllStrategies) {
     auto plan = MakeStrategy(kind)->Parallelize(*query, processors,
                                                 TotalCostModel());
@@ -56,6 +55,7 @@ int main(int argc, char** argv) {
                     plan.status().ToString()});
       continue;
     }
+    ++strategies_run;
     ThreadExecOptions options;
     auto run = executor.Execute(*plan, options);
     if (!run.ok()) {
@@ -68,6 +68,11 @@ int main(int argc, char** argv) {
                   run->result == *reference ? "yes" : "NO!"});
   }
   std::printf("%s", table.ToString().c_str());
+  if (strategies_run == 0) {
+    std::fprintf(stderr, "no strategy could run on %u processors\n",
+                 processors);
+    return 1;
+  }
   std::printf(
       "\nNote: wall-clock differences between strategies only appear with "
       "enough hardware\ncores; on a small machine this mainly demonstrates "

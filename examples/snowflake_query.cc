@@ -7,13 +7,13 @@
 //
 //   $ ./snowflake_query [num_relations] [base_cardinality] [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "engine/sim_executor.h"
+#include "examples/example_args.h"
 #include "opt/general_query.h"
 #include "opt/optimizer.h"
 #include "strategy/strategy.h"
@@ -21,10 +21,10 @@
 using namespace mjoin;
 
 int main(int argc, char** argv) {
-  int num_relations = argc > 1 ? std::atoi(argv[1]) : 9;
+  int num_relations = NumberArg<int>(argc, argv, 1, "num_relations", 9);
   uint32_t base_cardinality =
-      argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 4000;
-  uint64_t seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 7;
+      NumberArg<uint32_t>(argc, argv, 2, "base_cardinality", 4000);
+  uint64_t seed = NumberArg<uint64_t>(argc, argv, 3, "seed", 7);
   constexpr uint32_t kProcessors = 32;
 
   auto instance =

@@ -8,14 +8,15 @@
 //     tuples_per_relation: default 5000
 //     processors: default 40
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "engine/sim_executor.h"
+#include "examples/example_args.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
 
@@ -57,8 +58,9 @@ int main(int argc, char** argv) {
                  argv[1]);
     return 2;
   }
-  if (argc > 2) cardinality = static_cast<uint32_t>(std::atoi(argv[2]));
-  if (argc > 3) processors = static_cast<uint32_t>(std::atoi(argv[3]));
+  cardinality =
+      NumberArg<uint32_t>(argc, argv, 2, "tuples_per_relation", cardinality);
+  processors = NumberArg<uint32_t>(argc, argv, 3, "processors", processors);
 
   constexpr int kRelations = 10;
   std::printf("shape=%s  tuples/relation=%u  processors=%u\n\n",
@@ -79,8 +81,8 @@ int main(int argc, char** argv) {
   SimExecutor executor(&db);
   TablePrinter table({"strategy", "response [s]", "processes", "streams",
                       "utilization", "verified"});
-  StrategyKind best_kind = StrategyKind::kSP;
-  double best_seconds = 1e100;
+  std::optional<StrategyKind> best_kind;
+  double best_seconds = 0;
   std::string best_diagram;
 
   for (StrategyKind kind : kAllStrategies) {
@@ -106,16 +108,21 @@ int main(int argc, char** argv) {
                   StrCat(run->machine.streams_opened),
                   StrCat(FormatDouble(run->utilization * 100, 0), "%"),
                   verified ? "yes" : "NO!"});
-    if (run->seconds < best_seconds) {
+    if (!best_kind.has_value() || run->seconds < best_seconds) {
       best_seconds = run->seconds;
       best_kind = kind;
       best_diagram = run->utilization_diagram;
     }
   }
   std::printf("%s\n", table.ToString().c_str());
+  if (!best_kind.has_value()) {
+    std::fprintf(stderr, "no strategy could run on %u processors\n",
+                 processors);
+    return 1;
+  }
   std::printf("winner: %s (%.2f s). Utilization diagram (rows = %u workers "
               "+ scheduler + broker):\n%s",
-              StrategyName(best_kind).c_str(), best_seconds, processors,
+              StrategyName(*best_kind).c_str(), best_seconds, processors,
               best_diagram.c_str());
   return 0;
 }

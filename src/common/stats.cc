@@ -1,32 +1,8 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mjoin {
-
-void StatsAccumulator::Add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-double StatsAccumulator::min() const { return count_ == 0 ? 0 : min_; }
-double StatsAccumulator::max() const { return count_ == 0 ? 0 : max_; }
-double StatsAccumulator::mean() const { return count_ == 0 ? 0 : mean_; }
-
-double StatsAccumulator::stddev() const {
-  if (count_ < 2) return 0;
-  return std::sqrt(m2_ / static_cast<double>(count_ - 1));
-}
 
 double PercentileTracker::Percentile(double p) const {
   if (values_.empty()) return 0;

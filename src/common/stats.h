@@ -7,28 +7,6 @@
 
 namespace mjoin {
 
-/// Online accumulator for min/max/mean/variance (Welford's algorithm).
-class StatsAccumulator {
- public:
-  void Add(double value);
-
-  int64_t count() const { return count_; }
-  double min() const;
-  double max() const;
-  double mean() const;
-  double sum() const { return sum_; }
-  /// Sample standard deviation; 0 for fewer than two samples.
-  double stddev() const;
-
- private:
-  int64_t count_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double sum_ = 0;
-};
-
 /// Percentile over a bounded sample set, computed by linear interpolation
 /// between the two closest ranks (numpy's default method): Percentile(50)
 /// over {1..100} is 50.5, not a member of the set. The samples are sorted

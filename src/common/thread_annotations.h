@@ -67,10 +67,4 @@
 /// (lets accessors expose a member mutex to the analysis).
 #define MJOIN_RETURN_CAPABILITY(x) MJOIN_THREAD_ANNOTATION_(lock_returned(x))
 
-/// Escape hatch for code the analysis cannot follow (e.g. the
-/// address-ordered double lock in Histogram::Merge). Every use carries a
-/// comment explaining why the discipline holds anyway.
-#define MJOIN_NO_THREAD_SAFETY_ANALYSIS \
-  MJOIN_THREAD_ANNOTATION_(no_thread_safety_analysis)
-
 #endif  // MJOIN_COMMON_THREAD_ANNOTATIONS_H_

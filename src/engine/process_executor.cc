@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "engine/controller.h"
 #include "engine/database.h"
@@ -257,7 +256,7 @@ class Coordinator {
   /// its previous report (or it was just spawned), so no worker is
   /// touching the arena while the rings are reformatted.
   Status AttachFleet();
-  Status ShipPlans();
+  void ShipPlans();
   void DispatchGroups(const std::vector<int>& groups);
   /// Once every op completed: kFinish to each worker past its handshake
   /// and not yet told. A worker still in its handshake (it hosts no
@@ -379,7 +378,7 @@ Status Coordinator::AttachFleet() {
   return Status::OK();
 }
 
-Status Coordinator::ShipPlans() {
+void Coordinator::ShipPlans() {
   std::string fault_scenario;
   if (exec_.fault_injector != nullptr) {
     fault_scenario = SerializeFaultScenario(exec_.fault_injector->scenario());
@@ -403,7 +402,6 @@ Status Coordinator::ShipPlans() {
     env.skew_defense = exec_.skew_defense;
     workers_[w].chan->QueueMsg(FrameType::kPlan, env);
   }
-  return Status::OK();
 }
 
 void Coordinator::DispatchGroups(const std::vector<int>& groups) {
@@ -879,29 +877,6 @@ void Coordinator::GatherNetStats() {
   net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
 }
 
-/// Publishes the wire-level "net." family of one run; the backend counters
-/// go out through PublishExecMetrics under "process.".
-void PublishNetMetrics(const ProcessNetStats& net,
-                       MetricsRegistry* registry) {
-  registry->counter("net.bytes_sent")->Add(net.bytes_sent);
-  registry->counter("net.bytes_received")->Add(net.bytes_received);
-  registry->counter("net.frames_sent")->Add(net.frames_sent);
-  registry->counter("net.frames_received")->Add(net.frames_received);
-  registry->counter("net.local_deliveries")->Add(net.local_deliveries);
-  registry->counter("net.pump_stalls")->Add(net.pump_stalls);
-  registry->counter("net.faults_injected")->Add(net.faults_injected);
-  registry->histogram("net.serialize_seconds")->Observe(net.serialize_seconds);
-  registry->histogram("net.deserialize_seconds")
-      ->Observe(net.deserialize_seconds);
-  registry->gauge("net.shm_rings")->Set(static_cast<int64_t>(net.shm_rings));
-  registry->counter("net.shm_records_sent")->Add(net.shm_records_sent);
-  registry->counter("net.shm_records_received")
-      ->Add(net.shm_records_received);
-  registry->counter("net.shm_bytes_sent")->Add(net.shm_bytes_sent);
-  registry->counter("net.shm_bytes_received")->Add(net.shm_bytes_received);
-  registry->counter("net.ring_full_stalls")->Add(net.ring_full_stalls);
-}
-
 StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
                                               ProcessNetStats* net_out) {
   // lint:allow-clock run wall-clock start, once per query
@@ -924,7 +899,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
   plan_hash_ = FnvHash64(plan_text_);
 
   MJOIN_RETURN_IF_ERROR(AttachFleet());
-  MJOIN_RETURN_IF_ERROR(ShipPlans());
+  ShipPlans();
   if (controller_.CheckLimits()) {
     DispatchGroups(controller_.TakeInitialGroups());
   }
@@ -945,20 +920,12 @@ StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
   if (stats_out != nullptr) *stats_out = stats_;
   if (net_out != nullptr) *net_out = net_;
 
-  double wall_seconds = std::chrono::duration<double>(end - start).count();
-  // Published on the abort path too: partial progress is diagnosable.
-  if (exec_.metrics_registry != nullptr) {
-    PublishExecMetrics("process", stats_, wall_seconds,
-                       exec_.metrics_registry);
-    PublishNetMetrics(net_, exec_.metrics_registry);
-  }
-
   // After a failed run the workers may be mid-query: the caller has the
   // fleet kill and respawn them, never this borrower.
   if (aborted()) return controller_.failure();
 
   ProcessQueryResult result;
-  result.exec.seconds = wall_seconds;
+  result.exec.seconds = std::chrono::duration<double>(end - start).count();
   result.exec.elapsed =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count();
@@ -977,22 +944,6 @@ StatusOr<ProcessQueryResult> Coordinator::Run(QueryStats* stats_out,
 /// Ceiling of the retry backoff, which doubles per retry from
 /// ProcessExecOptions::retry_backoff.
 constexpr std::chrono::milliseconds kRetryBackoffCap{2000};
-
-/// Publishes the recovery counters once per Execute() (the per-attempt
-/// counters go out in PublishExecMetrics and PublishNetMetrics).
-void PublishRecoveryMetrics(const ProcessExecStats& proc,
-                            MetricsRegistry* registry) {
-  registry->counter("process.attempts")->Add(proc.attempts);
-  registry->counter("process.retries")->Add(proc.retries);
-  registry->counter("process.hung_workers_killed")
-      ->Add(proc.hung_workers_killed);
-  registry->counter("process.worker_failures")->Add(proc.failures.size());
-  if (proc.degraded_to_thread) {
-    registry->counter("process.degraded_to_thread")->Add(1);
-  }
-  registry->counter("net.pings_sent")->Add(proc.pings_sent);
-  registry->counter("net.pongs_received")->Add(proc.pongs_received);
-}
 
 /// The checks both public Execute()s run before touching a fleet.
 Status CheckProcessQuery(const ParallelPlan& plan,
@@ -1022,12 +973,6 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
   const QueryLimits limits(options.exec.cancellation, options.exec.deadline);
 
   ProcessExecStats proc;
-  auto publish = [&proc, &options] {
-    if (options.exec.metrics_registry != nullptr) {
-      PublishRecoveryMetrics(proc, options.exec.metrics_registry);
-    }
-  };
-
   std::chrono::milliseconds backoff = options.retry_backoff;
   Status failure = Status::OK();
   for (uint32_t attempt = 0;; ++attempt) {
@@ -1040,7 +985,6 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
     if (result.ok()) {
       result->proc = proc;
       if (proc_out != nullptr) *proc_out = proc;
-      publish();
       return result;
     }
     // Any failure — even a deterministic one — leaves workers possibly
@@ -1085,14 +1029,12 @@ StatusOr<ProcessQueryResult> RunOnFleet(FleetState& fleet,
       result.proc = proc;
       if (net_out != nullptr) *net_out = result.net;
       if (proc_out != nullptr) *proc_out = proc;
-      publish();
       return result;
     }
     failure = degraded.status();
   }
 
   if (proc_out != nullptr) *proc_out = proc;
-  publish();
   return failure;
 }
 

@@ -16,8 +16,6 @@
 
 namespace mjoin {
 
-class MetricsRegistry;
-
 /// Merged runtime metrics of one plan operation (all its instances), with
 /// enough plan identity to print without the plan at hand. The phase
 /// buckets of `metrics` hold wall-clock seconds on the thread and process
@@ -150,12 +148,6 @@ std::vector<QueryOpStats> NewOpStats(const ParallelPlan& plan);
 /// `trace` from `trace` over [0, makespan].
 void AttachTrace(std::shared_ptr<const ThreadTraceRecorder> trace,
                  int64_t makespan, uint32_t width, QueryResult* result);
-
-/// Publishes one run's backend counters, gauges and batch-latency samples
-/// under `prefix` ("thread" or "process": "thread.batches_sent", ...),
-/// plus the backend-free "skew." family, into `registry`.
-void PublishExecMetrics(const std::string& prefix, const QueryStats& stats,
-                        double wall_seconds, MetricsRegistry* registry);
 
 /// EXPLAIN ANALYZE: result.stats.per_op as a fixed-width table, one row per
 /// operation with instances, rows in/out, busy seconds and the seven phase

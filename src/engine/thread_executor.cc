@@ -459,20 +459,13 @@ StatusOr<QueryResult> ThreadRun::Run(QueryStats* stats_out) {
   }
   if (stats_out != nullptr) *stats_out = stats;
 
-  double wall_seconds = std::chrono::duration<double>(end - start).count();
-  // Published on the abort path too: partial progress is diagnosable.
-  if (options_.metrics_registry != nullptr) {
-    PublishExecMetrics("thread", stats, wall_seconds,
-                       options_.metrics_registry);
-  }
-
   {
     MutexLock lock(&scheduler_mutex_);
     if (controller_.failed()) return controller_.failure();
   }
 
   QueryResult result;
-  result.seconds = wall_seconds;
+  result.seconds = std::chrono::duration<double>(end - start).count();
   result.elapsed =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count();

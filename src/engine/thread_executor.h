@@ -66,10 +66,6 @@ struct ThreadExecOptions {
   bool record_trace = false;
   /// Character width of QueryResult::utilization_diagram.
   uint32_t trace_width = 72;
-  /// When non-null, run-level counters ("thread.batches_sent", ...) and
-  /// the batch-latency histogram are published here after the run; must
-  /// outlive the execution.
-  MetricsRegistry* metrics_registry = nullptr;
 
   /// Skew defense (hot-key repartitioning + Bloom predicate transfer)
   /// over the plan's defendable joins; off by default. Never changes

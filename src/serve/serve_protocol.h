@@ -40,14 +40,13 @@ struct SubmitMsg {
   /// reserves from the server's global budget; 0 = unmetered (admission
   /// charges a minimal placeholder).
   uint64_t memory_budget_bytes = 0;
-  bool collect_metrics = false;
 };
 
 template <class V, WireFieldsOf<SubmitMsg> M>
 void Fields(V& v, M& m) {
   v(m.client_seq, m.tenant,
     WireEnumAs<uint8_t>(m.backend, ServeBackend::kProcess), m.plan_text,
-    m.batch_size, m.deadline_ms, m.memory_budget_bytes, m.collect_metrics);
+    m.batch_size, m.deadline_ms, m.memory_budget_bytes);
 }
 
 /// Payload of a kQueryResult frame: the outcome of one kSubmit,

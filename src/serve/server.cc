@@ -163,7 +163,6 @@ struct MjoinServer::Impl {
   const Database* database = nullptr;
   MjoinServeOptions options;
 
-  MetricsRegistry metrics;
   std::unique_ptr<PlanCache> plan_cache;
 
   /// Admission accounting: the sum of running queries' charges.
@@ -207,8 +206,10 @@ struct MjoinServer::Impl {
     Wake();
   }
 
-  QueryResultMsg MakeResult(const QueryTask& task, const Status& status) {
-    QueryResultMsg msg;
+  /// `msg` (what execution filled in, if anything) stamped with the
+  /// task's identity and `status`.
+  QueryResultMsg MakeResult(const QueryTask& task, const Status& status,
+                            QueryResultMsg msg = {}) {
     msg.client_seq = task.submit.client_seq;
     msg.backend = task.submit.backend;
     msg.status_code = static_cast<int32_t>(status.code());
@@ -227,20 +228,11 @@ struct MjoinServer::Impl {
 void MjoinServer::Impl::ExecLoop() {
   QueryTask task;
   while (scheduler.Pop(&task)) {
-    QueryResultMsg msg;
-    const Status status = ExecuteTask(task, &msg);
-    msg.client_seq = task.submit.client_seq;
-    msg.backend = task.submit.backend;
-    msg.status_code = static_cast<int32_t>(status.code());
-    msg.message = status.message();
+    QueryResultMsg executed;
+    const Status status = ExecuteTask(task, &executed);
+    QueryResultMsg msg = MakeResult(task, status, std::move(executed));
     msg.queue_seconds = Seconds(Now() - task.enqueued) - msg.wall_seconds;
     if (msg.queue_seconds < 0) msg.queue_seconds = 0;
-    metrics.counter(status.ok() ? "serve.queries_ok" : "serve.queries_failed")
-        ->Add(1);
-    metrics.histogram("serve.queue_seconds")->Observe(msg.queue_seconds);
-    if (status.ok()) {
-      metrics.histogram("serve.wall_seconds")->Observe(msg.wall_seconds);
-    }
     PushResult(ResultEnvelope{task.conn_id, std::move(msg)});
   }
 }
@@ -271,7 +263,6 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
         "query declares a larger budget than the server's whole admission "
         "budget");
   }
-  bool stalled = false;
   {
     MutexLock lock(&admission_mu);
     for (;;) {
@@ -282,7 +273,6 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
         return Status::Unavailable("server shutting down");
       }
       if (admission->Reserve(charge).ok()) break;
-      stalled = true;
       SteadyClock::time_point wait_until = Now() + std::chrono::milliseconds(50);
       if (task.deadline.has_value()) {
         if (*task.deadline <= Now()) {
@@ -293,7 +283,6 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
       (void)admission_cv.WaitUntil(admission_mu, wait_until);
     }
   }
-  if (stalled) metrics.counter("serve.admission_stalls")->Add(1);
   struct AdmissionGuard {
     Impl* impl;
     uint64_t charge;
@@ -313,8 +302,8 @@ Status MjoinServer::Impl::ExecuteTask(const QueryTask& task,
   exec.batch_size = q.batch_size != 0 ? q.batch_size : 256;
   exec.memory_budget_bytes = q.memory_budget_bytes;
   exec.cancellation = task.cancel;
-  exec.collect_metrics = q.collect_metrics;
-  exec.metrics_registry = q.collect_metrics ? &metrics : nullptr;
+  // No reply carries per-op stats, so none are gathered.
+  exec.collect_metrics = false;
   if (task.deadline.has_value()) {
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         *task.deadline - Now());
@@ -364,7 +353,6 @@ struct Conn {
 void MjoinServer::Impl::IoLoop() {
   std::unordered_map<uint64_t, Conn> conns;
   uint64_t next_conn_id = 1;
-  Gauge* connections = metrics.gauge("serve.connections");
 
   const auto close_conn = [&](uint64_t id) {
     auto it = conns.find(id);
@@ -373,7 +361,6 @@ void MjoinServer::Impl::IoLoop() {
     // are dropped when they find no connection to deliver to.
     it->second.cancel.Cancel();
     conns.erase(it);
-    connections->Add(-1);
   };
 
   const auto drain_results = [&] {
@@ -424,7 +411,6 @@ void MjoinServer::Impl::IoLoop() {
                         std::chrono::milliseconds(task.submit.deadline_ms);
       }
       task.cancel = it->second.cancel;
-      metrics.counter("serve.submits")->Add(1);
       scheduler.Push(std::move(task));
     }
     if (peer_closed) close_conn(id);
@@ -463,7 +449,6 @@ void MjoinServer::Impl::IoLoop() {
         conn.chan = std::make_unique<FrameChannel>(
             fd, "client " + std::to_string(id), LinkRole::kServer);
         conns.emplace(id, std::move(conn));
-        connections->Add(1);
       }
     }
     for (size_t i = 2; i < fds.size(); ++i) {
@@ -578,7 +563,6 @@ const std::string& MjoinServer::socket_path() const {
   return impl_->options.socket_path;
 }
 
-MetricsRegistry* MjoinServer::metrics() { return &impl_->metrics; }
 
 PlanCacheStats MjoinServer::plan_cache_stats() const {
   return impl_->plan_cache->stats();

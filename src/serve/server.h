@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "common/metrics.h"
 #include "common/statusor.h"
 #include "engine/warm_fleet.h"
 #include "serve/plan_cache.h"
@@ -72,10 +71,6 @@ class MjoinServer {
   void Shutdown();
 
   const std::string& socket_path() const;
-
-  /// The server's own metrics ("serve." family plus whatever the backends
-  /// publish). Live — counters move while queries run.
-  MetricsRegistry* metrics();
 
   PlanCacheStats plan_cache_stats() const;
 

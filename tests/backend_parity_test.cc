@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "engine/database.h"
 #include "engine/process_executor.h"
 #include "engine/query_result.h"
@@ -248,11 +246,8 @@ TEST(BackendExplainTest, PhaseColumnsAddUpToBusy) {
   }
 }
 
-// The thread and process backends publish one backend family through one
-// publisher: the process.* names of a query are its thread.* names with
-// the prefix swapped, plus the process backend's recovery counters. Each
-// trace names the backend that recorded it.
-TEST(BackendMetricsTest, ProcessNamesMirrorThreadNames) {
+// Each real backend's Chrome trace names the backend that recorded it.
+TEST(BackendTraceTest, TraceNamesItsBackend) {
   Database db = MakeWisconsinDatabase(3, 200, /*seed=*/7);
   auto query = MakeWisconsinChainQuery(QueryShape::kWideBushy, 3, 200);
   ASSERT_TRUE(query.ok());
@@ -260,43 +255,16 @@ TEST(BackendMetricsTest, ProcessNamesMirrorThreadNames) {
                   ->Parallelize(*query, /*processors=*/4, TotalCostModel());
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  MetricsRegistry thread_registry;
   ThreadExecOptions thread_options;
   thread_options.record_trace = true;
-  thread_options.metrics_registry = &thread_registry;
   auto thread_run = ThreadExecutor(&db).Execute(*plan, thread_options);
   ASSERT_TRUE(thread_run.ok()) << thread_run.status();
 
-  MetricsRegistry process_registry;
   ProcessExecOptions process_options;
   process_options.exec = thread_options;
-  process_options.exec.metrics_registry = &process_registry;
   process_options.num_workers = 2;
   auto process_run = ProcessExecutor(&db).Execute(*plan, process_options);
   ASSERT_TRUE(process_run.ok()) << process_run.status();
-
-  // Names under `prefix`, with the prefix stripped.
-  auto names = [](const MetricsRegistry& registry, const std::string& prefix) {
-    MetricsSnapshot snap = registry.Snapshot();
-    std::set<std::string> out;
-    auto add = [&](const auto& family) {
-      for (const auto& [name, value] : family) {
-        if (name.rfind(prefix, 0) == 0) out.insert(name.substr(prefix.size()));
-      }
-    };
-    add(snap.counters);
-    add(snap.gauges);
-    add(snap.histograms);
-    return out;
-  };
-  std::set<std::string> thread_names = names(thread_registry, "thread.");
-  std::set<std::string> process_names = names(process_registry, "process.");
-  for (const char* recovery :
-       {"attempts", "retries", "hung_workers_killed", "worker_failures"}) {
-    EXPECT_EQ(process_names.erase(recovery), 1u) << recovery;
-  }
-  EXPECT_FALSE(thread_names.empty());
-  EXPECT_EQ(process_names, thread_names);
 
   EXPECT_NE(thread_run->trace->ToChromeJson().find("mjoin thread backend"),
             std::string::npos);

@@ -6,7 +6,6 @@
 
 #include "common/cancellation.h"
 #include "common/memory_budget.h"
-#include "common/metrics.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -287,23 +286,6 @@ TEST(TablePrinterTest, SeparatorRendersAsRule) {
 
 // --- Stats ---------------------------------------------------------------------
 
-TEST(StatsTest, AccumulatorMoments) {
-  StatsAccumulator acc;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.Add(v);
-  EXPECT_EQ(acc.count(), 8);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.stddev(), 2.1380899, 1e-6);
-}
-
-TEST(StatsTest, EmptyAccumulatorIsZero) {
-  StatsAccumulator acc;
-  EXPECT_EQ(acc.count(), 0);
-  EXPECT_EQ(acc.mean(), 0);
-  EXPECT_EQ(acc.stddev(), 0);
-}
-
 TEST(StatsTest, Percentiles) {
   PercentileTracker tracker;
   for (int i = 1; i <= 100; ++i) tracker.Add(i);
@@ -375,122 +357,6 @@ TEST(StatsTest, PercentileTrackerMergePastCapKeepsTotals) {
   a.Merge(b);
   EXPECT_EQ(a.count(), 2 * n);
   EXPECT_EQ(a.values().size(), PercentileTracker::kMaxSamples);
-}
-
-TEST(MetricsTest, SnapshotDeltaIsolatesOneQuery) {
-  MetricsRegistry registry;
-  registry.counter("q.batches")->Add(100);
-  registry.gauge("q.depth")->Set(3);
-  registry.histogram("q.latency")->Observe(1.0);
-
-  // Snapshot, run "one query", delta: only that query's traffic shows.
-  const MetricsSnapshot before = registry.Snapshot();
-  registry.counter("q.batches")->Add(7);
-  registry.counter("q.new")->Add(2);
-  registry.gauge("q.depth")->Set(9);
-  registry.histogram("q.latency")->Observe(3.0);
-  registry.histogram("q.latency")->Observe(5.0);
-  const MetricsSnapshot after = registry.Snapshot();
-
-  const MetricsSnapshot delta = MetricsDelta(before, after);
-  EXPECT_EQ(delta.counters.at("q.batches"), 7u);
-  EXPECT_EQ(delta.counters.at("q.new"), 2u);
-  // Gauges are levels, not totals: the delta reports the current level.
-  EXPECT_EQ(delta.gauges.at("q.depth"), 9);
-  EXPECT_EQ(delta.histograms.at("q.latency").count, 2);
-  EXPECT_DOUBLE_EQ(delta.histograms.at("q.latency").sum, 8.0);
-
-  // A second identical "query" yields an identical delta — the registry's
-  // cumulative growth never leaks into per-query accounting.
-  const MetricsSnapshot before2 = registry.Snapshot();
-  registry.counter("q.batches")->Add(7);
-  registry.counter("q.new")->Add(2);
-  registry.gauge("q.depth")->Set(9);
-  registry.histogram("q.latency")->Observe(3.0);
-  registry.histogram("q.latency")->Observe(5.0);
-  const MetricsSnapshot delta2 = MetricsDelta(before2, registry.Snapshot());
-  EXPECT_EQ(delta2.counters, delta.counters);
-  EXPECT_EQ(delta2.gauges, delta.gauges);
-  EXPECT_EQ(delta2.histograms.at("q.latency").count,
-            delta.histograms.at("q.latency").count);
-  EXPECT_DOUBLE_EQ(delta2.histograms.at("q.latency").sum,
-                   delta.histograms.at("q.latency").sum);
-}
-
-TEST(MetricsTest, CounterAndGauge) {
-  MetricsRegistry registry;
-  Counter* counter = registry.counter("batches");
-  counter->Add();
-  counter->Add(4);
-  EXPECT_EQ(counter->value(), 5u);
-  EXPECT_EQ(registry.counter("batches"), counter);  // create-or-get
-
-  Gauge* gauge = registry.gauge("depth");
-  gauge->Set(7);
-  gauge->Add(3);
-  gauge->Set(2);
-  EXPECT_EQ(gauge->value(), 2);
-  EXPECT_EQ(gauge->max(), 10);
-  EXPECT_EQ(registry.size(), 2u);
-}
-
-TEST(MetricsTest, HistogramMomentsAndPercentiles) {
-  MetricsRegistry registry;
-  Histogram* hist = registry.histogram("latency");
-  for (int i = 1; i <= 100; ++i) hist->Observe(i);
-  EXPECT_EQ(hist->count(), 100);
-  EXPECT_DOUBLE_EQ(hist->mean(), 50.5);
-  EXPECT_DOUBLE_EQ(hist->min(), 1);
-  EXPECT_DOUBLE_EQ(hist->max(), 100);
-  EXPECT_NEAR(hist->Percentile(50), 50.5, 1e-9);
-
-  Histogram other;
-  other.Observe(1000);
-  hist->Merge(other);
-  EXPECT_EQ(hist->count(), 101);
-  EXPECT_DOUBLE_EQ(hist->max(), 1000);
-}
-
-// Counters and gauges take concurrent updates without losing any; the
-// gauge's high-water mark survives racing writers.
-TEST(MetricsTest, ConcurrentUpdates) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
-      Counter* counter = registry.counter("hits");
-      Gauge* gauge = registry.gauge("level");
-      Histogram* hist = registry.histogram("obs");
-      for (int i = 0; i < kPerThread; ++i) {
-        counter->Add();
-        gauge->Set(t * kPerThread + i);
-        if (i % 100 == 0) hist->Observe(i);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(registry.counter("hits")->value(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(registry.gauge("level")->max(), kThreads * kPerThread - 1);
-  EXPECT_EQ(registry.histogram("obs")->count(), kThreads * kPerThread / 100);
-}
-
-TEST(MetricsTest, RenderTableListsAllMetricsSorted) {
-  MetricsRegistry registry;
-  registry.counter("z.count")->Add(3);
-  registry.gauge("a.depth")->Set(4);
-  registry.histogram("m.lat")->Observe(0.5);
-  std::string table = registry.RenderTable();
-  auto a = table.find("a.depth");
-  auto m = table.find("m.lat");
-  auto z = table.find("z.count");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(m, std::string::npos);
-  ASSERT_NE(z, std::string::npos);
-  EXPECT_LT(a, m);
-  EXPECT_LT(m, z);
 }
 
 }  // namespace

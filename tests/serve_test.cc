@@ -53,7 +53,6 @@ TEST(ServeProtocolTest, SubmitRoundTrip) {
   msg.batch_size = 777;
   msg.deadline_ms = 250;
   msg.memory_budget_bytes = 1ull << 33;
-  msg.collect_metrics = true;
 
   std::vector<std::byte> wire;
   EncodeMsg(msg, &wire);
@@ -67,7 +66,6 @@ TEST(ServeProtocolTest, SubmitRoundTrip) {
   EXPECT_EQ(decoded.batch_size, msg.batch_size);
   EXPECT_EQ(decoded.deadline_ms, msg.deadline_ms);
   EXPECT_EQ(decoded.memory_budget_bytes, msg.memory_budget_bytes);
-  EXPECT_EQ(decoded.collect_metrics, msg.collect_metrics);
 
   // Trailing garbage is a decode error, not silently ignored.
   wire.push_back(std::byte{0});

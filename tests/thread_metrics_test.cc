@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "engine/thread_executor.h"
@@ -152,26 +151,6 @@ TEST(ThreadMetricsTest, DisabledPathGathersNothing) {
   EXPECT_EQ(run->trace, nullptr);
   EXPECT_TRUE(run->utilization_diagram.empty());
   EXPECT_EQ(ExplainAnalyze(*run), "");
-}
-
-/// Run-level counters land in the caller's registry.
-TEST(ThreadMetricsTest, PublishesToRegistry) {
-  Fixture f = MakeFixture(StrategyKind::kFP);
-  ThreadExecutor executor(&f.db);
-  MetricsRegistry registry;
-  ThreadExecOptions options;
-  options.batch_size = 64;
-  options.metrics_registry = &registry;
-  auto run = executor.Execute(f.plan, options);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(registry.counter("thread.batches_sent")->value(),
-            run->stats.batches_sent);
-  EXPECT_EQ(registry.counter("thread.batches_processed")->value(),
-            run->stats.batches_processed);
-  EXPECT_GT(registry.histogram("thread.batch_seconds")->count(), 0);
-  EXPECT_EQ(registry.histogram("thread.wall_seconds")->count(), 1);
-  std::string table = registry.RenderTable();
-  EXPECT_NE(table.find("thread.batches_sent"), std::string::npos);
 }
 
 /// Minimal JSON syntax check: balanced containers outside of strings,

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/metrics.h"
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "engine/thread_executor.h"
@@ -122,31 +121,20 @@ TEST(WarmFleetTest, RepeatedQueryStableMetricsDeltaOnThreadExecutor) {
   Fixture f = Fixture::Make(QueryShape::kWideBushy, /*relations=*/4,
                             /*card=*/300, /*procs=*/6, StrategyKind::kFP);
   ThreadExecutor exec(&f.db);
-  MetricsRegistry registry;
-  ThreadExecOptions options;
-  options.metrics_registry = &registry;
-
-  MetricsSnapshot prev_delta_base = registry.Snapshot();
-  MetricsSnapshot first_delta;
+  QueryStats first;
   for (int run = 0; run < 100; ++run) {
-    auto result = exec.Execute(f.plan, options);
+    auto result = exec.Execute(f.plan, ThreadExecOptions{});
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->result.checksum, f.reference.checksum);
-    const MetricsSnapshot now = registry.Snapshot();
-    const MetricsSnapshot delta = MetricsDelta(prev_delta_base, now);
-    prev_delta_base = now;
-    // The per-query delta is the same every run even though the registry's
-    // cumulative counters keep growing: that is what makes one registry
-    // reusable across queries on a warm executor.
+    // Each run's QueryStats counts that run alone, however many queries
+    // the warm executor served before it.
+    const QueryStats& stats = result->stats;
     if (run == 0) {
-      first_delta = delta;
-      EXPECT_GT(delta.counters.at("thread.batches_sent"), 0u);
+      first = stats;
+      EXPECT_GT(first.batches_sent, 0u);
     } else {
-      EXPECT_EQ(delta.counters.at("thread.batches_sent"),
-                first_delta.counters.at("thread.batches_sent"))
-          << "run " << run;
-      EXPECT_EQ(delta.counters.at("thread.batches_processed"),
-                first_delta.counters.at("thread.batches_processed"))
+      EXPECT_EQ(stats.batches_sent, first.batches_sent) << "run " << run;
+      EXPECT_EQ(stats.batches_processed, first.batches_processed)
           << "run " << run;
     }
   }

@@ -302,10 +302,9 @@ TEST(WireGoldenTest, Submit) {
   m.batch_size = 777;
   m.deadline_ms = 250;
   m.memory_budget_bytes = 1ull << 33;
-  m.collect_metrics = true;
   EXPECT_EQ(EncodedHex(m),
             "887766554433221101000000740104000000706c616e09030000"
-            "fa00000000000000000000000200000001");
+            "fa000000000000000000000002000000");
 }
 
 TEST(WireGoldenTest, QueryResult) {

@@ -27,12 +27,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "engine/database.h"
@@ -46,48 +45,13 @@
 #include "plan/wisconsin_query.h"
 #include "skew/defense.h"
 #include "strategy/strategy.h"
+#include "tools/cli_flags.h"
 #include "workload/workload.h"
 #include "xra/text.h"
 
 using namespace mjoin;
 
 namespace {
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  /// Prints the flag's value with what was `expected` instead, exits 2.
-  [[noreturn]] void BadValue(const std::string& key,
-                             const char* expected) const {
-    std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
-                 Get(key, "").c_str(), key.c_str(), expected);
-    std::exit(2);
-  }
-  /// The flag's value parsed as a T over the whole string (ParseNumber);
-  /// a malformed value prints the flag and exits 2.
-  template <typename T>
-  T GetNum(const std::string& key, T fallback) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    std::optional<T> value = ParseNumber<T>(it->second);
-    if (!value.has_value()) BadValue(key, NumberKindName<T>());
-    return *value;
-  }
-  /// A KiB-count flag as bytes (KiBToBytes); a count whose byte total
-  /// overflows exits 2 like a malformed one instead of wrapping around.
-  uint32_t GetKiB(const std::string& key, uint32_t fallback_kib) const {
-    std::optional<uint32_t> bytes =
-        KiBToBytes(GetNum<uint64_t>(key, fallback_kib));
-    if (!bytes.has_value()) BadValue(key, "a KiB count that fits 32 bits");
-    return *bytes;
-  }
-  bool Has(const std::string& key) const { return flags.contains(key); }
-};
 
 int Usage() {
   std::fprintf(
@@ -157,34 +121,13 @@ int Usage() {
       "  --fault-on-attempt N  fire only on execution attempt N (0-based;\n"
       "                     -1=every attempt); pairs with --retries\n"
       "observability flags (run --backend thread|process):\n"
-      "  --metrics          print the run-level metrics registry (thread.*\n"
-      "                     or process.*, skew.*, and net.* on process)\n"
+      "  --metrics          print the run ledger, one row per field: the\n"
+      "                     QueryStats counters, rows_out and skew_* summed\n"
+      "                     over ops, the batch latency, and on process the\n"
+      "                     ProcessNetStats and ProcessExecStats counters\n"
       "the sim rejects the skew defense, process-backend, resilience and\n"
       "observability flags above (exit 2): it has none of those knobs\n");
   return 2;
-}
-
-bool ParseShape(const std::string& text, QueryShape* shape) {
-  static const std::map<std::string, QueryShape> kShapes = {
-      {"left-linear", QueryShape::kLeftLinear},
-      {"left-bushy", QueryShape::kLeftOrientedBushy},
-      {"wide-bushy", QueryShape::kWideBushy},
-      {"right-bushy", QueryShape::kRightOrientedBushy},
-      {"right-linear", QueryShape::kRightLinear}};
-  auto it = kShapes.find(text);
-  if (it == kShapes.end()) return false;
-  *shape = it->second;
-  return true;
-}
-
-bool ParseStrategy(const std::string& text, StrategyKind* kind) {
-  for (StrategyKind candidate : kAllStrategies) {
-    if (StrategyName(candidate) == text) {
-      *kind = candidate;
-      return true;
-    }
-  }
-  return false;
 }
 
 struct Common {
@@ -270,17 +213,11 @@ int CmdExplain(const Args& args) {
   if (!ParseCommon(args, &common)) return 2;
   auto query =
       MakeWisconsinChainQuery(common.shape, common.relations, common.card);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
+  if (!query.ok()) return Fail(query.status());
   std::printf("join tree (%s):\n%s\n", ShapeName(common.shape).c_str(),
               query->tree.ToString().c_str());
   auto plan = BuildPlan(common);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-    return 1;
-  }
+  if (!plan.ok()) return Fail(plan.status());
   std::printf("%s", plan->ToString().c_str());
   return 0;
 }
@@ -313,6 +250,81 @@ void PrintThreadStats(const QueryStats& stats) {
       static_cast<unsigned long long>(stats.peak_queue_depth),
       static_cast<unsigned long long>(stats.queue_overflows),
       static_cast<unsigned long long>(stats.peak_memory_bytes));
+}
+
+/// --metrics: the run's typed ledger, one row per struct field: the wall
+/// time, every QueryStats counter, the per-op OpMetrics merged over ops
+/// (rows_out, the skew counters, the pooled batch latency) and, on process
+/// (`net` and `proc` non-null), every ProcessNetStats and ProcessExecStats
+/// counter.
+std::string RenderLedger(const QueryResult& run, const ProcessNetStats* net,
+                         const ProcessExecStats* proc) {
+  TablePrinter table({"struct", "field", "value"});
+  const char* owner = "QueryResult";
+  auto add = [&table, &owner](const char* field, const auto& value) {
+    table.AddRow({owner, field, StrCat(value)});
+  };
+// One row named after `field`, holding `from.field`.
+#define LEDGER_ROW(from, field) add(#field, (from).field)
+  LEDGER_ROW(run, seconds);
+  owner = "QueryStats";
+  const QueryStats& stats = run.stats;
+  LEDGER_ROW(stats, batches_sent);
+  LEDGER_ROW(stats, batches_processed);
+  LEDGER_ROW(stats, batches_dropped);
+  LEDGER_ROW(stats, batches_duplicated);
+  LEDGER_ROW(stats, queue_overflows);
+  LEDGER_ROW(stats, batch_buffers_allocated);
+  LEDGER_ROW(stats, batch_buffers_reused);
+  LEDGER_ROW(stats, peak_queue_depth);
+  LEDGER_ROW(stats, peak_memory_bytes);
+  // MergeFrom sums the counters, keeps the largest Bloom false-positive
+  // rate and pools the batch latency samples.
+  owner = "OpMetrics (all ops)";
+  OpMetrics ops;
+  for (const QueryOpStats& op : stats.per_op) ops.MergeFrom(op.metrics);
+  LEDGER_ROW(ops, rows_out);
+  LEDGER_ROW(ops, skew_hot_keys);
+  LEDGER_ROW(ops, skew_replicated_rows);
+  LEDGER_ROW(ops, skew_repartitioned_rows);
+  LEDGER_ROW(ops, skew_bloom_filtered_rows);
+  LEDGER_ROW(ops, skew_bloom_build_seconds);
+  LEDGER_ROW(ops, skew_bloom_fp_rate);
+  add("batch_seconds n", ops.batch_seconds.count());
+  add("batch_seconds p50", ops.batch_seconds.Percentile(50));
+  add("batch_seconds p95", ops.batch_seconds.Percentile(95));
+  add("batch_seconds max", ops.batch_seconds.Percentile(100));
+  if (net != nullptr) {
+    owner = "ProcessNetStats";
+    LEDGER_ROW(*net, num_workers);
+    LEDGER_ROW(*net, bytes_sent);
+    LEDGER_ROW(*net, bytes_received);
+    LEDGER_ROW(*net, frames_sent);
+    LEDGER_ROW(*net, frames_received);
+    LEDGER_ROW(*net, local_deliveries);
+    LEDGER_ROW(*net, pump_stalls);
+    LEDGER_ROW(*net, faults_injected);
+    LEDGER_ROW(*net, serialize_seconds);
+    LEDGER_ROW(*net, deserialize_seconds);
+    LEDGER_ROW(*net, shm_rings);
+    LEDGER_ROW(*net, shm_records_sent);
+    LEDGER_ROW(*net, shm_records_received);
+    LEDGER_ROW(*net, shm_bytes_sent);
+    LEDGER_ROW(*net, shm_bytes_received);
+    LEDGER_ROW(*net, ring_full_stalls);
+  }
+  if (proc != nullptr) {
+    owner = "ProcessExecStats";
+    LEDGER_ROW(*proc, attempts);
+    LEDGER_ROW(*proc, retries);
+    LEDGER_ROW(*proc, degraded_to_thread);
+    LEDGER_ROW(*proc, pings_sent);
+    LEDGER_ROW(*proc, pongs_received);
+    LEDGER_ROW(*proc, hung_workers_killed);
+    add("failures", proc->failures.size());
+  }
+#undef LEDGER_ROW
+  return table.ToString();
 }
 
 // `run` and `run-plan`: execute the plan on --backend (the simulated
@@ -395,15 +407,10 @@ int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
   bool want_metrics = args.Has("metrics");
   bool want_diagram = args.Has("diagram");
   std::string trace_out = args.Get("trace-out", "");
-  MetricsRegistry registry;
   options.record_trace = want_diagram || !trace_out.empty();
-  if (want_metrics) options.metrics_registry = &registry;
 
   auto made = MakeCliDatabase(common);
-  if (!made.ok()) {
-    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-    return 1;
-  }
+  if (!made.ok()) return Fail(made.status());
   Database db = std::move(*made);
   QueryStats stats;
   ProcessNetStats net;
@@ -530,7 +537,10 @@ int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
     std::printf("\nEXPLAIN ANALYZE:\n%s", ExplainAnalyze(*run).c_str());
   }
   if (want_metrics) {
-    std::printf("\nmetrics registry:\n%s", registry.RenderTable().c_str());
+    std::printf("\nrun ledger:\n%s",
+                RenderLedger(*run, process_backend ? &net : nullptr,
+                             process_backend ? &proc : nullptr)
+                    .c_str());
   }
   if (want_diagram) {
     std::printf("\nutilization (%.0f%%):\n%s", run->utilization * 100,
@@ -562,10 +572,7 @@ int RunPlan(const Args& args, const ParallelPlan& plan, const Common& common,
   }
   auto query =
       MakeWisconsinChainQuery(common.shape, common.relations, common.card);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
+  if (!query.ok()) return Fail(query.status());
   auto reference = ReferenceSummary(*query, db);
   if (!reference.ok() || !(run->result == *reference)) {
     std::fprintf(stderr, "verification FAILED\n");
@@ -579,10 +586,7 @@ int CmdRun(const Args& args) {
   Common common;
   if (!ParseCommon(args, &common)) return 2;
   auto plan = BuildPlan(common);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-    return 1;
-  }
+  if (!plan.ok()) return Fail(plan.status());
   return RunPlan(args, *plan, common, /*verify=*/true);
 }
 
@@ -595,10 +599,7 @@ int CmdSavePlan(const Args& args) {
     return 2;
   }
   auto plan = BuildPlan(common);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-    return 1;
-  }
+  if (!plan.ok()) return Fail(plan.status());
   std::ofstream file(out);
   if (!file) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
@@ -627,10 +628,7 @@ int CmdRunPlan(const Args& args) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   auto plan = ParsePlan(buffer.str());
-  if (!plan.ok()) {
-    std::fprintf(stderr, "parse: %s\n", plan.status().ToString().c_str());
-    return 1;
-  }
+  if (!plan.ok()) return Fail(plan.status(), "parse: ");
   return RunPlan(args, *plan, common, /*verify=*/false);
 }
 
@@ -644,10 +642,7 @@ int CmdBench(const Args& args) {
   config.processors = SmallExperimentProcessors();
   config.seed = common.seed;
   auto result = RunShapeExperiment(config);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   std::printf("%s query tree, %u tuples/relation:\n%s",
               ShapeName(common.shape).c_str(), common.card,
               result->ToTable().c_str());
@@ -662,7 +657,6 @@ int main(int argc, char** argv) {
   // already pass MSG_NOSIGNAL; this covers any other write to a dead pipe
   // so the coordinator sees EPIPE instead of dying silently.
   signal(SIGPIPE, SIG_IGN);
-  if (argc < 2) return Usage();
   static const std::set<std::string> kSwitches = {"analyze", "diagram",
                                                   "metrics", "degrade"};
   static const std::set<std::string> kValued = {
@@ -674,28 +668,9 @@ int main(int argc, char** argv) {
       "relations", "retries", "retry-backoff-ms", "seed", "selectivity",
       "shape", "shm-ring-kb", "skew-defense", "strategy", "trace-out",
       "workers", "workload", "zipf-theta"};
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) return Usage();
-    std::string key = token.substr(2);
-    const size_t eq = key.find('=');
-    const std::string name = key.substr(0, eq);
-    if (!kSwitches.contains(name) && !kValued.contains(name)) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      return 2;
-    }
-    if (eq != std::string::npos) {
-      args.flags.insert_or_assign(name, key.substr(eq + 1));
-    } else if (kSwitches.contains(key)) {
-      args.flags.insert_or_assign(key, std::string("1"));
-    } else if (i + 1 < argc) {
-      args.flags.insert_or_assign(key, std::string(argv[++i]));
-    } else {
-      return Usage();
-    }
-  }
+  std::optional<Args> parsed = ParseArgs(argc, argv, kSwitches, kValued);
+  if (!parsed.has_value()) return Usage();
+  const Args& args = *parsed;
   if (args.command == "explain") return CmdExplain(args);
   if (args.command == "run") return CmdRun(args);
   if (args.command == "save-plan") return CmdSavePlan(args);

@@ -20,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -33,6 +32,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "strategy/strategy.h"
+#include "tools/cli_flags.h"
 #include "xra/text.h"
 
 using namespace mjoin;
@@ -41,42 +41,6 @@ namespace {
 
 volatile sig_atomic_t g_stop = 0;
 void HandleStop(int) { g_stop = 1; }
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  /// Prints the flag's value with what was `expected` instead, exits 2.
-  [[noreturn]] void BadValue(const std::string& key,
-                             const char* expected) const {
-    std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
-                 Get(key, "").c_str(), key.c_str(), expected);
-    std::exit(2);
-  }
-  /// The flag's value parsed as a T over the whole string (ParseNumber);
-  /// a malformed value prints the flag and exits 2.
-  template <typename T>
-  T GetNum(const std::string& key, T fallback) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    std::optional<T> value = ParseNumber<T>(it->second);
-    if (!value.has_value()) BadValue(key, NumberKindName<T>());
-    return *value;
-  }
-  /// A KiB-count flag as bytes (KiBToBytes); a count whose byte total
-  /// overflows exits 2 like a malformed one instead of wrapping around.
-  uint32_t GetKiB(const std::string& key, uint32_t fallback_kib) const {
-    std::optional<uint32_t> bytes =
-        KiBToBytes(GetNum<uint64_t>(key, fallback_kib));
-    if (!bytes.has_value()) BadValue(key, "a KiB count that fits 32 bits");
-    return *bytes;
-  }
-  bool Has(const std::string& key) const { return flags.contains(key); }
-};
 
 int Usage() {
   std::fprintf(
@@ -104,29 +68,6 @@ int Usage() {
       "selftest:\n"
       "  --relations/--card small database for the end-to-end check\n");
   return 2;
-}
-
-bool ParseShape(const std::string& text, QueryShape* shape) {
-  static const std::map<std::string, QueryShape> kShapes = {
-      {"left-linear", QueryShape::kLeftLinear},
-      {"left-bushy", QueryShape::kLeftOrientedBushy},
-      {"wide-bushy", QueryShape::kWideBushy},
-      {"right-bushy", QueryShape::kRightOrientedBushy},
-      {"right-linear", QueryShape::kRightLinear}};
-  auto it = kShapes.find(text);
-  if (it == kShapes.end()) return false;
-  *shape = it->second;
-  return true;
-}
-
-bool ParseStrategy(const std::string& text, StrategyKind* kind) {
-  for (StrategyKind candidate : kAllStrategies) {
-    if (StrategyName(candidate) == text) {
-      *kind = candidate;
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Builds the plan text a submit carries: parallelize the Wisconsin chain
@@ -161,11 +102,7 @@ int RunServe(const Args& args) {
   Database db = MakeWisconsinDatabase(relations, card, seed);
 
   auto server = MjoinServer::Start(&db, options);
-  if (!server.ok()) {
-    std::fprintf(stderr, "start failed: %s\n",
-                 server.status().ToString().c_str());
-    return 1;
-  }
+  if (!server.ok()) return Fail(server.status(), "start failed: ");
   std::fprintf(stderr,
                "mjoin_serve: listening on %s (%u exec threads, %s fleet, "
                "%d relations x %u tuples)\n",
@@ -199,18 +136,10 @@ int RunSubmit(const Args& args) {
                                  args.GetNum<int>("relations", 5),
                                  args.GetNum<uint32_t>("card", 2000),
                                  args.GetNum<uint32_t>("procs", 8));
-  if (!plan_text.ok()) {
-    std::fprintf(stderr, "plan build failed: %s\n",
-                 plan_text.status().ToString().c_str());
-    return 1;
-  }
+  if (!plan_text.ok()) return Fail(plan_text.status(), "plan build failed: ");
 
   auto client = ServeClient::Connect(socket);
-  if (!client.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n",
-                 client.status().ToString().c_str());
-    return 1;
-  }
+  if (!client.ok()) return Fail(client.status(), "connect failed: ");
   const long count = args.GetNum<long>("count", 1);
   SubmitMsg submit;
   submit.tenant = args.Get("tenant", "cli");
@@ -223,18 +152,13 @@ int RunSubmit(const Args& args) {
   for (long i = 0; i < count; ++i) {
     submit.client_seq = static_cast<uint64_t>(i);
     if (Status s = client.value()->Submit(submit); !s.ok()) {
-      std::fprintf(stderr, "submit failed: %s\n", s.ToString().c_str());
-      return 1;
+      return Fail(s, "submit failed: ");
     }
   }
   int failures = 0;
   for (long i = 0; i < count; ++i) {
     auto result = client.value()->Await();
-    if (!result.ok()) {
-      std::fprintf(stderr, "await failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
+    if (!result.ok()) return Fail(result.status(), "await failed: ");
     const QueryResultMsg& r = result.value();
     if (r.status_code != 0) {
       std::fprintf(stderr, "query %llu failed: code %d: %s\n",
@@ -267,11 +191,7 @@ int RunSelftest(const Args& args) {
   options.exec_threads = 2;
   options.fleet.num_workers = 4;
   auto server = MjoinServer::Start(&db, options);
-  if (!server.ok()) {
-    std::fprintf(stderr, "selftest: start failed: %s\n",
-                 server.status().ToString().c_str());
-    return 1;
-  }
+  if (!server.ok()) return Fail(server.status(), "selftest: start failed: ");
 
   const QueryShape shapes[] = {QueryShape::kLeftLinear, QueryShape::kWideBushy};
   const ServeBackend backends[] = {ServeBackend::kThread,
@@ -288,9 +208,7 @@ int RunSelftest(const Args& args) {
     for (ServeBackend backend : backends) {
       auto client = ServeClient::Connect(socket);
       if (!client.ok()) {
-        std::fprintf(stderr, "selftest: connect failed: %s\n",
-                     client.status().ToString().c_str());
-        return 1;
+        return Fail(client.status(), "selftest: connect failed: ");
       }
       SubmitMsg submit;
       submit.client_seq = 7;
@@ -299,9 +217,7 @@ int RunSelftest(const Args& args) {
       submit.plan_text = *plan_text;
       submit.deadline_ms = 60000;
       if (Status s = client.value()->Submit(submit); !s.ok()) {
-        std::fprintf(stderr, "selftest: submit failed: %s\n",
-                     s.ToString().c_str());
-        return 1;
+        return Fail(s, "selftest: submit failed: ");
       }
       auto result = client.value()->Await(60000);
       if (!result.ok() || result.value().status_code != 0 ||
@@ -331,29 +247,9 @@ int main(int argc, char** argv) {
       "backend", "batch", "budget", "cache", "card", "count",
       "deadline-ms", "exec-threads", "procs", "query-budget", "relations",
       "ring-kb", "seed", "shape", "socket", "strategy", "tenant", "workers"};
-  Args args;
-  if (argc < 2) return Usage();
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) return Usage();
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    const std::string name = arg.substr(0, eq);
-    if (!kSwitches.contains(name) && !kValued.contains(name)) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      return 2;
-    }
-    if (eq != std::string::npos) {
-      args.flags[name] = arg.substr(eq + 1);
-    } else if (kSwitches.contains(name)) {
-      args.flags[name].assign(1, '1');
-    } else if (i + 1 < argc) {
-      args.flags[name] = argv[++i];
-    } else {
-      return Usage();
-    }
-  }
+  std::optional<Args> parsed = ParseArgs(argc, argv, kSwitches, kValued);
+  if (!parsed.has_value()) return Usage();
+  const Args& args = *parsed;
   if (args.command == "serve") return RunServe(args);
   if (args.command == "submit") return RunSubmit(args);
   if (args.command == "selftest") return RunSelftest(args);
